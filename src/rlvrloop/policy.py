@@ -55,6 +55,13 @@ class TaskHead:
     def copy(self) -> "TaskHead":
         return TaskHead(self.line_logits.copy(), self.cand_logits.copy())
 
+    def check_action(self, task_id: str, line: int, cand: int) -> None:
+        n_lines, n_cands = self.cand_logits.shape
+        if not 0 <= line < n_lines or not 0 <= cand < n_cands:
+            raise TrainingError(
+                f"{task_id}: action (line={line}, cand={cand}) outside policy table {n_lines}x{n_cands}"
+            )
+
 
 class TabularPolicy:
     """Mutable policy table keyed by task id."""
@@ -101,11 +108,7 @@ class TabularPolicy:
     def logprob(self, task_id: str, line: int, cand: int) -> float:
         """log p(line) + log p(cand | line) at temperature 1."""
         head = self.head(task_id)
-        n_lines, n_cands = head.cand_logits.shape
-        if not 0 <= line < n_lines or not 0 <= cand < n_cands:
-            raise TrainingError(
-                f"{task_id}: action (line={line}, cand={cand}) outside policy table {n_lines}x{n_cands}"
-            )
+        head.check_action(task_id, line, cand)
         return float(log_softmax(head.line_logits)[line] + log_softmax(head.cand_logits[line])[cand])
 
     def sample_line(self, task_id: str, temperature: float, rng: np.random.Generator) -> int:
@@ -148,9 +151,6 @@ class TabularPolicy:
             offset += n
         if offset != theta.size:
             raise TrainingError(f"theta size {theta.size} does not match policy ({offset} params)")
-
-    def zero_grad_like(self) -> np.ndarray:
-        return np.zeros_like(self.theta())
 
     def clone(self) -> "TabularPolicy":
         out = TabularPolicy(fine_tuned=self.fine_tuned)
@@ -221,6 +221,10 @@ class ReferencePolicy:
             head.line_logits.setflags(write=False)
             head.cand_logits.setflags(write=False)
         self.fingerprint_at_freeze = self._policy.fingerprint()
+
+    def head(self, task_id: str) -> TaskHead:
+        """The frozen (read-only) head of one task."""
+        return self._policy.head(task_id)
 
     def logprob(self, task_id: str, line: int, cand: int) -> float:
         return self._policy.logprob(task_id, line, cand)

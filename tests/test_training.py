@@ -2,6 +2,8 @@
 
 The analytic gradients are the load-bearing part of both trainers, so they
 are checked here against central differences computed from the loss alone.
+The packed trainers are also checked bit for bit against the per-pair loop
+they replaced, kept below as the reference.
 """
 import csv
 import math
@@ -11,7 +13,7 @@ import pytest
 
 from rlvrloop.errors import TrainingDivergedError, TrainingError
 from rlvrloop.pairs import PairSide, PreferencePair, SFTExample
-from rlvrloop.policy import ReferencePolicy, TabularPolicy
+from rlvrloop.policy import ReferencePolicy, TabularPolicy, softmax
 from rlvrloop.tasks import generate_synth_suite
 from rlvrloop.training import (
     DIVERGENCE_FACTOR,
@@ -261,6 +263,186 @@ def test_config_validation():
         DPOConfig(learning_rate=-1.0)
     with pytest.raises(TrainingError, match="epochs"):
         DPOConfig(epochs=-1)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the per-pair loops the packed trainers replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_logprob_grad(policy, grad, task_id, actions, weight):
+    """grad += weight * d log pi(line, cand | task) / d theta, in policy.theta() layout."""
+    offset = 0
+    for tid in policy.task_order():
+        if tid == task_id:
+            break
+        offset += policy.heads[tid].line_logits.size + policy.heads[tid].cand_logits.size
+    head = policy.head(task_id)
+    line, cand = actions
+    n_lines, n_cands = head.cand_logits.shape
+    grad[offset : offset + n_lines] -= weight * softmax(head.line_logits)
+    grad[offset + line] += weight
+    row_at = offset + n_lines + line * n_cands
+    grad[row_at : row_at + n_cands] -= weight * softmax(head.cand_logits[line])
+    grad[row_at + cand] += weight
+
+
+def loop_sft_loss_and_grad(policy, examples):
+    grad = np.zeros_like(policy.theta())
+    total = 0.0
+    for ex in examples:
+        total -= policy.logprob(ex.task_id, *ex.actions)
+        loop_logprob_grad(policy, grad, ex.task_id, ex.actions, -1.0 / len(examples))
+    return total / len(examples), grad
+
+
+def loop_dpo_loss_grad_margin(policy, reference, pairs, beta):
+    grad = np.zeros_like(policy.theta())
+    total = 0.0
+    margins = []
+    for pair in pairs:
+        w, l = pair.winner.actions, pair.loser.actions
+        delta_policy = policy.logprob(pair.task_id, *w) - policy.logprob(pair.task_id, *l)
+        delta_ref = reference.logprob(pair.task_id, *w) - reference.logprob(pair.task_id, *l)
+        z = beta * (delta_policy - delta_ref)
+        margins.append(z)
+        total += float(np.logaddexp(0.0, -z))
+        coeff = -float(1.0 / (1.0 + np.exp(z))) * beta / len(pairs)
+        loop_logprob_grad(policy, grad, pair.task_id, w, coeff)
+        loop_logprob_grad(policy, grad, pair.task_id, l, -coeff)
+    return total / len(pairs), grad, float(np.mean(margins))
+
+
+def loop_sft_train(policy, examples, config, history_out):
+    theta = policy.theta()
+    for epoch in range(config.epochs):
+        loss, grad = loop_sft_loss_and_grad(policy, examples)
+        history_out.append({"epoch": epoch, "loss": loss})
+        theta = theta - config.learning_rate * grad
+        policy.set_theta(theta)
+    history_out.append({"epoch": config.epochs, "loss": loop_sft_loss_and_grad(policy, examples)[0]})
+    policy.fine_tuned = True
+
+
+def loop_dpo_train(policy, pairs, config, reference, history_out):
+    theta = policy.theta()
+    initial_loss = None
+    for epoch in range(config.epochs):
+        loss, grad, margin = loop_dpo_loss_grad_margin(policy, reference, pairs, config.beta)
+        if initial_loss is None:
+            initial_loss = loss
+        if loss > DIVERGENCE_FACTOR * max(initial_loss, 1e-12):
+            raise TrainingDivergedError(f"epoch {epoch}")
+        history_out.append({"epoch": epoch, "loss": loss, "margin": margin})
+        theta = theta - config.learning_rate * grad
+        policy.set_theta(theta)
+    loss, _, margin = loop_dpo_loss_grad_margin(policy, reference, pairs, config.beta)
+    history_out.append({"epoch": config.epochs, "loss": loss, "margin": margin})
+
+
+def train_packed_and_loop(policy, examples, pairs, sft, dpo, reference=None):
+    """Train one clone of policy with the library and one with the oracle.
+
+    Without a reference, each side freezes its own policy after SFT, as the
+    loop does. Returns (policy, history rows, divergence raised) per side.
+    """
+    out = []
+    for sft_fn, dpo_fn in ((sft_train, dpo_train), (loop_sft_train, loop_dpo_train)):
+        trained = policy.clone()
+        history = []
+        if examples:
+            sft_fn(trained, examples, sft, history_out=history)
+        ref = reference if reference is not None else ReferencePolicy(trained)
+        diverged = False
+        try:
+            dpo_fn(trained, pairs, dpo, reference=ref, history_out=history)
+        except TrainingDivergedError:
+            diverged = True
+        out.append((trained, history, diverged))
+    return out
+
+
+def assert_bit_identical(packed, oracle):
+    assert packed[0].fingerprint() == oracle[0].fingerprint()
+    assert repr(packed[1]) == repr(oracle[1])
+    assert packed[2] == oracle[2]
+
+
+def random_pairs(rng, tasks, per_task):
+    return [
+        mk_pair(t.id, random_actions(rng, t), random_actions(rng, t))
+        for t in tasks
+        for _ in range(per_task)
+    ]
+
+
+def test_packed_training_matches_loop_oracle_on_uniform_grid(grid):
+    rng = np.random.default_rng(31)
+    examples = [mk_example(t.id, random_actions(rng, t)) for t in grid for _ in range(2)]
+    pairs = random_pairs(rng, grid, 4)
+    packed, oracle = train_packed_and_loop(
+        TabularPolicy.uniform(grid), examples, pairs, DPOConfig(epochs=25), DPOConfig(epochs=40)
+    )
+    assert_bit_identical(packed, oracle)
+    assert len(packed[1]) == 26 + 41
+
+
+def test_packed_training_matches_loop_oracle_with_reference_off_uniform(grid):
+    rng = np.random.default_rng(37)
+    policy = TabularPolicy.uniform(grid)
+    policy.set_theta(rng.normal(scale=1.0, size=policy.theta().size))
+    ref = ReferencePolicy(policy)
+    policy.set_theta(rng.normal(scale=1.5, size=policy.theta().size))
+    pairs = random_pairs(rng, grid, 5)
+    packed, oracle = train_packed_and_loop(
+        policy, [], pairs, None, DPOConfig(beta=0.3, learning_rate=0.8, epochs=40), reference=ref
+    )
+    assert_bit_identical(packed, oracle)
+
+
+def test_packed_training_matches_loop_oracle_on_mixed_shapes():
+    # two (L, m) groups of two tasks each, plus heads no pair or example names
+    rng = np.random.default_rng(41)
+    policy = TabularPolicy()
+    shapes = {"a0": (3, 4), "b0": (5, 2), "a1": (3, 4), "b1": (5, 2), "idle-a": (3, 4), "idle-c": (2, 6)}
+    for tid, (n_lines, n_cands) in shapes.items():
+        policy.ensure_task(tid, n_lines, n_cands)
+    policy.set_theta(rng.normal(size=policy.theta().size))
+    named = ["b1", "a0", "b0", "a1"]
+    pairs = [
+        mk_pair(tid, *[(int(rng.integers(shapes[tid][0])), int(rng.integers(shapes[tid][1]))) for _ in range(2)])
+        for tid in named * 3
+    ]
+    examples = [mk_example(p.task_id, p.winner.actions) for p in pairs[:6]]
+    ref = ReferencePolicy(policy)
+
+    assert np.array_equal(sft_loss_and_grad(policy, examples)[1], loop_sft_loss_and_grad(policy, examples)[1])
+    assert np.array_equal(
+        dpo_loss_and_grad(policy, ref, pairs, 0.2)[1], loop_dpo_loss_grad_margin(policy, ref, pairs, 0.2)[1]
+    )
+
+    packed, oracle = train_packed_and_loop(policy, examples, pairs, DPOConfig(epochs=20), DPOConfig(epochs=30))
+    assert_bit_identical(packed, oracle)
+    for tid in ("idle-a", "idle-c"):
+        assert np.array_equal(packed[0].heads[tid].line_logits, policy.heads[tid].line_logits)
+        assert np.array_equal(packed[0].heads[tid].cand_logits, policy.heads[tid].cand_logits)
+    assert packed[0].heads["a0"].line_logits.shape == (3,)
+    assert packed[0].heads["b1"].cand_logits.shape == (5, 2)
+
+
+def test_divergence_leaves_policy_where_the_loop_oracle_leaves_it(grid):
+    tid = grid.tasks[0].id
+    policy = TabularPolicy.uniform(grid)
+    ref = ReferencePolicy(policy)
+    policy.head(tid).cand_logits[0, 0] = 0.01
+    pairs = [mk_pair(tid, (0, 0), (0, 1)), mk_pair(tid, (0, 1), (0, 0))]
+    packed, oracle = train_packed_and_loop(
+        policy, [], pairs, None, DPOConfig(learning_rate=1e4, epochs=60), reference=ref
+    )
+    assert packed[2] and oracle[2]
+    assert_bit_identical(packed, oracle)
+    assert len(packed[1]) > 1  # the guard tripped after some updates had landed
+    assert packed[0].fingerprint() != policy.fingerprint()
 
 
 # ---------------------------------------------------------------------------
