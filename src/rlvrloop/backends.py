@@ -34,14 +34,12 @@ class SamplingParams:
 @dataclass
 class Completion:
     text: str
-    token_logprobs: list[float] | None = None
 
 
 class PolicyBackend:
     """Base contract. Subclasses override generate()."""
 
     backend_id: str = "base"
-    supports_logprobs: bool = False
     deterministic: bool = True
     max_concurrency: int | None = None  # None means no declared limit
 
@@ -59,8 +57,6 @@ class TabularPolicyBackend(PolicyBackend):
     of "the model may follow the hint".
     """
 
-    supports_logprobs = True
-
     def __init__(self, policy: TabularPolicy, backend_id: str = "tabular"):
         self.policy = policy
         self.backend_id = backend_id
@@ -77,11 +73,9 @@ class TabularPolicyBackend(PolicyBackend):
             n_lines = self.policy.head(task_id).line_logits.size
             if hinted is not None and 0 <= hinted < n_lines:
                 line = hinted
-                lp = 0.0
             else:
                 line = self.policy.sample_line(task_id, params.temperature, rng)
-                lp = float(np.log(self.policy.line_probs(task_id)[line]))
-            return Completion(text=prompts.format_line_completion(line), token_logprobs=[lp])
+            return Completion(text=prompts.format_line_completion(line))
 
         if prompts.prompt_is_whole_workspace_repair(prompt):
             line = self.policy.sample_line(task_id, params.temperature, rng)
@@ -92,8 +86,7 @@ class TabularPolicyBackend(PolicyBackend):
         if line is None:
             raise BackendError(f"{self.backend_id}: repair prompt names no statement")
         cand = self.policy.sample_cand(task_id, line, params.temperature, rng)
-        lp = float(np.log(self.policy.cand_probs(task_id, line)[cand]))
-        return Completion(text=prompts.format_candidate_completion(cand), token_logprobs=[lp])
+        return Completion(text=prompts.format_candidate_completion(cand))
 
 
 @dataclass
@@ -106,7 +99,6 @@ class ScriptedBackend(PolicyBackend):
 
     script: list = field(default_factory=list)
     backend_id: str = "scripted"
-    supports_logprobs: bool = False
     max_concurrency: int | None = 1
 
     def __post_init__(self):
@@ -130,7 +122,7 @@ class HttpPolicyBackend(PolicyBackend):
     """Client for the remote text-generation wire protocol.
 
     Request JSON:  {"prompt", "temperature", "seed", "max_tokens"}
-    Response JSON: {"completion": str, "token_logprobs": [float] | null}
+    Response JSON: {"completion": str}; other fields are ignored.
 
     Remote decoders may not honor seeds bit-exactly, so the backend is
     flagged non-deterministic and pipelines surface that in run manifests.
@@ -147,7 +139,6 @@ class HttpPolicyBackend(PolicyBackend):
         self.backend_id = backend_id
         self.timeout_s = timeout_s
         self.session = session
-        self.supports_logprobs = True
 
     def build_request(self, prompt: str, params: SamplingParams) -> dict:
         return {
@@ -171,4 +162,4 @@ class HttpPolicyBackend(PolicyBackend):
             text = body["completion"]
         except Exception as exc:
             raise BackendError(f"{self.backend_id}: malformed response: {exc}") from exc
-        return Completion(text=text, token_logprobs=body.get("token_logprobs"))
+        return Completion(text=text)

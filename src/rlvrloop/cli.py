@@ -203,7 +203,7 @@ def cmd_train_rm(args) -> int:
     rlvr = load_dataset(args.dataset)
     pairs = build_rm_training_pairs(rlvr.pairs, dataset.by_id)
     history: list = []
-    config = RMConfig(learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed)
+    config = RMConfig(learning_rate=args.learning_rate, epochs=args.epochs)
     rm = rm_train(pairs, config, history_out=history)
     rm.save(args.out)
     if args.log:
@@ -401,7 +401,6 @@ def build_parser() -> _Parser:
     p.add_argument("--log", default="")
     p.add_argument("--learning-rate", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_train_rm)
 
     p = sub.add_parser("rank", help="best-of-k selection with a trained reward model")

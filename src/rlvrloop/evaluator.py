@@ -277,7 +277,10 @@ def evaluate_batch(
     """Evaluate many attempts; output order matches input order.
 
     Individual infrastructure failures become EvaluationFailure entries and
-    never abort the rest of the batch.
+    never abort the rest of the batch. Synthetic tasks are scored in memory
+    in the calling thread, where a thread pool only adds overhead; sandboxed
+    and container items, which wait on subprocesses, share a pool of
+    ``workers`` threads while the synthetic ones are scored.
     """
 
     def one(item: tuple[Task, Trajectory]) -> RewardRecord | EvaluationFailure:
@@ -290,11 +293,12 @@ def evaluate_batch(
             log.exception("unexpected evaluator failure for %s", traj.traj_id)
             return EvaluationFailure(task_id=task.id, trajectory_ref=traj.traj_id, error=repr(exc))
 
-    workers = max(1, workers)
-    if workers == 1 or len(items) <= 1:
+    sandboxed = [item for item in items if not isinstance(item[0], SynthTask)]
+    if workers <= 1 or len(sandboxed) <= 1:
         return [one(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, items))
+        pending = pool.map(one, sandboxed)
+        return [one(item) if isinstance(item[0], SynthTask) else next(pending) for item in items]
 
 
 def workspace_fingerprint(path: str | Path) -> str:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CheckpointError, TrainingError
 from .jsonl import SCHEMA_VERSION
-from .rollout import Patch, Trajectory
+from .rollout import Patch
 from .tasks import SynthTask
 
 log = logging.getLogger(__name__)
@@ -59,28 +59,53 @@ def _edit_line(location: str) -> int | None:
     return None
 
 
+@dataclass(frozen=True)
+class _Issue:
+    """The issue-side inputs of ``featurize``, computed once per statement."""
+
+    statement: str
+    tokens: set[str]
+    hint_line: int | None
+    quote_tokens: tuple[set[str], ...]
+    normalized_quotes: tuple[str, ...]
+
+
+def _issue(problem_statement: str) -> _Issue:
+    hint = _HINT_LINE_RE.search(problem_statement)
+    quotes = _QUOTE_RE.findall(problem_statement)
+    return _Issue(
+        statement=problem_statement,
+        tokens=_tokens(problem_statement),
+        hint_line=None if hint is None else int(hint.group(1)),
+        quote_tokens=tuple(_tokens(q) for q in quotes),
+        normalized_quotes=tuple(_normalize(q) for q in quotes),
+    )
+
+
 def featurize(problem_statement: str, patch: Patch | None) -> np.ndarray:
     """Fixed-length feature vector; identical inputs give identical outputs."""
+    return _featurize(_issue(problem_statement), patch)
+
+
+def _featurize(issue: _Issue, patch: Patch | None) -> np.ndarray:
     f = np.zeros(N_FEATURES, dtype=np.float64)
     if patch is None or not patch.edits:
         f[0] = 1.0  # empty patch indicator
         return f
     replacement = "\n".join(text for _, text in patch.edits)
+    replacement_tokens = _tokens(replacement)
     lines = [ln for ln in (_edit_line(loc) for loc, _ in patch.edits) if ln is not None]
     f[1] = float(len(patch.edits))
     f[2] = len(replacement) / 100.0
     f[3] = (sum(lines) / len(lines)) / 10.0 if lines else 0.0
-    f[4] = _jaccard(_tokens(replacement), _tokens(problem_statement))
+    f[4] = _jaccard(replacement_tokens, issue.tokens)
 
-    hint = _HINT_LINE_RE.search(problem_statement)
-    if hint is not None and lines:
-        f[5] = 1.0 if int(hint.group(1)) in lines else 0.0
+    if issue.hint_line is not None and lines:
+        f[5] = 1.0 if issue.hint_line in lines else 0.0
 
-    quotes = _QUOTE_RE.findall(problem_statement)
-    if quotes:
-        norm_repl = _normalize(replacement)
-        f[6] = max(_jaccard(_tokens(q), _tokens(replacement)) for q in quotes)
-        f[7] = 1.0 if any(_normalize(q) == norm_repl for q in quotes) else 0.0
+    if issue.quote_tokens:
+        f[6] = max(_jaccard(q, replacement_tokens) for q in issue.quote_tokens)
+        f[7] = 1.0 if _normalize(replacement) in issue.normalized_quotes else 0.0
     return f
 
 
@@ -99,10 +124,14 @@ class RMExample:
 
 
 def rm_example(problem_statement: str, patch: Patch | None, reward: int) -> RMExample:
+    return _rm_example(_issue(problem_statement), patch, reward)
+
+
+def _rm_example(issue: _Issue, patch: Patch | None, reward: int) -> RMExample:
     return RMExample(
-        problem_statement=problem_statement,
+        problem_statement=issue.statement,
         patch_text="" if patch is None else "\n".join(t for _, t in patch.edits),
-        feature_vector=featurize(problem_statement, patch),
+        feature_vector=_featurize(issue, patch),
         label_reward=reward,
     )
 
@@ -111,7 +140,6 @@ def rm_example(problem_statement: str, patch: Patch | None, reward: int) -> RMEx
 class RMConfig:
     learning_rate: float = 0.5
     epochs: int = 200
-    seed: int = 0
 
 
 class PairwiseRM:
@@ -163,16 +191,26 @@ def rm_loss_and_grad(
     weights: np.ndarray, pairs: Sequence[tuple[RMExample, RMExample]]
 ) -> tuple[float, np.ndarray]:
     """Mean -log sigmoid(score_w - score_l) and its gradient in w."""
-    grad = np.zeros_like(weights)
     if not pairs:
-        return 0.0, grad
-    total = 0.0
-    for winner, loser in pairs:
-        diff = winner.feature_vector - loser.feature_vector
-        z = float(weights @ diff)
-        total += float(np.logaddexp(0.0, -z))
-        grad -= (1.0 / (1.0 + np.exp(z))) * diff
-    return total / len(pairs), grad / len(pairs)
+        return 0.0, np.zeros_like(weights)
+    return _loss_and_grad(weights, _differences(pairs))
+
+
+def _differences(pairs: Sequence[tuple[RMExample, RMExample]]) -> np.ndarray:
+    """The (P, N_FEATURES) matrix of winner - loser feature vectors."""
+    return np.array([w.feature_vector - l.feature_vector for w, l in pairs])
+
+
+def _loss_and_grad(weights: np.ndarray, diffs: np.ndarray) -> tuple[float, np.ndarray]:
+    # Same bits as a per-pair loop: z is a row-wise dot (``weights @ diff``
+    # per row; ``diffs @ weights`` rounds differently), and loss and gradient
+    # are summed pair by pair, left to right. ``0.0 - sum`` equals subtracting
+    # the terms one by one from 0.0, signed zeros included.
+    z = np.matmul(diffs[:, None, :], weights)[:, 0]
+    total = float(np.cumsum(np.logaddexp(0.0, -z))[-1])
+    coef = 1.0 / (1.0 + np.exp(z))
+    grad = 0.0 - np.cumsum(coef[:, None] * diffs, axis=0)[-1]
+    return total / len(diffs), grad / len(diffs)
 
 
 def rm_train(
@@ -183,17 +221,18 @@ def rm_train(
     """Full-batch gradient descent from w = 0; deterministic."""
     if not pairs:
         raise TrainingError("rm_train needs at least one (winner, loser) pair")
-    if all(np.array_equal(w.feature_vector, l.feature_vector) for w, l in pairs):
+    diffs = _differences(pairs)
+    if not diffs.any():
         log.warning("every rm pair has identical features; gradient is zero, returning w = 0")
         return PairwiseRM()
     weights = np.zeros(N_FEATURES, dtype=np.float64)
     for epoch in range(config.epochs):
-        loss, grad = rm_loss_and_grad(weights, pairs)
+        loss, grad = _loss_and_grad(weights, diffs)
         if history_out is not None:
             history_out.append({"epoch": epoch, "loss": loss})
         weights = weights - config.learning_rate * grad
     if history_out is not None:
-        final, _ = rm_loss_and_grad(weights, pairs)
+        final, _ = _loss_and_grad(weights, diffs)
         history_out.append({"epoch": config.epochs, "loss": final})
     return PairwiseRM(weights=weights)
 
@@ -225,7 +264,8 @@ def rank_best_of_k(
     """Pick the highest-scoring patch; ties break toward the lowest index."""
     if len(patches) == 0:
         raise ValueError("cannot rank an empty candidate list")
-    scores = [rm.score_patch(problem_statement, p) for p in patches]
+    issue = _issue(problem_statement)
+    scores = [rm.score(_featurize(issue, p)) for p in patches]
     return RankingResult(selected_index=int(np.argmax(scores)), scores=tuple(scores))
 
 
@@ -239,14 +279,18 @@ def build_rm_training_pairs(
     is exactly the signal the empty-patch indicator exists for.
     """
     out = []
+    issues: dict[str, _Issue] = {}
     for pair in preference_pairs:
         task = tasks_by_id.get(pair.task_id)
         if not isinstance(task, SynthTask):
             continue
+        if task.id not in issues:
+            issues[task.id] = _issue(task.issue)
+        issue = issues[task.id]
         out.append(
             (
-                rm_example(task.issue, _patch_from_actions(task, pair.winner.actions), 1),
-                rm_example(task.issue, _patch_from_actions(task, pair.loser.actions), 0),
+                _rm_example(issue, _patch_from_actions(task, pair.winner.actions), 1),
+                _rm_example(issue, _patch_from_actions(task, pair.loser.actions), 0),
             )
         )
     return out
@@ -261,23 +305,3 @@ def _patch_from_actions(task: SynthTask, actions: tuple[int, int] | None) -> Pat
         rendering=f"({line}, {cand})",
         synth=(line, cand),
     )
-
-
-def rm_examples_from_rollouts(
-    trajectories: Sequence[Trajectory], rewards_by_ref: dict
-) -> list[RMExample]:
-    """Labeled examples straight from scored rollouts (for held-out checks)."""
-    out = []
-    for traj in trajectories:
-        rec = rewards_by_ref.get(traj.traj_id)
-        if rec is None:
-            continue
-        out.append(rm_example_from_trajectory(traj, rec.reward))
-    return out
-
-
-def rm_example_from_trajectory(traj: Trajectory, reward: int, problem_statement: str = "") -> RMExample:
-    # The prompt of the first step embeds the issue; good enough for overlap
-    # features when the caller has no task object handy.
-    statement = problem_statement or traj.steps[0].prompt
-    return rm_example(statement, traj.patch, reward)

@@ -292,7 +292,10 @@ def test_parse_test_lines_protocol():
 # ---------------------------------------------------------------------------
 
 
-def test_batch_preserves_order_and_isolates_infra(small_suite, tmp_path):
+def test_batch_preserves_order_and_isolates_infra(small_suite, scripted_repo, tmp_path, monkeypatch):
+    import rlvrloop.evaluator as ev
+
+    real, _ = scripted_repo
     broken = Task(
         id="real-broken",
         issue="x",
@@ -302,20 +305,54 @@ def test_batch_preserves_order_and_isolates_infra(small_suite, tmp_path):
         repo_name="r",
     )
     t0, t1 = small_suite.tasks[0], small_suite.tasks[1]
+    fix = Patch(edits=(("app.py:1:2", "    return 7"),), rendering="d")
     items = [
         (t0, synth_attempt(t0, 0, 0)),
         (broken, manual_trajectory(broken.id, Patch(edits=(("a:0:0", "x"),), rendering="d"), "b/x/0/u")),
         (t1, synth_attempt(t1, 1, 1)),
+        (real, manual_trajectory(real.id, fix, "r/x/0/u")),
+        (t0, synth_attempt(t0, *enumerate_passing_patches(t0)[0])),
+        (real, manual_trajectory(real.id, Patch(edits=(("app.py:1:2", "    return 4"),), rendering="d"), "r/x/1/u")),
     ]
+    pools = []
+
+    class CountingPool(ev.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "ThreadPoolExecutor", CountingPool)
     records = evaluate_batch(items, workers=3)
-    assert len(records) == 3
-    assert isinstance(records[0], RewardRecord) and records[0].task_id == t0.id
-    assert isinstance(records[1], EvaluationFailure) and records[1].task_id == "real-broken"
-    assert isinstance(records[2], RewardRecord) and records[2].task_id == t1.id
+    assert len(pools) == 1  # the sandboxed items share one pool
+    assert [r.trajectory_ref for r in records] == [traj.traj_id for _, traj in items]
+    assert [type(r) for r in records] == [
+        RewardRecord, EvaluationFailure, RewardRecord, RewardRecord, RewardRecord, RewardRecord,
+    ]
+    assert records[1].task_id == "real-broken"
+    assert [r.reward for i, r in enumerate(records) if i != 1] == [0, 0, 1, 1, 0]
 
     serial = evaluate_batch(items, workers=1)
-    assert [type(r) for r in serial] == [type(r) for r in records]
-    assert [r.task_id for r in serial] == [r.task_id for r in records]
+    assert len(pools) == 1
+
+    def fields(rec):
+        return reward_to_record(rec) | {"wall_time_s": None}
+
+    assert [fields(r) for r in serial] == [fields(r) for r in records]
+
+
+def test_synthetic_batch_never_builds_a_thread_pool(small_suite, monkeypatch):
+    import rlvrloop.evaluator as ev
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("synthetic items must be scored in the calling thread")
+
+    monkeypatch.setattr(ev, "ThreadPoolExecutor", no_pool)
+    items = [(task, synth_attempt(task, 1, cand)) for task in small_suite for cand in range(2)]
+    records = evaluate_batch(items, workers=4)
+    assert [r.trajectory_ref for r in records] == [traj.traj_id for _, traj in items]
+    assert [reward_to_record(r) | {"wall_time_s": None} for r in records] == [
+        reward_to_record(evaluate(task, traj)) | {"wall_time_s": None} for task, traj in items
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from rlvrloop.reward_model import (
     rank_best_of_k,
     ranking_accuracy,
     rm_example,
-    rm_examples_from_rollouts,
     rm_loss_and_grad,
     rm_train,
 )
@@ -136,6 +135,93 @@ def test_rm_example_shape_guard():
 
 
 # ---------------------------------------------------------------------------
+# The stacked trainer against the per-pair loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_rm_loss_and_grad(weights, pairs):
+    """Reference oracle: the per-pair loss/gradient loop, one pair at a time."""
+    grad = np.zeros_like(weights)
+    if not pairs:
+        return 0.0, grad
+    total = 0.0
+    for winner, loser in pairs:
+        diff = winner.feature_vector - loser.feature_vector
+        z = float(weights @ diff)
+        total += float(np.logaddexp(0.0, -z))
+        grad -= (1.0 / (1.0 + np.exp(z))) * diff
+    return total / len(pairs), grad / len(pairs)
+
+
+def loop_rm_train(pairs, config=RMConfig()):
+    weights = np.zeros(N_FEATURES, dtype=np.float64)
+    history = []
+    for epoch in range(config.epochs):
+        loss, grad = loop_rm_loss_and_grad(weights, pairs)
+        history.append({"epoch": epoch, "loss": loss})
+        weights = weights - config.learning_rate * grad
+    history.append({"epoch": config.epochs, "loss": loop_rm_loss_and_grad(weights, pairs)[0]})
+    return weights, history
+
+
+def assert_trains_like_loop_oracle(pairs, config=RMConfig()):
+    want_weights, want_history = loop_rm_train(pairs, config)
+    history = []
+    rm = rm_train(pairs, config, history_out=history)
+    assert np.array_equal(rm.weights, want_weights)
+    assert rm.weights.tobytes() == want_weights.tobytes()
+    assert history == want_history
+
+
+def pipeline_rm_pairs():
+    suite = generate_synth_suite(8, 4, 4, seed=21)
+    trajs, recs = scored_round(suite, 0)
+    return build_rm_training_pairs(
+        build_rlvr_dataset(trajs, recs, max_pairs_per_task=8).pairs, suite.by_id
+    )
+
+
+def test_stacked_rm_train_matches_loop_oracle_on_pipeline_pairs():
+    pairs = pipeline_rm_pairs()
+    assert len(pairs) > 10
+    assert_trains_like_loop_oracle(pairs)
+    assert_trains_like_loop_oracle(pairs[:1], RMConfig(learning_rate=0.1, epochs=7))
+
+
+def test_stacked_rm_train_matches_loop_oracle_with_empty_patch_sides(one_task):
+    (fix_line, fix_cand), = enumerate_passing_patches(one_task)
+    fix = patch_at(fix_line, one_task.candidates[fix_line][fix_cand])
+    others = [
+        patch_at(line, one_task.candidates[line][cand])
+        for line in range(one_task.n_lines)
+        for cand in range(one_task.n_candidates)
+        if (line, cand) != (fix_line, fix_cand)
+    ]
+    empty = Patch(edits=(), rendering="")
+    pairs = [(rm_example(one_task.issue, fix, 1), rm_example(one_task.issue, p, 0)) for p in others]
+    pairs += [
+        (rm_example(one_task.issue, fix, 1), rm_example(one_task.issue, None, 0)),
+        (rm_example(one_task.issue, others[0], 1), rm_example(one_task.issue, empty, 0)),
+        (rm_example(one_task.issue, None, 1), rm_example(one_task.issue, others[1], 0)),
+        (rm_example(one_task.issue, fix, 1), rm_example(one_task.issue, fix, 0)),
+    ]
+    assert_trains_like_loop_oracle(pairs)
+
+
+def test_public_rm_loss_and_grad_matches_loop_oracle_exactly():
+    pairs = pipeline_rm_pairs()
+    rng = np.random.default_rng(17)
+    for weights in [np.zeros(N_FEATURES), *rng.normal(size=(4, N_FEATURES))]:
+        loss, grad = rm_loss_and_grad(weights, pairs)
+        want_loss, want_grad = loop_rm_loss_and_grad(weights, pairs)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
+        assert grad.tobytes() == want_grad.tobytes()
+    loss, grad = rm_loss_and_grad(np.ones(N_FEATURES), [])
+    assert loss == 0.0 and np.array_equal(grad, np.zeros(N_FEATURES))
+
+
+# ---------------------------------------------------------------------------
 # Separability on synthetic suites
 # ---------------------------------------------------------------------------
 
@@ -228,6 +314,17 @@ def test_rank_invariant_to_positive_score_rescaling():
     assert base.selected_index == scaled.selected_index
 
 
+def test_rank_scores_equal_per_patch_scores(small_suite):
+    rng = np.random.default_rng(5)
+    rm = PairwiseRM(rng.normal(size=N_FEATURES))
+    for task in small_suite:
+        patches = [patch_at(line, task.candidates[line][cand])
+                   for line in range(task.n_lines) for cand in range(task.n_candidates)]
+        patches += [None, Patch(edits=(), rendering="")]
+        result = rank_best_of_k(rm, task.issue, patches)
+        assert result.scores == tuple(rm.score_patch(task.issue, p) for p in patches)
+
+
 # ---------------------------------------------------------------------------
 # Pair construction from datasets
 # ---------------------------------------------------------------------------
@@ -270,16 +367,6 @@ def test_build_rm_training_pairs_skips_real_tasks(tmp_path):
     pair = PreferencePair("r1", "p", PairSide("w", "a", None, True), PairSide("l", "b", None, True),
                           "rollout_pair", True)
     assert build_rm_training_pairs([pair], {"r1": real}) == []
-
-
-def test_rm_examples_from_rollouts(small_suite):
-    trajs, recs = scored_round(small_suite, 0)
-    rewards = {r.trajectory_ref: r for r in recs if isinstance(r, RewardRecord)}
-    examples = rm_examples_from_rollouts(trajs, rewards)
-    assert len(examples) == len(trajs)
-    assert {e.label_reward for e in examples} <= {0, 1}
-    none_scored = rm_examples_from_rollouts(trajs, {})
-    assert none_scored == []
 
 
 # ---------------------------------------------------------------------------
