@@ -1,13 +1,14 @@
 """Policy backends: anything that turns a prompt into a completion.
 
-The engine only relies on the generate() contract plus a few capability
-flags, so a desk-scale tabular policy, a scripted stub, and a remote
+The engine only relies on the generate() contract plus a concurrency
+limit, so a desk-scale tabular policy, a scripted stub, and a remote
 text-generation endpoint are interchangeable. Local backends must be
-deterministic for a fixed (prompt, params); remote ones are exempt but get
-flagged so downstream determinism checks can skip them.
+deterministic for a fixed (prompt, params); remote ones are exempt, and the
+run manifest records `backend_deterministic` from the configured backend kind.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,6 @@ class PolicyBackend:
     """Base contract. Subclasses override generate()."""
 
     backend_id: str = "base"
-    deterministic: bool = True
     max_concurrency: int | None = None  # None means no declared limit
 
     def generate(self, prompt: str, params: SamplingParams) -> Completion:
@@ -118,27 +118,53 @@ class ScriptedBackend(PolicyBackend):
         return Completion(text=str(entry))
 
 
+def post_completion(
+    endpoint: str, payload: dict, timeout_s: float, error: type[Exception], who: str
+) -> str:
+    """POST payload as JSON and return the reply's "completion" field.
+
+    Every failure (no connection, a status other than 200, a body without
+    a completion) raises `error`, its message prefixed with `who`.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request  # imported here: most runs never talk to an endpoint
+
+    try:
+        request = urllib.request.Request(
+            endpoint,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=timeout_s) as resp:
+            status, body = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        raise error(f"{who}: HTTP {exc.code}") from exc
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        raise error(f"{who}: request failed: {exc}") from exc
+    if status != 200:
+        raise error(f"{who}: HTTP {status}")
+    try:
+        return str(json.loads(body)["completion"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise error(f"{who}: malformed response: {exc}") from exc
+
+
 class HttpPolicyBackend(PolicyBackend):
     """Client for the remote text-generation wire protocol.
 
     Request JSON:  {"prompt", "temperature", "seed", "max_tokens"}
     Response JSON: {"completion": str}; other fields are ignored.
 
-    Remote decoders may not honor seeds bit-exactly, so the backend is
-    flagged non-deterministic and pipelines surface that in run manifests.
+    Remote decoders may not honor seeds bit-exactly; the run manifest marks
+    a remote backend as non-deterministic.
     """
 
-    deterministic = False
-
-    def __init__(self, endpoint: str, backend_id: str = "remote", timeout_s: float = 60.0, session=None):
-        if session is None:
-            import requests
-
-            session = requests.Session()
+    def __init__(self, endpoint: str, backend_id: str = "remote", timeout_s: float = 60.0):
         self.endpoint = endpoint
         self.backend_id = backend_id
         self.timeout_s = timeout_s
-        self.session = session
 
     def build_request(self, prompt: str, params: SamplingParams) -> dict:
         return {
@@ -149,17 +175,7 @@ class HttpPolicyBackend(PolicyBackend):
         }
 
     def generate(self, prompt: str, params: SamplingParams) -> Completion:
-        try:
-            resp = self.session.post(
-                self.endpoint, json=self.build_request(prompt, params), timeout=self.timeout_s
-            )
-        except Exception as exc:
-            raise BackendError(f"{self.backend_id}: request failed: {exc}") from exc
-        if getattr(resp, "status_code", 500) != 200:
-            raise BackendError(f"{self.backend_id}: HTTP {resp.status_code}")
-        try:
-            body = resp.json()
-            text = body["completion"]
-        except Exception as exc:
-            raise BackendError(f"{self.backend_id}: malformed response: {exc}") from exc
-        return Completion(text=text)
+        payload = self.build_request(prompt, params)
+        return Completion(
+            text=post_completion(self.endpoint, payload, self.timeout_s, BackendError, self.backend_id)
+        )

@@ -1,8 +1,11 @@
 """Command-line entry point.
 
-Each subcommand wraps one pipeline phase and reads/writes the same file
-formats the full loop uses, so `run-loop` and a sequence of individual
-commands with the same seeds produce byte-identical artifacts.
+Each stepwise subcommand builds a RunConfig from its flags, calls the
+loop's phase function for that phase (rlvrloop.loop), and prints a summary
+line. `run-loop` calls the same functions in sequence, so it and a sequence
+of individual commands with the same seeds and settings produce
+byte-identical artifacts. `train-rm` and `rank` are not loop phases and
+keep their own bodies here.
 
 Exit codes: 0 success, 1 usage or data error, 2 phase failure (resumable
 state written), 3 infrastructure error (sandbox or backend).
@@ -10,13 +13,10 @@ state written), 3 infrastructure error (sandbox or backend).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
-from pathlib import Path
 
 from . import __version__
-from .backends import TabularPolicyBackend
 from .errors import (
     BackendError,
     PhaseError,
@@ -25,26 +25,26 @@ from .errors import (
     SandboxProvisionError,
     UsageError,
 )
-from .evaluator import EvaluationFailure, read_rewards, write_rewards
+from .evaluator import EvaluationFailure, read_rewards
 from .jsonl import read_records, write_records
 from .loop import (
     RunConfig,
     RunPaths,
-    build_teacher,
+    assemble,
     count_infra_errors,
-    evaluate_trajectories,
-    guide_failures,
+    evaluate,
+    guide,
+    init_policy,
     load_config,
-    reattempt_with_guidance,
-    read_guidance,
-    rollout_all_tasks,
+    make_tasks,
+    reattempt,
+    report,
+    rollout,
     run_loop,
-    write_guidance,
-    write_manifest,
+    train_dpo,
+    train_sft,
 )
-from .metrics import aggregate, guidance_uplift_report, render_report_text
-from .pairs import build_rlvr_dataset, emit_dataset, load_dataset
-from .policy import ReferencePolicy, TabularPolicy
+from .pairs import load_dataset
 from .reward_model import (
     PairwiseRM,
     RMConfig,
@@ -52,11 +52,9 @@ from .reward_model import (
     rank_best_of_k,
     rm_train,
 )
-from .rollout import read_trajectories, write_trajectories
-from .tasks import generate_synth_suite, load_tasks, save_tasks
-from .training import DPOConfig, dpo_train, sft_train, write_history_csv
-
-log = logging.getLogger(__name__)
+from .rollout import read_trajectories
+from .tasks import load_tasks
+from .training import write_history_csv
 
 SELECTIONS_SCHEMA = "rm_selections"
 
@@ -76,51 +74,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_gen_tasks(args) -> int:
-    dataset = generate_synth_suite(args.count, args.lines, args.candidates, args.seed)
-    n = save_tasks(dataset, args.out)
-    print(f"wrote {n} tasks to {args.out}")
+    config = RunConfig(
+        seed=args.seed, synth_count=args.count, synth_lines=args.lines, synth_candidates=args.candidates
+    )
+    dataset = make_tasks(config, args.out)
+    print(f"wrote {len(dataset)} tasks to {args.out}")
     return 0
 
 
 def cmd_init_policy(args) -> int:
-    if args.from_policy:
-        policy = TabularPolicy.load(args.from_policy)
-    else:
-        policy = TabularPolicy.uniform(load_tasks(args.tasks))
-    policy.save(args.out, provenance={"phase": "init"})
+    policy = init_policy(RunConfig(initial_policy=args.from_policy), args.tasks, args.out)
     print(f"wrote policy with {len(policy.heads)} task heads to {args.out}")
     return 0
 
 
 def cmd_rollout(args) -> int:
-    dataset = load_tasks(args.tasks)
-    policy = TabularPolicy.load(args.policy)
-    backend = TabularPolicyBackend(policy)
+    config = RunConfig(
+        seed=args.seed, workers=args.workers, rollouts_n=args.n, max_tokens=args.max_tokens
+    )
     if args.guidance:
         if args.eval_mode:
             raise UsageError("--guidance cannot be combined with --eval-mode")
-        guidance_list = read_guidance(Path(args.guidance))
-        trajs = reattempt_with_guidance(
-            dataset, guidance_list, backend, args.seed,
-            max_tokens=args.max_tokens, workers=args.workers,
-        )
+        trajs = reattempt(config, args.tasks, args.guidance, args.policy, args.out)
     else:
-        trajs = rollout_all_tasks(
-            dataset, backend, args.n, args.seed,
-            workers=args.workers, max_tokens=args.max_tokens, eval_mode=args.eval_mode,
-        )
-    n = write_trajectories(trajs, args.out)
-    print(f"wrote {n} trajectories to {args.out}")
+        trajs = rollout(config, args.tasks, args.policy, args.out, eval_mode=args.eval_mode)
+    print(f"wrote {len(trajs)} trajectories to {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    dataset = load_tasks(args.tasks)
-    trajs = read_trajectories(args.rollouts)
-    records = evaluate_trajectories(
-        dataset, trajs, workers=args.workers, container_image=args.container_image
-    )
-    write_rewards(records, args.out)
+    config = RunConfig(workers=args.workers, container_image=args.container_image)
+    records = evaluate(config, args.tasks, args.rollouts, args.out)
     scored = [r for r in records if not isinstance(r, EvaluationFailure)]
     failures = len(records) - len(scored)
     print(
@@ -131,31 +115,24 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_guide(args) -> int:
-    config = RunConfig(teacher_kind=args.teacher, teacher_endpoint=args.endpoint or "")
-    teacher = build_teacher(config)
-    dataset = load_tasks(args.tasks)
-    guidance_list = guide_failures(
-        dataset, read_trajectories(args.rollouts), read_rewards(args.rewards), teacher
-    )
-    write_guidance(guidance_list, Path(args.out))
+    config = RunConfig(teacher_kind=args.teacher, teacher_endpoint=args.endpoint)
+    guidance_list = guide(config, args.tasks, args.rollouts, args.rewards, args.out)
     print(f"wrote {len(guidance_list)} guidance records to {args.out}")
     return 0
 
 
 def cmd_assemble(args) -> int:
-    dataset = build_rlvr_dataset(
-        read_trajectories(args.rollouts),
-        read_rewards(args.rewards),
-        read_trajectories(args.guided_rollouts) if args.guided_rollouts else [],
-        read_rewards(args.guided_rewards) if args.guided_rewards else [],
-        read_guidance(Path(args.guidance)) if args.guidance else [],
+    config = RunConfig(
+        seed=args.seed,
         sft_fraction=args.sft_fraction,
         max_pairs_per_task=args.max_pairs_per_task,
-        seed=args.seed,
         keep_guidance_in_prompt=args.keep_guidance_in_prompt,
         include_guided_in_sft=args.include_guided_in_sft,
     )
-    emit_dataset(dataset, args.out)
+    dataset = assemble(
+        config, args.rollouts, args.rewards,
+        args.guided_rollouts, args.guided_rewards, args.guidance, args.out,
+    )
     acc = dataset.accounting
     print(
         f"wrote {acc['pairs_total']} pairs ({acc['guided_repair_pairs']} guided)"
@@ -164,37 +141,23 @@ def cmd_assemble(args) -> int:
     return 0
 
 
+def _final_loss(history: list) -> float:
+    return history[-1]["loss"] if history else float("nan")
+
+
 def cmd_train_sft(args) -> int:
-    policy = TabularPolicy.load(args.policy)
-    rlvr = load_dataset(args.dataset)
-    history: list = []
-    if policy.fine_tuned:
-        log.warning("policy already fine-tuned; writing it through unchanged")
-    else:
-        config = DPOConfig(learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed)
-        sft_train(policy, rlvr.sft, config, history_out=history)
-    policy.save(args.out, provenance={"phase": "sft"})
-    if args.log:
-        write_history_csv(history, args.log)
-    last = history[-1]["loss"] if history else float("nan")
-    print(f"wrote sft policy to {args.out} (final loss {last:.6f})")
+    config = RunConfig(sft_learning_rate=args.learning_rate, sft_epochs=args.epochs)
+    history = train_sft(config, args.policy, args.dataset, args.out, args.log)
+    print(f"wrote sft policy to {args.out} (final loss {_final_loss(history):.6f})")
     return 0
 
 
 def cmd_train_dpo(args) -> int:
-    policy = TabularPolicy.load(args.policy)
-    reference = ReferencePolicy(policy)
-    rlvr = load_dataset(args.dataset)
-    history: list = []
-    config = DPOConfig(
-        beta=args.beta, learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed
+    config = RunConfig(
+        dpo_beta=args.beta, dpo_learning_rate=args.learning_rate, dpo_epochs=args.epochs
     )
-    dpo_train(policy, rlvr.pairs, config, reference=reference, history_out=history)
-    policy.save(args.out, provenance={"phase": "dpo"})
-    if args.log:
-        write_history_csv(history, args.log)
-    last = history[-1]["loss"] if history else float("nan")
-    print(f"wrote dpo policy to {args.out} (final loss {last:.6f})")
+    history = train_dpo(config, args.policy, args.dataset, args.out, args.log)
+    print(f"wrote dpo policy to {args.out} (final loss {_final_loss(history):.6f})")
     return 0
 
 
@@ -257,31 +220,10 @@ def read_selections(path) -> dict[str, int]:
 
 def cmd_report(args) -> int:
     selections = read_selections(args.selections) if args.selections else None
-    pre = aggregate(
-        read_trajectories(args.rollouts), read_rewards(args.rewards), bootstrap_seed=args.seed
+    text = report(
+        RunConfig(seed=args.seed), args.rollouts, args.rewards, args.guided_rewards,
+        args.eval_rollouts, args.eval_rewards, args.out_json, args.out_txt, selections,
     )
-    uplift = guidance_uplift_report(
-        read_rewards(args.rewards),
-        read_rewards(args.guided_rewards) if args.guided_rewards else [],
-    )
-    post = aggregate(
-        read_trajectories(args.eval_rollouts),
-        read_rewards(args.eval_rewards),
-        selections=selections,
-        guidance_uplift=uplift,
-        bootstrap_seed=args.seed,
-    )
-    body = {"pre_training": pre.to_dict(), "post_training": post.to_dict()}
-    Path(args.out_json).write_text(json.dumps(body, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    text = (
-        "== pre-training (rollout phase) ==\n"
-        + render_report_text(pre)
-        + "\n\n== post-training (final eval) ==\n"
-        + render_report_text(post)
-        + "\n"
-    )
-    if args.out_txt:
-        Path(args.out_txt).write_text(text, encoding="utf-8")
     print(text, end="")
     return 0
 
@@ -298,7 +240,6 @@ def cmd_run_loop(args) -> int:
     if infra:
         # The run completed and is fully resumable/reportable, but some
         # rewards are infrastructure failures rather than model failures.
-        write_manifest(config, paths)
         print(f"run completed with {infra} infrastructure errors; see {paths.manifest}", file=sys.stderr)
         return 3
     print(f"run complete: {len(manifest['artifacts'])} artifacts in {config.output_dir}")
@@ -380,7 +321,6 @@ def build_parser() -> _Parser:
     p.add_argument("--log", default="")
     p.add_argument("--learning-rate", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_train_sft)
 
     p = sub.add_parser("train-dpo", help="preference optimization against a frozen reference")
@@ -391,7 +331,6 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--learning-rate", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_train_dpo)
 
     p = sub.add_parser("train-rm", help="train the pairwise patch reward model")

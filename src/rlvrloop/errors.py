@@ -47,7 +47,7 @@ class TrainingDivergedError(TrainingError):
 
 
 class CheckpointError(RlvrLoopError):
-    """A policy or reward-model checkpoint failed to load."""
+    """A policy or reward-model checkpoint, or the run state, failed to load."""
 
 
 class UsageError(RlvrLoopError):

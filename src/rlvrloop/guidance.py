@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING
 
+from .backends import post_completion
 from .errors import GuidanceError
 from .jsonl import derive_seed
 from .prompts import HINT_DELIMITER
@@ -121,27 +122,15 @@ class HttpTeacherBackend(TeacherBackend):
     Response JSON: {"completion": str}
     """
 
-    def __init__(self, endpoint: str, teacher_id: str = "remote-teacher", timeout_s: float = 120.0, session=None):
-        if session is None:
-            import requests
-
-            session = requests.Session()
+    def __init__(self, endpoint: str, teacher_id: str = "remote-teacher", timeout_s: float = 120.0):
         self.endpoint = endpoint
         self.teacher_id = teacher_id
         self.timeout_s = timeout_s
-        self.session = session
 
     def generate_guidance_text(self, request: str) -> str:
-        try:
-            resp = self.session.post(self.endpoint, json={"prompt": request}, timeout=self.timeout_s)
-        except Exception as exc:
-            raise GuidanceError(f"{self.teacher_id}: request failed: {exc}") from exc
-        if getattr(resp, "status_code", 500) != 200:
-            raise GuidanceError(f"{self.teacher_id}: HTTP {resp.status_code}")
-        try:
-            return str(resp.json()["completion"])
-        except Exception as exc:
-            raise GuidanceError(f"{self.teacher_id}: malformed response: {exc}") from exc
+        return post_completion(
+            self.endpoint, {"prompt": request}, self.timeout_s, GuidanceError, self.teacher_id
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -37,17 +37,6 @@ def write_records(path: str | Path, schema: str, records: Iterable[dict[str, Any
     return n
 
 
-def append_record(path: str | Path, schema: str, record: dict[str, Any]) -> None:
-    """Append one record, writing the header first if the file is new."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if not path.exists() or path.stat().st_size == 0:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dumps({"schema": schema, "schema_version": SCHEMA_VERSION}) + "\n")
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(dumps(record) + "\n")
-
-
 def read_records(path: str | Path, schema: str | None = None) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield (line_number, record) pairs, skipping a leading header record.
 

@@ -2,11 +2,15 @@
 
 Phases: tasks -> rollout -> evaluate -> guide -> reattempt ->
 evaluate-guided -> assemble -> train-sft -> train-dpo -> final-eval ->
-report. Every phase reads its inputs from files and writes its outputs to
-files under the run directory, which buys three properties at once: a
-failed phase can resume without redoing earlier work, the stand-alone CLI
-subcommands produce byte-identical artifacts to the loop, and the manifest
-can hash everything the run touched.
+report. Each phase body is one module-level function (make_tasks,
+init_policy, rollout, evaluate, guide, reattempt, assemble, train_sft,
+train_dpo, final_eval, report) that takes the RunConfig plus explicit input
+and output paths. run_loop calls them in sequence over the run directory,
+and the stand-alone CLI subcommands call the same functions, so both
+produce byte-identical artifacts by construction. Because every phase reads
+its inputs from files and writes its outputs to files, a failed phase can
+resume without redoing earlier work and the manifest can hash everything
+the run touched.
 
 All randomness is derived from config.seed through labeled sub-seeds; the
 wall clock never feeds any decision, so rerunning a config reproduces every
@@ -18,11 +22,11 @@ import configparser
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .backends import HttpPolicyBackend, PolicyBackend, SamplingParams, TabularPolicyBackend
-from .errors import PhaseError, RlvrLoopError, UsageError
+from .errors import CheckpointError, PhaseError, RlvrLoopError, UsageError
 from .evaluator import (
     EvaluationFailure,
     evaluate_batch,
@@ -40,7 +44,7 @@ from .guidance import (
 )
 from .jsonl import canonical_file_hash, derive_seed, read_records, write_records
 from .metrics import aggregate, guidance_uplift_report, render_report_text
-from .pairs import build_rlvr_dataset, emit_dataset, load_dataset
+from .pairs import RlvrDataset, build_rlvr_dataset, emit_dataset, load_dataset
 from .policy import ReferencePolicy, TabularPolicy
 from .rollout import (
     TEMPERATURE_SAMPLING,
@@ -55,6 +59,8 @@ from .training import DPOConfig, dpo_train, sft_train, write_history_csv
 log = logging.getLogger(__name__)
 
 MANIFEST_SCHEMA = "run_manifest"
+
+StrPath = str | Path  # the phase functions take paths in either form
 
 PHASES = (
     "tasks",
@@ -217,7 +223,10 @@ class RunState:
         self.path = path
         self.completed: list[str] = []
         if path.exists():
-            self.completed = json.loads(path.read_text(encoding="utf-8")).get("completed", [])
+            try:
+                self.completed = json.loads(path.read_text(encoding="utf-8")).get("completed", [])
+            except (ValueError, AttributeError) as exc:
+                raise CheckpointError(f"run state {path} is corrupt: {exc!r}") from exc
 
     def mark(self, phase: str) -> None:
         if phase not in self.completed:
@@ -229,7 +238,7 @@ class RunState:
 
 
 # ---------------------------------------------------------------------------
-# Shared phase helpers (the CLI subcommands call these directly)
+# Layer helpers (the phase functions below call these)
 # ---------------------------------------------------------------------------
 
 
@@ -352,6 +361,191 @@ def read_guidance(path: Path) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Phase functions: run_loop and the stepwise CLI subcommands both call these
+# ---------------------------------------------------------------------------
+
+
+def make_tasks(config: RunConfig, out: StrPath) -> TaskDataset:
+    """Write the task suite: config.tasks_path if set, else a synthetic one."""
+    dataset = resolve_tasks(config)
+    save_tasks(dataset, out)
+    return dataset
+
+
+def init_policy(config: RunConfig, tasks: StrPath, out: StrPath) -> TabularPolicy:
+    """Checkpoint the starting policy: config.initial_policy, else uniform."""
+    if config.initial_policy:
+        policy = TabularPolicy.load(config.initial_policy)
+    else:
+        policy = TabularPolicy.uniform(load_tasks(tasks))
+    policy.save(out, provenance={"phase": "init"})
+    return policy
+
+
+def rollout(
+    config: RunConfig, tasks: StrPath, policy: StrPath, out: StrPath, *, eval_mode: bool = False
+) -> list:
+    """config.rollouts_n attempts per task from the policy, seeded by config.seed."""
+    backend = build_backend(config, TabularPolicy.load(policy))
+    trajs = rollout_all_tasks(
+        load_tasks(tasks), backend, config.rollouts_n, config.seed,
+        workers=config.workers, max_tokens=config.max_tokens, eval_mode=eval_mode,
+    )
+    write_trajectories(trajs, out)
+    return trajs
+
+
+def reattempt(
+    config: RunConfig, tasks: StrPath, guidance: StrPath, policy: StrPath, out: StrPath
+) -> list:
+    """One guided reattempt per guidance record."""
+    guidance_list = read_guidance(guidance)
+    trajs = []
+    if guidance_list:
+        backend = build_backend(config, TabularPolicy.load(policy))
+        trajs = reattempt_with_guidance(
+            load_tasks(tasks), guidance_list, backend, config.seed,
+            max_tokens=config.max_tokens, workers=config.workers,
+        )
+    write_trajectories(trajs, out)
+    return trajs
+
+
+def _score(config: RunConfig, dataset: TaskDataset, trajectories, out: StrPath) -> list:
+    records = evaluate_trajectories(
+        dataset, trajectories, workers=config.workers, container_image=config.container_image
+    )
+    write_rewards(records, out)
+    return records
+
+
+def evaluate(config: RunConfig, tasks: StrPath, rollouts: StrPath, out: StrPath) -> list:
+    """One reward record (or EvaluationFailure) per trajectory."""
+    return _score(config, load_tasks(tasks), read_trajectories(rollouts), out)
+
+
+def guide(config: RunConfig, tasks: StrPath, rollouts: StrPath, rewards: StrPath, out: StrPath) -> list:
+    """Teacher guidance for every failed attempt; none when guidance is off."""
+    guidance_list = []
+    if config.guidance_enabled:
+        teacher = build_teacher(config)
+        guidance_list = guide_failures(
+            load_tasks(tasks), read_trajectories(rollouts), read_rewards(rewards), teacher
+        )
+    write_guidance(guidance_list, out)
+    return guidance_list
+
+
+def assemble(
+    config: RunConfig,
+    rollouts: StrPath,
+    rewards: StrPath,
+    guided_rollouts: StrPath | None,
+    guided_rewards: StrPath | None,
+    guidance: StrPath | None,
+    out: StrPath,
+) -> RlvrDataset:
+    """Preference pairs and the SFT subset; a missing guided input counts as empty."""
+    rlvr = build_rlvr_dataset(
+        read_trajectories(rollouts),
+        read_rewards(rewards),
+        read_trajectories(guided_rollouts) if guided_rollouts else [],
+        read_rewards(guided_rewards) if guided_rewards else [],
+        read_guidance(guidance) if guidance else [],
+        sft_fraction=config.sft_fraction,
+        max_pairs_per_task=config.max_pairs_per_task,
+        seed=config.seed,
+        keep_guidance_in_prompt=config.keep_guidance_in_prompt,
+        include_guided_in_sft=config.include_guided_in_sft,
+    )
+    emit_dataset(rlvr, out)
+    return rlvr
+
+
+def train_sft(
+    config: RunConfig, policy: StrPath, dataset: StrPath, out: StrPath, history_csv: StrPath | None
+) -> list:
+    """SFT on the dataset's positives; a fine-tuned policy is written through unchanged."""
+    model = TabularPolicy.load(policy)
+    rlvr = load_dataset(dataset)
+    history: list = []
+    if model.fine_tuned:
+        log.info("policy already fine-tuned; skipping sft")
+    else:
+        sft_config = DPOConfig(learning_rate=config.sft_learning_rate, epochs=config.sft_epochs)
+        sft_train(model, rlvr.sft, sft_config, history_out=history)
+    model.save(out, provenance={"phase": "sft"})
+    if history_csv:
+        write_history_csv(history, history_csv)
+    return history
+
+
+def train_dpo(
+    config: RunConfig, policy: StrPath, dataset: StrPath, out: StrPath, history_csv: StrPath | None
+) -> list:
+    """DPO on the dataset's pairs against a frozen copy of the input policy."""
+    model = TabularPolicy.load(policy)
+    reference = ReferencePolicy(model)
+    rlvr = load_dataset(dataset)
+    history: list = []
+    dpo_config = DPOConfig(
+        beta=config.dpo_beta, learning_rate=config.dpo_learning_rate, epochs=config.dpo_epochs
+    )
+    dpo_train(model, rlvr.pairs, dpo_config, reference=reference, history_out=history)
+    model.save(out, provenance={"phase": "dpo"})
+    if history_csv:
+        write_history_csv(history, history_csv)
+    return history
+
+
+def final_eval(
+    config: RunConfig, tasks: StrPath, policy: StrPath, rollouts_out: StrPath, rewards_out: StrPath
+) -> list:
+    """Eval-mode rollouts of the trained policy under their own seed, then scoring.
+
+    The stepwise equivalent is `rollout --eval-mode --seed <derived seed>`
+    followed by `evaluate`.
+    """
+    eval_config = replace(config, seed=derive_seed(config.seed, "final-eval"))
+    trajs = rollout(eval_config, tasks, policy, rollouts_out, eval_mode=True)
+    return _score(config, load_tasks(tasks), trajs, rewards_out)
+
+
+def report(
+    config: RunConfig,
+    rollouts: StrPath,
+    rewards: StrPath,
+    guided_rewards: StrPath | None,
+    eval_rollouts: StrPath,
+    eval_rewards: StrPath,
+    out_json: StrPath,
+    out_txt: StrPath | None,
+    selections: dict[str, int] | None = None,
+) -> str:
+    """Pre- vs post-training report; returns the text form."""
+    pre = aggregate(read_trajectories(rollouts), read_rewards(rewards), bootstrap_seed=config.seed)
+    uplift = guidance_uplift_report(
+        read_rewards(rewards), read_rewards(guided_rewards) if guided_rewards else []
+    )
+    post = aggregate(
+        read_trajectories(eval_rollouts), read_rewards(eval_rewards),
+        selections=selections, guidance_uplift=uplift, bootstrap_seed=config.seed,
+    )
+    body = {"pre_training": pre.to_dict(), "post_training": post.to_dict()}
+    Path(out_json).write_text(json.dumps(body, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    text = (
+        "== pre-training (rollout phase) ==\n"
+        + render_report_text(pre)
+        + "\n\n== post-training (final eval) ==\n"
+        + render_report_text(post)
+        + "\n"
+    )
+    if out_txt:
+        Path(out_txt).write_text(text, encoding="utf-8")
+    return text
+
+
+# ---------------------------------------------------------------------------
 # The loop
 # ---------------------------------------------------------------------------
 
@@ -383,171 +577,27 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
             raise PhaseError(name, str(exc)) from exc
         state.mark(name)
 
-    # -- tasks ---------------------------------------------------------------
-    def do_tasks():
-        save_tasks(resolve_tasks(config), paths.tasks)
-        if config.initial_policy:
-            policy = TabularPolicy.load(config.initial_policy)
-        else:
-            policy = TabularPolicy.uniform(load_tasks(paths.tasks))
-        policy.save(paths.policy_init, provenance={"phase": "init"})
+    def tasks():
+        make_tasks(config, paths.tasks)
+        init_policy(config, paths.tasks, paths.policy_init)
 
-    phase("tasks", do_tasks)
-    dataset = load_tasks(paths.tasks)
-
-    # -- unguided rollouts ----------------------------------------------------
-    def do_rollout():
-        policy = TabularPolicy.load(paths.policy_init)
-        backend = build_backend(config, policy)
-        trajs = rollout_all_tasks(
-            dataset, backend, config.rollouts_n, config.seed,
-            workers=config.workers, max_tokens=config.max_tokens,
-        )
-        write_trajectories(trajs, paths.rollouts)
-
-    phase("rollout", do_rollout)
-
-    def do_evaluate():
-        trajs = read_trajectories(paths.rollouts)
-        records = evaluate_trajectories(
-            dataset, trajs, workers=config.workers, container_image=config.container_image
-        )
-        write_rewards(records, paths.rewards)
-
-    phase("evaluate", do_evaluate)
-
-    # -- guidance on failures ---------------------------------------------------
-    def do_guide():
-        if not config.guidance_enabled:
-            write_guidance([], paths.guidance)
-            return
-        trajs = read_trajectories(paths.rollouts)
-        records = read_rewards(paths.rewards)
-        teacher = build_teacher(config)
-        write_guidance(guide_failures(dataset, trajs, records, teacher), paths.guidance)
-
-    phase("guide", do_guide)
-
-    def do_reattempt():
-        guidance_list = read_guidance(paths.guidance)
-        if not guidance_list:
-            write_trajectories([], paths.guided_rollouts)
-            return
-        policy = TabularPolicy.load(paths.policy_init)
-        backend = build_backend(config, policy)
-        trajs = reattempt_with_guidance(
-            dataset, guidance_list, backend, config.seed,
-            max_tokens=config.max_tokens, workers=config.workers,
-        )
-        write_trajectories(trajs, paths.guided_rollouts)
-
-    phase("reattempt", do_reattempt)
-
-    def do_evaluate_guided():
-        trajs = read_trajectories(paths.guided_rollouts)
-        records = evaluate_trajectories(
-            dataset, trajs, workers=config.workers, container_image=config.container_image
-        )
-        write_rewards(records, paths.guided_rewards)
-
-    phase("evaluate-guided", do_evaluate_guided)
-
-    # -- pair assembly ----------------------------------------------------------
-    def do_assemble():
-        rlvr = build_rlvr_dataset(
-            read_trajectories(paths.rollouts),
-            read_rewards(paths.rewards),
-            read_trajectories(paths.guided_rollouts),
-            read_rewards(paths.guided_rewards),
-            read_guidance(paths.guidance),
-            sft_fraction=config.sft_fraction,
-            max_pairs_per_task=config.max_pairs_per_task,
-            seed=config.seed,
-            keep_guidance_in_prompt=config.keep_guidance_in_prompt,
-            include_guided_in_sft=config.include_guided_in_sft,
-        )
-        emit_dataset(rlvr, paths.dataset)
-
-    phase("assemble", do_assemble)
-
-    # -- optimization ------------------------------------------------------------
-    def do_train_sft():
-        policy = TabularPolicy.load(paths.policy_init)
-        rlvr = load_dataset(paths.dataset)
-        history: list = []
-        if policy.fine_tuned:
-            log.info("policy already fine-tuned; skipping sft")
-        else:
-            sft_config = DPOConfig(
-                beta=config.dpo_beta,
-                learning_rate=config.sft_learning_rate,
-                epochs=config.sft_epochs,
-                seed=config.seed,
-            )
-            sft_train(policy, rlvr.sft, sft_config, history_out=history)
-        policy.save(paths.policy_sft, provenance={"phase": "sft"})
-        write_history_csv(history, paths.sft_log)
-
-    phase("train-sft", do_train_sft)
-
-    def do_train_dpo():
-        policy = TabularPolicy.load(paths.policy_sft)
-        reference = ReferencePolicy(policy)
-        rlvr = load_dataset(paths.dataset)
-        history: list = []
-        dpo_config = DPOConfig(
-            beta=config.dpo_beta,
-            learning_rate=config.dpo_learning_rate,
-            epochs=config.dpo_epochs,
-            seed=config.seed,
-        )
-        dpo_train(policy, rlvr.pairs, dpo_config, reference=reference, history_out=history)
-        policy.save(paths.policy_final, provenance={"phase": "dpo"})
-        write_history_csv(history, paths.dpo_log)
-
-    phase("train-dpo", do_train_dpo)
-
-    # -- held-out style evaluation of the trained policy --------------------------
-    def do_final_eval():
-        policy = TabularPolicy.load(paths.policy_final)
-        backend = build_backend(config, policy)
-        trajs = rollout_all_tasks(
-            dataset, backend, config.rollouts_n, derive_seed(config.seed, "final-eval"),
-            workers=config.workers, max_tokens=config.max_tokens, eval_mode=True,
-        )
-        write_trajectories(trajs, paths.eval_rollouts)
-        records = evaluate_trajectories(
-            dataset, trajs, workers=config.workers, container_image=config.container_image
-        )
-        write_rewards(records, paths.eval_rewards)
-
-    phase("final-eval", do_final_eval)
-
-    def do_report():
-        pre = aggregate(
-            read_trajectories(paths.rollouts), read_rewards(paths.rewards),
-            bootstrap_seed=config.seed,
-        )
-        uplift = guidance_uplift_report(
-            read_rewards(paths.rewards), read_rewards(paths.guided_rewards)
-        )
-        post = aggregate(
-            read_trajectories(paths.eval_rollouts), read_rewards(paths.eval_rewards),
-            guidance_uplift=uplift, bootstrap_seed=config.seed,
-        )
-        body = {"pre_training": pre.to_dict(), "post_training": post.to_dict()}
-        paths.report_json.write_text(json.dumps(body, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        text = (
-            "== pre-training (rollout phase) ==\n"
-            + render_report_text(pre)
-            + "\n\n== post-training (final eval) ==\n"
-            + render_report_text(post)
-            + "\n"
-        )
-        paths.report_txt.write_text(text, encoding="utf-8")
-
-    phase("report", do_report)
-
+    c, p = config, paths
+    phase("tasks", tasks)
+    phase("rollout", lambda: rollout(c, p.tasks, p.policy_init, p.rollouts))
+    phase("evaluate", lambda: evaluate(c, p.tasks, p.rollouts, p.rewards))
+    phase("guide", lambda: guide(c, p.tasks, p.rollouts, p.rewards, p.guidance))
+    phase("reattempt", lambda: reattempt(c, p.tasks, p.guidance, p.policy_init, p.guided_rollouts))
+    phase("evaluate-guided", lambda: evaluate(c, p.tasks, p.guided_rollouts, p.guided_rewards))
+    phase("assemble", lambda: assemble(
+        c, p.rollouts, p.rewards, p.guided_rollouts, p.guided_rewards, p.guidance, p.dataset
+    ))
+    phase("train-sft", lambda: train_sft(c, p.policy_init, p.dataset, p.policy_sft, p.sft_log))
+    phase("train-dpo", lambda: train_dpo(c, p.policy_sft, p.dataset, p.policy_final, p.dpo_log))
+    phase("final-eval", lambda: final_eval(c, p.tasks, p.policy_final, p.eval_rollouts, p.eval_rewards))
+    phase("report", lambda: report(
+        c, p.rollouts, p.rewards, p.guided_rewards, p.eval_rollouts, p.eval_rewards,
+        p.report_json, p.report_txt,
+    ))
     return write_manifest(config, paths)
 
 

@@ -234,11 +234,15 @@ def sample_sft_subset(
     positives: Sequence[Trajectory],
     fraction: float = DEFAULT_SFT_FRACTION,
     seed: int = 0,
+    *,
+    allow_guided: bool = False,
 ) -> list[SFTExample]:
     """Per-task stratified sample of positive unguided trajectories.
 
     Each task contributes ceil(fraction * its positive count) examples,
     drawn uniformly without replacement, so no task dominates the SFT mix.
+    A guided trajectory is an error unless allow_guided is set (the
+    include_guided_in_sft ablation arm).
     """
     if not 0.0 <= fraction <= 1.0:
         raise AssemblyError(f"sft fraction must be in [0, 1], got {fraction}")
@@ -247,7 +251,7 @@ def sample_sft_subset(
         return []
     by_task: dict[str, list[Trajectory]] = {}
     for traj in positives:
-        if traj.is_guided:
+        if traj.is_guided and not allow_guided:
             raise AssemblyError(f"sft subset fed a guided trajectory: {traj.traj_id}")
         by_task.setdefault(traj.task_id, []).append(traj)
 
@@ -332,11 +336,7 @@ def build_rlvr_dataset(
             for t in guided_trajectories
             if guided_rewards.get(t.traj_id) and guided_rewards[t.traj_id].reward == 1
         ]
-        # The ablation arm keeps guided trajectories; bypass the unguided
-        # check by clearing guidance ids on the sampled copies.
-        sft = _sample_sft_any(sft_pool, sft_fraction, seed)
-    else:
-        sft = sample_sft_subset(sft_pool, sft_fraction, seed)
+    sft = sample_sft_subset(sft_pool, sft_fraction, seed, allow_guided=include_guided_in_sft)
 
     negatives_total = sum(
         1 for t in trajectories if rewards.get(t.traj_id) and rewards[t.traj_id].reward == 0
@@ -353,27 +353,6 @@ def build_rlvr_dataset(
         **stats,
     }
     return RlvrDataset(pairs=tuple(pairs), sft=tuple(sft), accounting=accounting)
-
-
-def _sample_sft_any(pool: Sequence[Trajectory], fraction: float, seed: int) -> list[SFTExample]:
-    by_task: dict[str, list[Trajectory]] = {}
-    for traj in pool:
-        by_task.setdefault(traj.task_id, []).append(traj)
-    out: list[SFTExample] = []
-    for task_id, group in by_task.items():
-        take = math.ceil(fraction * len(group))
-        rng = random.Random(derive_seed("sft-subset", seed, task_id))
-        for idx in sorted(rng.sample(range(len(group)), take)):
-            traj = group[idx]
-            out.append(
-                SFTExample(
-                    task_id=task_id,
-                    prompt=traj.steps[0].prompt,
-                    target=traj.response_text(),
-                    actions=traj.actions,
-                )
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------

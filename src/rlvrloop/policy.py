@@ -231,7 +231,3 @@ class ReferencePolicy:
 
     def fingerprint(self) -> str:
         return self._policy.fingerprint()
-
-    def thaw(self) -> TabularPolicy:
-        """Writable copy, for promoting a reference back to a live policy."""
-        return self._policy.clone()

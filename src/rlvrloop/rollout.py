@@ -20,7 +20,7 @@ from . import prompts
 from .backends import Completion, PolicyBackend, SamplingParams
 from .errors import BackendError, GuidanceLeakError, RolloutError, TaskFormatError
 from .guidance import Guidance, render_reattempt_prompt
-from .jsonl import append_record, derive_seed, read_records, write_records
+from .jsonl import derive_seed, read_records, write_records
 from .tasks import SynthTask, Task
 
 TEMPERATURE_GREEDY = 0.0
@@ -310,28 +310,3 @@ def write_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
     return [trajectory_from_record(rec) for _, rec in read_records(path, schema=TRAJECTORIES_SCHEMA)]
-
-
-class TrajectoryStore:
-    """Append-only JSONL store keyed by (task_id, backend_id, seed).
-
-    Re-appending an existing key is always a pipeline bug (it would silently
-    double-count a rollout slot), so it raises instead of overwriting.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._keys: set[tuple[str, str, int]] = set()
-        if self.path.exists():
-            for traj in read_trajectories(self.path):
-                self._keys.add((traj.task_id, traj.backend_id, traj.sampling.seed))
-
-    def append(self, traj: Trajectory) -> None:
-        key = (traj.task_id, traj.backend_id, traj.sampling.seed)
-        if key in self._keys:
-            raise RolloutError(f"duplicate trajectory key {key}")
-        append_record(self.path, TRAJECTORIES_SCHEMA, trajectory_to_record(traj))
-        self._keys.add(key)
-
-    def __len__(self) -> int:
-        return len(self._keys)

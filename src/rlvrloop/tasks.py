@@ -204,14 +204,20 @@ def enumerate_passing_patches(task: SynthTask) -> list[tuple[int, int]]:
     This is the ground-truth oracle the evaluator must agree with, and the
     check generation uses to guarantee the unique-fix invariant.
     """
+    return _passing_patches(task.lines, task.candidates, task.expected_output)
+
+
+def _passing_patches(
+    lines: Sequence[str], candidates: Sequence[Sequence[str]], expected: int
+) -> list[tuple[int, int]]:
     passing = []
-    for j, row in enumerate(task.candidates):
+    for j, row in enumerate(candidates):
         for k, stmt in enumerate(row):
             try:
-                out = run_program(apply_candidate(task.lines, j, stmt))
+                out = run_program(apply_candidate(lines, j, stmt))
             except ProgramError:
                 continue
-            if out == task.expected_output:
+            if out == expected:
                 passing.append((j, k))
     return passing
 
@@ -343,7 +349,7 @@ def _generate_one(task_id: str, n_lines: int, n_candidates: int, rng: random.Ran
         truth = (buggy_line, candidates[buggy_line].index(correct[buggy_line]))
         ok = True
         for _ in range(200):
-            passing = _enumerate(broken, candidates, expected)
+            passing = _passing_patches(broken, candidates, expected)
             extras = [p for p in passing if p != truth]
             if not extras and truth in passing:
                 break
@@ -380,19 +386,6 @@ def _generate_one(task_id: str, n_lines: int, n_candidates: int, rng: random.Ran
             expected_output=expected,
         )
     raise TaskFormatError(f"failed to generate a valid synthetic task for {task_id}")
-
-
-def _enumerate(lines: Sequence[str], candidates: Sequence[Sequence[str]], expected: int) -> list[tuple[int, int]]:
-    passing = []
-    for j, row in enumerate(candidates):
-        for k, stmt in enumerate(row):
-            try:
-                out = run_program(apply_candidate(lines, j, stmt))
-            except ProgramError:
-                continue
-            if out == expected:
-                passing.append((j, k))
-    return passing
 
 
 def generate_synth_suite(count: int, n_lines: int, n_candidates: int, seed: int) -> TaskDataset:

@@ -45,7 +45,6 @@ class DPOConfig:
     beta: float = 0.1
     learning_rate: float = 0.5
     epochs: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -397,26 +396,8 @@ def dpo_train(
 
 
 # ---------------------------------------------------------------------------
-# Diagnostics
+# Training history
 # ---------------------------------------------------------------------------
-
-
-def kl_regularized_reward(
-    policy: TabularPolicy,
-    reference: ReferencePolicy,
-    task_id: str,
-    actions: tuple[int, int],
-    reward: float,
-    beta: float,
-) -> float:
-    """Verifier reward penalized by the policy's drift from the reference.
-
-    Reporting-only: the optimization itself uses the DPO objective, which
-    carries the same trust region implicitly.
-    """
-    line, cand = actions
-    log_ratio = policy.logprob(task_id, line, cand) - reference.logprob(task_id, line, cand)
-    return float(reward - beta * log_ratio)
 
 
 def write_history_csv(history: Sequence[dict], path: str | Path) -> None:

@@ -1,11 +1,15 @@
 """CLI subcommands, exit codes, and stepwise/loop artifact equivalence."""
 import json
+import shutil
+from collections import Counter
 
 import pytest
 
 from rlvrloop.cli import main, read_selections
 from rlvrloop.jsonl import canonical_file_hash, derive_seed
-from rlvrloop.loop import RunConfig, RunPaths, run_loop
+from rlvrloop.loop import RunConfig, run_loop
+from rlvrloop.pairs import PROVENANCE_ROLLOUT, load_dataset
+from rlvrloop.prompts import HINT_DELIMITER
 from rlvrloop.rollout import Patch, Step, Trajectory, write_trajectories
 from rlvrloop.backends import SamplingParams
 from rlvrloop.tasks import EnvSpec, Task, TestSuite, TaskDataset, save_tasks
@@ -63,10 +67,10 @@ def stepwise(tmp_path_factory):
          "--guidance", d / "guidance.jsonl", "--seed", SEED, "--out", d / "dataset.jsonl"],
         ["train-sft", "--policy", d / "policy_init.json", "--dataset", d / "dataset.jsonl",
          "--out", d / "policy_sft.json", "--log", d / "sft_log.csv",
-         "--epochs", 30, "--seed", SEED],
+         "--epochs", 30],
         ["train-dpo", "--policy", d / "policy_sft.json", "--dataset", d / "dataset.jsonl",
          "--out", d / "policy_final.json", "--log", d / "dpo_log.csv",
-         "--epochs", 60, "--seed", SEED],
+         "--epochs", 60],
         ["rollout", "--tasks", d / "tasks.jsonl", "--policy", d / "policy_final.json",
          "--out", d / "eval_rollouts.jsonl", "--n", N, "--seed", eval_seed,
          "--workers", 1, "--eval-mode"],
@@ -93,6 +97,68 @@ def test_stepwise_pipeline_matches_loop_byte_for_byte(stepwise, loop_dir):
     """Subcommand composition is the loop: every artifact hash agrees."""
     for name in COMPARABLE:
         assert canonical_file_hash(stepwise / name) == canonical_file_hash(loop_dir / name), name
+
+
+# run-loop's --set form of SMALL
+SMALL_SETS = [
+    "run.workers=1", f"run.rollouts_n={N}", "tasks.synth_count=4", "tasks.synth_lines=3",
+    "tasks.synth_candidates=3", "sft.sft_epochs=30", "dpo.dpo_epochs=60",
+]
+
+
+def test_stepwise_matches_loop_at_non_default_settings(stepwise, tmp_path):
+    """Every assembly and training flag reaches the RunConfig field run-loop reads."""
+    d = tmp_path / "stepwise"
+    d.mkdir()
+    # tasks through guided_rewards do not depend on the settings under test
+    for name in COMPARABLE[:7]:
+        shutil.copy(stepwise / name, d / name)
+    steps = [
+        ["assemble", "--rollouts", d / "rollouts.jsonl", "--rewards", d / "rewards.jsonl",
+         "--guided-rollouts", d / "guided_rollouts.jsonl",
+         "--guided-rewards", d / "guided_rewards.jsonl", "--guidance", d / "guidance.jsonl",
+         "--seed", SEED, "--out", d / "dataset.jsonl",
+         "--sft-fraction", 0.5, "--max-pairs-per-task", 2, "--keep-guidance-in-prompt"],
+        ["train-sft", "--policy", d / "policy_init.json", "--dataset", d / "dataset.jsonl",
+         "--out", d / "policy_sft.json", "--log", d / "sft_log.csv",
+         "--epochs", 30, "--learning-rate", 0.3],
+        ["train-dpo", "--policy", d / "policy_sft.json", "--dataset", d / "dataset.jsonl",
+         "--out", d / "policy_final.json", "--log", d / "dpo_log.csv",
+         "--epochs", 60, "--beta", 0.25, "--learning-rate", 0.8],
+        ["rollout", "--tasks", d / "tasks.jsonl", "--policy", d / "policy_final.json",
+         "--out", d / "eval_rollouts.jsonl", "--n", N, "--seed", derive_seed(SEED, "final-eval"),
+         "--workers", 1, "--eval-mode"],
+        ["evaluate", "--tasks", d / "tasks.jsonl", "--rollouts", d / "eval_rollouts.jsonl",
+         "--out", d / "eval_rewards.jsonl", "--workers", 1],
+        ["report", "--rollouts", d / "rollouts.jsonl", "--rewards", d / "rewards.jsonl",
+         "--eval-rollouts", d / "eval_rollouts.jsonl", "--eval-rewards", d / "eval_rewards.jsonl",
+         "--guided-rewards", d / "guided_rewards.jsonl", "--seed", SEED,
+         "--out-json", d / "report.json", "--out-txt", d / "report.txt"],
+    ]
+    for argv in steps:
+        assert run(argv) == 0, argv[0]
+
+    loop = tmp_path / "loop"
+    sets = SMALL_SETS + [
+        "assemble.sft_fraction=0.5", "assemble.max_pairs_per_task=2",
+        "assemble.keep_guidance_in_prompt=true", "sft.sft_learning_rate=0.3",
+        "dpo.dpo_beta=0.25", "dpo.dpo_learning_rate=0.8",
+    ]
+    argv = ["run-loop", "--output-dir", loop, "--seed", SEED]
+    for item in sets:
+        argv += ["--set", item]
+    assert run(argv) == 0
+    for name in COMPARABLE:
+        assert canonical_file_hash(d / name) == canonical_file_hash(loop / name), name
+
+    # the settings took effect: the artifacts they feed differ from the defaults'
+    for name in ("dataset.jsonl", "policy_sft.json", "sft_log.csv", "policy_final.json", "dpo_log.csv"):
+        assert canonical_file_hash(d / name) != canonical_file_hash(stepwise / name), name
+    rlvr = load_dataset(d / "dataset.jsonl")
+    assert any(HINT_DELIMITER in p.prompt for p in rlvr.pairs)
+    per_task = Counter(p.task_id for p in rlvr.pairs if p.provenance == PROVENANCE_ROLLOUT)
+    assert max(per_task.values()) == 2
+    assert len(rlvr.sft) > len(load_dataset(stepwise / "dataset.jsonl").sft)
 
 
 def test_gen_tasks_and_init_policy_outputs(stepwise, capsys):
@@ -167,6 +233,19 @@ def test_run_loop_phase_failure_exit_code_and_resume(tmp_path, capsys):
     assert run(base + ["--resume"]) == 0
     state = json.loads((out / "runstate.json").read_text())
     assert len(state["completed"]) == 11
+
+
+@pytest.mark.parametrize("text", ['{"completed": ["tasks", "roll', "not json\n", "[]\n"])
+def test_corrupt_run_state_fails_resume_cleanly(tmp_path, capsys, text):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "runstate.json").write_text(text)
+    argv = ["run-loop", "--output-dir", out, "--seed", SEED, "--resume"]
+    for item in SMALL_SETS:
+        argv += ["--set", item]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "runstate.json" in err and "corrupt" in err
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

@@ -1,0 +1,75 @@
+"""The remote policy and teacher clients against a local HTTP server."""
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+
+import pytest
+
+from rlvrloop.backends import HttpPolicyBackend, SamplingParams
+from rlvrloop.errors import BackendError, GuidanceError
+from rlvrloop.guidance import HttpTeacherBackend
+
+
+class Handler(BaseHTTPRequestHandler):
+    """/ok echoes the prompt, /down answers 503, /bare answers 200 without a completion."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.requests.append(body)
+        status, reply = {
+            "/ok": (200, {"completion": "echo " + body["prompt"], "ignored": 1}),
+            "/down": (503, {"error": "overloaded"}),
+            "/bare": (200, {"text": "no completion field"}),
+        }[self.path]
+        data = json.dumps(reply).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def server(monkeypatch):
+    # the requests must reach 127.0.0.1 directly, whatever proxy the host names
+    monkeypatch.setenv("no_proxy", "*")
+    monkeypatch.setenv("NO_PROXY", "*")
+    httpd = HTTPServer(("127.0.0.1", 0), Handler)
+    httpd.requests = []
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    yield httpd, f"http://127.0.0.1:{httpd.server_port}"
+    httpd.shutdown()
+    httpd.server_close()
+    thread.join()
+
+
+PARAMS = SamplingParams(temperature=0.7, seed=5, max_tokens=32)
+
+
+def test_policy_backend_posts_the_wire_request(server):
+    httpd, url = server
+    completion = HttpPolicyBackend(url + "/ok", timeout_s=5).generate("fix it", PARAMS)
+    assert completion.text == "echo fix it"
+    assert httpd.requests == [{"prompt": "fix it", "temperature": 0.7, "seed": 5, "max_tokens": 32}]
+
+
+def test_policy_backend_errors(server):
+    _, url = server
+    with pytest.raises(BackendError, match="remote: HTTP 503"):
+        HttpPolicyBackend(url + "/down", timeout_s=5).generate("p", PARAMS)
+    with pytest.raises(BackendError, match="remote: malformed response"):
+        HttpPolicyBackend(url + "/bare", timeout_s=5).generate("p", PARAMS)
+
+
+def test_teacher_backend_round_trip_and_errors(server):
+    httpd, url = server
+    assert HttpTeacherBackend(url + "/ok", timeout_s=5).generate_guidance_text("help") == "echo help"
+    assert httpd.requests == [{"prompt": "help"}]
+    with pytest.raises(GuidanceError, match="remote-teacher: HTTP 503"):
+        HttpTeacherBackend(url + "/down", timeout_s=5).generate_guidance_text("help")
+    with pytest.raises(GuidanceError, match="remote-teacher: malformed response"):
+        HttpTeacherBackend(url + "/bare", timeout_s=5).generate_guidance_text("help")

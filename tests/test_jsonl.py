@@ -5,7 +5,6 @@ import pytest
 from rlvrloop.errors import TaskFormatError
 from rlvrloop.jsonl import (
     SCHEMA_VERSION,
-    append_record,
     canonical_file_hash,
     derive_seed,
     dumps,
@@ -22,15 +21,6 @@ def test_write_then_read_round_trip(tmp_path):
     assert [rec for _, rec in got] == records
     # line numbers are physical: header is line 1
     assert [lineno for lineno, _ in got] == [2, 3, 4]
-
-
-def test_header_written_once_by_append(tmp_path):
-    path = tmp_path / "data.jsonl"
-    append_record(path, "demo", {"a": 1})
-    append_record(path, "demo", {"a": 2})
-    lines = path.read_text().splitlines()
-    assert json.loads(lines[0]) == {"schema": "demo", "schema_version": SCHEMA_VERSION}
-    assert len(lines) == 3
 
 
 def test_schema_mismatch_rejected(tmp_path):

@@ -10,7 +10,6 @@ from rlvrloop.rollout import (
     TEMPERATURE_GREEDY,
     TEMPERATURE_SAMPLING,
     SamplingParams,
-    TrajectoryStore,
     read_trajectories,
     rollout_params,
     run_scaffold,
@@ -201,16 +200,3 @@ def test_write_read_trajectories(tmp_path, one_task, backend):
     path = tmp_path / "trajs.jsonl"
     assert write_trajectories(batch, path) == 4
     assert read_trajectories(path) == batch
-
-
-def test_trajectory_store_rejects_duplicates(tmp_path, one_task, backend):
-    store = TrajectoryStore(tmp_path / "store.jsonl")
-    traj = run_scaffold(one_task, backend, params(seed=4))
-    store.append(traj)
-    with pytest.raises(RolloutError, match="duplicate trajectory key"):
-        store.append(traj)
-    # keys survive reopen
-    reopened = TrajectoryStore(tmp_path / "store.jsonl")
-    assert len(reopened) == 1
-    with pytest.raises(RolloutError):
-        reopened.append(traj)

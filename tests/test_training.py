@@ -22,7 +22,6 @@ from rlvrloop.training import (
     dpo_loss_and_grad,
     dpo_margin,
     dpo_train,
-    kl_regularized_reward,
     sft_loss,
     sft_loss_and_grad,
     sft_train,
@@ -102,20 +101,6 @@ def test_dpo_loss_known_log_ratio_gap():
     policy.head(tid).line_logits[0] = 2.0
     pair = mk_pair(tid, (0, 0), (1, 0))
     assert dpo_loss(policy, ref, [pair], beta=0.1) == pytest.approx(0.5981388693815918, abs=1e-12)
-
-
-def test_kl_regularized_reward_known_value():
-    # policy puts 0.5 * e^0.5 on line 0 so the log ratio is exactly 0.5;
-    # 1 - 0.1 * 0.5 = 0.95
-    suite = generate_synth_suite(1, 2, 2, seed=5)
-    tid = suite.tasks[0].id
-    policy = TabularPolicy.uniform(suite)
-    ref = ReferencePolicy(policy)
-    p = 0.5 * math.exp(0.5)
-    policy.head(tid).line_logits[0] = math.log(p)
-    policy.head(tid).line_logits[1] = math.log(1 - p)
-    got = kl_regularized_reward(policy, ref, tid, (0, 0), reward=1.0, beta=0.1)
-    assert got == pytest.approx(0.95, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
