@@ -55,7 +55,12 @@ class TabularPolicyBackend(PolicyBackend):
     prompt. A hint block naming a statement restricts the localization
     action space to that statement, which is the desk-scale mechanization
     of "the model may follow the hint".
+
+    Generation is in-process and holds the GIL, so callers run it inline:
+    a thread pool around it only adds overhead.
     """
+
+    max_concurrency = 1
 
     def __init__(self, policy: TabularPolicy, backend_id: str = "tabular"):
         self.policy = policy
@@ -118,13 +123,11 @@ class ScriptedBackend(PolicyBackend):
         return Completion(text=str(entry))
 
 
-def post_completion(
-    endpoint: str, payload: dict, timeout_s: float, error: type[Exception], who: str
-) -> str:
+def post_completion(endpoint: str, payload: dict, timeout_s: float, who: str) -> str:
     """POST payload as JSON and return the reply's "completion" field.
 
     Every failure (no connection, a status other than 200, a body without
-    a completion) raises `error`, its message prefixed with `who`.
+    a completion) raises BackendError, its message prefixed with `who`.
     """
     import http.client
     import urllib.error
@@ -140,15 +143,15 @@ def post_completion(
         with urllib.request.urlopen(request, timeout=timeout_s) as resp:
             status, body = resp.status, resp.read()
     except urllib.error.HTTPError as exc:
-        raise error(f"{who}: HTTP {exc.code}") from exc
+        raise BackendError(f"{who}: HTTP {exc.code}") from exc
     except (OSError, ValueError, http.client.HTTPException) as exc:
-        raise error(f"{who}: request failed: {exc}") from exc
+        raise BackendError(f"{who}: request failed: {exc}") from exc
     if status != 200:
-        raise error(f"{who}: HTTP {status}")
+        raise BackendError(f"{who}: HTTP {status}")
     try:
         return str(json.loads(body)["completion"])
     except (ValueError, KeyError, TypeError) as exc:
-        raise error(f"{who}: malformed response: {exc}") from exc
+        raise BackendError(f"{who}: malformed response: {exc}") from exc
 
 
 class HttpPolicyBackend(PolicyBackend):
@@ -176,6 +179,4 @@ class HttpPolicyBackend(PolicyBackend):
 
     def generate(self, prompt: str, params: SamplingParams) -> Completion:
         payload = self.build_request(prompt, params)
-        return Completion(
-            text=post_completion(self.endpoint, payload, self.timeout_s, BackendError, self.backend_id)
-        )
+        return Completion(text=post_completion(self.endpoint, payload, self.timeout_s, self.backend_id))

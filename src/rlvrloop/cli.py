@@ -7,8 +7,9 @@ of individual commands with the same seeds and settings produce
 byte-identical artifacts. `train-rm` and `rank` are not loop phases and
 keep their own bodies here.
 
-Exit codes: 0 success, 1 usage or data error, 2 phase failure (resumable
-state written), 3 infrastructure error (sandbox or backend).
+Exit codes: 0 success, 1 usage or data error (a missing or unreadable
+file included), 2 phase failure (resumable state written), 3
+infrastructure error (sandbox or backend).
 """
 from __future__ import annotations
 
@@ -397,7 +398,7 @@ def main(argv=None) -> int:
     except _INFRA_ERRORS as exc:
         print(f"infrastructure error: {exc}", file=sys.stderr)
         return 3
-    except RlvrLoopError as exc:
+    except (RlvrLoopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

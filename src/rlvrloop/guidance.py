@@ -120,6 +120,9 @@ class HttpTeacherBackend(TeacherBackend):
 
     Request JSON:  {"prompt": str}
     Response JSON: {"completion": str}
+
+    A request that fails raises BackendError, an infrastructure failure;
+    a reply that does not parse into guidance is a GuidanceError.
     """
 
     def __init__(self, endpoint: str, teacher_id: str = "remote-teacher", timeout_s: float = 120.0):
@@ -128,9 +131,7 @@ class HttpTeacherBackend(TeacherBackend):
         self.timeout_s = timeout_s
 
     def generate_guidance_text(self, request: str) -> str:
-        return post_completion(
-            self.endpoint, {"prompt": request}, self.timeout_s, GuidanceError, self.teacher_id
-        )
+        return post_completion(self.endpoint, {"prompt": request}, self.timeout_s, self.teacher_id)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Every artifact file starts with a header record carrying the schema name and
 a schema_version so old files fail loudly instead of deserializing garbage.
-Content hashing strips volatile fields (wall-clock timings) so reruns of a
-deterministic pipeline hash identically.
+No artifact records a wall-clock value, so reruns of a deterministic
+pipeline write identical bytes and a plain content hash tells them apart.
 """
 from __future__ import annotations
 
@@ -15,9 +15,6 @@ from typing import Any, Iterable, Iterator
 from .errors import TaskFormatError
 
 SCHEMA_VERSION = 1
-
-# Fields that legitimately differ between reruns of the same seeded pipeline.
-VOLATILE_FIELDS = frozenset({"wall_time_s"})
 
 
 def dumps(record: dict[str, Any]) -> str:
@@ -70,35 +67,9 @@ def read_records(path: str | Path, schema: str | None = None) -> Iterator[tuple[
             yield lineno, rec
 
 
-def _strip_volatile(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {k: _strip_volatile(v) for k, v in value.items() if k not in VOLATILE_FIELDS}
-    if isinstance(value, list):
-        return [_strip_volatile(v) for v in value]
-    return value
-
-
 def canonical_file_hash(path: str | Path) -> str:
-    """sha256 of a file with volatile fields removed from JSONL/JSON content.
-
-    Non-JSON files hash their raw bytes. This is the hash recorded in run
-    manifests, so two runs with identical seeds produce identical hashes even
-    though per-record wall times differ.
-    """
-    path = Path(path)
-    data = path.read_bytes()
-    if path.suffix in {".jsonl", ".json"}:
-        try:
-            text = data.decode("utf-8")
-            if path.suffix == ".json":
-                canon = dumps(_strip_volatile(json.loads(text)))
-            else:
-                lines = [dumps(_strip_volatile(json.loads(ln))) for ln in text.splitlines() if ln.strip()]
-                canon = "\n".join(lines)
-            data = canon.encode("utf-8")
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            pass  # hash raw bytes if the file is not actually JSON
-    return hashlib.sha256(data).hexdigest()
+    """sha256 of a file's bytes; the hash recorded in run manifests."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def derive_seed(*parts: object) -> int:

@@ -114,10 +114,6 @@ class RunConfig:
     dpo_learning_rate: float = 0.5
     dpo_epochs: int = 200
 
-    rm_learning_rate: float = 0.5
-    rm_epochs: int = 200
-    rm_k: int = 32
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -135,7 +131,6 @@ _SECTION_FIELDS = {
     ),
     "sft": ("sft_learning_rate", "sft_epochs"),
     "dpo": ("dpo_beta", "dpo_learning_rate", "dpo_epochs"),
-    "rm": ("rm_learning_rate", "rm_epochs", "rm_k"),
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -283,8 +278,9 @@ def rollout_all_tasks(
 ) -> list:
     """Per-task rollout batches, flattened in dataset order.
 
-    Tasks parallelize across threads; slot seeds are derived per (task,
-    slot) so scheduling order cannot change any sample.
+    Tasks spread over `workers` threads unless the backend declares
+    max_concurrency 1; slot seeds are derived per (task, slot) so
+    scheduling order cannot change any sample.
     """
     def one(task):
         return sample_rollouts(

@@ -46,7 +46,6 @@ class PairSide:
     trajectory_ref: str
     response: str
     actions: tuple[int, int] | None
-    on_policy: bool
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class PreferencePair:
     winner: PairSide
     loser: PairSide
     provenance: str
-    winner_on_policy: bool
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,6 @@ def _side(traj: Trajectory) -> PairSide:
         trajectory_ref=traj.traj_id,
         response=traj.response_text(),
         actions=traj.actions,
-        on_policy=traj.on_policy,
     )
 
 
@@ -164,7 +161,6 @@ def assemble_rollout_pairs(
                         winner=_side(pos),
                         loser=_side(neg),
                         provenance=PROVENANCE_ROLLOUT,
-                        winner_on_policy=pos.on_policy,
                     )
                 )
                 task_pairs += 1
@@ -221,7 +217,6 @@ def assemble_guided_pair(
         winner=_side(guided_success),
         loser=_side(failed_unguided),
         provenance=PROVENANCE_GUIDED,
-        winner_on_policy=guided_success.on_policy,
     )
 
 
@@ -366,7 +361,6 @@ def _pair_to_record(p: PreferencePair) -> dict:
             "trajectory_ref": s.trajectory_ref,
             "response": s.response,
             "actions": list(s.actions) if s.actions else None,
-            "on_policy": s.on_policy,
         }
 
     return {
@@ -376,7 +370,6 @@ def _pair_to_record(p: PreferencePair) -> dict:
         "winner": side(p.winner),
         "loser": side(p.loser),
         "provenance": p.provenance,
-        "winner_on_policy": p.winner_on_policy,
     }
 
 
@@ -386,7 +379,6 @@ def _pair_from_record(rec: dict) -> PreferencePair:
             trajectory_ref=d["trajectory_ref"],
             response=d["response"],
             actions=tuple(d["actions"]) if d.get("actions") else None,
-            on_policy=bool(d["on_policy"]),
         )
 
     return PreferencePair(
@@ -395,7 +387,6 @@ def _pair_from_record(rec: dict) -> PreferencePair:
         winner=side(rec["winner"]),
         loser=side(rec["loser"]),
         provenance=rec["provenance"],
-        winner_on_policy=bool(rec["winner_on_policy"]),
     )
 
 

@@ -58,7 +58,6 @@ class Trajectory:
     guidance_id: str | None
     sampling: SamplingParams
     backend_id: str
-    on_policy: bool
     traj_id: str
 
     def response_text(self) -> str:
@@ -143,7 +142,6 @@ def run_scaffold(
     *,
     eval_mode: bool = False,
     max_retries: int = 2,
-    on_policy: bool = True,
 ) -> Trajectory:
     """One attempt at a task: localization then repair.
 
@@ -190,7 +188,6 @@ def run_scaffold(
         guidance_id=guidance.guidance_id if guided else None,
         sampling=params,
         backend_id=backend.backend_id,
-        on_policy=on_policy,
         traj_id=make_traj_id(task.id, backend.backend_id, params.seed, guided),
     )
 
@@ -204,7 +201,6 @@ def _failure_trajectory(task: Task, backend: PolicyBackend, params: SamplingPara
         guidance_id=None,
         sampling=params,
         backend_id=backend.backend_id,
-        on_policy=True,
         traj_id=make_traj_id(task.id, backend.backend_id, params.seed, False),
     )
 
@@ -275,7 +271,6 @@ def trajectory_to_record(traj: Trajectory) -> dict:
             "max_tokens": traj.sampling.max_tokens,
         },
         "backend_id": traj.backend_id,
-        "on_policy": traj.on_policy,
     }
 
 
@@ -299,7 +294,6 @@ def trajectory_from_record(rec: dict) -> Trajectory:
             max_tokens=rec["sampling"]["max_tokens"],
         ),
         backend_id=rec["backend_id"],
-        on_policy=bool(rec.get("on_policy", True)),
         traj_id=rec["traj_id"],
     )
 

@@ -23,7 +23,9 @@ log = logging.getLogger(__name__)
 
 ISOLATION_MODES = ("process_sandbox", "container", "in_memory_synthetic")
 
-# Default per-attempt test budget, seconds.
+# Default per-attempt test budget, seconds. A synthetic program is straight-line
+# and always finishes, so the evaluator never consults its budget; it stays in
+# the task record as metadata.
 DEFAULT_TIMEOUT_CONTAINER_S = 300.0
 DEFAULT_TIMEOUT_SYNTH_S = 1.0
 

@@ -83,9 +83,9 @@ def test_c1_dpo_objective_and_gradients():
     pairs = [
         PreferencePair(
             task_id=t.id, prompt="p",
-            winner=PairSide("w", "a", (int(rng.integers(3)), int(rng.integers(3))), True),
-            loser=PairSide("l", "b", (int(rng.integers(3)), int(rng.integers(3))), True),
-            provenance=PROVENANCE_ROLLOUT, winner_on_policy=True,
+            winner=PairSide("w", "a", (int(rng.integers(3)), int(rng.integers(3)))),
+            loser=PairSide("l", "b", (int(rng.integers(3)), int(rng.integers(3)))),
+            provenance=PROVENANCE_ROLLOUT,
         )
         for t in suite for _ in range(4)
     ]

@@ -6,7 +6,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from rlvrloop.backends import HttpPolicyBackend, SamplingParams
-from rlvrloop.errors import BackendError, GuidanceError
+from rlvrloop.cli import main
+from rlvrloop.errors import BackendError
 from rlvrloop.guidance import HttpTeacherBackend
 
 
@@ -69,7 +70,19 @@ def test_teacher_backend_round_trip_and_errors(server):
     httpd, url = server
     assert HttpTeacherBackend(url + "/ok", timeout_s=5).generate_guidance_text("help") == "echo help"
     assert httpd.requests == [{"prompt": "help"}]
-    with pytest.raises(GuidanceError, match="remote-teacher: HTTP 503"):
+    with pytest.raises(BackendError, match="remote-teacher: HTTP 503"):
         HttpTeacherBackend(url + "/down", timeout_s=5).generate_guidance_text("help")
-    with pytest.raises(GuidanceError, match="remote-teacher: malformed response"):
+    with pytest.raises(BackendError, match="remote-teacher: malformed response"):
         HttpTeacherBackend(url + "/bare", timeout_s=5).generate_guidance_text("help")
+
+
+def test_unreachable_teacher_is_an_infrastructure_failure(server, tmp_path, capsys):
+    httpd, url = server
+    argv = ["run-loop", "--output-dir", str(tmp_path / "run"), "--seed", "3"]
+    for item in ("run.workers=1", "run.rollouts_n=4", "tasks.synth_count=3",
+                 "tasks.synth_lines=3", "tasks.synth_candidates=3",
+                 "teacher.teacher_kind=remote", f"teacher.teacher_endpoint={url}/down"):
+        argv += ["--set", item]
+    assert main(argv) == 3
+    assert "infrastructure error in phase guide" in capsys.readouterr().err
+    assert httpd.requests  # the guide phase did reach the teacher

@@ -57,20 +57,6 @@ def test_blank_lines_skipped(tmp_path):
     assert [rec for _, rec in read_records(path, schema="demo")] == [{"a": 1}]
 
 
-def test_canonical_hash_ignores_wall_time(tmp_path):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_records(a, "demo", [{"x": 1, "wall_time_s": 0.25}])
-    write_records(b, "demo", [{"x": 1, "wall_time_s": 99.0}])
-    assert canonical_file_hash(a) == canonical_file_hash(b)
-
-
-def test_canonical_hash_strips_nested_wall_time(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(json.dumps({"outer": {"wall_time_s": 1.0, "v": 3}}))
-    b.write_text(json.dumps({"outer": {"wall_time_s": 2.0, "v": 3}}))
-    assert canonical_file_hash(a) == canonical_file_hash(b)
-
-
 def test_canonical_hash_sees_real_changes(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_records(a, "demo", [{"x": 1}])
@@ -79,11 +65,14 @@ def test_canonical_hash_sees_real_changes(tmp_path):
 
 
 def test_canonical_hash_raw_bytes_for_non_json(tmp_path):
-    path = tmp_path / "log.csv"
-    path.write_text("epoch,loss\n0,1.0\n")
+    """JSON and JSONL hash their raw bytes too, like every other file."""
     import hashlib
 
-    assert canonical_file_hash(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    write_records(tmp_path / "a.jsonl", "demo", [{"x": 1, "wall_time_s": 0.25}])
+    (tmp_path / "b.json").write_text(json.dumps({"outer": {"wall_time_s": 1.0, "v": 3}}, indent=1))
+    (tmp_path / "c.csv").write_text("epoch,loss\n0,1.0\n")
+    for path in sorted(tmp_path.iterdir()):
+        assert canonical_file_hash(path) == hashlib.sha256(path.read_bytes()).hexdigest(), path.name
 
 
 def test_derive_seed_stable_and_distinct():

@@ -4,6 +4,7 @@ import logging
 
 import pytest
 
+from rlvrloop.backends import PolicyBackend, TabularPolicyBackend
 from rlvrloop.errors import PhaseError, UsageError
 from rlvrloop.guidance import Guidance
 from rlvrloop.jsonl import canonical_file_hash
@@ -15,9 +16,13 @@ from rlvrloop.loop import (
     build_backend,
     build_teacher,
     count_infra_errors,
+    evaluate_trajectories,
+    guide_failures,
     load_config,
     read_guidance,
+    reattempt_with_guidance,
     resolve_tasks,
+    rollout_all_tasks,
     run_loop,
     write_guidance,
 )
@@ -149,6 +154,62 @@ def test_resolve_tasks_prefers_explicit_path(tmp_path):
     assert generated == suite  # same generator arguments, same suite
 
 
+# ---------------------------------------------------------------------------
+# Rollout and reattempt pools
+# ---------------------------------------------------------------------------
+
+
+class UnlimitedBackend(PolicyBackend):
+    """A thread-safe tabular backend that declares no concurrency limit."""
+
+    backend_id = "tabular"
+
+    def __init__(self, policy):
+        self.inner = TabularPolicyBackend(policy)
+
+    def generate(self, prompt, params):
+        return self.inner.generate(prompt, params)
+
+
+def _guidance_for(suite, backend):
+    trajs = rollout_all_tasks(suite, backend, 4, 0, workers=1)
+    return guide_failures(suite, trajs, evaluate_trajectories(suite, trajs, workers=1), None)
+
+
+def test_in_process_backend_never_builds_a_thread_pool(small_suite, monkeypatch):
+    import rlvrloop.loop as loop
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the in-process backend must be called inline")
+
+    backend = TabularPolicyBackend(TabularPolicy.uniform(small_suite))
+    guidance = _guidance_for(small_suite, backend)
+    assert len(guidance) > 1
+    monkeypatch.setattr(loop, "ThreadPoolExecutor", no_pool)
+    assert len(rollout_all_tasks(small_suite, backend, 4, 0, workers=4)) == 4 * len(small_suite)
+    assert len(reattempt_with_guidance(small_suite, guidance, backend, 0, workers=4)) == len(guidance)
+
+
+def test_pooled_backend_matches_serial_trajectories(small_suite, monkeypatch):
+    import rlvrloop.loop as loop
+
+    pools = []
+
+    class CountingPool(loop.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    backend = UnlimitedBackend(TabularPolicy.uniform(small_suite))
+    guidance = _guidance_for(small_suite, backend)
+    monkeypatch.setattr(loop, "ThreadPoolExecutor", CountingPool)
+    serial = rollout_all_tasks(small_suite, backend, 4, 0, workers=1)
+    assert rollout_all_tasks(small_suite, backend, 4, 0, workers=4) == serial
+    serial = reattempt_with_guidance(small_suite, guidance, backend, 0, workers=1)
+    assert reattempt_with_guidance(small_suite, guidance, backend, 0, workers=4) == serial
+    assert len(pools) == 2  # the workers=4 calls, and only those, ran pooled
+
+
 def test_guidance_file_round_trip(tmp_path):
     g = Guidance(
         guidance_id="g-1",
@@ -241,6 +302,9 @@ def test_identical_configs_reproduce_identical_artifacts(finished_run, tmp_path)
     mine = {a["path"]: a["sha256"] for a in manifest["artifacts"]}
     theirs = {a["path"]: a["sha256"] for a in twin_manifest["artifacts"]}
     assert mine == theirs
+    # the digests agree because the bytes do: no artifact records a wall time
+    for name in mine:
+        assert (paths.dir / name).read_bytes() == (tmp_path / "twin" / name).read_bytes(), name
 
 
 def test_phase_failure_then_resume(tmp_path, caplog):

@@ -40,7 +40,6 @@ def mk_traj(task_id, ref, temperature):
         guidance_id=None,
         sampling=SamplingParams(temperature=temperature, seed=0),
         backend_id="x",
-        on_policy=True,
         traj_id=ref,
     )
 

@@ -41,7 +41,6 @@ def mk_traj(task_id, ref, response, prompt=None, guidance_id=None):
         guidance_id=guidance_id,
         sampling=SamplingParams(temperature=0.6, seed=0),
         backend_id="x",
-        on_policy=True,
         traj_id=ref,
     )
 

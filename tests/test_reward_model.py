@@ -334,10 +334,9 @@ def make_pref_pair(task, w_actions, l_actions):
     return PreferencePair(
         task_id=task.id,
         prompt="p",
-        winner=PairSide("w", "rw", w_actions, True),
-        loser=PairSide("l", "rl", l_actions, True),
+        winner=PairSide("w", "rw", w_actions),
+        loser=PairSide("l", "rl", l_actions),
         provenance="rollout_pair",
-        winner_on_policy=True,
     )
 
 
@@ -364,8 +363,7 @@ def test_build_rm_training_pairs_skips_real_tasks(tmp_path):
         tests=TestSuite(regression=("t",), focused=()),
         repo_name="r",
     )
-    pair = PreferencePair("r1", "p", PairSide("w", "a", None, True), PairSide("l", "b", None, True),
-                          "rollout_pair", True)
+    pair = PreferencePair("r1", "p", PairSide("w", "a", None), PairSide("l", "b", None), "rollout_pair")
     assert build_rm_training_pairs([pair], {"r1": real}) == []
 
 

@@ -40,10 +40,9 @@ def mk_pair(task_id, w, l):
     return PreferencePair(
         task_id=task_id,
         prompt="p",
-        winner=PairSide("w-ref", "winner text", w, True),
-        loser=PairSide("l-ref", "loser text", l, True),
+        winner=PairSide("w-ref", "winner text", w),
+        loser=PairSide("l-ref", "loser text", l),
         provenance="rollout_pair",
-        winner_on_policy=True,
     )
 
 
