@@ -8,6 +8,7 @@ run manifest records `backend_deterministic` from the configured backend kind.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 
@@ -121,6 +122,14 @@ class ScriptedBackend(PolicyBackend):
         if isinstance(entry, Completion):
             return entry
         return Completion(text=str(entry))
+
+
+def call_with_retry(fn, *args, max_retries: int = 2):
+    """fn(*args), called again on BackendError up to max_retries times; the last error propagates."""
+    for _ in range(max_retries):
+        with contextlib.suppress(BackendError):
+            return fn(*args)
+    return fn(*args)
 
 
 def post_completion(endpoint: str, payload: dict, timeout_s: float, who: str) -> str:

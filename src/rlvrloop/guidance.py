@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING
 
-from .backends import post_completion
+from .backends import call_with_retry, post_completion
 from .errors import GuidanceError
 from .jsonl import derive_seed
 from .prompts import HINT_DELIMITER
@@ -264,11 +264,11 @@ def request_guidance(
     teacher: TeacherBackend,
     reference_patch: str | None = None,
 ) -> Guidance:
-    """Render the request, query the teacher, parse; retry once on bad parse."""
+    """Render the request, query the teacher (retried on BackendError), parse; re-ask once on bad parse."""
     request = render_guidance_request(task, failed_trajectory, reward_record, reference_patch)
     last_error: GuidanceError | None = None
     for attempt in range(2):
-        text = teacher.generate_guidance_text(request)
+        text = call_with_retry(teacher.generate_guidance_text, request)
         try:
             return parse_guidance(
                 text,

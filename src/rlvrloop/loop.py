@@ -2,15 +2,14 @@
 
 Phases: tasks -> rollout -> evaluate -> guide -> reattempt ->
 evaluate-guided -> assemble -> train-sft -> train-dpo -> final-eval ->
-report. Each phase body is one module-level function (make_tasks,
-init_policy, rollout, evaluate, guide, reattempt, assemble, train_sft,
-train_dpo, final_eval, report) that takes the RunConfig plus explicit input
-and output paths. run_loop calls them in sequence over the run directory,
-and the stand-alone CLI subcommands call the same functions, so both
-produce byte-identical artifacts by construction. Because every phase reads
-its inputs from files and writes its outputs to files, a failed phase can
-resume without redoing earlier work and the manifest can hash everything
-the run touched.
+report. Each phase body is one module-level function that takes the
+RunConfig plus explicit input and output paths; run_loop and the stepwise
+CLI subcommands call the same functions, so both produce byte-identical
+artifacts by construction. PHASE_TABLE declares once what each phase reads
+and writes; PHASES, RunPaths and the manifest's artifact list come from it.
+run_loop commits a phase's outputs atomically (`<file>.partial`, then
+os.replace), records their sha256 in runstate.json, and on resume refuses
+a completed phase whose outputs no longer hash the same.
 
 All randomness is derived from config.seed through labeled sub-seeds; the
 wall clock never feeds any decision, so rerunning a config reproduces every
@@ -21,9 +20,12 @@ from __future__ import annotations
 import configparser
 import json
 import logging
+import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .backends import HttpPolicyBackend, PolicyBackend, SamplingParams, TabularPolicyBackend
 from .errors import CheckpointError, PhaseError, RlvrLoopError, UsageError
@@ -61,21 +63,6 @@ log = logging.getLogger(__name__)
 MANIFEST_SCHEMA = "run_manifest"
 
 StrPath = str | Path  # the phase functions take paths in either form
-
-PHASES = (
-    "tasks",
-    "rollout",
-    "evaluate",
-    "guide",
-    "reattempt",
-    "evaluate-guided",
-    "assemble",
-    "train-sft",
-    "train-dpo",
-    "final-eval",
-    "report",
-)
-
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -183,53 +170,6 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
             raise UsageError(f"unknown config key {dotted!r}")
         setattr(config, key, _coerce(key, raw))
     return config
-
-
-# ---------------------------------------------------------------------------
-# Run directory layout
-# ---------------------------------------------------------------------------
-
-
-class RunPaths:
-    def __init__(self, output_dir: str | Path):
-        self.dir = Path(output_dir)
-        self.tasks = self.dir / "tasks.jsonl"
-        self.policy_init = self.dir / "policy_init.json"
-        self.rollouts = self.dir / "rollouts.jsonl"
-        self.rewards = self.dir / "rewards.jsonl"
-        self.guidance = self.dir / "guidance.jsonl"
-        self.guided_rollouts = self.dir / "guided_rollouts.jsonl"
-        self.guided_rewards = self.dir / "guided_rewards.jsonl"
-        self.dataset = self.dir / "dataset.jsonl"
-        self.policy_sft = self.dir / "policy_sft.json"
-        self.sft_log = self.dir / "sft_log.csv"
-        self.policy_final = self.dir / "policy_final.json"
-        self.dpo_log = self.dir / "dpo_log.csv"
-        self.eval_rollouts = self.dir / "eval_rollouts.jsonl"
-        self.eval_rewards = self.dir / "eval_rewards.jsonl"
-        self.report_json = self.dir / "report.json"
-        self.report_txt = self.dir / "report.txt"
-        self.state = self.dir / "runstate.json"
-        self.manifest = self.dir / "manifest.json"
-
-
-class RunState:
-    def __init__(self, path: Path):
-        self.path = path
-        self.completed: list[str] = []
-        if path.exists():
-            try:
-                self.completed = json.loads(path.read_text(encoding="utf-8")).get("completed", [])
-            except (ValueError, AttributeError) as exc:
-                raise CheckpointError(f"run state {path} is corrupt: {exc!r}") from exc
-
-    def mark(self, phase: str) -> None:
-        if phase not in self.completed:
-            self.completed.append(phase)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(
-            json.dumps({"completed": self.completed}, sort_keys=True) + "\n", encoding="utf-8"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -542,17 +482,101 @@ def report(
 
 
 # ---------------------------------------------------------------------------
-# The loop
+# The phase table and the loop
 # ---------------------------------------------------------------------------
+
+
+def make_tasks_and_policy(config: RunConfig, tasks: StrPath, policy: StrPath) -> None:
+    """The loop's tasks phase: the task suite, then the starting policy over it."""
+    make_tasks(config, tasks)
+    init_policy(config, tasks, policy)
+
+
+class Phase(NamedTuple):
+    """One loop phase, called as fn(config, *input paths, *output paths)."""
+
+    name: str
+    fn: Callable
+    inputs: tuple[str, ...]  # artifact names, each an output of an earlier phase
+    outputs: dict[str, str]  # artifact name -> file name in the run directory
+
+
+PHASE_TABLE = (
+    Phase("tasks", make_tasks_and_policy, (), {"tasks": "tasks.jsonl", "policy_init": "policy_init.json"}),
+    Phase("rollout", rollout, ("tasks", "policy_init"), {"rollouts": "rollouts.jsonl"}),
+    Phase("evaluate", evaluate, ("tasks", "rollouts"), {"rewards": "rewards.jsonl"}),
+    Phase("guide", guide, ("tasks", "rollouts", "rewards"), {"guidance": "guidance.jsonl"}),
+    Phase("reattempt", reattempt, ("tasks", "guidance", "policy_init"),
+          {"guided_rollouts": "guided_rollouts.jsonl"}),
+    Phase("evaluate-guided", evaluate, ("tasks", "guided_rollouts"),
+          {"guided_rewards": "guided_rewards.jsonl"}),
+    Phase("assemble", assemble, ("rollouts", "rewards", "guided_rollouts", "guided_rewards", "guidance"),
+          {"dataset": "dataset.jsonl"}),
+    Phase("train-sft", train_sft, ("policy_init", "dataset"),
+          {"policy_sft": "policy_sft.json", "sft_log": "sft_log.csv"}),
+    Phase("train-dpo", train_dpo, ("policy_sft", "dataset"),
+          {"policy_final": "policy_final.json", "dpo_log": "dpo_log.csv"}),
+    Phase("final-eval", final_eval, ("tasks", "policy_final"),
+          {"eval_rollouts": "eval_rollouts.jsonl", "eval_rewards": "eval_rewards.jsonl"}),
+    Phase("report", report, ("rollouts", "rewards", "guided_rewards", "eval_rollouts", "eval_rewards"),
+          {"report_json": "report.json", "report_txt": "report.txt"}),
+)
+PHASES = tuple(phase.name for phase in PHASE_TABLE)
+ARTIFACTS = {name: file for phase in PHASE_TABLE for name, file in phase.outputs.items()}
+
+
+class RunPaths:
+    """RunPaths(dir).<artifact name> for every declared output, plus .state and .manifest."""
+
+    def __init__(self, output_dir: StrPath):
+        self.dir = Path(output_dir)
+        for name, file in ARTIFACTS.items():
+            setattr(self, name, self.dir / file)
+        self.state = self.dir / "runstate.json"
+        self.manifest = self.dir / "manifest.json"
+
+
+def _partial(path: Path) -> Path:
+    return path.with_name(path.name + ".partial")
+
+
+def _write_replacing(path: Path, text: str) -> None:
+    """Write beside path, then os.replace: a reader sees the old file or the new one, never half."""
+    _partial(path).write_text(text, encoding="utf-8")
+    os.replace(_partial(path), path)
+
+
+class RunState:
+    """The phases completed so far, in order, and the sha256 of every file they committed."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        try:
+            body = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+            self.completed: list[str] = body.get("completed", [])
+            self.hashes: dict[str, str] = body.get("hashes", {})
+            if self.completed != list(PHASES[: len(self.completed)]):
+                raise ValueError(f"completed {self.completed!r} is not a prefix of {list(PHASES)}")
+            if not isinstance(self.hashes, dict) or not all(isinstance(h, str) for h in self.hashes.values()):
+                raise ValueError(f"hashes {self.hashes!r} is not a map of file names to digests")
+        except (ValueError, AttributeError, TypeError) as exc:
+            raise CheckpointError(f"run state {path} is corrupt: {exc}") from exc
+
+    def mark(self, phase: str) -> None:
+        if phase not in self.completed:
+            self.completed.append(phase)
+        body = {"completed": self.completed, "hashes": self.hashes}
+        _write_replacing(self.path, json.dumps(body, sort_keys=True) + "\n")
 
 
 def run_loop(config: RunConfig, resume: bool = False) -> dict:
     """Execute one training iteration; returns the manifest dict.
 
-    A phase failure checkpoints the run state and raises PhaseError; rerun
-    with resume=True to pick up after the last completed phase. Another
-    iteration on top of a finished run is a fresh invocation pointing
-    initial_policy at the previous run's policy_final.json.
+    A phase failure raises PhaseError with the earlier phases committed;
+    rerun with resume=True to continue after them, which raises
+    CheckpointError if one of their outputs is missing, edited or unhashed.
+    Another iteration on top of a finished run is a fresh invocation
+    pointing initial_policy at the previous run's policy_final.json.
     """
     paths = RunPaths(config.output_dir)
     paths.dir.mkdir(parents=True, exist_ok=True)
@@ -561,63 +585,40 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
         raise UsageError(
             f"{paths.dir} already holds a run (phases {state.completed}); pass resume to continue"
         )
-
-    def phase(name: str, fn) -> None:
-        if name in state.completed:
-            log.info("phase %-16s already complete, skipping", name)
-            return
-        log.info("phase %-16s starting", name)
-        try:
-            fn()
-        except RlvrLoopError as exc:
-            raise PhaseError(name, str(exc)) from exc
-        state.mark(name)
-
-    def tasks():
-        make_tasks(config, paths.tasks)
-        init_policy(config, paths.tasks, paths.policy_init)
-
-    c, p = config, paths
-    phase("tasks", tasks)
-    phase("rollout", lambda: rollout(c, p.tasks, p.policy_init, p.rollouts))
-    phase("evaluate", lambda: evaluate(c, p.tasks, p.rollouts, p.rewards))
-    phase("guide", lambda: guide(c, p.tasks, p.rollouts, p.rewards, p.guidance))
-    phase("reattempt", lambda: reattempt(c, p.tasks, p.guidance, p.policy_init, p.guided_rollouts))
-    phase("evaluate-guided", lambda: evaluate(c, p.tasks, p.guided_rollouts, p.guided_rewards))
-    phase("assemble", lambda: assemble(
-        c, p.rollouts, p.rewards, p.guided_rollouts, p.guided_rewards, p.guidance, p.dataset
-    ))
-    phase("train-sft", lambda: train_sft(c, p.policy_init, p.dataset, p.policy_sft, p.sft_log))
-    phase("train-dpo", lambda: train_dpo(c, p.policy_sft, p.dataset, p.policy_final, p.dpo_log))
-    phase("final-eval", lambda: final_eval(c, p.tasks, p.policy_final, p.eval_rollouts, p.eval_rewards))
-    phase("report", lambda: report(
-        c, p.rollouts, p.rewards, p.guided_rewards, p.eval_rollouts, p.eval_rewards,
-        p.report_json, p.report_txt,
-    ))
-    return write_manifest(config, paths)
-
-
-def write_manifest(config: RunConfig, paths: RunPaths) -> dict:
-    """Hash every artifact the run produced; the manifest excludes itself."""
-    artifacts = []
-    for file in sorted(paths.dir.rglob("*")):
-        if not file.is_file() or file == paths.manifest:
+    for phase in PHASE_TABLE:
+        outputs = [paths.dir / file for file in phase.outputs.values()]
+        if phase.name in state.completed:
+            for file in outputs:
+                if file.name not in state.hashes:
+                    raise CheckpointError(f"{paths.state} records no hash for {file.name}; cannot resume")
+                if not file.exists() or canonical_file_hash(file) != state.hashes[file.name]:
+                    raise CheckpointError(f"{file} is missing or changed since phase {phase.name!r} completed")
+            log.info("phase %-16s already complete, skipping", phase.name)
             continue
-        artifacts.append(
-            {
-                "path": str(file.relative_to(paths.dir)),
-                "sha256": canonical_file_hash(file),
-            }
-        )
-    backend_deterministic = config.backend_kind != "remote"
+        log.info("phase %-16s starting", phase.name)
+        try:
+            phase.fn(config, *(getattr(paths, name) for name in phase.inputs), *map(_partial, outputs))
+        except RlvrLoopError as exc:
+            raise PhaseError(phase.name, str(exc)) from exc
+        for file in outputs:
+            os.replace(_partial(file), file)
+            state.hashes[file.name] = canonical_file_hash(file)
+        state.mark(phase.name)
+    return write_manifest(config, paths, state)
+
+
+def write_manifest(config: RunConfig, paths: RunPaths, state: RunState) -> dict:
+    """The config plus the recorded hash of every declared output and of the run state."""
+    hashes = {file: state.hashes[file] for file in ARTIFACTS.values()}
+    hashes[paths.state.name] = canonical_file_hash(paths.state)
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "schema_version": 1,
         "config": config.to_dict(),
-        "backend_deterministic": backend_deterministic,
-        "artifacts": artifacts,
+        "backend_deterministic": config.backend_kind != "remote",
+        "artifacts": [{"path": file, "sha256": digest} for file, digest in sorted(hashes.items())],
     }
-    paths.manifest.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    _write_replacing(paths.manifest, json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     return manifest
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import prompts
-from .backends import Completion, PolicyBackend, SamplingParams
+from .backends import PolicyBackend, SamplingParams, call_with_retry
 from .errors import BackendError, GuidanceLeakError, RolloutError, TaskFormatError
 from .guidance import Guidance, render_reattempt_prompt
 from .jsonl import derive_seed, read_records, write_records
@@ -118,17 +118,6 @@ def extract_patch(task: Task, location, repair_completion: str) -> Patch | None:
 # ---------------------------------------------------------------------------
 
 
-def _call_with_retry(backend: PolicyBackend, prompt: str, params: SamplingParams, max_retries: int) -> Completion:
-    last: BackendError | None = None
-    for _ in range(max_retries + 1):
-        try:
-            return backend.generate(prompt, params)
-        except BackendError as exc:
-            last = exc
-    assert last is not None
-    raise last
-
-
 def make_traj_id(task_id: str, backend_id: str, seed: int, guided: bool) -> str:
     suffix = "g" if guided else "u"
     return f"{task_id}/{backend_id}/{seed}/{suffix}"
@@ -162,7 +151,7 @@ def run_scaffold(
     base_prompt = prompts.render_localization_prompt(task)
     loc_prompt = render_reattempt_prompt(base_prompt, guidance) if guidance is not None else base_prompt
     loc_params = replace(params, seed=derive_seed(params.seed, "loc"))
-    loc_completion = _call_with_retry(backend, loc_prompt, loc_params, max_retries)
+    loc_completion = call_with_retry(backend.generate, loc_prompt, loc_params, max_retries=max_retries)
 
     if task.is_synthetic:
         line = prompts.parse_line_completion(loc_completion.text)
@@ -174,7 +163,7 @@ def run_scaffold(
 
     repair_prompt = prompts.render_repair_prompt(task, location)
     repair_params = replace(params, seed=derive_seed(params.seed, "repair"))
-    repair_completion = _call_with_retry(backend, repair_prompt, repair_params, max_retries)
+    repair_completion = call_with_retry(backend.generate, repair_prompt, repair_params, max_retries=max_retries)
 
     patch = extract_patch(task, location, repair_completion.text)
     guided = guidance is not None

@@ -235,7 +235,10 @@ def test_run_loop_phase_failure_exit_code_and_resume(tmp_path, capsys):
     assert len(state["completed"]) == 11
 
 
-@pytest.mark.parametrize("text", ['{"completed": ["tasks", "roll', "not json\n", "[]\n"])
+@pytest.mark.parametrize("text", [
+    '{"completed": ["tasks", "roll', "not json\n", "[]\n",
+    '{"completed": "tasks"}\n', '{"completed": ["bogus"]}\n', '{"completed": [], "hashes": {"tasks.jsonl": 1}}\n',
+])
 def test_corrupt_run_state_fails_resume_cleanly(tmp_path, capsys, text):
     out = tmp_path / "run"
     out.mkdir()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlvrloop.backends import ScriptedBackend, SamplingParams
-from rlvrloop.errors import GuidanceError
+from rlvrloop.errors import BackendError, GuidanceError
 from rlvrloop.evaluator import evaluate
 from rlvrloop.guidance import (
     EMPTY_PATCH_SENTINEL,
@@ -258,6 +258,24 @@ def test_request_guidance_fails_after_retry(one_task):
     teacher = ScriptedTeacher(script=["junk", "more junk"])
     with pytest.raises(GuidanceError, match="unusable after retry"):
         request_guidance(one_task, traj, rec, teacher)
+
+
+def test_request_guidance_retries_a_failed_teacher_request(one_task):
+    traj, rec = failed_attempt(one_task)
+    good = guidance_to_text(make_guidance(task_id=one_task.id))
+    teacher = ScriptedTeacher(script=[BackendError("teacher: HTTP 503"), good])
+    g = request_guidance(one_task, traj, rec, teacher)
+    assert g.task_id == one_task.id
+    assert g.source_trajectory_ref == traj.traj_id
+    assert len(teacher.requests_seen) == 2
+
+
+def test_request_guidance_gives_up_after_bounded_retries(one_task):
+    traj, rec = failed_attempt(one_task)
+    teacher = ScriptedTeacher(script=[BackendError("teacher: HTTP 503")] * 5)
+    with pytest.raises(BackendError, match="HTTP 503"):
+        request_guidance(one_task, traj, rec, teacher)
+    assert len(teacher.requests_seen) == 3  # the first call and max_retries=2 more, as for policy calls
 
 
 def test_oracle_teacher_names_the_defect(one_task):

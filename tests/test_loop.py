@@ -1,14 +1,19 @@
 """Config handling, the phase loop, resume semantics, and the manifest."""
 import json
 import logging
+import shutil
+from dataclasses import replace
 
 import pytest
 
 from rlvrloop.backends import PolicyBackend, TabularPolicyBackend
+from rlvrloop.cli import main
 from rlvrloop.errors import PhaseError, UsageError
 from rlvrloop.guidance import Guidance
 from rlvrloop.jsonl import canonical_file_hash
 from rlvrloop.loop import (
+    ARTIFACTS,
+    PHASE_TABLE,
     PHASES,
     RunConfig,
     RunPaths,
@@ -39,6 +44,13 @@ SMALL = dict(
     sft_epochs=30,
     dpo_epochs=60,
 )
+# SMALL as run-loop flags
+SMALL_ARGV = ["--seed", "0"] + [
+    arg
+    for item in ("run.workers=1", "run.rollouts_n=6", "tasks.synth_count=4", "tasks.synth_lines=3",
+                 "tasks.synth_candidates=3", "sft.sft_epochs=30", "dpo.dpo_epochs=60")
+    for arg in ("--set", item)
+]
 
 
 @pytest.fixture(scope="module")
@@ -229,9 +241,23 @@ def test_run_state_persistence(tmp_path):
     path = tmp_path / "runstate.json"
     state = RunState(path)
     state.mark("tasks")
+    state.hashes["rollouts.jsonl"] = "ab" * 32
     state.mark("rollout")
     state.mark("tasks")  # idempotent
     assert RunState(path).completed == ["tasks", "rollout"]
+    assert RunState(path).hashes == {"rollouts.jsonl": "ab" * 32}
+    assert not list(tmp_path.glob("*.partial"))
+
+
+def test_phase_table_declares_each_artifact_once():
+    produced: list[str] = []
+    for phase in PHASE_TABLE:
+        assert set(phase.inputs) <= set(produced), f"{phase.name} reads an artifact no earlier phase writes"
+        produced += phase.outputs
+    assert PHASES == tuple(phase.name for phase in PHASE_TABLE)
+    assert len(produced) == len(set(produced)) == len(set(ARTIFACTS.values())) == 16
+    paths = RunPaths("run")
+    assert {getattr(paths, name).name for name in produced} == set(ARTIFACTS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +299,27 @@ def test_training_moved_the_policy(finished_run):
     assert post["pass_at_1"] >= pre["pass_at_1"]
 
 
-def test_manifest_covers_everything_but_itself(finished_run):
-    _, paths, manifest = finished_run
-    on_disk = {
-        str(f.relative_to(paths.dir))
-        for f in paths.dir.rglob("*")
-        if f.is_file() and f != paths.manifest
-    }
-    listed = {a["path"] for a in manifest["artifacts"]}
-    assert listed == on_disk
+def test_manifest_lists_declared_outputs_and_run_state(finished_run, tmp_path, monkeypatch):
+    import rlvrloop.loop as loop
+
+    config, paths, manifest = finished_run
+    listed = [a["path"] for a in manifest["artifacts"]]
+    assert listed == sorted([*ARTIFACTS.values(), "runstate.json"])
     for artifact in manifest["artifacts"]:
         assert artifact["sha256"] == canonical_file_hash(paths.dir / artifact["path"])
     assert manifest["backend_deterministic"] is True
     assert manifest["config"]["rollouts_n"] == 6
     assert json.loads(paths.manifest.read_text()) == manifest
+
+    # a stray file in the run directory is neither hashed nor listed
+    copy = tmp_path / "run"
+    shutil.copytree(paths.dir, copy)
+    (copy / "notes.txt").write_text("not an artifact\n")
+    hashed = []
+    monkeypatch.setattr(loop, "canonical_file_hash", lambda f: hashed.append(f.name) or canonical_file_hash(f))
+    again = run_loop(replace(config, output_dir=str(copy)), resume=True)
+    assert again["artifacts"] == manifest["artifacts"]
+    assert sorted(hashed) == listed  # the resume re-hashed each output once, and the run state
 
 
 def test_rerun_without_resume_is_refused(finished_run):
@@ -356,3 +389,58 @@ def test_initial_policy_is_honored(tmp_path, finished_run):
     # a fine-tuned starting point skips sft: the sft checkpoint is the input
     assert TabularPolicy.load(paths.policy_sft).fingerprint() == init.fingerprint()
     assert paths.sft_log.read_text() == ""
+
+
+def test_crash_mid_write_leaves_no_final_file_and_resume_matches(finished_run, tmp_path, monkeypatch):
+    import rlvrloop.loop as loop
+
+    config, done, _ = finished_run
+    config = replace(config, output_dir=str(tmp_path / "run"))
+    paths = RunPaths(config.output_dir)
+    real_write = loop.write_trajectories
+
+    def crash(trajectories, path):
+        real_write(trajectories[: len(trajectories) // 2], path)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(loop, "write_trajectories", crash)
+    with pytest.raises(OSError, match="disk full"):
+        run_loop(config)
+    assert not paths.rollouts.exists()
+    assert (paths.dir / "rollouts.jsonl.partial").exists()  # the half-written file kept its temp name
+    assert json.loads(paths.state.read_text())["completed"] == ["tasks"]
+
+    monkeypatch.setattr(loop, "write_trajectories", real_write)
+    run_loop(config, resume=True)
+    for file in ARTIFACTS.values():
+        assert (paths.dir / file).read_bytes() == (done.dir / file).read_bytes(), file
+    assert not list(paths.dir.glob("*.partial"))
+
+
+def test_resume_refuses_an_edited_missing_or_unhashed_output(finished_run, tmp_path, capsys):
+    _, done, _ = finished_run
+    out = tmp_path / "run"
+    shutil.copytree(done.dir, out)
+    argv = ["run-loop", "--output-dir", str(out), "--resume", *SMALL_ARGV]
+    assert main(argv) == 0  # untouched outputs verify, and the manifest is rewritten
+    capsys.readouterr()
+
+    paths = RunPaths(out)
+    rewards = paths.rewards.read_bytes()
+    assert b'"reward":0' in rewards
+    paths.rewards.write_bytes(rewards.replace(b'"reward":0', b'"reward":1', 1))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rewards.jsonl is missing or changed" in err
+    paths.rewards.write_bytes(rewards)
+
+    paths.guidance.unlink()
+    assert main(argv) == 1
+    assert "guidance.jsonl is missing or changed" in capsys.readouterr().err
+    shutil.copy(done.guidance, paths.guidance)
+
+    # a run state without per-output hashes cannot vouch for any file
+    completed = json.loads(paths.state.read_text())["completed"]
+    paths.state.write_text(json.dumps({"completed": completed}) + "\n")
+    assert main(argv) == 1
+    assert "records no hash for tasks.jsonl" in capsys.readouterr().err
