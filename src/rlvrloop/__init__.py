@@ -11,7 +11,6 @@ from .backends import (
     HttpPolicyBackend,
     PolicyBackend,
     SamplingParams,
-    ScriptedBackend,
     TabularPolicyBackend,
 )
 from .errors import (
@@ -40,7 +39,6 @@ from .evaluator import (
 from .guidance import (
     Guidance,
     HttpTeacherBackend,
-    ScriptedTeacher,
     TeacherBackend,
     oracle_teacher,
     parse_guidance,
@@ -88,7 +86,7 @@ from .tasks import (
     load_tasks,
     save_tasks,
 )
-from .training import DPOConfig, dpo_loss, dpo_train, sft_loss, sft_train
+from .training import DPOConfig, dpo_loss, dpo_train, sft_train
 
 __version__ = "0.1.0"
 
@@ -120,8 +118,6 @@ __all__ = [
     "SFTExample",
     "SamplingParams",
     "SandboxProvisionError",
-    "ScriptedBackend",
-    "ScriptedTeacher",
     "Step",
     "SynthTask",
     "TabularPolicy",
@@ -168,7 +164,6 @@ __all__ = [
     "sample_rollouts",
     "sample_sft_subset",
     "save_tasks",
-    "sft_loss",
     "sft_train",
     "strip_hint_block",
     "write_rewards",

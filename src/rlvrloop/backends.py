@@ -1,16 +1,16 @@
 """Policy backends: anything that turns a prompt into a completion.
 
 The engine only relies on the generate() contract plus a concurrency
-limit, so a desk-scale tabular policy, a scripted stub, and a remote
-text-generation endpoint are interchangeable. Local backends must be
-deterministic for a fixed (prompt, params); remote ones are exempt, and the
-run manifest records `backend_deterministic` from the configured backend kind.
+limit, so a desk-scale tabular policy and a remote text-generation
+endpoint are interchangeable. Local backends must be deterministic for a
+fixed (prompt, params); remote ones are exempt, and the run manifest
+records `backend_deterministic` from the configured backend kind.
 """
 from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,11 +61,11 @@ class TabularPolicyBackend(PolicyBackend):
     a thread pool around it only adds overhead.
     """
 
+    backend_id = "tabular"
     max_concurrency = 1
 
-    def __init__(self, policy: TabularPolicy, backend_id: str = "tabular"):
+    def __init__(self, policy: TabularPolicy):
         self.policy = policy
-        self.backend_id = backend_id
 
     def generate(self, prompt: str, params: SamplingParams) -> Completion:
         task_id = prompts.prompt_task_id(prompt)
@@ -93,35 +93,6 @@ class TabularPolicyBackend(PolicyBackend):
             raise BackendError(f"{self.backend_id}: repair prompt names no statement")
         cand = self.policy.sample_cand(task_id, line, params.temperature, rng)
         return Completion(text=prompts.format_candidate_completion(cand))
-
-
-@dataclass
-class ScriptedBackend(PolicyBackend):
-    """Replays canned completions in order; for tests and dry runs.
-
-    Entries may be strings, Completion objects, or Exception instances
-    (raised on consumption, to exercise retry paths).
-    """
-
-    script: list = field(default_factory=list)
-    backend_id: str = "scripted"
-    max_concurrency: int | None = 1
-
-    def __post_init__(self):
-        self._cursor = 0
-        self.prompts_seen: list[str] = []
-
-    def generate(self, prompt: str, params: SamplingParams) -> Completion:
-        self.prompts_seen.append(prompt)
-        if self._cursor >= len(self.script):
-            raise BackendError(f"{self.backend_id}: script exhausted after {self._cursor} calls")
-        entry = self.script[self._cursor]
-        self._cursor += 1
-        if isinstance(entry, Exception):
-            raise entry
-        if isinstance(entry, Completion):
-            return entry
-        return Completion(text=str(entry))
 
 
 def call_with_retry(fn, *args, max_retries: int = 2):
@@ -173,19 +144,17 @@ class HttpPolicyBackend(PolicyBackend):
     a remote backend as non-deterministic.
     """
 
-    def __init__(self, endpoint: str, backend_id: str = "remote", timeout_s: float = 60.0):
+    backend_id = "remote"
+
+    def __init__(self, endpoint: str, timeout_s: float = 60.0):
         self.endpoint = endpoint
-        self.backend_id = backend_id
         self.timeout_s = timeout_s
 
-    def build_request(self, prompt: str, params: SamplingParams) -> dict:
-        return {
+    def generate(self, prompt: str, params: SamplingParams) -> Completion:
+        payload = {
             "prompt": prompt,
             "temperature": params.temperature,
             "seed": params.seed,
             "max_tokens": params.max_tokens,
         }
-
-    def generate(self, prompt: str, params: SamplingParams) -> Completion:
-        payload = self.build_request(prompt, params)
         return Completion(text=post_completion(self.endpoint, payload, self.timeout_s, self.backend_id))

@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Each stepwise subcommand builds a RunConfig from its flags, calls the
-loop's phase function for that phase (rlvrloop.loop), and prints a summary
-line. `run-loop` calls the same functions in sequence, so it and a sequence
-of individual commands with the same seeds and settings produce
+loop's phase function for that phase (rlvrloop.loop) through the atomic
+commit run-loop uses (loop.commit_outputs), and prints a summary line.
+`run-loop` calls the same functions in sequence, so it and a sequence of
+individual commands with the same seeds and settings produce
 byte-identical artifacts. `train-rm` and `rank` are not loop phases and
-keep their own bodies here.
+keep their own bodies here, but commit their outputs the same way.
 
 Exit codes: 0 success, 1 usage or data error (a missing or unreadable
 file included), 2 phase failure (resumable state written), 3
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from functools import partial
 
 from . import __version__
 from .errors import (
@@ -32,6 +34,7 @@ from .loop import (
     RunConfig,
     RunPaths,
     assemble,
+    commit_outputs,
     count_infra_errors,
     evaluate,
     guide,
@@ -78,13 +81,14 @@ def cmd_gen_tasks(args) -> int:
     config = RunConfig(
         seed=args.seed, synth_count=args.count, synth_lines=args.lines, synth_candidates=args.candidates
     )
-    dataset = make_tasks(config, args.out)
+    dataset = commit_outputs(partial(make_tasks, config), args.out)
     print(f"wrote {len(dataset)} tasks to {args.out}")
     return 0
 
 
 def cmd_init_policy(args) -> int:
-    policy = init_policy(RunConfig(initial_policy=args.from_policy), args.tasks, args.out)
+    config = RunConfig(initial_policy=args.from_policy)
+    policy = commit_outputs(partial(init_policy, config, args.tasks), args.out)
     print(f"wrote policy with {len(policy.heads)} task heads to {args.out}")
     return 0
 
@@ -96,16 +100,17 @@ def cmd_rollout(args) -> int:
     if args.guidance:
         if args.eval_mode:
             raise UsageError("--guidance cannot be combined with --eval-mode")
-        trajs = reattempt(config, args.tasks, args.guidance, args.policy, args.out)
+        phase = partial(reattempt, config, args.tasks, args.guidance, args.policy)
     else:
-        trajs = rollout(config, args.tasks, args.policy, args.out, eval_mode=args.eval_mode)
+        phase = partial(rollout, config, args.tasks, args.policy, eval_mode=args.eval_mode)
+    trajs = commit_outputs(phase, args.out)
     print(f"wrote {len(trajs)} trajectories to {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     config = RunConfig(workers=args.workers, container_image=args.container_image)
-    records = evaluate(config, args.tasks, args.rollouts, args.out)
+    records = commit_outputs(partial(evaluate, config, args.tasks, args.rollouts), args.out)
     scored = [r for r in records if not isinstance(r, EvaluationFailure)]
     failures = len(records) - len(scored)
     print(
@@ -117,7 +122,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_guide(args) -> int:
     config = RunConfig(teacher_kind=args.teacher, teacher_endpoint=args.endpoint)
-    guidance_list = guide(config, args.tasks, args.rollouts, args.rewards, args.out)
+    phase = partial(guide, config, args.tasks, args.rollouts, args.rewards)
+    guidance_list = commit_outputs(phase, args.out)
     print(f"wrote {len(guidance_list)} guidance records to {args.out}")
     return 0
 
@@ -130,9 +136,12 @@ def cmd_assemble(args) -> int:
         keep_guidance_in_prompt=args.keep_guidance_in_prompt,
         include_guided_in_sft=args.include_guided_in_sft,
     )
-    dataset = assemble(
-        config, args.rollouts, args.rewards,
-        args.guided_rollouts, args.guided_rewards, args.guidance, args.out,
+    dataset = commit_outputs(
+        partial(
+            assemble, config, args.rollouts, args.rewards,
+            args.guided_rollouts, args.guided_rewards, args.guidance,
+        ),
+        args.out,
     )
     acc = dataset.accounting
     print(
@@ -148,7 +157,7 @@ def _final_loss(history: list) -> float:
 
 def cmd_train_sft(args) -> int:
     config = RunConfig(sft_learning_rate=args.learning_rate, sft_epochs=args.epochs)
-    history = train_sft(config, args.policy, args.dataset, args.out, args.log)
+    history = commit_outputs(partial(train_sft, config, args.policy, args.dataset), args.out, args.log)
     print(f"wrote sft policy to {args.out} (final loss {_final_loss(history):.6f})")
     return 0
 
@@ -157,7 +166,7 @@ def cmd_train_dpo(args) -> int:
     config = RunConfig(
         dpo_beta=args.beta, dpo_learning_rate=args.learning_rate, dpo_epochs=args.epochs
     )
-    history = train_dpo(config, args.policy, args.dataset, args.out, args.log)
+    history = commit_outputs(partial(train_dpo, config, args.policy, args.dataset), args.out, args.log)
     print(f"wrote dpo policy to {args.out} (final loss {_final_loss(history):.6f})")
     return 0
 
@@ -169,9 +178,13 @@ def cmd_train_rm(args) -> int:
     history: list = []
     config = RMConfig(learning_rate=args.learning_rate, epochs=args.epochs)
     rm = rm_train(pairs, config, history_out=history)
-    rm.save(args.out)
-    if args.log:
-        write_history_csv(history, args.log)
+
+    def write(out, log):
+        rm.save(out)
+        if log:
+            write_history_csv(history, log)
+
+    commit_outputs(write, args.out, args.log)
     print(f"trained reward model on {len(pairs)} pairs, wrote {args.out}")
     return 0
 
@@ -207,24 +220,24 @@ def cmd_rank(args) -> int:
                 "reward": rec.reward,
             }
 
-    n = write_records(args.out, SELECTIONS_SCHEMA, selection_records())
+    n = commit_outputs(lambda out: write_records(out, SELECTIONS_SCHEMA, selection_records()), args.out)
     print(f"wrote {n} best-of-k selections to {args.out}")
     return 0
 
 
 def read_selections(path) -> dict[str, int]:
-    return {
-        rec["task_id"]: int(rec["reward"])
-        for _, rec in read_records(path, schema=SELECTIONS_SCHEMA)
-    }
+    return dict(
+        sel for _, sel in read_records(path, SELECTIONS_SCHEMA, lambda r: (r["task_id"], int(r["reward"])))
+    )
 
 
 def cmd_report(args) -> int:
     selections = read_selections(args.selections) if args.selections else None
-    text = report(
-        RunConfig(seed=args.seed), args.rollouts, args.rewards, args.guided_rewards,
-        args.eval_rollouts, args.eval_rewards, args.out_json, args.out_txt, selections,
+    phase = partial(
+        report, RunConfig(seed=args.seed), args.rollouts, args.rewards, args.guided_rewards,
+        args.eval_rollouts, args.eval_rewards, selections=selections,
     )
+    text = commit_outputs(phase, args.out_json, args.out_txt)
     print(text, end="")
     return 0
 

@@ -9,7 +9,6 @@ negative label.
 """
 from __future__ import annotations
 
-import hashlib
 import logging
 import shutil
 import subprocess
@@ -203,17 +202,14 @@ def _evaluate_sandboxed(
         if task.env_spec.isolation == "container":
             if not container_image:
                 raise SandboxProvisionError(f"{task.id}: container isolation needs an image ref")
-            argv = build_container_argv(container_image, root, task.env_spec.test_command)
-            run_kwargs = dict(capture_output=True, text=True, timeout=task.env_spec.timeout_s)
-            runner = lambda: subprocess.run(argv, **run_kwargs)  # noqa: E731
+            command, where = build_container_argv(container_image, root, task.env_spec.test_command), {}
         else:
-            runner = lambda: subprocess.run(  # noqa: E731
-                task.env_spec.test_command, shell=True, cwd=root,
-                capture_output=True, text=True, timeout=task.env_spec.timeout_s,
-            )
+            command, where = task.env_spec.test_command, dict(shell=True, cwd=root)
 
         try:
-            proc = runner()
+            proc = subprocess.run(
+                command, capture_output=True, text=True, timeout=task.env_spec.timeout_s, **where
+            )
         except subprocess.TimeoutExpired as exc:
             partial = (exc.stdout or b"", exc.stderr or b"")
             text = "".join(p.decode("utf-8", "replace") if isinstance(p, bytes) else p for p in partial)
@@ -236,29 +232,18 @@ def evaluate(task: Task, trajectory: Trajectory, *, container_image: str | None 
     if trajectory.task_id != task.id:
         raise ValueError(f"trajectory {trajectory.traj_id} does not belong to task {task.id}")
     started = time.perf_counter()
-
     if trajectory.patch is None:
-        return RewardRecord(
-            task_id=task.id,
-            trajectory_ref=trajectory.traj_id,
-            reward=0,
-            per_test={},
-            empty_patch=True,
-            stacktrace=None,
-            wall_time_s=time.perf_counter() - started,
-        )
-
-    if isinstance(task, SynthTask):
+        reward, per_test, stack = 0, {}, None
+    elif isinstance(task, SynthTask):
         reward, per_test, stack = _evaluate_synthetic(task, trajectory)
     else:
         reward, per_test, stack = _evaluate_sandboxed(task, trajectory, container_image)
-
     return RewardRecord(
         task_id=task.id,
         trajectory_ref=trajectory.traj_id,
         reward=reward,
         per_test=per_test,
-        empty_patch=False,
+        empty_patch=trajectory.patch is None,
         stacktrace=stack,
         wall_time_s=time.perf_counter() - started,
     )
@@ -295,18 +280,6 @@ def evaluate_batch(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = pool.map(one, sandboxed)
         return [one(item) if isinstance(item[0], SynthTask) else next(pending) for item in items]
-
-
-def workspace_fingerprint(path: str | Path) -> str:
-    """Content hash of a directory tree; used to prove evaluation is read-only."""
-    root = Path(path)
-    digest = hashlib.sha256()
-    for file in sorted(p for p in root.rglob("*") if p.is_file()):
-        digest.update(str(file.relative_to(root)).encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(file.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -353,4 +326,4 @@ def write_rewards(records: Iterable[RewardRecord | EvaluationFailure], path: str
 
 
 def read_rewards(path: str | Path) -> list[RewardRecord | EvaluationFailure]:
-    return [reward_from_record(rec) for _, rec in read_records(path, schema=REWARDS_SCHEMA)]
+    return [r for _, r in read_records(path, REWARDS_SCHEMA, reward_from_record)]

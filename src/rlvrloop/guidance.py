@@ -55,7 +55,6 @@ class Guidance:
     env_feedback: str
     env_interaction: str
     teacher_id: str
-    used_reference_patch: bool = False
 
     def __post_init__(self):
         for name, value in (
@@ -85,34 +84,12 @@ def _has_location_token(text: str) -> bool:
 
 
 class TeacherBackend:
-    """Contract for text-producing teachers (remote LLMs, scripted stubs)."""
+    """Contract for text-producing teachers, such as a remote LLM."""
 
     teacher_id: str = "teacher"
 
     def generate_guidance_text(self, request: str) -> str:
         raise NotImplementedError
-
-
-@dataclass
-class ScriptedTeacher(TeacherBackend):
-    """Replays canned guidance texts; for tests."""
-
-    script: list
-    teacher_id: str = "scripted"
-
-    def __post_init__(self):
-        self._cursor = 0
-        self.requests_seen: list[str] = []
-
-    def generate_guidance_text(self, request: str) -> str:
-        self.requests_seen.append(request)
-        if self._cursor >= len(self.script):
-            raise GuidanceError(f"{self.teacher_id}: script exhausted")
-        entry = self.script[self._cursor]
-        self._cursor += 1
-        if isinstance(entry, Exception):
-            raise entry
-        return str(entry)
 
 
 class HttpTeacherBackend(TeacherBackend):
@@ -125,9 +102,10 @@ class HttpTeacherBackend(TeacherBackend):
     a reply that does not parse into guidance is a GuidanceError.
     """
 
-    def __init__(self, endpoint: str, teacher_id: str = "remote-teacher", timeout_s: float = 120.0):
+    teacher_id = "remote-teacher"
+
+    def __init__(self, endpoint: str, timeout_s: float = 120.0):
         self.endpoint = endpoint
-        self.teacher_id = teacher_id
         self.timeout_s = timeout_s
 
     def generate_guidance_text(self, request: str) -> str:
@@ -143,25 +121,18 @@ def render_guidance_request(
     task,
     failed_trajectory: "Trajectory",
     reward_record: "RewardRecord",
-    reference_patch: str | None = None,
 ) -> str:
     """Fill the teacher request template for one failed attempt.
 
-    The patch slot prefers the dataset's reference patch when one exists;
-    synthetic suites omit it, so the model's own failed patch is shown
-    instead. A missing stacktrace and an empty patch render as explicit
-    sentinels rather than blank holes.
+    The patch slot shows the model's own failed patch. A missing stacktrace
+    and an empty patch render as explicit sentinels rather than blank holes.
     """
     if reward_record.reward != 0:
         raise GuidanceError(
             f"guidance requested for a successful attempt ({reward_record.trajectory_ref})"
         )
-    if reference_patch is not None:
-        patch_text = reference_patch
-    elif failed_trajectory.patch is not None:
-        patch_text = failed_trajectory.patch.rendering
-    else:
-        patch_text = EMPTY_PATCH_SENTINEL
+    patch = failed_trajectory.patch
+    patch_text = patch.rendering if patch is not None else EMPTY_PATCH_SENTINEL
     stack = reward_record.stacktrace or NO_STACKTRACE_SENTINEL
     return GUIDANCE_REQUEST_TEMPLATE.format(
         repo=task.repo_name,
@@ -211,8 +182,7 @@ _HEADING_RE = re.compile(
 
 
 def _canonical_heading(raw: str) -> str:
-    collapsed = re.sub(r"\s+", " ", raw.upper().strip())
-    return collapsed
+    return re.sub(r"\s+", " ", raw.upper().strip())
 
 
 def parse_guidance(
@@ -221,8 +191,6 @@ def parse_guidance(
     task_id: str = "",
     source_trajectory_ref: str = "",
     teacher_id: str = "",
-    guidance_id: str = "",
-    used_reference_patch: bool = False,
 ) -> Guidance:
     """Split teacher output into the three sections.
 
@@ -243,17 +211,14 @@ def parse_guidance(
             raise GuidanceError(f"teacher output is missing section {section!r}")
         if not found[section]:
             raise GuidanceError(f"teacher output has an empty {section!r} section")
-    if not guidance_id:
-        guidance_id = "g-" + format(derive_seed("guidance", task_id, source_trajectory_ref), "x")
     return Guidance(
-        guidance_id=guidance_id,
+        guidance_id="g-" + format(derive_seed("guidance", task_id, source_trajectory_ref), "x"),
         task_id=task_id,
         source_trajectory_ref=source_trajectory_ref,
         plan=found[SECTION_PLAN],
         env_feedback=found[SECTION_FEEDBACK],
         env_interaction=found[SECTION_INTERACTION],
         teacher_id=teacher_id,
-        used_reference_patch=used_reference_patch,
     )
 
 
@@ -262,10 +227,9 @@ def request_guidance(
     failed_trajectory: "Trajectory",
     reward_record: "RewardRecord",
     teacher: TeacherBackend,
-    reference_patch: str | None = None,
 ) -> Guidance:
     """Render the request, query the teacher (retried on BackendError), parse; re-ask once on bad parse."""
-    request = render_guidance_request(task, failed_trajectory, reward_record, reference_patch)
+    request = render_guidance_request(task, failed_trajectory, reward_record)
     last_error: GuidanceError | None = None
     for attempt in range(2):
         text = call_with_retry(teacher.generate_guidance_text, request)
@@ -275,7 +239,6 @@ def request_guidance(
                 task_id=task.id,
                 source_trajectory_ref=failed_trajectory.traj_id,
                 teacher_id=teacher.teacher_id,
-                used_reference_patch=reference_patch is not None,
             )
         except GuidanceError as exc:
             last_error = exc
@@ -349,7 +312,6 @@ def guidance_to_record(g: Guidance) -> dict:
         "env_feedback": g.env_feedback,
         "env_interaction": g.env_interaction,
         "teacher_id": g.teacher_id,
-        "used_reference_patch": g.used_reference_patch,
     }
 
 
@@ -362,5 +324,4 @@ def guidance_from_record(rec: dict) -> Guidance:
         env_feedback=rec["env_feedback"],
         env_interaction=rec["env_interaction"],
         teacher_id=rec["teacher_id"],
-        used_reference_patch=bool(rec.get("used_reference_patch", False)),
     )

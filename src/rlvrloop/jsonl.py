@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import TaskFormatError
 
@@ -34,37 +34,51 @@ def write_records(path: str | Path, schema: str, records: Iterable[dict[str, Any
     return n
 
 
-def read_records(path: str | Path, schema: str | None = None) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield (line_number, record) pairs, skipping a leading header record.
+def read_records(
+    path: str | Path, schema: str | None = None, decode: Callable[[dict], Any] | None = None
+) -> Iterator[tuple[int, Any]]:
+    """Yield (line_number, decode(record)) pairs, skipping a leading header record.
 
-    line_number is 1-based and refers to the physical line in the file so
-    parse errors can point at the offending record. Files written before a
-    header was standard (no header line) are accepted as long as the first
-    record is not itself a header for a different schema.
+    line_number is 1-based and refers to the physical line in the file.
+    decode defaults to returning the record dict itself. Any fault in a line
+    (invalid JSON, a record that is not an object, a header for another
+    schema or version, or a KeyError, TypeError, ValueError or
+    TaskFormatError raised by decode) raises TaskFormatError naming the path
+    and the line. Files written before a header was standard (no header
+    line) are accepted as long as the first record is not itself a header
+    for a different schema.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
+    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TaskFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise TaskFormatError(f"{path}: line {lineno}: expected an object")
-            if lineno == 1 and "schema" in rec and "schema_version" in rec:
-                if schema is not None and rec["schema"] != schema:
-                    raise TaskFormatError(
-                        f"{path}: header schema {rec['schema']!r} does not match expected {schema!r}"
-                    )
-                if rec["schema_version"] > SCHEMA_VERSION:
-                    raise TaskFormatError(
-                        f"{path}: schema_version {rec['schema_version']} is newer than supported {SCHEMA_VERSION}"
-                    )
-                continue
-            yield lineno, rec
+                if not isinstance(rec, dict):
+                    raise TypeError("expected an object")
+                if lineno == 1 and "schema" in rec and "schema_version" in rec:
+                    _check_header(rec, schema)
+                    continue
+                yield lineno, rec if decode is None else decode(rec)
+    except json.JSONDecodeError as exc:
+        raise TaskFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise TaskFormatError(f"{path}: line {lineno}: missing field {exc}") from exc
+    except (TypeError, ValueError, TaskFormatError) as exc:
+        raise TaskFormatError(f"{path}: line {lineno}: {exc}") from exc
+
+
+def _check_header(header: dict[str, Any], schema: str | None) -> None:
+    if schema is not None and header["schema"] != schema:
+        raise ValueError(f"header schema {header['schema']!r} does not match expected {schema!r}")
+    version = header["schema_version"]
+    if not isinstance(version, int):
+        raise TypeError(f"header schema_version {version!r} is not an integer")
+    if version > SCHEMA_VERSION:
+        raise ValueError(f"schema_version {version} is newer than supported {SCHEMA_VERSION}")
 
 
 def canonical_file_hash(path: str | Path) -> str:

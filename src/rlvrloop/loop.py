@@ -7,9 +7,10 @@ RunConfig plus explicit input and output paths; run_loop and the stepwise
 CLI subcommands call the same functions, so both produce byte-identical
 artifacts by construction. PHASE_TABLE declares once what each phase reads
 and writes; PHASES, RunPaths and the manifest's artifact list come from it.
-run_loop commits a phase's outputs atomically (`<file>.partial`, then
-os.replace), records their sha256 in runstate.json, and on resume refuses
-a completed phase whose outputs no longer hash the same.
+run_loop and the stepwise commands commit a phase's outputs atomically
+through commit_outputs (`<file>.partial`, then os.replace); run_loop also
+records their sha256 in runstate.json, and on resume refuses a completed
+phase whose outputs no longer hash the same.
 
 All randomness is derived from config.seed through labeled sub-seeds; the
 wall clock never feeds any decision, so rerunning a config reproduces every
@@ -100,9 +101,6 @@ class RunConfig:
     dpo_beta: float = 0.1
     dpo_learning_rate: float = 0.5
     dpo_epochs: int = 200
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # Flat key=value sections in the config file, mapped onto RunConfig fields.
@@ -293,7 +291,7 @@ def write_guidance(guidance_list, path: Path) -> None:
 
 
 def read_guidance(path: Path) -> list:
-    return [guidance_from_record(rec) for _, rec in read_records(path, schema=GUIDANCE_SCHEMA)]
+    return [g for _, g in read_records(path, GUIDANCE_SCHEMA, guidance_from_record)]
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +534,25 @@ class RunPaths:
         self.manifest = self.dir / "manifest.json"
 
 
-def _partial(path: Path) -> Path:
-    return path.with_name(path.name + ".partial")
+def commit_outputs(write: Callable, *outputs: StrPath | None):
+    """write(*partial paths), then each `<output>.partial` os.replace'd onto its output.
+
+    A reader sees an output's old bytes or its new ones, never half: a crash
+    inside write leaves every output as it was, and a half-written file
+    keeps its `.partial` name. An empty output (an optional file nobody
+    asked for) reaches write as None and is not committed. Returns what
+    write returns.
+    """
+    partials = [Path(f"{out}.partial") if out else None for out in outputs]
+    result = write(*partials)
+    for partial, out in zip(partials, outputs):
+        if partial is not None:
+            os.replace(partial, out)
+    return result
 
 
 def _write_replacing(path: Path, text: str) -> None:
-    """Write beside path, then os.replace: a reader sees the old file or the new one, never half."""
-    _partial(path).write_text(text, encoding="utf-8")
-    os.replace(_partial(path), path)
+    commit_outputs(lambda partial: partial.write_text(text, encoding="utf-8"), path)
 
 
 class RunState:
@@ -596,12 +605,12 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
             log.info("phase %-16s already complete, skipping", phase.name)
             continue
         log.info("phase %-16s starting", phase.name)
+        inputs = [getattr(paths, name) for name in phase.inputs]
         try:
-            phase.fn(config, *(getattr(paths, name) for name in phase.inputs), *map(_partial, outputs))
+            commit_outputs(lambda *partials: phase.fn(config, *inputs, *partials), *outputs)
         except RlvrLoopError as exc:
             raise PhaseError(phase.name, str(exc)) from exc
         for file in outputs:
-            os.replace(_partial(file), file)
             state.hashes[file.name] = canonical_file_hash(file)
         state.mark(phase.name)
     return write_manifest(config, paths, state)
@@ -614,7 +623,7 @@ def write_manifest(config: RunConfig, paths: RunPaths, state: RunState) -> dict:
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "schema_version": 1,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "backend_deterministic": config.backend_kind != "remote",
         "artifacts": [{"path": file, "sha256": digest} for file, digest in sorted(hashes.items())],
     }

@@ -8,12 +8,10 @@ reward, matching how the measurement is actually taken.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,13 +39,13 @@ def pass_at_k(n: int, c: int, k: int) -> float:
     return 1.0 - math.comb(n - c, k) / math.comb(n, k)
 
 
-def bootstrap_std(values: Sequence[float], resamples: int = BOOTSTRAP_RESAMPLES, seed: int = 0) -> float:
+def bootstrap_std(values: Sequence[float], seed: int = 0) -> float:
     """Std of the mean under seeded bootstrap resampling over tasks."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         return 0.0
-    rng = np.random.default_rng(derive_seed("bootstrap", seed, resamples))
-    idx = rng.integers(0, arr.size, size=(resamples, arr.size))
+    rng = np.random.default_rng(derive_seed("bootstrap", seed, BOOTSTRAP_RESAMPLES))
+    idx = rng.integers(0, arr.size, size=(BOOTSTRAP_RESAMPLES, arr.size))
     return float(arr[idx].mean(axis=1).std())
 
 
@@ -77,17 +75,11 @@ class EvalReport:
             "totals": self.totals,
         }
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
-
 
 def aggregate(
     trajectories: Sequence[Trajectory],
     records: Sequence[RewardRecord | EvaluationFailure],
     selections: dict[str, int] | None = None,
-    ks: Iterable[int] = DEFAULT_KS,
     guidance_uplift: dict | None = None,
     bootstrap_seed: int = 0,
 ) -> EvalReport:
@@ -127,7 +119,7 @@ def aggregate(
     min_n = min(stats["n"] for stats in per_task.values())
     table = {
         k: float(np.mean([pass_at_k(s["n"], s["c"], k) for s in per_task.values()]))
-        for k in sorted(set(ks))
+        for k in DEFAULT_KS
         if k <= min_n
     }
 

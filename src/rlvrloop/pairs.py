@@ -63,7 +63,6 @@ class SFTExample:
     prompt: str
     target: str
     actions: tuple[int, int] | None
-    reward: int = 1
 
 
 @dataclass
@@ -71,14 +70,6 @@ class RlvrDataset:
     pairs: tuple[PreferencePair, ...] = ()
     sft: tuple[SFTExample, ...] = ()
     accounting: dict = field(default_factory=dict)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RlvrDataset)
-            and self.pairs == other.pairs
-            and self.sft == other.sft
-            and self.accounting == other.accounting
-        )
 
 
 def _reward_map(records: Iterable[RewardRecord | EvaluationFailure]) -> dict[str, RewardRecord]:
@@ -400,11 +391,26 @@ def emit_dataset(dataset: RlvrDataset, path: str | Path) -> None:
             "prompt": e.prompt,
             "target": e.target,
             "actions": list(e.actions) if e.actions else None,
-            "reward": e.reward,
         }
         for e in dataset.sft
     ]
     write_records(path, DATASET_SCHEMA, records)
+
+
+def _dataset_record(rec: dict) -> dict | PreferencePair | SFTExample:
+    kind = rec.get("record")
+    if kind == "accounting":
+        return {k: v for k, v in rec.items() if k != "record"}
+    if kind == "pair":
+        return _pair_from_record(rec)
+    if kind == "sft":
+        return SFTExample(
+            task_id=rec["task_id"],
+            prompt=rec["prompt"],
+            target=rec["target"],
+            actions=tuple(rec["actions"]) if rec.get("actions") else None,
+        )
+    raise ValueError(f"unknown record kind {kind!r}")
 
 
 def load_dataset(path: str | Path) -> RlvrDataset:
@@ -412,24 +418,13 @@ def load_dataset(path: str | Path) -> RlvrDataset:
     accounting: dict = {}
     pairs: list[PreferencePair] = []
     sft: list[SFTExample] = []
-    for lineno, rec in read_records(path, schema=DATASET_SCHEMA):
-        kind = rec.get("record")
-        if kind == "accounting":
-            accounting = {k: v for k, v in rec.items() if k != "record"}
-        elif kind == "pair":
-            pairs.append(_pair_from_record(rec))
-        elif kind == "sft":
-            sft.append(
-                SFTExample(
-                    task_id=rec["task_id"],
-                    prompt=rec["prompt"],
-                    target=rec["target"],
-                    actions=tuple(rec["actions"]) if rec.get("actions") else None,
-                    reward=int(rec.get("reward", 1)),
-                )
-            )
+    for _, item in read_records(path, DATASET_SCHEMA, _dataset_record):
+        if isinstance(item, dict):
+            accounting = item
+        elif isinstance(item, PreferencePair):
+            pairs.append(item)
         else:
-            raise TaskFormatError(f"{path}: line {lineno}: unknown record kind {kind!r}")
+            sft.append(item)
     if accounting:
         n_guided = sum(1 for p in pairs if p.provenance == PROVENANCE_GUIDED)
         n_rollout = len(pairs) - n_guided

@@ -96,15 +96,6 @@ class TabularPolicy:
 
     # -- probabilities -------------------------------------------------------
 
-    def line_probs(self, task_id: str, temperature: float = 1.0) -> np.ndarray:
-        return softmax(self.head(task_id).line_logits, temperature)
-
-    def cand_probs(self, task_id: str, line: int, temperature: float = 1.0) -> np.ndarray:
-        head = self.head(task_id)
-        if not 0 <= line < head.cand_logits.shape[0]:
-            raise TrainingError(f"{task_id}: line {line} outside policy table")
-        return softmax(head.cand_logits[line], temperature)
-
     def logprob(self, task_id: str, line: int, cand: int) -> float:
         """log p(line) + log p(cand | line) at temperature 1."""
         head = self.head(task_id)
@@ -112,13 +103,16 @@ class TabularPolicy:
         return float(log_softmax(head.line_logits)[line] + log_softmax(head.cand_logits[line])[cand])
 
     def sample_line(self, task_id: str, temperature: float, rng: np.random.Generator) -> int:
-        p = self.line_probs(task_id, temperature)
+        p = softmax(self.head(task_id).line_logits, temperature)
         if temperature == 0:
             return int(np.argmax(p))
         return int(rng.choice(len(p), p=p))
 
     def sample_cand(self, task_id: str, line: int, temperature: float, rng: np.random.Generator) -> int:
-        p = self.cand_probs(task_id, line, temperature)
+        head = self.head(task_id)
+        if not 0 <= line < head.cand_logits.shape[0]:
+            raise TrainingError(f"{task_id}: line {line} outside policy table")
+        p = softmax(head.cand_logits[line], temperature)
         if temperature == 0:
             return int(np.argmax(p))
         return int(rng.choice(len(p), p=p))

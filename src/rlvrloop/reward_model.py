@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CheckpointError, TrainingError
 from .jsonl import SCHEMA_VERSION
-from .rollout import Patch
+from .rollout import Patch, synth_patch
 from .tasks import SynthTask
 
 log = logging.getLogger(__name__)
@@ -40,8 +40,6 @@ def _tokens(text: str) -> set[str]:
 
 
 def _jaccard(a: set[str], b: set[str]) -> float:
-    if not a and not b:
-        return 0.0
     union = a | b
     return len(a & b) / len(union) if union else 0.0
 
@@ -109,31 +107,15 @@ def _featurize(issue: _Issue, patch: Patch | None) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
-class RMExample:
-    problem_statement: str
-    patch_text: str
-    feature_vector: np.ndarray
-    label_reward: int
+@dataclass(frozen=True, eq=False)
+class RMPairs:
+    """Winner and loser feature vectors, one (P, N_FEATURES) row per pair."""
 
-    def __post_init__(self):
-        if self.feature_vector.shape != (N_FEATURES,):
-            raise TrainingError(
-                f"feature vector has shape {self.feature_vector.shape}, expected ({N_FEATURES},)"
-            )
+    winners: np.ndarray
+    losers: np.ndarray
 
-
-def rm_example(problem_statement: str, patch: Patch | None, reward: int) -> RMExample:
-    return _rm_example(_issue(problem_statement), patch, reward)
-
-
-def _rm_example(issue: _Issue, patch: Patch | None, reward: int) -> RMExample:
-    return RMExample(
-        problem_statement=issue.statement,
-        patch_text="" if patch is None else "\n".join(t for _, t in patch.edits),
-        feature_vector=_featurize(issue, patch),
-        label_reward=reward,
-    )
+    def __len__(self) -> int:
+        return len(self.winners)
 
 
 @dataclass(frozen=True)
@@ -147,19 +129,15 @@ class PairwiseRM:
         self.weights = (
             np.zeros(N_FEATURES, dtype=np.float64) if weights is None else np.asarray(weights, float)
         )
-        self.featurization_version = FEATURIZATION_VERSION
 
     def score(self, features: np.ndarray) -> float:
         return float(self.weights @ features)
-
-    def score_patch(self, problem_statement: str, patch: Patch | None) -> float:
-        return self.score(featurize(problem_statement, patch))
 
     def save(self, path: str | Path) -> None:
         rec = {
             "schema": RM_SCHEMA,
             "schema_version": SCHEMA_VERSION,
-            "featurization_version": self.featurization_version,
+            "featurization_version": FEATURIZATION_VERSION,
             "weights": self.weights.tolist(),
         }
         path = Path(path)
@@ -187,20 +165,6 @@ class PairwiseRM:
 # ---------------------------------------------------------------------------
 
 
-def rm_loss_and_grad(
-    weights: np.ndarray, pairs: Sequence[tuple[RMExample, RMExample]]
-) -> tuple[float, np.ndarray]:
-    """Mean -log sigmoid(score_w - score_l) and its gradient in w."""
-    if not pairs:
-        return 0.0, np.zeros_like(weights)
-    return _loss_and_grad(weights, _differences(pairs))
-
-
-def _differences(pairs: Sequence[tuple[RMExample, RMExample]]) -> np.ndarray:
-    """The (P, N_FEATURES) matrix of winner - loser feature vectors."""
-    return np.array([w.feature_vector - l.feature_vector for w, l in pairs])
-
-
 def _loss_and_grad(weights: np.ndarray, diffs: np.ndarray) -> tuple[float, np.ndarray]:
     # Same bits as a per-pair loop: z is a row-wise dot (``weights @ diff``
     # per row; ``diffs @ weights`` rounds differently), and loss and gradient
@@ -214,14 +178,12 @@ def _loss_and_grad(weights: np.ndarray, diffs: np.ndarray) -> tuple[float, np.nd
 
 
 def rm_train(
-    pairs: Sequence[tuple[RMExample, RMExample]],
-    config: RMConfig = RMConfig(),
-    history_out: list | None = None,
+    pairs: RMPairs, config: RMConfig = RMConfig(), history_out: list | None = None
 ) -> PairwiseRM:
     """Full-batch gradient descent from w = 0; deterministic."""
     if not pairs:
         raise TrainingError("rm_train needs at least one (winner, loser) pair")
-    diffs = _differences(pairs)
+    diffs = pairs.winners - pairs.losers
     if not diffs.any():
         log.warning("every rm pair has identical features; gradient is zero, returning w = 0")
         return PairwiseRM()
@@ -237,13 +199,11 @@ def rm_train(
     return PairwiseRM(weights=weights)
 
 
-def ranking_accuracy(rm: PairwiseRM, pairs: Sequence[tuple[RMExample, RMExample]]) -> float:
+def ranking_accuracy(rm: PairwiseRM, pairs: RMPairs) -> float:
     """Fraction of held-out pairs where the winner outscores the loser."""
     if not pairs:
         return 0.0
-    hits = sum(
-        1 for w, l in pairs if rm.score(w.feature_vector) > rm.score(l.feature_vector)
-    )
+    hits = sum(1 for w, l in zip(pairs.winners, pairs.losers) if rm.score(w) > rm.score(l))
     return hits / len(pairs)
 
 
@@ -269,16 +229,14 @@ def rank_best_of_k(
     return RankingResult(selected_index=int(np.argmax(scores)), scores=tuple(scores))
 
 
-def build_rm_training_pairs(
-    preference_pairs, tasks_by_id: dict
-) -> list[tuple[RMExample, RMExample]]:
+def build_rm_training_pairs(preference_pairs, tasks_by_id: dict) -> RMPairs:
     """RM pairs from preference pairs, repair-step patches only.
 
     Sides are rebuilt from their (line, candidate) actions against the task's
     candidate table; sides without actions featurize as empty patches, which
     is exactly the signal the empty-patch indicator exists for.
     """
-    out = []
+    sides: tuple[list, list] = ([], [])
     issues: dict[str, _Issue] = {}
     for pair in preference_pairs:
         task = tasks_by_id.get(pair.task_id)
@@ -287,21 +245,8 @@ def build_rm_training_pairs(
         if task.id not in issues:
             issues[task.id] = _issue(task.issue)
         issue = issues[task.id]
-        out.append(
-            (
-                _rm_example(issue, _patch_from_actions(task, pair.winner.actions), 1),
-                _rm_example(issue, _patch_from_actions(task, pair.loser.actions), 0),
-            )
-        )
-    return out
-
-
-def _patch_from_actions(task: SynthTask, actions: tuple[int, int] | None) -> Patch | None:
-    if actions is None:
-        return None
-    line, cand = actions
-    return Patch(
-        edits=((f"line:{line}", task.candidates[line][cand]),),
-        rendering=f"({line}, {cand})",
-        synth=(line, cand),
-    )
+        for out, side in zip(sides, (pair.winner, pair.loser)):
+            patch = None if side.actions is None else synth_patch(task, *side.actions)
+            out.append(_featurize(issue, patch))
+    winners, losers = (np.array(out, dtype=np.float64).reshape(-1, N_FEATURES) for out in sides)
+    return RMPairs(winners, losers)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import prompts
 from .backends import PolicyBackend, SamplingParams, call_with_retry
@@ -77,6 +77,15 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
+def synth_patch(task: SynthTask, line: int, cand: int) -> Patch:
+    """The patch that puts candidate cand of the task's menu at statement line."""
+    return Patch(
+        edits=((f"line:{line}", task.candidates[line][cand]),),
+        rendering=f"({line}, {cand})",
+        synth=(line, cand),
+    )
+
+
 def _synth_patch(task: SynthTask, line: int | None, completion: str) -> Patch | None:
     if line is None:
         # Whole-workspace repair: the completion must commit to both indices.
@@ -86,12 +95,7 @@ def _synth_patch(task: SynthTask, line: int | None, completion: str) -> Patch | 
         return None
     if not 0 <= line < task.n_lines or not 0 <= cand < task.n_candidates:
         return None
-    text = task.candidates[line][cand]
-    return Patch(
-        edits=((f"line:{line}", text),),
-        rendering=f"({line}, {cand})",
-        synth=(line, cand),
-    )
+    return synth_patch(task, line, cand)
 
 
 def _real_patch(completion: str) -> Patch | None:
@@ -130,7 +134,6 @@ def run_scaffold(
     guidance: Guidance | None = None,
     *,
     eval_mode: bool = False,
-    max_retries: int = 2,
 ) -> Trajectory:
     """One attempt at a task: localization then repair.
 
@@ -151,7 +154,7 @@ def run_scaffold(
     base_prompt = prompts.render_localization_prompt(task)
     loc_prompt = render_reattempt_prompt(base_prompt, guidance) if guidance is not None else base_prompt
     loc_params = replace(params, seed=derive_seed(params.seed, "loc"))
-    loc_completion = call_with_retry(backend.generate, loc_prompt, loc_params, max_retries=max_retries)
+    loc_completion = call_with_retry(backend.generate, loc_prompt, loc_params)
 
     if task.is_synthetic:
         line = prompts.parse_line_completion(loc_completion.text)
@@ -163,7 +166,7 @@ def run_scaffold(
 
     repair_prompt = prompts.render_repair_prompt(task, location)
     repair_params = replace(params, seed=derive_seed(params.seed, "repair"))
-    repair_completion = call_with_retry(backend.generate, repair_prompt, repair_params, max_retries=max_retries)
+    repair_completion = call_with_retry(backend.generate, repair_prompt, repair_params)
 
     patch = extract_patch(task, location, repair_completion.text)
     guided = guidance is not None
@@ -211,7 +214,6 @@ def sample_rollouts(
     base_seed: int,
     *,
     max_tokens: int = 256,
-    max_retries: int = 2,
     eval_mode: bool = False,
 ) -> list[Trajectory]:
     """Exactly n unguided attempts at a task.
@@ -227,7 +229,7 @@ def sample_rollouts(
     for slot in range(n):
         params = rollout_params(base_seed, task.id, slot, max_tokens)
         try:
-            out.append(run_scaffold(task, backend, params, max_retries=max_retries, eval_mode=eval_mode))
+            out.append(run_scaffold(task, backend, params, eval_mode=eval_mode))
         except BackendError:
             failures += 1
             out.append(_failure_trajectory(task, backend, params))
@@ -292,4 +294,4 @@ def write_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> 
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
-    return [trajectory_from_record(rec) for _, rec in read_records(path, schema=TRAJECTORIES_SCHEMA)]
+    return [t for _, t in read_records(path, TRAJECTORIES_SCHEMA, trajectory_from_record)]

@@ -23,10 +23,9 @@ log = logging.getLogger(__name__)
 
 ISOLATION_MODES = ("process_sandbox", "container", "in_memory_synthetic")
 
-# Default per-attempt test budget, seconds. A synthetic program is straight-line
-# and always finishes, so the evaluator never consults its budget; it stays in
-# the task record as metadata.
-DEFAULT_TIMEOUT_CONTAINER_S = 300.0
+# Per-attempt test budget of a synthetic task, seconds. A synthetic program is
+# straight-line and always finishes, so the evaluator never consults its
+# budget; it stays in the task record as metadata.
 DEFAULT_TIMEOUT_SYNTH_S = 1.0
 
 SYNTH_REGRESSION_TEST = "program_parses"
@@ -143,9 +142,6 @@ class TaskDataset:
 
     def __iter__(self):
         return iter(self.tasks)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TaskDataset) and self.tasks == other.tasks
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +262,8 @@ def _sample_candidate(rng: random.Random, idx: int) -> str:
     return _sample_statement(rng, idx, chain=False)
 
 
-def _mutate_statement(rng: random.Random, stmt: str, idx: int) -> str:
-    """A single small corruption: different constant, operator, or operand."""
+def _mutate_statement(rng: random.Random, stmt: str) -> str:
+    """A single small corruption: a different constant, operator or second operand."""
     target, a, op, b = parse_statement(stmt)
     for _ in range(32):
         if op is None:
@@ -277,12 +273,10 @@ def _mutate_statement(rng: random.Random, stmt: str, idx: int) -> str:
             if choice == 0:
                 new_op = rng.choice([o for o in "+-*" if o != op])
                 cand = f"{target} = {a} {new_op} {b}"
-            elif choice == 1 and not re.fullmatch(r"-?\d+", b):
-                cand = f"{target} = {a} {op} {rng.randint(1, 9)}"
             else:
                 cand = f"{target} = {a} {op} {rng.randint(1, 9)}"
         try:
-            t2, a2, op2, b2 = parse_statement(cand)
+            _, a2, op2, b2 = parse_statement(cand)
         except ProgramError:
             continue
         if op2 == "-" and a2 == b2:
@@ -301,11 +295,11 @@ def _issue_text(task_id: str, expected: int, actual: int, buggy_line: int, corre
     )
 
 
-def synth_env_spec(timeout_s: float = DEFAULT_TIMEOUT_SYNTH_S) -> EnvSpec:
+def synth_env_spec() -> EnvSpec:
     return EnvSpec(
         setup_commands=(),
         test_command="",
-        timeout_s=timeout_s,
+        timeout_s=DEFAULT_TIMEOUT_SYNTH_S,
         isolation="in_memory_synthetic",
     )
 
@@ -318,7 +312,7 @@ def _generate_one(task_id: str, n_lines: int, n_candidates: int, rng: random.Ran
 
         try:
             for _ in range(16):
-                broken_stmt = _mutate_statement(rng, correct[buggy_line], buggy_line)
+                broken_stmt = _mutate_statement(rng, correct[buggy_line])
                 broken = list(correct)
                 broken[buggy_line] = broken_stmt
                 if run_program(broken) != expected:
@@ -482,28 +476,22 @@ def task_from_record(rec: dict) -> Task:
 def load_tasks(path: str | Path) -> TaskDataset:
     """Load a JSONL task file, one task per line after the header.
 
-    Raises TaskFormatError naming the record index on parse failures,
+    Raises TaskFormatError naming the path and line on parse failures,
     duplicate ids, or unresolvable real-task workspaces. An empty file is
     usable but suspicious, so it loads with a warning.
     """
-    path = Path(path)
-    tasks: list[Task] = []
     seen: set[str] = set()
-    for lineno, rec in read_records(path, schema=TASKS_SCHEMA):
-        try:
-            task = task_from_record(rec)
-        except TaskFormatError as exc:
-            raise TaskFormatError(f"{path}: record at line {lineno}: {exc}") from exc
+
+    def decode(rec: dict) -> Task:
+        task = task_from_record(rec)
         if task.id in seen:
-            raise TaskFormatError(f"{path}: record at line {lineno}: duplicate task id {task.id!r}")
+            raise ValueError(f"duplicate task id {task.id!r}")
         seen.add(task.id)
-        if not task.is_synthetic:
-            ws = Path(task.workspace)
-            if not ws.is_dir():
-                raise TaskFormatError(
-                    f"{path}: record at line {lineno}: workspace {task.workspace!r} is not a directory"
-                )
-        tasks.append(task)
+        if not task.is_synthetic and not Path(task.workspace).is_dir():
+            raise ValueError(f"workspace {task.workspace!r} is not a directory")
+        return task
+
+    tasks = [task for _, task in read_records(path, TASKS_SCHEMA, decode)]
     if not tasks:
         log.warning("task file %s contains no tasks", path)
     return TaskDataset(tasks=tuple(tasks))

@@ -227,20 +227,6 @@ class _SFTObjective:
         return loss, self.packed.grad(self._weights)
 
 
-def sft_loss(policy: TabularPolicy, examples: Sequence[SFTExample]) -> float:
-    if not examples:
-        return 0.0
-    return _SFTObjective(policy, examples).loss()
-
-
-def sft_loss_and_grad(policy: TabularPolicy, examples: Sequence[SFTExample]) -> tuple[float, np.ndarray]:
-    if not examples:
-        return 0.0, np.zeros_like(policy.theta())
-    objective = _SFTObjective(policy, examples)
-    loss, grad = objective.loss_and_grad()
-    return loss, objective.packed.in_policy_layout(grad, policy)
-
-
 def sft_train(
     policy: TabularPolicy,
     examples: Sequence[SFTExample],
@@ -338,18 +324,6 @@ def dpo_loss_and_grad(
     objective = _DPOObjective(policy, reference, pairs, beta)
     loss, _, z = objective.forward()
     return loss, objective.packed.in_policy_layout(objective.grad(z), policy)
-
-
-def dpo_margin(
-    policy: TabularPolicy,
-    reference: ReferencePolicy,
-    pairs: Sequence[PreferencePair],
-    beta: float,
-) -> float:
-    """Mean implicit-reward margin beta * (winner log-ratio - loser log-ratio)."""
-    if not pairs:
-        return 0.0
-    return _DPOObjective(policy, reference, pairs, beta).forward()[1]
 
 
 def dpo_train(

@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from rlvrloop.backends import SamplingParams, ScriptedBackend, TabularPolicyBackend
+from doubles import ScriptedBackend
+from rlvrloop.backends import SamplingParams, TabularPolicyBackend
 from rlvrloop.evaluator import RewardRecord, evaluate, read_rewards
 from rlvrloop.guidance import oracle_teacher
 from rlvrloop.jsonl import derive_seed

@@ -327,3 +327,65 @@ def test_missing_input_file_is_an_error_line_not_a_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing.jsonl" in err
     assert "Traceback" not in err
+
+
+def test_stepwise_crash_mid_write_leaves_the_output_untouched(stepwise, tmp_path, monkeypatch, capsys):
+    import rlvrloop.loop as loop
+
+    real_write = loop.write_trajectories
+
+    def crash(trajectories, path):
+        real_write(trajectories[: len(trajectories) // 2], path)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(loop, "write_trajectories", crash)
+    out = tmp_path / "r.jsonl"
+    argv = ["rollout", "--tasks", stepwise / "tasks.jsonl", "--policy", stepwise / "policy_init.json",
+            "--out", out, "--n", N, "--workers", 1]
+    assert run(argv) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert not out.exists()
+
+    out.write_bytes(b"an earlier run's rollouts\n")
+    assert run(argv) == 1
+    assert out.read_bytes() == b"an earlier run's rollouts\n"
+
+
+MALFORMED = {
+    "rollouts": (
+        ["evaluate", "--tasks", "{d}/tasks.jsonl", "--rollouts", "{bad}", "--out", "{out}"],
+        {"schema": "trajectories", "schema_version": 1}, {"task_id": "synth-0000"}, 2,
+    ),
+    "rewards": (
+        ["guide", "--tasks", "{d}/tasks.jsonl", "--rollouts", "{d}/rollouts.jsonl",
+         "--rewards", "{bad}", "--out", "{out}"],
+        {"schema": "rewards", "schema_version": 1}, {"task_id": "synth-0000", "trajectory_ref": "x"}, 2,
+    ),
+    "guidance": (
+        ["rollout", "--tasks", "{d}/tasks.jsonl", "--policy", "{d}/policy_init.json",
+         "--guidance", "{bad}", "--out", "{out}"],
+        {"schema": "guidance", "schema_version": 1}, {"guidance_id": "g-1"}, 2,
+    ),
+    "dataset": (
+        ["train-dpo", "--policy", "{d}/policy_sft.json", "--dataset", "{bad}", "--out", "{out}"],
+        {"schema": "rlvr_dataset", "schema_version": 1},
+        {"record": "pair", "task_id": "synth-0000", "winner": {}, "loser": {}, "provenance": "rollout_pair"},
+        2,
+    ),
+    "header": (
+        ["evaluate", "--tasks", "{d}/tasks.jsonl", "--rollouts", "{bad}", "--out", "{out}"],
+        {"schema": "trajectories", "schema_version": "1"}, None, 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_record_is_an_error_line_not_a_traceback(case, stepwise, tmp_path, capsys):
+    argv, header, record, line = MALFORMED[case]
+    bad, out = tmp_path / "bad.jsonl", tmp_path / "out"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in (header, record) if r is not None))
+    assert run([a.format(d=stepwise, bad=bad, out=out) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{bad}: line {line}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -8,7 +8,8 @@ import itertools
 
 import pytest
 
-from rlvrloop.backends import SamplingParams, ScriptedBackend
+from doubles import ScriptedBackend, workspace_fingerprint
+from rlvrloop.backends import SamplingParams
 from rlvrloop.errors import SandboxProvisionError
 from rlvrloop.evaluator import (
     EvaluationFailure,
@@ -20,7 +21,6 @@ from rlvrloop.evaluator import (
     read_rewards,
     reward_from_record,
     reward_to_record,
-    workspace_fingerprint,
     write_rewards,
     _parse_test_lines,
 )

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlvrloop.backends import ScriptedBackend, SamplingParams
+from doubles import ScriptedBackend, ScriptedTeacher
+from rlvrloop.backends import SamplingParams
 from rlvrloop.errors import BackendError, GuidanceError
 from rlvrloop.evaluator import evaluate
 from rlvrloop.guidance import (
@@ -15,7 +16,6 @@ from rlvrloop.guidance import (
     SECTION_PLAN,
     SECTIONS,
     Guidance,
-    ScriptedTeacher,
     guidance_from_record,
     guidance_to_record,
     guidance_to_text,
@@ -87,13 +87,6 @@ def test_request_sentinels_for_empty_patch(one_task):
     request = render_guidance_request(one_task, traj, rec)
     assert EMPTY_PATCH_SENTINEL in request
     assert NO_STACKTRACE_SENTINEL in request
-
-
-def test_request_prefers_reference_patch(one_task):
-    traj, rec = failed_attempt(one_task)
-    request = render_guidance_request(one_task, traj, rec, reference_patch="REFERENCE DIFF")
-    assert "REFERENCE DIFF" in request
-    assert traj.patch.rendering not in request
 
 
 def test_request_rejects_successful_attempt(one_task):
@@ -288,7 +281,6 @@ def test_oracle_teacher_names_the_defect(one_task):
     assert str(one_task.expected_output) in g.plan
     assert str(one_task.n_candidates) in g.plan
     assert g.env_feedback == rec.stacktrace.splitlines()[0]
-    assert not g.used_reference_patch
 
 
 def test_oracle_teacher_handles_missing_stacktrace(one_task):

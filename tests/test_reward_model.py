@@ -16,16 +16,14 @@ from rlvrloop.reward_model import (
     N_FEATURES,
     PairwiseRM,
     RMConfig,
-    RMExample,
+    RMPairs,
     build_rm_training_pairs,
     featurize,
     rank_best_of_k,
     ranking_accuracy,
-    rm_example,
-    rm_loss_and_grad,
     rm_train,
 )
-from rlvrloop.rollout import Patch
+from rlvrloop.rollout import Patch, synth_patch
 from rlvrloop.tasks import EnvSpec, Task, TestSuite, enumerate_passing_patches, generate_synth_suite
 
 LN2 = 0.6931471805599453
@@ -83,55 +81,45 @@ def test_featurize_without_hints_or_quotes():
 # ---------------------------------------------------------------------------
 
 
-def rand_example(rng, reward):
-    return RMExample(
-        problem_statement="p",
-        patch_text="t",
-        feature_vector=rng.normal(size=N_FEATURES),
-        label_reward=reward,
-    )
+def rand_pairs(rng, n):
+    """n (winner, loser) pairs of random feature vectors."""
+    return RMPairs(rng.normal(size=(n, N_FEATURES)), rng.normal(size=(n, N_FEATURES)))
 
 
 def test_rm_loss_at_zero_weights_is_ln2():
-    rng = np.random.default_rng(3)
-    pairs = [(rand_example(rng, 1), rand_example(rng, 0)) for _ in range(5)]
-    loss, _ = rm_loss_and_grad(np.zeros(N_FEATURES), pairs)
-    assert loss == pytest.approx(LN2, abs=1e-15)
+    history = []
+    rm_train(rand_pairs(np.random.default_rng(3), 5), RMConfig(epochs=0), history_out=history)
+    assert history == [{"epoch": 0, "loss": pytest.approx(LN2, abs=1e-15)}]
 
 
 def test_rm_gradient_matches_finite_differences():
+    # rm_train matches this loop oracle bit for bit (the stacked-vs-loop tests below)
     rng = np.random.default_rng(9)
-    pairs = [(rand_example(rng, 1), rand_example(rng, 0)) for _ in range(6)]
+    pairs = rand_pairs(rng, 6)
     for trial in range(5):
         w = rng.normal(size=N_FEATURES)
-        _, grad = rm_loss_and_grad(w, pairs)
+        _, grad = loop_rm_loss_and_grad(w, pairs)
         h = 1e-6
         numeric = np.zeros(N_FEATURES)
         for i in range(N_FEATURES):
             up, down = w.copy(), w.copy()
             up[i] += h
             down[i] -= h
-            numeric[i] = (rm_loss_and_grad(up, pairs)[0] - rm_loss_and_grad(down, pairs)[0]) / (2 * h)
+            loss_up, loss_down = loop_rm_loss_and_grad(up, pairs)[0], loop_rm_loss_and_grad(down, pairs)[0]
+            numeric[i] = (loss_up - loss_down) / (2 * h)
         assert np.max(np.abs(grad - numeric)) < 1e-6
 
 
 def test_rm_train_requires_pairs():
     with pytest.raises(TrainingError, match="at least one"):
-        rm_train([])
+        rm_train(RMPairs(np.empty((0, N_FEATURES)), np.empty((0, N_FEATURES))))
 
 
 def test_rm_train_degenerate_features_warns(caplog):
-    ex = RMExample("p", "t", np.ones(N_FEATURES), 1)
-    ex2 = RMExample("p", "t", np.ones(N_FEATURES), 0)
     with caplog.at_level("WARNING"):
-        rm = rm_train([(ex, ex2), (ex, ex2)])
+        rm = rm_train(RMPairs(np.ones((2, N_FEATURES)), np.ones((2, N_FEATURES))))
     assert "identical features" in caplog.text
     assert np.all(rm.weights == 0.0)
-
-
-def test_rm_example_shape_guard():
-    with pytest.raises(TrainingError, match="feature vector"):
-        RMExample("p", "t", np.zeros(3), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +130,9 @@ def test_rm_example_shape_guard():
 def loop_rm_loss_and_grad(weights, pairs):
     """Reference oracle: the per-pair loss/gradient loop, one pair at a time."""
     grad = np.zeros_like(weights)
-    if not pairs:
-        return 0.0, grad
     total = 0.0
-    for winner, loser in pairs:
-        diff = winner.feature_vector - loser.feature_vector
+    for winner, loser in zip(pairs.winners, pairs.losers):
+        diff = winner - loser
         z = float(weights @ diff)
         total += float(np.logaddexp(0.0, -z))
         grad -= (1.0 / (1.0 + np.exp(z))) * diff
@@ -185,7 +171,8 @@ def test_stacked_rm_train_matches_loop_oracle_on_pipeline_pairs():
     pairs = pipeline_rm_pairs()
     assert len(pairs) > 10
     assert_trains_like_loop_oracle(pairs)
-    assert_trains_like_loop_oracle(pairs[:1], RMConfig(learning_rate=0.1, epochs=7))
+    first = RMPairs(pairs.winners[:1], pairs.losers[:1])
+    assert_trains_like_loop_oracle(first, RMConfig(learning_rate=0.1, epochs=7))
 
 
 def test_stacked_rm_train_matches_loop_oracle_with_empty_patch_sides(one_task):
@@ -198,27 +185,10 @@ def test_stacked_rm_train_matches_loop_oracle_with_empty_patch_sides(one_task):
         if (line, cand) != (fix_line, fix_cand)
     ]
     empty = Patch(edits=(), rendering="")
-    pairs = [(rm_example(one_task.issue, fix, 1), rm_example(one_task.issue, p, 0)) for p in others]
-    pairs += [
-        (rm_example(one_task.issue, fix, 1), rm_example(one_task.issue, None, 0)),
-        (rm_example(one_task.issue, others[0], 1), rm_example(one_task.issue, empty, 0)),
-        (rm_example(one_task.issue, None, 1), rm_example(one_task.issue, others[1], 0)),
-        (rm_example(one_task.issue, fix, 1), rm_example(one_task.issue, fix, 0)),
-    ]
-    assert_trains_like_loop_oracle(pairs)
-
-
-def test_public_rm_loss_and_grad_matches_loop_oracle_exactly():
-    pairs = pipeline_rm_pairs()
-    rng = np.random.default_rng(17)
-    for weights in [np.zeros(N_FEATURES), *rng.normal(size=(4, N_FEATURES))]:
-        loss, grad = rm_loss_and_grad(weights, pairs)
-        want_loss, want_grad = loop_rm_loss_and_grad(weights, pairs)
-        assert loss == want_loss
-        assert np.array_equal(grad, want_grad)
-        assert grad.tobytes() == want_grad.tobytes()
-    loss, grad = rm_loss_and_grad(np.ones(N_FEATURES), [])
-    assert loss == 0.0 and np.array_equal(grad, np.zeros(N_FEATURES))
+    sides = [(fix, p) for p in others]
+    sides += [(fix, None), (others[0], empty), (None, others[1]), (fix, fix)]
+    winners, losers = (np.array([featurize(one_task.issue, p) for p in side]) for side in zip(*sides))
+    assert_trains_like_loop_oracle(RMPairs(winners, losers))
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +244,12 @@ def test_rm_scores_true_fix_above_every_alternative(one_task):
     )
     rm = rm_train(pairs)
     (fix_line, fix_cand), = enumerate_passing_patches(one_task)
-    fix_score = rm.score_patch(
-        one_task.issue, patch_at(fix_line, one_task.candidates[fix_line][fix_cand])
-    )
+    fix_score = rm.score(featurize(one_task.issue, synth_patch(one_task, fix_line, fix_cand)))
     for line in range(one_task.n_lines):
         for cand in range(one_task.n_candidates):
             if (line, cand) == (fix_line, fix_cand):
                 continue
-            other = rm.score_patch(one_task.issue, patch_at(line, one_task.candidates[line][cand]))
+            other = rm.score(featurize(one_task.issue, synth_patch(one_task, line, cand)))
             assert fix_score > other
 
 
@@ -322,7 +290,7 @@ def test_rank_scores_equal_per_patch_scores(small_suite):
                    for line in range(task.n_lines) for cand in range(task.n_candidates)]
         patches += [None, Patch(edits=(), rendering="")]
         result = rank_best_of_k(rm, task.issue, patches)
-        assert result.scores == tuple(rm.score_patch(task.issue, p) for p in patches)
+        assert result.scores == tuple(rm.score(featurize(task.issue, p)) for p in patches)
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +311,16 @@ def make_pref_pair(task, w_actions, l_actions):
 def test_build_rm_training_pairs_rebuilds_patches(one_task):
     (fix_line, fix_cand), = enumerate_passing_patches(one_task)
     pair = make_pref_pair(one_task, (fix_line, fix_cand), (0, 0))
-    (winner, loser), = build_rm_training_pairs([pair], {one_task.id: one_task})
-    assert winner.label_reward == 1 and loser.label_reward == 0
-    assert winner.feature_vector[7] == 1.0  # rebuilt patch is the quoted fix
-    assert winner.patch_text == one_task.candidates[fix_line][fix_cand]
+    pairs = build_rm_training_pairs([pair], {one_task.id: one_task})
+    (winner,), (loser,) = pairs.winners, pairs.losers
+    assert winner[7] == 1.0  # rebuilt patch is the quoted fix
+    assert np.array_equal(winner, featurize(one_task.issue, synth_patch(one_task, fix_line, fix_cand)))
+    assert np.array_equal(loser, featurize(one_task.issue, synth_patch(one_task, 0, 0)))
 
-    missing, = build_rm_training_pairs(
+    missing = build_rm_training_pairs(
         [make_pref_pair(one_task, None, (0, 0))], {one_task.id: one_task}
     )
-    assert missing[0].feature_vector[0] == 1.0  # no actions means empty patch
+    assert missing.winners[0][0] == 1.0  # no actions means empty patch
 
 
 def test_build_rm_training_pairs_skips_real_tasks(tmp_path):
@@ -364,7 +333,8 @@ def test_build_rm_training_pairs_skips_real_tasks(tmp_path):
         repo_name="r",
     )
     pair = PreferencePair("r1", "p", PairSide("w", "a", None), PairSide("l", "b", None), "rollout_pair")
-    assert build_rm_training_pairs([pair], {"r1": real}) == []
+    pairs = build_rm_training_pairs([pair], {"r1": real})
+    assert not pairs and pairs.winners.shape == pairs.losers.shape == (0, N_FEATURES)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rlvrloop.backends import Completion, ScriptedBackend, TabularPolicyBackend
+from doubles import ScriptedBackend
+from rlvrloop.backends import Completion, TabularPolicyBackend
 from rlvrloop.errors import BackendError, GuidanceLeakError, RolloutError, TaskFormatError
 from rlvrloop.guidance import Guidance
 from rlvrloop.policy import TabularPolicy
@@ -130,14 +131,14 @@ def test_backend_retry_then_success(one_task):
     scripted = ScriptedBackend(
         script=[BackendError("x"), BackendError("x"), "```\nLINE: 0\n```", "```\nCANDIDATE: 0\n```"]
     )
-    traj = run_scaffold(one_task, scripted, params(), max_retries=2)
+    traj = run_scaffold(one_task, scripted, params())
     assert traj.patch.synth == (0, 0)
 
 
 def test_backend_exhausted_raises(one_task):
     scripted = ScriptedBackend(script=[BackendError("x")] * 3)
     with pytest.raises(BackendError):
-        run_scaffold(one_task, scripted, params(), max_retries=2)
+        run_scaffold(one_task, scripted, params())
 
 
 def test_rollout_params_slot_zero_greedy():

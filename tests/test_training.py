@@ -20,10 +20,7 @@ from rlvrloop.training import (
     DPOConfig,
     dpo_loss,
     dpo_loss_and_grad,
-    dpo_margin,
     dpo_train,
-    sft_loss,
-    sft_loss_and_grad,
     sft_train,
     write_history_csv,
 )
@@ -86,7 +83,11 @@ def test_dpo_loss_at_reference_is_ln2(grid):
     ref = ReferencePolicy(policy)
     pairs = [mk_pair(t.id, (0, 0), (1, 1)) for t in grid]
     assert dpo_loss(policy, ref, pairs, beta=0.1) == pytest.approx(LN2, abs=1e-15)
-    assert dpo_margin(policy, ref, pairs, beta=0.1) == pytest.approx(0.0, abs=1e-15)
+    history = []
+    dpo_train(policy, pairs, DPOConfig(beta=0.1, epochs=0), reference=ref, history_out=history)
+    (row,) = history
+    assert row["loss"] == pytest.approx(LN2, abs=1e-15)
+    assert row["margin"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dpo_loss_known_log_ratio_gap():
@@ -108,14 +109,14 @@ def test_dpo_loss_known_log_ratio_gap():
 
 
 def test_sft_gradient_matches_finite_differences(grid):
+    # sft_train matches this loop oracle bit for bit (the packed-vs-loop tests below)
     rng = np.random.default_rng(7)
     policy = TabularPolicy.uniform(grid)
     examples = [mk_example(t.id, random_actions(rng, t)) for t in grid for _ in range(3)]
     for trial in range(5):
         policy.set_theta(rng.normal(scale=1.5, size=policy.theta().size))
-        loss, grad = sft_loss_and_grad(policy, examples)
-        assert loss == pytest.approx(sft_loss(policy, examples), abs=1e-12)
-        numeric = fd_grad(lambda p: sft_loss(p, examples), policy)
+        _, grad = loop_sft_loss_and_grad(policy, examples)
+        numeric = fd_grad(lambda p: loop_sft_loss_and_grad(p, examples)[0], policy)
         assert_grad_close(grad, numeric)
 
 
@@ -152,7 +153,7 @@ def test_actions_out_of_table_rejected(grid):
     with pytest.raises(TrainingError, match="outside policy table"):
         dpo_loss_and_grad(policy, ref, [mk_pair(grid.tasks[0].id, (99, 0), (0, 0))], beta=0.1)
     with pytest.raises(TrainingError, match="carries no"):
-        sft_loss(policy, [mk_example(grid.tasks[0].id, None)])
+        sft_train(policy, [mk_example(grid.tasks[0].id, None)], DPOConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +401,6 @@ def test_packed_training_matches_loop_oracle_on_mixed_shapes():
     examples = [mk_example(p.task_id, p.winner.actions) for p in pairs[:6]]
     ref = ReferencePolicy(policy)
 
-    assert np.array_equal(sft_loss_and_grad(policy, examples)[1], loop_sft_loss_and_grad(policy, examples)[1])
     assert np.array_equal(
         dpo_loss_and_grad(policy, ref, pairs, 0.2)[1], loop_dpo_loss_grad_margin(policy, ref, pairs, 0.2)[1]
     )
