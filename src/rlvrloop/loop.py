@@ -3,10 +3,11 @@
 Phases: tasks -> rollout -> evaluate -> guide -> reattempt ->
 evaluate-guided -> assemble -> train-sft -> train-dpo -> final-eval ->
 report. Each phase body is one module-level function that takes the
-RunConfig plus explicit input and output paths; run_loop and the stepwise
-CLI subcommands call the same functions, so both produce byte-identical
-artifacts by construction. PHASE_TABLE declares once what each phase reads
-and writes; PHASES, RunPaths and the manifest's artifact list come from it.
+RunConfig plus explicit input and output paths. PHASE_TABLE declares once
+what each phase reads and writes; PHASES, RunPaths, the manifest's artifact
+list and the stepwise CLI subcommands (one per row, one flag per artifact)
+come from it, so run_loop and the stepwise pipeline call the same functions
+and produce byte-identical artifacts by construction.
 run_loop and the stepwise commands commit a phase's outputs atomically
 through commit_outputs (`<file>.partial`, then os.replace); run_loop also
 records their sha256 in runstate.json, and on resume refuses a completed
@@ -299,21 +300,19 @@ def read_guidance(path: Path) -> list:
 # ---------------------------------------------------------------------------
 
 
-def make_tasks(config: RunConfig, out: StrPath) -> TaskDataset:
-    """Write the task suite: config.tasks_path if set, else a synthetic one."""
+def make_tasks(config: RunConfig, tasks: StrPath, policy: StrPath) -> None:
+    """Write the task suite, then the starting policy over it.
+
+    The suite is config.tasks_path if set, else a synthetic one; the policy
+    is config.initial_policy if set, else uniform.
+    """
     dataset = resolve_tasks(config)
-    save_tasks(dataset, out)
-    return dataset
-
-
-def init_policy(config: RunConfig, tasks: StrPath, out: StrPath) -> TabularPolicy:
-    """Checkpoint the starting policy: config.initial_policy, else uniform."""
+    save_tasks(dataset, tasks)
     if config.initial_policy:
-        policy = TabularPolicy.load(config.initial_policy)
+        model = TabularPolicy.load(config.initial_policy)
     else:
-        policy = TabularPolicy.uniform(load_tasks(tasks))
-    policy.save(out, provenance={"phase": "init"})
-    return policy
+        model = TabularPolicy.uniform(dataset)
+    model.save(policy, provenance={"phase": "init"})
 
 
 def rollout(
@@ -374,18 +373,18 @@ def assemble(
     config: RunConfig,
     rollouts: StrPath,
     rewards: StrPath,
-    guided_rollouts: StrPath | None,
-    guided_rewards: StrPath | None,
-    guidance: StrPath | None,
+    guided_rollouts: StrPath,
+    guided_rewards: StrPath,
+    guidance: StrPath,
     out: StrPath,
 ) -> RlvrDataset:
-    """Preference pairs and the SFT subset; a missing guided input counts as empty."""
+    """Preference pairs and the SFT subset."""
     rlvr = build_rlvr_dataset(
         read_trajectories(rollouts),
         read_rewards(rewards),
-        read_trajectories(guided_rollouts) if guided_rollouts else [],
-        read_rewards(guided_rewards) if guided_rewards else [],
-        read_guidance(guidance) if guidance else [],
+        read_trajectories(guided_rollouts),
+        read_rewards(guided_rewards),
+        read_guidance(guidance),
         sft_fraction=config.sft_fraction,
         max_pairs_per_task=config.max_pairs_per_task,
         seed=config.seed,
@@ -397,7 +396,7 @@ def assemble(
 
 
 def train_sft(
-    config: RunConfig, policy: StrPath, dataset: StrPath, out: StrPath, history_csv: StrPath | None
+    config: RunConfig, policy: StrPath, dataset: StrPath, out: StrPath, history_csv: StrPath
 ) -> list:
     """SFT on the dataset's positives; a fine-tuned policy is written through unchanged."""
     model = TabularPolicy.load(policy)
@@ -409,13 +408,12 @@ def train_sft(
         sft_config = DPOConfig(learning_rate=config.sft_learning_rate, epochs=config.sft_epochs)
         sft_train(model, rlvr.sft, sft_config, history_out=history)
     model.save(out, provenance={"phase": "sft"})
-    if history_csv:
-        write_history_csv(history, history_csv)
+    write_history_csv(history, history_csv)
     return history
 
 
 def train_dpo(
-    config: RunConfig, policy: StrPath, dataset: StrPath, out: StrPath, history_csv: StrPath | None
+    config: RunConfig, policy: StrPath, dataset: StrPath, out: StrPath, history_csv: StrPath
 ) -> list:
     """DPO on the dataset's pairs against a frozen copy of the input policy."""
     model = TabularPolicy.load(policy)
@@ -427,19 +425,14 @@ def train_dpo(
     )
     dpo_train(model, rlvr.pairs, dpo_config, reference=reference, history_out=history)
     model.save(out, provenance={"phase": "dpo"})
-    if history_csv:
-        write_history_csv(history, history_csv)
+    write_history_csv(history, history_csv)
     return history
 
 
 def final_eval(
     config: RunConfig, tasks: StrPath, policy: StrPath, rollouts_out: StrPath, rewards_out: StrPath
 ) -> list:
-    """Eval-mode rollouts of the trained policy under their own seed, then scoring.
-
-    The stepwise equivalent is `rollout --eval-mode --seed <derived seed>`
-    followed by `evaluate`.
-    """
+    """Eval-mode rollouts of the trained policy under a seed derived from config.seed, then scoring."""
     eval_config = replace(config, seed=derive_seed(config.seed, "final-eval"))
     trajs = rollout(eval_config, tasks, policy, rollouts_out, eval_mode=True)
     return _score(config, load_tasks(tasks), trajs, rewards_out)
@@ -449,18 +442,16 @@ def report(
     config: RunConfig,
     rollouts: StrPath,
     rewards: StrPath,
-    guided_rewards: StrPath | None,
+    guided_rewards: StrPath,
     eval_rollouts: StrPath,
     eval_rewards: StrPath,
     out_json: StrPath,
-    out_txt: StrPath | None,
+    out_txt: StrPath,
     selections: dict[str, int] | None = None,
 ) -> str:
     """Pre- vs post-training report; returns the text form."""
     pre = aggregate(read_trajectories(rollouts), read_rewards(rewards), bootstrap_seed=config.seed)
-    uplift = guidance_uplift_report(
-        read_rewards(rewards), read_rewards(guided_rewards) if guided_rewards else []
-    )
+    uplift = guidance_uplift_report(read_rewards(rewards), read_rewards(guided_rewards))
     post = aggregate(
         read_trajectories(eval_rollouts), read_rewards(eval_rewards),
         selections=selections, guidance_uplift=uplift, bootstrap_seed=config.seed,
@@ -474,20 +465,13 @@ def report(
         + render_report_text(post)
         + "\n"
     )
-    if out_txt:
-        Path(out_txt).write_text(text, encoding="utf-8")
+    Path(out_txt).write_text(text, encoding="utf-8")
     return text
 
 
 # ---------------------------------------------------------------------------
 # The phase table and the loop
 # ---------------------------------------------------------------------------
-
-
-def make_tasks_and_policy(config: RunConfig, tasks: StrPath, policy: StrPath) -> None:
-    """The loop's tasks phase: the task suite, then the starting policy over it."""
-    make_tasks(config, tasks)
-    init_policy(config, tasks, policy)
 
 
 class Phase(NamedTuple):
@@ -500,7 +484,7 @@ class Phase(NamedTuple):
 
 
 PHASE_TABLE = (
-    Phase("tasks", make_tasks_and_policy, (), {"tasks": "tasks.jsonl", "policy_init": "policy_init.json"}),
+    Phase("tasks", make_tasks, (), {"tasks": "tasks.jsonl", "policy_init": "policy_init.json"}),
     Phase("rollout", rollout, ("tasks", "policy_init"), {"rollouts": "rollouts.jsonl"}),
     Phase("evaluate", evaluate, ("tasks", "rollouts"), {"rewards": "rewards.jsonl"}),
     Phase("guide", guide, ("tasks", "rollouts", "rewards"), {"guidance": "guidance.jsonl"}),
@@ -534,20 +518,17 @@ class RunPaths:
         self.manifest = self.dir / "manifest.json"
 
 
-def commit_outputs(write: Callable, *outputs: StrPath | None):
+def commit_outputs(write: Callable, *outputs: StrPath):
     """write(*partial paths), then each `<output>.partial` os.replace'd onto its output.
 
     A reader sees an output's old bytes or its new ones, never half: a crash
     inside write leaves every output as it was, and a half-written file
-    keeps its `.partial` name. An empty output (an optional file nobody
-    asked for) reaches write as None and is not committed. Returns what
-    write returns.
+    keeps its `.partial` name. Returns what write returns.
     """
-    partials = [Path(f"{out}.partial") if out else None for out in outputs]
+    partials = [Path(f"{out}.partial") for out in outputs]
     result = write(*partials)
     for partial, out in zip(partials, outputs):
-        if partial is not None:
-            os.replace(partial, out)
+        os.replace(partial, out)
     return result
 
 

@@ -191,14 +191,17 @@ class TabularPolicy:
             rec = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"cannot read policy checkpoint {path}: {exc}") from exc
-        if rec.get("schema") != POLICY_SCHEMA:
+        if not isinstance(rec, dict) or rec.get("schema") != POLICY_SCHEMA:
             raise CheckpointError(f"{path}: not a policy checkpoint")
         policy = cls(fine_tuned=bool(rec.get("fine_tuned", False)))
-        for tid, head in rec["heads"].items():
-            policy.heads[tid] = TaskHead(
-                line_logits=np.asarray(head["line_logits"], dtype=np.float64),
-                cand_logits=np.asarray(head["cand_logits"], dtype=np.float64),
-            )
+        try:
+            for tid, head in rec["heads"].items():
+                policy.heads[tid] = TaskHead(
+                    line_logits=np.asarray(head["line_logits"], dtype=np.float64),
+                    cand_logits=np.asarray(head["cand_logits"], dtype=np.float64),
+                )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: malformed policy checkpoint: {exc!r}") from exc
         return policy
 
 

@@ -150,14 +150,20 @@ class PairwiseRM:
             rec = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"cannot read reward model {path}: {exc}") from exc
-        if rec.get("schema") != RM_SCHEMA:
+        if not isinstance(rec, dict) or rec.get("schema") != RM_SCHEMA:
             raise CheckpointError(f"{path}: not a reward model checkpoint")
         if rec.get("featurization_version") != FEATURIZATION_VERSION:
             raise CheckpointError(
                 f"{path}: featurization version {rec.get('featurization_version')} does not match "
                 f"current {FEATURIZATION_VERSION}; refeaturize before loading"
             )
-        return cls(weights=np.asarray(rec["weights"], dtype=np.float64))
+        try:
+            weights = np.asarray(rec["weights"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: malformed reward model checkpoint: {exc!r}") from exc
+        if weights.shape != (N_FEATURES,):
+            raise CheckpointError(f"{path}: weights have shape {weights.shape}, expected ({N_FEATURES},)")
+        return cls(weights=weights)
 
 
 # ---------------------------------------------------------------------------

@@ -1,153 +1,110 @@
 """CLI subcommands, exit codes, and stepwise/loop artifact equivalence."""
+import argparse
 import json
 import shutil
+import socket
 from collections import Counter
 
 import pytest
 
-from rlvrloop.cli import main, read_selections
-from rlvrloop.jsonl import canonical_file_hash, derive_seed
-from rlvrloop.loop import RunConfig, run_loop
+from rlvrloop.cli import build_parser, main, read_selections
+from rlvrloop.jsonl import canonical_file_hash
+from rlvrloop.loop import ARTIFACTS, PHASE_TABLE, PHASES
+from rlvrloop.evaluator import EvaluationFailure, read_rewards
 from rlvrloop.pairs import PROVENANCE_ROLLOUT, load_dataset
 from rlvrloop.prompts import HINT_DELIMITER
+from rlvrloop.reward_model import FEATURIZATION_VERSION, RM_SCHEMA
 from rlvrloop.rollout import Patch, Step, Trajectory, write_trajectories
 from rlvrloop.backends import SamplingParams
 from rlvrloop.tasks import EnvSpec, Task, TestSuite, TaskDataset, save_tasks
 
 SEED = 0
 N = 6
-GEN = ["--count", "4", "--lines", "3", "--candidates", "3", "--seed", str(SEED)]
-SMALL = dict(
-    seed=SEED,
-    workers=1,
-    rollouts_n=N,
-    synth_count=4,
-    synth_lines=3,
-    synth_candidates=3,
-    sft_epochs=30,
-    dpo_epochs=60,
-)
+# the settings every command below takes, stepwise and run-loop alike
+SMALL_SETS = [
+    "run.workers=1", f"run.rollouts_n={N}", "tasks.synth_count=4", "tasks.synth_lines=3",
+    "tasks.synth_candidates=3", "sft.sft_epochs=30", "dpo.dpo_epochs=60",
+]
+# assembly and training settings away from their defaults
+NON_DEFAULT_SETS = [
+    "assemble.sft_fraction=0.5", "assemble.max_pairs_per_task=2",
+    "assemble.keep_guidance_in_prompt=true", "sft.sft_learning_rate=0.3",
+    "dpo.dpo_beta=0.25", "dpo.dpo_learning_rate=0.8",
+]
 
 # the sixteen files both the loop and the stepwise pipeline produce
-COMPARABLE = (
-    "tasks.jsonl", "policy_init.json", "rollouts.jsonl", "rewards.jsonl",
-    "guidance.jsonl", "guided_rollouts.jsonl", "guided_rewards.jsonl",
-    "dataset.jsonl", "policy_sft.json", "sft_log.csv", "policy_final.json",
-    "dpo_log.csv", "eval_rollouts.jsonl", "eval_rewards.jsonl",
-    "report.json", "report.txt",
-)
+COMPARABLE = tuple(ARTIFACTS.values())
 
 
 def run(argv):
     return main([str(a) for a in argv])
 
 
+def settings(sets):
+    argv = ["--seed", SEED]
+    for item in sets:
+        argv += ["--set", item]
+    return argv
+
+
+def flag(artifact):
+    return "--" + artifact.replace("_", "-")
+
+
+def phase_argv(phase, d, sets):
+    """The stepwise command for one phase, every artifact named as run-loop names it in d."""
+    argv = [phase.name, *settings(sets)]
+    for artifact in (*phase.inputs, *phase.outputs):
+        argv += [flag(artifact), d / ARTIFACTS[artifact]]
+    return argv
+
+
+def run_stepwise(d, sets, phases=PHASE_TABLE):
+    for phase in phases:
+        assert run(phase_argv(phase, d, sets)) == 0, phase.name
+
+
+def run_loop_cli(d, sets):
+    assert run(["run-loop", "--output-dir", d, *settings(sets)]) == 0
+
+
 @pytest.fixture(scope="module")
 def stepwise(tmp_path_factory):
     """The full pipeline driven one subcommand at a time."""
     d = tmp_path_factory.mktemp("stepwise")
-    eval_seed = derive_seed(SEED, "final-eval")
-    steps = [
-        ["gen-tasks", "--out", d / "tasks.jsonl", *GEN],
-        ["init-policy", "--tasks", d / "tasks.jsonl", "--out", d / "policy_init.json"],
-        ["rollout", "--tasks", d / "tasks.jsonl", "--policy", d / "policy_init.json",
-         "--out", d / "rollouts.jsonl", "--n", N, "--seed", SEED, "--workers", 1],
-        ["evaluate", "--tasks", d / "tasks.jsonl", "--rollouts", d / "rollouts.jsonl",
-         "--out", d / "rewards.jsonl", "--workers", 1],
-        ["guide", "--tasks", d / "tasks.jsonl", "--rollouts", d / "rollouts.jsonl",
-         "--rewards", d / "rewards.jsonl", "--out", d / "guidance.jsonl"],
-        ["rollout", "--tasks", d / "tasks.jsonl", "--policy", d / "policy_init.json",
-         "--out", d / "guided_rollouts.jsonl", "--seed", SEED, "--workers", 1,
-         "--guidance", d / "guidance.jsonl"],
-        ["evaluate", "--tasks", d / "tasks.jsonl", "--rollouts", d / "guided_rollouts.jsonl",
-         "--out", d / "guided_rewards.jsonl", "--workers", 1],
-        ["assemble", "--rollouts", d / "rollouts.jsonl", "--rewards", d / "rewards.jsonl",
-         "--guided-rollouts", d / "guided_rollouts.jsonl",
-         "--guided-rewards", d / "guided_rewards.jsonl",
-         "--guidance", d / "guidance.jsonl", "--seed", SEED, "--out", d / "dataset.jsonl"],
-        ["train-sft", "--policy", d / "policy_init.json", "--dataset", d / "dataset.jsonl",
-         "--out", d / "policy_sft.json", "--log", d / "sft_log.csv",
-         "--epochs", 30],
-        ["train-dpo", "--policy", d / "policy_sft.json", "--dataset", d / "dataset.jsonl",
-         "--out", d / "policy_final.json", "--log", d / "dpo_log.csv",
-         "--epochs", 60],
-        ["rollout", "--tasks", d / "tasks.jsonl", "--policy", d / "policy_final.json",
-         "--out", d / "eval_rollouts.jsonl", "--n", N, "--seed", eval_seed,
-         "--workers", 1, "--eval-mode"],
-        ["evaluate", "--tasks", d / "tasks.jsonl", "--rollouts", d / "eval_rollouts.jsonl",
-         "--out", d / "eval_rewards.jsonl", "--workers", 1],
-        ["report", "--rollouts", d / "rollouts.jsonl", "--rewards", d / "rewards.jsonl",
-         "--eval-rollouts", d / "eval_rollouts.jsonl", "--eval-rewards", d / "eval_rewards.jsonl",
-         "--guided-rewards", d / "guided_rewards.jsonl", "--seed", SEED,
-         "--out-json", d / "report.json", "--out-txt", d / "report.txt"],
-    ]
-    for argv in steps:
-        assert run(argv) == 0, argv[0]
+    run_stepwise(d, SMALL_SETS)
     return d
 
 
 @pytest.fixture(scope="module")
 def loop_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("loop") / "run"
-    run_loop(RunConfig(output_dir=str(out), **SMALL))
+    run_loop_cli(out, SMALL_SETS)
     return out
 
 
 def test_stepwise_pipeline_matches_loop_byte_for_byte(stepwise, loop_dir):
     """Subcommand composition is the loop: every artifact hash agrees."""
+    assert len(COMPARABLE) == 16
     for name in COMPARABLE:
         assert canonical_file_hash(stepwise / name) == canonical_file_hash(loop_dir / name), name
-
-
-# run-loop's --set form of SMALL
-SMALL_SETS = [
-    "run.workers=1", f"run.rollouts_n={N}", "tasks.synth_count=4", "tasks.synth_lines=3",
-    "tasks.synth_candidates=3", "sft.sft_epochs=30", "dpo.dpo_epochs=60",
-]
+    assert not list(stepwise.glob("*.partial"))
 
 
 def test_stepwise_matches_loop_at_non_default_settings(stepwise, tmp_path):
-    """Every assembly and training flag reaches the RunConfig field run-loop reads."""
+    """Every assembly and training setting reaches the RunConfig field run-loop reads."""
+    sets = SMALL_SETS + NON_DEFAULT_SETS
     d = tmp_path / "stepwise"
     d.mkdir()
-    # tasks through guided_rewards do not depend on the settings under test
-    for name in COMPARABLE[:7]:
-        shutil.copy(stepwise / name, d / name)
-    steps = [
-        ["assemble", "--rollouts", d / "rollouts.jsonl", "--rewards", d / "rewards.jsonl",
-         "--guided-rollouts", d / "guided_rollouts.jsonl",
-         "--guided-rewards", d / "guided_rewards.jsonl", "--guidance", d / "guidance.jsonl",
-         "--seed", SEED, "--out", d / "dataset.jsonl",
-         "--sft-fraction", 0.5, "--max-pairs-per-task", 2, "--keep-guidance-in-prompt"],
-        ["train-sft", "--policy", d / "policy_init.json", "--dataset", d / "dataset.jsonl",
-         "--out", d / "policy_sft.json", "--log", d / "sft_log.csv",
-         "--epochs", 30, "--learning-rate", 0.3],
-        ["train-dpo", "--policy", d / "policy_sft.json", "--dataset", d / "dataset.jsonl",
-         "--out", d / "policy_final.json", "--log", d / "dpo_log.csv",
-         "--epochs", 60, "--beta", 0.25, "--learning-rate", 0.8],
-        ["rollout", "--tasks", d / "tasks.jsonl", "--policy", d / "policy_final.json",
-         "--out", d / "eval_rollouts.jsonl", "--n", N, "--seed", derive_seed(SEED, "final-eval"),
-         "--workers", 1, "--eval-mode"],
-        ["evaluate", "--tasks", d / "tasks.jsonl", "--rollouts", d / "eval_rollouts.jsonl",
-         "--out", d / "eval_rewards.jsonl", "--workers", 1],
-        ["report", "--rollouts", d / "rollouts.jsonl", "--rewards", d / "rewards.jsonl",
-         "--eval-rollouts", d / "eval_rollouts.jsonl", "--eval-rewards", d / "eval_rewards.jsonl",
-         "--guided-rewards", d / "guided_rewards.jsonl", "--seed", SEED,
-         "--out-json", d / "report.json", "--out-txt", d / "report.txt"],
-    ]
-    for argv in steps:
-        assert run(argv) == 0, argv[0]
+    # tasks through evaluate-guided do not depend on the settings under test
+    first = PHASES.index("assemble")
+    for phase in PHASE_TABLE[:first]:
+        for file in phase.outputs.values():
+            shutil.copy(stepwise / file, d / file)
+    run_stepwise(d, sets, PHASE_TABLE[first:])
 
     loop = tmp_path / "loop"
-    sets = SMALL_SETS + [
-        "assemble.sft_fraction=0.5", "assemble.max_pairs_per_task=2",
-        "assemble.keep_guidance_in_prompt=true", "sft.sft_learning_rate=0.3",
-        "dpo.dpo_beta=0.25", "dpo.dpo_learning_rate=0.8",
-    ]
-    argv = ["run-loop", "--output-dir", loop, "--seed", SEED]
-    for item in sets:
-        argv += ["--set", item]
-    assert run(argv) == 0
+    run_loop_cli(loop, sets)
     for name in COMPARABLE:
         assert canonical_file_hash(d / name) == canonical_file_hash(loop / name), name
 
@@ -161,18 +118,56 @@ def test_stepwise_matches_loop_at_non_default_settings(stepwise, tmp_path):
     assert len(rlvr.sft) > len(load_dataset(stepwise / "dataset.jsonl").sft)
 
 
-def test_gen_tasks_and_init_policy_outputs(stepwise, capsys):
+def test_every_stepwise_flag_comes_from_the_phase_table():
+    """No stepwise flag is written by hand: artifacts, plus run-loop's settings arguments."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for phase in PHASE_TABLE:
+        options = {s for a in sub.choices[phase.name]._actions for s in a.option_strings if s.startswith("--")}
+        expected = {flag(a) for a in (*phase.inputs, *phase.outputs)} | {"--config", "--set", "--seed", "--help"}
+        if phase.name == "report":
+            expected.add("--selections")
+        assert options == expected, phase.name
+
+
+def test_tasks_command_writes_suite_and_policy(stepwise, tmp_path, capsys):
     header = json.loads((stepwise / "tasks.jsonl").read_text().splitlines()[0])
     assert header["schema"] == "tasks"
     policy = json.loads((stepwise / "policy_init.json").read_text())
     assert policy["provenance"] == {"phase": "init"}
 
-    assert run(["gen-tasks", "--out", stepwise / "again.jsonl", *GEN]) == 0
-    assert "wrote 4 tasks" in capsys.readouterr().out
-    assert (stepwise / "again.jsonl").read_bytes() == (stepwise / "tasks.jsonl").read_bytes()
+    tasks, policy = tmp_path / "tasks.jsonl", tmp_path / "policy.json"
+    assert run(["tasks", *settings(SMALL_SETS), "--tasks", tasks, "--policy-init", policy]) == 0
+    assert capsys.readouterr().out == f"tasks: wrote {tasks} {policy}\n"
+    assert tasks.read_bytes() == (stepwise / "tasks.jsonl").read_bytes()
+    assert policy.read_bytes() == (stepwise / "policy_init.json").read_bytes()
 
 
-def test_rank_and_report_selections_flow(stepwise, tmp_path, capsys):
+def test_stepwise_tasks_reads_tasks_path(stepwise, tmp_path):
+    """tasks.tasks_path, unreachable from the old stepwise flags, loads a fixed suite."""
+    out = tmp_path / "tasks.jsonl"
+    argv = ["tasks", "--set", f"tasks.tasks_path={stepwise / 'tasks.jsonl'}",
+            "--tasks", out, "--policy-init", tmp_path / "policy.json"]
+    assert run(argv) == 0  # the synthetic default would be 64 tasks of 6 lines
+    assert out.read_bytes() == (stepwise / "tasks.jsonl").read_bytes()
+
+
+def test_stepwise_rollout_reaches_the_remote_backend(stepwise, tmp_path, monkeypatch, capsys):
+    """backend.backend_kind, unreachable from the old stepwise flags: a dead endpoint exits 3."""
+    monkeypatch.setenv("no_proxy", "*")
+    monkeypatch.setenv("NO_PROXY", "*")
+    with socket.socket() as sock:  # a local port nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    sets = SMALL_SETS + ["backend.backend_kind=remote", f"backend.backend_endpoint=http://127.0.0.1:{port}/"]
+    out = tmp_path / "rollouts.jsonl"
+    argv = ["rollout", *settings(sets), "--tasks", stepwise / "tasks.jsonl",
+            "--policy-init", stepwise / "policy_init.json", "--rollouts", out]
+    assert run(argv) == 3
+    assert "infrastructure error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rank_and_report_selections_flow(stepwise, tmp_path):
     d = stepwise
     assert run(["train-rm", "--tasks", d / "tasks.jsonl", "--dataset", d / "dataset.jsonl",
                 "--out", tmp_path / "rm.json", "--log", tmp_path / "rm_log.csv"]) == 0
@@ -183,14 +178,11 @@ def test_rank_and_report_selections_flow(stepwise, tmp_path, capsys):
     assert len(selections) == 4
     assert set(selections.values()) <= {0, 1}
 
-    assert run(["report", "--rollouts", d / "rollouts.jsonl", "--rewards", d / "rewards.jsonl",
-                "--eval-rollouts", d / "eval_rollouts.jsonl",
-                "--eval-rewards", d / "eval_rewards.jsonl",
-                "--guided-rewards", d / "guided_rewards.jsonl",
-                "--selections", tmp_path / "selections.jsonl",
-                "--out-json", tmp_path / "report.json"]) == 0
-    out = capsys.readouterr().out
-    assert "best@1 (rm)" in out
+    report = phase_argv(PHASE_TABLE[PHASES.index("report")], d, SMALL_SETS)
+    report[report.index("--report-json") + 1] = tmp_path / "report.json"
+    report[report.index("--report-txt") + 1] = tmp_path / "report.txt"
+    assert run(report + ["--selections", tmp_path / "selections.jsonl"]) == 0
+    assert "best@1 (rm)" in (tmp_path / "report.txt").read_text()
     body = json.loads((tmp_path / "report.json").read_text())
     assert body["post_training"]["best_at_1"] == pytest.approx(
         sum(selections.values()) / len(selections)
@@ -256,20 +248,16 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert "COMMAND" in capsys.readouterr().out
 
     assert run(["rollout", "--tasks", "x"]) == 1  # missing required args
-    assert run(["gen-tasks", "--out", tmp_path / "t.jsonl", "--frobnicate"]) == 1
+    assert run(["tasks", "--tasks", tmp_path / "t.jsonl", "--policy-init", tmp_path / "p.json",
+                "--frobnicate"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert run(["tasks", "--tasks", tmp_path / "t.jsonl", "--policy-init", tmp_path / "p.json",
+                "--set", "tasks.frobnicate=1"]) == 1
+    assert "unknown config key" in capsys.readouterr().err
 
     assert run(["guide", "--tasks", "x", "--rollouts", "y", "--rewards", "z",
-                "--out", "w", "--teacher", "remote"]) == 1
+                "--guidance", "w", "--set", "teacher.teacher_kind=remote"]) == 1
     assert "requires teacher_endpoint" in capsys.readouterr().err
-
-
-def test_rollout_guidance_conflicts_with_eval_mode(stepwise, tmp_path, capsys):
-    code = run(["rollout", "--tasks", stepwise / "tasks.jsonl",
-                "--policy", stepwise / "policy_init.json", "--out", tmp_path / "t.jsonl",
-                "--guidance", stepwise / "guidance.jsonl", "--eval-mode"])
-    assert code == 1
-    assert "cannot be combined" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
@@ -279,7 +267,7 @@ def test_version_flag(capsys):
     assert "rlvrloop" in capsys.readouterr().out
 
 
-def test_evaluate_reports_infra_failures_with_exit_three(tmp_path, capsys):
+def test_evaluate_reports_infra_failures_with_exit_three(tmp_path):
     ws = tmp_path / "ws"
     ws.mkdir()
     (ws / "app.py").write_text("x = 1\n")
@@ -302,28 +290,31 @@ def test_evaluate_reports_infra_failures_with_exit_three(tmp_path, capsys):
         traj_id="real-1/x/0/u",
     )
     write_trajectories([traj], tmp_path / "rollouts.jsonl")
-    code = run(["evaluate", "--tasks", tmp_path / "tasks.jsonl",
-                "--rollouts", tmp_path / "rollouts.jsonl",
-                "--out", tmp_path / "rewards.jsonl", "--workers", 1])
-    assert code == 3
-    assert "1 infra errors" in capsys.readouterr().out
-    line = (tmp_path / "rewards.jsonl").read_text().splitlines()[1]
-    assert "infrastructure_error" in line
+    # evaluate-guided runs the same phase function under its own artifact names
+    for command, rollouts, rewards in (("evaluate", "--rollouts", "--rewards"),
+                                       ("evaluate-guided", "--guided-rollouts", "--guided-rewards")):
+        out = tmp_path / f"{command}.jsonl"
+        code = run([command, "--set", "run.workers=1", "--tasks", tmp_path / "tasks.jsonl",
+                    rollouts, tmp_path / "rollouts.jsonl", rewards, out])
+        assert code == 3, command
+        line = out.read_text().splitlines()[1]
+        assert "infrastructure_error" in line
 
 
-def test_cli_evaluate_counts_passes(stepwise, tmp_path, capsys):
-    assert run(["evaluate", "--tasks", stepwise / "tasks.jsonl",
-                "--rollouts", stepwise / "rollouts.jsonl",
-                "--out", tmp_path / "rewards.jsonl", "--workers", 1]) == 0
-    out = capsys.readouterr().out
-    assert "passed, 0 infra errors" in out
-    assert (tmp_path / "rewards.jsonl").read_bytes() == (stepwise / "rewards.jsonl").read_bytes()
+def test_cli_evaluate_counts_passes(stepwise, tmp_path):
+    out = tmp_path / "rewards.jsonl"
+    assert run(["evaluate", "--set", "run.workers=1", "--tasks", stepwise / "tasks.jsonl",
+                "--rollouts", stepwise / "rollouts.jsonl", "--rewards", out]) == 0
+    records = read_rewards(out)
+    assert not any(isinstance(r, EvaluationFailure) for r in records)
+    assert 0 < sum(r.reward for r in records) < len(records)
+    assert out.read_bytes() == (stepwise / "rewards.jsonl").read_bytes()
 
 
 def test_missing_input_file_is_an_error_line_not_a_traceback(tmp_path, capsys):
     missing = tmp_path / "missing.jsonl"
     assert run(["evaluate", "--tasks", missing, "--rollouts", tmp_path / "r.jsonl",
-                "--out", tmp_path / "o.jsonl"]) == 1
+                "--rewards", tmp_path / "o.jsonl"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing.jsonl" in err
     assert "Traceback" not in err
@@ -340,8 +331,8 @@ def test_stepwise_crash_mid_write_leaves_the_output_untouched(stepwise, tmp_path
 
     monkeypatch.setattr(loop, "write_trajectories", crash)
     out = tmp_path / "r.jsonl"
-    argv = ["rollout", "--tasks", stepwise / "tasks.jsonl", "--policy", stepwise / "policy_init.json",
-            "--out", out, "--n", N, "--workers", 1]
+    argv = ["rollout", *settings(SMALL_SETS), "--tasks", stepwise / "tasks.jsonl",
+            "--policy-init", stepwise / "policy_init.json", "--rollouts", out]
     assert run(argv) == 1
     assert "disk full" in capsys.readouterr().err
     assert not out.exists()
@@ -353,27 +344,28 @@ def test_stepwise_crash_mid_write_leaves_the_output_untouched(stepwise, tmp_path
 
 MALFORMED = {
     "rollouts": (
-        ["evaluate", "--tasks", "{d}/tasks.jsonl", "--rollouts", "{bad}", "--out", "{out}"],
+        ["evaluate", "--tasks", "{d}/tasks.jsonl", "--rollouts", "{bad}", "--rewards", "{out}"],
         {"schema": "trajectories", "schema_version": 1}, {"task_id": "synth-0000"}, 2,
     ),
     "rewards": (
         ["guide", "--tasks", "{d}/tasks.jsonl", "--rollouts", "{d}/rollouts.jsonl",
-         "--rewards", "{bad}", "--out", "{out}"],
+         "--rewards", "{bad}", "--guidance", "{out}"],
         {"schema": "rewards", "schema_version": 1}, {"task_id": "synth-0000", "trajectory_ref": "x"}, 2,
     ),
     "guidance": (
-        ["rollout", "--tasks", "{d}/tasks.jsonl", "--policy", "{d}/policy_init.json",
-         "--guidance", "{bad}", "--out", "{out}"],
+        ["reattempt", "--tasks", "{d}/tasks.jsonl", "--policy-init", "{d}/policy_init.json",
+         "--guidance", "{bad}", "--guided-rollouts", "{out}"],
         {"schema": "guidance", "schema_version": 1}, {"guidance_id": "g-1"}, 2,
     ),
     "dataset": (
-        ["train-dpo", "--policy", "{d}/policy_sft.json", "--dataset", "{bad}", "--out", "{out}"],
+        ["train-dpo", "--policy-sft", "{d}/policy_sft.json", "--dataset", "{bad}",
+         "--policy-final", "{out}", "--dpo-log", "{out}.csv"],
         {"schema": "rlvr_dataset", "schema_version": 1},
         {"record": "pair", "task_id": "synth-0000", "winner": {}, "loser": {}, "provenance": "rollout_pair"},
         2,
     ),
     "header": (
-        ["evaluate", "--tasks", "{d}/tasks.jsonl", "--rollouts", "{bad}", "--out", "{out}"],
+        ["evaluate", "--tasks", "{d}/tasks.jsonl", "--rollouts", "{bad}", "--rewards", "{out}"],
         {"schema": "trajectories", "schema_version": "1"}, None, 1,
     ),
 }
@@ -387,5 +379,33 @@ def test_malformed_record_is_an_error_line_not_a_traceback(case, stepwise, tmp_p
     assert run([a.format(d=stepwise, bad=bad, out=out) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{bad}: line {line}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+CHECKPOINTS = {
+    "policy-without-heads": ("rollout", {"schema": "tabular_policy"}),
+    "policy-not-an-object": ("rollout", []),
+    "rm-weights-not-numbers": ("rank", {"schema": RM_SCHEMA, "weights": "x"}),
+    "rm-weights-wrong-shape": ("rank", {"schema": RM_SCHEMA, "weights": [1, 2]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINTS))
+def test_malformed_checkpoint_is_an_error_line_not_a_traceback(case, stepwise, tmp_path, capsys):
+    command, body = CHECKPOINTS[case]
+    if command == "rank":
+        body["featurization_version"] = FEATURIZATION_VERSION
+    bad, out = tmp_path / "bad.json", tmp_path / "out.jsonl"
+    bad.write_text(json.dumps(body))
+    if command == "rollout":
+        argv = ["rollout", "--tasks", stepwise / "tasks.jsonl", "--policy-init", bad, "--rollouts", out]
+    else:
+        argv = ["rank", "--tasks", stepwise / "tasks.jsonl", "--rm", bad,
+                "--rollouts", stepwise / "eval_rollouts.jsonl", "--rewards", stepwise / "eval_rewards.jsonl",
+                "--out", out]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
     assert "Traceback" not in err
     assert not out.exists()
