@@ -2,16 +2,21 @@
 
 Phases: tasks -> rollout -> evaluate -> guide -> reattempt ->
 evaluate-guided -> assemble -> train-sft -> train-dpo -> final-eval ->
-report. Each phase body is one module-level function that takes the
-RunConfig plus explicit input and output paths. PHASE_TABLE declares once
-what each phase reads and writes; PHASES, RunPaths, the manifest's artifact
-list and the stepwise CLI subcommands (one per row, one flag per artifact)
-come from it, so run_loop and the stepwise pipeline call the same functions
-and produce byte-identical artifacts by construction.
-run_loop and the stepwise commands commit a phase's outputs atomically
-through commit_outputs (`<file>.partial`, then os.replace); run_loop also
-records their sha256 in runstate.json, and on resume refuses a completed
-phase whose outputs no longer hash the same.
+report. Each phase body is one module-level function over values:
+fn(config, *input values) returns its output values and opens none of the
+run's files. PHASE_TABLE declares once what each phase reads and writes,
+and each artifact's file name with the one writer and reader of its format;
+RM_TABLE does the same for the reward-model commands train-rm and rank.
+PHASES, RunPaths, the manifest's artifact list and the stepwise CLI
+subcommands (one per row, one flag per artifact) come from the tables.
+
+run_phase calls a row's function and commits its results atomically
+through commit_outputs (`<file>.partial`, then os.replace). run_loop hands
+each phase the values earlier phases returned, records every output's
+sha256 in runstate.json, and on resume refuses a completed phase whose
+outputs no longer hash the same, then reads back only what the remaining
+phases need. A stepwise command reads its inputs through the same readers,
+so run_loop and the stepwise pipeline produce byte-identical artifacts.
 
 All randomness is derived from config.seed through labeled sub-seeds; the
 wall clock never feeds any decision, so rerunning a config reproduces every
@@ -50,6 +55,7 @@ from .jsonl import canonical_file_hash, derive_seed, read_records, write_records
 from .metrics import aggregate, guidance_uplift_report, render_report_text
 from .pairs import RlvrDataset, build_rlvr_dataset, emit_dataset, load_dataset
 from .policy import ReferencePolicy, TabularPolicy
+from .reward_model import PairwiseRM, build_rm_training_pairs, rank_best_of_k, rm_train
 from .rollout import (
     TEMPERATURE_SAMPLING,
     read_trajectories,
@@ -63,8 +69,9 @@ from .training import DPOConfig, dpo_train, sft_train, write_history_csv
 log = logging.getLogger(__name__)
 
 MANIFEST_SCHEMA = "run_manifest"
+SELECTIONS_SCHEMA = "rm_selections"
 
-StrPath = str | Path  # the phase functions take paths in either form
+StrPath = str | Path  # artifact paths, in either form
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -107,7 +114,7 @@ class RunConfig:
 # Flat key=value sections in the config file, mapped onto RunConfig fields.
 _SECTION_FIELDS = {
     "run": (
-        "output_dir", "seed", "workers", "rollouts_n", "max_tokens", "guidance_enabled",
+        "seed", "workers", "rollouts_n", "max_tokens", "guidance_enabled",
     ),
     "tasks": ("tasks_path", "synth_count", "synth_lines", "synth_candidates"),
     "backend": ("backend_kind", "backend_endpoint", "initial_policy", "container_image"),
@@ -145,7 +152,8 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
     """Build a RunConfig from an INI-style file plus key=value overrides.
 
     Overrides use 'section.key=value' and win over the file; unknown
-    sections or keys are usage errors, not silent typo sinks.
+    sections or keys are usage errors, not silent typo sinks, and so is a
+    backend or teacher kind that cannot be built.
     """
     config = RunConfig()
     if path is not None:
@@ -168,6 +176,8 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
         if section not in _SECTION_FIELDS or key not in _SECTION_FIELDS[section]:
             raise UsageError(f"unknown config key {dotted!r}")
         setattr(config, key, _coerce(key, raw))
+    for role in _KINDS:
+        _kind(config, role)
     return config
 
 
@@ -176,25 +186,30 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
 # ---------------------------------------------------------------------------
 
 
+_KINDS = {"backend": ("tabular", "remote"), "teacher": ("oracle", "remote")}
+
+
+def _kind(config: RunConfig, role: str) -> str:
+    """config.<role>_kind, once it is known and, if remote, has an endpoint."""
+    kind = getattr(config, f"{role}_kind")
+    if kind not in _KINDS[role]:
+        raise UsageError(f"unknown {role} kind {kind!r}")
+    if kind == "remote" and not getattr(config, f"{role}_endpoint"):
+        raise UsageError(f"{role}_kind=remote requires {role}_endpoint")
+    return kind
+
+
 def build_backend(config: RunConfig, policy: TabularPolicy) -> PolicyBackend:
-    if config.backend_kind == "tabular":
-        return TabularPolicyBackend(policy)
-    if config.backend_kind == "remote":
-        if not config.backend_endpoint:
-            raise UsageError("backend_kind=remote requires backend_endpoint")
+    if _kind(config, "backend") == "remote":
         return HttpPolicyBackend(config.backend_endpoint)
-    raise UsageError(f"unknown backend kind {config.backend_kind!r}")
+    return TabularPolicyBackend(policy)
 
 
 def build_teacher(config: RunConfig) -> TeacherBackend | None:
     """None means the built-in oracle; anything else is a text teacher."""
-    if config.teacher_kind == "oracle":
-        return None
-    if config.teacher_kind == "remote":
-        if not config.teacher_endpoint:
-            raise UsageError("teacher_kind=remote requires teacher_endpoint")
+    if _kind(config, "teacher") == "remote":
         return HttpTeacherBackend(config.teacher_endpoint)
-    raise UsageError(f"unknown teacher kind {config.teacher_kind!r}")
+    return None
 
 
 def resolve_tasks(config: RunConfig) -> TaskDataset:
@@ -296,168 +311,108 @@ def read_guidance(path: Path) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Phase functions: run_loop and the stepwise CLI subcommands both call these
+# Phase functions: fn(config, *input values) -> output value(s), no file I/O
 # ---------------------------------------------------------------------------
 
 
-def make_tasks(config: RunConfig, tasks: StrPath, policy: StrPath) -> None:
-    """Write the task suite, then the starting policy over it.
+def make_tasks(config: RunConfig) -> tuple[TaskDataset, TabularPolicy]:
+    """The task suite and the starting policy over it.
 
     The suite is config.tasks_path if set, else a synthetic one; the policy
     is config.initial_policy if set, else uniform.
     """
     dataset = resolve_tasks(config)
-    save_tasks(dataset, tasks)
     if config.initial_policy:
-        model = TabularPolicy.load(config.initial_policy)
-    else:
-        model = TabularPolicy.uniform(dataset)
-    model.save(policy, provenance={"phase": "init"})
+        return dataset, TabularPolicy.load(config.initial_policy)
+    return dataset, TabularPolicy.uniform(dataset)
 
 
-def rollout(
-    config: RunConfig, tasks: StrPath, policy: StrPath, out: StrPath, *, eval_mode: bool = False
-) -> list:
+def rollout(config: RunConfig, tasks: TaskDataset, policy: TabularPolicy, *, eval_mode: bool = False) -> list:
     """config.rollouts_n attempts per task from the policy, seeded by config.seed."""
-    backend = build_backend(config, TabularPolicy.load(policy))
-    trajs = rollout_all_tasks(
-        load_tasks(tasks), backend, config.rollouts_n, config.seed,
+    return rollout_all_tasks(
+        tasks, build_backend(config, policy), config.rollouts_n, config.seed,
         workers=config.workers, max_tokens=config.max_tokens, eval_mode=eval_mode,
     )
-    write_trajectories(trajs, out)
-    return trajs
 
 
-def reattempt(
-    config: RunConfig, tasks: StrPath, guidance: StrPath, policy: StrPath, out: StrPath
-) -> list:
+def reattempt(config: RunConfig, tasks: TaskDataset, guidance: list, policy: TabularPolicy) -> list:
     """One guided reattempt per guidance record."""
-    guidance_list = read_guidance(guidance)
-    trajs = []
-    if guidance_list:
-        backend = build_backend(config, TabularPolicy.load(policy))
-        trajs = reattempt_with_guidance(
-            load_tasks(tasks), guidance_list, backend, config.seed,
-            max_tokens=config.max_tokens, workers=config.workers,
-        )
-    write_trajectories(trajs, out)
-    return trajs
-
-
-def _score(config: RunConfig, dataset: TaskDataset, trajectories, out: StrPath) -> list:
-    records = evaluate_trajectories(
-        dataset, trajectories, workers=config.workers, container_image=config.container_image
+    return reattempt_with_guidance(
+        tasks, guidance, build_backend(config, policy), config.seed,
+        max_tokens=config.max_tokens, workers=config.workers,
     )
-    write_rewards(records, out)
-    return records
 
 
-def evaluate(config: RunConfig, tasks: StrPath, rollouts: StrPath, out: StrPath) -> list:
+def evaluate(config: RunConfig, tasks: TaskDataset, rollouts: list) -> list:
     """One reward record (or EvaluationFailure) per trajectory."""
-    return _score(config, load_tasks(tasks), read_trajectories(rollouts), out)
+    return evaluate_trajectories(tasks, rollouts, workers=config.workers, container_image=config.container_image)
 
 
-def guide(config: RunConfig, tasks: StrPath, rollouts: StrPath, rewards: StrPath, out: StrPath) -> list:
+def guide(config: RunConfig, tasks: TaskDataset, rollouts: list, rewards: list) -> list:
     """Teacher guidance for every failed attempt; none when guidance is off."""
-    guidance_list = []
-    if config.guidance_enabled:
-        teacher = build_teacher(config)
-        guidance_list = guide_failures(
-            load_tasks(tasks), read_trajectories(rollouts), read_rewards(rewards), teacher
-        )
-    write_guidance(guidance_list, out)
-    return guidance_list
+    if not config.guidance_enabled:
+        return []
+    return guide_failures(tasks, rollouts, rewards, build_teacher(config))
 
 
 def assemble(
-    config: RunConfig,
-    rollouts: StrPath,
-    rewards: StrPath,
-    guided_rollouts: StrPath,
-    guided_rewards: StrPath,
-    guidance: StrPath,
-    out: StrPath,
+    config: RunConfig, rollouts: list, rewards: list, guided_rollouts: list, guided_rewards: list, guidance: list
 ) -> RlvrDataset:
     """Preference pairs and the SFT subset."""
-    rlvr = build_rlvr_dataset(
-        read_trajectories(rollouts),
-        read_rewards(rewards),
-        read_trajectories(guided_rollouts),
-        read_rewards(guided_rewards),
-        read_guidance(guidance),
+    return build_rlvr_dataset(
+        rollouts, rewards, guided_rollouts, guided_rewards, guidance,
         sft_fraction=config.sft_fraction,
         max_pairs_per_task=config.max_pairs_per_task,
         seed=config.seed,
         keep_guidance_in_prompt=config.keep_guidance_in_prompt,
         include_guided_in_sft=config.include_guided_in_sft,
     )
-    emit_dataset(rlvr, out)
-    return rlvr
 
 
-def train_sft(
-    config: RunConfig, policy: StrPath, dataset: StrPath, out: StrPath, history_csv: StrPath
-) -> list:
-    """SFT on the dataset's positives; a fine-tuned policy is written through unchanged."""
-    model = TabularPolicy.load(policy)
-    rlvr = load_dataset(dataset)
-    history: list = []
+def train_sft(config: RunConfig, policy: TabularPolicy, dataset: RlvrDataset) -> tuple[TabularPolicy, list]:
+    """SFT of a copy of the policy on the dataset's positives; a fine-tuned policy passes through unchanged."""
+    model, history = policy.clone(), []
     if model.fine_tuned:
         log.info("policy already fine-tuned; skipping sft")
     else:
         sft_config = DPOConfig(learning_rate=config.sft_learning_rate, epochs=config.sft_epochs)
-        sft_train(model, rlvr.sft, sft_config, history_out=history)
-    model.save(out, provenance={"phase": "sft"})
-    write_history_csv(history, history_csv)
-    return history
+        sft_train(model, dataset.sft, sft_config, history_out=history)
+    return model, history
 
 
-def train_dpo(
-    config: RunConfig, policy: StrPath, dataset: StrPath, out: StrPath, history_csv: StrPath
-) -> list:
-    """DPO on the dataset's pairs against a frozen copy of the input policy."""
-    model = TabularPolicy.load(policy)
-    reference = ReferencePolicy(model)
-    rlvr = load_dataset(dataset)
-    history: list = []
+def train_dpo(config: RunConfig, policy: TabularPolicy, dataset: RlvrDataset) -> tuple[TabularPolicy, list]:
+    """DPO of a copy of the policy on the dataset's pairs against a frozen copy of the policy."""
+    model, history = policy.clone(), []
     dpo_config = DPOConfig(
         beta=config.dpo_beta, learning_rate=config.dpo_learning_rate, epochs=config.dpo_epochs
     )
-    dpo_train(model, rlvr.pairs, dpo_config, reference=reference, history_out=history)
-    model.save(out, provenance={"phase": "dpo"})
-    write_history_csv(history, history_csv)
-    return history
+    dpo_train(model, dataset.pairs, dpo_config, reference=ReferencePolicy(policy), history_out=history)
+    return model, history
 
 
-def final_eval(
-    config: RunConfig, tasks: StrPath, policy: StrPath, rollouts_out: StrPath, rewards_out: StrPath
-) -> list:
+def final_eval(config: RunConfig, tasks: TaskDataset, policy: TabularPolicy) -> tuple[list, list]:
     """Eval-mode rollouts of the trained policy under a seed derived from config.seed, then scoring."""
     eval_config = replace(config, seed=derive_seed(config.seed, "final-eval"))
-    trajs = rollout(eval_config, tasks, policy, rollouts_out, eval_mode=True)
-    return _score(config, load_tasks(tasks), trajs, rewards_out)
+    trajs = rollout(eval_config, tasks, policy, eval_mode=True)
+    return trajs, evaluate(config, tasks, trajs)
 
 
 def report(
     config: RunConfig,
-    rollouts: StrPath,
-    rewards: StrPath,
-    guided_rewards: StrPath,
-    eval_rollouts: StrPath,
-    eval_rewards: StrPath,
-    out_json: StrPath,
-    out_txt: StrPath,
-    selections: dict[str, int] | None = None,
-) -> str:
-    """Pre- vs post-training report; returns the text form."""
-    pre = aggregate(read_trajectories(rollouts), read_rewards(rewards), bootstrap_seed=config.seed)
-    uplift = guidance_uplift_report(read_rewards(rewards), read_rewards(guided_rewards))
+    rollouts: list,
+    rewards: list,
+    guided_rewards: list,
+    eval_rollouts: list,
+    eval_rewards: list,
+    selections: list | None = None,
+) -> tuple[dict, str]:
+    """Pre- vs post-training report, as a JSON body and as text."""
+    pre = aggregate(rollouts, rewards, bootstrap_seed=config.seed)
+    uplift = guidance_uplift_report(rewards, guided_rewards)
     post = aggregate(
-        read_trajectories(eval_rollouts), read_rewards(eval_rewards),
-        selections=selections, guidance_uplift=uplift, bootstrap_seed=config.seed,
+        eval_rollouts, eval_rewards, guidance_uplift=uplift, bootstrap_seed=config.seed,
+        selections=None if selections is None else {s["task_id"]: s["reward"] for s in selections},
     )
-    body = {"pre_training": pre.to_dict(), "post_training": post.to_dict()}
-    Path(out_json).write_text(json.dumps(body, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     text = (
         "== pre-training (rollout phase) ==\n"
         + render_report_text(pre)
@@ -465,46 +420,148 @@ def report(
         + render_report_text(post)
         + "\n"
     )
-    Path(out_txt).write_text(text, encoding="utf-8")
-    return text
+    return {"pre_training": pre.to_dict(), "post_training": post.to_dict()}, text
+
+
+def train_rm(config: RunConfig, tasks: TaskDataset, dataset: RlvrDataset) -> tuple[PairwiseRM, list]:
+    """Train the pairwise patch reward model on the dataset's pairs."""
+    history: list = []
+    return rm_train(build_rm_training_pairs(dataset.pairs, tasks.by_id), history_out=history), history
+
+
+def rank(config: RunConfig, tasks: TaskDataset, rm: PairwiseRM, eval_rollouts: list, eval_rewards: list) -> list:
+    """Best-of-k selection with a trained reward model: one record per task."""
+    rewards = {r.trajectory_ref: r for r in eval_rewards if not isinstance(r, EvaluationFailure)}
+    grouped: dict[str, list] = {}
+    for traj in eval_rollouts:
+        grouped.setdefault(traj.task_id, []).append(traj)
+    selections = []
+    for task_id in sorted(grouped):
+        task = tasks.by_id.get(task_id)
+        if task is None:
+            raise UsageError(f"rollouts reference unknown task {task_id!r}")
+        batch = grouped[task_id]
+        index = rank_best_of_k(rm, task.issue, [t.patch for t in batch]).selected_index
+        rec = rewards.get(batch[index].traj_id)
+        if rec is None:
+            raise UsageError(f"no reward record for selected trajectory {batch[index].traj_id!r}")
+        selections.append({
+            "record": "selection",
+            "task_id": task_id,
+            "trajectory_ref": batch[index].traj_id,
+            "selected_index": index,
+            "k": len(batch),
+            "reward": rec.reward,
+        })
+    return selections
 
 
 # ---------------------------------------------------------------------------
-# The phase table and the loop
+# The phase tables and the loop
 # ---------------------------------------------------------------------------
+
+
+def _write_text(text: str, path: StrPath) -> None:
+    Path(path).write_text(text, encoding="utf-8")
+
+
+class Artifact(NamedTuple):
+    """A file a row writes: its name in a run directory, and its format's writer and reader.
+
+    write(value, path) and read(path) -> value. Those that call a function
+    imported into this module are lambdas that look it up when called, so a
+    replaced module global is the one used. read is None for an artifact no
+    row takes as an input.
+    """
+
+    file: str
+    write: Callable
+    read: Callable | None = None
+
+
+def _trajectories(file: str) -> Artifact:
+    return Artifact(file, lambda trajs, path: write_trajectories(trajs, path), lambda path: read_trajectories(path))
+
+
+def _rewards(file: str) -> Artifact:
+    return Artifact(file, lambda records, path: write_rewards(records, path), lambda path: read_rewards(path))
+
+
+def _policy(file: str, made_by: str) -> Artifact:
+    return Artifact(
+        file,
+        lambda model, path: model.save(path, provenance={"phase": made_by}),
+        lambda path: TabularPolicy.load(path),
+    )
+
+
+def _log(file: str) -> Artifact:
+    return Artifact(file, lambda history, path: write_history_csv(history, path))
 
 
 class Phase(NamedTuple):
-    """One loop phase, called as fn(config, *input paths, *output paths)."""
+    """One row, called as fn(config, *input values, *optional values); returns one value per output."""
 
     name: str
     fn: Callable
-    inputs: tuple[str, ...]  # artifact names, each an output of an earlier phase
-    outputs: dict[str, str]  # artifact name -> file name in the run directory
+    inputs: tuple[str, ...]  # artifact names, each an output of an earlier row
+    outputs: dict[str, Artifact]  # artifact name -> its file and format
+    optional: tuple[str, ...] = ()  # inputs only a stepwise command passes; None when absent
 
 
 PHASE_TABLE = (
-    Phase("tasks", make_tasks, (), {"tasks": "tasks.jsonl", "policy_init": "policy_init.json"}),
-    Phase("rollout", rollout, ("tasks", "policy_init"), {"rollouts": "rollouts.jsonl"}),
-    Phase("evaluate", evaluate, ("tasks", "rollouts"), {"rewards": "rewards.jsonl"}),
-    Phase("guide", guide, ("tasks", "rollouts", "rewards"), {"guidance": "guidance.jsonl"}),
+    Phase("tasks", make_tasks, (), {
+        "tasks": Artifact("tasks.jsonl", lambda suite, path: save_tasks(suite, path), lambda path: load_tasks(path)),
+        "policy_init": _policy("policy_init.json", "init"),
+    }),
+    Phase("rollout", rollout, ("tasks", "policy_init"), {"rollouts": _trajectories("rollouts.jsonl")}),
+    Phase("evaluate", evaluate, ("tasks", "rollouts"), {"rewards": _rewards("rewards.jsonl")}),
+    Phase("guide", guide, ("tasks", "rollouts", "rewards"), {"guidance": Artifact(
+        "guidance.jsonl", lambda guidance, path: write_guidance(guidance, path), lambda path: read_guidance(path)
+    )}),
     Phase("reattempt", reattempt, ("tasks", "guidance", "policy_init"),
-          {"guided_rollouts": "guided_rollouts.jsonl"}),
+          {"guided_rollouts": _trajectories("guided_rollouts.jsonl")}),
     Phase("evaluate-guided", evaluate, ("tasks", "guided_rollouts"),
-          {"guided_rewards": "guided_rewards.jsonl"}),
-    Phase("assemble", assemble, ("rollouts", "rewards", "guided_rollouts", "guided_rewards", "guidance"),
-          {"dataset": "dataset.jsonl"}),
+          {"guided_rewards": _rewards("guided_rewards.jsonl")}),
+    Phase("assemble", assemble, ("rollouts", "rewards", "guided_rollouts", "guided_rewards", "guidance"), {
+        "dataset": Artifact("dataset.jsonl", lambda d, path: emit_dataset(d, path), lambda path: load_dataset(path)),
+    }),
     Phase("train-sft", train_sft, ("policy_init", "dataset"),
-          {"policy_sft": "policy_sft.json", "sft_log": "sft_log.csv"}),
+          {"policy_sft": _policy("policy_sft.json", "sft"), "sft_log": _log("sft_log.csv")}),
     Phase("train-dpo", train_dpo, ("policy_sft", "dataset"),
-          {"policy_final": "policy_final.json", "dpo_log": "dpo_log.csv"}),
+          {"policy_final": _policy("policy_final.json", "dpo"), "dpo_log": _log("dpo_log.csv")}),
     Phase("final-eval", final_eval, ("tasks", "policy_final"),
-          {"eval_rollouts": "eval_rollouts.jsonl", "eval_rewards": "eval_rewards.jsonl"}),
-    Phase("report", report, ("rollouts", "rewards", "guided_rewards", "eval_rollouts", "eval_rewards"),
-          {"report_json": "report.json", "report_txt": "report.txt"}),
+          {"eval_rollouts": _trajectories("eval_rollouts.jsonl"), "eval_rewards": _rewards("eval_rewards.jsonl")}),
+    Phase("report", report, ("rollouts", "rewards", "guided_rewards", "eval_rollouts", "eval_rewards"), {
+        "report_json": Artifact(
+            "report.json", lambda body, path: _write_text(json.dumps(body, sort_keys=True, indent=1) + "\n", path)
+        ),
+        "report_txt": Artifact("report.txt", _write_text),
+    }, optional=("selections",)),
+)
+# Best-of-k on a finished run: stepwise commands only, outside run_loop and its
+# manifest. Their functions read no RunConfig field, so the commands take no settings.
+RM_TABLE = (
+    Phase("train-rm", train_rm, ("tasks", "dataset"),
+          {"rm": Artifact("rm.json", PairwiseRM.save, PairwiseRM.load), "rm_log": _log("rm_log.csv")}),
+    Phase("rank", rank, ("tasks", "rm", "eval_rollouts", "eval_rewards"), {
+        "selections": Artifact(
+            "selections.jsonl",
+            lambda selections, path: write_records(path, SELECTIONS_SCHEMA, selections),
+            lambda path: [s for _, s in read_records(
+                path, SELECTIONS_SCHEMA, lambda rec: dict(rec, task_id=rec["task_id"], reward=int(rec["reward"]))
+            )],
+        ),
+    }),
 )
 PHASES = tuple(phase.name for phase in PHASE_TABLE)
-ARTIFACTS = {name: file for phase in PHASE_TABLE for name, file in phase.outputs.items()}
+ARTIFACTS = {name: artifact.file for phase in PHASE_TABLE for name, artifact in phase.outputs.items()}
+_DECLARED = {name: artifact for phase in (*PHASE_TABLE, *RM_TABLE) for name, artifact in phase.outputs.items()}
+
+
+def read_artifact(name: str, path: StrPath):
+    """The value an artifact file holds, through the reader its row declares."""
+    return _DECLARED[name].read(path)
 
 
 class RunPaths:
@@ -518,22 +575,34 @@ class RunPaths:
         self.manifest = self.dir / "manifest.json"
 
 
-def commit_outputs(write: Callable, *outputs: StrPath):
+def commit_outputs(write: Callable, *outputs: StrPath) -> None:
     """write(*partial paths), then each `<output>.partial` os.replace'd onto its output.
 
     A reader sees an output's old bytes or its new ones, never half: a crash
     inside write leaves every output as it was, and a half-written file
-    keeps its `.partial` name. Returns what write returns.
+    keeps its `.partial` name.
     """
     partials = [Path(f"{out}.partial") for out in outputs]
-    result = write(*partials)
+    write(*partials)
     for partial, out in zip(partials, outputs):
         os.replace(partial, out)
-    return result
+
+
+def run_phase(phase: Phase, config: RunConfig, inputs: list, outputs: list) -> dict:
+    """phase.fn(config, *inputs), its results committed to the output paths; returns them by artifact name."""
+    results = phase.fn(config, *inputs)
+    values = dict(zip(phase.outputs, results if len(phase.outputs) > 1 else (results,)))
+
+    def write(*partials):
+        for (name, artifact), partial in zip(phase.outputs.items(), partials):
+            artifact.write(values[name], partial)
+
+    commit_outputs(write, *outputs)
+    return values
 
 
 def _write_replacing(path: Path, text: str) -> None:
-    commit_outputs(lambda partial: partial.write_text(text, encoding="utf-8"), path)
+    commit_outputs(lambda partial: _write_text(text, partial), path)
 
 
 class RunState:
@@ -562,6 +631,9 @@ class RunState:
 def run_loop(config: RunConfig, resume: bool = False) -> dict:
     """Execute one training iteration; returns the manifest dict.
 
+    Each phase gets the values earlier phases returned; an output of a phase
+    completed before a resume is read back from its verified file instead.
+    A value is dropped after the last phase that reads it.
     A phase failure raises PhaseError with the earlier phases committed;
     rerun with resume=True to continue after them, which raises
     CheckpointError if one of their outputs is missing, edited or unhashed.
@@ -575,8 +647,10 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
         raise UsageError(
             f"{paths.dir} already holds a run (phases {state.completed}); pass resume to continue"
         )
-    for phase in PHASE_TABLE:
-        outputs = [paths.dir / file for file in phase.outputs.values()]
+    last_read = {name: i for i, phase in enumerate(PHASE_TABLE) for name in phase.inputs}
+    values: dict = {}
+    for i, phase in enumerate(PHASE_TABLE):
+        outputs = [getattr(paths, name) for name in phase.outputs]
         if phase.name in state.completed:
             for file in outputs:
                 if file.name not in state.hashes:
@@ -585,12 +659,16 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
                     raise CheckpointError(f"{file} is missing or changed since phase {phase.name!r} completed")
             log.info("phase %-16s already complete, skipping", phase.name)
             continue
+        for name in phase.inputs:
+            if name not in values:
+                values[name] = read_artifact(name, getattr(paths, name))
         log.info("phase %-16s starting", phase.name)
-        inputs = [getattr(paths, name) for name in phase.inputs]
         try:
-            commit_outputs(lambda *partials: phase.fn(config, *inputs, *partials), *outputs)
+            values.update(run_phase(phase, config, [values[name] for name in phase.inputs], outputs))
         except RlvrLoopError as exc:
             raise PhaseError(phase.name, str(exc)) from exc
+        for name in [name for name in values if last_read.get(name, -1) <= i]:
+            del values[name]
         for file in outputs:
             state.hashes[file.name] = canonical_file_hash(file)
         state.mark(phase.name)

@@ -7,9 +7,10 @@ from collections import Counter
 
 import pytest
 
-from rlvrloop.cli import build_parser, main, read_selections
+from rlvrloop.cli import build_parser, main
+from rlvrloop.errors import GuidanceError
 from rlvrloop.jsonl import canonical_file_hash
-from rlvrloop.loop import ARTIFACTS, PHASE_TABLE, PHASES
+from rlvrloop.loop import ARTIFACTS, PHASE_TABLE, PHASES, RM_TABLE, read_artifact
 from rlvrloop.evaluator import EvaluationFailure, read_rewards
 from rlvrloop.pairs import PROVENANCE_ROLLOUT, load_dataset
 from rlvrloop.prompts import HINT_DELIMITER
@@ -99,8 +100,8 @@ def test_stepwise_matches_loop_at_non_default_settings(stepwise, tmp_path):
     # tasks through evaluate-guided do not depend on the settings under test
     first = PHASES.index("assemble")
     for phase in PHASE_TABLE[:first]:
-        for file in phase.outputs.values():
-            shutil.copy(stepwise / file, d / file)
+        for name in phase.outputs:
+            shutil.copy(stepwise / ARTIFACTS[name], d / ARTIFACTS[name])
     run_stepwise(d, sets, PHASE_TABLE[first:])
 
     loop = tmp_path / "loop"
@@ -119,14 +120,18 @@ def test_stepwise_matches_loop_at_non_default_settings(stepwise, tmp_path):
 
 
 def test_every_stepwise_flag_comes_from_the_phase_table():
-    """No stepwise flag is written by hand: artifacts, plus run-loop's settings arguments."""
+    """No stepwise flag is written by hand: artifacts, plus run-loop's settings arguments.
+
+    The reward-model rows read no setting, so their commands take only artifacts.
+    """
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    for phase in PHASE_TABLE:
+    for phase in (*PHASE_TABLE, *RM_TABLE):
         options = {s for a in sub.choices[phase.name]._actions for s in a.option_strings if s.startswith("--")}
-        expected = {flag(a) for a in (*phase.inputs, *phase.outputs)} | {"--config", "--set", "--seed", "--help"}
-        if phase.name == "report":
-            expected.add("--selections")
-        assert options == expected, phase.name
+        artifacts = {flag(a) for a in (*phase.inputs, *phase.outputs, *phase.optional)}
+        settings = {"--config", "--set", "--seed"} if phase in PHASE_TABLE else set()
+        assert options == artifacts | settings | {"--help"}, phase.name
+    assert [p.name for p in RM_TABLE] == ["train-rm", "rank"]
+    assert [p.optional for p in PHASE_TABLE if p.optional] == [("selections",)]  # report's only
 
 
 def test_tasks_command_writes_suite_and_policy(stepwise, tmp_path, capsys):
@@ -170,11 +175,11 @@ def test_stepwise_rollout_reaches_the_remote_backend(stepwise, tmp_path, monkeyp
 def test_rank_and_report_selections_flow(stepwise, tmp_path):
     d = stepwise
     assert run(["train-rm", "--tasks", d / "tasks.jsonl", "--dataset", d / "dataset.jsonl",
-                "--out", tmp_path / "rm.json", "--log", tmp_path / "rm_log.csv"]) == 0
+                "--rm", tmp_path / "rm.json", "--rm-log", tmp_path / "rm_log.csv"]) == 0
     assert run(["rank", "--tasks", d / "tasks.jsonl", "--rm", tmp_path / "rm.json",
-                "--rollouts", d / "eval_rollouts.jsonl", "--rewards", d / "eval_rewards.jsonl",
-                "--out", tmp_path / "selections.jsonl"]) == 0
-    selections = read_selections(tmp_path / "selections.jsonl")
+                "--eval-rollouts", d / "eval_rollouts.jsonl", "--eval-rewards", d / "eval_rewards.jsonl",
+                "--selections", tmp_path / "selections.jsonl"]) == 0
+    selections = {s["task_id"]: s["reward"] for s in read_artifact("selections", tmp_path / "selections.jsonl")}
     assert len(selections) == 4
     assert set(selections.values()) <= {0, 1}
 
@@ -209,19 +214,31 @@ def test_run_loop_command_and_overrides(tmp_path, capsys):
     assert run(argv + ["--resume"]) == 0
 
 
-def test_run_loop_phase_failure_exit_code_and_resume(tmp_path, capsys):
+def test_run_loop_phase_failure_exit_code_and_resume(tmp_path, capsys, monkeypatch):
+    import rlvrloop.loop as loop
+
     out = tmp_path / "run"
     base = ["run-loop", "--output-dir", out, "--seed", SEED,
             "--set", "run.workers=1", "--set", "run.rollouts_n=4",
             "--set", "tasks.synth_count=3", "--set", "tasks.synth_lines=3",
             "--set", "tasks.synth_candidates=3",
             "--set", "sft.sft_epochs=10", "--set", "dpo.dpo_epochs=10"]
-    assert run(base + ["--set", "teacher.teacher_kind=remote"]) == 2
+    # a teacher that cannot be built is a config error before any phase runs
+    assert run(base + ["--set", "teacher.teacher_kind=remote"]) == 1
+    assert "requires teacher_endpoint" in capsys.readouterr().err
+    assert not (out / "runstate.json").exists()
+
+    def no_guidance(*args, **kwargs):
+        raise GuidanceError("the teacher answered nothing usable")
+
+    monkeypatch.setattr(loop, "guide_failures", no_guidance)
+    assert run(base) == 2
     err = capsys.readouterr().err
     assert "phase 'guide' failed" in err
     state = json.loads((out / "runstate.json").read_text())
     assert state["completed"] == ["tasks", "rollout", "evaluate"]
 
+    monkeypatch.undo()
     assert run(base + ["--resume"]) == 0
     state = json.loads((out / "runstate.json").read_text())
     assert len(state["completed"]) == 11
@@ -254,6 +271,14 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(["tasks", "--tasks", tmp_path / "t.jsonl", "--policy-init", tmp_path / "p.json",
                 "--set", "tasks.frobnicate=1"]) == 1
     assert "unknown config key" in capsys.readouterr().err
+    # the run directory is run-loop's --output-dir, never a setting
+    assert run(["tasks", "--tasks", tmp_path / "t.jsonl", "--policy-init", tmp_path / "p.json",
+                "--set", "run.output_dir=elsewhere"]) == 1
+    assert "unknown config key" in capsys.readouterr().err
+    assert not (tmp_path / "t.jsonl").exists()
+    assert run(["run-loop", "--output-dir", tmp_path / "run", "--set", "backend.backend_kind=quantum"]) == 1
+    assert "unknown backend kind 'quantum'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
     assert run(["guide", "--tasks", "x", "--rollouts", "y", "--rewards", "z",
                 "--guidance", "w", "--set", "teacher.teacher_kind=remote"]) == 1
@@ -402,8 +427,8 @@ def test_malformed_checkpoint_is_an_error_line_not_a_traceback(case, stepwise, t
         argv = ["rollout", "--tasks", stepwise / "tasks.jsonl", "--policy-init", bad, "--rollouts", out]
     else:
         argv = ["rank", "--tasks", stepwise / "tasks.jsonl", "--rm", bad,
-                "--rollouts", stepwise / "eval_rollouts.jsonl", "--rewards", stepwise / "eval_rewards.jsonl",
-                "--out", out]
+                "--eval-rollouts", stepwise / "eval_rollouts.jsonl",
+                "--eval-rewards", stepwise / "eval_rewards.jsonl", "--selections", out]
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err

@@ -24,11 +24,14 @@ from rlvrloop.loop import (
     evaluate_trajectories,
     guide_failures,
     load_config,
+    read_artifact,
     read_guidance,
     reattempt_with_guidance,
     resolve_tasks,
     rollout_all_tasks,
     run_loop,
+    train_dpo,
+    train_sft,
     write_guidance,
 )
 from rlvrloop.policy import TabularPolicy
@@ -131,6 +134,19 @@ def test_config_rejects_bad_values_and_overrides(tmp_path):
 
     with pytest.raises(UsageError, match="seed='notanint'"):
         load_config(None, overrides=["run.seed=notanint"])
+
+
+@pytest.mark.parametrize("override, message", [
+    ("backend.backend_kind=quantum", "unknown backend kind 'quantum'"),
+    ("backend.backend_kind=remote", "backend_kind=remote requires backend_endpoint"),
+    ("teacher.teacher_kind=socratic", "unknown teacher kind 'socratic'"),
+    ("teacher.teacher_kind=remote", "teacher_kind=remote requires teacher_endpoint"),
+    ("run.output_dir=elsewhere", "unknown config key 'run.output_dir'"),
+])
+def test_config_rejects_what_no_phase_could_run(override, message):
+    """A backend or teacher that cannot be built fails the config, before any phase."""
+    with pytest.raises(UsageError, match=message):
+        load_config(None, overrides=[override])
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +431,35 @@ def test_crash_mid_write_leaves_no_final_file_and_resume_matches(finished_run, t
     for file in ARTIFACTS.values():
         assert (paths.dir / file).read_bytes() == (done.dir / file).read_bytes(), file
     assert not list(paths.dir.glob("*.partial"))
+
+
+@pytest.mark.parametrize("k", range(1, len(PHASES)))
+def test_resume_from_every_phase_boundary_matches_the_uninterrupted_run(finished_run, tmp_path, k):
+    """Outputs read back on resume feed later phases exactly as the handed-forward values did."""
+    config, done, _ = finished_run
+    out = tmp_path / "run"
+    shutil.copytree(done.dir, out)
+    state = json.loads((out / "runstate.json").read_text())
+    (out / "runstate.json").write_text(json.dumps({**state, "completed": list(PHASES[:k])}) + "\n")
+    for phase in PHASE_TABLE[k:]:
+        for name in phase.outputs:
+            (out / ARTIFACTS[name]).unlink()
+    run_loop(replace(config, output_dir=str(out)), resume=True)
+    for file in ARTIFACTS.values():
+        assert (out / file).read_bytes() == (done.dir / file).read_bytes(), file
+    assert not list(out.glob("*.partial"))
+
+
+def test_training_phases_leave_their_input_policy_alone(finished_run):
+    config, done, _ = finished_run
+    dataset = read_artifact("dataset", done.dataset)
+    for phase, made, policy_file in ((train_sft, done.policy_sft, done.policy_init),
+                                     (train_dpo, done.policy_final, done.policy_sft)):
+        policy = read_artifact(policy_file.stem, policy_file)
+        before = policy.fingerprint()
+        trained, _ = phase(config, policy, dataset)
+        assert policy.fingerprint() == before
+        assert trained.fingerprint() == TabularPolicy.load(made).fingerprint() != before
 
 
 def test_resume_refuses_an_edited_missing_or_unhashed_output(finished_run, tmp_path, capsys):
