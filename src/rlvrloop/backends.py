@@ -8,6 +8,7 @@ records `backend_deterministic` from the configured backend kind.
 """
 from __future__ import annotations
 
+import bisect
 import contextlib
 import json
 from dataclasses import dataclass
@@ -15,9 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prompts
-from .errors import BackendError
+from .errors import BackendError, TrainingError
 from .jsonl import derive_seed
-from .policy import TabularPolicy
+from .policy import TabularPolicy, softmax
+
+# The tolerance numpy's Generator.choice allows on sum(p) before it raises.
+_P_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -49,13 +53,23 @@ class PolicyBackend:
 
 
 class TabularPolicyBackend(PolicyBackend):
-    """Reads scaffold prompts and answers from a TabularPolicy.
+    """Reads scaffold prompts and answers from a frozen copy of a TabularPolicy.
 
     Localization samples a statement index from the line softmax; repair
     samples a candidate index conditioned on the statement named in the
     prompt. A hint block naming a statement restricts the localization
     action space to that statement, which is the desk-scale mechanization
     of "the model may follow the hint".
+
+    The copy is taken at construction, so a policy trained afterwards needs
+    a new backend (the loop builds one per phase). Each (task, line or None
+    for the line distribution, temperature) softmax is turned once into
+    the cumulative distribution numpy's Generator.choice builds, and a draw
+    is bisect_right(cdf, rng.random()) on a generator seeded from
+    (backend_id, task_id, seed) and built only when a draw is made: the
+    same index rng.choice(len(p), p=p) returns, bit for bit, which
+    tests/test_backends.py checks against that call. Temperature 0 is the
+    argmax of the logits.
 
     Generation is in-process and holds the GIL, so callers run it inline:
     a thread pool around it only adds overhead.
@@ -65,34 +79,56 @@ class TabularPolicyBackend(PolicyBackend):
     max_concurrency = 1
 
     def __init__(self, policy: TabularPolicy):
-        self.policy = policy
+        self.policy = policy.frozen()
+        self._cdfs: dict[tuple[str, int | None, float], list[float]] = {}
 
     def generate(self, prompt: str, params: SamplingParams) -> Completion:
         task_id = prompts.prompt_task_id(prompt)
         if task_id is None or task_id not in self.policy.heads:
             raise BackendError(f"{self.backend_id}: prompt names no known task")
-        rng = np.random.default_rng(derive_seed(self.backend_id, task_id, params.seed))
-        step = prompts.prompt_step(prompt)
-
-        if step == prompts.LOC_STEP:
+        localize = prompts.prompt_step(prompt) == prompts.LOC_STEP
+        if localize:
             hinted = prompts.prompt_hint_line(prompt)
-            n_lines = self.policy.head(task_id).line_logits.size
-            if hinted is not None and 0 <= hinted < n_lines:
-                line = hinted
-            else:
-                line = self.policy.sample_line(task_id, params.temperature, rng)
-            return Completion(text=prompts.format_line_completion(line))
+            if hinted is not None and 0 <= hinted < self.policy.heads[task_id].line_logits.size:
+                return Completion(text=prompts.format_line_completion(hinted))
+        temperature = params.temperature
+        # np.random.default_rng(seed) is this generator, built without its argument checks
+        rng = None if temperature == 0 else np.random.Generator(
+            np.random.PCG64(derive_seed(self.backend_id, task_id, params.seed))
+        )
+
+        if localize:
+            return Completion(text=prompts.format_line_completion(self._draw(task_id, None, temperature, rng)))
 
         if prompts.prompt_is_whole_workspace_repair(prompt):
-            line = self.policy.sample_line(task_id, params.temperature, rng)
-            cand = self.policy.sample_cand(task_id, line, params.temperature, rng)
+            line = self._draw(task_id, None, temperature, rng)
+            cand = self._draw(task_id, line, temperature, rng)
             return Completion(text=prompts.format_line_candidate_completion(line, cand))
 
         line = prompts.prompt_repair_line(prompt)
         if line is None:
             raise BackendError(f"{self.backend_id}: repair prompt names no statement")
-        cand = self.policy.sample_cand(task_id, line, params.temperature, rng)
-        return Completion(text=prompts.format_candidate_completion(cand))
+        return Completion(text=prompts.format_candidate_completion(self._draw(task_id, line, temperature, rng)))
+
+    def _draw(self, task_id: str, line: int | None, temperature: float, rng: np.random.Generator | None) -> int:
+        """A statement index (line None) or a candidate index at line; rng is None at temperature 0."""
+        head = self.policy.heads[task_id]
+        if line is not None and not 0 <= line < head.cand_logits.shape[0]:
+            raise TrainingError(f"{task_id}: line {line} outside policy table")
+        logits = head.line_logits if line is None else head.cand_logits[line]
+        if rng is None:
+            return int(np.argmax(logits))
+        key = (task_id, line, temperature)
+        cdf = self._cdfs.get(key)
+        if cdf is None:
+            p = softmax(logits, temperature)
+            total = p.sum()
+            if not abs(total - 1.0) <= _P_SUM_TOLERANCE:  # a NaN sum fails the comparison, so it raises too
+                raise ValueError(f"{task_id}: probabilities sum to {total}, not 1")
+            c = p.cumsum()
+            c /= c[-1]
+            cdf = self._cdfs[key] = c.tolist()
+        return bisect.bisect_right(cdf, rng.random())
 
 
 def call_with_retry(fn, *args, max_retries: int = 2):

@@ -31,13 +31,12 @@ from .errors import (
     SandboxProvisionError,
     UsageError,
 )
-from .evaluator import EvaluationFailure
 from .loop import (
     PHASE_TABLE,
     RM_TABLE,
     RunConfig,
     RunPaths,
-    count_infra_errors,
+    infra_failures,
     load_config,
     read_artifact,
     run_loop,
@@ -74,20 +73,19 @@ def cmd_phase(args) -> int:
     outputs = [getattr(args, name) for name in phase.outputs]
     values = run_phase(phase, config, inputs, outputs)
     print(f"{phase.name}: wrote {' '.join(outputs)}")
-    records = [r for value in values.values() if isinstance(value, list) for r in value]
-    return 3 if any(isinstance(r, EvaluationFailure) for r in records) else 0
+    return 3 if infra_failures(values) else 0
 
 
 def cmd_run_loop(args) -> int:
     config = _settings(args)
     config.output_dir = args.output_dir
     manifest = run_loop(config, resume=args.resume)
-    paths = RunPaths(config.output_dir)
-    infra = count_infra_errors(paths)
+    infra = manifest["infra_errors"]
     if infra:
         # The run completed and is fully resumable/reportable, but some
         # rewards are infrastructure failures rather than model failures.
-        print(f"run completed with {infra} infrastructure errors; see {paths.manifest}", file=sys.stderr)
+        print(f"run completed with {infra} infrastructure errors; see {RunPaths(config.output_dir).manifest}",
+              file=sys.stderr)
         return 3
     print(f"run complete: {len(manifest['artifacts'])} artifacts in {config.output_dir}")
     return 0

@@ -16,9 +16,12 @@ from .errors import TaskFormatError
 
 SCHEMA_VERSION = 1
 
+# One encoder for every record: json.dumps with these arguments would build a new one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def dumps(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def write_records(path: str | Path, schema: str, records: Iterable[dict[str, Any]]) -> int:

@@ -555,6 +555,7 @@ RM_TABLE = (
     }),
 )
 PHASES = tuple(phase.name for phase in PHASE_TABLE)
+REWARDS = ("rewards", "guided_rewards", "eval_rewards")  # the artifacts that hold reward records
 ARTIFACTS = {name: artifact.file for phase in PHASE_TABLE for name, artifact in phase.outputs.items()}
 _DECLARED = {name: artifact for phase in (*PHASE_TABLE, *RM_TABLE) for name, artifact in phase.outputs.items()}
 
@@ -633,7 +634,9 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
 
     Each phase gets the values earlier phases returned; an output of a phase
     completed before a resume is read back from its verified file instead.
-    A value is dropped after the last phase that reads it.
+    A value is dropped after the last phase that reads it. The manifest's
+    infra_errors counts the EvaluationFailure records in the three reward
+    artifacts, those of phases completed before a resume included.
     A phase failure raises PhaseError with the earlier phases committed;
     rerun with resume=True to continue after them, which raises
     CheckpointError if one of their outputs is missing, edited or unhashed.
@@ -649,6 +652,7 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
         )
     last_read = {name: i for i, phase in enumerate(PHASE_TABLE) for name in phase.inputs}
     values: dict = {}
+    infra_errors = 0
     for i, phase in enumerate(PHASE_TABLE):
         outputs = [getattr(paths, name) for name in phase.outputs]
         if phase.name in state.completed:
@@ -658,25 +662,29 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
                 if not file.exists() or canonical_file_hash(file) != state.hashes[file.name]:
                     raise CheckpointError(f"{file} is missing or changed since phase {phase.name!r} completed")
             log.info("phase %-16s already complete, skipping", phase.name)
-            continue
-        for name in phase.inputs:
-            if name not in values:
-                values[name] = read_artifact(name, getattr(paths, name))
-        log.info("phase %-16s starting", phase.name)
-        try:
-            values.update(run_phase(phase, config, [values[name] for name in phase.inputs], outputs))
-        except RlvrLoopError as exc:
-            raise PhaseError(phase.name, str(exc)) from exc
+            # its reward records are read back, for the manifest's infra_errors
+            produced = {name: read_artifact(name, getattr(paths, name)) for name in phase.outputs if name in REWARDS}
+        else:
+            for name in phase.inputs:
+                if name not in values:
+                    values[name] = read_artifact(name, getattr(paths, name))
+            log.info("phase %-16s starting", phase.name)
+            try:
+                produced = run_phase(phase, config, [values[name] for name in phase.inputs], outputs)
+            except RlvrLoopError as exc:
+                raise PhaseError(phase.name, str(exc)) from exc
+            for file in outputs:
+                state.hashes[file.name] = canonical_file_hash(file)
+            state.mark(phase.name)
+        infra_errors += infra_failures(produced)
+        values.update(produced)
         for name in [name for name in values if last_read.get(name, -1) <= i]:
             del values[name]
-        for file in outputs:
-            state.hashes[file.name] = canonical_file_hash(file)
-        state.mark(phase.name)
-    return write_manifest(config, paths, state)
+    return write_manifest(config, paths, state, infra_errors)
 
 
-def write_manifest(config: RunConfig, paths: RunPaths, state: RunState) -> dict:
-    """The config plus the recorded hash of every declared output and of the run state."""
+def write_manifest(config: RunConfig, paths: RunPaths, state: RunState, infra_errors: int) -> dict:
+    """The config, the infrastructure failure count, and the hash of every declared output and of the run state."""
     hashes = {file: state.hashes[file] for file in ARTIFACTS.values()}
     hashes[paths.state.name] = canonical_file_hash(paths.state)
     manifest = {
@@ -684,15 +692,21 @@ def write_manifest(config: RunConfig, paths: RunPaths, state: RunState) -> dict:
         "schema_version": 1,
         "config": asdict(config),
         "backend_deterministic": config.backend_kind != "remote",
+        "infra_errors": infra_errors,
         "artifacts": [{"path": file, "sha256": digest} for file, digest in sorted(hashes.items())],
     }
     _write_replacing(paths.manifest, json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     return manifest
 
 
+def infra_failures(values: dict) -> int:
+    """The EvaluationFailure records among a phase's output values."""
+    lists = [value for value in values.values() if isinstance(value, list)]
+    return sum(isinstance(r, EvaluationFailure) for value in lists for r in value)
+
+
 def count_infra_errors(paths: RunPaths) -> int:
-    total = 0
-    for file in (paths.rewards, paths.guided_rewards, paths.eval_rewards):
-        if file.exists():
-            total += sum(1 for r in read_rewards(file) if isinstance(r, EvaluationFailure))
-    return total
+    """The EvaluationFailure records in a run directory's reward files, those that exist."""
+    return infra_failures(
+        {name: read_artifact(name, getattr(paths, name)) for name in REWARDS if getattr(paths, name).exists()}
+    )

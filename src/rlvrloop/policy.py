@@ -102,21 +102,6 @@ class TabularPolicy:
         head.check_action(task_id, line, cand)
         return float(log_softmax(head.line_logits)[line] + log_softmax(head.cand_logits[line])[cand])
 
-    def sample_line(self, task_id: str, temperature: float, rng: np.random.Generator) -> int:
-        p = softmax(self.head(task_id).line_logits, temperature)
-        if temperature == 0:
-            return int(np.argmax(p))
-        return int(rng.choice(len(p), p=p))
-
-    def sample_cand(self, task_id: str, line: int, temperature: float, rng: np.random.Generator) -> int:
-        head = self.head(task_id)
-        if not 0 <= line < head.cand_logits.shape[0]:
-            raise TrainingError(f"{task_id}: line {line} outside policy table")
-        p = softmax(head.cand_logits[line], temperature)
-        if temperature == 0:
-            return int(np.argmax(p))
-        return int(rng.choice(len(p), p=p))
-
     # -- flat parameter view (used by trainers and gradient checks) ----------
 
     def task_order(self) -> list[str]:
@@ -149,6 +134,14 @@ class TabularPolicy:
     def clone(self) -> "TabularPolicy":
         out = TabularPolicy(fine_tuned=self.fine_tuned)
         out.heads = {tid: head.copy() for tid, head in self.heads.items()}
+        return out
+
+    def frozen(self) -> "TabularPolicy":
+        """A copy whose logit arrays are read-only."""
+        out = self.clone()
+        for head in out.heads.values():
+            head.line_logits.setflags(write=False)
+            head.cand_logits.setflags(write=False)
         return out
 
     # -- identity ------------------------------------------------------------
@@ -213,10 +206,7 @@ class ReferencePolicy:
     """
 
     def __init__(self, policy: TabularPolicy):
-        self._policy = policy.clone()
-        for head in self._policy.heads.values():
-            head.line_logits.setflags(write=False)
-            head.cand_logits.setflags(write=False)
+        self._policy = policy.frozen()
         self.fingerprint_at_freeze = self._policy.fingerprint()
 
     def head(self, task_id: str) -> TaskHead:

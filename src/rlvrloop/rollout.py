@@ -12,7 +12,7 @@ guidance raise GuidanceLeakError, which is the engine-level enforcement of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -153,7 +153,7 @@ def run_scaffold(
 
     base_prompt = prompts.render_localization_prompt(task)
     loc_prompt = render_reattempt_prompt(base_prompt, guidance) if guidance is not None else base_prompt
-    loc_params = replace(params, seed=derive_seed(params.seed, "loc"))
+    loc_params = SamplingParams(params.temperature, derive_seed(params.seed, "loc"), params.max_tokens)
     loc_completion = call_with_retry(backend.generate, loc_prompt, loc_params)
 
     if task.is_synthetic:
@@ -165,7 +165,7 @@ def run_scaffold(
         location = prompts.parse_files_completion(loc_completion.text)
 
     repair_prompt = prompts.render_repair_prompt(task, location)
-    repair_params = replace(params, seed=derive_seed(params.seed, "repair"))
+    repair_params = SamplingParams(params.temperature, derive_seed(params.seed, "repair"), params.max_tokens)
     repair_completion = call_with_retry(backend.generate, repair_prompt, repair_params)
 
     patch = extract_patch(task, location, repair_completion.text)

@@ -9,6 +9,7 @@ unguided, 1/m when a hint names the buggy line).
 """
 from __future__ import annotations
 
+import functools
 import logging
 import random
 import re
@@ -151,8 +152,10 @@ class TaskDataset:
 _STMT_RE = re.compile(
     r"^\s*([A-Za-z_]\w*)\s*=\s*([A-Za-z_]\w*|-?\d+)(?:\s*([+*-])\s*([A-Za-z_]\w*|-?\d+))?\s*$"
 )
+_INT_RE = re.compile(r"-?\d+")
 
 
+@functools.lru_cache(maxsize=4096)  # a suite repeats each statement across many programs
 def parse_statement(text: str) -> tuple[str, str, str | None, str | None]:
     m = _STMT_RE.match(text)
     if not m:
@@ -165,7 +168,7 @@ def run_program(lines: Sequence[str]) -> int:
     env: dict[str, int] = {}
 
     def value(tok: str, idx: int) -> int:
-        if re.fullmatch(r"-?\d+", tok):
+        if _INT_RE.fullmatch(tok):
             return int(tok)
         if tok not in env:
             raise ProgramError(f"statement {idx}: undefined variable {tok!r}")

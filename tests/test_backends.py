@@ -1,0 +1,156 @@
+"""TabularPolicyBackend against the draw it replaced.
+
+The oracle is the backend's former sampling path, kept here as the
+definition of a tabular draw: a generator seeded from (backend_id, task_id,
+seed), the temperature softmax, and numpy's rng.choice, with temperature 0
+as the argmax and no draw for a localization whose hint names a statement.
+The backend must return the same completion for every prompt kind.
+"""
+import numpy as np
+import pytest
+
+from rlvrloop import prompts
+from rlvrloop.backends import SamplingParams, TabularPolicyBackend
+from rlvrloop.guidance import Guidance, render_reattempt_prompt
+from rlvrloop.jsonl import derive_seed
+from rlvrloop.policy import TabularPolicy, softmax
+
+TEMPERATURES = (0.0, 0.6, 1.0)
+
+
+def oracle_generate(policy: TabularPolicy, prompt: str, params: SamplingParams) -> str:
+    task_id = prompts.prompt_task_id(prompt)
+    head = policy.head(task_id)
+    rng = np.random.default_rng(derive_seed("tabular", task_id, params.seed))
+
+    def draw(logits) -> int:
+        p = softmax(logits, params.temperature)
+        if params.temperature == 0:
+            return int(np.argmax(p))
+        return int(rng.choice(len(p), p=p))
+
+    if prompts.prompt_step(prompt) == prompts.LOC_STEP:
+        hinted = prompts.prompt_hint_line(prompt)
+        if hinted is not None and 0 <= hinted < head.line_logits.size:
+            return prompts.format_line_completion(hinted)
+        return prompts.format_line_completion(draw(head.line_logits))
+    if prompts.prompt_is_whole_workspace_repair(prompt):
+        line = draw(head.line_logits)
+        return prompts.format_line_candidate_completion(line, draw(head.cand_logits[line]))
+    line = prompts.prompt_repair_line(prompt)
+    return prompts.format_candidate_completion(draw(head.cand_logits[line]))
+
+
+def hinted_prompt(task, line: int) -> str:
+    guidance = Guidance(
+        guidance_id="g-test",
+        task_id=task.id,
+        source_trajectory_ref="src-ref",
+        plan="replace the defective statement",
+        env_feedback="output_matches failed",
+        env_interaction=f"line {line}",
+        teacher_id="test",
+    )
+    return render_reattempt_prompt(prompts.render_localization_prompt(task), guidance)
+
+
+def every_prompt(task) -> dict[str, str]:
+    out = {
+        "localization": prompts.render_localization_prompt(task),
+        # a hint naming a statement is followed; one naming none is sampled past
+        "hinted localization": hinted_prompt(task, task.buggy_line),
+        "hint outside the program": hinted_prompt(task, task.n_lines + 3),
+        "whole-workspace repair": prompts.render_repair_prompt(task, None),
+    }
+    for line in range(task.n_lines):
+        out[f"repair of line {line}"] = prompts.render_repair_prompt(task, line)
+    return out
+
+
+def trained_like(suite, seed: int) -> TabularPolicy:
+    policy = TabularPolicy.uniform(suite)
+    rng = np.random.default_rng(seed)
+    policy.set_theta(rng.normal(scale=3.0, size=policy.theta().size))
+    return policy
+
+
+@pytest.mark.parametrize("logits", ["uniform", "random"])
+@pytest.mark.parametrize("temperature", TEMPERATURES)
+def test_backend_draws_what_rng_choice_draws(small_suite, logits, temperature):
+    policy = TabularPolicy.uniform(small_suite) if logits == "uniform" else trained_like(small_suite, 3)
+    backend = TabularPolicyBackend(policy)
+    compared = 0
+    for task in small_suite.tasks[:3]:
+        for kind, prompt in every_prompt(task).items():
+            for seed in range(40):
+                params = SamplingParams(temperature=temperature, seed=derive_seed("oracle", seed))
+                expected = oracle_generate(policy, prompt, params)
+                assert backend.generate(prompt, params).text == expected, (task.id, kind, seed)
+                compared += 1
+    assert compared == 3 * (4 + 4) * 40
+
+
+def test_backend_matches_rng_choice_over_many_random_distributions(small_suite):
+    """Sharp, flat and lopsided heads at random temperatures, one fresh backend per policy."""
+    task = small_suite.tasks[0]
+    prompt_kinds = every_prompt(task)
+    gen = np.random.default_rng(derive_seed("oracle", "sweep"))
+    for trial in range(60):
+        policy = TabularPolicy.uniform(small_suite)
+        policy.set_theta(gen.normal(scale=gen.choice([0.1, 1.0, 10.0, 40.0]), size=policy.theta().size))
+        backend = TabularPolicyBackend(policy)
+        temperature = float(gen.uniform(0.05, 2.0))
+        for kind, prompt in prompt_kinds.items():
+            params = SamplingParams(temperature=temperature, seed=int(gen.integers(2**62)))
+            assert backend.generate(prompt, params).text == oracle_generate(policy, prompt, params), (trial, kind)
+
+
+def test_nan_logits_still_raise_value_error(small_suite):
+    task = small_suite.tasks[0]
+    policy = TabularPolicy.uniform(small_suite)
+    policy.head(task.id).line_logits[1] = np.nan
+    policy.head(task.id).cand_logits[2, 0] = np.nan
+    backend = TabularPolicyBackend(policy)
+    params = SamplingParams(temperature=0.6, seed=1)
+    for prompt in (prompts.render_localization_prompt(task), prompts.render_repair_prompt(task, 2)):
+        with pytest.raises(ValueError):
+            backend.generate(prompt, params)
+        with pytest.raises(ValueError):  # a failed distribution is not cached
+            backend.generate(prompt, params)
+    # an untouched line still samples
+    assert backend.generate(prompts.render_repair_prompt(task, 0), params).text.startswith("```")
+
+
+def test_policy_changes_after_construction_do_not_reach_the_backend(small_suite):
+    task = small_suite.tasks[0]
+    policy = trained_like(small_suite, 5)
+    before = policy.clone()
+    backend = TabularPolicyBackend(policy)
+    prompt_kinds = every_prompt(task)
+    params = [SamplingParams(temperature=t, seed=s) for t in TEMPERATURES for s in range(20)]
+    first = {(kind, p): backend.generate(prompt, p).text for kind, prompt in prompt_kinds.items() for p in params}
+
+    policy.head(task.id).line_logits[:] = [50.0, -50.0, -50.0, -50.0]
+    policy.head(task.id).cand_logits[:] = -50.0
+    policy.set_theta(policy.theta() + 7.0)
+    for (kind, p), text in first.items():
+        assert backend.generate(prompt_kinds[kind], p).text == text, kind
+        assert text == oracle_generate(before, prompt_kinds[kind], p), kind
+    with pytest.raises(ValueError):  # the backend's copy is read-only
+        backend.policy.head(task.id).line_logits[0] = 1.0
+
+
+def test_sampling_respects_distribution(small_suite):
+    policy = TabularPolicy.uniform(small_suite)
+    task = small_suite.tasks[0]
+    policy.head(task.id).line_logits[:] = np.array([10.0, 0.0, 0.0, 0.0])
+    backend = TabularPolicyBackend(policy)
+    prompt = prompts.render_localization_prompt(task)
+
+    def line(temperature, seed):
+        text = backend.generate(prompt, SamplingParams(temperature=temperature, seed=seed)).text
+        return prompts.parse_line_completion(text)
+
+    draws = [line(1.0, derive_seed("test", i)) for i in range(200)]
+    assert draws.count(0) > 190
+    assert line(0.0, 0) == 0

@@ -244,6 +244,34 @@ def test_run_loop_phase_failure_exit_code_and_resume(tmp_path, capsys, monkeypat
     assert len(state["completed"]) == 11
 
 
+def test_resumed_run_counts_infra_failures_from_before_the_resume(tmp_path, capsys, monkeypatch):
+    import rlvrloop.loop as loop
+
+    out = tmp_path / "run"
+    argv = ["run-loop", "--output-dir", out, *settings(SMALL_SETS)]
+    evaluate = loop.evaluate_trajectories
+
+    def lose_one_sandbox(dataset, trajectories, **kwargs):
+        first, *rest = evaluate(dataset, trajectories, **kwargs)
+        return [EvaluationFailure(first.task_id, first.trajectory_ref, "sandbox lost"), *rest]
+
+    def no_guidance(*args, **kwargs):
+        raise GuidanceError("the teacher answered nothing usable")
+
+    monkeypatch.setattr(loop, "evaluate_trajectories", lose_one_sandbox)
+    monkeypatch.setattr(loop, "guide_failures", no_guidance)
+    assert run(argv) == 2
+    assert json.loads((out / "runstate.json").read_text())["completed"] == ["tasks", "rollout", "evaluate"]
+    capsys.readouterr()
+
+    # the resumed phases score cleanly; the failure is in rewards.jsonl, written before the resume
+    monkeypatch.undo()
+    for _ in range(2):  # continuing the run, then resuming it once it is finished
+        assert run(argv + ["--resume"]) == 3
+        assert "run completed with 1 infrastructure errors" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["infra_errors"] == 1
+
+
 @pytest.mark.parametrize("text", [
     '{"completed": ["tasks", "roll', "not json\n", "[]\n",
     '{"completed": "tasks"}\n', '{"completed": ["bogus"]}\n', '{"completed": [], "hashes": {"tasks.jsonl": 1}}\n',

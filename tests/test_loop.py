@@ -293,7 +293,7 @@ def test_run_produces_every_artifact(finished_run):
     for file in expected:
         assert file.exists(), file
     assert json.loads(paths.state.read_text())["completed"] == list(PHASES)
-    assert count_infra_errors(paths) == 0
+    assert count_infra_errors(paths) == manifest["infra_errors"] == 0
 
     report = json.loads(paths.report_json.read_text())
     assert set(report) == {"pre_training", "post_training"}

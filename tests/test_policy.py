@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rlvrloop.errors import CheckpointError, TrainingError
-from rlvrloop.jsonl import derive_seed
 from rlvrloop.policy import (
     ReferencePolicy,
     TabularPolicy,
@@ -70,16 +69,6 @@ def test_logprob_bounds_checked(small_suite):
         policy.logprob(tid, 0, -1)
     with pytest.raises(TrainingError):
         policy.logprob("no-such-task", 0, 0)
-
-
-def test_sampling_respects_distribution(small_suite):
-    policy = TabularPolicy.uniform(small_suite)
-    tid = small_suite.tasks[0].id
-    policy.head(tid).line_logits[:] = np.array([10.0, 0.0, 0.0, 0.0])
-    rng = np.random.default_rng(derive_seed("test", 1))
-    draws = [policy.sample_line(tid, 1.0, rng) for _ in range(200)]
-    assert draws.count(0) > 190
-    assert policy.sample_line(tid, 0.0, rng) == 0
 
 
 def test_theta_round_trip(small_suite):
