@@ -4,7 +4,7 @@ The engine only relies on the generate() contract plus a concurrency
 limit, so a desk-scale tabular policy and a remote text-generation
 endpoint are interchangeable. Local backends must be deterministic for a
 fixed (prompt, params); remote ones are exempt, and the run manifest
-records `backend_deterministic` from the configured backend kind.
+records `backend_deterministic` as false when a backend endpoint is set.
 """
 from __future__ import annotations
 

@@ -105,7 +105,7 @@ def _evaluate_synthetic(task: SynthTask, trajectory: Trajectory) -> tuple[int, d
 
 
 # ---------------------------------------------------------------------------
-# Subprocess and container isolation
+# Subprocess isolation
 # ---------------------------------------------------------------------------
 
 
@@ -144,29 +144,7 @@ def _parse_test_lines(output: str, suite: Sequence[str]) -> dict[str, str]:
     return {tid: reported.get(tid, STATUS_ERROR) for tid in suite}
 
 
-def build_container_argv(
-    image: str, workspace: Path, command: str, runtime: str = "docker"
-) -> list[str]:
-    """OCI runtime invocation: isolated netns, workspace mounted at /workspace."""
-    return [
-        runtime,
-        "run",
-        "--rm",
-        "--network=none",
-        "-v",
-        f"{workspace}:/workspace",
-        "-w",
-        "/workspace",
-        image,
-        "sh",
-        "-c",
-        command,
-    ]
-
-
-def _evaluate_sandboxed(
-    task: Task, trajectory: Trajectory, container_image: str | None
-) -> tuple[int, dict, str | None]:
+def _evaluate_sandboxed(task: Task, trajectory: Trajectory) -> tuple[int, dict, str | None]:
     suite = task.tests.all_tests
     per_test_error = {tid: STATUS_ERROR for tid in suite}
     src = Path(task.workspace)
@@ -199,16 +177,10 @@ def _evaluate_sandboxed(
                     f"{_tail(proc.stdout + proc.stderr, 500)}"
                 )
 
-        if task.env_spec.isolation == "container":
-            if not container_image:
-                raise SandboxProvisionError(f"{task.id}: container isolation needs an image ref")
-            command, where = build_container_argv(container_image, root, task.env_spec.test_command), {}
-        else:
-            command, where = task.env_spec.test_command, dict(shell=True, cwd=root)
-
         try:
             proc = subprocess.run(
-                command, capture_output=True, text=True, timeout=task.env_spec.timeout_s, **where
+                task.env_spec.test_command, shell=True, cwd=root, capture_output=True, text=True,
+                timeout=task.env_spec.timeout_s,
             )
         except subprocess.TimeoutExpired as exc:
             partial = (exc.stdout or b"", exc.stderr or b"")
@@ -227,7 +199,7 @@ def _evaluate_sandboxed(
 # ---------------------------------------------------------------------------
 
 
-def evaluate(task: Task, trajectory: Trajectory, *, container_image: str | None = None) -> RewardRecord:
+def evaluate(task: Task, trajectory: Trajectory) -> RewardRecord:
     """Score one trajectory. Raises SandboxProvisionError on infra failures."""
     if trajectory.task_id != task.id:
         raise ValueError(f"trajectory {trajectory.traj_id} does not belong to task {task.id}")
@@ -237,7 +209,7 @@ def evaluate(task: Task, trajectory: Trajectory, *, container_image: str | None 
     elif isinstance(task, SynthTask):
         reward, per_test, stack = _evaluate_synthetic(task, trajectory)
     else:
-        reward, per_test, stack = _evaluate_sandboxed(task, trajectory, container_image)
+        reward, per_test, stack = _evaluate_sandboxed(task, trajectory)
     return RewardRecord(
         task_id=task.id,
         trajectory_ref=trajectory.traj_id,
@@ -253,21 +225,20 @@ def evaluate_batch(
     items: Sequence[tuple[Task, Trajectory]],
     *,
     workers: int = 4,
-    container_image: str | None = None,
 ) -> list[RewardRecord | EvaluationFailure]:
     """Evaluate many attempts; output order matches input order.
 
     Individual infrastructure failures become EvaluationFailure entries and
     never abort the rest of the batch. Synthetic tasks are scored in memory
     in the calling thread, where a thread pool only adds overhead; sandboxed
-    and container items, which wait on subprocesses, share a pool of
-    ``workers`` threads while the synthetic ones are scored.
+    items, which wait on subprocesses, share a pool of ``workers`` threads
+    while the synthetic ones are scored.
     """
 
     def one(item: tuple[Task, Trajectory]) -> RewardRecord | EvaluationFailure:
         task, traj = item
         try:
-            return evaluate(task, traj, container_image=container_image)
+            return evaluate(task, traj)
         except SandboxProvisionError as exc:
             return EvaluationFailure(task_id=task.id, trajectory_ref=traj.traj_id, error=str(exc))
         except Exception as exc:  # pragma: no cover - defensive

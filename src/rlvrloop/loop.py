@@ -92,16 +92,12 @@ class RunConfig:
     synth_lines: int = 6
     synth_candidates: int = 8
 
-    backend_kind: str = "tabular"
-    backend_endpoint: str = ""
-    teacher_kind: str = "oracle"
-    teacher_endpoint: str = ""
+    backend_endpoint: str = ""  # set: the remote policy; empty: the tabular one
+    teacher_endpoint: str = ""  # set: the remote teacher; empty: the oracle
     initial_policy: str = ""
-    container_image: str = ""
 
     sft_fraction: float = 0.2
     max_pairs_per_task: int = 4
-    keep_guidance_in_prompt: bool = False
     include_guided_in_sft: bool = False
 
     sft_learning_rate: float = 0.5
@@ -117,11 +113,9 @@ _SECTION_FIELDS = {
         "seed", "workers", "rollouts_n", "max_tokens", "guidance_enabled",
     ),
     "tasks": ("tasks_path", "synth_count", "synth_lines", "synth_candidates"),
-    "backend": ("backend_kind", "backend_endpoint", "initial_policy", "container_image"),
-    "teacher": ("teacher_kind", "teacher_endpoint"),
-    "assemble": (
-        "sft_fraction", "max_pairs_per_task", "keep_guidance_in_prompt", "include_guided_in_sft",
-    ),
+    "backend": ("backend_endpoint", "initial_policy"),
+    "teacher": ("teacher_endpoint",),
+    "assemble": ("sft_fraction", "max_pairs_per_task", "include_guided_in_sft"),
     "sft": ("sft_learning_rate", "sft_epochs"),
     "dpo": ("dpo_beta", "dpo_learning_rate", "dpo_epochs"),
 }
@@ -152,8 +146,7 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
     """Build a RunConfig from an INI-style file plus key=value overrides.
 
     Overrides use 'section.key=value' and win over the file; unknown
-    sections or keys are usage errors, not silent typo sinks, and so is a
-    backend or teacher kind that cannot be built.
+    sections or keys are usage errors, not silent typo sinks.
     """
     config = RunConfig()
     if path is not None:
@@ -176,8 +169,6 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
         if section not in _SECTION_FIELDS or key not in _SECTION_FIELDS[section]:
             raise UsageError(f"unknown config key {dotted!r}")
         setattr(config, key, _coerce(key, raw))
-    for role in _KINDS:
-        _kind(config, role)
     return config
 
 
@@ -186,28 +177,16 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
 # ---------------------------------------------------------------------------
 
 
-_KINDS = {"backend": ("tabular", "remote"), "teacher": ("oracle", "remote")}
-
-
-def _kind(config: RunConfig, role: str) -> str:
-    """config.<role>_kind, once it is known and, if remote, has an endpoint."""
-    kind = getattr(config, f"{role}_kind")
-    if kind not in _KINDS[role]:
-        raise UsageError(f"unknown {role} kind {kind!r}")
-    if kind == "remote" and not getattr(config, f"{role}_endpoint"):
-        raise UsageError(f"{role}_kind=remote requires {role}_endpoint")
-    return kind
-
-
 def build_backend(config: RunConfig, policy: TabularPolicy) -> PolicyBackend:
-    if _kind(config, "backend") == "remote":
+    """The HTTP backend at config.backend_endpoint if set, else a tabular backend over policy."""
+    if config.backend_endpoint:
         return HttpPolicyBackend(config.backend_endpoint)
     return TabularPolicyBackend(policy)
 
 
 def build_teacher(config: RunConfig) -> TeacherBackend | None:
-    """None means the built-in oracle; anything else is a text teacher."""
-    if _kind(config, "teacher") == "remote":
+    """The HTTP teacher at config.teacher_endpoint if set, else None: the built-in oracle."""
+    if config.teacher_endpoint:
         return HttpTeacherBackend(config.teacher_endpoint)
     return None
 
@@ -218,6 +197,17 @@ def resolve_tasks(config: RunConfig) -> TaskDataset:
     return generate_synth_suite(
         config.synth_count, config.synth_lines, config.synth_candidates, config.seed
     )
+
+
+def _map(fn: Callable, items, backend: PolicyBackend, workers: int) -> list:
+    """[fn(item) for item in items], spread over `workers` threads unless one
+    thread would do: workers <= 1, a backend that declares max_concurrency 1,
+    or at most one item. Results keep item order either way.
+    """
+    if workers <= 1 or backend.max_concurrency == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def rollout_all_tasks(
@@ -241,17 +231,12 @@ def rollout_all_tasks(
             task, backend, n, base_seed, max_tokens=max_tokens, eval_mode=eval_mode
         )
 
-    if workers <= 1 or backend.max_concurrency == 1 or len(dataset) <= 1:
-        batches = [one(t) for t in dataset]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(one, dataset.tasks))
-    return [traj for batch in batches for traj in batch]
+    return [traj for batch in _map(one, dataset.tasks, backend, workers) for traj in batch]
 
 
-def evaluate_trajectories(dataset: TaskDataset, trajectories, *, workers: int = 4, container_image: str = ""):
+def evaluate_trajectories(dataset: TaskDataset, trajectories, *, workers: int = 4):
     items = [(dataset.by_id[t.task_id], t) for t in trajectories]
-    return evaluate_batch(items, workers=workers, container_image=container_image or None)
+    return evaluate_batch(items, workers=workers)
 
 
 def guide_failures(
@@ -296,10 +281,7 @@ def reattempt_with_guidance(
         )
         return run_scaffold(task, backend, params, guidance=guidance)
 
-    if workers <= 1 or backend.max_concurrency == 1 or len(guidance_list) <= 1:
-        return [one(g) for g in guidance_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, guidance_list))
+    return _map(one, guidance_list, backend, workers)
 
 
 def write_guidance(guidance_list, path: Path) -> None:
@@ -345,7 +327,7 @@ def reattempt(config: RunConfig, tasks: TaskDataset, guidance: list, policy: Tab
 
 def evaluate(config: RunConfig, tasks: TaskDataset, rollouts: list) -> list:
     """One reward record (or EvaluationFailure) per trajectory."""
-    return evaluate_trajectories(tasks, rollouts, workers=config.workers, container_image=config.container_image)
+    return evaluate_trajectories(tasks, rollouts, workers=config.workers)
 
 
 def guide(config: RunConfig, tasks: TaskDataset, rollouts: list, rewards: list) -> list:
@@ -364,7 +346,6 @@ def assemble(
         sft_fraction=config.sft_fraction,
         max_pairs_per_task=config.max_pairs_per_task,
         seed=config.seed,
-        keep_guidance_in_prompt=config.keep_guidance_in_prompt,
         include_guided_in_sft=config.include_guided_in_sft,
     )
 
@@ -691,7 +672,7 @@ def write_manifest(config: RunConfig, paths: RunPaths, state: RunState, infra_er
         "schema": MANIFEST_SCHEMA,
         "schema_version": 1,
         "config": asdict(config),
-        "backend_deterministic": config.backend_kind != "remote",
+        "backend_deterministic": not config.backend_endpoint,
         "infra_errors": infra_errors,
         "artifacts": [{"path": file, "sha256": digest} for file, digest in sorted(hashes.items())],
     }

@@ -170,17 +170,20 @@ def guidance_uplift_report(
     unguided: Sequence[RewardRecord | EvaluationFailure],
     guided: Sequence[RewardRecord | EvaluationFailure],
 ) -> dict:
-    """Success and empty-patch rates for both arms plus their deltas."""
+    """Success and empty-patch rates for both arms plus their deltas.
+
+    The delta is None when either arm has no scored attempts: a rate taken
+    over nothing is no rate to compare against.
+    """
     u, g = _arm_stats(unguided), _arm_stats(guided)
-    return {
-        "unguided": u,
-        "guided": g,
-        "delta": {
+    delta = None
+    if u["attempts"] and g["attempts"]:
+        delta = {
             "successes": g["successes"] - u["successes"],
             "success_rate": g["success_rate"] - u["success_rate"],
             "empty_patch_rate": g["empty_patch_rate"] - u["empty_patch_rate"],
-        },
-    }
+        }
+    return {"unguided": u, "guided": g, "delta": delta}
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +213,8 @@ def render_report_text(report: EvalReport) -> str:
                 )
             )
             rows.append((f"{arm} empty patches", f"{100 * up[arm]['empty_patch_rate']:.2f}%"))
-        rows.append(("uplift (rate)", f"{100 * up['delta']['success_rate']:+.1f}%"))
+        delta = up["delta"]
+        rows.append(("uplift (rate)", "n/a" if delta is None else f"{100 * delta['success_rate']:+.1f}%"))
     width = max(len(name) for name, _ in rows)
     lines = [f"{name.ljust(width)}  {value}" for name, value in rows]
     return "\n".join(lines)

@@ -168,14 +168,12 @@ def assemble_guided_pair(
     failed_record: RewardRecord,
     guided_success: Trajectory,
     guided_record: RewardRecord,
-    *,
-    keep_guidance_in_prompt: bool = False,
 ) -> PreferencePair:
     """Pair a guided success against the failure its guidance came from.
 
-    keep_guidance_in_prompt is the ablation arm that trains with the hint
-    text left in; by default hints are stripped and any hint markup inside
-    the winner's response is a hard error.
+    The pair stores the guided prompt with its hint stripped, which must be
+    the loser's unguided prompt; hint markup inside the winner's response is
+    a hard error.
     """
     if guided_success.task_id != failed_unguided.task_id:
         raise AssemblyError("guided pair spans two different tasks")
@@ -188,20 +186,13 @@ def assemble_guided_pair(
             f"guided pair needs rewards (1, 0), got ({guided_record.reward}, {failed_record.reward})"
         )
 
-    winner_response = guided_success.response_text()
-    guided_prompt = guided_success.steps[0].prompt
-    if keep_guidance_in_prompt:
-        prompt = guided_prompt
-    else:
-        if HINT_DELIMITER in winner_response:
-            raise AssemblyError(
-                f"winner response for {guided_success.traj_id} leaks the hint block"
-            )
-        prompt = strip_hint_block(guided_prompt)
-        if prompt != failed_unguided.steps[0].prompt:
-            raise AssemblyError(
-                f"stripped prompt for {guided_success.traj_id} does not match the loser's unguided prompt"
-            )
+    if HINT_DELIMITER in guided_success.response_text():
+        raise AssemblyError(f"winner response for {guided_success.traj_id} leaks the hint block")
+    prompt = strip_hint_block(guided_success.steps[0].prompt)
+    if prompt != failed_unguided.steps[0].prompt:
+        raise AssemblyError(
+            f"stripped prompt for {guided_success.traj_id} does not match the loser's unguided prompt"
+        )
     return PreferencePair(
         task_id=guided_success.task_id,
         prompt=prompt,
@@ -274,7 +265,6 @@ def build_rlvr_dataset(
     sft_fraction: float = DEFAULT_SFT_FRACTION,
     max_pairs_per_task: int = DEFAULT_MAX_PAIRS_PER_TASK,
     seed: int = 0,
-    keep_guidance_in_prompt: bool = False,
     include_guided_in_sft: bool = False,
 ) -> RlvrDataset:
     """Assemble pairs and the SFT subset from one round of scored rollouts."""
@@ -300,9 +290,7 @@ def build_rlvr_dataset(
             skipped_guided += 1
             log.info("guided success %s has no matching unguided failure; skipped", traj.traj_id)
             continue
-        pair = assemble_guided_pair(
-            source, source_rec, traj, rec, keep_guidance_in_prompt=keep_guidance_in_prompt
-        )
+        pair = assemble_guided_pair(source, source_rec, traj, rec)
         key = (pair.winner.trajectory_ref, pair.loser.trajectory_ref)
         if key in seen:
             stats["dropped_duplicate_pairs"] += 1

@@ -22,7 +22,7 @@ from .jsonl import derive_seed, read_records, write_records
 
 log = logging.getLogger(__name__)
 
-ISOLATION_MODES = ("process_sandbox", "container", "in_memory_synthetic")
+ISOLATION_MODES = ("process_sandbox", "in_memory_synthetic")
 
 # Per-attempt test budget of a synthetic task, seconds. A synthetic program is
 # straight-line and always finishes, so the evaluator never consults its

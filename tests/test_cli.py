@@ -29,7 +29,7 @@ SMALL_SETS = [
 # assembly and training settings away from their defaults
 NON_DEFAULT_SETS = [
     "assemble.sft_fraction=0.5", "assemble.max_pairs_per_task=2",
-    "assemble.keep_guidance_in_prompt=true", "sft.sft_learning_rate=0.3",
+    "assemble.include_guided_in_sft=true", "sft.sft_learning_rate=0.3",
     "dpo.dpo_beta=0.25", "dpo.dpo_learning_rate=0.8",
 ]
 
@@ -113,7 +113,7 @@ def test_stepwise_matches_loop_at_non_default_settings(stepwise, tmp_path):
     for name in ("dataset.jsonl", "policy_sft.json", "sft_log.csv", "policy_final.json", "dpo_log.csv"):
         assert canonical_file_hash(d / name) != canonical_file_hash(stepwise / name), name
     rlvr = load_dataset(d / "dataset.jsonl")
-    assert any(HINT_DELIMITER in p.prompt for p in rlvr.pairs)
+    assert any(HINT_DELIMITER in ex.prompt for ex in rlvr.sft)  # guided examples joined the SFT set
     per_task = Counter(p.task_id for p in rlvr.pairs if p.provenance == PROVENANCE_ROLLOUT)
     assert max(per_task.values()) == 2
     assert len(rlvr.sft) > len(load_dataset(stepwise / "dataset.jsonl").sft)
@@ -157,13 +157,13 @@ def test_stepwise_tasks_reads_tasks_path(stepwise, tmp_path):
 
 
 def test_stepwise_rollout_reaches_the_remote_backend(stepwise, tmp_path, monkeypatch, capsys):
-    """backend.backend_kind, unreachable from the old stepwise flags: a dead endpoint exits 3."""
+    """backend.backend_endpoint, unreachable from the old stepwise flags: a dead endpoint exits 3."""
     monkeypatch.setenv("no_proxy", "*")
     monkeypatch.setenv("NO_PROXY", "*")
     with socket.socket() as sock:  # a local port nothing listens on
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
-    sets = SMALL_SETS + ["backend.backend_kind=remote", f"backend.backend_endpoint=http://127.0.0.1:{port}/"]
+    sets = SMALL_SETS + [f"backend.backend_endpoint=http://127.0.0.1:{port}/"]
     out = tmp_path / "rollouts.jsonl"
     argv = ["rollout", *settings(sets), "--tasks", stepwise / "tasks.jsonl",
             "--policy-init", stepwise / "policy_init.json", "--rollouts", out]
@@ -223,9 +223,9 @@ def test_run_loop_phase_failure_exit_code_and_resume(tmp_path, capsys, monkeypat
             "--set", "tasks.synth_count=3", "--set", "tasks.synth_lines=3",
             "--set", "tasks.synth_candidates=3",
             "--set", "sft.sft_epochs=10", "--set", "dpo.dpo_epochs=10"]
-    # a teacher that cannot be built is a config error before any phase runs
+    # a key no phase reads is a config error before any phase runs
     assert run(base + ["--set", "teacher.teacher_kind=remote"]) == 1
-    assert "requires teacher_endpoint" in capsys.readouterr().err
+    assert "unknown config key 'teacher.teacher_kind'" in capsys.readouterr().err
     assert not (out / "runstate.json").exists()
 
     def no_guidance(*args, **kwargs):
@@ -305,12 +305,12 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
     assert not (tmp_path / "t.jsonl").exists()
     assert run(["run-loop", "--output-dir", tmp_path / "run", "--set", "backend.backend_kind=quantum"]) == 1
-    assert "unknown backend kind 'quantum'" in capsys.readouterr().err
+    assert "unknown config key 'backend.backend_kind'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
     assert run(["guide", "--tasks", "x", "--rollouts", "y", "--rewards", "z",
                 "--guidance", "w", "--set", "teacher.teacher_kind=remote"]) == 1
-    assert "requires teacher_endpoint" in capsys.readouterr().err
+    assert "unknown config key 'teacher.teacher_kind'" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

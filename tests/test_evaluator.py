@@ -15,7 +15,6 @@ from rlvrloop.evaluator import (
     EvaluationFailure,
     RewardRecord,
     STACKTRACE_TAIL_CHARS,
-    build_container_argv,
     evaluate,
     evaluate_batch,
     read_rewards,
@@ -264,17 +263,6 @@ def test_stacktrace_tail_is_bounded(scripted_repo):
     assert rec.reward == 0
     assert len(rec.stacktrace) <= STACKTRACE_TAIL_CHARS
     assert "FAIL t_value" in rec.stacktrace
-
-
-def test_container_argv_exact():
-    from pathlib import Path
-
-    argv = build_container_argv("img:1", Path("/tmp/ws"), "pytest -q", runtime="podman")
-    assert argv == [
-        "podman", "run", "--rm", "--network=none",
-        "-v", "/tmp/ws:/workspace", "-w", "/workspace",
-        "img:1", "sh", "-c", "pytest -q",
-    ]
 
 
 def test_parse_test_lines_protocol():

@@ -81,7 +81,7 @@ def test_unreachable_teacher_is_an_infrastructure_failure(server, tmp_path, caps
     argv = ["run-loop", "--output-dir", str(tmp_path / "run"), "--seed", "3"]
     for item in ("run.workers=1", "run.rollouts_n=4", "tasks.synth_count=3",
                  "tasks.synth_lines=3", "tasks.synth_candidates=3",
-                 "teacher.teacher_kind=remote", f"teacher.teacher_endpoint={url}/down"):
+                 f"teacher.teacher_endpoint={url}/down"):
         argv += ["--set", item]
     assert main(argv) == 3
     assert "infrastructure error in phase guide" in capsys.readouterr().err

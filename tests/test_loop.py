@@ -1,8 +1,11 @@
 """Config handling, the phase loop, resume semantics, and the manifest."""
 import json
 import logging
+import re
 import shutil
+import socket
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,7 @@ from rlvrloop.loop import (
     RunConfig,
     RunPaths,
     RunState,
+    _SECTION_FIELDS,
     build_backend,
     build_teacher,
     count_infra_errors,
@@ -95,7 +99,7 @@ def test_load_config_file_and_coercion(tmp_path):
     assert config.dpo_beta == 0.25
     assert config.dpo_epochs == 50
     # untouched fields keep their defaults
-    assert config.backend_kind == "tabular"
+    assert config.backend_endpoint == ""
     assert config.sft_fraction == 0.2
 
 
@@ -137,16 +141,27 @@ def test_config_rejects_bad_values_and_overrides(tmp_path):
 
 
 @pytest.mark.parametrize("override, message", [
-    ("backend.backend_kind=quantum", "unknown backend kind 'quantum'"),
-    ("backend.backend_kind=remote", "backend_kind=remote requires backend_endpoint"),
-    ("teacher.teacher_kind=socratic", "unknown teacher kind 'socratic'"),
-    ("teacher.teacher_kind=remote", "teacher_kind=remote requires teacher_endpoint"),
+    ("backend.backend_kind=remote", "unknown config key 'backend.backend_kind'"),
+    ("teacher.teacher_kind=remote", "unknown config key 'teacher.teacher_kind'"),
+    ("backend.container_image=img:1", "unknown config key 'backend.container_image'"),
+    ("assemble.keep_guidance_in_prompt=true", "unknown config key 'assemble.keep_guidance_in_prompt'"),
     ("run.output_dir=elsewhere", "unknown config key 'run.output_dir'"),
 ])
 def test_config_rejects_what_no_phase_could_run(override, message):
-    """A backend or teacher that cannot be built fails the config, before any phase."""
+    """A key no phase reads fails the config, before any phase."""
     with pytest.raises(UsageError, match=message):
         load_config(None, overrides=[override])
+
+
+def test_readme_names_every_config_key_and_no_other():
+    """README's "Sections and keys" paragraph lists each section's keys as loop._SECTION_FIELDS does."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Sections and keys:", 1)[1].split("\n\n", 1)[0]
+    documented = {
+        section: set(re.findall(r"`(\w+)`", keys))
+        for section, keys in re.findall(r"`(\w+)`\s+\(([^)]*)\)", paragraph)
+    }
+    assert documented == {section: set(keys) for section, keys in _SECTION_FIELDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -155,20 +170,15 @@ def test_config_rejects_what_no_phase_could_run(override, message):
 
 
 def test_build_backend_and_teacher_validation(small_suite):
+    """An endpoint selects the HTTP client; without one, the tabular backend and the oracle."""
     policy = TabularPolicy.uniform(small_suite)
-    with pytest.raises(UsageError, match="unknown backend kind"):
-        build_backend(RunConfig(backend_kind="quantum"), policy)
-    with pytest.raises(UsageError, match="requires backend_endpoint"):
-        build_backend(RunConfig(backend_kind="remote"), policy)
     assert build_backend(RunConfig(), policy).backend_id == "tabular"
+    remote = build_backend(RunConfig(backend_endpoint="http://b"), policy)
+    assert (remote.backend_id, remote.endpoint) == ("remote", "http://b")
 
     assert build_teacher(RunConfig()) is None  # oracle arm
-    with pytest.raises(UsageError, match="requires teacher_endpoint"):
-        build_teacher(RunConfig(teacher_kind="remote"))
-    with pytest.raises(UsageError, match="unknown teacher kind"):
-        build_teacher(RunConfig(teacher_kind="socratic"))
-    remote = build_teacher(RunConfig(teacher_kind="remote", teacher_endpoint="http://t"))
-    assert remote.teacher_id == "remote-teacher"
+    teacher = build_teacher(RunConfig(teacher_endpoint="http://t"))
+    assert (teacher.teacher_id, teacher.endpoint) == ("remote-teacher", "http://t")
 
 
 def test_resolve_tasks_prefers_explicit_path(tmp_path):
@@ -356,19 +366,24 @@ def test_identical_configs_reproduce_identical_artifacts(finished_run, tmp_path)
         assert (paths.dir / name).read_bytes() == (tmp_path / "twin" / name).read_bytes(), name
 
 
-def test_phase_failure_then_resume(tmp_path, caplog):
+def test_phase_failure_then_resume(tmp_path, caplog, monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    monkeypatch.setenv("NO_PROXY", "*")
+    with socket.socket() as sock:  # a local port nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
     out = tmp_path / "run"
-    broken = RunConfig(output_dir=str(out), teacher_kind="remote", **SMALL)
+    broken = RunConfig(output_dir=str(out), teacher_endpoint=f"http://127.0.0.1:{port}/", **SMALL)
     with pytest.raises(PhaseError) as excinfo:
         run_loop(broken)
     assert excinfo.value.phase == "guide"
-    assert "requires teacher_endpoint" in str(excinfo.value)
+    assert "remote-teacher: request failed" in str(excinfo.value)
 
     paths = RunPaths(out)
     assert json.loads(paths.state.read_text())["completed"] == ["tasks", "rollout", "evaluate"]
     rollout_bytes = paths.rollouts.read_bytes()
 
-    fixed = RunConfig(output_dir=str(out), teacher_kind="oracle", **SMALL)
+    fixed = RunConfig(output_dir=str(out), **SMALL)
     with caplog.at_level(logging.INFO, logger="rlvrloop.loop"):
         run_loop(fixed, resume=True)
     assert json.loads(paths.state.read_text())["completed"] == list(PHASES)
@@ -385,6 +400,8 @@ def test_guidance_disabled_run(tmp_path):
     report = json.loads(paths.report_json.read_text())
     uplift = report["post_training"]["guidance_uplift"]
     assert uplift["guided"]["attempts"] == 0
+    assert uplift["delta"] is None
+    assert re.search(r"^uplift \(rate\) +n/a$", paths.report_txt.read_text(), re.MULTILINE)
 
     dataset_lines = paths.dataset.read_text().splitlines()
     accounting = json.loads(dataset_lines[1])

@@ -220,7 +220,7 @@ def test_guidance_uplift_report_numbers():
 def test_guidance_uplift_empty_arms():
     up = guidance_uplift_report([], [])
     assert up["unguided"]["success_rate"] == 0.0
-    assert up["delta"]["successes"] == 0
+    assert up["delta"] is None
 
 
 # ---------------------------------------------------------------------------

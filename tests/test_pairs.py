@@ -182,13 +182,6 @@ def test_guided_pair_strips_hint_from_prompt(guided_setup):
     assert pair.loser.trajectory_ref == loser.traj_id
 
 
-def test_guided_pair_keep_hint_ablation(guided_setup):
-    loser, lrec, winner, wrec, _ = guided_setup
-    pair = assemble_guided_pair(loser, lrec, winner, wrec, keep_guidance_in_prompt=True)
-    assert pair.prompt == winner.steps[0].prompt
-    assert HINT_DELIMITER in pair.prompt
-
-
 def test_guided_pair_rejects_hint_leak_in_winner(guided_setup):
     loser, lrec, winner, wrec, guidance = guided_setup
     leaky = mk_traj(
@@ -355,14 +348,6 @@ def test_include_guided_in_sft_ablation(guided_setup):
 
     default = build_rlvr_dataset([loser], [lrec], [winner], [wrec], [guidance], sft_fraction=1.0)
     assert default.sft == ()
-
-
-def test_keep_guidance_in_prompt_ablation(small_suite):
-    trajs, recs, gtrajs, grecs, guidance = build_scored_round(small_suite)
-    ds = build_rlvr_dataset(trajs, recs, gtrajs, grecs, guidance, keep_guidance_in_prompt=True)
-    guided = [p for p in ds.pairs if p.provenance == PROVENANCE_GUIDED]
-    assert guided
-    assert all(HINT_DELIMITER in p.prompt for p in guided)
 
 
 # ---------------------------------------------------------------------------

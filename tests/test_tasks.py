@@ -288,6 +288,22 @@ def test_load_real_task_requires_workspace_dir(tmp_path):
         load_tasks(path)
 
 
+def test_load_rejects_container_isolation(tmp_path):
+    """A task that asks for container isolation fails at load; it never runs on the host."""
+    rec = task_to_record(Task(
+        id="real-1", issue="x", workspace=str(tmp_path),
+        env_spec=EnvSpec((), "pytest", 10.0, "process_sandbox"),
+        tests=TestSuite(regression=("t",), focused=()), repo_name="w",
+    ))
+    rec["env_spec"]["isolation"] = "container"
+    path = tmp_path / "tasks.jsonl"
+    from rlvrloop.jsonl import write_records
+
+    write_records(path, "tasks", [rec])
+    with pytest.raises(TaskFormatError, match="line 2: .*unknown isolation mode 'container'"):
+        load_tasks(path)
+
+
 def test_load_names_offending_line(tmp_path, small_suite):
     path = tmp_path / "tasks.jsonl"
     save_tasks(small_suite, path)
