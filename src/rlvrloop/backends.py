@@ -23,6 +23,9 @@ from .policy import TabularPolicy, softmax
 # The tolerance numpy's Generator.choice allows on sum(p) before it raises.
 _P_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
 
+# The step of a repair prompt that names no statement.
+_WHOLE_REPAIR = "whole-workspace repair"
+
 
 @dataclass(frozen=True)
 class SamplingParams:
@@ -69,7 +72,7 @@ class TabularPolicyBackend(PolicyBackend):
     (backend_id, task_id, seed) and built only when a draw is made: the
     same index rng.choice(len(p), p=p) returns, bit for bit, which
     tests/test_backends.py checks against that call. Temperature 0 is the
-    argmax of the logits.
+    argmax of the logits. Each distinct prompt is parsed once.
 
     Generation is in-process and holds the GIL, so callers run it inline:
     a thread pool around it only adds overhead.
@@ -81,31 +84,32 @@ class TabularPolicyBackend(PolicyBackend):
     def __init__(self, policy: TabularPolicy):
         self.policy = policy.frozen()
         self._cdfs: dict[tuple[str, int | None, float], list[float]] = {}
+        self._parsed: dict[str, tuple[str | None, str, int | None]] = {}
 
     def generate(self, prompt: str, params: SamplingParams) -> Completion:
-        task_id = prompts.prompt_task_id(prompt)
+        parsed = self._parsed.get(prompt)
+        if parsed is None:
+            parsed = self._parsed[prompt] = _parse_prompt(prompt)
+        task_id, step, line = parsed
         if task_id is None or task_id not in self.policy.heads:
             raise BackendError(f"{self.backend_id}: prompt names no known task")
-        localize = prompts.prompt_step(prompt) == prompts.LOC_STEP
-        if localize:
-            hinted = prompts.prompt_hint_line(prompt)
-            if hinted is not None and 0 <= hinted < self.policy.heads[task_id].line_logits.size:
-                return Completion(text=prompts.format_line_completion(hinted))
+        if step == prompts.LOC_STEP and line is not None:
+            if 0 <= line < self.policy.heads[task_id].line_logits.size:  # the hinted statement
+                return Completion(text=prompts.format_line_completion(line))
         temperature = params.temperature
         # np.random.default_rng(seed) is this generator, built without its argument checks
         rng = None if temperature == 0 else np.random.Generator(
             np.random.PCG64(derive_seed(self.backend_id, task_id, params.seed))
         )
 
-        if localize:
+        if step == prompts.LOC_STEP:
             return Completion(text=prompts.format_line_completion(self._draw(task_id, None, temperature, rng)))
 
-        if prompts.prompt_is_whole_workspace_repair(prompt):
+        if step == _WHOLE_REPAIR:
             line = self._draw(task_id, None, temperature, rng)
             cand = self._draw(task_id, line, temperature, rng)
             return Completion(text=prompts.format_line_candidate_completion(line, cand))
 
-        line = prompts.prompt_repair_line(prompt)
         if line is None:
             raise BackendError(f"{self.backend_id}: repair prompt names no statement")
         return Completion(text=prompts.format_candidate_completion(self._draw(task_id, line, temperature, rng)))
@@ -129,6 +133,17 @@ class TabularPolicyBackend(PolicyBackend):
             c /= c[-1]
             cdf = self._cdfs[key] = c.tolist()
         return bisect.bisect_right(cdf, rng.random())
+
+
+def _parse_prompt(prompt: str) -> tuple[str | None, str, int | None]:
+    """(task id, step, line) of a scaffold prompt: line is the statement a
+    localization prompt's hint names or the one a repair prompt repairs."""
+    task_id = prompts.prompt_task_id(prompt)
+    if prompts.prompt_step(prompt) == prompts.LOC_STEP:
+        return task_id, prompts.LOC_STEP, prompts.prompt_hint_line(prompt)
+    if prompts.prompt_is_whole_workspace_repair(prompt):
+        return task_id, _WHOLE_REPAIR, None
+    return task_id, prompts.REPAIR_STEP, prompts.prompt_repair_line(prompt)
 
 
 def call_with_retry(fn, *args, max_retries: int = 2):

@@ -80,28 +80,38 @@ def _tail(text: str, limit: int = STACKTRACE_TAIL_CHARS) -> str:
 
 
 def _evaluate_synthetic(task: SynthTask, trajectory: Trajectory) -> tuple[int, dict, str | None]:
-    per_test = {SYNTH_REGRESSION_TEST: STATUS_ERROR, SYNTH_FOCUSED_TEST: STATUS_ERROR}
+    """Score a (line, candidate) patch; each distinct patch of a task runs once."""
     patch = trajectory.patch
     if patch is None or patch.synth is None:
-        return 0, per_test, "patch is not a (line, candidate) selection"
+        return 0, _synth_errors(), "patch is not a (line, candidate) selection"
     line, cand = patch.synth
     if not (0 <= line < task.n_lines and 0 <= cand < task.n_candidates):
-        return 0, per_test, f"patch indices ({line}, {cand}) outside the task grid"
+        return 0, _synth_errors(), f"patch indices ({line}, {cand}) outside the task grid"
+    memo = task.patch_outcomes
+    outcome = memo.get((line, cand))
+    if outcome is None:
+        outcome = memo[line, cand] = _run_synthetic(task, line, cand)
+    reward, per_test, stack = outcome
+    return reward, dict(per_test), stack
+
+
+def _synth_errors() -> dict[str, str]:
+    return {SYNTH_REGRESSION_TEST: STATUS_ERROR, SYNTH_FOCUSED_TEST: STATUS_ERROR}
+
+
+def _run_synthetic(task: SynthTask, line: int, cand: int) -> tuple[int, dict, str | None]:
     replacement = task.candidates[line][cand]
     try:
         actual = run_program(apply_candidate(task.lines, line, replacement))
     except ProgramError as exc:
-        return 0, per_test, _tail(str(exc))
-    per_test[SYNTH_REGRESSION_TEST] = STATUS_PASS
+        return 0, _synth_errors(), _tail(str(exc))
     if actual == task.expected_output:
-        per_test[SYNTH_FOCUSED_TEST] = STATUS_PASS
-        return 1, per_test, None
-    per_test[SYNTH_FOCUSED_TEST] = STATUS_FAIL
+        return 1, {SYNTH_REGRESSION_TEST: STATUS_PASS, SYNTH_FOCUSED_TEST: STATUS_PASS}, None
     stack = (
         f"{SYNTH_FOCUSED_TEST} failed: expected {task.expected_output} got {actual}\n"
         f"patched statement {line}: {replacement}"
     )
-    return 0, per_test, _tail(stack)
+    return 0, {SYNTH_REGRESSION_TEST: STATUS_PASS, SYNTH_FOCUSED_TEST: STATUS_FAIL}, _tail(stack)
 
 
 # ---------------------------------------------------------------------------

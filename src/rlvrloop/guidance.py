@@ -185,6 +185,10 @@ def _canonical_heading(raw: str) -> str:
     return re.sub(r"\s+", " ", raw.upper().strip())
 
 
+def _guidance_id(task_id: str, source_trajectory_ref: str) -> str:
+    return "g-" + format(derive_seed("guidance", task_id, source_trajectory_ref), "x")
+
+
 def parse_guidance(
     teacher_text: str,
     *,
@@ -212,7 +216,7 @@ def parse_guidance(
         if not found[section]:
             raise GuidanceError(f"teacher output has an empty {section!r} section")
     return Guidance(
-        guidance_id="g-" + format(derive_seed("guidance", task_id, source_trajectory_ref), "x"),
+        guidance_id=_guidance_id(task_id, source_trajectory_ref),
         task_id=task_id,
         source_trajectory_ref=source_trajectory_ref,
         plan=found[SECTION_PLAN],
@@ -276,24 +280,15 @@ def oracle_teacher(
         f"Replace the defective statement so the program evaluates to {task.expected_output}; "
         f"one of the {len(correct)} candidate replacements for that statement is the intended fix."
     )
-    interaction = f"line {task.buggy_line}"
-    text = guidance_to_text(
-        Guidance(
-            guidance_id="pending",
-            task_id=task.id,
-            source_trajectory_ref=failed_trajectory.traj_id,
-            plan=plan,
-            env_feedback=feedback,
-            env_interaction=interaction,
-            teacher_id="oracle",
-        )
-    )
-    # Round-trip through the parser so the oracle exercises the same path a
-    # text teacher does.
-    return parse_guidance(
-        text,
+    # The Guidance parse_guidance(guidance_to_text(...)) would return, built
+    # without the text round trip.
+    return Guidance(
+        guidance_id=_guidance_id(task.id, failed_trajectory.traj_id),
         task_id=task.id,
         source_trajectory_ref=failed_trajectory.traj_id,
+        plan=plan,
+        env_feedback=feedback.strip(),
+        env_interaction=f"line {task.buggy_line}",
         teacher_id="oracle",
     )
 

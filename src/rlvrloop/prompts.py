@@ -25,6 +25,28 @@ DEFAULT_LOCALIZATION_LINES = 1
 
 
 def render_localization_prompt(task: "Task") -> str:
+    """The task's localization prompt, rendered once per task object."""
+    prompt = task.rendered_prompts.get(LOC_STEP)
+    if prompt is None:
+        prompt = task.rendered_prompts[LOC_STEP] = _localization_prompt(task)
+    return prompt
+
+
+def render_repair_prompt(task: "Task", location) -> str:
+    """Repair prompt given a committed localization, rendered once per (task object, location).
+
+    location is a statement index for synthetic tasks or a list of file
+    paths for real ones. None means localization was unparseable and the
+    repair must consider the whole workspace.
+    """
+    key = tuple(location) if isinstance(location, list) else location
+    prompt = task.rendered_prompts.get(key)
+    if prompt is None:
+        prompt = task.rendered_prompts[key] = _repair_prompt(task, location)
+    return prompt
+
+
+def _localization_prompt(task: "Task") -> str:
     if task.is_synthetic:
         listing = "\n".join(f"  {i}: {line}" for i, line in enumerate(task.lines))
         return (
@@ -47,13 +69,7 @@ def render_localization_prompt(task: "Task") -> str:
     )
 
 
-def render_repair_prompt(task: "Task", location) -> str:
-    """Repair prompt given a committed localization.
-
-    location is a statement index for synthetic tasks or a list of file
-    paths for real ones. None means localization was unparseable and the
-    repair must consider the whole workspace.
-    """
+def _repair_prompt(task: "Task", location) -> str:
     header = f"Repository: {task.repo_name}\nTask: {task.id}\n\n### Issue ###\n{task.issue}\n\n"
     if task.is_synthetic:
         if location is None:

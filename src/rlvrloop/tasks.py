@@ -86,9 +86,21 @@ class Task:
     tests: TestSuite
     repo_name: str
 
+    def __post_init__(self):
+        kind, mode = ("synthetic", "in_memory_synthetic") if self.is_synthetic else ("real", "process_sandbox")
+        if self.env_spec.isolation != mode:
+            raise TaskFormatError(
+                f"{self.id}: a {kind} task must use {mode} isolation, not {self.env_spec.isolation!r}"
+            )
+
     @property
     def is_synthetic(self) -> bool:
         return False
+
+    @functools.cached_property
+    def rendered_prompts(self) -> dict:
+        """This task's scaffold prompts, each rendered once by the prompts module."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,7 @@ class SynthTask(Task):
     expected_output: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.lines) < 2:
             raise TaskFormatError(f"{self.id}: synthetic program needs at least 2 lines")
         if not 0 <= self.buggy_line < len(self.lines):
@@ -123,6 +136,15 @@ class SynthTask(Task):
     @property
     def n_candidates(self) -> int:
         return len(self.candidates[0])
+
+    @functools.cached_property
+    def patch_outcomes(self) -> dict:
+        """The evaluator's memo: (line, candidate) -> (reward, per_test, stacktrace).
+
+        It lives on this object and dies with its suite; two suites that
+        reuse a task id never share it.
+        """
+        return {}
 
 
 @dataclass
@@ -163,29 +185,48 @@ def parse_statement(text: str) -> tuple[str, str, str | None, str | None]:
     return m.group(1), m.group(2), m.group(3), m.group(4)
 
 
+# A compiled statement: (target, a, op, b) with each operand an int literal
+# or a variable name, so running it matches no regex.
+Compiled = tuple[str, int | str, str | None, int | str | None]
+
+
+def _operand(tok: str) -> int | str:
+    return int(tok) if _INT_RE.fullmatch(tok) else tok
+
+
+@functools.lru_cache(maxsize=4096)
+def _compile_statement(text: str) -> Compiled:
+    target, a, op, b = parse_statement(text)
+    return target, _operand(a), op, None if b is None else _operand(b)
+
+
+def _execute(stmt: Compiled, env: dict[str, int], idx: int) -> str:
+    """Run one compiled statement at position idx in env; returns its target."""
+    target, a, op, b = stmt
+    if isinstance(a, str):
+        if a not in env:
+            raise ProgramError(f"statement {idx}: undefined variable {a!r}")
+        a = env[a]
+    if op is not None:
+        if isinstance(b, str):
+            if b not in env:
+                raise ProgramError(f"statement {idx}: undefined variable {b!r}")
+            b = env[b]
+        a = a + b if op == "+" else a - b if op == "-" else a * b
+    env[target] = a
+    return target
+
+
 def run_program(lines: Sequence[str]) -> int:
     """Evaluate a straight-line program; the final assignment is the output."""
     env: dict[str, int] = {}
-
-    def value(tok: str, idx: int) -> int:
-        if _INT_RE.fullmatch(tok):
-            return int(tok)
-        if tok not in env:
-            raise ProgramError(f"statement {idx}: undefined variable {tok!r}")
-        return env[tok]
-
     target = None
     for idx, line in enumerate(lines):
         try:
-            target, a, op, b = parse_statement(line)
+            stmt = _compile_statement(line)
         except ProgramError as exc:
             raise ProgramError(f"statement {idx}: {exc}") from exc
-        va = value(a, idx)
-        if op is None:
-            env[target] = va
-        else:
-            vb = value(b, idx)
-            env[target] = va + vb if op == "+" else va - vb if op == "-" else va * vb
+        target = _execute(stmt, env, idx)
     if target is None:
         raise ProgramError("empty program")
     return env[target]
@@ -211,15 +252,39 @@ def enumerate_passing_patches(task: SynthTask) -> list[tuple[int, int]]:
 def _passing_patches(
     lines: Sequence[str], candidates: Sequence[Sequence[str]], expected: int
 ) -> list[tuple[int, int]]:
+    """The patches run_program(apply_candidate(lines, j, stmt)) == expected accepts.
+
+    The unpatched prefix before line j is run once, and each candidate at j
+    runs from a copy of its variables through the unpatched suffix.
+    """
+    program: list[Compiled | None] = []
+    for line in lines:
+        try:
+            program.append(_compile_statement(line))
+        except ProgramError:
+            program.append(None)  # fails every patch that keeps this line
     passing = []
+    prefix: dict[str, int] = {}  # variables after the unpatched lines before j
     for j, row in enumerate(candidates):
-        for k, stmt in enumerate(row):
-            try:
-                out = run_program(apply_candidate(lines, j, stmt))
-            except ProgramError:
-                continue
-            if out == expected:
-                passing.append((j, k))
+        suffix = program[j + 1:]
+        if None not in suffix:
+            for k, text in enumerate(row):
+                env = dict(prefix)
+                try:
+                    target = _execute(_compile_statement(text), env, j)
+                    for i, stmt in enumerate(suffix, j + 1):
+                        target = _execute(stmt, env, i)
+                except ProgramError:
+                    continue
+                if env[target] == expected:
+                    passing.append((j, k))
+        # An unpatched line that fails fails every patch after it too.
+        if program[j] is None:
+            break
+        try:
+            _execute(program[j], prefix, j)
+        except ProgramError:
+            break
     return passing
 
 

@@ -92,6 +92,32 @@ def test_stepwise_pipeline_matches_loop_byte_for_byte(stepwise, loop_dir):
     assert not list(stepwise.glob("*.partial"))
 
 
+# sha256 of the artifacts run-loop writes before training, at the CI workflow's small
+# settings. None of them depends on float rounding that varies between numpy versions.
+# A change that alters these bytes on purpose updates the pins and says so in CHANGES.md.
+GOLDEN_SETS = [
+    "run.rollouts_n=6", "tasks.synth_count=6", "tasks.synth_lines=3", "tasks.synth_candidates=3",
+    "sft.sft_epochs=20", "dpo.dpo_epochs=20",
+]
+GOLDEN_SHA256 = {
+    "tasks.jsonl": "2091ba01c58fedfca7f45d33a26bdb1ebb4a3955d35b153e2b4e5f311ee1cc64",
+    "policy_init.json": "12078f6a8d25da4cd09cf8408d59c4ff1fc8ac98f0ffc0d8d799e6d1bd430e2f",
+    "rollouts.jsonl": "3dfa6cddc0877f72583913ac3ffcbeb1c4f4a12a22b21d81911cb94288eb6757",
+    "rewards.jsonl": "a2746822376d6cfbe97df0f053b49ba2a2bcedfde7e33dc9948187cacbb81adf",
+    "guidance.jsonl": "ebe0456da8606f47b05eb293ad4d8aa50d61daddbfeda49b05f8cfc59f578047",
+    "guided_rollouts.jsonl": "22180f792420f768a62b527b8d2c38cacdc34d20df4d5ac68366a036acec6d1e",
+    "guided_rewards.jsonl": "87a5e17c6aed85153fe173f0292cc554afdfb14597588c6e27c9fa2049b76f17",
+    "dataset.jsonl": "2e6b0009a5a82531bcb829e00a0c5635fe4e6bc24f6165be461ac4aa8b957a92",
+}
+
+
+def test_pretraining_artifacts_match_their_golden_hashes(tmp_path):
+    assert run(["run-loop", "--output-dir", tmp_path, "--seed", 3,
+                *(a for item in GOLDEN_SETS for a in ("--set", item))]) == 0
+    got = {name: canonical_file_hash(tmp_path / name) for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256
+
+
 def test_stepwise_matches_loop_at_non_default_settings(stepwise, tmp_path):
     """Every assembly and training setting reaches the RunConfig field run-loop reads."""
     sets = SMALL_SETS + NON_DEFAULT_SETS

@@ -4,9 +4,13 @@ The synthetic evaluator must agree with brute-force patch enumeration on
 every cell of the (line, candidate) grid, and the sandboxed evaluator is
 driven end to end against a scripted throwaway repository.
 """
+import dataclasses
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubles import ScriptedBackend, workspace_fingerprint
 from rlvrloop.backends import SamplingParams
@@ -26,9 +30,11 @@ from rlvrloop.evaluator import (
 from rlvrloop.rollout import Patch, Step, Trajectory, run_scaffold
 from rlvrloop.tasks import (
     EnvSpec,
+    ProgramError,
     SynthTask,
     Task,
     TestSuite,
+    apply_candidate,
     enumerate_passing_patches,
     synth_env_spec,
 )
@@ -139,6 +145,124 @@ def test_wall_clock_never_changes_a_synthetic_reward(one_task, monkeypatch):
     assert rec.reward == 1
     assert rec.per_test == {"program_parses": "pass", "output_matches": "pass"}
     assert rec.stacktrace is None
+
+
+def grid_trajectory(task, line, cand):
+    return manual_trajectory(task.id, Patch(edits=(), rendering=f"({line}, {cand})", synth=(line, cand)))
+
+
+def test_outcome_memo_belongs_to_the_task_object(one_task):
+    """Two tasks that share an id never see each other's scored patches."""
+    a = dataclasses.replace(one_task)
+    b = dataclasses.replace(
+        one_task,
+        candidates=tuple(row[::-1] for row in one_task.candidates),
+        expected_output=one_task.expected_output + 1,
+    )
+    records = []
+    for _ in range(2):
+        for line, cand in itertools.product(range(a.n_lines), range(a.n_candidates)):
+            traj = grid_trajectory(a, line, cand)
+            for task in (a, b):
+                rec = evaluate(task, traj)
+                assert rec == evaluate(dataclasses.replace(task), traj), (task is a, line, cand)
+                records.append(rec)
+    assert len({id(rec.per_test) for rec in records}) == len(records)
+    # a caller that edits its record's per_test changes no later record
+    first = evaluate(a, grid_trajectory(a, 0, 0))
+    first.per_test.clear()
+    assert evaluate(a, grid_trajectory(a, 0, 0)) == evaluate(dataclasses.replace(a), grid_trajectory(a, 0, 0))
+
+
+# The interpreter before statements were compiled: a regex match per operand and
+# the whole patched program run for every patch. The property test below holds the
+# compiled, prefix-sharing route to it.
+_REF_STMT = re.compile(
+    r"^\s*([A-Za-z_]\w*)\s*=\s*([A-Za-z_]\w*|-?\d+)(?:\s*([+*-])\s*([A-Za-z_]\w*|-?\d+))?\s*$"
+)
+
+
+def reference_run(lines):
+    env = {}
+
+    def value(tok, idx):
+        if re.fullmatch(r"-?\d+", tok):
+            return int(tok)
+        if tok not in env:
+            raise ProgramError(f"statement {idx}: undefined variable {tok!r}")
+        return env[tok]
+
+    target = None
+    for idx, line in enumerate(lines):
+        m = _REF_STMT.match(line)
+        if not m:
+            raise ProgramError(f"statement {idx}: statement does not parse: {line!r}")
+        target, a, op, b = m.groups()
+        va = value(a, idx)
+        if op is None:
+            env[target] = va
+        else:
+            vb = value(b, idx)
+            env[target] = va + vb if op == "+" else va - vb if op == "-" else va * vb
+    if target is None:
+        raise ProgramError("empty program")
+    return env[target]
+
+
+def reference_outcome(lines):
+    try:
+        return reference_run(lines)
+    except ProgramError as exc:
+        return str(exc)
+
+
+# y is assigned only when a statement happens to target it, so many programs and
+# candidates read an undefined variable, in the prefix or in the patch itself
+VARS = ("x0", "x1", "x2", "y")
+OPERANDS = st.one_of(st.sampled_from(VARS), st.integers(-9, 12).map(str))
+STATEMENTS = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(VARS), OPERANDS),
+    st.builds("{} = {} {} {}".format, st.sampled_from(VARS), OPERANDS, st.sampled_from("+-*"), OPERANDS),
+    st.sampled_from(["x1 = x0 / 2", "x2 == 3", "oops"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_prefix_sharing_enumeration_matches_naive_runs(data):
+    n_lines = data.draw(st.integers(2, 5))
+    width = data.draw(st.integers(2, 3))
+    lines = tuple(data.draw(st.lists(STATEMENTS, min_size=n_lines, max_size=n_lines)))
+    candidates = tuple(
+        tuple(data.draw(st.lists(STATEMENTS, min_size=width, max_size=width, unique=True)))
+        for _ in range(n_lines)
+    )
+    outcomes = {
+        (j, k): reference_outcome(apply_candidate(lines, j, stmt))
+        for j, row in enumerate(candidates) for k, stmt in enumerate(row)
+    }
+    values = [v for v in outcomes.values() if isinstance(v, int)]
+    expected = data.draw(st.sampled_from(values) if values else st.integers(-50, 50))
+    task = SynthTask(
+        id="prop", issue="x", workspace="inline", env_spec=synth_env_spec(),
+        tests=TestSuite(regression=("program_parses",), focused=("output_matches",)),
+        repo_name="r", lines=lines, buggy_line=0, candidates=candidates, expected_output=expected,
+    )
+
+    # every small target too, so a patch scored from a wrong prefix is caught
+    # whatever value it happens to reach
+    for target in {expected, *values, *range(-20, 21)}:
+        naive = [cell for cell, out in outcomes.items() if isinstance(out, int) and out == target]
+        assert enumerate_passing_patches(dataclasses.replace(task, expected_output=target)) == naive
+    for (j, k), out in outcomes.items():
+        for _ in range(2):  # the second evaluation comes from the task's memo
+            rec = evaluate(task, grid_trajectory(task, j, k))
+            if isinstance(out, str):
+                assert (rec.reward, rec.stacktrace) == (0, out)
+                assert rec.per_test == {"program_parses": "error", "output_matches": "error"}
+            else:
+                assert rec.reward == int(out == expected)
+                assert rec.per_test["program_parses"] == "pass"
 
 
 # ---------------------------------------------------------------------------

@@ -300,3 +300,19 @@ def test_guidance_record_round_trip(one_task):
     traj, rec = failed_attempt(one_task)
     g = oracle_teacher(one_task, traj, rec)
     assert guidance_from_record(guidance_to_record(g)) == g
+
+
+def test_oracle_guidance_equals_the_parse_of_its_text(small_suite):
+    """The oracle builds its Guidance directly; a text teacher saying the same gets the same record."""
+    for task in small_suite:
+        grid = [attempt(task, j, k) for j in range(task.n_lines) for k in range(task.n_candidates)]
+        failed = [(traj, rec) for traj, rec in grid + [empty_attempt(task)] if rec.reward == 0]
+        assert len(failed) == task.n_lines * task.n_candidates
+        for traj, rec in failed:
+            g = oracle_teacher(task, traj, rec)
+            assert g == parse_guidance(
+                guidance_to_text(g),
+                task_id=task.id,
+                source_trajectory_ref=traj.traj_id,
+                teacher_id="oracle",
+            )

@@ -304,6 +304,32 @@ def test_load_rejects_container_isolation(tmp_path):
         load_tasks(path)
 
 
+def test_load_rejects_isolation_that_does_not_match_the_task_kind(tmp_path, one_task):
+    """A real task under in_memory_synthetic fails at load, so its attempts never score as
+    model failures; a synthetic task under process_sandbox fails too, since its commands never run."""
+    rec = task_to_record(Task(
+        id="real-1", issue="x", workspace=str(tmp_path),
+        env_spec=EnvSpec((), "pytest", 10.0, "process_sandbox"),
+        tests=TestSuite(regression=("t",), focused=()), repo_name="w",
+    ))
+    rec["env_spec"].update(test_command="", isolation="in_memory_synthetic")
+    path = tmp_path / "tasks.jsonl"
+    from rlvrloop.jsonl import write_records
+
+    write_records(path, "tasks", [rec])
+    with pytest.raises(TaskFormatError, match="line 2: .*real task must use process_sandbox"):
+        load_tasks(path)
+    with pytest.raises(TaskFormatError, match="real task must use process_sandbox"):
+        Task(id="real-1", issue="x", workspace=str(tmp_path), env_spec=synth_env_spec(),
+             tests=TestSuite(regression=("t",), focused=()), repo_name="w")
+
+    rec = task_to_record(one_task)
+    rec["env_spec"].update(setup_commands=["false"], isolation="process_sandbox")
+    write_records(path, "tasks", [rec])
+    with pytest.raises(TaskFormatError, match="line 2: .*synthetic task must use in_memory_synthetic"):
+        load_tasks(path)
+
+
 def test_load_names_offending_line(tmp_path, small_suite):
     path = tmp_path / "tasks.jsonl"
     save_tasks(small_suite, path)
