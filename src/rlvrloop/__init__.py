@@ -7,7 +7,6 @@ makes the whole loop runnable and checkable on one machine.
 """
 
 from .backends import (
-    Completion,
     HttpPolicyBackend,
     PolicyBackend,
     SamplingParams,
@@ -94,7 +93,6 @@ __all__ = [
     "AssemblyError",
     "BackendError",
     "CheckpointError",
-    "Completion",
     "DPOConfig",
     "EvalReport",
     "EvaluationFailure",

@@ -1,4 +1,4 @@
-"""Policy backends: anything that turns a prompt into a completion.
+"""Policy backends: anything that turns a prompt into a completion's text.
 
 The engine only relies on the generate() contract plus a concurrency
 limit, so a desk-scale tabular policy and a remote text-generation
@@ -23,9 +23,6 @@ from .policy import TabularPolicy, softmax
 # The tolerance numpy's Generator.choice allows on sum(p) before it raises.
 _P_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
 
-# The step of a repair prompt that names no statement.
-_WHOLE_REPAIR = "whole-workspace repair"
-
 
 @dataclass(frozen=True)
 class SamplingParams:
@@ -40,18 +37,13 @@ class SamplingParams:
             raise ValueError(f"max_tokens must be > 0, got {self.max_tokens}")
 
 
-@dataclass
-class Completion:
-    text: str
-
-
 class PolicyBackend:
     """Base contract. Subclasses override generate()."""
 
     backend_id: str = "base"
     max_concurrency: int | None = None  # None means no declared limit
 
-    def generate(self, prompt: str, params: SamplingParams) -> Completion:
+    def generate(self, prompt: str, params: SamplingParams) -> str:
         raise NotImplementedError
 
 
@@ -72,7 +64,9 @@ class TabularPolicyBackend(PolicyBackend):
     (backend_id, task_id, seed) and built only when a draw is made: the
     same index rng.choice(len(p), p=p) returns, bit for bit, which
     tests/test_backends.py checks against that call. Temperature 0 is the
-    argmax of the logits. Each distinct prompt is parsed once.
+    argmax of the logits. Each distinct prompt is parsed once. A prompt
+    naming a task the policy has no head for raises the policy's
+    TrainingError, which no retry can mend.
 
     Generation is in-process and holds the GIL, so callers run it inline:
     a thread pool around it only adds overhead.
@@ -86,16 +80,17 @@ class TabularPolicyBackend(PolicyBackend):
         self._cdfs: dict[tuple[str, int | None, float], list[float]] = {}
         self._parsed: dict[str, tuple[str | None, str, int | None]] = {}
 
-    def generate(self, prompt: str, params: SamplingParams) -> Completion:
+    def generate(self, prompt: str, params: SamplingParams) -> str:
         parsed = self._parsed.get(prompt)
         if parsed is None:
-            parsed = self._parsed[prompt] = _parse_prompt(prompt)
+            parsed = self._parsed[prompt] = prompts.parse_prompt(prompt)
         task_id, step, line = parsed
-        if task_id is None or task_id not in self.policy.heads:
-            raise BackendError(f"{self.backend_id}: prompt names no known task")
+        if task_id is None:
+            raise BackendError(f"{self.backend_id}: prompt names no task")
+        head = self.policy.head(task_id)
         if step == prompts.LOC_STEP and line is not None:
-            if 0 <= line < self.policy.heads[task_id].line_logits.size:  # the hinted statement
-                return Completion(text=prompts.format_line_completion(line))
+            if 0 <= line < head.line_logits.size:  # the hinted statement
+                return prompts.format_line_completion(line)
         temperature = params.temperature
         # np.random.default_rng(seed) is this generator, built without its argument checks
         rng = None if temperature == 0 else np.random.Generator(
@@ -103,16 +98,16 @@ class TabularPolicyBackend(PolicyBackend):
         )
 
         if step == prompts.LOC_STEP:
-            return Completion(text=prompts.format_line_completion(self._draw(task_id, None, temperature, rng)))
+            return prompts.format_line_completion(self._draw(task_id, None, temperature, rng))
 
-        if step == _WHOLE_REPAIR:
+        if step == prompts.WHOLE_REPAIR_STEP:
             line = self._draw(task_id, None, temperature, rng)
             cand = self._draw(task_id, line, temperature, rng)
-            return Completion(text=prompts.format_line_candidate_completion(line, cand))
+            return prompts.format_line_candidate_completion(line, cand)
 
         if line is None:
             raise BackendError(f"{self.backend_id}: repair prompt names no statement")
-        return Completion(text=prompts.format_candidate_completion(self._draw(task_id, line, temperature, rng)))
+        return prompts.format_candidate_completion(self._draw(task_id, line, temperature, rng))
 
     def _draw(self, task_id: str, line: int | None, temperature: float, rng: np.random.Generator | None) -> int:
         """A statement index (line None) or a candidate index at line; rng is None at temperature 0."""
@@ -133,17 +128,6 @@ class TabularPolicyBackend(PolicyBackend):
             c /= c[-1]
             cdf = self._cdfs[key] = c.tolist()
         return bisect.bisect_right(cdf, rng.random())
-
-
-def _parse_prompt(prompt: str) -> tuple[str | None, str, int | None]:
-    """(task id, step, line) of a scaffold prompt: line is the statement a
-    localization prompt's hint names or the one a repair prompt repairs."""
-    task_id = prompts.prompt_task_id(prompt)
-    if prompts.prompt_step(prompt) == prompts.LOC_STEP:
-        return task_id, prompts.LOC_STEP, prompts.prompt_hint_line(prompt)
-    if prompts.prompt_is_whole_workspace_repair(prompt):
-        return task_id, _WHOLE_REPAIR, None
-    return task_id, prompts.REPAIR_STEP, prompts.prompt_repair_line(prompt)
 
 
 def call_with_retry(fn, *args, max_retries: int = 2):
@@ -201,11 +185,11 @@ class HttpPolicyBackend(PolicyBackend):
         self.endpoint = endpoint
         self.timeout_s = timeout_s
 
-    def generate(self, prompt: str, params: SamplingParams) -> Completion:
+    def generate(self, prompt: str, params: SamplingParams) -> str:
         payload = {
             "prompt": prompt,
             "temperature": params.temperature,
             "seed": params.seed,
             "max_tokens": params.max_tokens,
         }
-        return Completion(text=post_completion(self.endpoint, payload, self.timeout_s, self.backend_id))
+        return post_completion(self.endpoint, payload, self.timeout_s, self.backend_id)

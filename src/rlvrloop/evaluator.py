@@ -3,9 +3,9 @@
 Reward is binary and earned only by passing every regression and focused
 test. An empty patch short-circuits to 0 without touching a sandbox. Model
 failures (bad patch, failing tests, timeouts) become reward-0 records;
-infrastructure failures (workspace missing, setup commands broken) become
-EvaluationFailure entries so they are never confused with a genuine
-negative label.
+infrastructure failures (workspace missing, setup commands broken, a
+rollout slot the backend never answered) become EvaluationFailure entries
+so they are never confused with a genuine negative label.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import SandboxProvisionError
+from .errors import BackendError, SandboxProvisionError
 from .jsonl import read_records, write_records
 from .rollout import Trajectory
 from .tasks import (
@@ -210,9 +210,11 @@ def _evaluate_sandboxed(task: Task, trajectory: Trajectory) -> tuple[int, dict, 
 
 
 def evaluate(task: Task, trajectory: Trajectory) -> RewardRecord:
-    """Score one trajectory. Raises SandboxProvisionError on infra failures."""
+    """Score one trajectory. Raises SandboxProvisionError on infra failures, BackendError on a placeholder."""
     if trajectory.task_id != task.id:
         raise ValueError(f"trajectory {trajectory.traj_id} does not belong to task {task.id}")
+    if trajectory.is_placeholder:
+        raise BackendError(f"{trajectory.traj_id}: the backend never answered this rollout slot")
     started = time.perf_counter()
     if trajectory.patch is None:
         reward, per_test, stack = 0, {}, None
@@ -249,7 +251,7 @@ def evaluate_batch(
         task, traj = item
         try:
             return evaluate(task, traj)
-        except SandboxProvisionError as exc:
+        except (SandboxProvisionError, BackendError) as exc:
             return EvaluationFailure(task_id=task.id, trajectory_ref=traj.traj_id, error=str(exc))
         except Exception as exc:  # pragma: no cover - defensive
             log.exception("unexpected evaluator failure for %s", traj.traj_id)

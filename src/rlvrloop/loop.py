@@ -63,7 +63,7 @@ from .rollout import (
     sample_rollouts,
     write_trajectories,
 )
-from .tasks import TaskDataset, generate_synth_suite, load_tasks, save_tasks
+from .tasks import Task, TaskDataset, generate_synth_suite, load_tasks, save_tasks
 from .training import DPOConfig, dpo_train, sft_train, write_history_csv
 
 log = logging.getLogger(__name__)
@@ -234,8 +234,16 @@ def rollout_all_tasks(
     return [traj for batch in _map(one, dataset.tasks, backend, workers) for traj in batch]
 
 
+def _task_in(dataset: TaskDataset, task_id: str) -> Task:
+    """The suite's task with this id; UsageError if the suite has none, as for inputs from another run."""
+    task = dataset.by_id.get(task_id)
+    if task is None:
+        raise UsageError(f"inputs reference task {task_id!r}, which the task suite does not hold")
+    return task
+
+
 def evaluate_trajectories(dataset: TaskDataset, trajectories, *, workers: int = 4):
-    items = [(dataset.by_id[t.task_id], t) for t in trajectories]
+    items = [(_task_in(dataset, t.task_id), t) for t in trajectories]
     return evaluate_batch(items, workers=workers)
 
 
@@ -254,7 +262,7 @@ def guide_failures(
         traj = by_ref.get(rec.trajectory_ref)
         if traj is None or traj.is_guided:
             continue
-        task = dataset.by_id[rec.task_id]
+        task = _task_in(dataset, rec.task_id)
         if teacher is None:
             out.append(oracle_teacher(task, traj, rec))
         else:
@@ -273,7 +281,7 @@ def reattempt_with_guidance(
 ) -> list:
     """One guided reattempt per guidance record, seeded off the source ref."""
     def one(guidance):
-        task = dataset.by_id[guidance.task_id]
+        task = _task_in(dataset, guidance.task_id)
         params = SamplingParams(
             temperature=TEMPERATURE_SAMPLING,
             seed=derive_seed(base_seed, "reattempt", guidance.source_trajectory_ref),
@@ -415,14 +423,12 @@ def rank(config: RunConfig, tasks: TaskDataset, rm: PairwiseRM, eval_rollouts: l
     rewards = {r.trajectory_ref: r for r in eval_rewards if not isinstance(r, EvaluationFailure)}
     grouped: dict[str, list] = {}
     for traj in eval_rollouts:
-        grouped.setdefault(traj.task_id, []).append(traj)
+        if not traj.is_placeholder:  # a dead slot has no reward to select
+            grouped.setdefault(traj.task_id, []).append(traj)
     selections = []
     for task_id in sorted(grouped):
-        task = tasks.by_id.get(task_id)
-        if task is None:
-            raise UsageError(f"rollouts reference unknown task {task_id!r}")
         batch = grouped[task_id]
-        index = rank_best_of_k(rm, task.issue, [t.patch for t in batch]).selected_index
+        index = rank_best_of_k(rm, _task_in(tasks, task_id).issue, [t.patch for t in batch]).selected_index
         rec = rewards.get(batch[index].traj_id)
         if rec is None:
             raise UsageError(f"no reward record for selected trajectory {batch[index].traj_id!r}")

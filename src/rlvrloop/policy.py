@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import CheckpointError, TrainingError
 from .jsonl import SCHEMA_VERSION
+from .tasks import SynthTask
 
 POLICY_SCHEMA = "tabular_policy"
 
@@ -35,16 +36,19 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
         out = np.zeros_like(logits)
         out[int(np.argmax(logits))] = 1.0
         return out
-    z = logits / temperature
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    return softmax_rows(logits / temperature)[1]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    logits = np.asarray(logits, dtype=np.float64)
-    z = logits - logits.max()
-    return z - np.log(np.exp(z).sum())
+    return softmax_rows(np.asarray(logits, dtype=np.float64))[0]
+
+
+def softmax_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log_softmax, softmax) at temperature 1 along the last axis of a float64 array."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    return z - np.log(total), e / total
 
 
 @dataclass
@@ -77,7 +81,7 @@ class TabularPolicy:
         """Zero logits (uniform distributions) for every synthetic task."""
         policy = cls()
         for task in dataset:
-            if task.is_synthetic:
+            if isinstance(task, SynthTask):
                 policy.ensure_task(task.id, task.n_lines, task.n_candidates)
         return policy
 

@@ -8,15 +8,14 @@ completion that fails to parse yields an empty patch rather than an error.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .tasks import SynthTask, Task
+from .tasks import SynthTask, Task
 
 HINT_DELIMITER = "### Hint ###"
 
 LOC_STEP = "localization"
 REPAIR_STEP = "repair"
+WHOLE_REPAIR_STEP = "whole-workspace repair"  # parse_prompt's step for a repair naming no statement
 
 # Real-repo localization asks for this many suspect files by default; the
 # synthetic scaffold always asks for a single statement index.
@@ -24,7 +23,7 @@ DEFAULT_LOCALIZATION_FILES = 5
 DEFAULT_LOCALIZATION_LINES = 1
 
 
-def render_localization_prompt(task: "Task") -> str:
+def render_localization_prompt(task: Task) -> str:
     """The task's localization prompt, rendered once per task object."""
     prompt = task.rendered_prompts.get(LOC_STEP)
     if prompt is None:
@@ -32,7 +31,7 @@ def render_localization_prompt(task: "Task") -> str:
     return prompt
 
 
-def render_repair_prompt(task: "Task", location) -> str:
+def render_repair_prompt(task: Task, location) -> str:
     """Repair prompt given a committed localization, rendered once per (task object, location).
 
     location is a statement index for synthetic tasks or a list of file
@@ -46,8 +45,8 @@ def render_repair_prompt(task: "Task", location) -> str:
     return prompt
 
 
-def _localization_prompt(task: "Task") -> str:
-    if task.is_synthetic:
+def _localization_prompt(task: Task) -> str:
+    if isinstance(task, SynthTask):
         listing = "\n".join(f"  {i}: {line}" for i, line in enumerate(task.lines))
         return (
             f"Repository: {task.repo_name}\n"
@@ -69,9 +68,9 @@ def _localization_prompt(task: "Task") -> str:
     )
 
 
-def _repair_prompt(task: "Task", location) -> str:
+def _repair_prompt(task: Task, location) -> str:
     header = f"Repository: {task.repo_name}\nTask: {task.id}\n\n### Issue ###\n{task.issue}\n\n"
-    if task.is_synthetic:
+    if isinstance(task, SynthTask):
         if location is None:
             listing = "\n".join(f"  {i}: {line}" for i, line in enumerate(task.lines))
             menus = []
@@ -113,39 +112,28 @@ _REPAIR_LINE_RE = re.compile(r"^You will repair statement (\d+):", re.MULTILINE)
 _HINT_LINE_RE = re.compile(r"\bline\s+(\d+)\b")
 
 
-def prompt_task_id(prompt: str) -> str | None:
-    m = _TASK_RE.search(prompt)
-    return m.group(1) if m else None
+def parse_prompt(prompt: str) -> tuple[str | None, str, int | None]:
+    """(task id, step, line) of a scaffold prompt, read the way a desk-scale backend reads it.
 
-
-def prompt_step(prompt: str) -> str:
-    """Infer which scaffold step a prompt belongs to from its reply format."""
-    if "You will repair statement" in prompt or "CANDIDATE: <index>" in prompt:
-        return REPAIR_STEP
-    return LOC_STEP
-
-
-def prompt_repair_line(prompt: str) -> int | None:
-    m = _REPAIR_LINE_RE.search(prompt)
-    return int(m.group(1)) if m else None
-
-
-def prompt_is_whole_workspace_repair(prompt: str) -> bool:
-    return "consider the whole program" in prompt
-
-
-def prompt_hint_line(prompt: str) -> int | None:
-    """Statement index named by an embedded hint block, if any.
-
-    The environment-interaction section is the last hint line mentioning a
-    statement, so the final match wins when several numbers appear.
+    The step comes from the reply format the prompt asks for: LOC_STEP,
+    REPAIR_STEP, or WHOLE_REPAIR_STEP for a repair that names no statement.
+    line is the statement a localization prompt's hint block names, or the
+    one a repair prompt repairs; None when there is none. In a hint block the
+    environment-interaction section is the last line mentioning a statement,
+    so the final match wins when several numbers appear.
     """
-    if HINT_DELIMITER not in prompt:
-        return None
-    block = prompt.split(HINT_DELIMITER, 1)[1]
-    block = block.split("\n###", 1)[0]
-    matches = _HINT_LINE_RE.findall(block)
-    return int(matches[-1]) if matches else None
+    m = _TASK_RE.search(prompt)
+    task_id = m.group(1) if m else None
+    if "You will repair statement" not in prompt and "CANDIDATE: <index>" not in prompt:
+        if HINT_DELIMITER not in prompt:
+            return task_id, LOC_STEP, None
+        block = prompt.split(HINT_DELIMITER, 1)[1].split("\n###", 1)[0]
+        matches = _HINT_LINE_RE.findall(block)
+        return task_id, LOC_STEP, int(matches[-1]) if matches else None
+    if "consider the whole program" in prompt:
+        return task_id, WHOLE_REPAIR_STEP, None
+    m = _REPAIR_LINE_RE.search(prompt)
+    return task_id, REPAIR_STEP, int(m.group(1)) if m else None
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Each attempt at a task is exactly one localization step and one repair step.
 Malformed completions are data, not errors: they produce an empty patch that
 the evaluator scores as reward 0. Backend failures are retried, and a slot
-whose backend never recovers still yields a placeholder trajectory so rollout
-counts stay exact.
+whose backend never recovers still yields a placeholder trajectory
+(Trajectory.is_placeholder) so rollout counts stay exact.
 
 Guidance may only be injected during training. Evaluation-mode rollouts with
 guidance raise GuidanceLeakError, which is the engine-level enforcement of
@@ -71,6 +71,11 @@ class Trajectory:
     def is_guided(self) -> bool:
         return self.guidance_id is not None
 
+    @property
+    def is_placeholder(self) -> bool:
+        """A slot whose backend never answered: its repair step has no prompt."""
+        return not self.steps[-1].prompt
+
 
 # ---------------------------------------------------------------------------
 # Patch extraction
@@ -112,7 +117,7 @@ def _real_patch(completion: str) -> Patch | None:
 
 def extract_patch(task: Task, location, repair_completion: str) -> Patch | None:
     """Parse a repair completion into a patch; None when nothing well-formed."""
-    if task.is_synthetic:
+    if isinstance(task, SynthTask):
         return _synth_patch(task, location, repair_completion)
     return _real_patch(repair_completion)
 
@@ -156,25 +161,25 @@ def run_scaffold(
     loc_params = SamplingParams(params.temperature, derive_seed(params.seed, "loc"), params.max_tokens)
     loc_completion = call_with_retry(backend.generate, loc_prompt, loc_params)
 
-    if task.is_synthetic:
-        line = prompts.parse_line_completion(loc_completion.text)
+    if isinstance(task, SynthTask):
+        line = prompts.parse_line_completion(loc_completion)
         if line is not None and not 0 <= line < task.n_lines:
             line = None  # nonsense index falls back to whole-workspace repair
         location = line
     else:
-        location = prompts.parse_files_completion(loc_completion.text)
+        location = prompts.parse_files_completion(loc_completion)
 
     repair_prompt = prompts.render_repair_prompt(task, location)
     repair_params = SamplingParams(params.temperature, derive_seed(params.seed, "repair"), params.max_tokens)
     repair_completion = call_with_retry(backend.generate, repair_prompt, repair_params)
 
-    patch = extract_patch(task, location, repair_completion.text)
+    patch = extract_patch(task, location, repair_completion)
     guided = guidance is not None
     return Trajectory(
         task_id=task.id,
         steps=(
-            Step(prompts.LOC_STEP, loc_prompt, loc_completion.text),
-            Step(prompts.REPAIR_STEP, repair_prompt, repair_completion.text),
+            Step(prompts.LOC_STEP, loc_prompt, loc_completion),
+            Step(prompts.REPAIR_STEP, repair_prompt, repair_completion),
         ),
         patch=patch,
         guidance_id=guidance.guidance_id if guided else None,
@@ -218,9 +223,9 @@ def sample_rollouts(
 ) -> list[Trajectory]:
     """Exactly n unguided attempts at a task.
 
-    Backend failures never shrink the batch: a dead slot becomes an
-    empty-patch placeholder so downstream pass@k math sees the intended n.
-    Only a batch where every slot failed raises.
+    Backend failures never shrink the batch: a dead slot becomes a
+    placeholder, which scoring counts as an infrastructure failure and
+    pass@k leaves out. Only a batch where every slot failed raises.
     """
     if n < 1:
         raise RolloutError(f"rollout count must be >= 1, got {n}")

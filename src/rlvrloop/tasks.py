@@ -87,15 +87,12 @@ class Task:
     repo_name: str
 
     def __post_init__(self):
-        kind, mode = ("synthetic", "in_memory_synthetic") if self.is_synthetic else ("real", "process_sandbox")
+        synthetic = isinstance(self, SynthTask)
+        kind, mode = ("synthetic", "in_memory_synthetic") if synthetic else ("real", "process_sandbox")
         if self.env_spec.isolation != mode:
             raise TaskFormatError(
                 f"{self.id}: a {kind} task must use {mode} isolation, not {self.env_spec.isolation!r}"
             )
-
-    @property
-    def is_synthetic(self) -> bool:
-        return False
 
     @functools.cached_property
     def rendered_prompts(self) -> dict:
@@ -124,10 +121,6 @@ class SynthTask(Task):
         for j, row in enumerate(self.candidates):
             if len(set(row)) != len(row):
                 raise TaskFormatError(f"{self.id}: duplicate candidates at line {j}")
-
-    @property
-    def is_synthetic(self) -> bool:
-        return True
 
     @property
     def n_lines(self) -> int:
@@ -177,31 +170,24 @@ _STMT_RE = re.compile(
 _INT_RE = re.compile(r"-?\d+")
 
 
+# A parsed statement: (target, a, op, b) with each operand an int literal or
+# a variable name, so running it matches no regex.
+Statement = tuple[str, int | str, str | None, int | str | None]
+
+
 @functools.lru_cache(maxsize=4096)  # a suite repeats each statement across many programs
-def parse_statement(text: str) -> tuple[str, str, str | None, str | None]:
+def parse_statement(text: str) -> Statement:
+    """`target = a` or `target = a op b` as (target, a, op, b), with op and b None in the first form."""
     m = _STMT_RE.match(text)
     if not m:
         raise ProgramError(f"statement does not parse: {text!r}")
-    return m.group(1), m.group(2), m.group(3), m.group(4)
+    target, a, op, b = m.groups()
+    a, b = (int(tok) if tok is not None and _INT_RE.fullmatch(tok) else tok for tok in (a, b))
+    return target, a, op, b
 
 
-# A compiled statement: (target, a, op, b) with each operand an int literal
-# or a variable name, so running it matches no regex.
-Compiled = tuple[str, int | str, str | None, int | str | None]
-
-
-def _operand(tok: str) -> int | str:
-    return int(tok) if _INT_RE.fullmatch(tok) else tok
-
-
-@functools.lru_cache(maxsize=4096)
-def _compile_statement(text: str) -> Compiled:
-    target, a, op, b = parse_statement(text)
-    return target, _operand(a), op, None if b is None else _operand(b)
-
-
-def _execute(stmt: Compiled, env: dict[str, int], idx: int) -> str:
-    """Run one compiled statement at position idx in env; returns its target."""
+def _execute(stmt: Statement, env: dict[str, int], idx: int) -> str:
+    """Run one parsed statement at position idx in env; returns its target."""
     target, a, op, b = stmt
     if isinstance(a, str):
         if a not in env:
@@ -223,7 +209,7 @@ def run_program(lines: Sequence[str]) -> int:
     target = None
     for idx, line in enumerate(lines):
         try:
-            stmt = _compile_statement(line)
+            stmt = parse_statement(line)
         except ProgramError as exc:
             raise ProgramError(f"statement {idx}: {exc}") from exc
         target = _execute(stmt, env, idx)
@@ -257,10 +243,10 @@ def _passing_patches(
     The unpatched prefix before line j is run once, and each candidate at j
     runs from a copy of its variables through the unpatched suffix.
     """
-    program: list[Compiled | None] = []
+    program: list[Statement | None] = []
     for line in lines:
         try:
-            program.append(_compile_statement(line))
+            program.append(parse_statement(line))
         except ProgramError:
             program.append(None)  # fails every patch that keeps this line
     passing = []
@@ -271,7 +257,7 @@ def _passing_patches(
             for k, text in enumerate(row):
                 env = dict(prefix)
                 try:
-                    target = _execute(_compile_statement(text), env, j)
+                    target = _execute(parse_statement(text), env, j)
                     for i, stmt in enumerate(suffix, j + 1):
                         target = _execute(stmt, env, i)
                 except ProgramError:
@@ -481,7 +467,7 @@ TASKS_SCHEMA = "tasks"
 
 def task_to_record(task: Task) -> dict:
     rec = {
-        "kind": "synth" if task.is_synthetic else "real",
+        "kind": "synth" if isinstance(task, SynthTask) else "real",
         "id": task.id,
         "issue": task.issue,
         "workspace": task.workspace,
@@ -555,7 +541,7 @@ def load_tasks(path: str | Path) -> TaskDataset:
         if task.id in seen:
             raise ValueError(f"duplicate task id {task.id!r}")
         seen.add(task.id)
-        if not task.is_synthetic and not Path(task.workspace).is_dir():
+        if not isinstance(task, SynthTask) and not Path(task.workspace).is_dir():
             raise ValueError(f"workspace {task.workspace!r} is not a directory")
         return task
 

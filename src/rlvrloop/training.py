@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import TrainingDivergedError, TrainingError
 from .pairs import PreferencePair, SFTExample
-from .policy import ReferencePolicy, TabularPolicy, TaskHead
+from .policy import ReferencePolicy, TabularPolicy, TaskHead, softmax_rows
 
 log = logging.getLogger(__name__)
 
@@ -59,14 +59,6 @@ def _require_actions(kind: str, task_id: str, actions) -> tuple[int, int]:
     if actions is None:
         raise TrainingError(f"{kind} for task {task_id} carries no (line, candidate) actions")
     return actions
-
-
-def _softmax_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (log_softmax, softmax), with the arithmetic of policy.log_softmax/softmax."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    total = e.sum(axis=-1, keepdims=True)
-    return z - np.log(total), e / total
 
 
 def _running_sum(values: np.ndarray) -> float:
@@ -156,8 +148,8 @@ class _Packed:
         self._probs = []
         for group in self.groups:
             line, cand = group.blocks(self.theta)
-            log_line, p_line = _softmax_rows(line)
-            log_cand, p_cand = _softmax_rows(cand)
+            log_line, p_line = softmax_rows(line)
+            log_cand, p_cand = softmax_rows(cand)
             out[group.act] = (
                 log_line[group.rows, group.lines] + log_cand[group.rows, group.lines, group.cands]
             )

@@ -3,7 +3,7 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from rlvrloop.backends import Completion, PolicyBackend, SamplingParams
+from rlvrloop.backends import PolicyBackend, SamplingParams
 from rlvrloop.errors import BackendError, GuidanceError
 from rlvrloop.guidance import TeacherBackend
 
@@ -12,8 +12,8 @@ from rlvrloop.guidance import TeacherBackend
 class ScriptedBackend(PolicyBackend):
     """Replays canned completions in order.
 
-    Entries may be strings, Completion objects, or Exception instances
-    (raised on consumption, to exercise retry paths).
+    Entries may be strings or Exception instances (raised on consumption,
+    to exercise retry paths).
     """
 
     script: list = field(default_factory=list)
@@ -23,16 +23,14 @@ class ScriptedBackend(PolicyBackend):
     def __post_init__(self):
         self._cursor = 0
 
-    def generate(self, prompt: str, params: SamplingParams) -> Completion:
+    def generate(self, prompt: str, params: SamplingParams) -> str:
         if self._cursor >= len(self.script):
             raise BackendError(f"{self.backend_id}: script exhausted after {self._cursor} calls")
         entry = self.script[self._cursor]
         self._cursor += 1
         if isinstance(entry, Exception):
             raise entry
-        if isinstance(entry, Completion):
-            return entry
-        return Completion(text=str(entry))
+        return str(entry)
 
 
 @dataclass

@@ -19,7 +19,7 @@ TEMPERATURES = (0.0, 0.6, 1.0)
 
 
 def oracle_generate(policy: TabularPolicy, prompt: str, params: SamplingParams) -> str:
-    task_id = prompts.prompt_task_id(prompt)
+    task_id, step, line = prompts.parse_prompt(prompt)
     head = policy.head(task_id)
     rng = np.random.default_rng(derive_seed("tabular", task_id, params.seed))
 
@@ -29,15 +29,13 @@ def oracle_generate(policy: TabularPolicy, prompt: str, params: SamplingParams) 
             return int(np.argmax(p))
         return int(rng.choice(len(p), p=p))
 
-    if prompts.prompt_step(prompt) == prompts.LOC_STEP:
-        hinted = prompts.prompt_hint_line(prompt)
-        if hinted is not None and 0 <= hinted < head.line_logits.size:
-            return prompts.format_line_completion(hinted)
+    if step == prompts.LOC_STEP:
+        if line is not None and 0 <= line < head.line_logits.size:
+            return prompts.format_line_completion(line)
         return prompts.format_line_completion(draw(head.line_logits))
-    if prompts.prompt_is_whole_workspace_repair(prompt):
+    if step == prompts.WHOLE_REPAIR_STEP:
         line = draw(head.line_logits)
         return prompts.format_line_candidate_completion(line, draw(head.cand_logits[line]))
-    line = prompts.prompt_repair_line(prompt)
     return prompts.format_candidate_completion(draw(head.cand_logits[line]))
 
 
@@ -85,7 +83,7 @@ def test_backend_draws_what_rng_choice_draws(small_suite, logits, temperature):
             for seed in range(40):
                 params = SamplingParams(temperature=temperature, seed=derive_seed("oracle", seed))
                 expected = oracle_generate(policy, prompt, params)
-                assert backend.generate(prompt, params).text == expected, (task.id, kind, seed)
+                assert backend.generate(prompt, params) == expected, (task.id, kind, seed)
                 compared += 1
     assert compared == 3 * (4 + 4) * 40
 
@@ -102,7 +100,7 @@ def test_backend_matches_rng_choice_over_many_random_distributions(small_suite):
         temperature = float(gen.uniform(0.05, 2.0))
         for kind, prompt in prompt_kinds.items():
             params = SamplingParams(temperature=temperature, seed=int(gen.integers(2**62)))
-            assert backend.generate(prompt, params).text == oracle_generate(policy, prompt, params), (trial, kind)
+            assert backend.generate(prompt, params) == oracle_generate(policy, prompt, params), (trial, kind)
 
 
 def test_nan_logits_still_raise_value_error(small_suite):
@@ -118,7 +116,7 @@ def test_nan_logits_still_raise_value_error(small_suite):
         with pytest.raises(ValueError):  # a failed distribution is not cached
             backend.generate(prompt, params)
     # an untouched line still samples
-    assert backend.generate(prompts.render_repair_prompt(task, 0), params).text.startswith("```")
+    assert backend.generate(prompts.render_repair_prompt(task, 0), params).startswith("```")
 
 
 def test_policy_changes_after_construction_do_not_reach_the_backend(small_suite):
@@ -128,13 +126,13 @@ def test_policy_changes_after_construction_do_not_reach_the_backend(small_suite)
     backend = TabularPolicyBackend(policy)
     prompt_kinds = every_prompt(task)
     params = [SamplingParams(temperature=t, seed=s) for t in TEMPERATURES for s in range(20)]
-    first = {(kind, p): backend.generate(prompt, p).text for kind, prompt in prompt_kinds.items() for p in params}
+    first = {(kind, p): backend.generate(prompt, p) for kind, prompt in prompt_kinds.items() for p in params}
 
     policy.head(task.id).line_logits[:] = [50.0, -50.0, -50.0, -50.0]
     policy.head(task.id).cand_logits[:] = -50.0
     policy.set_theta(policy.theta() + 7.0)
     for (kind, p), text in first.items():
-        assert backend.generate(prompt_kinds[kind], p).text == text, kind
+        assert backend.generate(prompt_kinds[kind], p) == text, kind
         assert text == oracle_generate(before, prompt_kinds[kind], p), kind
     with pytest.raises(ValueError):  # the backend's copy is read-only
         backend.policy.head(task.id).line_logits[0] = 1.0
@@ -148,7 +146,7 @@ def test_sampling_respects_distribution(small_suite):
     prompt = prompts.render_localization_prompt(task)
 
     def line(temperature, seed):
-        text = backend.generate(prompt, SamplingParams(temperature=temperature, seed=seed)).text
+        text = backend.generate(prompt, SamplingParams(temperature=temperature, seed=seed))
         return prompts.parse_line_completion(text)
 
     draws = [line(1.0, derive_seed("test", i)) for i in range(200)]

@@ -488,3 +488,35 @@ def test_malformed_checkpoint_is_an_error_line_not_a_traceback(case, stepwise, t
     assert err.startswith("error: ") and str(bad) in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# Each stepwise command given one input made from a 2-task suite ({small}) and
+# the rest from the 4-task stepwise run ({d}).
+MISMATCHED = {
+    "rollout": ["rollout", "--tasks", "{d}/tasks.jsonl", "--policy-init", "{small}/policy_init.json",
+                "--rollouts", "{out}"],
+    "evaluate": ["evaluate", "--tasks", "{small}/tasks.jsonl", "--rollouts", "{d}/rollouts.jsonl",
+                 "--rewards", "{out}"],
+    "guide": ["guide", "--tasks", "{small}/tasks.jsonl", "--rollouts", "{d}/rollouts.jsonl",
+              "--rewards", "{d}/rewards.jsonl", "--guidance", "{out}"],
+    "reattempt": ["reattempt", "--tasks", "{small}/tasks.jsonl", "--policy-init", "{d}/policy_init.json",
+                  "--guidance", "{d}/guidance.jsonl", "--guided-rollouts", "{out}"],
+    "rank": ["rank", "--tasks", "{small}/tasks.jsonl", "--rm", "{rm}", "--eval-rollouts", "{d}/eval_rollouts.jsonl",
+             "--eval-rewards", "{d}/eval_rewards.jsonl", "--selections", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MISMATCHED))
+def test_inputs_from_two_runs_are_a_usage_error_naming_the_task(command, stepwise, tmp_path, capsys):
+    small, rm, out = tmp_path / "small", tmp_path / "rm.json", tmp_path / "out"
+    assert run(["tasks", *settings(SMALL_SETS + ["tasks.synth_count=2"]),
+                "--tasks", small / "tasks.jsonl", "--policy-init", small / "policy_init.json"]) == 0
+    if command == "rank":
+        assert run(["train-rm", "--tasks", stepwise / "tasks.jsonl", "--dataset", stepwise / "dataset.jsonl",
+                    "--rm", rm, "--rm-log", tmp_path / "rm_log.csv"]) == 0
+    capsys.readouterr()
+    assert run([a.format(d=stepwise, small=small, rm=rm, out=out) for a in MISMATCHED[command]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'synth-0002'" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -54,7 +54,7 @@ PARAMS = SamplingParams(temperature=0.7, seed=5, max_tokens=32)
 def test_policy_backend_posts_the_wire_request(server):
     httpd, url = server
     completion = HttpPolicyBackend(url + "/ok", timeout_s=5).generate("fix it", PARAMS)
-    assert completion.text == "echo fix it"
+    assert completion == "echo fix it"
     assert httpd.requests == [{"prompt": "fix it", "temperature": 0.7, "seed": 5, "max_tokens": 32}]
 
 

@@ -11,7 +11,8 @@ import pytest
 
 from rlvrloop.backends import PolicyBackend, TabularPolicyBackend
 from rlvrloop.cli import main
-from rlvrloop.errors import PhaseError, UsageError
+from rlvrloop.errors import BackendError, PhaseError, UsageError
+from rlvrloop.evaluator import EvaluationFailure
 from rlvrloop.guidance import Guidance
 from rlvrloop.jsonl import canonical_file_hash
 from rlvrloop.loop import (
@@ -406,6 +407,62 @@ def test_guidance_disabled_run(tmp_path):
     dataset_lines = paths.dataset.read_text().splitlines()
     accounting = json.loads(dataset_lines[1])
     assert accounting["guided_repair_pairs"] == 0
+
+
+class DiesOnOneSeedInFive(PolicyBackend):
+    """Delegates to a backend, except that a call whose seed is 0 mod 5 fails, every retry too."""
+
+    def __init__(self, inner: PolicyBackend):
+        self.inner, self.backend_id, self.max_concurrency = inner, inner.backend_id, inner.max_concurrency
+
+    def generate(self, prompt, params):
+        if params.seed % 5 == 0:
+            raise BackendError(f"{self.backend_id}: connection reset")
+        return self.inner.generate(prompt, params)
+
+
+def test_dead_backend_slots_are_infrastructure_failures(tmp_path, monkeypatch, capsys):
+    """The rollout and final-eval phases sample from a backend that dies on one seed in five.
+
+    Each dead slot's placeholder is scored as an infrastructure failure, so
+    no guidance, pair, pass@k or best-of-k selection counts it, and the run
+    completes with exit 3.
+    """
+    import rlvrloop.loop as loop
+
+    sample = loop.rollout_all_tasks
+    monkeypatch.setattr(
+        loop, "rollout_all_tasks", lambda tasks, backend, *a, **kw: sample(tasks, DiesOnOneSeedInFive(backend), *a, **kw)
+    )
+    assert main(["run-loop", "--output-dir", str(tmp_path), *SMALL_ARGV]) == 3
+    assert "run completed with" in capsys.readouterr().err
+    paths = RunPaths(tmp_path)
+    rollouts = read_artifact("rollouts", paths.rollouts)
+    eval_rollouts = read_artifact("eval_rollouts", paths.eval_rollouts)
+    dead = {t.traj_id for t in rollouts if t.is_placeholder}
+    eval_dead = {t.traj_id for t in eval_rollouts if t.is_placeholder}
+    assert dead and eval_dead
+
+    assert json.loads(paths.manifest.read_text())["infra_errors"] == len(dead) + len(eval_dead)
+    for name, refs in (("rewards", dead), ("eval_rewards", eval_dead)):
+        failed = {r.trajectory_ref for r in read_artifact(name, getattr(paths, name)) if isinstance(r, EvaluationFailure)}
+        assert failed == refs, name
+    assert not {g.source_trajectory_ref for g in read_guidance(paths.guidance)} & dead
+    dataset = read_artifact("dataset", paths.dataset)
+    assert not {ref for p in dataset.pairs for ref in (p.winner.trajectory_ref, p.loser.trajectory_ref)} & dead
+    accounting = dataset.accounting
+    assert accounting["skipped_unscored"] == len(dead)
+    assert accounting["positives_total"] + accounting["negatives_total"] + len(dead) == len(rollouts)
+    post = json.loads(paths.report_json.read_text())["post_training"]["totals"]
+    assert post["infra_errors"] == len(eval_dead)
+    assert post["records"] == len(eval_rollouts) - len(eval_dead)
+
+    tasks = read_artifact("tasks", paths.tasks)
+    rm, _ = loop.train_rm(None, tasks, dataset)
+    selections = loop.rank(None, tasks, rm, eval_rollouts, read_artifact("eval_rewards", paths.eval_rewards))
+    assert len(selections) == SMALL["synth_count"]
+    assert not {s["trajectory_ref"] for s in selections} & eval_dead
+    assert sum(s["k"] for s in selections) == len(eval_rollouts) - len(eval_dead)
 
 
 def test_initial_policy_is_honored(tmp_path, finished_run):

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from rlvrloop.prompts import (
     HINT_DELIMITER,
     LOC_STEP,
     REPAIR_STEP,
+    WHOLE_REPAIR_STEP,
     format_candidate_completion,
     format_line_candidate_completion,
     format_line_completion,
@@ -11,11 +14,7 @@ from rlvrloop.prompts import (
     parse_edit_blocks,
     parse_files_completion,
     parse_line_completion,
-    prompt_hint_line,
-    prompt_is_whole_workspace_repair,
-    prompt_repair_line,
-    prompt_step,
-    prompt_task_id,
+    parse_prompt,
     render_localization_prompt,
     render_repair_prompt,
 )
@@ -41,15 +40,13 @@ def test_localization_prompt_synthetic(one_task):
     for i, line in enumerate(one_task.lines):
         assert f"{i}: {line}" in prompt
     assert "LINE: <index>" in prompt
-    assert prompt_task_id(prompt) == one_task.id
-    assert prompt_step(prompt) == LOC_STEP
+    assert parse_prompt(prompt) == (one_task.id, LOC_STEP, None)
 
 
 def test_localization_prompt_real(real_task):
     prompt = render_localization_prompt(real_task)
     assert "FILES:" in prompt
-    assert prompt_task_id(prompt) == "real-7"
-    assert prompt_step(prompt) == LOC_STEP
+    assert parse_prompt(prompt) == ("real-7", LOC_STEP, None)
 
 
 def test_repair_prompt_with_location(one_task):
@@ -57,17 +54,23 @@ def test_repair_prompt_with_location(one_task):
     assert f"You will repair statement 1: {one_task.lines[1]}" in prompt
     for k, stmt in enumerate(one_task.candidates[1]):
         assert f"{k}: {stmt}" in prompt
-    assert prompt_step(prompt) == REPAIR_STEP
-    assert prompt_repair_line(prompt) == 1
-    assert not prompt_is_whole_workspace_repair(prompt)
+    assert parse_prompt(prompt) == (one_task.id, REPAIR_STEP, 1)
 
 
 def test_repair_prompt_whole_workspace(one_task):
     prompt = render_repair_prompt(one_task, None)
-    assert prompt_is_whole_workspace_repair(prompt)
-    assert prompt_step(prompt) == REPAIR_STEP
-    assert prompt_repair_line(prompt) is None
+    assert parse_prompt(prompt) == (one_task.id, WHOLE_REPAIR_STEP, None)
     assert "LINE: <index>" in prompt and "CANDIDATE: <index>" in prompt
+
+
+def test_marker_phrases_in_the_issue_take_part_in_the_step_test(one_task):
+    """The step test runs first, then the whole-program test, then the repair line,
+    each over the whole prompt, so issue text quoting a marker counts as that marker."""
+    task = replace(one_task, issue="consider the whole program; line 2 looks off")
+    assert parse_prompt(render_localization_prompt(task)) == (task.id, LOC_STEP, None)
+    assert parse_prompt(render_repair_prompt(task, 1)) == (task.id, WHOLE_REPAIR_STEP, None)
+    task = replace(one_task, issue="the output asks for CANDIDATE: <index>")
+    assert parse_prompt(render_localization_prompt(task)) == (task.id, REPAIR_STEP, None)
 
 
 def test_repair_prompt_real(real_task):
@@ -115,12 +118,12 @@ def test_parse_edit_blocks():
 
 
 def test_prompt_hint_line():
-    assert prompt_hint_line("no hints here, line 3 or not") is None
+    assert parse_prompt("no hints here, line 3 or not") == (None, LOC_STEP, None)
     prompt = f"base\n\n{HINT_DELIMITER}\nplan text\nfeedback mentioning value 12\nline 4\n###\ntail"
-    assert prompt_hint_line(prompt) == 4
+    assert parse_prompt(prompt) == (None, LOC_STEP, 4)
     # last mention inside the block wins
     prompt = f"{HINT_DELIMITER}\nlook at line 1 then line 2\n###"
-    assert prompt_hint_line(prompt) == 2
+    assert parse_prompt(prompt) == (None, LOC_STEP, 2)
     # matches outside the block are ignored
     prompt = f"{HINT_DELIMITER}\nno location words\n###\nbut line 9 later"
-    assert prompt_hint_line(prompt) is None
+    assert parse_prompt(prompt) == (None, LOC_STEP, None)

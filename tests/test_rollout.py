@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from doubles import ScriptedBackend
-from rlvrloop.backends import Completion, TabularPolicyBackend
+from rlvrloop.backends import TabularPolicyBackend
 from rlvrloop.errors import BackendError, GuidanceLeakError, RolloutError, TaskFormatError
 from rlvrloop.guidance import Guidance
 from rlvrloop.policy import TabularPolicy

@@ -73,10 +73,10 @@ def test_run_program_empty():
 @pytest.mark.parametrize(
     "text,parsed",
     [
-        ("x0 = 5", ("x0", "5", None, None)),
-        ("x1 = x0 + 3", ("x1", "x0", "+", "3")),
+        ("x0 = 5", ("x0", 5, None, None)),
+        ("x1 = x0 + 3", ("x1", "x0", "+", 3)),
         ("  v  =  a  *  b  ", ("v", "a", "*", "b")),
-        ("x2 = -4 - x1", ("x2", "-4", "-", "x1")),
+        ("x2 = -4 - x1", ("x2", -4, "-", "x1")),
     ],
 )
 def test_parse_statement_forms(text, parsed):
@@ -144,7 +144,7 @@ def test_generated_shapes_and_ids():
     for task in suite:
         assert task.n_lines == 4
         assert task.n_candidates == 7
-        assert task.is_synthetic
+        assert isinstance(task, SynthTask)
         assert task.env_spec.isolation == "in_memory_synthetic"
         assert set(task.tests.all_tests) == {"program_parses", "output_matches"}
 
@@ -266,7 +266,7 @@ def test_record_round_trip_real_task(tmp_path):
     )
     back = task_from_record(task_to_record(task))
     assert back == task
-    assert not back.is_synthetic
+    assert not isinstance(back, SynthTask)
 
 
 def test_load_real_task_requires_workspace_dir(tmp_path):
