@@ -1,7 +1,8 @@
 """JSONL persistence helpers.
 
 Every artifact file starts with a header record carrying the schema name and
-a schema_version so old files fail loudly instead of deserializing garbage.
+a schema_version so old files fail loudly instead of deserializing garbage;
+a checkpoint is one JSON document whose top level carries the same header.
 No artifact records a wall-clock value, so reruns of a deterministic
 pipeline write identical bytes and a plain content hash tells them apart.
 """
@@ -12,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from .errors import TaskFormatError
+from .errors import CheckpointError, TaskFormatError
 
 SCHEMA_VERSION = 1
 
@@ -72,6 +73,30 @@ def read_records(
         raise TaskFormatError(f"{path}: line {lineno}: missing field {exc}") from exc
     except (TypeError, ValueError, TaskFormatError) as exc:
         raise TaskFormatError(f"{path}: line {lineno}: {exc}") from exc
+
+
+def write_document(path: str | Path, schema: str, body: dict[str, Any]) -> None:
+    """One JSON document: the header fields and the body, keys sorted, indent 1."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    document = {"schema": schema, "schema_version": SCHEMA_VERSION, **body}
+    path.write_text(json.dumps(document, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+
+
+def read_document(path: str | Path, schema: str, what: str) -> dict[str, Any]:
+    """The document at path, its header checked if it has one; CheckpointError naming `what` on any fault."""
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"cannot read {what} checkpoint {path}: {exc}") from exc
+    if not isinstance(document, dict) or document.get("schema") != schema:
+        raise CheckpointError(f"{path}: not a {what} checkpoint")
+    if "schema_version" in document:
+        try:
+            _check_header(document, schema)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
+    return document
 
 
 def _check_header(header: dict[str, Any], schema: str | None) -> None:

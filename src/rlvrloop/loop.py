@@ -58,8 +58,8 @@ from .policy import ReferencePolicy, TabularPolicy
 from .reward_model import PairwiseRM, build_rm_training_pairs, rank_best_of_k, rm_train
 from .rollout import (
     TEMPERATURE_SAMPLING,
+    attempt,
     read_trajectories,
-    run_scaffold,
     sample_rollouts,
     write_trajectories,
 )
@@ -122,6 +122,15 @@ _SECTION_FIELDS = {
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
+# The settings with a range, each with its test and the range in words.
+_RANGES = {
+    **dict.fromkeys(("rollouts_n", "max_tokens", "synth_count"), (lambda v: v >= 1, ">= 1")),
+    **dict.fromkeys(("synth_lines", "synth_candidates"), (lambda v: v >= 2, ">= 2")),
+    **dict.fromkeys(("sft_epochs", "dpo_epochs"), (lambda v: v >= 0, ">= 0")),
+    **dict.fromkeys(("sft_learning_rate", "dpo_learning_rate", "dpo_beta"), (lambda v: v > 0, "> 0")),
+    "sft_fraction": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+
 
 def _coerce(name: str, raw: str):
     kind = _FIELD_TYPES.get(name)
@@ -146,7 +155,8 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
     """Build a RunConfig from an INI-style file plus key=value overrides.
 
     Overrides use 'section.key=value' and win over the file; unknown
-    sections or keys are usage errors, not silent typo sinks.
+    sections or keys, and values out of a setting's range, are usage
+    errors, not silent typo sinks or failures in a later phase.
     """
     config = RunConfig()
     if path is not None:
@@ -169,6 +179,9 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
         if section not in _SECTION_FIELDS or key not in _SECTION_FIELDS[section]:
             raise UsageError(f"unknown config key {dotted!r}")
         setattr(config, key, _coerce(key, raw))
+    for key, (within, wording) in _RANGES.items():
+        if not within(getattr(config, key)):
+            raise UsageError(f"config value {key}={getattr(config, key)!r} is out of range: must be {wording}")
     return config
 
 
@@ -279,7 +292,7 @@ def reattempt_with_guidance(
     max_tokens: int = 256,
     workers: int = 4,
 ) -> list:
-    """One guided reattempt per guidance record, seeded off the source ref."""
+    """One guided reattempt per guidance record, seeded off the source ref; a dead one is a placeholder."""
     def one(guidance):
         task = _task_in(dataset, guidance.task_id)
         params = SamplingParams(
@@ -287,7 +300,7 @@ def reattempt_with_guidance(
             seed=derive_seed(base_seed, "reattempt", guidance.source_trajectory_ref),
             max_tokens=max_tokens,
         )
-        return run_scaffold(task, backend, params, guidance=guidance)
+        return attempt(task, backend, params, guidance)
 
     return _map(one, guidance_list, backend, workers)
 

@@ -88,6 +88,19 @@ def _side(traj: Trajectory) -> PairSide:
     )
 
 
+def _admit(pair: PreferencePair, seen: set[tuple[str, str]], stats: dict) -> bool:
+    """Admit a pair whose responses differ and whose (winner, loser) refs are not in seen; count a drop."""
+    if pair.winner.response == pair.loser.response:
+        stats["dropped_identical_responses"] += 1
+        return False
+    key = (pair.winner.trajectory_ref, pair.loser.trajectory_ref)
+    if key in seen:
+        stats["dropped_duplicate_pairs"] += 1
+        return False
+    seen.add(key)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Rollout pairs
 # ---------------------------------------------------------------------------
@@ -106,55 +119,36 @@ def assemble_rollout_pairs(
     """
     rewards = _reward_map(records)
     stats = {"dropped_identical_responses": 0, "dropped_duplicate_pairs": 0, "skipped_unscored": 0}
-    by_task: dict[str, list[Trajectory]] = {}
+    by_task: dict[str, tuple[list[Trajectory], list[Trajectory]]] = {}  # (positives, negatives)
     for traj in trajectories:
         if traj.is_guided:
             raise AssemblyError(f"rollout pairing fed a guided trajectory: {traj.traj_id}")
-        by_task.setdefault(traj.task_id, []).append(traj)
+        split = by_task.setdefault(traj.task_id, ([], []))
+        rec = rewards.get(traj.traj_id)
+        if rec is None:
+            stats["skipped_unscored"] += 1
+        else:
+            split[rec.reward != 1].append(traj)
 
     pairs: list[PreferencePair] = []
     seen: set[tuple[str, str]] = set()
-    for task_id, group in by_task.items():
-        positives, negatives = [], []
-        for traj in group:
-            rec = rewards.get(traj.traj_id)
-            if rec is None:
-                stats["skipped_unscored"] += 1
-                continue
-            (positives if rec.reward == 1 else negatives).append(traj)
+    for task_id, (positives, negatives) in by_task.items():
         if not positives or not negatives:
             continue
-        task_pairs = 0
+        task_start = len(pairs)
         for rnd in range(len(negatives)):
-            if task_pairs >= max_pairs_per_task:
-                break
             for i, pos in enumerate(positives):
-                if task_pairs >= max_pairs_per_task:
+                if len(pairs) - task_start >= max_pairs_per_task:
                     break
                 neg = negatives[(i + rnd) % len(negatives)]
-                if pos.response_text() == neg.response_text():
-                    stats["dropped_identical_responses"] += 1
+                pair = PreferencePair(task_id, pos.steps[0].prompt, _side(pos), _side(neg), PROVENANCE_ROLLOUT)
+                if not _admit(pair, seen, stats):
                     continue
-                key = (pos.traj_id, neg.traj_id)
-                if key in seen:
-                    stats["dropped_duplicate_pairs"] += 1
-                    continue
-                seen.add(key)
-                prompt = pos.steps[0].prompt
-                if neg.steps[0].prompt != prompt:
+                if neg.steps[0].prompt != pair.prompt:
                     raise AssemblyError(
                         f"{task_id}: rollout pair prompts differ between {pos.traj_id} and {neg.traj_id}"
                     )
-                pairs.append(
-                    PreferencePair(
-                        task_id=task_id,
-                        prompt=prompt,
-                        winner=_side(pos),
-                        loser=_side(neg),
-                        provenance=PROVENANCE_ROLLOUT,
-                    )
-                )
-                task_pairs += 1
+                pairs.append(pair)
     return pairs, stats
 
 
@@ -278,7 +272,6 @@ def build_rlvr_dataset(
     seen = {(p.winner.trajectory_ref, p.loser.trajectory_ref) for p in pairs}
 
     skipped_guided = 0
-    n_guided_pairs = 0
     for traj in guided_trajectories:
         rec = guided_rewards.get(traj.traj_id)
         if rec is None or rec.reward != 1:
@@ -291,16 +284,8 @@ def build_rlvr_dataset(
             log.info("guided success %s has no matching unguided failure; skipped", traj.traj_id)
             continue
         pair = assemble_guided_pair(source, source_rec, traj, rec)
-        key = (pair.winner.trajectory_ref, pair.loser.trajectory_ref)
-        if key in seen:
-            stats["dropped_duplicate_pairs"] += 1
-            continue
-        if pair.winner.response == pair.loser.response:
-            stats["dropped_identical_responses"] += 1
-            continue
-        seen.add(key)
-        pairs.append(pair)
-        n_guided_pairs += 1
+        if _admit(pair, seen, stats):
+            pairs.append(pair)
 
     positives = [t for t in trajectories if rewards.get(t.traj_id) and rewards[t.traj_id].reward == 1]
     sft_pool = list(positives)
@@ -317,7 +302,7 @@ def build_rlvr_dataset(
     )
     accounting = {
         "rollout_pairs": n_rollout_pairs,
-        "guided_repair_pairs": n_guided_pairs,
+        "guided_repair_pairs": len(pairs) - n_rollout_pairs,
         "pairs_total": len(pairs),
         "sft_examples": len(sft),
         "positives_total": len(positives),

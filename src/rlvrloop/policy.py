@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, TrainingError
-from .jsonl import SCHEMA_VERSION
+from .jsonl import read_document, write_document
 from .tasks import SynthTask
 
 POLICY_SCHEMA = "tabular_policy"
@@ -150,46 +150,32 @@ class TabularPolicy:
 
     # -- identity ------------------------------------------------------------
 
-    def fingerprint(self) -> str:
-        payload = {
+    def _heads_body(self) -> dict:
+        """The heads as a checkpoint holds them, in task order."""
+        return {
             tid: {
-                "line": [repr(v) for v in self.heads[tid].line_logits.tolist()],
-                "cand": [[repr(v) for v in row] for row in self.heads[tid].cand_logits.tolist()],
+                "line_logits": self.heads[tid].line_logits.tolist(),
+                "cand_logits": self.heads[tid].cand_logits.tolist(),
             }
             for tid in self.task_order()
         }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+
+    def fingerprint(self) -> str:
+        """sha256 of the heads a checkpoint would hold; float reprs round-trip, so equal means bit-equal."""
+        return hashlib.sha256(json.dumps(self._heads_body(), sort_keys=True).encode("utf-8")).hexdigest()
 
     # -- checkpoints ----------------------------------------------------------
 
     def save(self, path: str | Path, provenance: dict | None = None) -> None:
-        rec = {
-            "schema": POLICY_SCHEMA,
-            "schema_version": SCHEMA_VERSION,
+        write_document(path, POLICY_SCHEMA, {
             "fine_tuned": self.fine_tuned,
             "provenance": provenance or {},
-            "heads": {
-                tid: {
-                    "line_logits": self.heads[tid].line_logits.tolist(),
-                    "cand_logits": self.heads[tid].cand_logits.tolist(),
-                }
-                for tid in self.task_order()
-            },
-        }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(rec, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+            "heads": self._heads_body(),
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> "TabularPolicy":
-        path = Path(path)
-        try:
-            rec = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"cannot read policy checkpoint {path}: {exc}") from exc
-        if not isinstance(rec, dict) or rec.get("schema") != POLICY_SCHEMA:
-            raise CheckpointError(f"{path}: not a policy checkpoint")
+        rec = read_document(path, POLICY_SCHEMA, "policy")
         policy = cls(fine_tuned=bool(rec.get("fine_tuned", False)))
         try:
             for tid, head in rec["heads"].items():

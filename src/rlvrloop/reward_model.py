@@ -10,7 +10,6 @@ positive rescaling or constant shift of scores leaves selections unchanged.
 """
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -20,9 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CheckpointError, TrainingError
-from .jsonl import SCHEMA_VERSION
+from .jsonl import read_document, write_document
 from .rollout import Patch, synth_patch
 from .tasks import SynthTask
+from .training import descend, pair_loss
 
 log = logging.getLogger(__name__)
 
@@ -134,24 +134,14 @@ class PairwiseRM:
         return float(self.weights @ features)
 
     def save(self, path: str | Path) -> None:
-        rec = {
-            "schema": RM_SCHEMA,
-            "schema_version": SCHEMA_VERSION,
+        write_document(path, RM_SCHEMA, {
             "featurization_version": FEATURIZATION_VERSION,
             "weights": self.weights.tolist(),
-        }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(rec, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> "PairwiseRM":
-        try:
-            rec = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"cannot read reward model {path}: {exc}") from exc
-        if not isinstance(rec, dict) or rec.get("schema") != RM_SCHEMA:
-            raise CheckpointError(f"{path}: not a reward model checkpoint")
+        rec = read_document(path, RM_SCHEMA, "reward model")
         if rec.get("featurization_version") != FEATURIZATION_VERSION:
             raise CheckpointError(
                 f"{path}: featurization version {rec.get('featurization_version')} does not match "
@@ -171,18 +161,6 @@ class PairwiseRM:
 # ---------------------------------------------------------------------------
 
 
-def _loss_and_grad(weights: np.ndarray, diffs: np.ndarray) -> tuple[float, np.ndarray]:
-    # Same bits as a per-pair loop: z is a row-wise dot (``weights @ diff``
-    # per row; ``diffs @ weights`` rounds differently), and loss and gradient
-    # are summed pair by pair, left to right. ``0.0 - sum`` equals subtracting
-    # the terms one by one from 0.0, signed zeros included.
-    z = np.matmul(diffs[:, None, :], weights)[:, 0]
-    total = float(np.cumsum(np.logaddexp(0.0, -z))[-1])
-    coef = 1.0 / (1.0 + np.exp(z))
-    grad = 0.0 - np.cumsum(coef[:, None] * diffs, axis=0)[-1]
-    return total / len(diffs), grad / len(diffs)
-
-
 def rm_train(
     pairs: RMPairs, config: RMConfig = RMConfig(), history_out: list | None = None
 ) -> PairwiseRM:
@@ -194,14 +172,17 @@ def rm_train(
         log.warning("every rm pair has identical features; gradient is zero, returning w = 0")
         return PairwiseRM()
     weights = np.zeros(N_FEATURES, dtype=np.float64)
-    for epoch in range(config.epochs):
-        loss, grad = _loss_and_grad(weights, diffs)
-        if history_out is not None:
-            history_out.append({"epoch": epoch, "loss": loss})
-        weights = weights - config.learning_rate * grad
-    if history_out is not None:
-        final, _ = _loss_and_grad(weights, diffs)
-        history_out.append({"epoch": config.epochs, "loss": final})
+
+    def step():
+        # Same bits as a per-pair loop: z is a row-wise dot (``weights @ diff``
+        # per row; ``diffs @ weights`` rounds differently), and the gradient is
+        # summed pair by pair, left to right. ``0.0 - sum`` equals subtracting
+        # the terms one by one from 0.0, signed zeros included.
+        z = np.matmul(diffs[:, None, :], weights)[:, 0]
+        loss, coef = pair_loss(z)
+        return {"loss": loss}, (0.0 - np.cumsum(coef[:, None] * diffs, axis=0)[-1]) / len(diffs)
+
+    descend(weights, step, config, history_out)
     return PairwiseRM(weights=weights)
 
 

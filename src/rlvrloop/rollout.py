@@ -2,9 +2,10 @@
 
 Each attempt at a task is exactly one localization step and one repair step.
 Malformed completions are data, not errors: they produce an empty patch that
-the evaluator scores as reward 0. Backend failures are retried, and a slot
-whose backend never recovers still yields a placeholder trajectory
-(Trajectory.is_placeholder) so rollout counts stay exact.
+the evaluator scores as reward 0. Backend failures are retried, and an
+attempt (a rollout slot or a guided reattempt) whose backend never recovers
+still yields a placeholder trajectory (Trajectory.is_placeholder) so
+rollout counts stay exact.
 
 Guidance may only be injected during training. Evaluation-mode rollouts with
 guidance raise GuidanceLeakError, which is the engine-level enforcement of
@@ -189,17 +190,26 @@ def run_scaffold(
     )
 
 
-def _failure_trajectory(task: Task, backend: PolicyBackend, params: SamplingParams) -> Trajectory:
-    prompt = prompts.render_localization_prompt(task)
-    return Trajectory(
-        task_id=task.id,
-        steps=(Step(prompts.LOC_STEP, prompt, ""), Step(prompts.REPAIR_STEP, "", "")),
-        patch=None,
-        guidance_id=None,
-        sampling=params,
-        backend_id=backend.backend_id,
-        traj_id=make_traj_id(task.id, backend.backend_id, params.seed, False),
-    )
+def attempt(
+    task: Task,
+    backend: PolicyBackend,
+    params: SamplingParams,
+    guidance: Guidance | None = None,
+    *,
+    eval_mode: bool = False,
+) -> Trajectory:
+    """run_scaffold's trajectory or, when the backend never answers, a placeholder: the
+    slot's ids (guided ones too) and localization prompt, no repair prompt, no completions."""
+    try:
+        return run_scaffold(task, backend, params, guidance, eval_mode=eval_mode)
+    except BackendError:
+        prompt = prompts.render_localization_prompt(task)
+        if guidance is not None:
+            prompt = render_reattempt_prompt(prompt, guidance)
+        steps = (Step(prompts.LOC_STEP, prompt, ""), Step(prompts.REPAIR_STEP, "", ""))
+        guidance_id = None if guidance is None else guidance.guidance_id
+        traj_id = make_traj_id(task.id, backend.backend_id, params.seed, guidance is not None)
+        return Trajectory(task.id, steps, None, guidance_id, params, backend.backend_id, traj_id)
 
 
 def rollout_params(base_seed: int, task_id: str, slot: int, max_tokens: int = 256) -> SamplingParams:
@@ -229,16 +239,11 @@ def sample_rollouts(
     """
     if n < 1:
         raise RolloutError(f"rollout count must be >= 1, got {n}")
-    out: list[Trajectory] = []
-    failures = 0
-    for slot in range(n):
-        params = rollout_params(base_seed, task.id, slot, max_tokens)
-        try:
-            out.append(run_scaffold(task, backend, params, eval_mode=eval_mode))
-        except BackendError:
-            failures += 1
-            out.append(_failure_trajectory(task, backend, params))
-    if failures == n:
+    out = [
+        attempt(task, backend, rollout_params(base_seed, task.id, slot, max_tokens), eval_mode=eval_mode)
+        for slot in range(n)
+    ]
+    if all(traj.is_placeholder for traj in out):
         raise RolloutError(f"all {n} rollout slots failed at the backend for task {task.id}")
     return out
 

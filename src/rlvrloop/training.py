@@ -1,9 +1,11 @@
 """SFT and DPO optimization of the tabular policy.
 
-Both objectives are optimized by full-batch gradient descent with analytic
-gradients; no adaptive moments, no minibatching, no stochastic anything, so
-a fixed (data, config, initial parameters) triple reproduces bit-identical
-final parameters.
+Both objectives, and the reward model's, are optimized by one full-batch
+gradient-descent loop, ``descend``, with analytic gradients; no adaptive
+moments, no minibatching, no stochastic anything, so a fixed (data, config,
+initial parameters) triple reproduces bit-identical final parameters. DPO
+and the reward model share one pairwise logistic loss, ``pair_loss``. Only
+DPO guards against divergence.
 
 SFT minimizes mean negative log-likelihood of positive responses. DPO
 minimizes
@@ -27,7 +29,7 @@ import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,10 +57,13 @@ class DPOConfig:
             raise TrainingError(f"epochs must be >= 0, got {self.epochs}")
 
 
-def _require_actions(kind: str, task_id: str, actions) -> tuple[int, int]:
+def _action(kind: str, task_id: str, actions, *sources) -> tuple[str, int, int]:
+    """(task_id, line, cand), once the actions exist and fit each source's head for the task."""
     if actions is None:
         raise TrainingError(f"{kind} for task {task_id} carries no (line, candidate) actions")
-    return actions
+    for source in sources:
+        source.head(task_id).check_action(task_id, *actions)
+    return (task_id, *actions)
 
 
 def _running_sum(values: np.ndarray) -> float:
@@ -194,29 +199,33 @@ class _Packed:
 
 
 # ---------------------------------------------------------------------------
-# SFT
+# The shared pieces: one descent loop, one pairwise loss
 # ---------------------------------------------------------------------------
 
 
-class _SFTObjective:
-    """Mean NLL of the examples' actions, compiled once against one policy."""
+def descend(theta: np.ndarray, step: Callable, config, history_out: list | None) -> None:
+    """Full-batch gradient descent on theta, in place, for config.epochs epochs.
 
-    def __init__(self, policy: TabularPolicy, examples: Sequence[SFTExample]):
-        actions = []
-        for ex in examples:
-            line, cand = _require_actions("sft example", ex.task_id, ex.actions)
-            policy.head(ex.task_id).check_action(ex.task_id, line, cand)
-            actions.append((ex.task_id, line, cand))
-        self.packed = _Packed(policy, actions)
-        self._weights = np.full(len(actions), -1.0 / len(actions))
+    step() returns (history row, gradient) at the current theta. Each epoch
+    appends its row, numbered, then takes theta -= learning_rate * gradient;
+    one more row, at the final theta, follows the last epoch.
+    """
+    rows = [] if history_out is None else history_out
+    for epoch in range(config.epochs):
+        row, grad = step()
+        rows.append({"epoch": epoch, **row})
+        theta -= config.learning_rate * grad
+    rows.append({"epoch": config.epochs, **step()[0]})
 
-    def loss(self) -> float:
-        logprobs = self.packed.logprobs()
-        return float(_running_sum(-logprobs) / logprobs.size)
 
-    def loss_and_grad(self) -> tuple[float, np.ndarray]:
-        loss = self.loss()
-        return loss, self.packed.grad(self._weights)
+def pair_loss(z: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean -log sigmoid(z), summed pair by pair and overflow-safe, and sigmoid(-z) = -d/dz of each term."""
+    return float(_running_sum(np.logaddexp(0.0, -z)) / z.size), 1.0 / (1.0 + np.exp(z))
+
+
+# ---------------------------------------------------------------------------
+# SFT
+# ---------------------------------------------------------------------------
 
 
 def sft_train(
@@ -229,19 +238,18 @@ def sft_train(
     if not examples:
         log.warning("sft_train called with no examples; policy unchanged")
         return policy
-    objective = _SFTObjective(policy, examples)
-    theta = objective.packed.theta
+    actions = [_action("sft example", ex.task_id, ex.actions, policy) for ex in examples]
+    packed = _Packed(policy, actions)
+    weights = np.full(len(actions), -1.0 / len(actions))
+
+    def step():
+        logprobs = packed.logprobs()
+        return {"loss": float(_running_sum(-logprobs) / logprobs.size)}, packed.grad(weights)
+
     try:
-        for epoch in range(config.epochs):
-            loss, grad = objective.loss_and_grad()
-            if history_out is not None:
-                history_out.append({"epoch": epoch, "loss": loss})
-            theta -= config.learning_rate * grad
-        final = objective.loss()
+        descend(packed.theta, step, config, history_out)
     finally:
-        objective.packed.write(policy)
-    if history_out is not None:
-        history_out.append({"epoch": config.epochs, "loss": final})
+        packed.write(policy)
     policy.fine_tuned = True
     return policy
 
@@ -251,47 +259,25 @@ def sft_train(
 # ---------------------------------------------------------------------------
 
 
-class _DPOObjective:
-    """DPO over the pairs, compiled once; reference log-ratios computed once.
+def _dpo(policy: TabularPolicy, reference: ReferencePolicy, pairs: Sequence[PreferencePair], beta: float):
+    """The pairs packed over the policy (winner, loser, pair by pair), and a function
+    giving (mean loss, mean margin z, packed gradient) at the packed theta."""
+    actions = []
+    for pair in pairs:
+        actions.append(_action("pair winner", pair.task_id, pair.winner.actions, policy, reference))
+        actions.append(_action("pair loser", pair.task_id, pair.loser.actions, policy, reference))
+    packed = _Packed(policy, actions)
+    ref_logprobs = _Packed(reference, actions).logprobs()
+    ref_delta = ref_logprobs[0::2] - ref_logprobs[1::2]
 
-    Actions alternate winner, loser, pair by pair.
-    """
+    def forward():
+        logprobs = packed.logprobs()
+        z = beta * ((logprobs[0::2] - logprobs[1::2]) - ref_delta)
+        loss, sigmoid_neg = pair_loss(z)
+        coeff = -sigmoid_neg * beta / z.size  # d loss / d (log pi(y_w) - log pi(y_l))
+        return loss, float(np.mean(z)), packed.grad(np.column_stack([coeff, -coeff]).ravel())
 
-    def __init__(
-        self,
-        policy: TabularPolicy,
-        reference: ReferencePolicy,
-        pairs: Sequence[PreferencePair],
-        beta: float,
-    ):
-        actions = []
-        for pair in pairs:
-            w = _require_actions("pair winner", pair.task_id, pair.winner.actions)
-            l = _require_actions("pair loser", pair.task_id, pair.loser.actions)
-            for source in (policy, reference):
-                head = source.head(pair.task_id)
-                head.check_action(pair.task_id, *w)
-                head.check_action(pair.task_id, *l)
-            actions += [(pair.task_id, *w), (pair.task_id, *l)]
-        self.packed = _Packed(policy, actions)
-        ref_logprobs = _Packed(reference, actions).logprobs()
-        self._ref_delta = ref_logprobs[0::2] - ref_logprobs[1::2]
-        self.beta = beta
-
-    def forward(self) -> tuple[float, float, np.ndarray]:
-        """(mean loss, mean margin, per-pair margin z) at the current theta."""
-        logprobs = self.packed.logprobs()
-        z = self.beta * ((logprobs[0::2] - logprobs[1::2]) - self._ref_delta)
-        loss = _running_sum(np.logaddexp(0.0, -z)) / z.size  # -log sigmoid(z), overflow-safe
-        return float(loss), float(np.mean(z)), z
-
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        """Gradient at the last forward(): d/dtheta -log sigmoid(z) = -sigmoid(-z) * dz/dtheta."""
-        coeff = -(1.0 / (1.0 + np.exp(z))) * self.beta / z.size
-        weights = np.empty(2 * z.size, dtype=np.float64)
-        weights[0::2] = coeff
-        weights[1::2] = -coeff
-        return self.packed.grad(weights)
+    return packed, forward
 
 
 def dpo_loss(
@@ -300,9 +286,7 @@ def dpo_loss(
     pairs: Sequence[PreferencePair],
     beta: float,
 ) -> float:
-    if not pairs:
-        return 0.0
-    return _DPOObjective(policy, reference, pairs, beta).forward()[0]
+    return dpo_loss_and_grad(policy, reference, pairs, beta)[0]
 
 
 def dpo_loss_and_grad(
@@ -313,9 +297,9 @@ def dpo_loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     if not pairs:
         return 0.0, np.zeros_like(policy.theta())
-    objective = _DPOObjective(policy, reference, pairs, beta)
-    loss, _, z = objective.forward()
-    return loss, objective.packed.in_policy_layout(objective.grad(z), policy)
+    packed, forward = _dpo(policy, reference, pairs, beta)
+    loss, _, grad = forward()
+    return loss, packed.in_policy_layout(grad, policy)
 
 
 def dpo_train(
@@ -327,37 +311,33 @@ def dpo_train(
 ) -> TabularPolicy:
     """Full-batch DPO against a reference frozen at entry.
 
-    Aborts with TrainingDivergedError if the loss ever exceeds ten times
-    its initial value, which on this objective only happens when the
-    learning rate is wildly too hot; the policy keeps the updates made
-    before the failing epoch.
+    Aborts with TrainingDivergedError if the loss at any epoch, or at the
+    final theta, exceeds ten times its initial value, which on this
+    objective only happens when the learning rate is wildly too hot; the
+    policy keeps the updates made before the failing epoch.
     """
     if reference is None:
         reference = ReferencePolicy(policy)
     if not pairs:
         log.warning("dpo_train called with no pairs; policy unchanged")
         return policy
-    objective = _DPOObjective(policy, reference, pairs, config.beta)
-    theta = objective.packed.theta
-    initial_loss: float | None = None
+    packed, forward = _dpo(policy, reference, pairs, config.beta)
+    losses: list[float] = []
+
+    def step():
+        loss, margin, grad = forward()
+        losses.append(loss)
+        if loss > DIVERGENCE_FACTOR * max(losses[0], 1e-12):
+            raise TrainingDivergedError(
+                f"dpo loss {loss:.4f} exceeded {DIVERGENCE_FACTOR}x initial {losses[0]:.4f} "
+                f"at epoch {len(losses) - 1}"
+            )
+        return {"loss": loss, "margin": margin}, grad
+
     try:
-        for epoch in range(config.epochs):
-            loss, margin, z = objective.forward()
-            if initial_loss is None:
-                initial_loss = loss
-            if loss > DIVERGENCE_FACTOR * max(initial_loss, 1e-12):
-                raise TrainingDivergedError(
-                    f"dpo loss {loss:.4f} exceeded {DIVERGENCE_FACTOR}x initial {initial_loss:.4f} "
-                    f"at epoch {epoch}"
-                )
-            if history_out is not None:
-                history_out.append({"epoch": epoch, "loss": loss, "margin": margin})
-            theta -= config.learning_rate * objective.grad(z)
-        if history_out is not None:
-            loss, margin, _ = objective.forward()
-            history_out.append({"epoch": config.epochs, "loss": loss, "margin": margin})
+        descend(packed.theta, step, config, history_out)
     finally:
-        objective.packed.write(policy)
+        packed.write(policy)
     return policy
 
 

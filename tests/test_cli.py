@@ -490,6 +490,45 @@ def test_malformed_checkpoint_is_an_error_line_not_a_traceback(case, stepwise, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["rollout", "rank"])
+def test_checkpoint_from_a_newer_schema_is_an_error_line(command, stepwise, tmp_path, capsys):
+    """A policy or reward-model checkpoint one schema_version ahead fails its command with exit 1."""
+    source = stepwise / "policy_init.json"
+    if command == "rank":
+        source = tmp_path / "rm.json"
+        assert run(["train-rm", "--tasks", stepwise / "tasks.jsonl", "--dataset", stepwise / "dataset.jsonl",
+                    "--rm", source, "--rm-log", tmp_path / "rm_log.csv"]) == 0
+    body = json.loads(source.read_text())
+    body["schema_version"] += 1
+    newer, out = tmp_path / "newer.json", tmp_path / "out.jsonl"
+    newer.write_text(json.dumps(body))
+    if command == "rollout":
+        argv = ["rollout", "--tasks", stepwise / "tasks.jsonl", "--policy-init", newer, "--rollouts", out]
+    else:
+        argv = ["rank", "--tasks", stepwise / "tasks.jsonl", "--rm", newer,
+                "--eval-rollouts", stepwise / "eval_rollouts.jsonl",
+                "--eval-rewards", stepwise / "eval_rewards.jsonl", "--selections", out]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(newer) in err and "newer than supported" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("run.rollouts_n=0", "rollouts_n"), ("run.max_tokens=0", "max_tokens"), ("dpo.dpo_beta=0", "dpo_beta"),
+    ("assemble.sft_fraction=2", "sft_fraction"), ("tasks.synth_lines=1", "synth_lines"),
+])
+def test_out_of_range_setting_is_a_usage_error_before_any_phase(setting, key, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["run-loop", "--output-dir", out, "--set", setting]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "out of range" in err
+    assert "Traceback" not in err
+    assert not (out / "runstate.json").exists()
+
+
 # Each stepwise command given one input made from a 2-task suite ({small}) and
 # the rest from the 4-task stepwise run ({d}).
 MISMATCHED = {

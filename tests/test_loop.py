@@ -40,6 +40,7 @@ from rlvrloop.loop import (
     write_guidance,
 )
 from rlvrloop.policy import TabularPolicy
+from rlvrloop.prompts import HINT_DELIMITER
 from rlvrloop.tasks import generate_synth_suite, save_tasks
 
 SMALL = dict(
@@ -139,6 +140,27 @@ def test_config_rejects_bad_values_and_overrides(tmp_path):
 
     with pytest.raises(UsageError, match="seed='notanint'"):
         load_config(None, overrides=["run.seed=notanint"])
+
+    # out-of-range values fail here, naming the key, before any phase runs
+    for override, key in (
+        ("run.rollouts_n=0", "rollouts_n"), ("run.max_tokens=0", "max_tokens"),
+        ("assemble.sft_fraction=-0.1", "sft_fraction"), ("assemble.sft_fraction=1.5", "sft_fraction"),
+        ("sft.sft_learning_rate=0", "sft_learning_rate"), ("dpo.dpo_learning_rate=-1", "dpo_learning_rate"),
+        ("sft.sft_epochs=-1", "sft_epochs"), ("dpo.dpo_epochs=-1", "dpo_epochs"),
+        ("dpo.dpo_beta=0", "dpo_beta"), ("dpo.dpo_beta=nan", "dpo_beta"),
+        ("tasks.synth_count=0", "synth_count"), ("tasks.synth_lines=1", "synth_lines"),
+        ("tasks.synth_candidates=1", "synth_candidates"),
+    ):
+        with pytest.raises(UsageError, match=f"{key}=.* out of range"):
+            load_config(None, overrides=[override])
+    path.write_text("[run]\nrollouts_n = 0\n")
+    with pytest.raises(UsageError, match="rollouts_n=0"):
+        load_config(path)
+    # the edges of each range are accepted
+    edges = ["run.rollouts_n=1", "run.max_tokens=1", "assemble.sft_fraction=0", "sft.sft_epochs=0",
+             "dpo.dpo_epochs=0", "tasks.synth_count=1", "tasks.synth_lines=2", "tasks.synth_candidates=2"]
+    config = load_config(None, overrides=edges + ["assemble.sft_fraction=1"])
+    assert (config.rollouts_n, config.sft_fraction, config.synth_lines) == (1, 1.0, 2)
 
 
 @pytest.mark.parametrize("override, message", [
@@ -463,6 +485,44 @@ def test_dead_backend_slots_are_infrastructure_failures(tmp_path, monkeypatch, c
     assert len(selections) == SMALL["synth_count"]
     assert not {s["trajectory_ref"] for s in selections} & eval_dead
     assert sum(s["k"] for s in selections) == len(eval_rollouts) - len(eval_dead)
+
+
+def test_dead_reattempt_slots_are_infrastructure_failures(tmp_path, monkeypatch, capsys):
+    """Every backend the loop builds dies on one seed in five, the reattempt phase's included.
+
+    A dead guided reattempt becomes a guided placeholder, scored as an
+    infrastructure failure; the run completes with exit 3, and no pair or
+    guidance uplift counts the placeholder.
+    """
+    import rlvrloop.loop as loop
+
+    build = loop.build_backend
+    monkeypatch.setattr(loop, "build_backend", lambda config, policy: DiesOnOneSeedInFive(build(config, policy)))
+    assert main(["run-loop", "--output-dir", str(tmp_path), *SMALL_ARGV]) == 3
+    assert "run completed with" in capsys.readouterr().err
+    paths = RunPaths(tmp_path)
+    guided = read_artifact("guided_rollouts", paths.guided_rollouts)
+    guidance_ids = {g.guidance_id for g in read_guidance(paths.guidance)}
+    assert len(guided) == len(guidance_ids)
+    guided_dead = {t.traj_id for t in guided if t.is_placeholder}
+    assert guided_dead
+    for traj in guided:
+        if traj.is_placeholder:
+            assert traj.guidance_id in guidance_ids and traj.traj_id.endswith("/g")
+            assert HINT_DELIMITER in traj.steps[0].prompt and traj.patch is None
+
+    guided_rewards = read_artifact("guided_rewards", paths.guided_rewards)
+    assert {r.trajectory_ref for r in guided_rewards if isinstance(r, EvaluationFailure)} == guided_dead
+    placeholders = sum(
+        t.is_placeholder
+        for name in ("rollouts", "guided_rollouts", "eval_rollouts")
+        for t in read_artifact(name, getattr(paths, name))
+    )
+    assert json.loads(paths.manifest.read_text())["infra_errors"] == placeholders
+    dataset = read_artifact("dataset", paths.dataset)
+    assert not {p.winner.trajectory_ref for p in dataset.pairs} & guided_dead
+    uplift = json.loads(paths.report_json.read_text())["post_training"]["guidance_uplift"]
+    assert uplift["guided"]["attempts"] == len(guided) - len(guided_dead)
 
 
 def test_initial_policy_is_honored(tmp_path, finished_run):

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from rlvrloop.errors import CheckpointError, TrainingError
+from rlvrloop.jsonl import SCHEMA_VERSION
 from rlvrloop.policy import (
     ReferencePolicy,
     TabularPolicy,
@@ -132,6 +135,20 @@ def test_load_rejects_non_checkpoint(tmp_path):
         TabularPolicy.load(path)
     with pytest.raises(CheckpointError):
         TabularPolicy.load(tmp_path / "missing.json")
+
+
+def test_load_checks_the_schema_version(tmp_path, small_suite):
+    """A checkpoint from a newer schema fails to load; one written before the field existed loads."""
+    path = tmp_path / "p.json"
+    TabularPolicy.uniform(small_suite).save(path)
+    rec = json.loads(path.read_text())
+    rec["schema_version"] = SCHEMA_VERSION + 1
+    path.write_text(json.dumps(rec))
+    with pytest.raises(CheckpointError, match="newer than supported"):
+        TabularPolicy.load(path)
+    del rec["schema_version"]
+    path.write_text(json.dumps(rec))
+    assert TabularPolicy.load(path).fingerprint() == TabularPolicy.uniform(small_suite).fingerprint()
 
 
 def test_reference_policy_is_frozen(small_suite):

@@ -8,6 +8,7 @@ import pytest
 from rlvrloop.backends import TabularPolicyBackend
 from rlvrloop.errors import CheckpointError, TrainingError
 from rlvrloop.evaluator import RewardRecord
+from rlvrloop.jsonl import SCHEMA_VERSION
 from rlvrloop.loop import evaluate_trajectories, rollout_all_tasks
 from rlvrloop.pairs import PairSide, PreferencePair, build_rlvr_dataset
 from rlvrloop.policy import TabularPolicy
@@ -369,3 +370,17 @@ def test_rm_load_rejects_bad_checkpoints(tmp_path):
     stale.write_text(json.dumps(rec))
     with pytest.raises(CheckpointError, match="featurization version"):
         PairwiseRM.load(stale)
+
+
+def test_rm_load_checks_the_schema_version(tmp_path):
+    """A checkpoint from a newer schema fails to load; one written before the field existed loads."""
+    path = tmp_path / "rm.json"
+    PairwiseRM(weights=np.arange(N_FEATURES, dtype=np.float64)).save(path)
+    rec = json.loads(path.read_text())
+    rec["schema_version"] = SCHEMA_VERSION + 1
+    path.write_text(json.dumps(rec))
+    with pytest.raises(CheckpointError, match="newer than supported"):
+        PairwiseRM.load(path)
+    del rec["schema_version"]
+    path.write_text(json.dumps(rec))
+    assert np.array_equal(PairwiseRM.load(path).weights, np.arange(N_FEATURES))

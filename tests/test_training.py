@@ -207,6 +207,20 @@ def test_dpo_divergence_guard(grid):
         dpo_train(policy, pairs, DPOConfig(learning_rate=1e4, epochs=60), reference=ref)
 
 
+def test_dpo_divergence_guard_checks_the_row_after_the_last_epoch(grid):
+    """Three hot epochs stay under the guard, and the loss at the final theta trips it."""
+    tid = grid.tasks[0].id
+    policy = TabularPolicy.uniform(grid)
+    ref = ReferencePolicy(policy)
+    policy.head(tid).cand_logits[0, 0] = 0.01
+    pairs = [mk_pair(tid, (0, 0), (0, 1)), mk_pair(tid, (0, 1), (0, 0))]
+    history = []
+    with pytest.raises(TrainingDivergedError, match="at epoch 3"):
+        dpo_train(policy, pairs, DPOConfig(learning_rate=1e4, epochs=3), reference=ref, history_out=history)
+    assert [row["epoch"] for row in history] == [0, 1, 2]
+    assert max(row["loss"] for row in history) < DIVERGENCE_FACTOR * history[0]["loss"]
+
+
 def test_reference_does_not_move_during_dpo(grid):
     policy = TabularPolicy.uniform(grid)
     ref = ReferencePolicy(policy)
