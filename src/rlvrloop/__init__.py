@@ -47,7 +47,7 @@ from .guidance import (
     strip_hint_block,
 )
 from .jsonl import canonical_file_hash, derive_seed
-from .loop import RunConfig, evaluate_trajectories, load_config, rollout_all_tasks, run_loop
+from .loop import RunConfig, evaluate_trajectories, load_config, run_loop
 from .metrics import EvalReport, aggregate, guidance_uplift_report, pass_at_k
 from .pairs import (
     PreferencePair,
@@ -72,6 +72,7 @@ from .rollout import (
     Step,
     Trajectory,
     read_trajectories,
+    rollout_all_tasks,
     run_scaffold,
     sample_rollouts,
     write_trajectories,

@@ -29,7 +29,6 @@ import json
 import logging
 import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -58,9 +57,9 @@ from .policy import ReferencePolicy, TabularPolicy
 from .reward_model import PairwiseRM, build_rm_training_pairs, rank_best_of_k, rm_train
 from .rollout import (
     TEMPERATURE_SAMPLING,
-    attempt,
     read_trajectories,
-    sample_rollouts,
+    rollout_all_tasks,
+    scaffold_batch,
     write_trajectories,
 )
 from .tasks import Task, TaskDataset, generate_synth_suite, load_tasks, save_tasks
@@ -212,41 +211,6 @@ def resolve_tasks(config: RunConfig) -> TaskDataset:
     )
 
 
-def _map(fn: Callable, items, backend: PolicyBackend, workers: int) -> list:
-    """[fn(item) for item in items], spread over `workers` threads unless one
-    thread would do: workers <= 1, a backend that declares max_concurrency 1,
-    or at most one item. Results keep item order either way.
-    """
-    if workers <= 1 or backend.max_concurrency == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def rollout_all_tasks(
-    dataset: TaskDataset,
-    backend: PolicyBackend,
-    n: int,
-    base_seed: int,
-    *,
-    workers: int = 4,
-    max_tokens: int = 256,
-    eval_mode: bool = False,
-) -> list:
-    """Per-task rollout batches, flattened in dataset order.
-
-    Tasks spread over `workers` threads unless the backend declares
-    max_concurrency 1; slot seeds are derived per (task, slot) so
-    scheduling order cannot change any sample.
-    """
-    def one(task):
-        return sample_rollouts(
-            task, backend, n, base_seed, max_tokens=max_tokens, eval_mode=eval_mode
-        )
-
-    return [traj for batch in _map(one, dataset.tasks, backend, workers) for traj in batch]
-
-
 def _task_in(dataset: TaskDataset, task_id: str) -> Task:
     """The suite's task with this id; UsageError if the suite has none, as for inputs from another run."""
     task = dataset.by_id.get(task_id)
@@ -293,16 +257,11 @@ def reattempt_with_guidance(
     workers: int = 4,
 ) -> list:
     """One guided reattempt per guidance record, seeded off the source ref; a dead one is a placeholder."""
-    def one(guidance):
-        task = _task_in(dataset, guidance.task_id)
-        params = SamplingParams(
-            temperature=TEMPERATURE_SAMPLING,
-            seed=derive_seed(base_seed, "reattempt", guidance.source_trajectory_ref),
-            max_tokens=max_tokens,
-        )
-        return attempt(task, backend, params, guidance)
-
-    return _map(one, guidance_list, backend, workers)
+    attempts = []
+    for g in guidance_list:
+        seed = derive_seed(base_seed, "reattempt", g.source_trajectory_ref)
+        attempts.append((_task_in(dataset, g.task_id), SamplingParams(TEMPERATURE_SAMPLING, seed, max_tokens), g))
+    return scaffold_batch(attempts, backend, workers=workers)[0]
 
 
 def write_guidance(guidance_list, path: Path) -> None:

@@ -1,6 +1,7 @@
 """Two-step rollout scaffold: localize, then repair.
 
-Each attempt at a task is exactly one localization step and one repair step.
+Each attempt at a task is exactly one localization step and one repair step;
+a phase's attempts run in lockstep, each step as one backend batch.
 Malformed completions are data, not errors: they produce an empty patch that
 the evaluator scores as reward 0. Backend failures are retried, and an
 attempt (a rollout slot or a guided reattempt) whose backend never recovers
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import prompts
-from .backends import PolicyBackend, SamplingParams, call_with_retry
+from .backends import PolicyBackend, SamplingParams
 from .errors import BackendError, GuidanceLeakError, RolloutError, TaskFormatError
 from .guidance import Guidance, render_reattempt_prompt
 from .jsonl import derive_seed, read_records, write_records
@@ -133,6 +134,70 @@ def make_traj_id(task_id: str, backend_id: str, seed: int, guided: bool) -> str:
     return f"{task_id}/{backend_id}/{seed}/{suffix}"
 
 
+def _step_params(params: SamplingParams, step: str) -> SamplingParams:
+    return SamplingParams(params.temperature, derive_seed(params.seed, step), params.max_tokens)
+
+
+def _location(task: Task, loc_completion: str):
+    if not isinstance(task, SynthTask):
+        return prompts.parse_files_completion(loc_completion)
+    line = prompts.parse_line_completion(loc_completion)
+    return line if line is not None and 0 <= line < task.n_lines else None  # None: whole-workspace repair
+
+
+def scaffold_batch(
+    attempts: list[tuple[Task, SamplingParams, Guidance | None]],
+    backend: PolicyBackend,
+    *,
+    workers: int = 1,
+    eval_mode: bool = False,
+) -> tuple[list[Trajectory], dict[int, BackendError]]:
+    """One trajectory per (task, params, guidance) attempt, and the BackendError of each dead one by index.
+
+    The two steps get independent sub-seeds derived from params.seed so the
+    line draw and the candidate draw are uncorrelated. With guidance, the
+    hint block is appended to the localization prompt via the reattempt
+    template. A dead attempt's trajectory is a placeholder: the slot's ids
+    (guided ones too) and localization prompt, no repair prompt, no completions.
+    """
+    for task, _, guidance in attempts:
+        if eval_mode and guidance is not None:
+            raise GuidanceLeakError(
+                f"guidance {guidance.guidance_id} injected into an evaluation-mode rollout for {task.id}"
+            )
+        if guidance is not None and guidance.task_id != task.id:
+            raise TaskFormatError(f"guidance {guidance.guidance_id} targets {guidance.task_id}, not {task.id}")
+
+    loc_prompts = [prompts.render_localization_prompt(task) for task, _, _ in attempts]
+    loc_prompts = [p if g is None else render_reattempt_prompt(p, g) for p, (_, _, g) in zip(loc_prompts, attempts)]
+    locs = backend.generate_batch(
+        [(prompt, _step_params(params, "loc")) for prompt, (_, params, _) in zip(loc_prompts, attempts)], workers
+    )
+    live = [i for i, completion in enumerate(locs) if not isinstance(completion, BackendError)]
+    locations = {i: _location(attempts[i][0], locs[i]) for i in live}
+    repair_prompts = {i: prompts.render_repair_prompt(attempts[i][0], locations[i]) for i in live}
+    repair_of = dict(zip(live, backend.generate_batch(
+        [(repair_prompts[i], _step_params(attempts[i][1], "repair")) for i in live], workers
+    )))
+
+    out, dead = [], {}
+    for i, (task, params, guidance) in enumerate(attempts):
+        repair = repair_of.get(i, locs[i])
+        if isinstance(repair, BackendError):
+            dead[i] = repair
+            steps, patch = (Step(prompts.LOC_STEP, loc_prompts[i], ""), Step(prompts.REPAIR_STEP, "", "")), None
+        else:
+            steps = (
+                Step(prompts.LOC_STEP, loc_prompts[i], locs[i]),
+                Step(prompts.REPAIR_STEP, repair_prompts[i], repair),
+            )
+            patch = extract_patch(task, locations[i], repair)
+        guidance_id = None if guidance is None else guidance.guidance_id
+        traj_id = make_traj_id(task.id, backend.backend_id, params.seed, guidance is not None)
+        out.append(Trajectory(task.id, steps, patch, guidance_id, params, backend.backend_id, traj_id))
+    return out, dead
+
+
 def run_scaffold(
     task: Task,
     backend: PolicyBackend,
@@ -141,53 +206,11 @@ def run_scaffold(
     *,
     eval_mode: bool = False,
 ) -> Trajectory:
-    """One attempt at a task: localization then repair.
-
-    The two steps get independent sub-seeds derived from params.seed so the
-    line draw and the candidate draw are uncorrelated. With guidance, the
-    hint block is appended to the localization prompt via the reattempt
-    template; nothing else about the scaffold changes.
-    """
-    if eval_mode and guidance is not None:
-        raise GuidanceLeakError(
-            f"guidance {guidance.guidance_id} injected into an evaluation-mode rollout for {task.id}"
-        )
-    if guidance is not None and guidance.task_id != task.id:
-        raise TaskFormatError(
-            f"guidance {guidance.guidance_id} targets {guidance.task_id}, not {task.id}"
-        )
-
-    base_prompt = prompts.render_localization_prompt(task)
-    loc_prompt = render_reattempt_prompt(base_prompt, guidance) if guidance is not None else base_prompt
-    loc_params = SamplingParams(params.temperature, derive_seed(params.seed, "loc"), params.max_tokens)
-    loc_completion = call_with_retry(backend.generate, loc_prompt, loc_params)
-
-    if isinstance(task, SynthTask):
-        line = prompts.parse_line_completion(loc_completion)
-        if line is not None and not 0 <= line < task.n_lines:
-            line = None  # nonsense index falls back to whole-workspace repair
-        location = line
-    else:
-        location = prompts.parse_files_completion(loc_completion)
-
-    repair_prompt = prompts.render_repair_prompt(task, location)
-    repair_params = SamplingParams(params.temperature, derive_seed(params.seed, "repair"), params.max_tokens)
-    repair_completion = call_with_retry(backend.generate, repair_prompt, repair_params)
-
-    patch = extract_patch(task, location, repair_completion)
-    guided = guidance is not None
-    return Trajectory(
-        task_id=task.id,
-        steps=(
-            Step(prompts.LOC_STEP, loc_prompt, loc_completion),
-            Step(prompts.REPAIR_STEP, repair_prompt, repair_completion),
-        ),
-        patch=patch,
-        guidance_id=guidance.guidance_id if guided else None,
-        sampling=params,
-        backend_id=backend.backend_id,
-        traj_id=make_traj_id(task.id, backend.backend_id, params.seed, guided),
-    )
+    """One attempt at a task: localization then repair; BackendError when the backend never answers."""
+    [traj], dead = scaffold_batch([(task, params, guidance)], backend, eval_mode=eval_mode)
+    if dead:
+        raise dead[0]
+    return traj
 
 
 def attempt(
@@ -198,18 +221,8 @@ def attempt(
     *,
     eval_mode: bool = False,
 ) -> Trajectory:
-    """run_scaffold's trajectory or, when the backend never answers, a placeholder: the
-    slot's ids (guided ones too) and localization prompt, no repair prompt, no completions."""
-    try:
-        return run_scaffold(task, backend, params, guidance, eval_mode=eval_mode)
-    except BackendError:
-        prompt = prompts.render_localization_prompt(task)
-        if guidance is not None:
-            prompt = render_reattempt_prompt(prompt, guidance)
-        steps = (Step(prompts.LOC_STEP, prompt, ""), Step(prompts.REPAIR_STEP, "", ""))
-        guidance_id = None if guidance is None else guidance.guidance_id
-        traj_id = make_traj_id(task.id, backend.backend_id, params.seed, guidance is not None)
-        return Trajectory(task.id, steps, None, guidance_id, params, backend.backend_id, traj_id)
+    """run_scaffold's trajectory or, when the backend never answers, a placeholder."""
+    return scaffold_batch([(task, params, guidance)], backend, eval_mode=eval_mode)[0][0]
 
 
 def rollout_params(base_seed: int, task_id: str, slot: int, max_tokens: int = 256) -> SamplingParams:
@@ -222,6 +235,36 @@ def rollout_params(base_seed: int, task_id: str, slot: int, max_tokens: int = 25
     )
 
 
+def rollout_all_tasks(
+    tasks: Iterable[Task],
+    backend: PolicyBackend,
+    n: int,
+    base_seed: int,
+    *,
+    workers: int = 4,
+    max_tokens: int = 256,
+    eval_mode: bool = False,
+) -> list[Trajectory]:
+    """Exactly n unguided attempts at each task, flattened in task order, run as one batch.
+
+    Backend failures never shrink the batch: a dead slot becomes a
+    placeholder, which scoring counts as an infrastructure failure and
+    pass@k leaves out. Only a task where every slot failed raises. Slot
+    seeds are derived per (task, slot), so neither batching nor thread
+    scheduling can change any sample.
+    """
+    if n < 1:
+        raise RolloutError(f"rollout count must be >= 1, got {n}")
+    attempts = [
+        (task, rollout_params(base_seed, task.id, slot, max_tokens), None) for task in tasks for slot in range(n)
+    ]
+    out, _ = scaffold_batch(attempts, backend, workers=workers, eval_mode=eval_mode)
+    for start in range(0, len(out), n):
+        if all(traj.is_placeholder for traj in out[start:start + n]):
+            raise RolloutError(f"all {n} rollout slots failed at the backend for task {out[start].task_id}")
+    return out
+
+
 def sample_rollouts(
     task: Task,
     backend: PolicyBackend,
@@ -231,21 +274,8 @@ def sample_rollouts(
     max_tokens: int = 256,
     eval_mode: bool = False,
 ) -> list[Trajectory]:
-    """Exactly n unguided attempts at a task.
-
-    Backend failures never shrink the batch: a dead slot becomes a
-    placeholder, which scoring counts as an infrastructure failure and
-    pass@k leaves out. Only a batch where every slot failed raises.
-    """
-    if n < 1:
-        raise RolloutError(f"rollout count must be >= 1, got {n}")
-    out = [
-        attempt(task, backend, rollout_params(base_seed, task.id, slot, max_tokens), eval_mode=eval_mode)
-        for slot in range(n)
-    ]
-    if all(traj.is_placeholder for traj in out):
-        raise RolloutError(f"all {n} rollout slots failed at the backend for task {task.id}")
-    return out
+    """Exactly n unguided attempts at one task: rollout_all_tasks over that task alone."""
+    return rollout_all_tasks([task], backend, n, base_seed, workers=1, max_tokens=max_tokens, eval_mode=eval_mode)
 
 
 # ---------------------------------------------------------------------------

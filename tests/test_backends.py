@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from rlvrloop import prompts
-from rlvrloop.backends import SamplingParams, TabularPolicyBackend
+from rlvrloop.backends import PCG64_BATCH_MIN, SamplingParams, TabularPolicyBackend, pcg64_uniforms
+from rlvrloop.errors import BackendError
 from rlvrloop.guidance import Guidance, render_reattempt_prompt
 from rlvrloop.jsonl import derive_seed
 from rlvrloop.policy import TabularPolicy, softmax
@@ -152,3 +153,40 @@ def test_sampling_respects_distribution(small_suite):
     draws = [line(1.0, derive_seed("test", i)) for i in range(200)]
     assert draws.count(0) > 190
     assert line(0.0, 0) == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_pcg64_uniforms_are_numpys_draws_on_both_arms():
+    """k successive Generator(PCG64(seed)).random() values, for k in 1..3, from the
+    vectorised pass (one long batch) and from numpy (batches one short of the crossover)."""
+    gen = np.random.default_rng(derive_seed("oracle", "pcg64"))
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1] + [int(s) for s in gen.integers(2**63, size=10_000, dtype=np.uint64)]
+    rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    oracle = [[rng.random() for _ in range(3)] for rng in rngs]
+    short = PCG64_BATCH_MIN - 1
+    with np.errstate(all="raise"):
+        for k in (1, 2, 3):
+            expected = [row[:k] for row in oracle]
+            assert pcg64_uniforms(seeds, k) == expected
+            chunks = [pcg64_uniforms(seeds[i:i + short], k) for i in range(0, len(seeds), short)]
+            assert [row for chunk in chunks for row in chunk] == expected
+
+
+def test_batch_answers_each_request_as_the_oracle_does(small_suite):
+    """One long batch of every prompt kind at every temperature, with one request naming
+    no task in the middle: that request alone gets a BackendError."""
+    policy = trained_like(small_suite, 7)
+    prompt_list = [prompt for task in small_suite.tasks[:3] for prompt in every_prompt(task).values()]
+    kinds = [(t, prompt) for prompt in prompt_list for t in TEMPERATURES]
+    requests = [
+        (prompt, SamplingParams(temperature=t, seed=derive_seed("batch", i))) for i, (t, prompt) in enumerate(kinds)
+    ]
+    nameless = len(requests) // 2
+    requests.insert(nameless, ("no task here", SamplingParams(temperature=0.6, seed=1)))
+    assert sum(params.temperature > 0 for _, params in requests) >= PCG64_BATCH_MIN
+    answers = TabularPolicyBackend(policy).generate_batch(requests)
+    assert len(answers) == len(requests)
+    assert isinstance(answers[nameless], BackendError)
+    for i, ((prompt, params), answer) in enumerate(zip(requests, answers)):
+        if i != nameless:
+            assert answer == oracle_generate(policy, prompt, params), i

@@ -4,17 +4,20 @@ import logging
 import re
 import shutil
 import socket
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rlvrloop.backends import PolicyBackend, TabularPolicyBackend
+from rlvrloop.backends import PCG64_BATCH_MIN, PolicyBackend, TabularPolicyBackend
 from rlvrloop.cli import main
 from rlvrloop.errors import BackendError, PhaseError, UsageError
 from rlvrloop.evaluator import EvaluationFailure
 from rlvrloop.guidance import Guidance
-from rlvrloop.jsonl import canonical_file_hash
+from rlvrloop.jsonl import canonical_file_hash, derive_seed
 from rlvrloop.loop import (
     ARTIFACTS,
     PHASE_TABLE,
@@ -216,12 +219,13 @@ def test_resolve_tasks_prefers_explicit_path(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Rollout and reattempt pools
+# Rollout and reattempt batches
 # ---------------------------------------------------------------------------
 
 
 class UnlimitedBackend(PolicyBackend):
-    """A thread-safe tabular backend that declares no concurrency limit."""
+    """A thread-safe tabular backend that declares no concurrency limit and
+    answers only generate(), so batches take the per-call path."""
 
     backend_id = "tabular"
 
@@ -238,7 +242,7 @@ def _guidance_for(suite, backend):
 
 
 def test_in_process_backend_never_builds_a_thread_pool(small_suite, monkeypatch):
-    import rlvrloop.loop as loop
+    import rlvrloop.backends as backends
 
     def no_pool(*args, **kwargs):
         raise AssertionError("the in-process backend must be called inline")
@@ -246,29 +250,124 @@ def test_in_process_backend_never_builds_a_thread_pool(small_suite, monkeypatch)
     backend = TabularPolicyBackend(TabularPolicy.uniform(small_suite))
     guidance = _guidance_for(small_suite, backend)
     assert len(guidance) > 1
-    monkeypatch.setattr(loop, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(backends, "ThreadPoolExecutor", no_pool)
     assert len(rollout_all_tasks(small_suite, backend, 4, 0, workers=4)) == 4 * len(small_suite)
     assert len(reattempt_with_guidance(small_suite, guidance, backend, 0, workers=4)) == len(guidance)
 
 
 def test_pooled_backend_matches_serial_trajectories(small_suite, monkeypatch):
-    import rlvrloop.loop as loop
+    import rlvrloop.backends as backends
 
     pools = []
 
-    class CountingPool(loop.ThreadPoolExecutor):
+    class CountingPool(backends.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
     backend = UnlimitedBackend(TabularPolicy.uniform(small_suite))
     guidance = _guidance_for(small_suite, backend)
-    monkeypatch.setattr(loop, "ThreadPoolExecutor", CountingPool)
-    serial = rollout_all_tasks(small_suite, backend, 4, 0, workers=1)
+    monkeypatch.setattr(backends, "ThreadPoolExecutor", CountingPool)
+    built = []
+
+    def counted(fn, *args, workers):
+        before = len(pools)
+        out = fn(*args, workers=workers)
+        built.append(len(pools) - before)
+        return out
+
+    serial = counted(rollout_all_tasks, small_suite, backend, 4, 0, workers=1)
+    assert counted(rollout_all_tasks, small_suite, backend, 4, 0, workers=4) == serial
+    serial = counted(reattempt_with_guidance, small_suite, guidance, backend, 0, workers=1)
+    assert counted(reattempt_with_guidance, small_suite, guidance, backend, 0, workers=4) == serial
+    # the workers=4 calls, and only those, ran pooled: one pool for each of a phase's two batches
+    assert built == [0, 2, 0, 2]
+
+
+class TwoAtATimeBackend(UnlimitedBackend):
+    """Declares a limit of two concurrent calls and records the most it was given at once."""
+
+    max_concurrency = 2
+
+    def __init__(self, policy):
+        super().__init__(policy)
+        self.lock = threading.Lock()
+        self.active = self.peak = 0
+
+    def generate(self, prompt, params):
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(0.002)
+            return super().generate(prompt, params)
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+def test_pool_honours_a_declared_concurrency_limit(small_suite):
+    policy = TabularPolicy.uniform(small_suite)
+    backend = TwoAtATimeBackend(policy)
+    serial = rollout_all_tasks(small_suite, TabularPolicyBackend(policy), 4, 0, workers=1)
     assert rollout_all_tasks(small_suite, backend, 4, 0, workers=4) == serial
-    serial = reattempt_with_guidance(small_suite, guidance, backend, 0, workers=1)
-    assert reattempt_with_guidance(small_suite, guidance, backend, 0, workers=4) == serial
-    assert len(pools) == 2  # the workers=4 calls, and only those, ran pooled
+    assert backend.peak == 2
+
+
+def _sharp_suite_and_policy():
+    """Eight tasks and a non-uniform policy: eight rollouts each give 56 sampled
+    localizations, enough for batches to take the vectorised draw."""
+    suite = generate_synth_suite(8, 4, 4, seed=5)
+    policy = TabularPolicy.uniform(suite)
+    policy.set_theta(np.random.default_rng(5).normal(scale=2.0, size=policy.theta().size))
+    return suite, policy
+
+
+def test_batched_phases_match_the_per_call_path(monkeypatch):
+    import rlvrloop.backends as backends
+
+    draws = []  # the number of seeds of each pcg64_uniforms call
+    uniforms = backends.pcg64_uniforms
+    monkeypatch.setattr(backends, "pcg64_uniforms", lambda seeds, k: draws.append(len(seeds)) or uniforms(seeds, k))
+    suite, policy = _sharp_suite_and_policy()
+    batched, per_call = TabularPolicyBackend(policy), UnlimitedBackend(policy)
+    trajs = rollout_all_tasks(suite, batched, 8, 0, workers=1)
+    guidance = guide_failures(suite, trajs, evaluate_trajectories(suite, trajs, workers=1), None)
+    guided = reattempt_with_guidance(suite, guidance, batched, 0, workers=1)
+    # each batch that samples took the vectorised draw; a hinted localization draws nothing
+    assert draws == [8 * 7, 8 * 7, 0, len(guidance)] and len(guidance) >= PCG64_BATCH_MIN
+    assert trajs == rollout_all_tasks(suite, per_call, 8, 0, workers=1)
+    assert guided == reattempt_with_guidance(suite, guidance, per_call, 0, workers=1)
+    assert max(draws[4:]) == 1  # the per-call path draws at most one seed at a time
+    assert not any(t.is_placeholder for t in trajs + guided)
+
+
+class FailsOneSeedInFive(PolicyBackend):
+    """Answers batches through a backend's generate_batch, except that each request
+    whose seed is 0 mod 5 gets a BackendError."""
+
+    backend_id = "tabular"
+
+    def __init__(self, inner: PolicyBackend):
+        self.inner = inner
+
+    def generate_batch(self, requests, workers=1):
+        answers = self.inner.generate_batch(requests, workers)
+        return [BackendError("down") if params.seed % 5 == 0 else a for (_, params), a in zip(requests, answers)]
+
+
+def test_failed_requests_cost_exactly_their_slots():
+    suite, policy = _sharp_suite_and_policy()
+    clean = rollout_all_tasks(suite, TabularPolicyBackend(policy), 8, 0, workers=1)
+    trajs = rollout_all_tasks(suite, FailsOneSeedInFive(TabularPolicyBackend(policy)), 8, 0, workers=1)
+
+    def dies(seed):
+        return derive_seed(seed, "loc") % 5 == 0 or derive_seed(seed, "repair") % 5 == 0
+
+    assert [t.traj_id for t in trajs] == [t.traj_id for t in clean]
+    assert [t.is_placeholder for t in trajs] == [dies(t.sampling.seed) for t in clean]
+    assert 0 < sum(t.is_placeholder for t in trajs) < len(trajs)
+    assert all(got == want for got, want in zip(trajs, clean) if not got.is_placeholder)
 
 
 def test_guidance_file_round_trip(tmp_path):
