@@ -74,7 +74,6 @@ from .rollout import (
     read_trajectories,
     rollout_all_tasks,
     run_scaffold,
-    sample_rollouts,
     write_trajectories,
 )
 from .tasks import (
@@ -160,7 +159,6 @@ __all__ = [
     "rm_train",
     "run_loop",
     "run_scaffold",
-    "sample_rollouts",
     "sample_sft_subset",
     "save_tasks",
     "sft_train",

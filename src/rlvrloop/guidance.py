@@ -163,7 +163,12 @@ def strip_hint_block(prompt: str) -> str:
 
 
 def guidance_to_text(guidance: Guidance) -> str:
-    """Teacher-output rendering of structured guidance; parse() round-trips."""
+    """The teacher wire format: the reply text a teacher sends, which parse_guidance reads back.
+
+    The loop never sends this text (the oracle teacher builds its Guidance
+    directly); it is kept as the format's one executable definition, which
+    the tests use to build teacher replies.
+    """
     return (
         f"{SECTION_PLAN}: {guidance.plan}\n"
         f"{SECTION_FEEDBACK}: {guidance.env_feedback}\n"

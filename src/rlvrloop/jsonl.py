@@ -27,13 +27,18 @@ def dumps(record: dict[str, Any]) -> str:
 
 def write_records(path: str | Path, schema: str, records: Iterable[dict[str, Any]]) -> int:
     """Write a header line followed by one record per line. Returns record count."""
+    return write_lines(path, schema, map(dumps, records))
+
+
+def write_lines(path: str | Path, schema: str, lines: Iterable[str]) -> int:
+    """Write a header line, then stream each already-encoded record line. Returns line count."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps({"schema": schema, "schema_version": SCHEMA_VERSION}) + "\n")
-        for rec in records:
-            fh.write(dumps(rec) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
             n += 1
     return n
 

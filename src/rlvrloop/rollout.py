@@ -14,15 +14,16 @@ guidance raise GuidanceLeakError, which is the engine-level enforcement of
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import prompts
 from .backends import PolicyBackend, SamplingParams
 from .errors import BackendError, GuidanceLeakError, RolloutError, TaskFormatError
 from .guidance import Guidance, render_reattempt_prompt
-from .jsonl import derive_seed, read_records, write_records
+from .jsonl import derive_seed, dumps, read_records, write_lines
 from .tasks import SynthTask, Task
 
 TEMPERATURE_GREEDY = 0.0
@@ -213,18 +214,6 @@ def run_scaffold(
     return traj
 
 
-def attempt(
-    task: Task,
-    backend: PolicyBackend,
-    params: SamplingParams,
-    guidance: Guidance | None = None,
-    *,
-    eval_mode: bool = False,
-) -> Trajectory:
-    """run_scaffold's trajectory or, when the backend never answers, a placeholder."""
-    return scaffold_batch([(task, params, guidance)], backend, eval_mode=eval_mode)[0][0]
-
-
 def rollout_params(base_seed: int, task_id: str, slot: int, max_tokens: int = 256) -> SamplingParams:
     """Slot 0 is the greedy decode; every later slot samples at 0.6."""
     temperature = TEMPERATURE_GREEDY if slot == 0 else TEMPERATURE_SAMPLING
@@ -265,19 +254,6 @@ def rollout_all_tasks(
     return out
 
 
-def sample_rollouts(
-    task: Task,
-    backend: PolicyBackend,
-    n: int,
-    base_seed: int,
-    *,
-    max_tokens: int = 256,
-    eval_mode: bool = False,
-) -> list[Trajectory]:
-    """Exactly n unguided attempts at one task: rollout_all_tasks over that task alone."""
-    return rollout_all_tasks([task], backend, n, base_seed, workers=1, max_tokens=max_tokens, eval_mode=eval_mode)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -305,18 +281,24 @@ def trajectory_to_record(traj: Trajectory) -> dict:
     }
 
 
-def trajectory_from_record(rec: dict) -> Trajectory:
+def trajectory_from_record(rec: dict, shared: dict | None = None) -> Trajectory:
+    """The record's trajectory; records decoded through one `shared` dict share equal prompts, steps and patches."""
+    shared = {} if shared is None else shared
+
+    def one(value):
+        return shared.setdefault(value, value)
+
     patch = None
     if rec.get("patch") is not None:
         p = rec["patch"]
-        patch = Patch(
+        patch = one(Patch(
             edits=tuple((loc, text) for loc, text in p["edits"]),
             rendering=p["rendering"],
             synth=tuple(p["synth"]) if p.get("synth") else None,
-        )
+        ))
     return Trajectory(
         task_id=rec["task_id"],
-        steps=tuple(Step(s["role"], s["prompt"], s["completion"]) for s in rec["steps"]),
+        steps=tuple(one(Step(s["role"], one(s["prompt"]), s["completion"])) for s in rec["steps"]),
         patch=patch,
         guidance_id=rec.get("guidance_id"),
         sampling=SamplingParams(
@@ -329,9 +311,49 @@ def trajectory_from_record(rec: dict) -> Trajectory:
     )
 
 
+class _Encoded(dict):
+    """value -> dumps(value), each computed on first use; a tuple encodes as the list it stands for."""
+
+    def __missing__(self, value):
+        self[value] = text = dumps(value)
+        return text
+
+
+def _number(x) -> str:
+    """x as dumps renders it (0 stays 0, inf is Infinity); a plain int or finite float skips the encoder."""
+    return repr(x) if type(x) is int or (type(x) is float and math.isfinite(x)) else dumps(x)
+
+
+def _trajectory_lines(trajectories: Iterable[Trajectory]) -> Iterator[str]:
+    """dumps(trajectory_to_record(t)) for each trajectory, each string repeated within one task encoded once."""
+    text, task_id = _Encoded(), None
+    for t in trajectories:
+        if t.task_id != task_id:  # one task's memo at a time bounds what it keeps alive
+            text.clear()
+            task_id = t.task_id
+        p, sp = t.patch, t.sampling
+        if p is None:
+            patch = "null"
+        else:
+            synth = "[" + ",".join(map(_number, p.synth)) + "]" if p.synth else "null"
+            patch = f'{{"edits":{text[p.edits]},"rendering":{text[p.rendering]},"synth":{synth}}}'
+        steps = ",".join([
+            f'{{"completion":{text[s.completion]},"prompt":{text[s.prompt]},"role":{text[s.role]}}}' for s in t.steps
+        ])
+        yield (
+            f'{{"backend_id":{text[t.backend_id]},"guidance_id":{text[t.guidance_id]},"patch":{patch},'
+            f'"sampling":{{"max_tokens":{_number(sp.max_tokens)},"seed":{_number(sp.seed)},'
+            f'"temperature":{_number(sp.temperature)}}},"steps":[{steps}],'
+            f'"task_id":{text[t.task_id]},"traj_id":{dumps(t.traj_id)}}}'
+        )
+
+
 def write_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> int:
-    return write_records(path, TRAJECTORIES_SCHEMA, (trajectory_to_record(t) for t in trajectories))
+    """Write each trajectory as the line dumps(trajectory_to_record(t)) would, byte for byte."""
+    return write_lines(path, TRAJECTORIES_SCHEMA, _trajectory_lines(trajectories))
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
-    return [t for _, t in read_records(path, TRAJECTORIES_SCHEMA, trajectory_from_record)]
+    """The file's trajectories; equal prompts, steps and patches among them are one object each."""
+    shared: dict = {}
+    return [t for _, t in read_records(path, TRAJECTORIES_SCHEMA, lambda rec: trajectory_from_record(rec, shared))]

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -5,16 +8,21 @@ from doubles import ScriptedBackend
 from rlvrloop.backends import TabularPolicyBackend
 from rlvrloop.errors import BackendError, GuidanceLeakError, RolloutError, TaskFormatError
 from rlvrloop.guidance import Guidance
+from rlvrloop.jsonl import dumps
 from rlvrloop.policy import TabularPolicy
 from rlvrloop.prompts import HINT_DELIMITER, LOC_STEP, REPAIR_STEP
 from rlvrloop.rollout import (
     TEMPERATURE_GREEDY,
     TEMPERATURE_SAMPLING,
+    Patch,
     SamplingParams,
+    Step,
+    Trajectory,
     read_trajectories,
+    rollout_all_tasks,
     rollout_params,
     run_scaffold,
-    sample_rollouts,
+    scaffold_batch,
     trajectory_from_record,
     trajectory_to_record,
     write_trajectories,
@@ -153,7 +161,7 @@ def test_rollout_params_slot_zero_greedy():
 
 
 def test_sample_rollouts_exact_count(one_task, backend):
-    batch = sample_rollouts(one_task, backend, 8, base_seed=0)
+    batch = rollout_all_tasks([one_task], backend, 8, base_seed=0, workers=1)
     assert len(batch) == 8
     assert batch[0].sampling.temperature == TEMPERATURE_GREEDY
     assert all(t.sampling.temperature == TEMPERATURE_SAMPLING for t in batch[1:])
@@ -162,8 +170,8 @@ def test_sample_rollouts_exact_count(one_task, backend):
 
 
 def test_sample_rollouts_deterministic(one_task, backend):
-    a = [trajectory_to_record(t) for t in sample_rollouts(one_task, backend, 6, base_seed=3)]
-    b = [trajectory_to_record(t) for t in sample_rollouts(one_task, backend, 6, base_seed=3)]
+    a = [trajectory_to_record(t) for t in rollout_all_tasks([one_task], backend, 6, base_seed=3, workers=1)]
+    b = [trajectory_to_record(t) for t in rollout_all_tasks([one_task], backend, 6, base_seed=3, workers=1)]
     assert a == b
 
 
@@ -172,7 +180,7 @@ def test_sample_rollouts_pads_failed_slots(one_task):
     scripted = ScriptedBackend(
         script=[BackendError("down")] * 3 + ["```\nLINE: 0\n```", "```\nCANDIDATE: 1\n```"]
     )
-    batch = sample_rollouts(one_task, scripted, 2, base_seed=0)
+    batch = rollout_all_tasks([one_task], scripted, 2, base_seed=0, workers=1)
     assert len(batch) == 2
     assert batch[0].patch is None and batch[0].steps[0].completion == ""
     assert batch[1].patch.synth == (0, 1)
@@ -181,12 +189,12 @@ def test_sample_rollouts_pads_failed_slots(one_task):
 def test_sample_rollouts_all_failed_raises(one_task):
     scripted = ScriptedBackend(script=[BackendError("down")] * 6)
     with pytest.raises(RolloutError, match="all 2 rollout slots failed"):
-        sample_rollouts(one_task, scripted, 2, base_seed=0)
+        rollout_all_tasks([one_task], scripted, 2, base_seed=0, workers=1)
 
 
 def test_sample_rollouts_rejects_bad_n(one_task, backend):
     with pytest.raises(RolloutError):
-        sample_rollouts(one_task, backend, 0, base_seed=0)
+        rollout_all_tasks([one_task], backend, 0, base_seed=0, workers=1)
 
 
 def test_trajectory_record_round_trip(one_task, backend):
@@ -197,7 +205,83 @@ def test_trajectory_record_round_trip(one_task, backend):
 
 
 def test_write_read_trajectories(tmp_path, one_task, backend):
-    batch = sample_rollouts(one_task, backend, 4, base_seed=1)
+    batch = rollout_all_tasks([one_task], backend, 4, base_seed=1, workers=1)
     path = tmp_path / "trajs.jsonl"
     assert write_trajectories(batch, path) == 4
     assert read_trajectories(path) == batch
+
+
+# Characters JSON must escape: non-ASCII (inside and beyond the BMP), quotes, backslashes, controls.
+ODD = 'é ünï "quoted" back\\slash \x00\x1f\x7f tab\t nl\n \u2028 \U0001f600'
+
+
+def codec_corpus(small_suite, backend):
+    """Trajectories of every shape the writer meets, tasks interleaved so each task's memo is rebuilt."""
+    a, b = small_suite.tasks[0], small_suite.tasks[1]
+    unguided = rollout_all_tasks([a, b], backend, 4, base_seed=7, workers=1)
+    guided = [run_scaffold(a, backend, params(seed=s), guidance=make_guidance(a)) for s in range(3)]
+    dead = ScriptedBackend(script=[BackendError("down")] * 3)
+    placeholder = scaffold_batch([(a, params(seed=9), None)], dead)[0][0]
+    assert placeholder.is_placeholder and placeholder.steps[-1].prompt == ""
+    real = [
+        Trajectory(
+            task_id="real-" + ODD,
+            steps=(Step(LOC_STEP, ODD, ODD), Step(REPAIR_STEP, ODD + "!", "")),
+            patch=Patch(edits=(("app.py:1:2", ODD), ("b.py:0:0", "")), rendering=ODD, synth=synth),
+            guidance_id=guidance_id,
+            sampling=SamplingParams(temperature=temperature, seed=seed, max_tokens=max_tokens),
+            backend_id=ODD,
+            traj_id=f"real/{ODD}/{seed}",
+        )
+        for synth, guidance_id, temperature, seed, max_tokens in [
+            (None, None, 0, 0, 1),
+            ((), "g-" + ODD, 0.0, 2**63 - 1, 256),
+            (None, None, 0.6, 2**64 + 1, 10**6),
+            ((), None, 1, 10**30, 7),
+            (None, "", float("inf"), 3, 256),
+            (None, None, float("nan"), 3, 256),
+        ]
+    ]
+    synth_patch_odd = Trajectory(a.id, unguided[0].steps, Patch(((ODD, ODD),), ODD, (0, 3)), None,
+                                 SamplingParams(1e-300, 1), "tabular", "odd")
+    return unguided[:4] + guided + [placeholder] + real[:3] + unguided[4:] + [synth_patch_odd] + real[3:] + unguided[:2]
+
+
+def test_writer_matches_the_reference_encoder_line_for_line(tmp_path, small_suite, backend):
+    corpus = codec_corpus(small_suite, backend)
+    path = tmp_path / "trajs.jsonl"
+    assert write_trajectories(corpus, path) == len(corpus)
+    header, *lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    assert header == dumps({"schema": "trajectories", "schema_version": 1})
+    assert lines == [dumps(trajectory_to_record(t)) for t in corpus]
+
+
+def test_reader_decodes_each_record_and_shares_repeated_prompts(tmp_path, small_suite, backend):
+    # a NaN temperature never equals itself, so it stays out of the equality checks
+    corpus = [t for t in codec_corpus(small_suite, backend) if not math.isnan(t.sampling.temperature)]
+    path = tmp_path / "trajs.jsonl"
+    write_trajectories(corpus, path)
+    back = read_trajectories(path)
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    assert back == [trajectory_from_record(rec) for rec in records]
+    assert len(back) == len(corpus) and back[:8] == corpus[:8]
+    # two slots of one task: one localization prompt object, and one repair prompt when they localized alike
+    first, second = back[0], back[1]
+    assert first.task_id == second.task_id and first.steps[0].prompt == second.steps[0].prompt
+    assert first.steps[0].prompt is second.steps[0].prompt
+    repeated = {}
+    for traj in back:
+        for step in traj.steps:
+            assert repeated.setdefault(step.prompt, step.prompt) is step.prompt
+
+
+def test_reader_names_the_line_of_a_record_without_sampling(tmp_path, one_task, backend):
+    path = tmp_path / "trajs.jsonl"
+    write_trajectories(rollout_all_tasks([one_task], backend, 3, base_seed=0, workers=1), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[2])
+    del rec["sampling"]
+    lines[2] = dumps(rec)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TaskFormatError, match=r"trajs\.jsonl: line 3: missing field 'sampling'"):
+        read_trajectories(path)
