@@ -73,7 +73,6 @@ from .rollout import (
     Trajectory,
     read_trajectories,
     rollout_all_tasks,
-    run_scaffold,
     write_trajectories,
 )
 from .tasks import (
@@ -158,7 +157,6 @@ __all__ = [
     "rollout_all_tasks",
     "rm_train",
     "run_loop",
-    "run_scaffold",
     "sample_sft_subset",
     "save_tasks",
     "sft_train",

@@ -84,7 +84,7 @@ def pcg64_uniforms(seeds: list[int], k: int) -> list[list[float]]:
     return out.tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SamplingParams:
     temperature: float
     seed: int

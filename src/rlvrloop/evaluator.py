@@ -17,7 +17,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BackendError, SandboxProvisionError
 from .jsonl import read_records, write_records
@@ -42,12 +43,12 @@ STATUS_FAIL = "fail"
 STATUS_ERROR = "error"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewardRecord:
     task_id: str
     trajectory_ref: str
     reward: int  # 0 or 1
-    per_test: dict[str, str]
+    per_test: Mapping[str, str]  # read-only; the records of one scored outcome share it
     empty_patch: bool
     stacktrace: str | None
     # Scoring time, kept in memory for profiling only: never written to a
@@ -61,13 +62,16 @@ class RewardRecord:
             raise ValueError("empty patch cannot earn reward")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvaluationFailure:
     """Infrastructure-level failure; carries no reward signal at all."""
 
     task_id: str
     trajectory_ref: str
     error: str
+
+
+_NO_TESTS = MappingProxyType({})
 
 
 def _tail(text: str, limit: int = STACKTRACE_TAIL_CHARS) -> str:
@@ -79,8 +83,8 @@ def _tail(text: str, limit: int = STACKTRACE_TAIL_CHARS) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_synthetic(task: SynthTask, trajectory: Trajectory) -> tuple[int, dict, str | None]:
-    """Score a (line, candidate) patch; each distinct patch of a task runs once."""
+def _evaluate_synthetic(task: SynthTask, trajectory: Trajectory) -> tuple[int, Mapping, str | None]:
+    """Score a (line, candidate) patch; each distinct patch of a task runs once, and its outcome is shared."""
     patch = trajectory.patch
     if patch is None or patch.synth is None:
         return 0, _synth_errors(), "patch is not a (line, candidate) selection"
@@ -91,27 +95,26 @@ def _evaluate_synthetic(task: SynthTask, trajectory: Trajectory) -> tuple[int, d
     outcome = memo.get((line, cand))
     if outcome is None:
         outcome = memo[line, cand] = _run_synthetic(task, line, cand)
-    reward, per_test, stack = outcome
-    return reward, dict(per_test), stack
+    return outcome
 
 
-def _synth_errors() -> dict[str, str]:
-    return {SYNTH_REGRESSION_TEST: STATUS_ERROR, SYNTH_FOCUSED_TEST: STATUS_ERROR}
+def _synth_errors() -> Mapping[str, str]:
+    return MappingProxyType({SYNTH_REGRESSION_TEST: STATUS_ERROR, SYNTH_FOCUSED_TEST: STATUS_ERROR})
 
 
-def _run_synthetic(task: SynthTask, line: int, cand: int) -> tuple[int, dict, str | None]:
+def _run_synthetic(task: SynthTask, line: int, cand: int) -> tuple[int, Mapping, str | None]:
     replacement = task.candidates[line][cand]
     try:
         actual = run_program(apply_candidate(task.lines, line, replacement))
     except ProgramError as exc:
         return 0, _synth_errors(), _tail(str(exc))
     if actual == task.expected_output:
-        return 1, {SYNTH_REGRESSION_TEST: STATUS_PASS, SYNTH_FOCUSED_TEST: STATUS_PASS}, None
+        return 1, MappingProxyType({SYNTH_REGRESSION_TEST: STATUS_PASS, SYNTH_FOCUSED_TEST: STATUS_PASS}), None
     stack = (
         f"{SYNTH_FOCUSED_TEST} failed: expected {task.expected_output} got {actual}\n"
         f"patched statement {line}: {replacement}"
     )
-    return 0, {SYNTH_REGRESSION_TEST: STATUS_PASS, SYNTH_FOCUSED_TEST: STATUS_FAIL}, _tail(stack)
+    return 0, MappingProxyType({SYNTH_REGRESSION_TEST: STATUS_PASS, SYNTH_FOCUSED_TEST: STATUS_FAIL}), _tail(stack)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +220,12 @@ def evaluate(task: Task, trajectory: Trajectory) -> RewardRecord:
         raise BackendError(f"{trajectory.traj_id}: the backend never answered this rollout slot")
     started = time.perf_counter()
     if trajectory.patch is None:
-        reward, per_test, stack = 0, {}, None
+        reward, per_test, stack = 0, _NO_TESTS, None
     elif isinstance(task, SynthTask):
         reward, per_test, stack = _evaluate_synthetic(task, trajectory)
     else:
         reward, per_test, stack = _evaluate_sandboxed(task, trajectory)
+        per_test = MappingProxyType(per_test)
     return RewardRecord(
         task_id=task.id,
         trajectory_ref=trajectory.traj_id,
@@ -281,26 +285,33 @@ def reward_to_record(rec: RewardRecord | EvaluationFailure) -> dict:
         "task_id": rec.task_id,
         "trajectory_ref": rec.trajectory_ref,
         "reward": rec.reward,
-        "per_test": rec.per_test,
+        "per_test": dict(rec.per_test),
         "empty_patch": rec.empty_patch,
         "stacktrace": rec.stacktrace,
     }
 
 
-def reward_from_record(rec: dict) -> RewardRecord | EvaluationFailure:
+def reward_from_record(rec: dict, shared: dict | None = None) -> RewardRecord | EvaluationFailure:
+    """The record's entry; those decoded through one `shared` dict share equal task ids, stack traces and test maps."""
+    shared = {} if shared is None else shared
+
+    def one(value):
+        return shared.setdefault(value, value)
+
     if "infrastructure_error" in rec:
         return EvaluationFailure(
-            task_id=rec["task_id"],
+            task_id=one(rec["task_id"]),
             trajectory_ref=rec["trajectory_ref"],
             error=rec["infrastructure_error"],
         )
+    per_test = dict(rec["per_test"])
     return RewardRecord(
-        task_id=rec["task_id"],
+        task_id=one(rec["task_id"]),
         trajectory_ref=rec["trajectory_ref"],
         reward=int(rec["reward"]),
-        per_test=dict(rec["per_test"]),
+        per_test=shared.setdefault(tuple(per_test.items()), MappingProxyType(per_test)),
         empty_patch=bool(rec["empty_patch"]),
-        stacktrace=rec.get("stacktrace"),
+        stacktrace=one(rec.get("stacktrace")),
     )
 
 
@@ -309,4 +320,6 @@ def write_rewards(records: Iterable[RewardRecord | EvaluationFailure], path: str
 
 
 def read_rewards(path: str | Path) -> list[RewardRecord | EvaluationFailure]:
-    return [r for _, r in read_records(path, REWARDS_SCHEMA, reward_from_record)]
+    """The file's records, each per_test read-only; equal task ids, stack traces and test maps are one object each."""
+    shared: dict = {}
+    return [r for _, r in read_records(path, REWARDS_SCHEMA, lambda rec: reward_from_record(rec, shared))]

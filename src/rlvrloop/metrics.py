@@ -23,6 +23,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_KS = (1, 2, 4, 8, 16, 32)
 BOOTSTRAP_RESAMPLES = 1000
+BOOTSTRAP_BLOCK_ROWS = 100
 
 
 def pass_at_k(n: int, c: int, k: int) -> float:
@@ -40,13 +41,19 @@ def pass_at_k(n: int, c: int, k: int) -> float:
 
 
 def bootstrap_std(values: Sequence[float], seed: int = 0) -> float:
-    """Std of the mean under seeded bootstrap resampling over tasks."""
+    """Std of the mean under seeded bootstrap resampling over tasks.
+
+    Bit for bit arr[idx].mean(axis=1).std() for idx = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n)):
+    an int32 draw takes numpy's buffered 32-bit Lemire path as an int64 one does, and the means are
+    taken BOOTSTRAP_BLOCK_ROWS rows at a time, so the float64 resample matrix is never built whole.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         return 0.0
     rng = np.random.default_rng(derive_seed("bootstrap", seed, BOOTSTRAP_RESAMPLES))
-    idx = rng.integers(0, arr.size, size=(BOOTSTRAP_RESAMPLES, arr.size))
-    return float(arr[idx].mean(axis=1).std())
+    idx = rng.integers(0, arr.size, size=(BOOTSTRAP_RESAMPLES, arr.size), dtype=np.int32)
+    blocks = range(0, BOOTSTRAP_RESAMPLES, BOOTSTRAP_BLOCK_ROWS)
+    return float(np.concatenate([arr[idx[i:i + BOOTSTRAP_BLOCK_ROWS]].mean(axis=1) for i in blocks]).std())
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ completion that fails to parse yields an empty patch rather than an error.
 """
 from __future__ import annotations
 
+import functools
 import re
 
 from .tasks import SynthTask, Task
@@ -147,12 +148,16 @@ _FILES_RE = re.compile(r"^FILES:\s*$", re.MULTILINE)
 _EDIT_RE = re.compile(r"^EDIT:\s*(\S+?):(\d+):(\d+)\n(.*?)^END EDIT\s*$", re.MULTILINE | re.DOTALL)
 
 
+# Each completion text exists once per value; its indices are bounded by the task grid.
+@functools.cache
 def format_line_completion(line: int) -> str:
     return f"```\nLINE: {line}\n```"
 
+@functools.cache
 def format_candidate_completion(cand: int) -> str:
     return f"```\nCANDIDATE: {cand}\n```"
 
+@functools.cache
 def format_line_candidate_completion(line: int, cand: int) -> str:
     return f"```\nLINE: {line}\nCANDIDATE: {cand}\n```"
 

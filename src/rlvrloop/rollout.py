@@ -32,7 +32,7 @@ TEMPERATURE_SAMPLING = 0.6
 TRAJECTORIES_SCHEMA = "trajectories"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Patch:
     """Structured edit set plus a human-readable rendering.
 
@@ -46,14 +46,14 @@ class Patch:
     synth: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     role: str  # "localization" or "repair"
     prompt: str
     completion: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trajectory:
     task_id: str
     steps: tuple[Step, ...]
@@ -86,12 +86,19 @@ class Trajectory:
 
 
 def synth_patch(task: SynthTask, line: int, cand: int) -> Patch:
-    """The patch that puts candidate cand of the task's menu at statement line."""
-    return Patch(
-        edits=((f"line:{line}", task.candidates[line][cand]),),
-        rendering=f"({line}, {cand})",
-        synth=(line, cand),
-    )
+    """The patch that puts candidate cand of the task's menu at statement line.
+
+    Each (line, cand) gets one Patch per task object, kept in task.patches, so
+    every trajectory and reward-model pair naming it shares that object.
+    """
+    patch = task.patches.get((line, cand))
+    if patch is None:
+        patch = task.patches[line, cand] = Patch(
+            edits=((f"line:{line}", task.candidates[line][cand]),),
+            rendering=f"({line}, {cand})",
+            synth=(line, cand),
+        )
+    return patch
 
 
 def _synth_patch(task: SynthTask, line: int | None, completion: str) -> Patch | None:
@@ -158,8 +165,9 @@ def scaffold_batch(
     The two steps get independent sub-seeds derived from params.seed so the
     line draw and the candidate draw are uncorrelated. With guidance, the
     hint block is appended to the localization prompt via the reattempt
-    template. A dead attempt's trajectory is a placeholder: the slot's ids
-    (guided ones too) and localization prompt, no repair prompt, no completions.
+    template, once per distinct (prompt, hint text) in the batch. A dead
+    attempt's trajectory is a placeholder: the slot's ids (guided ones too)
+    and localization prompt, no repair prompt, no completions.
     """
     for task, _, guidance in attempts:
         if eval_mode and guidance is not None:
@@ -169,8 +177,15 @@ def scaffold_batch(
         if guidance is not None and guidance.task_id != task.id:
             raise TaskFormatError(f"guidance {guidance.guidance_id} targets {guidance.task_id}, not {task.id}")
 
-    loc_prompts = [prompts.render_localization_prompt(task) for task, _, _ in attempts]
-    loc_prompts = [p if g is None else render_reattempt_prompt(p, g) for p, (_, _, g) in zip(loc_prompts, attempts)]
+    loc_prompts, guided = [], {}
+    for task, _, guidance in attempts:
+        prompt = prompts.render_localization_prompt(task)
+        if guidance is not None:
+            key = (prompt, guidance.hint_text())
+            if key not in guided:
+                guided[key] = render_reattempt_prompt(prompt, guidance)
+            prompt = guided[key]
+        loc_prompts.append(prompt)
     locs = backend.generate_batch(
         [(prompt, _step_params(params, "loc")) for prompt, (_, params, _) in zip(loc_prompts, attempts)], workers
     )
@@ -197,21 +212,6 @@ def scaffold_batch(
         traj_id = make_traj_id(task.id, backend.backend_id, params.seed, guidance is not None)
         out.append(Trajectory(task.id, steps, patch, guidance_id, params, backend.backend_id, traj_id))
     return out, dead
-
-
-def run_scaffold(
-    task: Task,
-    backend: PolicyBackend,
-    params: SamplingParams,
-    guidance: Guidance | None = None,
-    *,
-    eval_mode: bool = False,
-) -> Trajectory:
-    """One attempt at a task: localization then repair; BackendError when the backend never answers."""
-    [traj], dead = scaffold_batch([(task, params, guidance)], backend, eval_mode=eval_mode)
-    if dead:
-        raise dead[0]
-    return traj
 
 
 def rollout_params(base_seed: int, task_id: str, slot: int, max_tokens: int = 256) -> SamplingParams:
@@ -282,7 +282,7 @@ def trajectory_to_record(traj: Trajectory) -> dict:
 
 
 def trajectory_from_record(rec: dict, shared: dict | None = None) -> Trajectory:
-    """The record's trajectory; records decoded through one `shared` dict share equal prompts, steps and patches."""
+    """The record's trajectory; records decoded through one `shared` dict share equal strings, steps and patches."""
     shared = {} if shared is None else shared
 
     def one(value):
@@ -297,16 +297,16 @@ def trajectory_from_record(rec: dict, shared: dict | None = None) -> Trajectory:
             synth=tuple(p["synth"]) if p.get("synth") else None,
         ))
     return Trajectory(
-        task_id=rec["task_id"],
-        steps=tuple(one(Step(s["role"], one(s["prompt"]), s["completion"])) for s in rec["steps"]),
+        task_id=one(rec["task_id"]),
+        steps=tuple(one(Step(one(s["role"]), one(s["prompt"]), one(s["completion"]))) for s in rec["steps"]),
         patch=patch,
-        guidance_id=rec.get("guidance_id"),
+        guidance_id=one(rec.get("guidance_id")),
         sampling=SamplingParams(
             temperature=rec["sampling"]["temperature"],
             seed=rec["sampling"]["seed"],
             max_tokens=rec["sampling"]["max_tokens"],
         ),
-        backend_id=rec["backend_id"],
+        backend_id=one(rec["backend_id"]),
         traj_id=rec["traj_id"],
     )
 
@@ -354,6 +354,6 @@ def write_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> 
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
-    """The file's trajectories; equal prompts, steps and patches among them are one object each."""
+    """The file's trajectories; equal strings, steps and patches among them are one object each."""
     shared: dict = {}
     return [t for _, t in read_records(path, TRAJECTORIES_SCHEMA, lambda rec: trajectory_from_record(rec, shared))]

@@ -131,8 +131,13 @@ class SynthTask(Task):
         return len(self.candidates[0])
 
     @functools.cached_property
+    def patches(self) -> dict:
+        """rollout.synth_patch's memo: (line, candidate) -> the one Patch for it."""
+        return {}
+
+    @functools.cached_property
     def patch_outcomes(self) -> dict:
-        """The evaluator's memo: (line, candidate) -> (reward, per_test, stacktrace).
+        """The evaluator's memo: (line, candidate) -> (reward, read-only per_test, stacktrace).
 
         It lives on this object and dies with its suite; two suites that
         reuse a task id never share it.

@@ -22,8 +22,10 @@ class ScriptedBackend(PolicyBackend):
 
     def __post_init__(self):
         self._cursor = 0
+        self.prompts = []  # every prompt a generate call received, in order
 
     def generate(self, prompt: str, params: SamplingParams) -> str:
+        self.prompts.append(prompt)
         if self._cursor >= len(self.script):
             raise BackendError(f"{self.backend_id}: script exhausted after {self._cursor} calls")
         entry = self.script[self._cursor]

@@ -27,7 +27,7 @@ from rlvrloop.evaluator import (
     write_rewards,
     _parse_test_lines,
 )
-from rlvrloop.rollout import Patch, Step, Trajectory, run_scaffold
+from rlvrloop.rollout import Patch, Step, Trajectory, scaffold_batch
 from rlvrloop.tasks import (
     EnvSpec,
     ProgramError,
@@ -42,7 +42,8 @@ from rlvrloop.tasks import (
 
 def synth_attempt(task, line, cand):
     backend = ScriptedBackend(script=[f"```\nLINE: {line}\n```", f"```\nCANDIDATE: {cand}\n```"])
-    return run_scaffold(task, backend, SamplingParams(temperature=0.6, seed=0))
+    [traj], _ = scaffold_batch([(task, SamplingParams(temperature=0.6, seed=0), None)], backend)
+    return traj
 
 
 def manual_trajectory(task_id, patch, traj_id="t/x/0/u"):
@@ -94,7 +95,7 @@ def test_failure_record_names_expected_and_actual(one_task):
 
 def test_empty_patch_short_circuits(one_task):
     backend = ScriptedBackend(script=["junk", "junk"])
-    traj = run_scaffold(one_task, backend, SamplingParams(temperature=0.6, seed=0))
+    [traj], _ = scaffold_batch([(one_task, SamplingParams(temperature=0.6, seed=0), None)], backend)
     rec = evaluate(one_task, traj)
     assert rec.reward == 0
     assert rec.empty_patch
@@ -159,19 +160,38 @@ def test_outcome_memo_belongs_to_the_task_object(one_task):
         candidates=tuple(row[::-1] for row in one_task.candidates),
         expected_output=one_task.expected_output + 1,
     )
-    records = []
+    records = {a: [], b: []}
     for _ in range(2):
         for line, cand in itertools.product(range(a.n_lines), range(a.n_candidates)):
             traj = grid_trajectory(a, line, cand)
             for task in (a, b):
                 rec = evaluate(task, traj)
                 assert rec == evaluate(dataclasses.replace(task), traj), (task is a, line, cand)
-                records.append(rec)
-    assert len({id(rec.per_test) for rec in records}) == len(records)
-    # a caller that edits its record's per_test changes no later record
+                records[task].append(rec)
+    assert not {id(rec.per_test) for rec in records[a]} & {id(rec.per_test) for rec in records[b]}
+    # a record's per_test is read-only, so no caller can change a later record
     first = evaluate(a, grid_trajectory(a, 0, 0))
-    first.per_test.clear()
-    assert evaluate(a, grid_trajectory(a, 0, 0)) == evaluate(dataclasses.replace(a), grid_trajectory(a, 0, 0))
+    before = dict(first.per_test)
+    with pytest.raises(AttributeError):
+        first.per_test.clear()
+    with pytest.raises(TypeError):
+        first.per_test["output_matches"] = "pass"
+    later = evaluate(a, grid_trajectory(a, 0, 0))
+    assert later.per_test == before
+    assert later == evaluate(dataclasses.replace(a), grid_trajectory(a, 0, 0))
+
+
+def test_records_of_one_outcome_share_one_test_map(small_suite):
+    items = [(task, grid_trajectory(task, line, 1)) for _ in range(3) for task in small_suite for line in range(2)]
+    records = evaluate_batch(items, workers=1)
+    by_outcome = {}
+    for (task, traj), rec in zip(items, records):
+        assert by_outcome.setdefault((id(task), traj.patch.synth), rec.per_test) is rec.per_test
+    assert len(by_outcome) == 2 * len(small_suite.tasks)
+    assert len({id(rec.per_test) for rec in records}) == len(by_outcome)
+    # an empty patch has no tests, and every empty-patch record shares that map too
+    empty = [evaluate(task, manual_trajectory(task.id, None)) for task in small_suite]
+    assert all(rec.per_test == {} and rec.per_test is empty[0].per_test for rec in empty)
 
 
 # The interpreter before statements were compiled: a regex match per operand and
@@ -487,6 +507,26 @@ def test_record_round_trip_discriminates_infra(tmp_path, one_task):
     write_rewards([rec, infra], path)
     back = read_rewards(path)
     assert back == [rec, infra]
+
+
+def test_read_rewards_shares_task_ids_stack_traces_and_test_maps(tmp_path, small_suite):
+    items = [(task, synth_attempt(task, line, cand)) for task in small_suite for line in range(2) for cand in range(2)]
+    records = evaluate_batch(items * 2, workers=1) + [EvaluationFailure(items[0][0].id, "r", "sandbox broke")]
+    path = tmp_path / "rewards.jsonl"
+    write_rewards(records, path)
+    back = read_rewards(path)
+    assert back == records
+    assert [reward_to_record(r) for r in back] == [reward_to_record(r) for r in records]
+    one = {}
+    for rec in back:
+        assert one.setdefault(rec.task_id, rec.task_id) is rec.task_id
+        if isinstance(rec, RewardRecord):
+            assert one.setdefault(rec.stacktrace, rec.stacktrace) is rec.stacktrace
+            assert one.setdefault(tuple(rec.per_test.items()), rec.per_test) is rec.per_test
+            with pytest.raises(TypeError):
+                rec.per_test["output_matches"] = "pass"
+    scored = [rec for rec in back if isinstance(rec, RewardRecord)]
+    assert len({id(rec.per_test) for rec in scored}) == len({tuple(rec.per_test.items()) for rec in scored}) < 4
 
 
 def test_workspace_fingerprint_sensitivity(tmp_path):

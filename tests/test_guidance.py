@@ -28,13 +28,13 @@ from rlvrloop.guidance import (
 )
 from rlvrloop.prompts import HINT_DELIMITER, render_localization_prompt
 from rlvrloop.tasks import enumerate_passing_patches
-from rlvrloop.rollout import run_scaffold
+from rlvrloop.rollout import scaffold_batch
 
 
 def attempt(task, line, cand):
     """Trajectory committing to (line, cand), plus its reward record."""
     backend = ScriptedBackend(script=[f"```\nLINE: {line}\n```", f"```\nCANDIDATE: {cand}\n```"])
-    traj = run_scaffold(task, backend, SamplingParams(temperature=0.6, seed=0))
+    [traj], _ = scaffold_batch([(task, SamplingParams(temperature=0.6, seed=0), None)], backend)
     return traj, evaluate(task, traj)
 
 
@@ -48,7 +48,7 @@ def failed_attempt(task):
 
 def empty_attempt(task):
     backend = ScriptedBackend(script=["junk", "junk"])
-    traj = run_scaffold(task, backend, SamplingParams(temperature=0.6, seed=0))
+    [traj], _ = scaffold_batch([(task, SamplingParams(temperature=0.6, seed=0), None)], backend)
     rec = evaluate(task, traj)
     assert rec.empty_patch
     return traj, rec

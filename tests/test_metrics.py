@@ -3,11 +3,14 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rlvrloop.backends import SamplingParams
 from rlvrloop.evaluator import EvaluationFailure, RewardRecord
+from rlvrloop.jsonl import derive_seed
 from rlvrloop.metrics import (
+    BOOTSTRAP_RESAMPLES,
     DEFAULT_KS,
     EvalReport,
     aggregate,
@@ -115,6 +118,22 @@ def test_bootstrap_std_deterministic_and_sane():
     assert abs(a - math.sqrt(0.6 * 0.4 / 5)) < 0.05
     assert bootstrap_std([1.0, 1.0, 1.0]) == 0.0
     assert bootstrap_std([]) == 0.0
+
+
+def reference_bootstrap_std(values, seed):
+    """The whole-matrix formula: every resample's indices as int64, then every resample's values at once."""
+    arr = np.asarray(values, dtype=np.float64)
+    rng = np.random.default_rng(derive_seed("bootstrap", seed, BOOTSTRAP_RESAMPLES))
+    idx = rng.integers(0, arr.size, size=(BOOTSTRAP_RESAMPLES, arr.size))
+    return float(arr[idx].mean(axis=1).std())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 127, 128, 255, 256, 1000])
+def test_bootstrap_std_matches_the_whole_matrix_formula_bit_for_bit(n):
+    for seed in range(5):
+        values = np.random.default_rng([n, seed]).random(n)
+        for sample in (values, (values < 0.4).astype(float)):
+            assert bootstrap_std(sample, seed=seed) == reference_bootstrap_std(sample, seed)
 
 
 # ---------------------------------------------------------------------------

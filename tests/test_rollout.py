@@ -21,8 +21,8 @@ from rlvrloop.rollout import (
     read_trajectories,
     rollout_all_tasks,
     rollout_params,
-    run_scaffold,
     scaffold_batch,
+    synth_patch,
     trajectory_from_record,
     trajectory_to_record,
     write_trajectories,
@@ -50,8 +50,15 @@ def params(seed=0, temperature=0.6):
     return SamplingParams(temperature=temperature, seed=seed)
 
 
+def attempt(task, backend, params, guidance=None):
+    """The trajectory of one live attempt, run through scaffold_batch."""
+    [traj], dead = scaffold_batch([(task, params, guidance)], backend)
+    assert not dead
+    return traj
+
+
 def test_scaffold_shape(one_task, backend):
-    traj = run_scaffold(one_task, backend, params())
+    traj = attempt(one_task, backend, params())
     assert [s.role for s in traj.steps] == [LOC_STEP, REPAIR_STEP]
     assert traj.task_id == one_task.id
     assert traj.patch is not None
@@ -65,16 +72,16 @@ def test_scaffold_shape(one_task, backend):
 
 
 def test_scaffold_deterministic(one_task, backend):
-    a = run_scaffold(one_task, backend, params(seed=5))
-    b = run_scaffold(one_task, backend, params(seed=5))
+    a = attempt(one_task, backend, params(seed=5))
+    b = attempt(one_task, backend, params(seed=5))
     assert trajectory_to_record(a) == trajectory_to_record(b)
-    c = run_scaffold(one_task, backend, params(seed=6))
+    c = attempt(one_task, backend, params(seed=6))
     assert trajectory_to_record(c) != trajectory_to_record(a)
 
 
 def test_loc_and_repair_seeds_independent(one_task, backend):
     """Across seeds, line and candidate draws must not be correlated."""
-    pairs = [run_scaffold(one_task, backend, params(seed=s)).patch.synth for s in range(300)]
+    pairs = [attempt(one_task, backend, params(seed=s)).patch.synth for s in range(300)]
     lines = np.array([p[0] for p in pairs], dtype=float)
     cands = np.array([p[1] for p in pairs], dtype=float)
     corr = np.corrcoef(lines, cands)[0, 1]
@@ -83,7 +90,7 @@ def test_loc_and_repair_seeds_independent(one_task, backend):
 
 def test_malformed_completion_is_empty_patch(one_task):
     scripted = ScriptedBackend(script=["gibberish", "more gibberish"])
-    traj = run_scaffold(one_task, scripted, params())
+    traj = attempt(one_task, scripted, params())
     assert traj.patch is None
     assert traj.steps[0].completion == "gibberish"
     # unparseable localization fell back to whole-workspace repair
@@ -94,26 +101,26 @@ def test_out_of_range_line_falls_back_to_whole_workspace(one_task):
     scripted = ScriptedBackend(
         script=["```\nLINE: 99\n```", "```\nLINE: 1\nCANDIDATE: 1\n```"]
     )
-    traj = run_scaffold(one_task, scripted, params())
+    traj = attempt(one_task, scripted, params())
     assert "consider the whole program" in traj.steps[1].prompt
     assert traj.patch.synth == (1, 1)
 
 
 def test_whole_workspace_repair_needs_both_indices(one_task):
     scripted = ScriptedBackend(script=["nonsense", "```\nCANDIDATE: 1\n```"])
-    traj = run_scaffold(one_task, scripted, params())
+    traj = attempt(one_task, scripted, params())
     assert traj.patch is None
 
 
 def test_out_of_range_candidate_is_empty_patch(one_task):
     scripted = ScriptedBackend(script=["```\nLINE: 0\n```", "```\nCANDIDATE: 99\n```"])
-    traj = run_scaffold(one_task, scripted, params())
+    traj = attempt(one_task, scripted, params())
     assert traj.patch is None
 
 
 def test_guided_scaffold_follows_hint(one_task, backend):
     guidance = make_guidance(one_task)
-    traj = run_scaffold(one_task, backend, params(), guidance=guidance)
+    traj = attempt(one_task, backend, params(), guidance=guidance)
     assert traj.is_guided
     assert traj.guidance_id == "g-test"
     assert traj.traj_id.endswith("/g")
@@ -124,29 +131,39 @@ def test_guided_scaffold_follows_hint(one_task, backend):
     assert f"LINE: {one_task.buggy_line}" in traj.steps[0].completion
 
 
-def test_guidance_leak_blocked_in_eval_mode(one_task, backend):
+def test_guidance_leak_blocked_in_eval_mode(one_task):
+    # the leaking attempt comes second: no request is sent, not even the first attempt's
+    scripted = ScriptedBackend(script=["```\nLINE: 0\n```"] * 4)
+    attempts = [(one_task, params(), None), (one_task, params(), make_guidance(one_task))]
     with pytest.raises(GuidanceLeakError):
-        run_scaffold(one_task, backend, params(), guidance=make_guidance(one_task), eval_mode=True)
+        scaffold_batch(attempts, scripted, eval_mode=True)
+    assert scripted.prompts == []
 
 
-def test_guidance_task_mismatch_rejected(small_suite, backend):
+def test_guidance_task_mismatch_rejected(small_suite):
     a, b = small_suite.tasks[0], small_suite.tasks[1]
+    scripted = ScriptedBackend(script=["```\nLINE: 0\n```"] * 4)
     with pytest.raises(TaskFormatError):
-        run_scaffold(a, backend, params(), guidance=make_guidance(b))
+        scaffold_batch([(a, params(), None), (a, params(), make_guidance(b))], scripted)
+    assert scripted.prompts == []
 
 
 def test_backend_retry_then_success(one_task):
     scripted = ScriptedBackend(
         script=[BackendError("x"), BackendError("x"), "```\nLINE: 0\n```", "```\nCANDIDATE: 0\n```"]
     )
-    traj = run_scaffold(one_task, scripted, params())
+    traj = attempt(one_task, scripted, params())
     assert traj.patch.synth == (0, 0)
 
 
-def test_backend_exhausted_raises(one_task):
-    scripted = ScriptedBackend(script=[BackendError("x")] * 3)
-    with pytest.raises(BackendError):
-        run_scaffold(one_task, scripted, params())
+def test_backend_exhausted_error_returned_by_index(one_task):
+    # slot 0 localizes, slot 1 dies through all retries, then slot 0 repairs
+    down = BackendError("down")
+    scripted = ScriptedBackend(script=["```\nLINE: 0\n```", down, down, down, "```\nCANDIDATE: 0\n```"])
+    out, dead = scaffold_batch([(one_task, params(seed=0), None), (one_task, params(seed=1), None)], scripted)
+    assert dead == {1: down}
+    assert out[0].patch.synth == (0, 0) and not out[0].is_placeholder
+    assert out[1].is_placeholder and out[1].patch is None
 
 
 def test_rollout_params_slot_zero_greedy():
@@ -200,7 +217,7 @@ def test_sample_rollouts_rejects_bad_n(one_task, backend):
 def test_trajectory_record_round_trip(one_task, backend):
     for guided in (False, True):
         guidance = make_guidance(one_task) if guided else None
-        traj = run_scaffold(one_task, backend, params(seed=2), guidance=guidance)
+        traj = attempt(one_task, backend, params(seed=2), guidance=guidance)
         assert trajectory_from_record(trajectory_to_record(traj)) == traj
 
 
@@ -219,7 +236,7 @@ def codec_corpus(small_suite, backend):
     """Trajectories of every shape the writer meets, tasks interleaved so each task's memo is rebuilt."""
     a, b = small_suite.tasks[0], small_suite.tasks[1]
     unguided = rollout_all_tasks([a, b], backend, 4, base_seed=7, workers=1)
-    guided = [run_scaffold(a, backend, params(seed=s), guidance=make_guidance(a)) for s in range(3)]
+    guided = [attempt(a, backend, params(seed=s), guidance=make_guidance(a)) for s in range(3)]
     dead = ScriptedBackend(script=[BackendError("down")] * 3)
     placeholder = scaffold_batch([(a, params(seed=9), None)], dead)[0][0]
     assert placeholder.is_placeholder and placeholder.steps[-1].prompt == ""
@@ -285,3 +302,47 @@ def test_reader_names_the_line_of_a_record_without_sampling(tmp_path, one_task, 
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(TaskFormatError, match=r"trajs\.jsonl: line 3: missing field 'sampling'"):
         read_trajectories(path)
+
+
+def test_one_phase_shares_one_patch_per_task_line_and_candidate(small_suite, backend):
+    batch = rollout_all_tasks(small_suite, backend, 32, base_seed=4, workers=1)
+    patches = {}
+    for traj in batch:
+        if traj.patch is not None:
+            task = small_suite.by_id[traj.task_id]
+            assert patches.setdefault((traj.task_id, traj.patch.synth), traj.patch) is traj.patch
+            assert synth_patch(task, *traj.patch.synth) is traj.patch
+    assert len(patches) < sum(traj.patch is not None for traj in batch)
+
+
+def test_equal_tabular_completions_are_one_object(small_suite, backend):
+    batch = rollout_all_tasks(small_suite, backend, 16, base_seed=5, workers=1)
+    texts = {}
+    for traj in batch:
+        for step in traj.steps:
+            assert texts.setdefault(step.completion, step.completion) is step.completion
+    assert len(texts) < len(batch)
+
+
+def test_guided_prompts_rendered_once_per_prompt_and_hint(small_suite, backend):
+    a, b = small_suite.tasks[0], small_suite.tasks[1]
+    hint_a, hint_b = make_guidance(a), make_guidance(b)
+    attempts = [(task, params(seed=s), g) for s in range(3) for task, g in ((a, hint_a), (b, hint_b), (a, None))]
+    out, _ = scaffold_batch(attempts, backend)
+    guided = [t.steps[0].prompt for t in out if t.is_guided]
+    assert len(guided) == 6 and len({id(p) for p in guided}) == 2
+    assert all(HINT_DELIMITER in p for p in guided)
+    assert attempt(a, backend, params(seed=0), hint_a).steps[0].prompt == out[0].steps[0].prompt
+
+
+def test_reader_shares_task_ids_and_completions(tmp_path, small_suite, backend):
+    path = tmp_path / "trajs.jsonl"
+    write_trajectories(rollout_all_tasks(small_suite, backend, 8, base_seed=6, workers=1), path)
+    back = read_trajectories(path)
+    one = {}
+    for traj in back:
+        assert one.setdefault(traj.task_id, traj.task_id) is traj.task_id
+        assert one.setdefault(traj.backend_id, traj.backend_id) is traj.backend_id
+        for step in traj.steps:
+            assert one.setdefault(step.role, step.role) is step.role
+            assert one.setdefault(step.completion, step.completion) is step.completion
