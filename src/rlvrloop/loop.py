@@ -62,7 +62,7 @@ from .rollout import (
     scaffold_batch,
     write_trajectories,
 )
-from .tasks import Task, TaskDataset, generate_synth_suite, load_tasks, save_tasks
+from .tasks import SynthTask, Task, TaskDataset, generate_synth_suite, load_tasks, save_tasks
 from .training import DPOConfig, dpo_train, sft_train, write_history_csv
 
 log = logging.getLogger(__name__)
@@ -159,8 +159,11 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
     """
     config = RunConfig()
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise UsageError(f"config file {path}: {exc}") from None
         if not read:
             raise UsageError(f"config file {path} not found")
         for section in parser.sections():
@@ -281,12 +284,22 @@ def make_tasks(config: RunConfig) -> tuple[TaskDataset, TabularPolicy]:
     """The task suite and the starting policy over it.
 
     The suite is config.tasks_path if set, else a synthetic one; the policy
-    is config.initial_policy if set, else uniform.
+    is config.initial_policy if set, whose head for a synthetic task must
+    have that task's grid, else uniform.
     """
     dataset = resolve_tasks(config)
-    if config.initial_policy:
-        return dataset, TabularPolicy.load(config.initial_policy)
-    return dataset, TabularPolicy.uniform(dataset)
+    if not config.initial_policy:
+        return dataset, TabularPolicy.uniform(dataset)
+    policy = TabularPolicy.load(config.initial_policy)
+    for task in dataset:
+        if isinstance(task, SynthTask) and task.id in policy.heads:
+            table = policy.heads[task.id].cand_logits.shape
+            if table != (task.n_lines, task.n_candidates):
+                raise UsageError(
+                    f"initial_policy {config.initial_policy}: task {task.id} has a {table[0]}x{table[1]} "
+                    f"head but a {task.n_lines}x{task.n_candidates} grid"
+                )
+    return dataset, policy
 
 
 def rollout(config: RunConfig, tasks: TaskDataset, policy: TabularPolicy, *, eval_mode: bool = False) -> list:

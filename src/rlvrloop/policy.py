@@ -185,6 +185,12 @@ class TabularPolicy:
                 )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: malformed policy checkpoint: {exc!r}") from exc
+        for tid, head in policy.heads.items():
+            lines, table = head.line_logits.shape, head.cand_logits.shape
+            if len(table) != 2 or lines != table[:1]:
+                raise CheckpointError(
+                    f"{path}: task {tid}: line logits of shape {lines} do not fit candidate logits of shape {table}"
+                )
         return policy
 
 

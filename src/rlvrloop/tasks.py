@@ -148,7 +148,7 @@ class SynthTask(Task):
 @dataclass
 class TaskDataset:
     tasks: tuple[Task, ...] = ()
-    by_id: dict[str, Task] = field(default_factory=dict)
+    by_id: dict[str, Task] = field(init=False)
 
     def __post_init__(self):
         self.tasks = tuple(self.tasks)

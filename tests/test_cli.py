@@ -17,7 +17,8 @@ from rlvrloop.prompts import HINT_DELIMITER
 from rlvrloop.reward_model import FEATURIZATION_VERSION, RM_SCHEMA
 from rlvrloop.rollout import Patch, Step, Trajectory, write_trajectories
 from rlvrloop.backends import SamplingParams
-from rlvrloop.tasks import EnvSpec, Task, TestSuite, TaskDataset, save_tasks
+from rlvrloop.policy import TabularPolicy
+from rlvrloop.tasks import EnvSpec, Task, TestSuite, TaskDataset, generate_synth_suite, save_tasks
 
 SEED = 0
 N = 6
@@ -514,6 +515,36 @@ def test_checkpoint_from_a_newer_schema_is_an_error_line(command, stepwise, tmp_
     assert err.startswith("error: ") and str(newer) in err and "newer than supported" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+INITIAL_POLICIES = {
+    # the second head's (line logits, candidate logits) in a uniform policy over a suite of this grid
+    "short-line-logits": ([0.0, 0.0], [[0.0] * 3] * 3, "3x3", "line logits of shape (2,)"),
+    "1-D-candidate-logits": ([0.0] * 3, [0.0] * 3, "3x3", "candidate logits of shape (3,)"),
+    "3x3-head-on-a-4x4-suite": ([0.0] * 3, [[0.0] * 3] * 3, "4x4", "3x3 head but a 4x4 grid"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INITIAL_POLICIES))
+def test_initial_policy_that_does_not_fit_fails_the_tasks_phase(case, tmp_path, capsys):
+    """A head whose shapes disagree, or whose grid is not its task's, stops run-loop at tasks with exit 2."""
+    line_logits, cand_logits, grid, problem = INITIAL_POLICIES[case]
+    lines, cands = grid.split("x")
+    sets = [*SMALL_SETS, f"tasks.synth_lines={lines}", f"tasks.synth_candidates={cands}"]
+    policy = TabularPolicy.uniform(generate_synth_suite(4, int(lines), int(cands), seed=SEED))
+    task_id = policy.task_order()[1]
+    path, out = tmp_path / "policy.json", tmp_path / "run"
+    policy.save(path)
+    body = json.loads(path.read_text())
+    body["heads"][task_id] = {"line_logits": line_logits, "cand_logits": cand_logits}
+    path.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert run(["run-loop", "--output-dir", out, *settings(sets), "--set", f"backend.initial_policy={path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: phase 'tasks' failed: ")
+    assert str(path) in err and task_id in err and problem in err
+    assert "Traceback" not in err
+    assert not (out / "runstate.json").exists() and not (out / ARTIFACTS["policy_init"]).exists()
 
 
 @pytest.mark.parametrize("setting, key", [

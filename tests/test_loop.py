@@ -190,6 +190,47 @@ def test_readme_names_every_config_key_and_no_other():
     assert documented == {section: set(keys) for section, keys in _SECTION_FIELDS.items()}
 
 
+def test_readme_library_use_runs_and_imports_exactly_the_package_root():
+    """README's "Library use" block runs, and it imports every name rlvrloop.__all__ exports and no other."""
+    import rlvrloop
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    imported = re.search(r"from rlvrloop import \((.*?)\)", block, re.S).group(1)
+    names = re.findall(r"\b[A-Za-z_]\w*\b", re.sub(r"#.*", "", imported))
+    assert sorted(rlvrloop.__all__) == sorted(names)
+    namespace = {}
+    exec(block, namespace)
+    assert len(namespace["suite"]) == 16 and namespace["dataset"].pairs
+
+
+@pytest.mark.parametrize("text, problem", [
+    (b"seed = 3\n[run]\nworkers = 1\n", "no section headers"),
+    (b"[run]\nseed = 3\nseed = 4\n", "already exists"),
+    (b"[run]\nseed = 3\n[run]\nworkers = 1\n", "already exists"),
+    (b"[run]\nseed = \xff\n", "can't decode"),
+])
+def test_config_file_that_does_not_parse_is_a_usage_error(text, problem, tmp_path, capsys):
+    """A key before any section, a key or section given twice, or bytes that are not UTF-8 exit 1 naming the file."""
+    path, out = tmp_path / "bad.ini", tmp_path / "run"
+    path.write_bytes(text)
+    with pytest.raises(UsageError, match=problem):
+        load_config(path)
+    assert main(["run-loop", "--config", str(path), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_file_values_are_taken_as_written(tmp_path):
+    """No interpolation: a URL-encoded endpoint keeps its % escapes."""
+    path = tmp_path / "remote.ini"
+    path.write_text("[backend]\nbackend_endpoint = http://x/a%20b\n[teacher]\nteacher_endpoint = http://t/%(x)s\n")
+    config = load_config(path)
+    assert (config.backend_endpoint, config.teacher_endpoint) == ("http://x/a%20b", "http://t/%(x)s")
+
+
 # ---------------------------------------------------------------------------
 # Component builders
 # ---------------------------------------------------------------------------

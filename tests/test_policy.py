@@ -151,6 +151,24 @@ def test_load_checks_the_schema_version(tmp_path, small_suite):
     assert TabularPolicy.load(path).fingerprint() == TabularPolicy.uniform(small_suite).fingerprint()
 
 
+@pytest.mark.parametrize("line_logits, cand_logits", [
+    ([0.0, 0.0], [[0.0] * 3] * 3),  # two line logits beside three candidate rows
+    ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),  # a 1-D candidate table
+    ([[0.0, 0.0, 0.0]], [[0.0] * 3] * 3),  # 2-D line logits
+])
+def test_load_checks_head_shapes(tmp_path, line_logits, cand_logits):
+    """Each head's line logits are 1-D of length L and its candidate logits 2-D with L rows."""
+    path = tmp_path / "p.json"
+    policy = TabularPolicy()
+    policy.ensure_task("t-0", 3, 3)
+    policy.save(path)
+    rec = json.loads(path.read_text())
+    rec["heads"]["t-0"] = {"line_logits": line_logits, "cand_logits": cand_logits}
+    path.write_text(json.dumps(rec))
+    with pytest.raises(CheckpointError, match=f"{path}: task t-0: "):
+        TabularPolicy.load(path)
+
+
 def test_reference_policy_is_frozen(small_suite):
     policy = TabularPolicy.uniform(small_suite)
     ref = ReferencePolicy(policy)

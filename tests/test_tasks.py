@@ -232,6 +232,13 @@ def test_dataset_rejects_duplicate_ids(one_task):
         TaskDataset(tasks=(one_task, one_task))
 
 
+def test_dataset_index_is_derived_not_passed(small_suite):
+    """by_id is built from tasks; the constructor takes no by_id."""
+    assert TaskDataset(small_suite.tasks).by_id == {t.id: t for t in small_suite.tasks}
+    with pytest.raises(TypeError, match="by_id"):
+        TaskDataset(tasks=small_suite.tasks, by_id={})
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
