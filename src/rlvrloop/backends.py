@@ -13,6 +13,7 @@ import contextlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -109,17 +110,7 @@ class PolicyBackend:
     def generate_batch(self, requests: list[tuple[str, SamplingParams]], workers: int = 1) -> list:
         """For each (prompt, params) request, in order, its completion text or the BackendError
         its last retry raised; other errors propagate. Runs on min(workers, max_concurrency) threads."""
-        def one(request):
-            try:
-                return call_with_retry(self.generate, *request)
-            except BackendError as exc:
-                return exc
-
-        size = min(workers, self.max_concurrency or workers)
-        if size <= 1 or len(requests) <= 1:
-            return [one(request) for request in requests]
-        with ThreadPoolExecutor(max_workers=size) as pool:
-            return list(pool.map(one, requests))
+        return call_batch(partial(call_with_retry, self.generate), requests, workers, self.max_concurrency)
 
 
 class TabularPolicyBackend(PolicyBackend):
@@ -217,6 +208,23 @@ class TabularPolicyBackend(PolicyBackend):
             c /= c[-1]
             cdf = self._cdfs[key] = c.tolist()
         return bisect.bisect_right(cdf, next(uniforms))
+
+
+def call_batch(fn, items: list, workers: int, limit: int | None = None, errors=(BackendError,)) -> list:
+    """For each argument tuple in items, in order, fn(*item) or the `errors` exception it raised.
+    Any other exception propagates and stops the batch: the calls not yet started are never made.
+    The calls run inline on one thread or for one item, else on one pool of min(workers, limit or workers) threads."""
+    def one(item):
+        try:
+            return fn(*item)
+        except errors as exc:
+            return exc
+
+    size = min(workers, limit or workers)
+    if size <= 1 or len(items) <= 1:
+        return [one(item) for item in items]
+    with ThreadPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(one, items))  # map cancels the calls not yet started when one raises
 
 
 def call_with_retry(fn, *args, max_retries: int = 2):

@@ -9,17 +9,16 @@ so they are never confused with a genuine negative label.
 """
 from __future__ import annotations
 
-import logging
 import shutil
 import subprocess
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+from .backends import call_batch
 from .errors import BackendError, SandboxProvisionError
 from .jsonl import read_records, write_records
 from .rollout import Trajectory
@@ -32,8 +31,6 @@ from .tasks import (
     apply_candidate,
     run_program,
 )
-
-log = logging.getLogger(__name__)
 
 REWARDS_SCHEMA = "rewards"
 STACKTRACE_TAIL_CHARS = 4000
@@ -94,7 +91,7 @@ def _evaluate_synthetic(task: SynthTask, trajectory: Trajectory) -> tuple[int, M
     memo = task.patch_outcomes
     outcome = memo.get((line, cand))
     if outcome is None:
-        outcome = memo[line, cand] = _run_synthetic(task, line, cand)
+        outcome = memo.setdefault((line, cand), _run_synthetic(task, line, cand))  # one object if threads race
     return outcome
 
 
@@ -242,31 +239,21 @@ def evaluate_batch(
     *,
     workers: int = 4,
 ) -> list[RewardRecord | EvaluationFailure]:
-    """Evaluate many attempts; output order matches input order.
+    """Evaluate many attempts through backends.call_batch; output order matches input order.
 
-    Individual infrastructure failures become EvaluationFailure entries and
-    never abort the rest of the batch. Synthetic tasks are scored in memory
-    in the calling thread, where a thread pool only adds overhead; sandboxed
-    items, which wait on subprocesses, share a pool of ``workers`` threads
-    while the synthetic ones are scored.
+    Each SandboxProvisionError or BackendError becomes that attempt's
+    EvaluationFailure and never aborts the rest of the batch; any other
+    exception propagates. A batch of synthetic tasks only, scored in memory,
+    runs in the calling thread, where a pool only adds overhead; one holding
+    a sandboxed task, which waits on subprocesses, runs on the helper's one
+    pool of ``workers`` threads.
     """
-
-    def one(item: tuple[Task, Trajectory]) -> RewardRecord | EvaluationFailure:
-        task, traj = item
-        try:
-            return evaluate(task, traj)
-        except (SandboxProvisionError, BackendError) as exc:
-            return EvaluationFailure(task_id=task.id, trajectory_ref=traj.traj_id, error=str(exc))
-        except Exception as exc:  # pragma: no cover - defensive
-            log.exception("unexpected evaluator failure for %s", traj.traj_id)
-            return EvaluationFailure(task_id=task.id, trajectory_ref=traj.traj_id, error=repr(exc))
-
-    sandboxed = [item for item in items if not isinstance(item[0], SynthTask)]
-    if workers <= 1 or len(sandboxed) <= 1:
-        return [one(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = pool.map(one, sandboxed)
-        return [one(item) if isinstance(item[0], SynthTask) else next(pending) for item in items]
+    sandboxed = any(not isinstance(task, SynthTask) for task, _ in items)
+    results = call_batch(evaluate, items, workers if sandboxed else 1, errors=(SandboxProvisionError, BackendError))
+    return [
+        EvaluationFailure(task_id=task.id, trajectory_ref=traj.traj_id, error=str(r)) if isinstance(r, Exception) else r
+        for (task, traj), r in zip(items, results)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING
 
-from .backends import call_with_retry, post_completion
+from .backends import call_batch, call_with_retry, post_completion
 from .errors import GuidanceError
 from .jsonl import derive_seed
 from .prompts import HINT_DELIMITER
@@ -231,29 +231,31 @@ def parse_guidance(
     )
 
 
-def request_guidance(
-    task,
-    failed_trajectory: "Trajectory",
-    reward_record: "RewardRecord",
-    teacher: TeacherBackend,
-) -> Guidance:
-    """Render the request, query the teacher (retried on BackendError), parse; re-ask once on bad parse."""
-    request = render_guidance_request(task, failed_trajectory, reward_record)
-    last_error: GuidanceError | None = None
-    for attempt in range(2):
+def request_guidance(failures: list[tuple], teacher: TeacherBackend, *, workers: int = 1) -> list[Guidance]:
+    """The teacher's guidance for each (task, failed trajectory, reward record), in order.
+
+    Every request goes out in one backends.call_batch batch on `workers`
+    threads, each retried on BackendError, and the replies that do not parse
+    in a second. A request still dead after its retries raises its
+    BackendError at once, and the requests not yet sent are dropped; a reply
+    that does not parse after the re-ask raises GuidanceError.
+    """
+    def ask(request: str, task_id: str, source_trajectory_ref: str) -> Guidance:
         text = call_with_retry(teacher.generate_guidance_text, request)
-        try:
-            return parse_guidance(
-                text,
-                task_id=task.id,
-                source_trajectory_ref=failed_trajectory.traj_id,
-                teacher_id=teacher.teacher_id,
-            )
-        except GuidanceError as exc:
-            last_error = exc
-            if attempt == 0:
-                log.warning("teacher output failed to parse, re-requesting: %s", exc)
-    raise GuidanceError(f"teacher output unusable after retry: {last_error}")
+        return parse_guidance(
+            text, task_id=task_id, source_trajectory_ref=source_trajectory_ref, teacher_id=teacher.teacher_id
+        )
+
+    items = [(render_guidance_request(task, traj, rec), task.id, traj.traj_id) for task, traj, rec in failures]
+    guidance = call_batch(ask, items, workers, errors=(GuidanceError,))
+    unparsed = [i for i, g in enumerate(guidance) if isinstance(g, GuidanceError)]
+    if unparsed:
+        log.warning("%d teacher replies failed to parse, re-requesting: %s", len(unparsed), guidance[unparsed[0]])
+    for i, g in zip(unparsed, call_batch(ask, [items[i] for i in unparsed], workers, errors=(GuidanceError,))):
+        if isinstance(g, GuidanceError):
+            raise GuidanceError(f"teacher output unusable after retry: {g}")
+        guidance[i] = g
+    return guidance
 
 
 # ---------------------------------------------------------------------------

@@ -222,32 +222,38 @@ def _task_in(dataset: TaskDataset, task_id: str) -> Task:
     return task
 
 
+def _check_fit(tasks: TaskDataset, policy: TabularPolicy, source: str = "the policy does not fit the suite") -> None:
+    """UsageError naming the task if the policy's head for a synthetic task has another grid than the task."""
+    for task in tasks:
+        if isinstance(task, SynthTask) and task.id in policy.heads:
+            table = policy.heads[task.id].cand_logits.shape
+            if table != (task.n_lines, task.n_candidates):
+                raise UsageError(
+                    f"{source}: task {task.id!r} has a {table[0]}x{table[1]} "
+                    f"head but a {task.n_lines}x{task.n_candidates} grid"
+                )
+
+
 def evaluate_trajectories(dataset: TaskDataset, trajectories, *, workers: int = 4):
     items = [(_task_in(dataset, t.task_id), t) for t in trajectories]
     return evaluate_batch(items, workers=workers)
 
 
 def guide_failures(
-    dataset: TaskDataset,
-    trajectories,
-    records,
-    teacher: TeacherBackend | None,
+    dataset: TaskDataset, trajectories, records, teacher: TeacherBackend | None, *, workers: int = 1
 ) -> list:
-    """One guidance record per failed unguided attempt, in record order."""
+    """One guidance record per failed unguided attempt, in record order: the oracle's, or the teacher's in one batch."""
     by_ref = {t.traj_id: t for t in trajectories}
-    out = []
+    failures = []
     for rec in records:
         if isinstance(rec, EvaluationFailure) or rec.reward != 0:
             continue
         traj = by_ref.get(rec.trajectory_ref)
-        if traj is None or traj.is_guided:
-            continue
-        task = _task_in(dataset, rec.task_id)
-        if teacher is None:
-            out.append(oracle_teacher(task, traj, rec))
-        else:
-            out.append(request_guidance(task, traj, rec, teacher))
-    return out
+        if traj is not None and not traj.is_guided:
+            failures.append((_task_in(dataset, rec.task_id), traj, rec))
+    if teacher is None:
+        return [oracle_teacher(*failure) for failure in failures]
+    return request_guidance(failures, teacher, workers=workers)
 
 
 def reattempt_with_guidance(
@@ -291,19 +297,13 @@ def make_tasks(config: RunConfig) -> tuple[TaskDataset, TabularPolicy]:
     if not config.initial_policy:
         return dataset, TabularPolicy.uniform(dataset)
     policy = TabularPolicy.load(config.initial_policy)
-    for task in dataset:
-        if isinstance(task, SynthTask) and task.id in policy.heads:
-            table = policy.heads[task.id].cand_logits.shape
-            if table != (task.n_lines, task.n_candidates):
-                raise UsageError(
-                    f"initial_policy {config.initial_policy}: task {task.id} has a {table[0]}x{table[1]} "
-                    f"head but a {task.n_lines}x{task.n_candidates} grid"
-                )
+    _check_fit(dataset, policy, f"initial_policy {config.initial_policy}")
     return dataset, policy
 
 
 def rollout(config: RunConfig, tasks: TaskDataset, policy: TabularPolicy, *, eval_mode: bool = False) -> list:
     """config.rollouts_n attempts per task from the policy, seeded by config.seed."""
+    _check_fit(tasks, policy)
     return rollout_all_tasks(
         tasks, build_backend(config, policy), config.rollouts_n, config.seed,
         workers=config.workers, max_tokens=config.max_tokens, eval_mode=eval_mode,
@@ -312,6 +312,7 @@ def rollout(config: RunConfig, tasks: TaskDataset, policy: TabularPolicy, *, eva
 
 def reattempt(config: RunConfig, tasks: TaskDataset, guidance: list, policy: TabularPolicy) -> list:
     """One guided reattempt per guidance record."""
+    _check_fit(tasks, policy)
     return reattempt_with_guidance(
         tasks, guidance, build_backend(config, policy), config.seed,
         max_tokens=config.max_tokens, workers=config.workers,
@@ -327,7 +328,7 @@ def guide(config: RunConfig, tasks: TaskDataset, rollouts: list, rewards: list) 
     """Teacher guidance for every failed attempt; none when guidance is off."""
     if not config.guidance_enabled:
         return []
-    return guide_failures(tasks, rollouts, rewards, build_teacher(config))
+    return guide_failures(tasks, rollouts, rewards, build_teacher(config), workers=config.workers)
 
 
 def assemble(

@@ -197,13 +197,11 @@ class TabularPolicy:
 class ReferencePolicy:
     """Frozen snapshot used as the trust region anchor during DPO.
 
-    The underlying arrays are marked read-only; the fingerprint taken at
-    construction can be compared after training to prove immutability.
+    The underlying arrays are marked read-only, so training cannot move it.
     """
 
     def __init__(self, policy: TabularPolicy):
         self._policy = policy.frozen()
-        self.fingerprint_at_freeze = self._policy.fingerprint()
 
     def head(self, task_id: str) -> TaskHead:
         """The frozen (read-only) head of one task."""
@@ -211,6 +209,3 @@ class ReferencePolicy:
 
     def logprob(self, task_id: str, line: int, cand: int) -> float:
         return self._policy.logprob(task_id, line, cand)
-
-    def fingerprint(self) -> str:
-        return self._policy.fingerprint()

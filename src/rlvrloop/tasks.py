@@ -106,6 +106,11 @@ class SynthTask(Task):
     buggy_line: int = 0
     candidates: tuple[tuple[str, ...], ...] = ()
     expected_output: int = 0
+    # The evaluator's memo: (line, candidate) -> (reward, read-only per_test, stacktrace).
+    # It lives on this object and dies with its suite; two suites that reuse a task id
+    # never share it. A field, not a cached_property, so that threads scoring this task
+    # at once always find the same dict.
+    patch_outcomes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -133,15 +138,6 @@ class SynthTask(Task):
     @functools.cached_property
     def patches(self) -> dict:
         """rollout.synth_patch's memo: (line, candidate) -> the one Patch for it."""
-        return {}
-
-    @functools.cached_property
-    def patch_outcomes(self) -> dict:
-        """The evaluator's memo: (line, candidate) -> (reward, read-only per_test, stacktrace).
-
-        It lives on this object and dies with its suite; two suites that
-        reuse a task id never share it.
-        """
         return {}
 
 

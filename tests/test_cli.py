@@ -590,3 +590,25 @@ def test_inputs_from_two_runs_are_a_usage_error_naming_the_task(command, stepwis
     assert err.startswith("error: ") and "'synth-0002'" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+MISFIT = {
+    "rollout": ["rollout", "--tasks", "{t4}/tasks.jsonl", "--policy-init", "{d}/policy_init.json",
+                "--rollouts", "{out}"],
+    "reattempt": ["reattempt", "--tasks", "{t4}/tasks.jsonl", "--guidance", "{d}/guidance.jsonl",
+                  "--policy-init", "{d}/policy_init.json", "--guided-rollouts", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MISFIT))
+def test_stepwise_policy_that_does_not_fit_the_suite_is_a_usage_error(command, stepwise, tmp_path, capsys):
+    """A 3x3 policy beside a 4x4 suite with the same task ids: exit 1 naming the first task, nothing written."""
+    t4, out = tmp_path / "t4", tmp_path / "out"
+    assert run(["tasks", *settings(SMALL_SETS + ["tasks.synth_lines=4", "tasks.synth_candidates=4"]),
+                "--tasks", t4 / "tasks.jsonl", "--policy-init", t4 / "policy_init.json"]) == 0
+    capsys.readouterr()
+    assert run([*[a.format(t4=t4, d=stepwise, out=out) for a in MISFIT[command]], *settings(SMALL_SETS)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'synth-0000' has a 3x3 head but a 4x4 grid" in err
+    assert "Traceback" not in err
+    assert not out.exists()

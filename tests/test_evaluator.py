@@ -36,6 +36,7 @@ from rlvrloop.tasks import (
     TestSuite,
     apply_candidate,
     enumerate_passing_patches,
+    generate_synth_suite,
     synth_env_spec,
 )
 
@@ -425,7 +426,7 @@ def test_parse_test_lines_protocol():
 
 
 def test_batch_preserves_order_and_isolates_infra(small_suite, scripted_repo, tmp_path, monkeypatch):
-    import rlvrloop.evaluator as ev
+    import rlvrloop.backends as backends
 
     real, _ = scripted_repo
     broken = Task(
@@ -448,12 +449,12 @@ def test_batch_preserves_order_and_isolates_infra(small_suite, scripted_repo, tm
     ]
     pools = []
 
-    class CountingPool(ev.ThreadPoolExecutor):
+    class CountingPool(backends.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(ev, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(backends, "ThreadPoolExecutor", CountingPool)
     records = evaluate_batch(items, workers=3)
     assert len(pools) == 1  # the sandboxed items share one pool
     assert [r.trajectory_ref for r in records] == [traj.traj_id for _, traj in items]
@@ -468,13 +469,61 @@ def test_batch_preserves_order_and_isolates_infra(small_suite, scripted_repo, tm
     assert serial == records
 
 
-def test_synthetic_batch_never_builds_a_thread_pool(small_suite, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_bug_in_sandboxed_evaluation_propagates(small_suite, scripted_repo, monkeypatch, workers):
+    """Only the declared infrastructure errors become EvaluationFailure; a plain ValueError fails the batch."""
     import rlvrloop.evaluator as ev
+
+    def buggy(task, trajectory):
+        raise ValueError("a bug, not an infrastructure failure")
+
+    monkeypatch.setattr(ev, "_evaluate_sandboxed", buggy)
+    real, _ = scripted_repo
+    t0 = small_suite.tasks[0]
+    fix = Patch(edits=(("app.py:1:2", "    return 7"),), rendering="d")
+    items = [(t0, synth_attempt(t0, 0, 0))]
+    items += [(real, manual_trajectory(real.id, fix, f"r/x/{i}/u")) for i in range(2)]
+    with pytest.raises(ValueError, match="a bug"):
+        evaluate_batch(items, workers=workers)
+
+
+def test_pooled_mixed_batch_keeps_one_outcome_per_patch(scripted_repo):
+    """Synthetic items scored on pool threads beside a sandboxed one still share one outcome object per patch."""
+    import sys
+
+    real, _ = scripted_repo
+    fix = Patch(edits=(("app.py:1:2", "    return 7"),), rendering="d")
+
+    def batch():
+        suite = generate_synth_suite(2, 4, 4, seed=3)  # fresh tasks, so empty outcome memos
+        cells = [(task, line, cand) for task in suite for line in range(4) for cand in range(4)]
+        # eight adjacent copies of each cell, so several threads score one patch at once
+        return [(real, manual_trajectory(real.id, fix, "r/x/0/u"))] + [
+            (task, grid_trajectory(task, line, cand)) for task, line, cand in cells for _ in range(8)
+        ]
+
+    items, serial_items = batch(), batch()
+    # each memo is made with its task, so no two threads can each make one (functools.cached_property
+    # takes no lock from Python 3.12 on)
+    assert all(vars(task)["patch_outcomes"] == {} for task, _ in items[1:])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records = evaluate_batch(items, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert records == evaluate_batch(serial_items, workers=1)
+    for (task, traj), record in zip(items[1:], records[1:]):
+        assert record.per_test is task.patch_outcomes[traj.patch.synth][1]
+
+
+def test_synthetic_batch_never_builds_a_thread_pool(small_suite, monkeypatch):
+    import rlvrloop.backends as backends
 
     def no_pool(*args, **kwargs):
         raise AssertionError("synthetic items must be scored in the calling thread")
 
-    monkeypatch.setattr(ev, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(backends, "ThreadPoolExecutor", no_pool)
     items = [(task, synth_attempt(task, 1, cand)) for task in small_suite for cand in range(2)]
     records = evaluate_batch(items, workers=4)
     assert [r.trajectory_ref for r in records] == [traj.traj_id for _, traj in items]

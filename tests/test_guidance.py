@@ -238,7 +238,7 @@ def test_request_guidance_retries_once(one_task):
     traj, rec = failed_attempt(one_task)
     good = guidance_to_text(make_guidance(task_id=one_task.id))
     teacher = ScriptedTeacher(script=["not parseable at all", good])
-    g = request_guidance(one_task, traj, rec, teacher)
+    [g] = request_guidance([(one_task, traj, rec)], teacher)
     assert g.task_id == one_task.id
     assert g.source_trajectory_ref == traj.traj_id
     assert g.teacher_id == "scripted"
@@ -250,14 +250,14 @@ def test_request_guidance_fails_after_retry(one_task):
     traj, rec = failed_attempt(one_task)
     teacher = ScriptedTeacher(script=["junk", "more junk"])
     with pytest.raises(GuidanceError, match="unusable after retry"):
-        request_guidance(one_task, traj, rec, teacher)
+        request_guidance([(one_task, traj, rec)], teacher)
 
 
 def test_request_guidance_retries_a_failed_teacher_request(one_task):
     traj, rec = failed_attempt(one_task)
     good = guidance_to_text(make_guidance(task_id=one_task.id))
     teacher = ScriptedTeacher(script=[BackendError("teacher: HTTP 503"), good])
-    g = request_guidance(one_task, traj, rec, teacher)
+    [g] = request_guidance([(one_task, traj, rec)], teacher)
     assert g.task_id == one_task.id
     assert g.source_trajectory_ref == traj.traj_id
     assert len(teacher.requests_seen) == 2
@@ -267,8 +267,25 @@ def test_request_guidance_gives_up_after_bounded_retries(one_task):
     traj, rec = failed_attempt(one_task)
     teacher = ScriptedTeacher(script=[BackendError("teacher: HTTP 503")] * 5)
     with pytest.raises(BackendError, match="HTTP 503"):
-        request_guidance(one_task, traj, rec, teacher)
+        request_guidance([(one_task, traj, rec)], teacher)
     assert len(teacher.requests_seen) == 3  # the first call and max_retries=2 more, as for policy calls
+
+
+def test_request_guidance_re_asks_only_the_unparseable_replies_after_the_batch(small_suite):
+    failures = [(task, *failed_attempt(task)) for task in small_suite.tasks[:3]]
+    good = [guidance_to_text(make_guidance(task_id=task.id)) for task, _, _ in failures]
+    teacher = ScriptedTeacher(script=[good[0], "junk", good[2], good[1]])
+    guidance = request_guidance(failures, teacher)
+    assert [(g.task_id, g.source_trajectory_ref) for g in guidance] == [
+        (task.id, traj.traj_id) for task, traj, _ in failures
+    ]
+    requests = [render_guidance_request(*failure) for failure in failures]
+    assert teacher.requests_seen == [*requests, requests[1]]  # one batch, then the one re-ask
+    # a request still dead after its retries stops the batch: the rest are never sent
+    teacher = ScriptedTeacher(script=[BackendError("teacher: HTTP 503")] * 3 + [good[1], good[2]])
+    with pytest.raises(BackendError, match="HTTP 503"):
+        request_guidance(failures, teacher)
+    assert teacher.requests_seen == [requests[0]] * 3
 
 
 def test_oracle_teacher_names_the_defect(one_task):

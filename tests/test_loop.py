@@ -16,7 +16,7 @@ from rlvrloop.backends import PCG64_BATCH_MIN, PolicyBackend, TabularPolicyBacke
 from rlvrloop.cli import main
 from rlvrloop.errors import BackendError, PhaseError, UsageError
 from rlvrloop.evaluator import EvaluationFailure
-from rlvrloop.guidance import Guidance
+from rlvrloop.guidance import Guidance, TeacherBackend, guidance_to_text
 from rlvrloop.jsonl import canonical_file_hash, derive_seed
 from rlvrloop.loop import (
     ARTIFACTS,
@@ -353,6 +353,62 @@ def test_pool_honours_a_declared_concurrency_limit(small_suite):
     serial = rollout_all_tasks(small_suite, TabularPolicyBackend(policy), 4, 0, workers=1)
     assert rollout_all_tasks(small_suite, backend, 4, 0, workers=4) == serial
     assert backend.peak == 2
+
+
+class CountingTeacher(TeacherBackend):
+    """A thread-safe teacher that records every request and the most calls it was
+    given at once; its reply depends on the request only, or it is always down."""
+
+    teacher_id = "counting"
+
+    def __init__(self, dead=False):
+        self.dead = dead
+        self.lock = threading.Lock()
+        self.active = self.peak = 0
+        self.requests = []
+
+    def generate_guidance_text(self, request):
+        with self.lock:
+            self.requests.append(request)
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(0.01 if self.dead else 0.002)
+            if self.dead:
+                raise BackendError("teacher: HTTP 503")
+            size = len(request)
+            return guidance_to_text(Guidance("g", "t", "r", "plan", f"{size} chars", f"line {size % 7}", "x"))
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+def _failed_rollouts(suite):
+    trajs = rollout_all_tasks(suite, TabularPolicyBackend(TabularPolicy.uniform(suite)), 4, 0, workers=1)
+    return trajs, evaluate_trajectories(suite, trajs, workers=1)
+
+
+def test_teacher_batch_runs_on_workers_threads(small_suite):
+    trajs, records = _failed_rollouts(small_suite)
+    serial_teacher, pooled_teacher = CountingTeacher(), CountingTeacher()
+    serial = guide_failures(small_suite, trajs, records, serial_teacher, workers=1)
+    assert len(serial) > 2 and serial_teacher.peak == 1
+    assert guide_failures(small_suite, trajs, records, pooled_teacher, workers=4) == serial
+    assert 1 < pooled_teacher.peak <= 4
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dead_teacher_stops_the_batch(small_suite, workers):
+    trajs, records = _failed_rollouts(small_suite)
+    failures = sum(rec.reward == 0 for rec in records)
+    teacher = CountingTeacher(dead=True)
+    with pytest.raises(BackendError, match="HTTP 503"):
+        guide_failures(small_suite, trajs, records, teacher, workers=workers)
+    # every request sent made its three calls; at workers=1 only the first was sent, and pooled,
+    # the requests still queued when the first one failed never were
+    started = len(teacher.requests) // 3
+    assert len(teacher.requests) == 3 * started
+    assert started == 1 if workers == 1 else 1 <= started <= 2 * workers < failures
 
 
 def _sharp_suite_and_policy():

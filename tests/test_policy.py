@@ -175,9 +175,12 @@ def test_reference_policy_is_frozen(small_suite):
     tid = small_suite.tasks[0].id
 
     # mutating the live policy does not move the reference
+    actions = [(tid, line, cand) for line in range(4) for cand in range(4)]
+    before = [ref.logprob(*action) for action in actions]
     policy.head(tid).line_logits[0] = 3.0
+    policy.head(tid).cand_logits[1, 2] = -2.0
     assert ref.logprob(tid, 0, 0) == pytest.approx(np.log(1 / 16))
-    assert ref.fingerprint() == ref.fingerprint_at_freeze
+    assert [ref.logprob(*action) for action in actions] == before
 
     # the reference's own arrays refuse writes
     with pytest.raises(ValueError):
