@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -37,12 +38,57 @@ _HASH_B = tuple(0x8B51F9DD * pow(0x58F38DED, k, 2**32) & 0xFFFFFFFF for k in ran
 _MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
 _PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 _M32, _U1, _U11, _U16, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (0xFFFFFFFF, 1, 11, 16, 32, 58, 63, 64))
+_PCG_MULT = (_PCG_HI, _PCG_LO, _PCG_LO & _M32, _PCG_LO >> _U32)
+
+# Outputs per step of pcg64_integers: its jump table and each step's arrays stay near 100 KB.
+PCG64_JUMP_CHUNK = 2048
 
 
 def _seed_hash(value: np.ndarray, consts: tuple[int, ...], k: int) -> np.ndarray:
     """Hash step k of a SeedSequence, on uint32 values held in uint64."""
     value = (value ^ np.uint64(consts[k])) * np.uint64(consts[k + 1]) & _M32
     return value ^ value >> _U16
+
+
+def _mul128(x_hi, x_lo, y_hi, y_lo, y0, y1):
+    """(x * y) mod 2**128 as uint64 (hi, lo) halves; y0 and y1 are y_lo's 32-bit halves."""
+    x0, x1 = x_lo & _M32, x_lo >> _U32
+    t = x0 * y0
+    t = x1 * y0 + (t >> _U32)
+    u = x0 * y1 + (t & _M32)  # x_lo * y_lo's high word is x1 * y1 + (t >> 32) + (u >> 32)
+    hi = x1 * y1 + (t >> _U32) + (u >> _U32) + x_lo * y_hi + x_hi * y_lo
+    return hi, x_lo * y_lo
+
+
+def _add128(x_hi, x_lo, y_hi, y_lo):
+    lo = x_lo + y_lo
+    return x_hi + y_hi + (lo < x_lo), lo
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    return _add128(*_mul128(hi, lo, *_PCG_MULT), inc_hi, inc_lo)
+
+
+def _pcg64_output(hi, lo):
+    """XSL-RR: the 64-bit output of each state."""
+    x, rot = hi ^ lo, hi >> _U58
+    return x >> rot | x << (_U64 - rot & _U63)
+
+
+def _pcg64_seeded(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(state_hi, state_lo, inc_hi, inc_lo) of PCG64(seed) for each uint64 seed, as numpy seeds it."""
+    zero = np.zeros_like(seeds)
+    # A seed is its little-endian uint32 words; one below 2**32 mixes as [lo, 0].
+    pool = [_seed_hash(w, _HASH_A, i) for i, w in enumerate((seeds & _M32, seeds >> _U32, zero, zero))]
+    pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    for h, (src, dst) in enumerate(pairs, start=4):
+        x = _MIX_L * pool[dst] - _MIX_R * _seed_hash(pool[src], _HASH_A, h) & _M32
+        pool[dst] = x ^ x >> _U16
+    words = [_seed_hash(pool[i % 4], _HASH_B, i) for i in range(8)]
+    state_hi, state_lo, seq_hi, seq_lo = (words[2 * i] | words[2 * i + 1] << _U32 for i in range(4))
+    inc_hi, inc_lo = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
+    # PCG64 seeding: state 0 stepped once is inc; add the initial state; step again
+    return (*_pcg64_step(*_add128(inc_hi, inc_lo, state_hi, state_lo), inc_hi, inc_lo), inc_hi, inc_lo)
 
 
 def pcg64_uniforms(seeds: list[int], k: int) -> list[list[float]]:
@@ -53,36 +99,58 @@ def pcg64_uniforms(seeds: list[int], k: int) -> list[list[float]]:
     output) run once on arrays of all the seeds."""
     if len(seeds) < PCG64_BATCH_MIN:
         return [np.random.Generator(np.random.PCG64(s)).random(k).tolist() for s in seeds]
-    s = np.array(seeds, dtype=np.uint64)
-    zero = np.zeros_like(s)
-    # A seed is its little-endian uint32 words; one below 2**32 mixes as [lo, 0].
-    pool = [_seed_hash(w, _HASH_A, i) for i, w in enumerate((s & _M32, s >> _U32, zero, zero))]
-    pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
-    for h, (src, dst) in enumerate(pairs, start=4):
-        x = _MIX_L * pool[dst] - _MIX_R * _seed_hash(pool[src], _HASH_A, h) & _M32
-        pool[dst] = x ^ x >> _U16
-    words = [_seed_hash(pool[i % 4], _HASH_B, i) for i in range(8)]
-    state_hi, state_lo, seq_hi, seq_lo = (words[2 * i] | words[2 * i + 1] << _U32 for i in range(4))
-    inc_hi, inc_lo = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
-    # PCG64 seeding: state 0 stepped once is inc; add the initial state; step again (j = 0 below)
-    lo = inc_lo + state_lo
-    hi = inc_hi + state_hi + (lo < inc_lo)
+    hi, lo, inc_hi, inc_lo = _pcg64_seeded(np.array(seeds, dtype=np.uint64))
     out = np.empty((len(seeds), k))
-    m0, m1 = _PCG_LO & _M32, _PCG_LO >> _U32
-    for j in range(k + 1):
-        # (hi, lo) * multiplier mod 2**128, with lo * _PCG_LO's high word from 32-bit halves
-        l0, l1 = lo & _M32, lo >> _U32
-        p00, p01, p10 = l0 * m0, l0 * m1, l1 * m0
-        carry = (p00 >> _U32) + (p01 & _M32) + (p10 & _M32)
-        hi = l1 * m1 + (p01 >> _U32) + (p10 >> _U32) + (carry >> _U32) + lo * _PCG_HI + hi * _PCG_LO
-        product = lo * _PCG_LO
-        lo = product + inc_lo
-        hi = hi + inc_hi + (lo < product)
-        if j:
-            x, rot = hi ^ lo, hi >> _U58
-            x = x >> rot | x << (_U64 - rot & _U63)
-            out[:, j - 1] = (x >> _U11) * (1.0 / 9007199254740992.0)
+    for j in range(k):
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        out[:, j] = (_pcg64_output(hi, lo) >> _U11) * (1.0 / 9007199254740992.0)
     return out.tolist()
+
+
+@functools.cache  # built on first use: a run that never bootstraps never pays for it
+def _jump() -> tuple[np.ndarray, ...]:
+    """For t = 1..PCG64_JUMP_CHUNK: a**t and sum(a**i for i < t) mod 2**128, a being PCG64's multiplier,
+    as uint64 halves (with a**t's low 32-bit halves). t steps take a state s to a**t * s + inc * sum."""
+    a_hi, a_lo = np.array([_PCG_HI]), np.array([_PCG_LO])
+    s_hi, s_lo = np.array([0], dtype=np.uint64), np.array([1], dtype=np.uint64)
+    while a_hi.size < PCG64_JUMP_CHUNK:
+        # t + m steps: a**(t+m) = a**m * a**t and sum_{i<t+m} = sum_{i<m} + a**m * sum_{i<t}, m the size so far
+        m_hi, m_lo, sm_hi, sm_lo = a_hi[-1:], a_lo[-1:], s_hi[-1:], s_lo[-1:]
+        m = (m_lo & _M32, m_lo >> _U32)
+        b_hi, b_lo = _mul128(a_hi, a_lo, m_hi, m_lo, *m)
+        c_hi, c_lo = _add128(*_mul128(s_hi, s_lo, m_hi, m_lo, *m), sm_hi, sm_lo)
+        a_hi, a_lo = np.concatenate((a_hi, b_hi)), np.concatenate((a_lo, b_lo))
+        s_hi, s_lo = np.concatenate((s_hi, c_hi)), np.concatenate((s_lo, c_lo))
+    return a_hi, a_lo, a_lo & _M32, a_lo >> _U32, s_hi, s_lo
+
+
+def pcg64_integers(seed: int, n: int, size: tuple[int, ...]) -> np.ndarray:
+    """np.random.default_rng(seed).integers(0, n, size, dtype=np.int32) for 1 <= n < 2**31, bit for bit.
+
+    numpy splits each 64-bit PCG64 output into two uint32 draws, low half
+    first, and maps a draw u to u * n >> 32 unless (u * n) mod 2**32 falls
+    below 2**32 mod n, which it rejects (Lemire's method); n == 1 draws
+    nothing. Here the stream advances PCG64_JUMP_CHUNK outputs at a time
+    through the jump table, and the accepted draws fill the result in order.
+    """
+    out = np.zeros(size, dtype=np.int32)
+    if n == 1:
+        return out
+    flat = out.reshape(-1)
+    threshold = (2**32 - n) % n
+    a_hi, a_lo, a0, a1, s_hi, s_lo = _jump()
+    hi, lo, inc_hi, inc_lo = _pcg64_seeded(np.array([seed], dtype=np.uint64))
+    c_hi, c_lo = _mul128(inc_hi, inc_lo, s_hi, s_lo, s_lo & _M32, s_lo >> _U32)
+    filled = 0
+    while filled < flat.size:
+        hi, lo = _add128(*_mul128(hi, lo, a_hi, a_lo, a0, a1), c_hi, c_lo)  # the next chunk's states
+        m = _pcg64_output(hi, lo).astype("<u8", copy=False).view("<u4").astype(np.uint64) * np.uint64(n)
+        draws = m >> _U32 if not threshold else (m >> _U32)[m & _M32 >= threshold]
+        take = min(draws.size, flat.size - filled)
+        flat[filled:filled + take] = draws[:take]
+        filled += take
+        hi, lo = hi[-1:], lo[-1:]
+    return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,11 +16,11 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .backends import call_batch
 from .errors import BackendError, SandboxProvisionError
-from .jsonl import read_records, write_records
+from .jsonl import DumpsMemo, dumps, dumps_scalar, read_records, write_lines
 from .rollout import Trajectory
 from .tasks import (
     ProgramError,
@@ -291,19 +291,48 @@ def reward_from_record(rec: dict, shared: dict | None = None) -> RewardRecord | 
             trajectory_ref=rec["trajectory_ref"],
             error=rec["infrastructure_error"],
         )
-    per_test = dict(rec["per_test"])
+    tests = tuple(dict(rec["per_test"]).items())
+    per_test = shared.get(tests)
+    if per_test is None:  # the first record with this test map keeps it
+        per_test = shared[tests] = MappingProxyType(dict(tests))
     return RewardRecord(
         task_id=one(rec["task_id"]),
         trajectory_ref=rec["trajectory_ref"],
         reward=int(rec["reward"]),
-        per_test=shared.setdefault(tuple(per_test.items()), MappingProxyType(per_test)),
+        per_test=per_test,
         empty_patch=bool(rec["empty_patch"]),
         stacktrace=one(rec.get("stacktrace")),
     )
 
 
+def _reward_lines(records: Iterable[RewardRecord | EvaluationFailure]) -> Iterator[str]:
+    """dumps(reward_to_record(r)) for each record, each string and test map repeated within one task encoded once."""
+    text, tests, task_id = DumpsMemo(), {}, None
+    for r in records:
+        if r.task_id != task_id:  # one task's memos at a time bound what they keep alive
+            text.clear()
+            tests.clear()
+            task_id = r.task_id
+        if isinstance(r, EvaluationFailure):
+            yield (
+                f'{{"infrastructure_error":{text[r.error]},"task_id":{text[r.task_id]},'
+                f'"trajectory_ref":{dumps(r.trajectory_ref)}}}'
+            )
+            continue
+        # A test map is read-only and unhashable: its memo entry is keyed by id and holds the map alive.
+        per_test = tests.get(id(r.per_test))
+        if per_test is None:
+            per_test = tests[id(r.per_test)] = (r.per_test, dumps(dict(r.per_test)))
+        yield (
+            f'{{"empty_patch":{dumps_scalar(r.empty_patch)},"per_test":{per_test[1]},'
+            f'"reward":{dumps_scalar(r.reward)},"stacktrace":{text[r.stacktrace]},'
+            f'"task_id":{text[r.task_id]},"trajectory_ref":{dumps(r.trajectory_ref)}}}'
+        )
+
+
 def write_rewards(records: Iterable[RewardRecord | EvaluationFailure], path: str | Path) -> int:
-    return write_records(path, REWARDS_SCHEMA, (reward_to_record(r) for r in records))
+    """Write each record as the line dumps(reward_to_record(r)) would, byte for byte."""
+    return write_lines(path, REWARDS_SCHEMA, _reward_lines(records))
 
 
 def read_rewards(path: str | Path) -> list[RewardRecord | EvaluationFailure]:

@@ -8,12 +8,22 @@ pipeline write identical bytes and a plain content hash tells them apart.
 """
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import CheckpointError, TaskFormatError
+
+# The interpreter's own SHA-256, as the random module takes its SHA-512: it loads no OpenSSL,
+# and on derive_seed's short keys it is faster than hashlib's.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 SCHEMA_VERSION = 1
 
@@ -23,6 +33,24 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 def dumps(record: dict[str, Any]) -> str:
     return _ENCODER.encode(record)
+
+
+class DumpsMemo(dict):
+    """value -> dumps(value), each computed on first use; a tuple encodes as the list it stands for.
+
+    Keys compare by value, so a memo must only see values whose equal ones encode alike
+    (strings and None, say, but not True beside 1)."""
+
+    def __missing__(self, value):
+        self[value] = text = dumps(value)
+        return text
+
+
+def dumps_scalar(x) -> str:
+    """x as dumps renders it (0 stays 0, inf is Infinity); a bool, a plain int or a finite float skips the encoder."""
+    if x is True or x is False:
+        return "true" if x else "false"
+    return repr(x) if type(x) is int or (type(x) is float and math.isfinite(x)) else dumps(x)
 
 
 def write_records(path: str | Path, schema: str, records: Iterable[dict[str, Any]]) -> int:
@@ -115,7 +143,12 @@ def _check_header(header: dict[str, Any], schema: str | None) -> None:
 
 
 def canonical_file_hash(path: str | Path) -> str:
-    """sha256 of a file's bytes; the hash recorded in run manifests."""
+    """sha256 of a file's bytes; the hash recorded in run manifests.
+
+    hashlib is imported here: OpenSSL hashes large files several times faster than the builtin
+    module, and a process that hashes no file never loads it."""
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -126,5 +159,5 @@ def derive_seed(*parts: object) -> int:
     component ever consults the wall clock or global RNG state.
     """
     key = ":".join(str(p) for p in parts)
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    digest = _sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1

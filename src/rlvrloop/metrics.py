@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .backends import pcg64_integers
 from .evaluator import EvaluationFailure, RewardRecord
 from .jsonl import derive_seed
 from .rollout import TEMPERATURE_GREEDY, Trajectory
@@ -43,15 +44,16 @@ def pass_at_k(n: int, c: int, k: int) -> float:
 def bootstrap_std(values: Sequence[float], seed: int = 0) -> float:
     """Std of the mean under seeded bootstrap resampling over tasks.
 
-    Bit for bit arr[idx].mean(axis=1).std() for idx = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n)):
-    an int32 draw takes numpy's buffered 32-bit Lemire path as an int64 one does, and the means are
-    taken BOOTSTRAP_BLOCK_ROWS rows at a time, so the float64 resample matrix is never built whole.
+    Bit for bit arr[idx].mean(axis=1).std() for idx = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
+    and rng = np.random.default_rng(derive_seed("bootstrap", seed, BOOTSTRAP_RESAMPLES)): the indices
+    are that generator's int32 draw (numpy's 32-bit Lemire path, which an int64 draw of n < 2**32 takes
+    too), made by backends.pcg64_integers without loading numpy.random, and the means are taken
+    BOOTSTRAP_BLOCK_ROWS rows at a time, so the float64 resample matrix is never built whole.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         return 0.0
-    rng = np.random.default_rng(derive_seed("bootstrap", seed, BOOTSTRAP_RESAMPLES))
-    idx = rng.integers(0, arr.size, size=(BOOTSTRAP_RESAMPLES, arr.size), dtype=np.int32)
+    idx = pcg64_integers(derive_seed("bootstrap", seed, BOOTSTRAP_RESAMPLES), arr.size, (BOOTSTRAP_RESAMPLES, arr.size))
     blocks = range(0, BOOTSTRAP_RESAMPLES, BOOTSTRAP_BLOCK_ROWS)
     return float(np.concatenate([arr[idx[i:i + BOOTSTRAP_BLOCK_ROWS]].mean(axis=1) for i in blocks]).std())
 

@@ -9,8 +9,6 @@ training log-probabilities.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -148,29 +146,19 @@ class TabularPolicy:
             head.cand_logits.setflags(write=False)
         return out
 
-    # -- identity ------------------------------------------------------------
-
-    def _heads_body(self) -> dict:
-        """The heads as a checkpoint holds them, in task order."""
-        return {
-            tid: {
-                "line_logits": self.heads[tid].line_logits.tolist(),
-                "cand_logits": self.heads[tid].cand_logits.tolist(),
-            }
-            for tid in self.task_order()
-        }
-
-    def fingerprint(self) -> str:
-        """sha256 of the heads a checkpoint would hold; float reprs round-trip, so equal means bit-equal."""
-        return hashlib.sha256(json.dumps(self._heads_body(), sort_keys=True).encode("utf-8")).hexdigest()
-
     # -- checkpoints ----------------------------------------------------------
 
     def save(self, path: str | Path, provenance: dict | None = None) -> None:
         write_document(path, POLICY_SCHEMA, {
             "fine_tuned": self.fine_tuned,
             "provenance": provenance or {},
-            "heads": self._heads_body(),
+            "heads": {
+                tid: {
+                    "line_logits": self.heads[tid].line_logits.tolist(),
+                    "cand_logits": self.heads[tid].cand_logits.tolist(),
+                }
+                for tid in self.task_order()
+            },
         })
 
     @classmethod

@@ -208,11 +208,17 @@ class RankingResult:
 def rank_best_of_k(
     rm: PairwiseRM, problem_statement: str, patches: Sequence[Patch | None]
 ) -> RankingResult:
-    """Pick the highest-scoring patch; ties break toward the lowest index."""
+    """Pick the highest-scoring patch; ties break toward the lowest index. Each distinct patch is scored once."""
     if len(patches) == 0:
         raise ValueError("cannot rank an empty candidate list")
     issue = _issue(problem_statement)
-    scores = [rm.score(_featurize(issue, p)) for p in patches]
+    scored: dict[Patch | None, float] = {}
+    scores = []
+    for p in patches:
+        score = scored.get(p)
+        if score is None:
+            score = scored[p] = rm.score(_featurize(issue, p))
+        scores.append(score)
     return RankingResult(selected_index=int(np.argmax(scores)), scores=tuple(scores))
 
 
@@ -221,19 +227,24 @@ def build_rm_training_pairs(preference_pairs, tasks_by_id: dict) -> RMPairs:
 
     Sides are rebuilt from their (line, candidate) actions against the task's
     candidate table; sides without actions featurize as empty patches, which
-    is exactly the signal the empty-patch indicator exists for.
+    is exactly the signal the empty-patch indicator exists for. Each
+    (task, actions) is featurized once.
     """
     sides: tuple[list, list] = ([], [])
     issues: dict[str, _Issue] = {}
+    features: dict[tuple, np.ndarray] = {}
     for pair in preference_pairs:
         task = tasks_by_id.get(pair.task_id)
         if not isinstance(task, SynthTask):
             continue
         if task.id not in issues:
             issues[task.id] = _issue(task.issue)
-        issue = issues[task.id]
         for out, side in zip(sides, (pair.winner, pair.loser)):
-            patch = None if side.actions is None else synth_patch(task, *side.actions)
-            out.append(_featurize(issue, patch))
+            key = (task.id, side.actions)
+            f = features.get(key)
+            if f is None:
+                patch = None if side.actions is None else synth_patch(task, *side.actions)
+                f = features[key] = _featurize(issues[task.id], patch)
+            out.append(f)
     winners, losers = (np.array(out, dtype=np.float64).reshape(-1, N_FEATURES) for out in sides)
     return RMPairs(winners, losers)

@@ -14,7 +14,6 @@ guidance raise GuidanceLeakError, which is the engine-level enforcement of
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -23,7 +22,7 @@ from . import prompts
 from .backends import PolicyBackend, SamplingParams
 from .errors import BackendError, GuidanceLeakError, RolloutError, TaskFormatError
 from .guidance import Guidance, render_reattempt_prompt
-from .jsonl import derive_seed, dumps, read_records, write_lines
+from .jsonl import DumpsMemo, derive_seed, dumps, dumps_scalar, read_records, write_lines
 from .tasks import SynthTask, Task
 
 TEMPERATURE_GREEDY = 0.0
@@ -311,22 +310,9 @@ def trajectory_from_record(rec: dict, shared: dict | None = None) -> Trajectory:
     )
 
 
-class _Encoded(dict):
-    """value -> dumps(value), each computed on first use; a tuple encodes as the list it stands for."""
-
-    def __missing__(self, value):
-        self[value] = text = dumps(value)
-        return text
-
-
-def _number(x) -> str:
-    """x as dumps renders it (0 stays 0, inf is Infinity); a plain int or finite float skips the encoder."""
-    return repr(x) if type(x) is int or (type(x) is float and math.isfinite(x)) else dumps(x)
-
-
 def _trajectory_lines(trajectories: Iterable[Trajectory]) -> Iterator[str]:
     """dumps(trajectory_to_record(t)) for each trajectory, each string repeated within one task encoded once."""
-    text, task_id = _Encoded(), None
+    text, task_id = DumpsMemo(), None
     for t in trajectories:
         if t.task_id != task_id:  # one task's memo at a time bounds what it keeps alive
             text.clear()
@@ -335,15 +321,15 @@ def _trajectory_lines(trajectories: Iterable[Trajectory]) -> Iterator[str]:
         if p is None:
             patch = "null"
         else:
-            synth = "[" + ",".join(map(_number, p.synth)) + "]" if p.synth else "null"
+            synth = "[" + ",".join(map(dumps_scalar, p.synth)) + "]" if p.synth else "null"
             patch = f'{{"edits":{text[p.edits]},"rendering":{text[p.rendering]},"synth":{synth}}}'
         steps = ",".join([
             f'{{"completion":{text[s.completion]},"prompt":{text[s.prompt]},"role":{text[s.role]}}}' for s in t.steps
         ])
         yield (
             f'{{"backend_id":{text[t.backend_id]},"guidance_id":{text[t.guidance_id]},"patch":{patch},'
-            f'"sampling":{{"max_tokens":{_number(sp.max_tokens)},"seed":{_number(sp.seed)},'
-            f'"temperature":{_number(sp.temperature)}}},"steps":[{steps}],'
+            f'"sampling":{{"max_tokens":{dumps_scalar(sp.max_tokens)},"seed":{dumps_scalar(sp.seed)},'
+            f'"temperature":{dumps_scalar(sp.temperature)}}},"steps":[{steps}],'
             f'"task_id":{text[t.task_id]},"traj_id":{dumps(t.traj_id)}}}'
         )
 

@@ -1,8 +1,12 @@
-"""Test doubles: scripted policy and teacher backends, and a workspace hash."""
+"""Test doubles: scripted policy and teacher backends, a workspace hash, and a fresh interpreter."""
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import rlvrloop
 from rlvrloop.backends import PolicyBackend, SamplingParams
 from rlvrloop.errors import BackendError, GuidanceError
 from rlvrloop.guidance import TeacherBackend
@@ -67,3 +71,9 @@ def workspace_fingerprint(path: str | Path) -> str:
         digest.update(file.read_bytes())
         digest.update(b"\0")
     return digest.hexdigest()
+
+
+def run_python(script: str, stdin: str | None = None) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter that imports this rlvrloop, for checks on what an import loads."""
+    env = {**os.environ, "PYTHONPATH": str(Path(rlvrloop.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", script], input=stdin, capture_output=True, text=True, env=env)

@@ -7,12 +7,14 @@ driven end to end against a scripted throwaway repository.
 import dataclasses
 import itertools
 import re
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubles import ScriptedBackend, workspace_fingerprint
+from rlvrloop import evaluator
 from rlvrloop.backends import SamplingParams
 from rlvrloop.errors import SandboxProvisionError
 from rlvrloop.evaluator import (
@@ -27,6 +29,7 @@ from rlvrloop.evaluator import (
     write_rewards,
     _parse_test_lines,
 )
+from rlvrloop.jsonl import dumps
 from rlvrloop.rollout import Patch, Step, Trajectory, scaffold_batch
 from rlvrloop.tasks import (
     EnvSpec,
@@ -576,6 +579,32 @@ def test_read_rewards_shares_task_ids_stack_traces_and_test_maps(tmp_path, small
                 rec.per_test["output_matches"] = "pass"
     scored = [rec for rec in back if isinstance(rec, RewardRecord)]
     assert len({id(rec.per_test) for rec in scored}) == len({tuple(rec.per_test.items()) for rec in scored}) < 4
+
+
+def test_rewards_file_lines_are_dumps_of_each_record(tmp_path, small_suite, monkeypatch):
+    """write_rewards renders each line from a template; every line must be dumps(reward_to_record(r)), for
+    failures, None and non-ASCII stack traces, bool fields, and tasks that come back after another."""
+    a, b = small_suite.tasks[:2]
+    scored = evaluate_batch([(task, synth_attempt(task, line, 1)) for task in (a, b) for line in range(3)], workers=1)
+    odd = [
+        EvaluationFailure(a.id, "a/x/1/u", "sandbox \u00e9chou\u00e9 \u6f22 \"quoted\"\n\ttab"),
+        RewardRecord(b.id, "b/x/2/u", True, MappingProxyType({"z": "pass", "a": "pass"}), False, None),
+        RewardRecord(b.id, "b/x/3/u", False, {"t\u00e9st": "fail"}, True, "trace \u00e9 \u6f22\x00\x7f"),
+        RewardRecord(a.id, "a/x/4/u", 1, MappingProxyType({}), False, ""),
+        RewardRecord(a.id, "a/x/5/u", 0, {"k": "error"}, 0, None),
+    ]
+    records = scored[:3] + odd[:3] + scored[3:] + odd[3:] + scored[:2]
+    path = tmp_path / "rewards.jsonl"
+    assert write_rewards(records, path) == len(records)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == [dumps(reward_to_record(r)) for r in records]
+
+    proxies = []
+    monkeypatch.setattr(evaluator, "MappingProxyType", lambda m: proxies.append(m) or MappingProxyType(m))
+    back = read_rewards(path)
+    assert [reward_to_record(r) for r in back] == [reward_to_record(r) for r in records]
+    distinct = {tuple(r.per_test.items()) for r in records if isinstance(r, RewardRecord)}
+    assert len(proxies) == len(distinct)  # one read-only map per distinct test map, none per record
 
 
 def test_workspace_fingerprint_sensitivity(tmp_path):

@@ -1,6 +1,10 @@
+import hashlib
 import json
+import random
 
 import pytest
+
+from doubles import run_python
 
 from rlvrloop.errors import TaskFormatError
 from rlvrloop.jsonl import (
@@ -66,8 +70,6 @@ def test_canonical_hash_sees_real_changes(tmp_path):
 
 def test_canonical_hash_raw_bytes_for_non_json(tmp_path):
     """JSON and JSONL hash their raw bytes too, like every other file."""
-    import hashlib
-
     write_records(tmp_path / "a.jsonl", "demo", [{"x": 1, "wall_time_s": 0.25}])
     (tmp_path / "b.json").write_text(json.dumps({"outer": {"wall_time_s": 1.0, "v": 3}}, indent=1))
     (tmp_path / "c.csv").write_text("epoch,loss\n0,1.0\n")
@@ -83,3 +85,40 @@ def test_derive_seed_stable_and_distinct():
     for parts in (("x",), ("x", 0), (0, "x"), tuple(range(5))):
         s = derive_seed(*parts)
         assert 0 <= s < 2**63
+
+
+def random_seed_parts(n):
+    """n tuples of the labels derive_seed is given: ints of every size, floats and strings, some not ASCII."""
+    rng = random.Random(23)
+    atoms = (
+        lambda: rng.getrandbits(rng.choice((1, 8, 32, 63, 64, 100))) * rng.choice((1, -1)),
+        lambda: rng.uniform(-1e3, 1e3),
+        lambda: "".join(rng.choice("abc-/:_ 0é漢") for _ in range(rng.randrange(12))),
+    )
+    return [tuple(rng.choice(atoms)() for _ in range(rng.randrange(1, 5))) for _ in range(n)]
+
+
+def sha256_seed(parts):
+    digest = hashlib.sha256(":".join(str(p) for p in parts).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") >> 1
+
+
+def test_derive_seed_is_hashlibs_sha256():
+    keys = random_seed_parts(10_000)
+    assert [derive_seed(*parts) for parts in keys] == [sha256_seed(parts) for parts in keys]
+
+
+def test_derive_seed_without_the_builtin_sha256_falls_back_to_hashlib():
+    """With _sha2 (3.12+) and _sha256 unimportable, derive_seed takes hashlib's sha256 and gives the same seeds."""
+    script = (
+        "import json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from rlvrloop.jsonl import derive_seed\n"
+        "assert '_hashlib' in sys.modules\n"
+        "keys = json.load(sys.stdin)\n"
+        "print(json.dumps([derive_seed(*parts) for parts in keys]))\n"
+    )
+    keys = random_seed_parts(10_000)
+    out = run_python(script, stdin=json.dumps(keys))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [sha256_seed(parts) for parts in json.loads(json.dumps(keys))]

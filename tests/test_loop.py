@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from doubles import run_python
 from rlvrloop.backends import PCG64_BATCH_MIN, PolicyBackend, TabularPolicyBackend
 from rlvrloop.cli import main
 from rlvrloop.errors import BackendError, PhaseError, UsageError
@@ -536,7 +537,7 @@ def test_training_moved_the_policy(finished_run):
     _, paths, _ = finished_run
     init = TabularPolicy.load(paths.policy_init)
     final = TabularPolicy.load(paths.policy_final)
-    assert init.fingerprint() != final.fingerprint()
+    assert init.theta().tobytes() != final.theta().tobytes()
     assert final.fine_tuned
 
     pre = json.loads(paths.report_json.read_text())["pre_training"]
@@ -731,9 +732,9 @@ def test_initial_policy_is_honored(tmp_path, finished_run):
     paths = RunPaths(config.output_dir)
     run_loop(config)
     init = TabularPolicy.load(paths.policy_init)
-    assert init.fingerprint() == TabularPolicy.load(done_paths.policy_final).fingerprint()
+    assert init.theta().tobytes() == TabularPolicy.load(done_paths.policy_final).theta().tobytes()
     # a fine-tuned starting point skips sft: the sft checkpoint is the input
-    assert TabularPolicy.load(paths.policy_sft).fingerprint() == init.fingerprint()
+    assert TabularPolicy.load(paths.policy_sft).theta().tobytes() == init.theta().tobytes()
     assert paths.sft_log.read_text() == ""
 
 
@@ -786,10 +787,10 @@ def test_training_phases_leave_their_input_policy_alone(finished_run):
     for phase, made, policy_file in ((train_sft, done.policy_sft, done.policy_init),
                                      (train_dpo, done.policy_final, done.policy_sft)):
         policy = read_artifact(policy_file.stem, policy_file)
-        before = policy.fingerprint()
+        before = policy.theta().tobytes()
         trained, _ = phase(config, policy, dataset)
-        assert policy.fingerprint() == before
-        assert trained.fingerprint() == TabularPolicy.load(made).fingerprint() != before
+        assert policy.theta().tobytes() == before
+        assert trained.theta().tobytes() == TabularPolicy.load(made).theta().tobytes() != before
 
 
 def test_resume_refuses_an_edited_missing_or_unhashed_output(finished_run, tmp_path, capsys):
@@ -819,3 +820,35 @@ def test_resume_refuses_an_edited_missing_or_unhashed_output(finished_run, tmp_p
     paths.state.write_text(json.dumps({"completed": completed}) + "\n")
     assert main(argv) == 1
     assert "records no hash for tasks.jsonl" in capsys.readouterr().err
+
+
+def test_a_run_loads_neither_numpy_random_nor_openssl(tmp_path):
+    """rollout -> evaluate -> rewards file -> rank -> aggregate loads neither numpy.random (the bootstrap
+    draws its own PCG64 stream) nor _hashlib (derive_seed hashes with the builtin sha256); a run-loop at
+    the reference config, which hashes its artifacts for the manifest, loads no numpy.random either."""
+    script = f"""
+import sys
+from rlvrloop.backends import TabularPolicyBackend
+from rlvrloop.evaluator import read_rewards, write_rewards
+from rlvrloop.loop import RunConfig, evaluate_trajectories, rollout_all_tasks, run_loop
+from rlvrloop.metrics import aggregate
+from rlvrloop.policy import TabularPolicy
+from rlvrloop.reward_model import PairwiseRM, rank_best_of_k
+from rlvrloop.tasks import generate_synth_suite
+
+suite = generate_synth_suite(16, 4, 4, 3)
+trajs = rollout_all_tasks(suite, TabularPolicyBackend(TabularPolicy.uniform(suite)), 8, 0, workers=1)
+write_rewards(evaluate_trajectories(suite, trajs, workers=1), {str(tmp_path / "rewards.jsonl")!r})
+records = read_rewards({str(tmp_path / "rewards.jsonl")!r})
+rewards = {{r.trajectory_ref: r.reward for r in records}}
+picks = {{t.id: rank_best_of_k(PairwiseRM(), t.issue, [x.patch for x in trajs if x.task_id == t.id]) for t in suite}}
+selections = {{tid: rewards[[x for x in trajs if x.task_id == tid][p.selected_index].traj_id] for tid, p in picks.items()}}
+report = aggregate(trajs, records, selections=selections, bootstrap_seed=5)
+assert report.totals["tasks"] == 16  # so the bootstrap drew (1000, 16) indices
+print(sorted(m for m in ("numpy.random", "_hashlib") if m in sys.modules))
+run_loop(RunConfig(output_dir={str(tmp_path / "run")!r}, workers=1))
+print(sorted(m for m in ("numpy.random", "_hashlib") if m in sys.modules))
+"""
+    out = run_python(script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["[]", "['_hashlib']"]

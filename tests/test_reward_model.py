@@ -294,6 +294,35 @@ def test_rank_scores_equal_per_patch_scores(small_suite):
         assert result.scores == tuple(rm.score(featurize(task.issue, p)) for p in patches)
 
 
+@pytest.fixture
+def featurize_calls(monkeypatch):
+    """The patch of each reward_model._featurize call, in order."""
+    from rlvrloop import reward_model
+
+    calls = []
+    featurize_one = reward_model._featurize
+    monkeypatch.setattr(reward_model, "_featurize", lambda issue, p: calls.append(p) or featurize_one(issue, p))
+    return calls
+
+
+def test_rank_scores_each_distinct_patch_once_with_the_per_candidate_result(small_suite, featurize_calls):
+    """A batch with repeated patches (the same object and equal copies) and None: scores and
+    selected_index equal the per-candidate path, and each distinct patch is featurized once."""
+    rng = np.random.default_rng(6)
+    rm = PairwiseRM(rng.normal(size=N_FEATURES))
+    for task in small_suite:
+        distinct = [synth_patch(task, line, cand) for line in range(2) for cand in range(task.n_candidates)]
+        copies = [Patch(p.edits, p.rendering, p.synth) for p in distinct[::3]]
+        patches = [distinct[int(i)] for i in rng.integers(len(distinct), size=24)] + copies + [None, None]
+        patches = [patches[int(i)] for i in rng.permutation(len(patches))]
+        featurize_calls.clear()
+        result = rank_best_of_k(rm, task.issue, patches)
+        assert len(featurize_calls) == len(set(patches)) < len(patches)
+        expected = [rm.score(featurize(task.issue, p)) for p in patches]
+        assert result.scores == tuple(expected)
+        assert result.selected_index == int(np.argmax(expected))
+
+
 # ---------------------------------------------------------------------------
 # Pair construction from datasets
 # ---------------------------------------------------------------------------
@@ -322,6 +351,21 @@ def test_build_rm_training_pairs_rebuilds_patches(one_task):
         [make_pref_pair(one_task, None, (0, 0))], {one_task.id: one_task}
     )
     assert missing.winners[0][0] == 1.0  # no actions means empty patch
+
+
+def test_build_rm_training_pairs_featurizes_each_side_once(small_suite, featurize_calls):
+    tasks = small_suite.tasks[:3]
+    pairs = [make_pref_pair(t, (line, 1), (0, cand)) for t in tasks for line in range(3) for cand in range(2)]
+    pairs += [make_pref_pair(t, None, (0, 0)) for t in tasks] * 2
+    by_id = {t.id: t for t in tasks}
+    built = build_rm_training_pairs(pairs, by_id)
+    sides = {(p.task_id, s.actions) for p in pairs for s in (p.winner, p.loser)}
+    assert len(featurize_calls) == len(sides) < 2 * len(pairs)
+    for pair, winner, loser in zip(pairs, built.winners, built.losers):
+        task = by_id[pair.task_id]
+        for side, row in ((pair.winner, winner), (pair.loser, loser)):
+            patch = None if side.actions is None else synth_patch(task, *side.actions)
+            assert np.array_equal(row, featurize(task.issue, patch))
 
 
 def test_build_rm_training_pairs_skips_real_tasks(tmp_path):

@@ -240,17 +240,17 @@ def test_training_is_bit_identical(grid):
         policy = TabularPolicy.uniform(grid)
         sft_train(policy, examples, DPOConfig(epochs=30))
         dpo_train(policy, pairs, DPOConfig(epochs=30))
-        prints.append(policy.fingerprint())
+        prints.append(policy.theta().tobytes())
     assert prints[0] == prints[1]
 
 
 def test_empty_datasets_leave_policy_unchanged(grid, caplog):
     policy = TabularPolicy.uniform(grid)
-    before = policy.fingerprint()
+    before = policy.theta().tobytes()
     with caplog.at_level("WARNING"):
         sft_train(policy, [], DPOConfig())
         dpo_train(policy, [], DPOConfig())
-    assert policy.fingerprint() == before
+    assert policy.theta().tobytes() == before
     assert not policy.fine_tuned
     assert "no examples" in caplog.text
     assert "no pairs" in caplog.text
@@ -363,7 +363,7 @@ def train_packed_and_loop(policy, examples, pairs, sft, dpo, reference=None):
 
 
 def assert_bit_identical(packed, oracle):
-    assert packed[0].fingerprint() == oracle[0].fingerprint()
+    assert packed[0].theta().tobytes() == oracle[0].theta().tobytes()
     assert repr(packed[1]) == repr(oracle[1])
     assert packed[2] == oracle[2]
 
@@ -441,7 +441,7 @@ def test_divergence_leaves_policy_where_the_loop_oracle_leaves_it(grid):
     assert packed[2] and oracle[2]
     assert_bit_identical(packed, oracle)
     assert len(packed[1]) > 1  # the guard tripped after some updates had landed
-    assert packed[0].fingerprint() != policy.fingerprint()
+    assert packed[0].theta().tobytes() != policy.theta().tobytes()
 
 
 # ---------------------------------------------------------------------------
