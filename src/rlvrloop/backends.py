@@ -191,9 +191,10 @@ class TabularPolicyBackend(PolicyBackend):
     of "the model may follow the hint".
 
     The copy is taken at construction, so a policy trained afterwards needs
-    a new backend (the loop builds one per phase). Each (task, line or None
-    for the line distribution, temperature) softmax is turned once into
-    the cumulative distribution numpy's Generator.choice builds, and a draw
+    a new backend (the loop builds one per phase). Each distinct (logits,
+    temperature) softmax is turned once into the cumulative distribution
+    numpy's Generator.choice builds, which every (task, line or None for
+    the line distribution, temperature) with those logits shares, and a draw
     is bisect_right(cdf, rng.random()) on a generator seeded from
     (backend_id, task_id, seed): the same index rng.choice(len(p), p=p)
     returns, bit for bit, which tests/test_backends.py checks against that
@@ -213,6 +214,7 @@ class TabularPolicyBackend(PolicyBackend):
     def __init__(self, policy: TabularPolicy):
         self.policy = policy.frozen()
         self._cdfs: dict[tuple[str, int | None, float], list[float]] = {}
+        self._cdfs_by_content: dict[tuple[bytes, float], list[float]] = {}
         self._parsed: dict[str, tuple[str | None, str, int | None]] = {}
 
     def generate(self, prompt: str, params: SamplingParams) -> str:
@@ -268,13 +270,18 @@ class TabularPolicyBackend(PolicyBackend):
         key = (task_id, line, temperature)
         cdf = self._cdfs.get(key)
         if cdf is None:
-            p = softmax(logits, temperature)
-            total = p.sum()
-            if not abs(total - 1.0) <= _P_SUM_TOLERANCE:  # a NaN sum fails the comparison, so it raises too
-                raise ValueError(f"{task_id}: probabilities sum to {total}, not 1")
-            c = p.cumsum()
-            c /= c[-1]
-            cdf = self._cdfs[key] = c.tolist()
+            # Equal heads, a uniform policy's say, share one list; softmax reads the logits as float64.
+            content = (np.asarray(logits, dtype=np.float64).tobytes(), temperature)
+            cdf = self._cdfs_by_content.get(content)
+            if cdf is None:
+                p = softmax(logits, temperature)
+                total = p.sum()
+                if not abs(total - 1.0) <= _P_SUM_TOLERANCE:  # a NaN sum fails the comparison, so it raises too
+                    raise ValueError(f"{task_id}: probabilities sum to {total}, not 1")
+                c = p.cumsum()
+                c /= c[-1]
+                cdf = self._cdfs_by_content[content] = c.tolist()
+            self._cdfs[key] = cdf
         return bisect.bisect_right(cdf, next(uniforms))
 
 

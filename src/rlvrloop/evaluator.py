@@ -69,6 +69,10 @@ class EvaluationFailure:
 
 
 _NO_TESTS = MappingProxyType({})
+# A synthetic outcome's test map is one of three: every record of every task shares these.
+_SYNTH_PASS = MappingProxyType({SYNTH_REGRESSION_TEST: STATUS_PASS, SYNTH_FOCUSED_TEST: STATUS_PASS})
+_SYNTH_FAIL = MappingProxyType({SYNTH_REGRESSION_TEST: STATUS_PASS, SYNTH_FOCUSED_TEST: STATUS_FAIL})
+_SYNTH_ERROR = MappingProxyType({SYNTH_REGRESSION_TEST: STATUS_ERROR, SYNTH_FOCUSED_TEST: STATUS_ERROR})
 
 
 def _tail(text: str, limit: int = STACKTRACE_TAIL_CHARS) -> str:
@@ -84,19 +88,15 @@ def _evaluate_synthetic(task: SynthTask, trajectory: Trajectory) -> tuple[int, M
     """Score a (line, candidate) patch; each distinct patch of a task runs once, and its outcome is shared."""
     patch = trajectory.patch
     if patch is None or patch.synth is None:
-        return 0, _synth_errors(), "patch is not a (line, candidate) selection"
+        return 0, _SYNTH_ERROR, "patch is not a (line, candidate) selection"
     line, cand = patch.synth
     if not (0 <= line < task.n_lines and 0 <= cand < task.n_candidates):
-        return 0, _synth_errors(), f"patch indices ({line}, {cand}) outside the task grid"
+        return 0, _SYNTH_ERROR, f"patch indices ({line}, {cand}) outside the task grid"
     memo = task.patch_outcomes
-    outcome = memo.get((line, cand))
-    if outcome is None:
-        outcome = memo.setdefault((line, cand), _run_synthetic(task, line, cand))  # one object if threads race
+    outcome = memo.get(patch.synth)
+    if outcome is None:  # keyed by the patch's own synth tuple, which synth_patch shares across tasks
+        outcome = memo.setdefault(patch.synth, _run_synthetic(task, line, cand))  # one object if threads race
     return outcome
-
-
-def _synth_errors() -> Mapping[str, str]:
-    return MappingProxyType({SYNTH_REGRESSION_TEST: STATUS_ERROR, SYNTH_FOCUSED_TEST: STATUS_ERROR})
 
 
 def _run_synthetic(task: SynthTask, line: int, cand: int) -> tuple[int, Mapping, str | None]:
@@ -104,14 +104,14 @@ def _run_synthetic(task: SynthTask, line: int, cand: int) -> tuple[int, Mapping,
     try:
         actual = run_program(apply_candidate(task.lines, line, replacement))
     except ProgramError as exc:
-        return 0, _synth_errors(), _tail(str(exc))
+        return 0, _SYNTH_ERROR, _tail(str(exc))
     if actual == task.expected_output:
-        return 1, MappingProxyType({SYNTH_REGRESSION_TEST: STATUS_PASS, SYNTH_FOCUSED_TEST: STATUS_PASS}), None
+        return 1, _SYNTH_PASS, None
     stack = (
         f"{SYNTH_FOCUSED_TEST} failed: expected {task.expected_output} got {actual}\n"
         f"patched statement {line}: {replacement}"
     )
-    return 0, MappingProxyType({SYNTH_REGRESSION_TEST: STATUS_PASS, SYNTH_FOCUSED_TEST: STATUS_FAIL}), _tail(stack)
+    return 0, _SYNTH_FAIL, _tail(stack)
 
 
 # ---------------------------------------------------------------------------

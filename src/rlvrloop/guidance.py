@@ -162,20 +162,6 @@ def strip_hint_block(prompt: str) -> str:
     return prompt.split(first_line, 1)[0].rstrip("\n")
 
 
-def guidance_to_text(guidance: Guidance) -> str:
-    """The teacher wire format: the reply text a teacher sends, which parse_guidance reads back.
-
-    The loop never sends this text (the oracle teacher builds its Guidance
-    directly); it is kept as the format's one executable definition, which
-    the tests use to build teacher replies.
-    """
-    return (
-        f"{SECTION_PLAN}: {guidance.plan}\n"
-        f"{SECTION_FEEDBACK}: {guidance.env_feedback}\n"
-        f"{SECTION_INTERACTION}: {guidance.env_interaction}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -287,8 +273,8 @@ def oracle_teacher(
         f"Replace the defective statement so the program evaluates to {task.expected_output}; "
         f"one of the {len(correct)} candidate replacements for that statement is the intended fix."
     )
-    # The Guidance parse_guidance(guidance_to_text(...)) would return, built
-    # without the text round trip.
+    # The Guidance parse_guidance would return for a teacher reply holding
+    # these three sections, built without the text round trip.
     return Guidance(
         guidance_id=_guidance_id(task.id, failed_trajectory.traj_id),
         task_id=task.id,

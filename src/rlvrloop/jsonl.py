@@ -27,6 +27,9 @@ except ImportError:
 
 SCHEMA_VERSION = 1
 
+# canonical_file_hash's read size.
+HASH_CHUNK_BYTES = 1 << 16
+
 # One encoder for every record: json.dumps with these arguments would build a new one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -145,11 +148,17 @@ def _check_header(header: dict[str, Any], schema: str | None) -> None:
 def canonical_file_hash(path: str | Path) -> str:
     """sha256 of a file's bytes; the hash recorded in run manifests.
 
-    hashlib is imported here: OpenSSL hashes large files several times faster than the builtin
-    module, and a process that hashes no file never loads it."""
+    The file is read HASH_CHUNK_BYTES at a time into one buffer, so hashing a large artifact never
+    holds the whole file. hashlib is imported here: OpenSSL hashes large files several times faster
+    than the builtin module, and a process that hashes no file never loads it."""
     import hashlib
 
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest, chunk = hashlib.sha256(), bytearray(HASH_CHUNK_BYTES)
+    view = memoryview(chunk)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(chunk):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 def derive_seed(*parts: object) -> int:

@@ -14,6 +14,7 @@ guidance raise GuidanceLeakError, which is the engine-level enforcement of
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -84,19 +85,24 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # keyed by grid cell, so it holds at most the largest grid's cells
+def _synth_labels(line: int, cand: int) -> tuple[str, str, tuple[int, int]]:
+    """The edit location, rendering and synth tuple of grid cell (line, cand), one object each for every task."""
+    return f"line:{line}", f"({line}, {cand})", (line, cand)
+
+
 def synth_patch(task: SynthTask, line: int, cand: int) -> Patch:
     """The patch that puts candidate cand of the task's menu at statement line.
 
-    Each (line, cand) gets one Patch per task object, kept in task.patches, so
-    every trajectory and reward-model pair naming it shares that object.
+    Each (line, cand) gets one Patch per task object, kept in task.patches
+    under the patch's own synth tuple, so every trajectory and reward-model
+    pair naming it shares that object; its labels are shared by every task.
     """
     patch = task.patches.get((line, cand))
     if patch is None:
-        patch = task.patches[line, cand] = Patch(
-            edits=((f"line:{line}", task.candidates[line][cand]),),
-            rendering=f"({line}, {cand})",
-            synth=(line, cand),
-        )
+        replacement = task.candidates[line][cand]  # a cell outside the grid raises before it is cached
+        location, rendering, synth = _synth_labels(line, cand)
+        patch = task.patches[synth] = Patch(((location, replacement),), rendering, synth)
     return patch
 
 
@@ -166,7 +172,8 @@ def scaffold_batch(
     hint block is appended to the localization prompt via the reattempt
     template, once per distinct (prompt, hint text) in the batch. A dead
     attempt's trajectory is a placeholder: the slot's ids (guided ones too)
-    and localization prompt, no repair prompt, no completions.
+    and localization prompt, no repair prompt, no completions. Attempts with
+    equal prompts and completions share one steps tuple.
     """
     for task, _, guidance in attempts:
         if eval_mode and guidance is not None:
@@ -195,18 +202,20 @@ def scaffold_batch(
         [(repair_prompts[i], _step_params(attempts[i][1], "repair")) for i in live], workers
     )))
 
-    out, dead = [], {}
+    out, dead, step_pairs = [], {}, {}
     for i, (task, params, guidance) in enumerate(attempts):
         repair = repair_of.get(i, locs[i])
         if isinstance(repair, BackendError):
             dead[i] = repair
-            steps, patch = (Step(prompts.LOC_STEP, loc_prompts[i], ""), Step(prompts.REPAIR_STEP, "", "")), None
+            exchange, patch = (loc_prompts[i], "", "", ""), None
         else:
-            steps = (
-                Step(prompts.LOC_STEP, loc_prompts[i], locs[i]),
-                Step(prompts.REPAIR_STEP, repair_prompts[i], repair),
-            )
+            exchange = (loc_prompts[i], locs[i], repair_prompts[i], repair)
             patch = extract_patch(task, locations[i], repair)
+        steps = step_pairs.get(exchange)
+        if steps is None:  # attempts with equal prompts and completions share one pair of steps
+            steps = step_pairs[exchange] = (
+                Step(prompts.LOC_STEP, *exchange[:2]), Step(prompts.REPAIR_STEP, *exchange[2:])
+            )
         guidance_id = None if guidance is None else guidance.guidance_id
         traj_id = make_traj_id(task.id, backend.backend_id, params.seed, guidance is not None)
         out.append(Trajectory(task.id, steps, patch, guidance_id, params, backend.backend_id, traj_id))
@@ -281,7 +290,8 @@ def trajectory_to_record(traj: Trajectory) -> dict:
 
 
 def trajectory_from_record(rec: dict, shared: dict | None = None) -> Trajectory:
-    """The record's trajectory; records decoded through one `shared` dict share equal strings, steps and patches."""
+    """The record's trajectory; records decoded through one `shared` dict share equal strings, steps, steps tuples
+    and patches."""
     shared = {} if shared is None else shared
 
     def one(value):
@@ -297,7 +307,7 @@ def trajectory_from_record(rec: dict, shared: dict | None = None) -> Trajectory:
         ))
     return Trajectory(
         task_id=one(rec["task_id"]),
-        steps=tuple(one(Step(one(s["role"]), one(s["prompt"]), one(s["completion"]))) for s in rec["steps"]),
+        steps=one(tuple(one(Step(one(s["role"]), one(s["prompt"]), one(s["completion"]))) for s in rec["steps"])),
         patch=patch,
         guidance_id=one(rec.get("guidance_id")),
         sampling=SamplingParams(
@@ -340,6 +350,6 @@ def write_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> 
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
-    """The file's trajectories; equal strings, steps and patches among them are one object each."""
+    """The file's trajectories; equal strings, steps, steps tuples and patches among them are one object each."""
     shared: dict = {}
     return [t for _, t in read_records(path, TRAJECTORIES_SCHEMA, lambda rec: trajectory_from_record(rec, shared))]

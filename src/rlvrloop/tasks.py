@@ -106,7 +106,8 @@ class SynthTask(Task):
     buggy_line: int = 0
     candidates: tuple[tuple[str, ...], ...] = ()
     expected_output: int = 0
-    # The evaluator's memo: (line, candidate) -> (reward, read-only per_test, stacktrace).
+    # The evaluator's memo: the patch's synth tuple (line, candidate) -> (reward, per_test, stacktrace),
+    # per_test being one of the evaluator's three shared read-only maps.
     # It lives on this object and dies with its suite; two suites that reuse a task id
     # never share it. A field, not a cached_property, so that threads scoring this task
     # at once always find the same dict.
@@ -137,7 +138,7 @@ class SynthTask(Task):
 
     @functools.cached_property
     def patches(self) -> dict:
-        """rollout.synth_patch's memo: (line, candidate) -> the one Patch for it."""
+        """rollout.synth_patch's memo: (line, candidate), the patch's own synth tuple -> the one Patch for it."""
         return {}
 
 

@@ -1,4 +1,5 @@
-"""Test doubles: scripted policy and teacher backends, a workspace hash, and a fresh interpreter."""
+"""Test doubles: scripted policy and teacher backends, the teacher wire format, a workspace hash, and a fresh
+interpreter."""
 import hashlib
 import os
 import subprocess
@@ -9,7 +10,21 @@ from pathlib import Path
 import rlvrloop
 from rlvrloop.backends import PolicyBackend, SamplingParams
 from rlvrloop.errors import BackendError, GuidanceError
-from rlvrloop.guidance import TeacherBackend
+from rlvrloop.guidance import SECTION_FEEDBACK, SECTION_INTERACTION, SECTION_PLAN, Guidance, TeacherBackend
+
+
+def guidance_to_text(guidance: Guidance) -> str:
+    """The teacher wire format: the reply text a teacher sends, which guidance.parse_guidance reads back.
+
+    The loop never sends this text (the oracle teacher builds its Guidance
+    directly); it is kept here as the format's one executable definition,
+    which the tests use to build teacher replies.
+    """
+    return (
+        f"{SECTION_PLAN}: {guidance.plan}\n"
+        f"{SECTION_FEEDBACK}: {guidance.env_feedback}\n"
+        f"{SECTION_INTERACTION}: {guidance.env_interaction}"
+    )
 
 
 @dataclass

@@ -111,6 +111,42 @@ def test_backend_matches_rng_choice_over_many_random_distributions(small_suite):
             assert backend.generate(prompt, params) == oracle_generate(policy, prompt, params), (trial, kind)
 
 
+def test_equal_heads_share_one_cdf_and_draw_as_fresh_backends_do(small_suite):
+    """Tasks 0-2 keep uniform heads, 3 and 4 get one trained head, 5 its own: equal heads share
+    each CDF list, and the mixed batch draws what one fresh backend per task draws."""
+    policy = trained_like(small_suite, 5)
+    t = small_suite.tasks
+    for task in t[:3]:
+        policy.head(task.id).line_logits[:] = 0.0
+        policy.head(task.id).cand_logits[:] = 0.0
+    policy.head(t[4].id).line_logits[:] = policy.head(t[3].id).line_logits
+    policy.head(t[4].id).cand_logits[:] = policy.head(t[3].id).cand_logits
+    requests = [
+        (prompt, SamplingParams(temperature=temperature, seed=derive_seed("mixed", seed)))
+        for task in t for prompt in every_prompt(task).values() for temperature in TEMPERATURES for seed in range(3)
+    ]
+    backend = TabularPolicyBackend(policy)
+    answers = backend.generate_batch(requests)
+    per_task = [
+        answer
+        for task in t
+        for answer in TabularPolicyBackend(policy).generate_batch(
+            [(prompt, params) for prompt, params in requests if prompts.parse_prompt(prompt)[0] == task.id]
+        )
+    ]
+    assert answers == per_task
+    cdfs = backend._cdfs
+    for temperature in (0.6, 1.0):
+        uniform_lines = {id(cdfs[task.id, None, temperature]) for task in t[:3]}
+        uniform_rows = {id(cdfs[task.id, line, temperature]) for task in t[:3] for line in range(task.n_lines)}
+        assert len(uniform_lines) == len(uniform_rows) == 1  # a uniform line head and row are the same four zeros
+        assert cdfs[t[3].id, None, temperature] is cdfs[t[4].id, None, temperature]
+        assert cdfs[t[3].id, 2, temperature] is cdfs[t[4].id, 2, temperature]
+        assert cdfs[t[3].id, None, temperature] is not cdfs[t[5].id, None, temperature]
+        assert cdfs[t[3].id, None, temperature] != cdfs[t[5].id, None, temperature]
+    assert cdfs[t[3].id, None, 0.6] != cdfs[t[3].id, None, 1.0]  # the temperature is part of the content
+
+
 def test_nan_logits_still_raise_value_error(small_suite):
     task = small_suite.tasks[0]
     policy = TabularPolicy.uniform(small_suite)

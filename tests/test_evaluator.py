@@ -30,7 +30,7 @@ from rlvrloop.evaluator import (
     _parse_test_lines,
 )
 from rlvrloop.jsonl import dumps
-from rlvrloop.rollout import Patch, Step, Trajectory, scaffold_batch
+from rlvrloop.rollout import Patch, Step, Trajectory, scaffold_batch, synth_patch
 from rlvrloop.tasks import (
     EnvSpec,
     ProgramError,
@@ -172,7 +172,8 @@ def test_outcome_memo_belongs_to_the_task_object(one_task):
                 rec = evaluate(task, traj)
                 assert rec == evaluate(dataclasses.replace(task), traj), (task is a, line, cand)
                 records[task].append(rec)
-    assert not {id(rec.per_test) for rec in records[a]} & {id(rec.per_test) for rec in records[b]}
+    assert a.patch_outcomes is not b.patch_outcomes
+    assert not {id(o) for o in a.patch_outcomes.values()} & {id(o) for o in b.patch_outcomes.values()}
     # a record's per_test is read-only, so no caller can change a later record
     first = evaluate(a, grid_trajectory(a, 0, 0))
     before = dict(first.per_test)
@@ -192,10 +193,33 @@ def test_records_of_one_outcome_share_one_test_map(small_suite):
     for (task, traj), rec in zip(items, records):
         assert by_outcome.setdefault((id(task), traj.patch.synth), rec.per_test) is rec.per_test
     assert len(by_outcome) == 2 * len(small_suite.tasks)
-    assert len({id(rec.per_test) for rec in records}) == len(by_outcome)
+    module_maps = {id(evaluator._SYNTH_PASS), id(evaluator._SYNTH_FAIL), id(evaluator._SYNTH_ERROR)}
+    assert {id(rec.per_test) for rec in records} <= module_maps
     # an empty patch has no tests, and every empty-patch record shares that map too
     empty = [evaluate(task, manual_trajectory(task.id, None)) for task in small_suite]
     assert all(rec.per_test == {} and rec.per_test is empty[0].per_test for rec in empty)
+
+
+def test_every_synthetic_record_holds_one_of_three_module_test_maps():
+    """Across tasks too: a synthetic outcome's test map is the pass, the fail or the error map."""
+    suite = generate_synth_suite(6, 4, 4, seed=21)  # fresh tasks, so empty memos
+    items = [(task, synth_attempt(task, line, cand)) for task in suite for line in range(4) for cand in range(4)]
+    items += [(task, manual_trajectory(task.id, Patch((), "x", synth))) for task in suite for synth in ((9, 0), None)]
+    records = evaluate_batch(items, workers=1)
+    maps = (evaluator._SYNTH_PASS, evaluator._SYNTH_FAIL, evaluator._SYNTH_ERROR)
+    assert {id(rec.per_test) for rec in records} == {id(m) for m in maps}
+    assert all((rec.per_test is evaluator._SYNTH_PASS) == (rec.reward == 1) for rec in records)
+    for m in maps:
+        with pytest.raises(TypeError):
+            m["output_matches"] = "pass"
+        assert not hasattr(m, "clear")
+    assert dict(evaluator._SYNTH_PASS) == {"program_parses": "pass", "output_matches": "pass"}
+    assert dict(evaluator._SYNTH_FAIL) == {"program_parses": "pass", "output_matches": "fail"}
+    assert dict(evaluator._SYNTH_ERROR) == {"program_parses": "error", "output_matches": "error"}
+    # each memo key is the scored patch's own synth tuple, which every task shares
+    for task in suite:
+        assert len(task.patch_outcomes) == 16
+        assert all(key is synth_patch(task, *key).synth for key in task.patch_outcomes)
 
 
 # The interpreter before statements were compiled: a regex match per operand and

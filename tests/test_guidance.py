@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubles import ScriptedBackend, ScriptedTeacher
+from doubles import ScriptedBackend, ScriptedTeacher, guidance_to_text
 from rlvrloop.backends import SamplingParams
 from rlvrloop.errors import BackendError, GuidanceError
 from rlvrloop.evaluator import evaluate
@@ -18,7 +18,6 @@ from rlvrloop.guidance import (
     Guidance,
     guidance_from_record,
     guidance_to_record,
-    guidance_to_text,
     oracle_teacher,
     parse_guidance,
     render_guidance_request,

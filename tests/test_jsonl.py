@@ -8,6 +8,7 @@ from doubles import run_python
 
 from rlvrloop.errors import TaskFormatError
 from rlvrloop.jsonl import (
+    HASH_CHUNK_BYTES,
     SCHEMA_VERSION,
     canonical_file_hash,
     derive_seed,
@@ -75,6 +76,18 @@ def test_canonical_hash_raw_bytes_for_non_json(tmp_path):
     (tmp_path / "c.csv").write_text("epoch,loss\n0,1.0\n")
     for path in sorted(tmp_path.iterdir()):
         assert canonical_file_hash(path) == hashlib.sha256(path.read_bytes()).hexdigest(), path.name
+
+
+@pytest.mark.parametrize("size", [0, 1, HASH_CHUNK_BYTES - 1, HASH_CHUNK_BYTES, HASH_CHUNK_BYTES + 1,
+                                  3 * HASH_CHUNK_BYTES + 7])
+def test_canonical_hash_reads_in_chunks_and_equals_the_whole_file_digest(tmp_path, monkeypatch, size):
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "blob.bin"
+    path.write_bytes(data)
+    # the hash never holds the whole file
+    monkeypatch.setattr(type(path), "read_bytes", lambda self: pytest.fail("read the whole file at once"))
+    assert canonical_file_hash(path) == hashlib.sha256(data).hexdigest()
+    assert canonical_file_hash(str(path)) == hashlib.sha256(data).hexdigest()
 
 
 def test_derive_seed_stable_and_distinct():

@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doubles import run_python
+from doubles import guidance_to_text, run_python
 from rlvrloop.backends import PCG64_BATCH_MIN, PolicyBackend, TabularPolicyBackend
 from rlvrloop.cli import main
 from rlvrloop.errors import BackendError, PhaseError, UsageError
 from rlvrloop.evaluator import EvaluationFailure
-from rlvrloop.guidance import Guidance, TeacherBackend, guidance_to_text
+from rlvrloop.guidance import Guidance, TeacherBackend
 from rlvrloop.jsonl import canonical_file_hash, derive_seed
 from rlvrloop.loop import (
     ARTIFACTS,

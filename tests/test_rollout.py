@@ -27,6 +27,7 @@ from rlvrloop.rollout import (
     trajectory_to_record,
     write_trajectories,
 )
+from rlvrloop.tasks import generate_synth_suite
 
 
 def make_guidance(task, line=None):
@@ -346,3 +347,52 @@ def test_reader_shares_task_ids_and_completions(tmp_path, small_suite, backend):
         for step in traj.steps:
             assert one.setdefault(step.role, step.role) is step.role
             assert one.setdefault(step.completion, step.completion) is step.completion
+
+
+def exchange_of(traj):
+    """(localization prompt, localization completion, repair prompt, repair completion)."""
+    return tuple(text for step in traj.steps for text in (step.prompt, step.completion))
+
+
+@pytest.fixture(scope="module")
+def repeated_exchanges():
+    """8 tasks x 32 slots on a 3x3 grid under a uniform policy: many slots repeat an exchange."""
+    suite = generate_synth_suite(8, 3, 3, seed=12)
+    return rollout_all_tasks(suite, TabularPolicyBackend(TabularPolicy.uniform(suite)), 32, base_seed=7, workers=1)
+
+
+def test_a_batch_shares_one_steps_tuple_per_distinct_exchange(repeated_exchanges):
+    by_exchange = {}
+    for traj in repeated_exchanges:
+        assert by_exchange.setdefault(exchange_of(traj), traj.steps) is traj.steps
+    assert len({id(traj.steps) for traj in repeated_exchanges}) == len(by_exchange) < len(repeated_exchanges) // 2
+
+
+def test_dead_attempts_with_one_prompt_share_one_placeholder_pair(one_task):
+    dead_backend = ScriptedBackend(script=[BackendError("down")] * 9)
+    out, dead = scaffold_batch([(one_task, params(seed=s), None) for s in range(3)], dead_backend)
+    assert sorted(dead) == [0, 1, 2] and all(traj.is_placeholder for traj in out)
+    assert out[0].steps is out[1].steps is out[2].steps
+
+
+def test_reader_shares_one_steps_tuple_per_distinct_pair(tmp_path, repeated_exchanges):
+    path = tmp_path / "trajs.jsonl"
+    write_trajectories(repeated_exchanges, path)
+    back = read_trajectories(path)
+    assert back == repeated_exchanges
+    by_pair = {}
+    for traj in back:
+        assert by_pair.setdefault(traj.steps, traj.steps) is traj.steps
+    assert len({id(traj.steps) for traj in back}) == len(by_pair) < len(back) // 2
+
+
+def test_patches_of_two_tasks_share_their_labels(small_suite):
+    a, b = small_suite.tasks[:2]
+    for line in range(a.n_lines):
+        for cand in range(a.n_candidates):
+            pa, pb = synth_patch(a, line, cand), synth_patch(b, line, cand)
+            assert pa is not pb and pa.edits[0][1] == a.candidates[line][cand]
+            assert pa.rendering is pb.rendering and pa.synth is pb.synth and pa.edits[0][0] is pb.edits[0][0]
+            assert (pa.edits[0][0], pa.rendering, pa.synth) == (f"line:{line}", f"({line}, {cand})", (line, cand))
+    for task in (a, b):
+        assert all(key is patch.synth for key, patch in task.patches.items())
