@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,9 +38,6 @@ _MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
 _PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 _M32, _U1, _U11, _U16, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (0xFFFFFFFF, 1, 11, 16, 32, 58, 63, 64))
 _PCG_MULT = (_PCG_HI, _PCG_LO, _PCG_LO & _M32, _PCG_LO >> _U32)
-
-# Outputs per step of pcg64_integers: its jump table and each step's arrays stay near 100 KB.
-PCG64_JUMP_CHUNK = 2048
 
 
 def _seed_hash(value: np.ndarray, consts: tuple[int, ...], k: int) -> np.ndarray:
@@ -105,52 +101,6 @@ def pcg64_uniforms(seeds: list[int], k: int) -> list[list[float]]:
         hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
         out[:, j] = (_pcg64_output(hi, lo) >> _U11) * (1.0 / 9007199254740992.0)
     return out.tolist()
-
-
-@functools.cache  # built on first use: a run that never bootstraps never pays for it
-def _jump() -> tuple[np.ndarray, ...]:
-    """For t = 1..PCG64_JUMP_CHUNK: a**t and sum(a**i for i < t) mod 2**128, a being PCG64's multiplier,
-    as uint64 halves (with a**t's low 32-bit halves). t steps take a state s to a**t * s + inc * sum."""
-    a_hi, a_lo = np.array([_PCG_HI]), np.array([_PCG_LO])
-    s_hi, s_lo = np.array([0], dtype=np.uint64), np.array([1], dtype=np.uint64)
-    while a_hi.size < PCG64_JUMP_CHUNK:
-        # t + m steps: a**(t+m) = a**m * a**t and sum_{i<t+m} = sum_{i<m} + a**m * sum_{i<t}, m the size so far
-        m_hi, m_lo, sm_hi, sm_lo = a_hi[-1:], a_lo[-1:], s_hi[-1:], s_lo[-1:]
-        m = (m_lo & _M32, m_lo >> _U32)
-        b_hi, b_lo = _mul128(a_hi, a_lo, m_hi, m_lo, *m)
-        c_hi, c_lo = _add128(*_mul128(s_hi, s_lo, m_hi, m_lo, *m), sm_hi, sm_lo)
-        a_hi, a_lo = np.concatenate((a_hi, b_hi)), np.concatenate((a_lo, b_lo))
-        s_hi, s_lo = np.concatenate((s_hi, c_hi)), np.concatenate((s_lo, c_lo))
-    return a_hi, a_lo, a_lo & _M32, a_lo >> _U32, s_hi, s_lo
-
-
-def pcg64_integers(seed: int, n: int, size: tuple[int, ...]) -> np.ndarray:
-    """np.random.default_rng(seed).integers(0, n, size, dtype=np.int32) for 1 <= n < 2**31, bit for bit.
-
-    numpy splits each 64-bit PCG64 output into two uint32 draws, low half
-    first, and maps a draw u to u * n >> 32 unless (u * n) mod 2**32 falls
-    below 2**32 mod n, which it rejects (Lemire's method); n == 1 draws
-    nothing. Here the stream advances PCG64_JUMP_CHUNK outputs at a time
-    through the jump table, and the accepted draws fill the result in order.
-    """
-    out = np.zeros(size, dtype=np.int32)
-    if n == 1:
-        return out
-    flat = out.reshape(-1)
-    threshold = (2**32 - n) % n
-    a_hi, a_lo, a0, a1, s_hi, s_lo = _jump()
-    hi, lo, inc_hi, inc_lo = _pcg64_seeded(np.array([seed], dtype=np.uint64))
-    c_hi, c_lo = _mul128(inc_hi, inc_lo, s_hi, s_lo, s_lo & _M32, s_lo >> _U32)
-    filled = 0
-    while filled < flat.size:
-        hi, lo = _add128(*_mul128(hi, lo, a_hi, a_lo, a0, a1), c_hi, c_lo)  # the next chunk's states
-        m = _pcg64_output(hi, lo).astype("<u8", copy=False).view("<u4").astype(np.uint64) * np.uint64(n)
-        draws = m >> _U32 if not threshold else (m >> _U32)[m & _M32 >= threshold]
-        take = min(draws.size, flat.size - filled)
-        flat[filled:filled + take] = draws[:take]
-        filled += take
-        hi, lo = hi[-1:], lo[-1:]
-    return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 from .backends import call_batch, call_with_retry, post_completion
 from .errors import GuidanceError
 from .jsonl import derive_seed
-from .prompts import HINT_DELIMITER
+from .prompts import HINT_DELIMITER, HINT_LOCATION_RE
 from .tasks import SynthTask
 
 if TYPE_CHECKING:
@@ -74,10 +74,9 @@ class Guidance:
 
 
 def _has_location_token(text: str) -> bool:
-    # A file path, a file name with extension, or a "line N" reference.
+    # A "line N" or "statement N" reference, a file path, or a file name with extension.
     return bool(
-        re.search(r"\bline\s+\d+\b", text)
-        or re.search(r"\bstatement\s+\d+\b", text)
+        HINT_LOCATION_RE.search(text)
         or re.search(r"\S+/\S+", text)
         or re.search(r"\b\w+\.\w{1,4}\b", text)
     )

@@ -166,6 +166,8 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
             raise UsageError(f"config file {path}: {exc}") from None
         if not read:
             raise UsageError(f"config file {path} not found")
+        if parser.defaults():  # configparser would merge these keys into every section
+            raise UsageError(f"config file {path}: [DEFAULT] section is not allowed ({', '.join(parser.defaults())})")
         for section in parser.sections():
             if section not in _SECTION_FIELDS:
                 raise UsageError(f"unknown config section [{section}]")
@@ -270,7 +272,7 @@ def reattempt_with_guidance(
     for g in guidance_list:
         seed = derive_seed(base_seed, "reattempt", g.source_trajectory_ref)
         attempts.append((_task_in(dataset, g.task_id), SamplingParams(TEMPERATURE_SAMPLING, seed, max_tokens), g))
-    return scaffold_batch(attempts, backend, workers=workers)[0]
+    return scaffold_batch(attempts, backend, workers=workers)
 
 
 def write_guidance(guidance_list, path: Path) -> None:

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .backends import pcg64_integers
 from .evaluator import EvaluationFailure, RewardRecord
 from .jsonl import derive_seed
 from .rollout import TEMPERATURE_GREEDY, Trajectory
@@ -25,6 +24,10 @@ log = logging.getLogger(__name__)
 DEFAULT_KS = (1, 2, 4, 8, 16, 32)
 BOOTSTRAP_RESAMPLES = 1000
 BOOTSTRAP_BLOCK_ROWS = 100
+
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the stream's increment and its finalizer's constants.
+_GOLDEN, _MIX1, _MIX2 = (np.uint64(v) for v in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_U27, _U30, _U31, _U32 = (np.uint64(v) for v in (27, 30, 31, 32))
 
 
 def pass_at_k(n: int, c: int, k: int) -> float:
@@ -41,21 +44,32 @@ def pass_at_k(n: int, c: int, k: int) -> float:
     return 1.0 - math.comb(n - c, k) / math.comb(n, k)
 
 
+def resample_indices(state: int, n: int, first_row: int, rows: int) -> np.ndarray:
+    """Rows first_row .. first_row + rows - 1 of the bootstrap's index matrix, for 1 <= n < 2**32.
+
+    Entry k = 1, 2, ... of the matrix, counted row-major, is SplitMix64's z = mix(state + k * golden
+    mod 2**64) mapped to (z >> 32) * n >> 32 in [0, n). Every operand is uint64, so it wraps alike
+    under numpy 1.x and 2.x."""
+    k = np.arange(first_row * n + 1, (first_row + rows) * n + 1, dtype=np.uint64)
+    z = np.uint64(state) + k * _GOLDEN
+    z = (z ^ z >> _U30) * _MIX1
+    z = (z ^ z >> _U27) * _MIX2
+    z ^= z >> _U31
+    return ((z >> _U32) * np.uint64(n) >> _U32).astype(np.intp).reshape(rows, n)
+
+
 def bootstrap_std(values: Sequence[float], seed: int = 0) -> float:
     """Std of the mean under seeded bootstrap resampling over tasks.
 
-    Bit for bit arr[idx].mean(axis=1).std() for idx = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
-    and rng = np.random.default_rng(derive_seed("bootstrap", seed, BOOTSTRAP_RESAMPLES)): the indices
-    are that generator's int32 draw (numpy's 32-bit Lemire path, which an int64 draw of n < 2**32 takes
-    too), made by backends.pcg64_integers without loading numpy.random, and the means are taken
-    BOOTSTRAP_BLOCK_ROWS rows at a time, so the float64 resample matrix is never built whole.
-    """
+    The BOOTSTRAP_RESAMPLES resamples' indices come from resample_indices at state derive_seed("bootstrap",
+    seed, BOOTSTRAP_RESAMPLES), BOOTSTRAP_BLOCK_ROWS rows at a time, so the matrix is never built whole."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         return 0.0
-    idx = pcg64_integers(derive_seed("bootstrap", seed, BOOTSTRAP_RESAMPLES), arr.size, (BOOTSTRAP_RESAMPLES, arr.size))
+    state = derive_seed("bootstrap", seed, BOOTSTRAP_RESAMPLES)
     blocks = range(0, BOOTSTRAP_RESAMPLES, BOOTSTRAP_BLOCK_ROWS)
-    return float(np.concatenate([arr[idx[i:i + BOOTSTRAP_BLOCK_ROWS]].mean(axis=1) for i in blocks]).std())
+    means = [arr[resample_indices(state, arr.size, i, BOOTSTRAP_BLOCK_ROWS)].mean(axis=1) for i in blocks]
+    return float(np.concatenate(means).std())
 
 
 # ---------------------------------------------------------------------------

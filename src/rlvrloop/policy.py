@@ -179,6 +179,8 @@ class TabularPolicy:
                 raise CheckpointError(
                     f"{path}: task {tid}: line logits of shape {lines} do not fit candidate logits of shape {table}"
                 )
+            if not (np.isfinite(head.line_logits).all() and np.isfinite(head.cand_logits).all()):
+                raise CheckpointError(f"{path}: task {tid}: logits are not all finite")
         return policy
 
 

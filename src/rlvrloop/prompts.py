@@ -110,7 +110,8 @@ def _repair_prompt(task: Task, location) -> str:
 
 _TASK_RE = re.compile(r"^Task: (\S+)$", re.MULTILINE)
 _REPAIR_LINE_RE = re.compile(r"^You will repair statement (\d+):", re.MULTILINE)
-_HINT_LINE_RE = re.compile(r"\bline\s+(\d+)\b")
+# A hint's "line N" or "statement N", in any case: what a hint must name and what backends and the RM read.
+HINT_LOCATION_RE = re.compile(r"\b(?:line|statement)\s+(\d+)\b", re.IGNORECASE)
 
 
 def parse_prompt(prompt: str) -> tuple[str | None, str, int | None]:
@@ -129,7 +130,7 @@ def parse_prompt(prompt: str) -> tuple[str | None, str, int | None]:
         if HINT_DELIMITER not in prompt:
             return task_id, LOC_STEP, None
         block = prompt.split(HINT_DELIMITER, 1)[1].split("\n###", 1)[0]
-        matches = _HINT_LINE_RE.findall(block)
+        matches = HINT_LOCATION_RE.findall(block)
         return task_id, LOC_STEP, int(matches[-1]) if matches else None
     if "consider the whole program" in prompt:
         return task_id, WHOLE_REPAIR_STEP, None

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import CheckpointError, TrainingError
 from .jsonl import read_document, write_document
+from .prompts import HINT_LOCATION_RE
 from .rollout import Patch, synth_patch
 from .tasks import SynthTask
 from .training import descend, pair_loss
@@ -30,7 +31,6 @@ RM_SCHEMA = "pairwise_reward_model"
 FEATURIZATION_VERSION = 1
 N_FEATURES = 8
 
-_HINT_LINE_RE = re.compile(r"\b(?:statement|line)\s+(\d+)\b")
 _QUOTE_RE = re.compile(r"`([^`]+)`")
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[+\-*=]")
 
@@ -69,7 +69,7 @@ class _Issue:
 
 
 def _issue(problem_statement: str) -> _Issue:
-    hint = _HINT_LINE_RE.search(problem_statement)
+    hint = HINT_LOCATION_RE.search(problem_statement)
     quotes = _QUOTE_RE.findall(problem_statement)
     return _Issue(
         statement=problem_statement,
@@ -153,6 +153,8 @@ class PairwiseRM:
             raise CheckpointError(f"{path}: malformed reward model checkpoint: {exc!r}") from exc
         if weights.shape != (N_FEATURES,):
             raise CheckpointError(f"{path}: weights have shape {weights.shape}, expected ({N_FEATURES},)")
+        if not np.isfinite(weights).all():
+            raise CheckpointError(f"{path}: weights are not all finite")
         return cls(weights=weights)
 
 

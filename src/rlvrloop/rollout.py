@@ -15,6 +15,7 @@ guidance raise GuidanceLeakError, which is the engine-level enforcement of
 from __future__ import annotations
 
 import functools
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -25,6 +26,8 @@ from .errors import BackendError, GuidanceLeakError, RolloutError, TaskFormatErr
 from .guidance import Guidance, render_reattempt_prompt
 from .jsonl import DumpsMemo, derive_seed, dumps, dumps_scalar, read_records, write_lines
 from .tasks import SynthTask, Task
+
+log = logging.getLogger(__name__)
 
 TEMPERATURE_GREEDY = 0.0
 TEMPERATURE_SAMPLING = 0.6
@@ -164,8 +167,8 @@ def scaffold_batch(
     *,
     workers: int = 1,
     eval_mode: bool = False,
-) -> tuple[list[Trajectory], dict[int, BackendError]]:
-    """One trajectory per (task, params, guidance) attempt, and the BackendError of each dead one by index.
+) -> list[Trajectory]:
+    """One trajectory per (task, params, guidance) attempt; one warning names the dead ones' count and first error.
 
     The two steps get independent sub-seeds derived from params.seed so the
     line draw and the candidate draw are uncorrelated. With guidance, the
@@ -202,11 +205,11 @@ def scaffold_batch(
         [(repair_prompts[i], _step_params(attempts[i][1], "repair")) for i in live], workers
     )))
 
-    out, dead, step_pairs = [], {}, {}
+    out, dead, step_pairs = [], [], {}
     for i, (task, params, guidance) in enumerate(attempts):
         repair = repair_of.get(i, locs[i])
         if isinstance(repair, BackendError):
-            dead[i] = repair
+            dead.append(repair)
             exchange, patch = (loc_prompts[i], "", "", ""), None
         else:
             exchange = (loc_prompts[i], locs[i], repair_prompts[i], repair)
@@ -219,7 +222,9 @@ def scaffold_batch(
         guidance_id = None if guidance is None else guidance.guidance_id
         traj_id = make_traj_id(task.id, backend.backend_id, params.seed, guidance is not None)
         out.append(Trajectory(task.id, steps, patch, guidance_id, params, backend.backend_id, traj_id))
-    return out, dead
+    if dead:
+        log.warning("%d of %d attempts died at the backend; the first: %s", len(dead), len(attempts), dead[0])
+    return out
 
 
 def rollout_params(base_seed: int, task_id: str, slot: int, max_tokens: int = 256) -> SamplingParams:
@@ -255,7 +260,7 @@ def rollout_all_tasks(
     attempts = [
         (task, rollout_params(base_seed, task.id, slot, max_tokens), None) for task in tasks for slot in range(n)
     ]
-    out, _ = scaffold_batch(attempts, backend, workers=workers, eval_mode=eval_mode)
+    out = scaffold_batch(attempts, backend, workers=workers, eval_mode=eval_mode)
     for start in range(0, len(out), n):
         if all(traj.is_placeholder for traj in out[start:start + n]):
             raise RolloutError(f"all {n} rollout slots failed at the backend for task {out[start].task_id}")

@@ -174,7 +174,7 @@ def test_c4_guidance_success_rates():
         line, cand = enumerate_passing_patches(task)[0]
         wrong = (cand + 1) % task.n_candidates
         scripted = ScriptedBackend(script=[f"LINE: {line}", f"CANDIDATE: {wrong}"])
-        [failed], _ = scaffold_batch([(task, SamplingParams(temperature=0.6, seed=0), None)], scripted)
+        [failed] = scaffold_batch([(task, SamplingParams(temperature=0.6, seed=0), None)], scripted)
         return oracle_teacher(task, failed, evaluate(task, failed))
 
     guidance = {t.id: guidance_for(t) for t in suite}
@@ -182,9 +182,9 @@ def test_c4_guidance_success_rates():
     for seed in range(30):
         for task in suite:
             pu = SamplingParams(temperature=0.6, seed=derive_seed("acc-c4-u", seed, task.id))
-            unguided += evaluate(task, scaffold_batch([(task, pu, None)], backend)[0][0]).reward
+            unguided += evaluate(task, scaffold_batch([(task, pu, None)], backend)[0]).reward
             pg = SamplingParams(temperature=0.6, seed=derive_seed("acc-c4-g", seed, task.id))
-            guided += evaluate(task, scaffold_batch([(task, pg, guidance[task.id])], backend)[0][0]).reward
+            guided += evaluate(task, scaffold_batch([(task, pg, guidance[task.id])], backend)[0]).reward
             n += 1
 
     u_rate, g_rate = unguided / n, guided / n

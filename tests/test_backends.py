@@ -12,10 +12,8 @@ import pytest
 from rlvrloop import prompts
 from rlvrloop.backends import (
     PCG64_BATCH_MIN,
-    PCG64_JUMP_CHUNK,
     SamplingParams,
     TabularPolicyBackend,
-    pcg64_integers,
     pcg64_uniforms,
 )
 from rlvrloop.errors import BackendError
@@ -213,21 +211,6 @@ def test_pcg64_uniforms_are_numpys_draws_on_both_arms():
             assert pcg64_uniforms(seeds, k) == expected
             chunks = [pcg64_uniforms(seeds[i:i + short], k) for i in range(0, len(seeds), short)]
             assert [row for chunk in chunks for row in chunk] == expected
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 128, 1000, 2**31 - 1])
-def test_pcg64_integers_are_numpys_int32_draws(n):
-    """default_rng(seed).integers(0, n, size, dtype=np.int32) for seeds at both ends of derive_seed's
-    range; a step yields 2 * PCG64_JUMP_CHUNK uint32 draws, so the last shape needs one draw past it."""
-    seeds = (0, 1, 2**32, derive_seed("oracle", "integers", n), 2**63 - 1)
-    with np.errstate(all="raise"):
-        for seed in seeds:
-            for size in ((1000, 128), (3, 5), (1,), (2 * PCG64_JUMP_CHUNK + 1,)):
-                expected = np.random.default_rng(seed).integers(0, n, size, dtype=np.int32)
-                got = pcg64_integers(seed, n, size)
-                assert got.dtype == expected.dtype and got.shape == expected.shape
-                assert np.array_equal(got, expected), (seed, size)
 
 
 def test_batch_answers_each_request_as_the_oracle_does(small_suite):

@@ -340,6 +340,21 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert "unknown config key 'teacher.teacher_kind'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text", ["[DEFAULT]\nseed = 5\nrollouts_n = 0\n", "[DEFAULT]\nseed = 5\n\n[run]\nworkers = 1\n"],
+    ids=["default-alone", "default-beside-run"],
+)
+def test_config_default_section_is_a_usage_error(text, tmp_path, capsys):
+    """configparser merges [DEFAULT] keys into every section; run-loop refuses the file instead."""
+    config, out = tmp_path / "run.ini", tmp_path / "run"
+    config.write_text(text)
+    assert run(["run-loop", "--output-dir", out, "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(config) in err and "[DEFAULT]" in err and "seed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(["--version"])
@@ -487,6 +502,31 @@ def test_malformed_checkpoint_is_an_error_line_not_a_traceback(case, stepwise, t
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, value", [("rollout", "NaN"), ("rollout", "Infinity"), ("rank", "NaN")])
+def test_non_finite_checkpoint_value_is_an_error_line(command, value, stepwise, tmp_path, capsys):
+    """json reads NaN and Infinity; a policy logit or RM weight that is not finite fails its command with exit 1."""
+    bad, out = tmp_path / "bad.json", tmp_path / "out.jsonl"
+    if command == "rollout":
+        body = json.loads((stepwise / "policy_init.json").read_text())
+        task_id = next(iter(body["heads"]))
+        body["heads"][task_id]["line_logits"][1] = float(value)
+        argv = ["rollout", "--tasks", stepwise / "tasks.jsonl", "--policy-init", bad, "--rollouts", out]
+    else:
+        body = {"schema": RM_SCHEMA, "featurization_version": FEATURIZATION_VERSION, "weights": [float(value)] * 8}
+        argv = ["rank", "--tasks", stepwise / "tasks.jsonl", "--rm", bad,
+                "--eval-rollouts", stepwise / "eval_rollouts.jsonl",
+                "--eval-rewards", stepwise / "eval_rewards.jsonl", "--selections", out]
+    bad.write_text(json.dumps(body))
+    assert value in bad.read_text()
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "not all finite" in err
+    assert command == "rank" or task_id in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -46,7 +46,7 @@ from rlvrloop.tasks import (
 
 def synth_attempt(task, line, cand):
     backend = ScriptedBackend(script=[f"```\nLINE: {line}\n```", f"```\nCANDIDATE: {cand}\n```"])
-    [traj], _ = scaffold_batch([(task, SamplingParams(temperature=0.6, seed=0), None)], backend)
+    [traj] = scaffold_batch([(task, SamplingParams(temperature=0.6, seed=0), None)], backend)
     return traj
 
 
@@ -99,7 +99,7 @@ def test_failure_record_names_expected_and_actual(one_task):
 
 def test_empty_patch_short_circuits(one_task):
     backend = ScriptedBackend(script=["junk", "junk"])
-    [traj], _ = scaffold_batch([(one_task, SamplingParams(temperature=0.6, seed=0), None)], backend)
+    [traj] = scaffold_batch([(one_task, SamplingParams(temperature=0.6, seed=0), None)], backend)
     rec = evaluate(one_task, traj)
     assert rec.reward == 0
     assert rec.empty_patch

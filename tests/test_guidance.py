@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubles import ScriptedBackend, ScriptedTeacher, guidance_to_text
-from rlvrloop.backends import SamplingParams
+from rlvrloop.backends import SamplingParams, TabularPolicyBackend
 from rlvrloop.errors import BackendError, GuidanceError
 from rlvrloop.evaluator import evaluate
 from rlvrloop.guidance import (
@@ -25,7 +25,8 @@ from rlvrloop.guidance import (
     request_guidance,
     strip_hint_block,
 )
-from rlvrloop.prompts import HINT_DELIMITER, render_localization_prompt
+from rlvrloop.policy import TabularPolicy
+from rlvrloop.prompts import HINT_DELIMITER, format_line_completion, render_localization_prompt
 from rlvrloop.tasks import enumerate_passing_patches
 from rlvrloop.rollout import scaffold_batch
 
@@ -33,7 +34,7 @@ from rlvrloop.rollout import scaffold_batch
 def attempt(task, line, cand):
     """Trajectory committing to (line, cand), plus its reward record."""
     backend = ScriptedBackend(script=[f"```\nLINE: {line}\n```", f"```\nCANDIDATE: {cand}\n```"])
-    [traj], _ = scaffold_batch([(task, SamplingParams(temperature=0.6, seed=0), None)], backend)
+    [traj] = scaffold_batch([(task, SamplingParams(temperature=0.6, seed=0), None)], backend)
     return traj, evaluate(task, traj)
 
 
@@ -47,7 +48,7 @@ def failed_attempt(task):
 
 def empty_attempt(task):
     backend = ScriptedBackend(script=["junk", "junk"])
-    [traj], _ = scaffold_batch([(task, SamplingParams(temperature=0.6, seed=0), None)], backend)
+    [traj] = scaffold_batch([(task, SamplingParams(temperature=0.6, seed=0), None)], backend)
     rec = evaluate(task, traj)
     assert rec.empty_patch
     return traj, rec
@@ -108,7 +109,7 @@ def test_guidance_requires_non_empty_sections():
         Guidance("g", "t", "r", "plan", "  ", "line 2", "tid")
 
 
-@pytest.mark.parametrize("ok", ["line 3", "statement 0", "src/module.py", "frob.py near the top"])
+@pytest.mark.parametrize("ok", ["line 3", "statement 0", "Statement 4", "src/module.py", "frob.py near the top"])
 def test_location_tokens_accepted(ok):
     assert make_guidance(interaction=ok).env_interaction == ok
 
@@ -260,6 +261,19 @@ def test_request_guidance_retries_a_failed_teacher_request(one_task):
     assert g.task_id == one_task.id
     assert g.source_trajectory_ref == traj.traj_id
     assert len(teacher.requests_seen) == 2
+
+
+@pytest.mark.parametrize("hint", ["Statement {}", "statement {}", "LINE {}"])
+def test_a_teacher_hint_naming_a_statement_guides_localization(small_suite, hint):
+    """The tabular backend reads any hint the guidance accepts: every guided reattempt localizes the named line."""
+    task = small_suite.tasks[0]
+    traj, rec = failed_attempt(task)
+    line = (task.buggy_line + 1) % task.n_lines
+    teacher = ScriptedTeacher(script=[guidance_to_text(make_guidance(task_id=task.id, interaction=hint.format(line)))])
+    [g] = request_guidance([(task, traj, rec)], teacher)
+    backend = TabularPolicyBackend(TabularPolicy.uniform(small_suite))
+    guided = scaffold_batch([(task, SamplingParams(temperature=0.6, seed=s), g) for s in range(8)], backend)
+    assert [t.steps[0].completion for t in guided] == [format_line_completion(line)] * 8
 
 
 def test_request_guidance_gives_up_after_bounded_retries(one_task):

@@ -824,7 +824,7 @@ def test_resume_refuses_an_edited_missing_or_unhashed_output(finished_run, tmp_p
 
 def test_a_run_loads_neither_numpy_random_nor_openssl(tmp_path):
     """rollout -> evaluate -> rewards file -> rank -> aggregate loads neither numpy.random (the bootstrap
-    draws its own PCG64 stream) nor _hashlib (derive_seed hashes with the builtin sha256); a run-loop at
+    draws its own SplitMix64 stream) nor _hashlib (derive_seed hashes with the builtin sha256); a run-loop at
     the reference config, which hashes its artifacts for the manifest, loads no numpy.random either."""
     script = f"""
 import sys

@@ -18,6 +18,7 @@ from rlvrloop.metrics import (
     guidance_uplift_report,
     pass_at_k,
     render_report_text,
+    resample_indices,
 )
 from rlvrloop.rollout import (
     Patch,
@@ -120,12 +121,25 @@ def test_bootstrap_std_deterministic_and_sane():
     assert bootstrap_std([]) == 0.0
 
 
+def splitmix64_index(state, n, k):
+    """Entry k (1-based, row-major) of the index matrix, in Python integers: SplitMix64's k-th output
+    from state, (z >> 32) * n >> 32."""
+    z = (state + k * 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return ((z ^ z >> 31) >> 32) * n >> 32
+
+
 def reference_bootstrap_std(values, seed):
-    """The whole-matrix formula: every resample's indices as int64, then every resample's values at once."""
+    """The whole-matrix formula: the rule's (BOOTSTRAP_RESAMPLES, n) indices at once, then every resample's mean."""
     arr = np.asarray(values, dtype=np.float64)
-    rng = np.random.default_rng(derive_seed("bootstrap", seed, BOOTSTRAP_RESAMPLES))
-    idx = rng.integers(0, arr.size, size=(BOOTSTRAP_RESAMPLES, arr.size))
-    return float(arr[idx].mean(axis=1).std())
+    state, k = derive_seed("bootstrap", seed, BOOTSTRAP_RESAMPLES), np.arange(1, BOOTSTRAP_RESAMPLES * arr.size + 1)
+    z = np.uint64(state) + k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ z >> np.uint64(shift)) * np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    idx = ((z >> np.uint64(32)) * np.uint64(arr.size) >> np.uint64(32)).astype(np.int64)
+    return float(arr[idx.reshape(BOOTSTRAP_RESAMPLES, arr.size)].mean(axis=1).std())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 127, 128, 255, 256, 1000])
@@ -134,6 +148,50 @@ def test_bootstrap_std_matches_the_whole_matrix_formula_bit_for_bit(n):
         values = np.random.default_rng([n, seed]).random(n)
         for sample in (values, (values < 0.4).astype(float)):
             assert bootstrap_std(sample, seed=seed) == reference_bootstrap_std(sample, seed)
+
+
+@pytest.mark.parametrize(
+    "state, n, first",
+    [
+        (0, 1, [0]),
+        (0, 7, [6, 3, 0, 6, 0, 2, 1]),
+        (0, 64, [56, 27, 1, 62, 6, 20, 11, 49]),
+        (2**63 - 1, 1, [0]),
+        (2**63 - 1, 7, [1, 6, 6, 0, 2, 0, 1]),
+        (2**63 - 1, 64, [10, 60, 59, 8, 20, 7, 11, 35]),
+    ],
+)
+def test_resample_indices_are_pinned_splitmix64_draws(state, n, first):
+    """Literal pins, so a numpy whose integer promotion differs shows here first."""
+    with np.errstate(all="raise"):
+        rows = resample_indices(state, n, 0, 3)
+        assert rows.shape == (3, n)
+        assert rows.ravel()[:len(first)].tolist() == first
+        assert rows.ravel().tolist() == [splitmix64_index(state, n, k) for k in range(1, 3 * n + 1)]
+        assert resample_indices(state, n, 2, 1).tolist() == rows[2:].tolist()
+
+
+def test_bootstrap_std_of_a_fixed_sample_is_pinned():
+    assert bootstrap_std([0.0, 1.0, 1.0, 0.0, 1.0], seed=3) == 0.2135232071696189
+
+
+def test_resample_indices_lie_in_range_and_move_with_the_state():
+    for n in (1, 2, 3, 7, 64, 1000):
+        idx = resample_indices(derive_seed("bootstrap", n), n, 0, 100)
+        assert idx.min() >= 0 and idx.max() < n
+    assert not resample_indices(2**63 - 1, 1, 0, BOOTSTRAP_RESAMPLES).any()
+    assert resample_indices(1, 64, 0, 1).tolist() != resample_indices(2, 64, 0, 1).tolist()
+    counts = np.bincount(resample_indices(derive_seed("uniform"), 7, 0, BOOTSTRAP_RESAMPLES).ravel(), minlength=7)
+    assert np.abs(counts / BOOTSTRAP_RESAMPLES - 1).max() < 0.1  # 7,000 draws, 1,000 expected per index
+
+
+@pytest.mark.parametrize("n, successes", [(7, 2), (64, 1), (64, 13), (128, 110)])
+def test_bootstrap_std_averages_to_the_analytic_std_of_the_mean(n, successes):
+    """Over 100 seeds the mean bootstrap std of a 0/1 sample is within 2% of sqrt(p(1-p)/n)."""
+    sample = [1.0] * successes + [0.0] * (n - successes)
+    p = successes / n
+    mean_std = np.mean([bootstrap_std(sample, seed=seed) for seed in range(100)])
+    assert abs(mean_std / math.sqrt(p * (1 - p) / n) - 1) < 0.02
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -53,8 +54,8 @@ def params(seed=0, temperature=0.6):
 
 def attempt(task, backend, params, guidance=None):
     """The trajectory of one live attempt, run through scaffold_batch."""
-    [traj], dead = scaffold_batch([(task, params, guidance)], backend)
-    assert not dead
+    [traj] = scaffold_batch([(task, params, guidance)], backend)
+    assert not traj.is_placeholder
     return traj
 
 
@@ -157,12 +158,13 @@ def test_backend_retry_then_success(one_task):
     assert traj.patch.synth == (0, 0)
 
 
-def test_backend_exhausted_error_returned_by_index(one_task):
+def test_backend_exhausted_error_returned_by_index(one_task, caplog):
     # slot 0 localizes, slot 1 dies through all retries, then slot 0 repairs
     down = BackendError("down")
     scripted = ScriptedBackend(script=["```\nLINE: 0\n```", down, down, down, "```\nCANDIDATE: 0\n```"])
-    out, dead = scaffold_batch([(one_task, params(seed=0), None), (one_task, params(seed=1), None)], scripted)
-    assert dead == {1: down}
+    with caplog.at_level(logging.WARNING, logger="rlvrloop.rollout"):
+        out = scaffold_batch([(one_task, params(seed=0), None), (one_task, params(seed=1), None)], scripted)
+    assert [r.getMessage() for r in caplog.records] == ["1 of 2 attempts died at the backend; the first: down"]
     assert out[0].patch.synth == (0, 0) and not out[0].is_placeholder
     assert out[1].is_placeholder and out[1].patch is None
 
@@ -239,7 +241,7 @@ def codec_corpus(small_suite, backend):
     unguided = rollout_all_tasks([a, b], backend, 4, base_seed=7, workers=1)
     guided = [attempt(a, backend, params(seed=s), guidance=make_guidance(a)) for s in range(3)]
     dead = ScriptedBackend(script=[BackendError("down")] * 3)
-    placeholder = scaffold_batch([(a, params(seed=9), None)], dead)[0][0]
+    [placeholder] = scaffold_batch([(a, params(seed=9), None)], dead)
     assert placeholder.is_placeholder and placeholder.steps[-1].prompt == ""
     real = [
         Trajectory(
@@ -329,7 +331,7 @@ def test_guided_prompts_rendered_once_per_prompt_and_hint(small_suite, backend):
     a, b = small_suite.tasks[0], small_suite.tasks[1]
     hint_a, hint_b = make_guidance(a), make_guidance(b)
     attempts = [(task, params(seed=s), g) for s in range(3) for task, g in ((a, hint_a), (b, hint_b), (a, None))]
-    out, _ = scaffold_batch(attempts, backend)
+    out = scaffold_batch(attempts, backend)
     guided = [t.steps[0].prompt for t in out if t.is_guided]
     assert len(guided) == 6 and len({id(p) for p in guided}) == 2
     assert all(HINT_DELIMITER in p for p in guided)
@@ -370,8 +372,8 @@ def test_a_batch_shares_one_steps_tuple_per_distinct_exchange(repeated_exchanges
 
 def test_dead_attempts_with_one_prompt_share_one_placeholder_pair(one_task):
     dead_backend = ScriptedBackend(script=[BackendError("down")] * 9)
-    out, dead = scaffold_batch([(one_task, params(seed=s), None) for s in range(3)], dead_backend)
-    assert sorted(dead) == [0, 1, 2] and all(traj.is_placeholder for traj in out)
+    out = scaffold_batch([(one_task, params(seed=s), None) for s in range(3)], dead_backend)
+    assert len(out) == 3 and all(traj.is_placeholder for traj in out)
     assert out[0].steps is out[1].steps is out[2].steps
 
 
