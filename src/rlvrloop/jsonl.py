@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -32,6 +33,12 @@ HASH_CHUNK_BYTES = 1 << 16
 
 # One encoder for every record: json.dumps with these arguments would build a new one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# read_records' scanner: json.loads would check its argument's type and call decode per line.
+_RAW_DECODE = json.JSONDecoder().raw_decode
+
+# derive_seed's reader of a digest's first 8 bytes as a big-endian integer.
+_FIRST_U64 = struct.Struct(">Q").unpack_from
 
 
 def dumps(record: dict[str, Any]) -> str:
@@ -96,7 +103,9 @@ def read_records(
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
+                rec, end = _RAW_DECODE(line)
+                if end != len(line):  # at the position json.loads names: past the whitespace after the value
+                    raise json.JSONDecodeError("Extra data", line, json.decoder.WHITESPACE.match(line, end).end())
                 if not isinstance(rec, dict):
                     raise TypeError("expected an object")
                 if lineno == 1 and "schema" in rec and "schema_version" in rec:
@@ -165,8 +174,17 @@ def derive_seed(*parts: object) -> int:
     """Stable 63-bit seed from arbitrary labels.
 
     Used everywhere a sub-seed is needed (per rollout slot, per phase) so no
-    component ever consults the wall clock or global RNG state.
+    component ever consults the wall clock or global RNG state. The key is the
+    parts' str() joined by ":"; the seed is its SHA-256 digest's first 8 bytes,
+    big-endian, shifted right by 1. Two and three parts, the hot arities, build
+    the same key in one f-string.
     """
-    key = ":".join(str(p) for p in parts)
-    digest = _sha256(key.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
+    if len(parts) == 2:
+        a, b = parts
+        key = f"{a!s}:{b!s}"
+    elif len(parts) == 3:
+        a, b, c = parts
+        key = f"{a!s}:{b!s}:{c!s}"
+    else:
+        key = ":".join(map(str, parts))
+    return _FIRST_U64(_sha256(key.encode("utf-8")).digest())[0] >> 1

@@ -369,6 +369,9 @@ def train_dpo(config: RunConfig, policy: TabularPolicy, dataset: RlvrDataset) ->
 
 def final_eval(config: RunConfig, tasks: TaskDataset, policy: TabularPolicy) -> tuple[list, list]:
     """Eval-mode rollouts of the trained policy under a seed derived from config.seed, then scoring."""
+    if config.backend_endpoint:
+        raise UsageError(f"final-eval measures the trained policy, but backend_endpoint would roll out "
+                         f"the remote model at {config.backend_endpoint} instead")
     eval_config = replace(config, seed=derive_seed(config.seed, "final-eval"))
     trajs = rollout(eval_config, tasks, policy, eval_mode=True)
     return trajs, evaluate(config, tasks, trajs)
@@ -617,7 +620,10 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
     CheckpointError if one of their outputs is missing, edited or unhashed.
     Another iteration on top of a finished run is a fresh invocation
     pointing initial_policy at the previous run's policy_final.json.
+    A set backend_endpoint or a non-synthetic task in the suite raises
+    UsageError before any phase runs (_check_trainable).
     """
+    _check_trainable(config)
     paths = RunPaths(config.output_dir)
     paths.dir.mkdir(parents=True, exist_ok=True)
     state = RunState(paths.state)
@@ -656,6 +662,22 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
         for name in [name for name in values if last_read.get(name, -1) <= i]:
             del values[name]
     return write_manifest(config, paths, state, infra_errors)
+
+
+def _check_trainable(config: RunConfig) -> None:
+    """UsageError unless run_loop trains and evaluates the in-process tabular policy, which only synthetic tasks have.
+
+    With backend_endpoint set, every rollout would go to the remote model and final-eval would
+    report that model as the trained one; a real task would stop train-sft after every rollout
+    and sandbox run. Both are refused before any phase runs."""
+    if config.backend_endpoint:
+        raise UsageError(f"run-loop trains the tabular policy, but backend_endpoint would roll out the remote "
+                         f"model at {config.backend_endpoint} instead; the stepwise tasks through assemble take it")
+    if config.tasks_path:
+        real = next((task.id for task in load_tasks(config.tasks_path) if not isinstance(task, SynthTask)), None)
+        if real is not None:
+            raise UsageError(f"run-loop trains a tabular policy, which only synthetic tasks have; task {real!r} "
+                             f"in {config.tasks_path} is not synthetic; the stepwise tasks through assemble take it")
 
 
 def write_manifest(config: RunConfig, paths: RunPaths, state: RunState, infra_errors: int) -> dict:

@@ -168,11 +168,15 @@ def _fenced_or_raw(completion: str) -> str:
     return m.group(1) if m else completion
 
 
+# A tabular backend's completions are the cached texts above, so each distinct one is parsed once;
+# the bound keeps remote completions from growing the caches. Both results are immutable.
+@functools.lru_cache(maxsize=256)
 def parse_line_completion(completion: str) -> int | None:
     m = _LINE_RE.search(_fenced_or_raw(completion))
     return int(m.group(1)) if m else None
 
 
+@functools.lru_cache(maxsize=256)
 def parse_candidate_completion(completion: str) -> int | None:
     m = _CAND_RE.search(_fenced_or_raw(completion))
     return int(m.group(1)) if m else None

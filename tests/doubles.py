@@ -1,5 +1,5 @@
-"""Test doubles: scripted policy and teacher backends, the teacher wire format, a workspace hash, and a fresh
-interpreter."""
+"""Test doubles: scripted policy and teacher backends, a tabular backend with faults, the teacher wire format, a
+workspace hash, and a fresh interpreter."""
 import hashlib
 import os
 import subprocess
@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import rlvrloop
-from rlvrloop.backends import PolicyBackend, SamplingParams
+from rlvrloop.backends import PolicyBackend, SamplingParams, TabularPolicyBackend
 from rlvrloop.errors import BackendError, GuidanceError
 from rlvrloop.guidance import SECTION_FEEDBACK, SECTION_INTERACTION, SECTION_PLAN, Guidance, TeacherBackend
 
@@ -52,6 +52,23 @@ class ScriptedBackend(PolicyBackend):
         if isinstance(entry, Exception):
             raise entry
         return str(entry)
+
+
+class FaultyTabularBackend(TabularPolicyBackend):
+    """The tabular backend, except that each request whose params.seed % modulus is in mask gets a BackendError.
+
+    Every other request goes on to the tabular backend in one batch, so it is answered as a fault-free
+    backend answers it. The mask is keyed by the per-request sub-seeds, so a fault hits the same requests
+    in every run of one config."""
+
+    def __init__(self, policy, modulus: int, mask: frozenset[int]):
+        super().__init__(policy)
+        self.modulus, self.mask = modulus, mask
+
+    def generate_batch(self, requests, workers=1):
+        faulted = [params.seed % self.modulus in self.mask for _, params in requests]
+        answers = iter(super().generate_batch([r for r, f in zip(requests, faulted) if not f], workers))
+        return [BackendError(f"{self.backend_id}: injected fault") if f else next(answers) for f in faulted]
 
 
 @dataclass

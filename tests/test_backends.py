@@ -16,7 +16,7 @@ from rlvrloop.backends import (
     TabularPolicyBackend,
     pcg64_uniforms,
 )
-from rlvrloop.errors import BackendError
+from rlvrloop.errors import BackendError, TrainingError
 from rlvrloop.guidance import Guidance, render_reattempt_prompt
 from rlvrloop.jsonl import derive_seed
 from rlvrloop.policy import TabularPolicy, softmax
@@ -231,3 +231,32 @@ def test_batch_answers_each_request_as_the_oracle_does(small_suite):
     for i, ((prompt, params), answer) in enumerate(zip(requests, answers)):
         if i != nameless:
             assert answer == oracle_generate(policy, prompt, params), i
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("temperature", -0.1, "temperature must be >= 0, got -0.1"), ("max_tokens", 0, "max_tokens must be > 0, got 0"),
+])
+def test_sampling_params_refuse_values_out_of_range(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SamplingParams(**{"temperature": 0.6, "seed": 1, field: value})
+
+
+def test_generate_raises_each_fault_its_batch_would_return_or_raise(small_suite):
+    """generate() is a batch of one: a BackendError its batch returns is raised; the policy's TrainingError propagates."""
+    task = small_suite.tasks[0]
+    backend = TabularPolicyBackend(TabularPolicy.uniform(small_suite))
+    params = SamplingParams(temperature=0.6, seed=1)
+    with pytest.raises(BackendError, match="tabular: prompt names no task"):
+        backend.generate("no task here", params)
+    # a repair prompt that asks for a candidate but names no statement and no whole-program repair
+    nameless = f"Task: {task.id}\n\nRespond with exactly one fenced block:\n```\nCANDIDATE: <index>\n```"
+    assert prompts.parse_prompt(nameless) == (task.id, prompts.REPAIR_STEP, None)
+    with pytest.raises(BackendError, match="tabular: repair prompt names no statement"):
+        backend.generate(nameless, params)
+    # a statement past the task's table: no retry can mend it, at any temperature
+    outside = prompts.render_repair_prompt(task, 0).replace(
+        "You will repair statement 0:", f"You will repair statement {task.n_lines}:"
+    )
+    for temperature in TEMPERATURES:
+        with pytest.raises(TrainingError, match=f"{task.id}: line {task.n_lines} outside policy table"):
+            backend.generate(outside, SamplingParams(temperature=temperature, seed=1))

@@ -600,6 +600,30 @@ def test_out_of_range_setting_is_a_usage_error_before_any_phase(setting, key, tm
     assert not (out / "runstate.json").exists()
 
 
+def test_run_loop_refuses_a_suite_with_a_real_task_before_any_phase(tmp_path, capsys):
+    """A real task has no tabular head, so train-sft could never train on it: run-loop refuses the suite
+    before any rollout or sandbox run, and the stepwise tasks command still takes it."""
+    ws, marker = tmp_path / "ws", tmp_path / "sandbox-ran"
+    ws.mkdir()
+    real = Task(
+        id="real-1", issue="broken", workspace=str(ws),
+        env_spec=EnvSpec((f"touch {marker}",), f"touch {marker}", 10.0, "process_sandbox"),
+        tests=TestSuite(regression=("t",), focused=()), repo_name="r",
+    )
+    suite = tmp_path / "tasks.jsonl"
+    save_tasks(TaskDataset(tasks=(*generate_synth_suite(2, 3, 3, seed=1).tasks, real)), suite)
+    out = tmp_path / "run"
+    assert run(["run-loop", "--output-dir", out, *settings(SMALL_SETS), "--set", f"tasks.tasks_path={suite}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'real-1'" in err and "not synthetic" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not marker.exists()
+    argv = ["tasks", "--set", f"tasks.tasks_path={suite}", "--tasks", tmp_path / "t.jsonl",
+            "--policy-init", tmp_path / "policy.json"]
+    assert run(argv) == 0
+    assert (tmp_path / "t.jsonl").read_bytes() == suite.read_bytes()
+
+
 # Each stepwise command given one input made from a 2-task suite ({small}) and
 # the rest from the 4-task stepwise run ({d}).
 MISMATCHED = {

@@ -2,6 +2,7 @@
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from rlvrloop.guidance import HttpTeacherBackend
 
 
 class Handler(BaseHTTPRequestHandler):
-    """/ok echoes the prompt, /down answers 503, /bare answers 200 without a completion."""
+    """/ok echoes the prompt, /down answers 503, /bare answers 200 without a completion, /empty answers 204."""
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -21,8 +22,9 @@ class Handler(BaseHTTPRequestHandler):
             "/ok": (200, {"completion": "echo " + body["prompt"], "ignored": 1}),
             "/down": (503, {"error": "overloaded"}),
             "/bare": (200, {"text": "no completion field"}),
+            "/empty": (204, None),
         }[self.path]
-        data = json.dumps(reply).encode("utf-8")
+        data = b"" if reply is None else json.dumps(reply).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -64,6 +66,8 @@ def test_policy_backend_errors(server):
         HttpPolicyBackend(url + "/down", timeout_s=5).generate("p", PARAMS)
     with pytest.raises(BackendError, match="remote: malformed response"):
         HttpPolicyBackend(url + "/bare", timeout_s=5).generate("p", PARAMS)
+    with pytest.raises(BackendError, match="remote: HTTP 204"):  # a success without a body is no completion
+        HttpPolicyBackend(url + "/empty", timeout_s=5).generate("p", PARAMS)
 
 
 def test_teacher_backend_round_trip_and_errors(server):
@@ -86,3 +90,30 @@ def test_unreachable_teacher_is_an_infrastructure_failure(server, tmp_path, caps
     assert main(argv) == 3
     assert "infrastructure error in phase guide" in capsys.readouterr().err
     assert len(httpd.requests) == 3  # the guide phase retried the teacher twice, then gave up
+
+
+def test_run_loop_refuses_a_remote_policy_before_calling_it(server, tmp_path, capsys):
+    """run-loop trains the tabular policy, so a remote one would be reported as trained: refused, 0 requests."""
+    httpd, url = server
+    out = tmp_path / "run"
+    argv = ["run-loop", "--output-dir", str(out), "--set", "tasks.synth_count=2",
+            "--set", f"backend.backend_endpoint={url}/ok"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "backend_endpoint" in err and "Traceback" not in err
+    assert httpd.requests == [] and not out.exists()
+
+
+def test_stepwise_final_eval_refuses_a_remote_policy(server, tmp_path, capsys):
+    httpd, url = server
+    sets = ["--set", "tasks.synth_count=2", "--set", "tasks.synth_lines=3", "--set", "tasks.synth_candidates=3"]
+    tasks, policy = str(tmp_path / "tasks.jsonl"), str(tmp_path / "policy.json")
+    assert main(["tasks", *sets, "--tasks", tasks, "--policy-init", policy]) == 0
+    outs = [str(tmp_path / "eval_rollouts.jsonl"), str(tmp_path / "eval_rewards.jsonl")]
+    argv = ["final-eval", *sets, "--set", f"backend.backend_endpoint={url}/ok", "--tasks", tasks,
+            "--policy-final", policy, "--eval-rollouts", outs[0], "--eval-rewards", outs[1]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "final-eval measures the trained policy" in err and "Traceback" not in err
+    assert httpd.requests == []
+    assert not any(Path(o).exists() or Path(o + ".partial").exists() for o in outs)

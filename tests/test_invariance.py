@@ -7,14 +7,25 @@ the settings, never on its neighbours in the suite.
 - Suite extension: for suites A and A+B, A's trajectories, rewards, guidance,
   guided trajectories and guided rewards are identical record for record, up
   to training (training sees every task, so A's trained heads may differ).
+- Fault locality: when the policy backend fails some requests, run-loop
+  completes or stops as an infrastructure failure (exit 0 or 3), every record
+  up to training outside the failed slots equals the fault-free run's, and
+  the manifest counts exactly the placeholder slots.
 """
+import functools
+import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from doubles import FaultyTabularBackend
+
 from rlvrloop import loop
+from rlvrloop.cli import main
+from rlvrloop.evaluator import EvaluationFailure
 from rlvrloop.loop import RunConfig, RunPaths, read_artifact, run_loop
 from rlvrloop.policy import TabularPolicy
 from rlvrloop.tasks import TaskDataset, generate_synth_suite, save_tasks
@@ -93,3 +104,78 @@ def test_extending_the_suite_changes_no_record_of_the_original_tasks(draw, data)
     ids = {task.id for task in tasks[:split]}
     for name, records in part.items():
         assert [r for r in whole[name] if r.task_id in ids] == records, name
+
+
+# The fault-locality run: seed 3, 12 tasks of 4x4, 8 rollouts, short training.
+FAULT_RUN = ["--seed", "3", "--set", "run.workers=1", "--set", "run.rollouts_n=8", "--set", "tasks.synth_count=12",
+             "--set", "tasks.synth_lines=4", "--set", "tasks.synth_candidates=4", "--set", "sft.sft_epochs=20",
+             "--set", "dpo.dpo_epochs=20"]
+# Each artifact up to training, with the field that names the trajectory a record belongs to.
+RECORD_IDS = {"rollouts": "traj_id", "rewards": "trajectory_ref", "guidance": "source_trajectory_ref",
+              "guided_rollouts": "traj_id", "guided_rewards": "trajectory_ref"}
+
+
+def run_loop_cli(directory: Path) -> tuple[int, RunPaths, dict]:
+    """run-loop's exit code, its paths, and {artifact: {trajectory id: record}} for each RECORD_IDS file it wrote."""
+    code = main(["run-loop", "--output-dir", str(directory), *FAULT_RUN])
+    paths = RunPaths(directory)
+    records = {
+        name: {getattr(r, key): r for r in read_artifact(name, getattr(paths, name))}
+        for name, key in RECORD_IDS.items() if getattr(paths, name).exists()
+    }
+    return code, paths, records
+
+
+@functools.cache
+def fault_free_records() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, records = run_loop_cli(Path(tmp, "run"))
+    assert code == 0 and len(records) == len(RECORD_IDS)
+    return records
+
+
+# (modulus, mask): a request fails when its seed % modulus is in mask. Up to a third of the residues fail, so
+# most runs finish; a heavier mask mostly ends at the first phase where every slot of some task died.
+faults = st.integers(3, 9).flatmap(lambda m: st.tuples(
+    st.just(m), st.frozensets(st.integers(0, m - 1), min_size=1, max_size=m // 3)
+))
+
+
+@settings(max_examples=8, **FAST)
+@given(fault=faults)
+@example(fault=(5, frozenset({0})))  # 36 of 96 rollouts and 22 of 56 reattempts die; infra_errors 92
+def test_a_dead_policy_request_costs_only_its_own_records(fault):
+    modulus, mask = fault
+    expected = fault_free_records()
+    def faulty(config, policy):
+        return FaultyTabularBackend(policy, modulus, mask)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(loop, "build_backend", faulty):
+        code, paths, got = run_loop_cli(Path(tmp, "run"))
+        assert code in (0, 3)
+        dead = {i for name in ("rollouts", "guided_rollouts") for i, t in got.get(name, {}).items() if t.is_placeholder}
+        for name, records in got.items():
+            want = expected[name]
+            if name == "guidance":
+                want = {ref: g for ref, g in want.items() if ref not in dead}
+            elif name == "guided_rollouts":
+                live = {g.guidance_id for g in got["guidance"].values()}
+                want = {i: t for i, t in want.items() if t.guidance_id in live}
+            elif name == "guided_rewards":
+                want = {i: r for i, r in want.items() if i in got["guided_rollouts"]}
+            assert records.keys() == want.keys(), name
+            for i, record in records.items():
+                if i not in dead:
+                    assert record == want[i], (name, i)
+                elif name.endswith("rollouts"):
+                    assert record.is_placeholder, (name, i)
+                else:
+                    assert isinstance(record, EvaluationFailure), (name, i)
+        if paths.manifest.exists():
+            placeholders = sum(
+                t.is_placeholder for name in TRAJECTORIES for t in read_artifact(name, getattr(paths, name))
+            )
+            assert json.loads(paths.manifest.read_text(encoding="utf-8"))["infra_errors"] == placeholders
+            assert code == (3 if placeholders else 0)
+        else:
+            assert code == 3

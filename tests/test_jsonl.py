@@ -49,6 +49,23 @@ def test_bad_json_names_line(tmp_path):
         list(read_records(path, schema="demo"))
 
 
+@pytest.mark.parametrize("line, error", [
+    ('{"a":1} {"b":2}', "Extra data: line 1 column 9 (char 8)"),
+    ('{"a":1}x', "Extra data: line 1 column 8 (char 7)"),
+    ("not json", "Expecting value: line 1 column 1 (char 0)"),
+    ('{"a":', "Expecting value: line 1 column 6 (char 5)"),
+])
+def test_a_line_that_is_not_one_json_value_names_the_file_and_line(tmp_path, line, error):
+    """The messages json.loads gives: trailing data after a record is refused, not dropped."""
+    path = tmp_path / "data.jsonl"
+    path.write_text(dumps({"schema": "demo", "schema_version": 1}) + "\n" + dumps({"a": 0}) + "\n" + line + "\n")
+    with pytest.raises(TaskFormatError) as excinfo:
+        list(read_records(path, schema="demo"))
+    assert str(excinfo.value) == f"{path}: line 3: invalid JSON: {error}"
+    with pytest.raises(json.JSONDecodeError, match=error.replace("(", r"\(").replace(")", r"\)")):
+        json.loads(line)
+
+
 def test_non_object_record_rejected(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text(dumps({"schema": "demo", "schema_version": 1}) + "\n[1,2]\n")
@@ -98,6 +115,28 @@ def test_derive_seed_stable_and_distinct():
     for parts in (("x",), ("x", 0), (0, "x"), tuple(range(5))):
         s = derive_seed(*parts)
         assert 0 <= s < 2**63
+
+
+# derive_seed of 0 to 5 parts against values computed with the ":".join(str(p) ...) key, so every
+# Python the suite runs on checks the same seeds; 2 and 3 parts take the f-string key.
+DERIVE_SEED_PINS = [
+    ((), 8203414616412130826),
+    ((10**30,), 9023359920530733085),
+    (("ünï—码",), 8733320662739598611),
+    ((0, -1), 498520148498213834),
+    ((True, 0.6), 2356888185050959426),
+    (("ünï—码", 2**63 - 1), 7850179017326585880),
+    ((0, -1, 2**63 - 1), 1948872813017967765),
+    ((10**30, True, 0.6), 586960779320862108),
+    (("ünï—码", 0, -1), 4787757083912506791),
+    ((0, -1, 2**63 - 1, 10**30, True), 4484111770935729489),
+    ((True, 0.6, "ünï—码", 0, -1), 4779401670904773287),
+]
+
+
+@pytest.mark.parametrize("parts, seed", DERIVE_SEED_PINS)
+def test_derive_seed_pins(parts, seed):
+    assert derive_seed(*parts) == seed == sha256_seed(parts)
 
 
 def random_seed_parts(n):
