@@ -2,9 +2,8 @@
 
 The engine only relies on the generate() and generate_batch() contract plus
 a concurrency limit, so a desk-scale tabular policy and a remote
-text-generation endpoint are interchangeable. Local backends must be deterministic for a
-fixed (prompt, params); remote ones are exempt, and the run manifest
-records `backend_deterministic` as false when a backend endpoint is set.
+text-generation endpoint are interchangeable. The tabular backend is
+deterministic for a fixed (prompt, params); a remote one need not be.
 """
 from __future__ import annotations
 
@@ -19,88 +18,13 @@ import numpy as np
 
 from . import prompts
 from .errors import BackendError, TrainingError
-from .jsonl import derive_seed
+from .jsonl import derive_seed, splitmix64
 from .policy import TabularPolicy, softmax
 
-# The tolerance numpy's Generator.choice allows on sum(p) before it raises.
+# The tolerance a CDF allows on sum(p) before _draw raises: a softmax further from 1 is not a distribution.
 _P_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
 
-# From this many seeds on, one vectorised pass (about 300 us + 0.2 us a seed on a 2-vCPU
-# x86_64 host, numpy 2.4) beats a numpy Generator per seed (13-18 us a seed).
-PCG64_BATCH_MIN = 18
-
-
-# numpy's SeedSequence and PCG64 (XSL-RR 128/64) constants (numpy/random/bit_generator.pyx, _pcg64.pyx).
-# Hash step k multiplies by INIT * MULT**k, which depends only on k: both sequences are fixed.
-_HASH_A = tuple(0x43B0D7E5 * pow(0x931E8875, k, 2**32) & 0xFFFFFFFF for k in range(17))  # mix_entropy
-_HASH_B = tuple(0x8B51F9DD * pow(0x58F38DED, k, 2**32) & 0xFFFFFFFF for k in range(9))  # generate_state
-_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
-_PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_M32, _U1, _U11, _U16, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (0xFFFFFFFF, 1, 11, 16, 32, 58, 63, 64))
-_PCG_MULT = (_PCG_HI, _PCG_LO, _PCG_LO & _M32, _PCG_LO >> _U32)
-
-
-def _seed_hash(value: np.ndarray, consts: tuple[int, ...], k: int) -> np.ndarray:
-    """Hash step k of a SeedSequence, on uint32 values held in uint64."""
-    value = (value ^ np.uint64(consts[k])) * np.uint64(consts[k + 1]) & _M32
-    return value ^ value >> _U16
-
-
-def _mul128(x_hi, x_lo, y_hi, y_lo, y0, y1):
-    """(x * y) mod 2**128 as uint64 (hi, lo) halves; y0 and y1 are y_lo's 32-bit halves."""
-    x0, x1 = x_lo & _M32, x_lo >> _U32
-    t = x0 * y0
-    t = x1 * y0 + (t >> _U32)
-    u = x0 * y1 + (t & _M32)  # x_lo * y_lo's high word is x1 * y1 + (t >> 32) + (u >> 32)
-    hi = x1 * y1 + (t >> _U32) + (u >> _U32) + x_lo * y_hi + x_hi * y_lo
-    return hi, x_lo * y_lo
-
-
-def _add128(x_hi, x_lo, y_hi, y_lo):
-    lo = x_lo + y_lo
-    return x_hi + y_hi + (lo < x_lo), lo
-
-
-def _pcg64_step(hi, lo, inc_hi, inc_lo):
-    return _add128(*_mul128(hi, lo, *_PCG_MULT), inc_hi, inc_lo)
-
-
-def _pcg64_output(hi, lo):
-    """XSL-RR: the 64-bit output of each state."""
-    x, rot = hi ^ lo, hi >> _U58
-    return x >> rot | x << (_U64 - rot & _U63)
-
-
-def _pcg64_seeded(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(state_hi, state_lo, inc_hi, inc_lo) of PCG64(seed) for each uint64 seed, as numpy seeds it."""
-    zero = np.zeros_like(seeds)
-    # A seed is its little-endian uint32 words; one below 2**32 mixes as [lo, 0].
-    pool = [_seed_hash(w, _HASH_A, i) for i, w in enumerate((seeds & _M32, seeds >> _U32, zero, zero))]
-    pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
-    for h, (src, dst) in enumerate(pairs, start=4):
-        x = _MIX_L * pool[dst] - _MIX_R * _seed_hash(pool[src], _HASH_A, h) & _M32
-        pool[dst] = x ^ x >> _U16
-    words = [_seed_hash(pool[i % 4], _HASH_B, i) for i in range(8)]
-    state_hi, state_lo, seq_hi, seq_lo = (words[2 * i] | words[2 * i + 1] << _U32 for i in range(4))
-    inc_hi, inc_lo = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
-    # PCG64 seeding: state 0 stepped once is inc; add the initial state; step again
-    return (*_pcg64_step(*_add128(inc_hi, inc_lo, state_hi, state_lo), inc_hi, inc_lo), inc_hi, inc_lo)
-
-
-def pcg64_uniforms(seeds: list[int], k: int) -> list[list[float]]:
-    """The first k Generator(PCG64(seed)).random() values of each seed below 2**64, bit for bit.
-
-    Below PCG64_BATCH_MIN seeds numpy computes them; from there on numpy's
-    per-seed steps (SeedSequence mixing, generate_state, PCG64 seeding and
-    output) run once on arrays of all the seeds."""
-    if len(seeds) < PCG64_BATCH_MIN:
-        return [np.random.Generator(np.random.PCG64(s)).random(k).tolist() for s in seeds]
-    hi, lo, inc_hi, inc_lo = _pcg64_seeded(np.array(seeds, dtype=np.uint64))
-    out = np.empty((len(seeds), k))
-    for j in range(k):
-        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-        out[:, j] = (_pcg64_output(hi, lo) >> _U11) * (1.0 / 9007199254740992.0)
-    return out.tolist()
+_U11 = np.uint64(11)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,17 +66,17 @@ class TabularPolicyBackend(PolicyBackend):
 
     The copy is taken at construction, so a policy trained afterwards needs
     a new backend (the loop builds one per phase). Each distinct (logits,
-    temperature) softmax is turned once into the cumulative distribution
-    numpy's Generator.choice builds, which every (task, line or None for
-    the line distribution, temperature) with those logits shares, and a draw
-    is bisect_right(cdf, rng.random()) on a generator seeded from
-    (backend_id, task_id, seed): the same index rng.choice(len(p), p=p)
-    returns, bit for bit, which tests/test_backends.py checks against that
-    call. generate_batch takes every sampled request's uniforms from one
-    pcg64_uniforms call; generate() is a batch of one. Temperature 0 is the
-    argmax of the logits. Each distinct prompt is parsed once. A prompt
-    naming a task the policy has no head for raises the policy's
-    TrainingError, which no retry can mend.
+    temperature) softmax is turned once into its cumulative distribution,
+    normalised so its last entry is 1, which every (task, line or None for
+    the line distribution, temperature) with those logits shares. A sampled
+    request's i-th draw is bisect_right(cdf, u_i), where u_i = (z_i >> 11) *
+    2**-53 and z_i is splitmix64's output at counter i from the seed
+    derive_seed(backend_id, task_id, seed); a whole-program repair draws its
+    statement with u_1 and its candidate with u_2. generate_batch takes every
+    sampled request's draws from one splitmix64 call; generate() is a batch
+    of one. Temperature 0 is the argmax of the logits. Each distinct prompt
+    is parsed once. A prompt naming a task the policy has no head for raises
+    the policy's TrainingError, which no retry can mend.
 
     Generation is in-process and holds the GIL, so its max_concurrency of 1
     keeps it off thread pools, which would only add overhead.
@@ -196,7 +120,9 @@ class TabularPolicyBackend(PolicyBackend):
                     seeds.append(derive_seed(self.backend_id, task_id, params.seed))
                 out.append(None)
         whole = any(step == prompts.WHOLE_REPAIR_STEP for _, _, step, _, temperature in pending if temperature)
-        draws = iter(pcg64_uniforms(seeds, 2 if whole else 1))
+        counters = np.arange(1, 3 if whole else 2, dtype=np.uint64)  # a whole-program repair draws twice
+        z = splitmix64(np.array(seeds, dtype=np.uint64)[:, None], counters)
+        draws = iter(((z >> _U11) * 2.0**-53).tolist())
         for i, task_id, step, line, temperature in pending:
             uniforms = iter(next(draws)) if temperature else None
             if step == prompts.LOC_STEP:

@@ -1,4 +1,4 @@
-"""JSONL persistence helpers.
+"""JSONL persistence helpers, and the package's seeds and random stream.
 
 Every artifact file starts with a header record carrying the schema name and
 a schema_version so old files fail loudly instead of deserializing garbage;
@@ -13,6 +13,8 @@ import math
 import struct
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
+
+import numpy as np
 
 from .errors import CheckpointError, TaskFormatError
 
@@ -39,6 +41,10 @@ _RAW_DECODE = json.JSONDecoder().raw_decode
 
 # derive_seed's reader of a digest's first 8 bytes as a big-endian integer.
 _FIRST_U64 = struct.Struct(">Q").unpack_from
+
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the stream's increment and its finalizer's constants.
+_GOLDEN, _MIX1, _MIX2 = (np.uint64(v) for v in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_U27, _U30, _U31 = (np.uint64(v) for v in (27, 30, 31))
 
 
 def dumps(record: dict[str, Any]) -> str:
@@ -170,14 +176,28 @@ def canonical_file_hash(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def splitmix64(state, counters: np.ndarray) -> np.ndarray:
+    """SplitMix64's outputs mix(state + i * 0x9E3779B97F4A7C15 mod 2**64) at each counter i, as uint64.
+
+    The package's one random stream. state is an np.uint64 or a uint64 array that broadcasts against
+    the uint64 counters: every operand is uint64, so numpy 1.x and 2.x wrap alike and warn of no
+    overflow. Output i depends only on (state, i), so no generator state is carried or seeded."""
+    z = state + counters * _GOLDEN
+    z = (z ^ z >> _U30) * _MIX1
+    z = (z ^ z >> _U27) * _MIX2
+    return z ^ z >> _U31
+
+
 def derive_seed(*parts: object) -> int:
     """Stable 63-bit seed from arbitrary labels.
 
     Used everywhere a sub-seed is needed (per rollout slot, per phase) so no
     component ever consults the wall clock or global RNG state. The key is the
     parts' str() joined by ":"; the seed is its SHA-256 digest's first 8 bytes,
-    big-endian, shifted right by 1. Two and three parts, the hot arities, build
-    the same key in one f-string.
+    big-endian, shifted right by 1. The shift keeps every seed, and so every
+    trajectory id and seed written to an artifact, as it was, and a seed
+    below 2**63 fits a signed 64-bit integer wherever a reader stores one.
+    Two and three parts, the hot arities, build the same key in one f-string.
     """
     if len(parts) == 2:
         a, b = parts

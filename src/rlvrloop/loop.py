@@ -688,7 +688,6 @@ def write_manifest(config: RunConfig, paths: RunPaths, state: RunState, infra_er
         "schema": MANIFEST_SCHEMA,
         "schema_version": 1,
         "config": asdict(config),
-        "backend_deterministic": not config.backend_endpoint,
         "infra_errors": infra_errors,
         "artifacts": [{"path": file, "sha256": digest} for file, digest in sorted(hashes.items())],
     }

@@ -4,7 +4,8 @@ pass@k uses the unbiased estimator 1 - C(n-c, k)/C(n, k) over n sampled
 attempts with c successes, computed with exact integer combinatorics so no
 intermediate overflows or catastrophic cancellation occur. pass@1 in
 reports is deliberately not the estimator: it is the greedy rollout's
-reward, matching how the measurement is actually taken.
+reward, matching how the measurement is actually taken, averaged over the
+tasks whose greedy rollout was scored.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .evaluator import EvaluationFailure, RewardRecord
-from .jsonl import derive_seed
+from .jsonl import derive_seed, splitmix64
 from .rollout import TEMPERATURE_GREEDY, Trajectory
 
 log = logging.getLogger(__name__)
@@ -25,9 +26,7 @@ DEFAULT_KS = (1, 2, 4, 8, 16, 32)
 BOOTSTRAP_RESAMPLES = 1000
 BOOTSTRAP_BLOCK_ROWS = 100
 
-# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the stream's increment and its finalizer's constants.
-_GOLDEN, _MIX1, _MIX2 = (np.uint64(v) for v in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
-_U27, _U30, _U31, _U32 = (np.uint64(v) for v in (27, 30, 31, 32))
+_U32 = np.uint64(32)
 
 
 def pass_at_k(n: int, c: int, k: int) -> float:
@@ -47,14 +46,10 @@ def pass_at_k(n: int, c: int, k: int) -> float:
 def resample_indices(state: int, n: int, first_row: int, rows: int) -> np.ndarray:
     """Rows first_row .. first_row + rows - 1 of the bootstrap's index matrix, for 1 <= n < 2**32.
 
-    Entry k = 1, 2, ... of the matrix, counted row-major, is SplitMix64's z = mix(state + k * golden
-    mod 2**64) mapped to (z >> 32) * n >> 32 in [0, n). Every operand is uint64, so it wraps alike
-    under numpy 1.x and 2.x."""
+    Entry k = 1, 2, ... of the matrix, counted row-major, is splitmix64's output z at counter k,
+    mapped to (z >> 32) * n >> 32 in [0, n)."""
     k = np.arange(first_row * n + 1, (first_row + rows) * n + 1, dtype=np.uint64)
-    z = np.uint64(state) + k * _GOLDEN
-    z = (z ^ z >> _U30) * _MIX1
-    z = (z ^ z >> _U27) * _MIX2
-    z ^= z >> _U31
+    z = splitmix64(np.uint64(state), k)
     return ((z >> _U32) * np.uint64(n) >> _U32).astype(np.intp).reshape(rows, n)
 
 
@@ -80,8 +75,8 @@ def bootstrap_std(values: Sequence[float], seed: int = 0) -> float:
 @dataclass
 class EvalReport:
     per_task: dict[str, dict] = field(default_factory=dict)
-    pass_at_1: float = 0.0
-    pass_at_1_std: float = 0.0
+    pass_at_1: float | None = None  # None when no task's greedy rollout was scored
+    pass_at_1_std: float | None = None
     pass_at_k_table: dict[int, float] = field(default_factory=dict)
     best_at_1: float | None = None
     guidance_uplift: dict | None = None
@@ -111,7 +106,10 @@ def aggregate(
     selections maps task_id to the reward of the reward-model-selected
     attempt (best-of-k); when given it must cover every task. Totals are
     reconcilable: per-task n sums to the scored record count and per-task c
-    to the success count.
+    to the success count. A task whose greedy rollout was not scored (its
+    slot died at the backend, say, and counts in infra_errors) has
+    greedy_reward None and is left out of pass@1 and its bootstrap std,
+    which are None when no task's greedy rollout was scored.
     """
     temp_by_ref = {t.traj_id: t.sampling.temperature for t in trajectories}
     per_task: dict[str, dict] = {}
@@ -120,25 +118,23 @@ def aggregate(
         if isinstance(rec, EvaluationFailure):
             infra_errors += 1
             continue
-        stats = per_task.setdefault(
-            rec.task_id, {"n": 0, "c": 0, "greedy_reward": 0, "empty_patches": 0, "has_greedy": False}
-        )
+        stats = per_task.setdefault(rec.task_id, {"n": 0, "c": 0, "greedy_reward": None, "empty_patches": 0})
         stats["n"] += 1
         stats["c"] += rec.reward
         stats["empty_patches"] += int(rec.empty_patch)
-        if temp_by_ref.get(rec.trajectory_ref) == TEMPERATURE_GREEDY and not stats["has_greedy"]:
+        if temp_by_ref.get(rec.trajectory_ref) == TEMPERATURE_GREEDY and stats["greedy_reward"] is None:
             stats["greedy_reward"] = rec.reward
-            stats["has_greedy"] = True
 
     if not per_task:
         log.warning("aggregate called with no scored records")
         return EvalReport(totals={"tasks": 0, "records": 0, "successes": 0, "infra_errors": infra_errors})
 
+    greedy = []
     for task_id, stats in per_task.items():
-        if not stats.pop("has_greedy"):
-            log.warning("task %s has no greedy rollout; counting pass@1 as 0", task_id)
-
-    greedy = [stats["greedy_reward"] for stats in per_task.values()]
+        if stats["greedy_reward"] is None:
+            log.warning("task %s has no greedy rollout scored; pass@1 leaves it out", task_id)
+        else:
+            greedy.append(stats["greedy_reward"])
     min_n = min(stats["n"] for stats in per_task.values())
     table = {
         k: float(np.mean([pass_at_k(s["n"], s["c"], k) for s in per_task.values()]))
@@ -162,8 +158,8 @@ def aggregate(
     }
     return EvalReport(
         per_task=per_task,
-        pass_at_1=float(np.mean(greedy)),
-        pass_at_1_std=bootstrap_std(greedy, seed=bootstrap_seed),
+        pass_at_1=float(np.mean(greedy)) if greedy else None,
+        pass_at_1_std=bootstrap_std(greedy, seed=bootstrap_seed) if greedy else None,
         pass_at_k_table=table,
         best_at_1=best_at_1,
         guidance_uplift=guidance_uplift,
@@ -215,11 +211,12 @@ def guidance_uplift_report(
 
 
 def render_report_text(report: EvalReport) -> str:
+    greedy = "n/a" if report.pass_at_1 is None else f"{report.pass_at_1:.4f} +/- {report.pass_at_1_std:.4f}"
     rows: list[tuple[str, str]] = [
         ("tasks", str(report.totals.get("tasks", 0))),
         ("records", str(report.totals.get("records", 0))),
         ("successes", str(report.totals.get("successes", 0))),
-        ("pass@1 (greedy)", f"{report.pass_at_1:.4f} +/- {report.pass_at_1_std:.4f}"),
+        ("pass@1 (greedy)", greedy),
     ]
     for k, v in sorted(report.pass_at_k_table.items()):
         rows.append((f"pass@{k}", f"{v:.4f}"))

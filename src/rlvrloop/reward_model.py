@@ -189,7 +189,7 @@ def rm_train(
 
 
 def ranking_accuracy(rm: PairwiseRM, pairs: RMPairs) -> float:
-    """Fraction of held-out pairs where the winner outscores the loser."""
+    """Fraction of held-out pairs where the winner outscores the loser; 0.0 for no pairs."""
     if not pairs:
         return 0.0
     hits = sum(1 for w, l in zip(pairs.winners, pairs.losers) if rm.score(w) > rm.score(l))

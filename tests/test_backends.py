@@ -1,39 +1,48 @@
-"""TabularPolicyBackend against the draw it replaced.
+"""TabularPolicyBackend against the definition of a tabular draw.
 
-The oracle is the backend's former sampling path, kept here as the
-definition of a tabular draw: a generator seeded from (backend_id, task_id,
-seed), the temperature softmax, and numpy's rng.choice, with temperature 0
-as the argmax and no draw for a localization whose hint names a statement.
+The oracle is that definition, one request at a time in Python integers:
+the i-th draw of a request is SplitMix64's i-th output from the seed
+derive_seed(backend_id, task_id, seed), as a uniform in [0, 1), bisected
+into the temperature softmax's cumulative distribution; temperature 0 is
+the argmax, and a localization whose hint names a statement draws nothing.
 The backend must return the same completion for every prompt kind.
 """
+import bisect
+
 import numpy as np
 import pytest
 
 from rlvrloop import prompts
-from rlvrloop.backends import (
-    PCG64_BATCH_MIN,
-    SamplingParams,
-    TabularPolicyBackend,
-    pcg64_uniforms,
-)
+from rlvrloop.backends import SamplingParams, TabularPolicyBackend
 from rlvrloop.errors import BackendError, TrainingError
 from rlvrloop.guidance import Guidance, render_reattempt_prompt
-from rlvrloop.jsonl import derive_seed
+from rlvrloop.jsonl import derive_seed, splitmix64
 from rlvrloop.policy import TabularPolicy, softmax
 
 TEMPERATURES = (0.0, 0.6, 1.0)
 
 
+def splitmix64_output(seed: int, i: int) -> int:
+    """SplitMix64's output at counter i from seed, in Python integers (Steele, Lea and Flood, OOPSLA 2014)."""
+    z = (seed + i * 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
 def oracle_generate(policy: TabularPolicy, prompt: str, params: SamplingParams) -> str:
     task_id, step, line = prompts.parse_prompt(prompt)
     head = policy.head(task_id)
-    rng = np.random.default_rng(derive_seed("tabular", task_id, params.seed))
+    seed = derive_seed("tabular", task_id, params.seed)
+    counters = iter(range(1, 3))
 
     def draw(logits) -> int:
         p = softmax(logits, params.temperature)
         if params.temperature == 0:
             return int(np.argmax(p))
-        return int(rng.choice(len(p), p=p))
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return bisect.bisect_right(cdf.tolist(), (splitmix64_output(seed, next(counters)) >> 11) * 2.0**-53)
 
     if step == prompts.LOC_STEP:
         if line is not None and 0 <= line < head.line_logits.size:
@@ -196,21 +205,27 @@ def test_sampling_respects_distribution(small_suite):
     assert line(0.0, 0) == 0
 
 
+# splitmix64's first two outputs at seeds 0, 1, 2**32 and 2**63 - 1, as literals: every numpy checks the same bits
+PINNED_OUTPUTS = {
+    0: [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4],
+    1: [0x910A2DEC89025CC1, 0xBEEB8DA1658EEC67],
+    2**32: [0xC42C5A1AA3820138, 0x37AD5FDD5756BD3D],
+    2**63 - 1: [0x2A67D7552E039EA7, 0xF20C01408082F947],
+}
+
+
 @pytest.mark.filterwarnings("error")
-def test_pcg64_uniforms_are_numpys_draws_on_both_arms():
-    """k successive Generator(PCG64(seed)).random() values, for k in 1..3, from the
-    vectorised pass (one long batch) and from numpy (batches one short of the crossover)."""
-    gen = np.random.default_rng(derive_seed("oracle", "pcg64"))
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1] + [int(s) for s in gen.integers(2**63, size=10_000, dtype=np.uint64)]
-    rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-    oracle = [[rng.random() for _ in range(3)] for rng in rngs]
-    short = PCG64_BATCH_MIN - 1
+def test_splitmix64_outputs_are_pinned_and_match_python_integers():
+    """The first two outputs at four pinned seeds, then the first three at 10,000 drawn seeds, as Python integers."""
+    counters = np.arange(1, 4, dtype=np.uint64)
     with np.errstate(all="raise"):
-        for k in (1, 2, 3):
-            expected = [row[:k] for row in oracle]
-            assert pcg64_uniforms(seeds, k) == expected
-            chunks = [pcg64_uniforms(seeds[i:i + short], k) for i in range(0, len(seeds), short)]
-            assert [row for chunk in chunks for row in chunk] == expected
+        for seed, pinned in PINNED_OUTPUTS.items():
+            assert splitmix64(np.uint64(seed), counters[:2]).tolist() == pinned
+            assert [splitmix64_output(seed, i) for i in (1, 2)] == pinned
+        gen = np.random.default_rng(derive_seed("oracle", "splitmix64"))
+        seeds = [int(s) for s in gen.integers(2**63, size=10_000, dtype=np.uint64)]
+        z = splitmix64(np.array(seeds, dtype=np.uint64)[:, None], counters)
+    assert z.tolist() == [[splitmix64_output(s, i) for i in (1, 2, 3)] for s in seeds]
 
 
 def test_batch_answers_each_request_as_the_oracle_does(small_suite):
@@ -224,7 +239,6 @@ def test_batch_answers_each_request_as_the_oracle_does(small_suite):
     ]
     nameless = len(requests) // 2
     requests.insert(nameless, ("no task here", SamplingParams(temperature=0.6, seed=1)))
-    assert sum(params.temperature > 0 for _, params in requests) >= PCG64_BATCH_MIN
     answers = TabularPolicyBackend(policy).generate_batch(requests)
     assert len(answers) == len(requests)
     assert isinstance(answers[nameless], BackendError)

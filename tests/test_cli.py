@@ -11,7 +11,7 @@ from rlvrloop.cli import build_parser, main
 from rlvrloop.errors import GuidanceError
 from rlvrloop.jsonl import canonical_file_hash
 from rlvrloop.loop import ARTIFACTS, PHASE_TABLE, PHASES, RM_TABLE, read_artifact
-from rlvrloop.evaluator import EvaluationFailure, read_rewards
+from rlvrloop.evaluator import EvaluationFailure, RewardRecord, read_rewards, write_rewards
 from rlvrloop.pairs import PROVENANCE_ROLLOUT, load_dataset
 from rlvrloop.prompts import HINT_DELIMITER
 from rlvrloop.reward_model import FEATURIZATION_VERSION, RM_SCHEMA
@@ -103,12 +103,12 @@ GOLDEN_SETS = [
 GOLDEN_SHA256 = {
     "tasks.jsonl": "2091ba01c58fedfca7f45d33a26bdb1ebb4a3955d35b153e2b4e5f311ee1cc64",
     "policy_init.json": "12078f6a8d25da4cd09cf8408d59c4ff1fc8ac98f0ffc0d8d799e6d1bd430e2f",
-    "rollouts.jsonl": "3dfa6cddc0877f72583913ac3ffcbeb1c4f4a12a22b21d81911cb94288eb6757",
-    "rewards.jsonl": "a2746822376d6cfbe97df0f053b49ba2a2bcedfde7e33dc9948187cacbb81adf",
-    "guidance.jsonl": "ebe0456da8606f47b05eb293ad4d8aa50d61daddbfeda49b05f8cfc59f578047",
-    "guided_rollouts.jsonl": "22180f792420f768a62b527b8d2c38cacdc34d20df4d5ac68366a036acec6d1e",
-    "guided_rewards.jsonl": "87a5e17c6aed85153fe173f0292cc554afdfb14597588c6e27c9fa2049b76f17",
-    "dataset.jsonl": "2e6b0009a5a82531bcb829e00a0c5635fe4e6bc24f6165be461ac4aa8b957a92",
+    "rollouts.jsonl": "4adb9c1010ea114c6167be2f4141f3e033c240a1695dea428f16da1047f93067",
+    "rewards.jsonl": "0ae312920d7b2b1212591eb1401f5ab09b4add754f3c8bff794d4659954112bb",
+    "guidance.jsonl": "7e44fb7e172196fa9023b3cbb9c7896a00904e98a910bb433f7b230a45a001a7",
+    "guided_rollouts.jsonl": "0dada7cfc7563e442dbf8d089ac24b7629582986a633652c896f9b3c901f9b92",
+    "guided_rewards.jsonl": "db4f65fe75c588088b32d88c14459ac9b9fe308648cf62dc2dc3631b84828df4",
+    "dataset.jsonl": "3d57d90dc3e766e66478fa879aba44c8d4653496bd873cad5ae743afdc5e97c6",
 }
 
 
@@ -219,6 +219,47 @@ def test_rank_and_report_selections_flow(stepwise, tmp_path):
     assert body["post_training"]["best_at_1"] == pytest.approx(
         sum(selections.values()) / len(selections)
     )
+
+
+def test_rank_without_a_reward_for_its_selection_is_a_usage_error(stepwise, tmp_path, capsys):
+    """Given the rollout phase's rewards in place of final-eval's, rank finds no reward for what it selects."""
+    d = stepwise
+    assert run(["train-rm", "--tasks", d / "tasks.jsonl", "--dataset", d / "dataset.jsonl",
+                "--rm", tmp_path / "rm.json", "--rm-log", tmp_path / "rm_log.csv"]) == 0
+    out = tmp_path / "selections.jsonl"
+    assert run(["rank", "--tasks", d / "tasks.jsonl", "--rm", tmp_path / "rm.json",
+                "--eval-rollouts", d / "eval_rollouts.jsonl", "--eval-rewards", d / "rewards.jsonl",
+                "--selections", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no reward record for selected trajectory ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_guide_without_a_teacher_refuses_a_real_task(tmp_path, capsys):
+    """The oracle teacher knows only synthetic defects: a failed real-task attempt and no teacher endpoint
+    is an error line naming the cause, and no guidance is written."""
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    task = Task(id="real-1", issue="broken", workspace=str(ws), env_spec=EnvSpec((), "true", 10.0, "process_sandbox"),
+                tests=TestSuite(regression=("t",), focused=()), repo_name="r")
+    save_tasks(TaskDataset(tasks=(task,)), tmp_path / "tasks.jsonl")
+    traj = Trajectory(
+        task_id="real-1",
+        steps=(Step("localization", "p", "c"), Step("repair", "p", "c")),
+        patch=Patch(edits=(("app.py:0:1", "x = 2"),), rendering="d"),
+        guidance_id=None,
+        sampling=SamplingParams(temperature=0.6, seed=0),
+        backend_id="x",
+        traj_id="real-1/x/0/u",
+    )
+    write_trajectories([traj], tmp_path / "rollouts.jsonl")
+    write_rewards([RewardRecord("real-1", traj.traj_id, 0, {"t": "fail"}, False, "FAIL t")], tmp_path / "rewards.jsonl")
+    out = tmp_path / "guidance.jsonl"
+    assert run(["guide", "--set", "run.workers=1", "--tasks", tmp_path / "tasks.jsonl", "--rollouts",
+                tmp_path / "rollouts.jsonl", "--rewards", tmp_path / "rewards.jsonl", "--guidance", out]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: oracle teacher only understands synthetic tasks\n"
+    assert not out.exists()
 
 
 def test_run_loop_command_and_overrides(tmp_path, capsys):

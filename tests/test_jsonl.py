@@ -111,7 +111,7 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed("a", 1) == derive_seed("a", 1)
     assert derive_seed("a", 1) != derive_seed("a", 2)
     assert derive_seed("a", 1) != derive_seed("b", 1)
-    # 63-bit: always a valid numpy/random seed
+    # 63-bit, as seeds have always been: a seed fits a signed 64-bit integer in any reader
     for parts in (("x",), ("x", 0), (0, "x"), tuple(range(5))):
         s = derive_seed(*parts)
         assert 0 <= s < 2**63

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doubles import guidance_to_text, run_python
-from rlvrloop.backends import PCG64_BATCH_MIN, PolicyBackend, TabularPolicyBackend
+from doubles import FaultyTabularBackend, guidance_to_text, run_python
+from rlvrloop.backends import PolicyBackend, TabularPolicyBackend
 from rlvrloop.cli import main
 from rlvrloop.errors import BackendError, PhaseError, UsageError
 from rlvrloop.evaluator import EvaluationFailure
@@ -43,9 +43,11 @@ from rlvrloop.loop import (
     train_sft,
     write_guidance,
 )
+from rlvrloop.metrics import aggregate, render_report_text
 from rlvrloop.policy import TabularPolicy
 from rlvrloop.prompts import HINT_DELIMITER
-from rlvrloop.tasks import generate_synth_suite, save_tasks
+from rlvrloop.rollout import rollout_params
+from rlvrloop.tasks import enumerate_passing_patches, generate_synth_suite, save_tasks
 
 SMALL = dict(
     seed=0,
@@ -413,8 +415,7 @@ def test_dead_teacher_stops_the_batch(small_suite, workers):
 
 
 def _sharp_suite_and_policy():
-    """Eight tasks and a non-uniform policy: eight rollouts each give 56 sampled
-    localizations, enough for batches to take the vectorised draw."""
+    """Eight tasks and a non-uniform policy: eight rollouts each give 56 sampled localizations."""
     suite = generate_synth_suite(8, 4, 4, seed=5)
     policy = TabularPolicy.uniform(suite)
     policy.set_theta(np.random.default_rng(5).normal(scale=2.0, size=policy.theta().size))
@@ -424,16 +425,16 @@ def _sharp_suite_and_policy():
 def test_batched_phases_match_the_per_call_path(monkeypatch):
     import rlvrloop.backends as backends
 
-    draws = []  # the number of seeds of each pcg64_uniforms call
-    uniforms = backends.pcg64_uniforms
-    monkeypatch.setattr(backends, "pcg64_uniforms", lambda seeds, k: draws.append(len(seeds)) or uniforms(seeds, k))
+    draws = []  # the number of seeds of each splitmix64 call
+    splitmix64 = backends.splitmix64
+    monkeypatch.setattr(backends, "splitmix64", lambda seeds, k: draws.append(len(seeds)) or splitmix64(seeds, k))
     suite, policy = _sharp_suite_and_policy()
     batched, per_call = TabularPolicyBackend(policy), UnlimitedBackend(policy)
     trajs = rollout_all_tasks(suite, batched, 8, 0, workers=1)
     guidance = guide_failures(suite, trajs, evaluate_trajectories(suite, trajs, workers=1), None)
     guided = reattempt_with_guidance(suite, guidance, batched, 0, workers=1)
-    # each batch that samples took the vectorised draw; a hinted localization draws nothing
-    assert draws == [8 * 7, 8 * 7, 0, len(guidance)] and len(guidance) >= PCG64_BATCH_MIN
+    # each batch drew every sampled request's uniforms in one call; a hinted localization draws nothing
+    assert draws == [8 * 7, 8 * 7, 0, len(guidance)] and len(guidance) > 1
     assert trajs == rollout_all_tasks(suite, per_call, 8, 0, workers=1)
     assert guided == reattempt_with_guidance(suite, guidance, per_call, 0, workers=1)
     assert max(draws[4:]) == 1  # the per-call path draws at most one seed at a time
@@ -466,6 +467,31 @@ def test_failed_requests_cost_exactly_their_slots():
     assert [t.is_placeholder for t in trajs] == [dies(t.sampling.seed) for t in clean]
     assert 0 < sum(t.is_placeholder for t in trajs) < len(trajs)
     assert all(got == want for got, want in zip(trajs, clean) if not got.is_placeholder)
+
+
+def test_a_dead_greedy_slot_stays_out_of_greedy_pass_at_1():
+    """Every greedy decode is the fix, and the backend kills one task's greedy localization: that task has no
+    greedy reward, its dead slot is one infra error, and pass@1 is taken over the other tasks' greedy slots."""
+    suite = generate_synth_suite(6, 4, 4, seed=11)
+    policy = TabularPolicy.uniform(suite)
+    for task in suite:
+        [(line, cand)] = enumerate_passing_patches(task)
+        policy.head(task.id).line_logits[line] = policy.head(task.id).cand_logits[line, cand] = 1.0
+    dead = suite.tasks[2]
+    greedy_loc = derive_seed(rollout_params(0, dead.id, 0).seed, "loc")
+    trajs = rollout_all_tasks(suite, FaultyTabularBackend(policy, 2**63, frozenset({greedy_loc})), 4, 0, workers=1)
+    assert [(t.task_id, t.sampling.temperature) for t in trajs if t.is_placeholder] == [(dead.id, 0.0)]
+    report = aggregate(trajs, evaluate_trajectories(suite, trajs, workers=1))
+    assert report.totals["infra_errors"] == 1
+    assert report.per_task[dead.id]["greedy_reward"] is None
+    assert [s["greedy_reward"] for tid, s in report.per_task.items() if tid != dead.id] == [1] * 5
+    assert report.pass_at_1 == 1.0 and report.pass_at_1_std == 0.0
+    # no scored greedy slot at all: pass@1 is n/a, not a model score of 0
+    sampled = [t for t in trajs if t.sampling.temperature]
+    none = aggregate(sampled, evaluate_trajectories(suite, sampled, workers=1))
+    assert none.pass_at_1 is none.pass_at_1_std is None and none.totals["successes"] > 0
+    assert "pass@1 (greedy)  n/a" in render_report_text(none)
+    assert json.loads(json.dumps(none.to_dict()))["pass_at_1"] is None
 
 
 def test_guidance_file_round_trip(tmp_path):
@@ -553,7 +579,6 @@ def test_manifest_lists_declared_outputs_and_run_state(finished_run, tmp_path, m
     assert listed == sorted([*ARTIFACTS.values(), "runstate.json"])
     for artifact in manifest["artifacts"]:
         assert artifact["sha256"] == canonical_file_hash(paths.dir / artifact["path"])
-    assert manifest["backend_deterministic"] is True
     assert manifest["config"]["rollouts_n"] == 6
     assert json.loads(paths.manifest.read_text()) == manifest
 

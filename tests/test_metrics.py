@@ -244,7 +244,9 @@ def test_aggregate_without_greedy_warns(caplog):
     with caplog.at_level("WARNING"):
         report = aggregate(trajs, recs)
     assert "no greedy rollout" in caplog.text
-    assert report.pass_at_1 == 0.0
+    # no greedy slot was scored: pass@1 is undefined, not a model score of 0
+    assert report.pass_at_1 is None and report.pass_at_1_std is None
+    assert report.pass_at_k_table[1] == 1.0
 
 
 def test_aggregate_empty(caplog):

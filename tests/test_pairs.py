@@ -288,11 +288,11 @@ def test_build_rlvr_dataset_end_to_end(small_suite):
 
     # counts frozen from the deterministic pipeline on this suite and seed
     assert ds.accounting["rollout_pairs"] == 8
-    assert ds.accounting["guided_repair_pairs"] == 13
-    assert ds.accounting["pairs_total"] == 21 == len(ds.pairs)
+    assert ds.accounting["guided_repair_pairs"] == 9
+    assert ds.accounting["pairs_total"] == 17 == len(ds.pairs)
     assert ds.accounting["positives_total"] == 3
     assert ds.accounting["negatives_total"] == 45
-    assert ds.accounting["guided_successes"] == 13
+    assert ds.accounting["guided_successes"] == 9
     assert ds.accounting["skipped_guided_no_failure"] == 0
     assert ds.accounting["sft_examples"] == len(ds.sft) == 2
 

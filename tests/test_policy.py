@@ -11,6 +11,7 @@ from rlvrloop.policy import (
     log_softmax,
     softmax,
 )
+from rlvrloop.tasks import EnvSpec, Task, TaskDataset, TestSuite
 
 
 def test_softmax_matches_direct_formula():
@@ -83,6 +84,20 @@ def test_theta_round_trip(small_suite):
     assert np.array_equal(policy.theta(), new)
     with pytest.raises(TrainingError, match="does not match"):
         policy.set_theta(np.zeros(theta.size + 1))
+
+
+def test_a_policy_without_heads_has_an_empty_theta(tmp_path):
+    """A suite of real tasks only gives a uniform policy no head: theta is empty, not an error."""
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    real = Task(id="real-1", issue="broken", workspace=str(ws), env_spec=EnvSpec((), "true", 10.0, "process_sandbox"),
+                tests=TestSuite(regression=("t",), focused=()), repo_name="r")
+    policy = TabularPolicy.uniform(TaskDataset(tasks=(real,)))
+    assert policy.heads == {}
+    theta = policy.theta()
+    assert theta.dtype == np.float64 and theta.shape == (0,)
+    policy.set_theta(theta)
+    assert TabularPolicy().theta().shape == (0,)
 
 
 def test_set_theta_copies_input(small_suite):

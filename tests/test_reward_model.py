@@ -161,7 +161,7 @@ def assert_trains_like_loop_oracle(pairs, config=RMConfig()):
 
 
 def pipeline_rm_pairs():
-    suite = generate_synth_suite(8, 4, 4, seed=21)
+    suite = generate_synth_suite(16, 4, 4, seed=21)
     trajs, recs = scored_round(suite, 0)
     return build_rm_training_pairs(
         build_rlvr_dataset(trajs, recs, max_pairs_per_task=8).pairs, suite.by_id
@@ -202,6 +202,12 @@ def scored_round(suite, seed):
     trajs = rollout_all_tasks(suite, backend, 8, seed, workers=1)
     recs = evaluate_trajectories(suite, trajs, workers=1)
     return trajs, recs
+
+
+def test_ranking_accuracy_of_no_pairs_is_zero():
+    none = build_rm_training_pairs([], {})
+    assert len(none) == 0
+    assert ranking_accuracy(rm_train(rand_pairs(np.random.default_rng(0), 4)), none) == 0.0
 
 
 def test_rm_separates_held_out_synthetic_pairs():

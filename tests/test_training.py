@@ -256,6 +256,14 @@ def test_empty_datasets_leave_policy_unchanged(grid, caplog):
     assert "no pairs" in caplog.text
 
 
+def test_dpo_loss_of_no_pairs_is_zero_with_a_zero_gradient(grid):
+    policy = TabularPolicy.uniform(grid)
+    policy.set_theta(np.arange(policy.theta().size, dtype=np.float64))
+    loss, grad = dpo_loss_and_grad(policy, ReferencePolicy(TabularPolicy.uniform(grid)), [], beta=0.1)
+    assert loss == 0.0 == dpo_loss(policy, ReferencePolicy(policy), [], beta=0.1)
+    assert grad.tolist() == [0.0] * policy.theta().size
+
+
 def test_config_validation():
     with pytest.raises(TrainingError, match="beta"):
         DPOConfig(beta=0.0)
