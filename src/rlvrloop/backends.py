@@ -223,8 +223,10 @@ class HttpPolicyBackend(PolicyBackend):
     Request JSON:  {"prompt", "temperature", "seed", "max_tokens"}
     Response JSON: {"completion": str}; other fields are ignored.
 
-    Remote decoders may not honor seeds bit-exactly; the run manifest marks
-    a remote backend as non-deterministic.
+    Remote decoders may not honor seeds bit-exactly, so the trajectories a
+    remote backend answers need not reproduce byte for byte. Only the
+    stepwise rollout and reattempt commands call one: run-loop and
+    final-eval refuse a set backend_endpoint before any call.
     """
 
     backend_id = "remote"

@@ -13,8 +13,9 @@ artifacts. The reward-model rows read no setting and take none.
 
 Exit codes: 0 success, 1 usage or data error (a missing or unreadable
 file included), 2 phase failure (resumable state written), 3
-infrastructure error (sandbox or backend, or infrastructure_error
-records written).
+infrastructure error: a sandbox or backend failure stopped the command,
+or it wrote an attempt the infrastructure lost (a placeholder trajectory
+or an infrastructure_error record) beside every other attempt's record.
 """
 from __future__ import annotations
 
@@ -23,14 +24,7 @@ import logging
 import sys
 
 from . import __version__
-from .errors import (
-    BackendError,
-    PhaseError,
-    RlvrLoopError,
-    RolloutError,
-    SandboxProvisionError,
-    UsageError,
-)
+from .errors import BackendError, PhaseError, RlvrLoopError, SandboxProvisionError, UsageError
 from .loop import (
     PHASE_TABLE,
     RM_TABLE,
@@ -43,7 +37,7 @@ from .loop import (
     run_phase,
 )
 
-_INFRA_ERRORS = (BackendError, SandboxProvisionError, RolloutError)
+_INFRA_ERRORS = (BackendError, SandboxProvisionError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,7 +67,11 @@ def cmd_phase(args) -> int:
     outputs = [getattr(args, name) for name in phase.outputs]
     values = run_phase(phase, config, inputs, outputs)
     print(f"{phase.name}: wrote {' '.join(outputs)}")
-    return 3 if infra_failures(values) else 0
+    lost = infra_failures(values)
+    if lost:
+        print(f"{phase.name}: {lost} attempts lost to infrastructure errors", file=sys.stderr)
+        return 3
+    return 0
 
 
 def cmd_run_loop(args) -> int:

@@ -18,10 +18,6 @@ class BackendError(RlvrLoopError):
     """A policy or teacher backend failed to produce a completion."""
 
 
-class RolloutError(RlvrLoopError):
-    """Every slot of a rollout batch failed at the backend level."""
-
-
 class GuidanceError(RlvrLoopError):
     """Teacher output could not be parsed into the three hint sections."""
 

@@ -35,12 +35,7 @@ from typing import NamedTuple
 
 from .backends import HttpPolicyBackend, PolicyBackend, SamplingParams, TabularPolicyBackend
 from .errors import CheckpointError, PhaseError, RlvrLoopError, UsageError
-from .evaluator import (
-    EvaluationFailure,
-    evaluate_batch,
-    read_rewards,
-    write_rewards,
-)
+from .evaluator import EvaluationFailure, RewardRecord, evaluate_batch, read_rewards, write_rewards
 from .guidance import (
     GUIDANCE_SCHEMA,
     HttpTeacherBackend,
@@ -57,12 +52,13 @@ from .policy import ReferencePolicy, TabularPolicy
 from .reward_model import PairwiseRM, build_rm_training_pairs, rank_best_of_k, rm_train
 from .rollout import (
     TEMPERATURE_SAMPLING,
+    Trajectory,
     read_trajectories,
     rollout_all_tasks,
     scaffold_batch,
     write_trajectories,
 )
-from .tasks import SynthTask, Task, TaskDataset, generate_synth_suite, load_tasks, save_tasks
+from .tasks import MAX_SYNTH_CANDIDATES, SynthTask, Task, TaskDataset, generate_synth_suite, load_tasks, save_tasks
 from .training import DPOConfig, dpo_train, sft_train, write_history_csv
 
 log = logging.getLogger(__name__)
@@ -124,7 +120,8 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 # The settings with a range, each with its test and the range in words.
 _RANGES = {
     **dict.fromkeys(("rollouts_n", "max_tokens", "synth_count"), (lambda v: v >= 1, ">= 1")),
-    **dict.fromkeys(("synth_lines", "synth_candidates"), (lambda v: v >= 2, ">= 2")),
+    "synth_lines": (lambda v: v >= 2, ">= 2"),
+    "synth_candidates": (lambda v: 2 <= v <= MAX_SYNTH_CANDIDATES, f"in [2, {MAX_SYNTH_CANDIDATES}]"),
     **dict.fromkeys(("sft_epochs", "dpo_epochs"), (lambda v: v >= 0, ">= 0")),
     **dict.fromkeys(("sft_learning_rate", "dpo_learning_rate", "dpo_beta"), (lambda v: v > 0, "> 0")),
     "sft_fraction": (lambda v: 0 <= v <= 1, "in [0, 1]"),
@@ -386,12 +383,16 @@ def report(
     eval_rewards: list,
     selections: list | None = None,
 ) -> tuple[dict, str]:
-    """Pre- vs post-training report, as a JSON body and as text."""
+    """Pre- vs post-training report, as a JSON body and as text; UsageError if selections miss a scored task."""
+    if selections is not None:
+        selections = {s["task_id"]: s["reward"] for s in selections}
+        missing = [r.task_id for r in eval_rewards if isinstance(r, RewardRecord) and r.task_id not in selections]
+        if missing:
+            raise UsageError(f"selections hold no record for task {missing[0]!r}, which final-eval scored")
     pre = aggregate(rollouts, rewards, bootstrap_seed=config.seed)
     uplift = guidance_uplift_report(rewards, guided_rewards)
     post = aggregate(
-        eval_rollouts, eval_rewards, guidance_uplift=uplift, bootstrap_seed=config.seed,
-        selections=None if selections is None else {s["task_id"]: s["reward"] for s in selections},
+        eval_rollouts, eval_rewards, guidance_uplift=uplift, bootstrap_seed=config.seed, selections=selections,
     )
     text = (
         "== pre-training (rollout phase) ==\n"
@@ -410,11 +411,15 @@ def train_rm(config: RunConfig, tasks: TaskDataset, dataset: RlvrDataset) -> tup
 
 
 def rank(config: RunConfig, tasks: TaskDataset, rm: PairwiseRM, eval_rollouts: list, eval_rewards: list) -> list:
-    """Best-of-k selection with a trained reward model: one record per task."""
-    rewards = {r.trajectory_ref: r for r in eval_rewards if not isinstance(r, EvaluationFailure)}
+    """Best-of-k selection with a trained reward model: one record per task with a scored candidate.
+
+    A trajectory whose record is an EvaluationFailure is no candidate; one
+    selected with no record at all is a UsageError.
+    """
+    rewards = {r.trajectory_ref: r for r in eval_rewards}
     grouped: dict[str, list] = {}
     for traj in eval_rollouts:
-        if not traj.is_placeholder:  # a dead slot has no reward to select
+        if not isinstance(rewards.get(traj.traj_id), EvaluationFailure):
             grouped.setdefault(traj.task_id, []).append(traj)
     selections = []
     for task_id in sorted(grouped):
@@ -657,7 +662,7 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
             for file in outputs:
                 state.hashes[file.name] = canonical_file_hash(file)
             state.mark(phase.name)
-        infra_errors += infra_failures(produced)
+        infra_errors += infra_failures({name: value for name, value in produced.items() if name in REWARDS})
         values.update(produced)
         for name in [name for name in values if last_read.get(name, -1) <= i]:
             del values[name]
@@ -696,9 +701,14 @@ def write_manifest(config: RunConfig, paths: RunPaths, state: RunState, infra_er
 
 
 def infra_failures(values: dict) -> int:
-    """The EvaluationFailure records among a phase's output values."""
+    """The attempts the infrastructure lost among a phase's output values: placeholders and EvaluationFailures.
+
+    Scoring a placeholder gives an EvaluationFailure, so run_loop counts only the reward artifacts."""
     lists = [value for value in values.values() if isinstance(value, list)]
-    return sum(isinstance(r, EvaluationFailure) for value in lists for r in value)
+    return sum(
+        isinstance(r, EvaluationFailure) or isinstance(r, Trajectory) and r.is_placeholder
+        for value in lists for r in value
+    )
 
 
 def count_infra_errors(paths: RunPaths) -> int:

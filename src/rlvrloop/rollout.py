@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from . import prompts
 from .backends import PolicyBackend, SamplingParams
-from .errors import BackendError, GuidanceLeakError, RolloutError, TaskFormatError
+from .errors import BackendError, GuidanceLeakError, TaskFormatError
 from .guidance import Guidance, render_reattempt_prompt
 from .jsonl import DumpsMemo, derive_seed, dumps, dumps_scalar, read_records, write_lines
 from .tasks import SynthTask, Task
@@ -249,22 +249,18 @@ def rollout_all_tasks(
 ) -> list[Trajectory]:
     """Exactly n unguided attempts at each task, flattened in task order, run as one batch.
 
-    Backend failures never shrink the batch: a dead slot becomes a
-    placeholder, which scoring counts as an infrastructure failure and
-    pass@k leaves out. Only a task where every slot failed raises. Slot
-    seeds are derived per (task, slot), so neither batching nor thread
-    scheduling can change any sample.
+    Backend failures never shrink the batch or stop it: a dead slot becomes
+    a placeholder, which scoring counts as an infrastructure failure and
+    pass@k leaves out, even when every slot of a task died. Slot seeds are
+    derived per (task, slot), so neither batching nor thread scheduling can
+    change any sample. ValueError if n < 1.
     """
     if n < 1:
-        raise RolloutError(f"rollout count must be >= 1, got {n}")
+        raise ValueError(f"rollout count must be >= 1, got {n}")
     attempts = [
         (task, rollout_params(base_seed, task.id, slot, max_tokens), None) for task in tasks for slot in range(n)
     ]
-    out = scaffold_batch(attempts, backend, workers=workers, eval_mode=eval_mode)
-    for start in range(0, len(out), n):
-        if all(traj.is_placeholder for traj in out[start:start + n]):
-            raise RolloutError(f"all {n} rollout slots failed at the backend for task {out[start].task_id}")
-    return out
+    return scaffold_batch(attempts, backend, workers=workers, eval_mode=eval_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,13 @@ DEFAULT_TIMEOUT_SYNTH_S = 1.0
 SYNTH_REGRESSION_TEST = "program_parses"
 SYNTH_FOCUSED_TEST = "output_matches"
 
+# The widest candidate row a synthetic task can have. Every row holds distinct
+# statements, and statement 1's candidates are all `x1 = x0 op k`: x0 is the
+# only earlier variable, so the second operand is a constant k in 1..9 and op
+# one of + - *, which makes 3 * 9 = 27 distinct statements. Every program has
+# a statement 1, so no row wider than 27 can be filled.
+MAX_SYNTH_CANDIDATES = 27
+
 
 class ProgramError(RlvrLoopError):
     """A synthetic program failed to parse or evaluate."""
@@ -325,18 +332,13 @@ def _mutate_statement(rng: random.Random, stmt: str) -> str:
         if op is None:
             cand = f"{target} = {rng.randint(1, 9)}"
         else:
-            choice = rng.randrange(3)
-            if choice == 0:
-                new_op = rng.choice([o for o in "+-*" if o != op])
-                cand = f"{target} = {a} {new_op} {b}"
+            if rng.randrange(3) == 0:
+                new_op, new_b = rng.choice([o for o in "+-*" if o != op]), b
             else:
-                cand = f"{target} = {a} {op} {rng.randint(1, 9)}"
-        try:
-            _, a2, op2, b2 = parse_statement(cand)
-        except ProgramError:
-            continue
-        if op2 == "-" and a2 == b2:
-            continue
+                new_op, new_b = op, rng.randint(1, 9)
+            if new_op == "-" and new_b == a:
+                continue
+            cand = f"{target} = {a} {new_op} {new_b}"
         if cand != stmt:
             return cand
     raise ProgramError(f"could not corrupt statement {stmt!r}")
@@ -398,30 +400,19 @@ def _generate_one(task_id: str, n_lines: int, n_candidates: int, rng: random.Ran
 
         # Enforce the unique-fix invariant by enumeration, resampling any
         # wrong candidate that happens to pass (dead line, coincidental value).
+        # The true fix restores the correct program, so it always passes.
         truth = (buggy_line, candidates[buggy_line].index(correct[buggy_line]))
-        ok = True
         for _ in range(200):
-            passing = _passing_patches(broken, candidates, expected)
-            extras = [p for p in passing if p != truth]
-            if not extras and truth in passing:
-                break
-            if truth not in passing:
-                ok = False
+            extras = [p for p in _passing_patches(broken, candidates, expected) if p != truth]
+            if not extras:
                 break
             j, k = extras[0]
-            replacement = None
-            for _ in range(200):
-                cand = _sample_candidate(rng, j)
-                if cand not in candidates[j]:
-                    replacement = cand
-                    break
+            draws = (_sample_candidate(rng, j) for _ in range(200))
+            replacement = next((cand for cand in draws if cand not in candidates[j]), None)
             if replacement is None:
-                ok = False
                 break
             candidates[j][k] = replacement
-        else:
-            ok = False
-        if not ok:
+        if extras:  # a resample failed, or 200 did not make the fix unique
             continue
 
         actual = run_program(broken)
@@ -450,8 +441,8 @@ def generate_synth_suite(count: int, n_lines: int, n_candidates: int, seed: int)
         raise TaskFormatError(f"count must be >= 1, got {count}")
     if n_lines < 2:
         raise TaskFormatError(f"n_lines must be >= 2, got {n_lines}")
-    if n_candidates < 2:
-        raise TaskFormatError(f"n_candidates must be >= 2, got {n_candidates}")
+    if not 2 <= n_candidates <= MAX_SYNTH_CANDIDATES:
+        raise TaskFormatError(f"n_candidates must be in [2, {MAX_SYNTH_CANDIDATES}], got {n_candidates}")
     out = []
     for i in range(count):
         task_id = f"synth-{i:04d}"

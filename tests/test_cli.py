@@ -183,19 +183,37 @@ def test_stepwise_tasks_reads_tasks_path(stepwise, tmp_path):
     assert out.read_bytes() == (stepwise / "tasks.jsonl").read_bytes()
 
 
-def test_stepwise_rollout_reaches_the_remote_backend(stepwise, tmp_path, monkeypatch, capsys):
-    """backend.backend_endpoint, unreachable from the old stepwise flags: a dead endpoint exits 3."""
+def dead_endpoint(monkeypatch) -> str:
+    """The URL of a local port nothing listens on, reached without a proxy."""
     monkeypatch.setenv("no_proxy", "*")
     monkeypatch.setenv("NO_PROXY", "*")
-    with socket.socket() as sock:  # a local port nothing listens on
+    with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-    sets = SMALL_SETS + [f"backend.backend_endpoint=http://127.0.0.1:{port}/"]
+        return f"http://127.0.0.1:{sock.getsockname()[1]}/"
+
+
+def test_stepwise_rollout_reaches_the_remote_backend(stepwise, tmp_path, monkeypatch, capsys):
+    """backend.backend_endpoint, unreachable from the old stepwise flags: a dead endpoint costs every slot's
+    record, so the command writes one placeholder per slot and exits 3."""
+    sets = SMALL_SETS + [f"backend.backend_endpoint={dead_endpoint(monkeypatch)}"]
     out = tmp_path / "rollouts.jsonl"
     argv = ["rollout", *settings(sets), "--tasks", stepwise / "tasks.jsonl",
             "--policy-init", stepwise / "policy_init.json", "--rollouts", out]
     assert run(argv) == 3
-    assert "infrastructure error" in capsys.readouterr().err
+    assert "rollout: 24 attempts lost to infrastructure errors" in capsys.readouterr().err
+    written = read_artifact("rollouts", out)
+    assert len(written) == 4 * N and all(t.is_placeholder for t in written)
+
+
+def test_stepwise_guide_with_a_dead_teacher_is_an_infrastructure_error(stepwise, tmp_path, monkeypatch, capsys):
+    """A teacher request still dead after its retries stops guide: exit 3, an error line, no guidance."""
+    sets = SMALL_SETS + [f"teacher.teacher_endpoint={dead_endpoint(monkeypatch)}"]
+    out = tmp_path / "guidance.jsonl"
+    argv = ["guide", *settings(sets), "--tasks", stepwise / "tasks.jsonl", "--rollouts", stepwise / "rollouts.jsonl",
+            "--rewards", stepwise / "rewards.jsonl", "--guidance", out]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infrastructure error: ") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -233,6 +251,53 @@ def test_rank_without_a_reward_for_its_selection_is_a_usage_error(stepwise, tmp_
     err = capsys.readouterr().err
     assert err.startswith("error: no reward record for selected trajectory ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_rank_passes_over_a_candidate_whose_evaluation_failed(stepwise, tmp_path):
+    """A sandbox fault on the trajectory rank would select costs only that record: rank exits 0 and selects
+    among the task's scored candidates, and every other task's selection stays."""
+    d = stepwise
+    assert run(["train-rm", "--tasks", d / "tasks.jsonl", "--dataset", d / "dataset.jsonl",
+                "--rm", tmp_path / "rm.json", "--rm-log", tmp_path / "rm_log.csv"]) == 0
+
+    def rank(eval_rewards, out):
+        assert run(["rank", "--tasks", d / "tasks.jsonl", "--rm", tmp_path / "rm.json",
+                    "--eval-rollouts", d / "eval_rollouts.jsonl", "--eval-rewards", eval_rewards,
+                    "--selections", out]) == 0
+        return {s["task_id"]: s for s in read_artifact("selections", out)}
+
+    before = rank(d / "eval_rewards.jsonl", tmp_path / "before.jsonl")
+    lost = before["synth-0000"]["trajectory_ref"]
+    records = [EvaluationFailure(r.task_id, r.trajectory_ref, "sandbox setup timed out") if r.trajectory_ref == lost
+               else r for r in read_rewards(d / "eval_rewards.jsonl")]
+    write_rewards(records, tmp_path / "eval_rewards.jsonl")
+    after = rank(tmp_path / "eval_rewards.jsonl", tmp_path / "after.jsonl")
+    scored = {r.trajectory_ref: r.reward for r in records if not isinstance(r, EvaluationFailure)}
+    chosen = after.pop("synth-0000")
+    assert chosen["trajectory_ref"] != lost and chosen["k"] == N - 1
+    assert chosen["reward"] == scored[chosen["trajectory_ref"]]
+    assert after == {task: s for task, s in before.items() if task != "synth-0000"}
+
+
+def test_report_with_selections_missing_a_scored_task_is_a_usage_error(stepwise, tmp_path, capsys):
+    """Selections truncated by one record: an error line naming the task they miss, no report written."""
+    d = stepwise
+    assert run(["train-rm", "--tasks", d / "tasks.jsonl", "--dataset", d / "dataset.jsonl",
+                "--rm", tmp_path / "rm.json", "--rm-log", tmp_path / "rm_log.csv"]) == 0
+    assert run(["rank", "--tasks", d / "tasks.jsonl", "--rm", tmp_path / "rm.json",
+                "--eval-rollouts", d / "eval_rollouts.jsonl", "--eval-rewards", d / "eval_rewards.jsonl",
+                "--selections", tmp_path / "selections.jsonl"]) == 0
+    lines = (tmp_path / "selections.jsonl").read_text().splitlines(keepends=True)
+    assert json.loads(lines[-1])["task_id"] == "synth-0003"
+    (tmp_path / "truncated.jsonl").write_text("".join(lines[:-1]))
+    report = phase_argv(PHASE_TABLE[PHASES.index("report")], d, SMALL_SETS)
+    report[report.index("--report-json") + 1] = tmp_path / "report.json"
+    report[report.index("--report-txt") + 1] = tmp_path / "report.txt"
+    capsys.readouterr()
+    assert run(report + ["--selections", tmp_path / "truncated.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: selections hold no record for task 'synth-0003'") and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "report.txt").exists()
 
 
 def test_guide_without_a_teacher_refuses_a_real_task(tmp_path, capsys):
@@ -631,6 +696,7 @@ def test_initial_policy_that_does_not_fit_fails_the_tasks_phase(case, tmp_path, 
 @pytest.mark.parametrize("setting, key", [
     ("run.rollouts_n=0", "rollouts_n"), ("run.max_tokens=0", "max_tokens"), ("dpo.dpo_beta=0", "dpo_beta"),
     ("assemble.sft_fraction=2", "sft_fraction"), ("tasks.synth_lines=1", "synth_lines"),
+    ("tasks.synth_candidates=28", "synth_candidates"),
 ])
 def test_out_of_range_setting_is_a_usage_error_before_any_phase(setting, key, tmp_path, capsys):
     out = tmp_path / "run"

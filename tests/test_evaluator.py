@@ -397,18 +397,23 @@ def test_sandbox_timeout_is_model_failure(scripted_repo):
 
 
 def test_sandbox_setup_failure_is_infra(scripted_repo):
-    task, _ = scripted_repo
-    broken = Task(
-        id=task.id,
-        issue=task.issue,
-        workspace=task.workspace,
-        env_spec=EnvSpec(("exit 3",), "python3 runtests.py", 30.0, "process_sandbox"),
-        tests=task.tests,
-        repo_name=task.repo_name,
-    )
+    """A setup command that exits non-zero or times out, and a workspace that does not copy, are all
+    SandboxProvisionError: infrastructure, never a reward."""
+    task, ws = scripted_repo
     traj = manual_trajectory(task.id, Patch(edits=(("app.py:1:2", "    return 7"),), rendering="d"))
-    with pytest.raises(SandboxProvisionError, match="exited 3"):
-        evaluate(broken, traj)
+
+    def with_setup(setup, timeout_s):
+        env_spec = EnvSpec(setup, "python3 runtests.py", timeout_s, "process_sandbox")
+        return Task(id=task.id, issue=task.issue, workspace=task.workspace, env_spec=env_spec, tests=task.tests,
+                    repo_name=task.repo_name)
+
+    for setup, timeout_s, words in ((("exit 3",), 30.0, "exited 3"), (("sleep 5",), 0.5, "timed out")):
+        with pytest.raises(SandboxProvisionError, match=words):
+            evaluate(with_setup(setup, timeout_s), traj)
+    # a dangling symlink makes shutil.copytree raise shutil.Error, an OSError
+    (ws / "stale-link").symlink_to(ws / "no-such-file")
+    with pytest.raises(SandboxProvisionError, match="workspace copy failed"):
+        evaluate(task, traj)
 
 
 def test_missing_workspace_is_infra(tmp_path):

@@ -155,7 +155,7 @@ def test_config_rejects_bad_values_and_overrides(tmp_path):
         ("sft.sft_epochs=-1", "sft_epochs"), ("dpo.dpo_epochs=-1", "dpo_epochs"),
         ("dpo.dpo_beta=0", "dpo_beta"), ("dpo.dpo_beta=nan", "dpo_beta"),
         ("tasks.synth_count=0", "synth_count"), ("tasks.synth_lines=1", "synth_lines"),
-        ("tasks.synth_candidates=1", "synth_candidates"),
+        ("tasks.synth_candidates=1", "synth_candidates"), ("tasks.synth_candidates=28", "synth_candidates"),
     ):
         with pytest.raises(UsageError, match=f"{key}=.* out of range"):
             load_config(None, overrides=[override])
@@ -165,8 +165,8 @@ def test_config_rejects_bad_values_and_overrides(tmp_path):
     # the edges of each range are accepted
     edges = ["run.rollouts_n=1", "run.max_tokens=1", "assemble.sft_fraction=0", "sft.sft_epochs=0",
              "dpo.dpo_epochs=0", "tasks.synth_count=1", "tasks.synth_lines=2", "tasks.synth_candidates=2"]
-    config = load_config(None, overrides=edges + ["assemble.sft_fraction=1"])
-    assert (config.rollouts_n, config.sft_fraction, config.synth_lines) == (1, 1.0, 2)
+    config = load_config(None, overrides=edges + ["assemble.sft_fraction=1", "tasks.synth_candidates=27"])
+    assert (config.rollouts_n, config.sft_fraction, config.synth_lines, config.synth_candidates) == (1, 1.0, 2, 27)
 
 
 @pytest.mark.parametrize("override, message", [

@@ -7,7 +7,7 @@ import pytest
 
 from doubles import ScriptedBackend
 from rlvrloop.backends import TabularPolicyBackend
-from rlvrloop.errors import BackendError, GuidanceLeakError, RolloutError, TaskFormatError
+from rlvrloop.errors import BackendError, GuidanceLeakError, TaskFormatError
 from rlvrloop.guidance import Guidance
 from rlvrloop.jsonl import dumps
 from rlvrloop.policy import TabularPolicy
@@ -206,14 +206,16 @@ def test_sample_rollouts_pads_failed_slots(one_task):
     assert batch[1].patch.synth == (0, 1)
 
 
-def test_sample_rollouts_all_failed_raises(one_task):
+def test_sample_rollouts_all_failed_are_placeholders(one_task):
+    """A task whose every slot died still gets its n slots, each a placeholder; nothing raises."""
     scripted = ScriptedBackend(script=[BackendError("down")] * 6)
-    with pytest.raises(RolloutError, match="all 2 rollout slots failed"):
-        rollout_all_tasks([one_task], scripted, 2, base_seed=0, workers=1)
+    batch = rollout_all_tasks([one_task], scripted, 2, base_seed=0, workers=1)
+    assert len(batch) == 2 and all(t.is_placeholder and t.patch is None for t in batch)
+    assert [t.sampling for t in batch] == [rollout_params(0, one_task.id, slot) for slot in range(2)]
 
 
 def test_sample_rollouts_rejects_bad_n(one_task, backend):
-    with pytest.raises(RolloutError):
+    with pytest.raises(ValueError, match="rollout count must be >= 1, got 0"):
         rollout_all_tasks([one_task], backend, 0, base_seed=0, workers=1)
 
 

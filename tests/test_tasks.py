@@ -10,6 +10,7 @@ import pytest
 
 from rlvrloop.errors import TaskFormatError
 from rlvrloop.tasks import (
+    MAX_SYNTH_CANDIDATES,
     EnvSpec,
     ProgramError,
     SynthTask,
@@ -169,10 +170,20 @@ def test_generation_deterministic_and_prefix_stable():
     assert generate_synth_suite(3, 4, 4, seed=10) != c
 
 
-@pytest.mark.parametrize("count,lines,cands", [(0, 4, 4), (1, 1, 4), (1, 4, 1)])
+@pytest.mark.parametrize("count,lines,cands", [(0, 4, 4), (1, 1, 4), (1, 4, 1), (1, 4, MAX_SYNTH_CANDIDATES + 1)])
 def test_generation_argument_validation(count, lines, cands):
     with pytest.raises(TaskFormatError):
         generate_synth_suite(count, lines, cands, seed=0)
+
+
+def test_the_widest_row_holds_every_statement_1_candidate():
+    """At MAX_SYNTH_CANDIDATES, statement 1's row is all 27 forms `x1 = x0 op k`, each once."""
+    every = {f"x1 = x0 {op} {k}" for op in "+-*" for k in range(1, 10)}
+    assert len(every) == MAX_SYNTH_CANDIDATES
+    for task in generate_synth_suite(4, 3, MAX_SYNTH_CANDIDATES, seed=0):
+        assert set(task.candidates[1]) == every
+        fix = task.candidates[task.buggy_line].index(task.issue.split("`")[1])
+        assert enumerate_passing_patches(task) == [(task.buggy_line, fix)]
 
 
 # ---------------------------------------------------------------------------
