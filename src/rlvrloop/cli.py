@@ -12,10 +12,10 @@ stepwise commands given the same settings produce byte-identical
 artifacts. The reward-model rows read no setting and take none.
 
 Exit codes: 0 success, 1 usage or data error (a missing or unreadable
-file included), 2 phase failure (resumable state written), 3
-infrastructure error: a sandbox or backend failure stopped the command,
-or it wrote an attempt the infrastructure lost (a placeholder trajectory
-or an infrastructure_error record) beside every other attempt's record.
+file included), 2 phase failure (resumable state written), 3 the command
+wrote a record the infrastructure lost (a placeholder trajectory, or an
+infrastructure_error line in a reward or guidance file) beside every other
+record.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import logging
 import sys
 
 from . import __version__
-from .errors import BackendError, PhaseError, RlvrLoopError, SandboxProvisionError, UsageError
+from .errors import PhaseError, RlvrLoopError, UsageError
 from .loop import (
     PHASE_TABLE,
     RM_TABLE,
@@ -36,8 +36,6 @@ from .loop import (
     run_loop,
     run_phase,
 )
-
-_INFRA_ERRORS = (BackendError, SandboxProvisionError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,8 +78,6 @@ def cmd_run_loop(args) -> int:
     manifest = run_loop(config, resume=args.resume)
     infra = manifest["infra_errors"]
     if infra:
-        # The run completed and is fully resumable/reportable, but some
-        # rewards are infrastructure failures rather than model failures.
         print(f"run completed with {infra} infrastructure errors; see {RunPaths(config.output_dir).manifest}",
               file=sys.stderr)
         return 3
@@ -132,21 +128,9 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PhaseError as exc:
-        if isinstance(exc.__cause__, _INFRA_ERRORS):
-            print(f"infrastructure error in phase {exc.phase}: {exc}", file=sys.stderr)
-            return 3
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _INFRA_ERRORS as exc:
-        print(f"infrastructure error: {exc}", file=sys.stderr)
-        return 3
     except (RlvrLoopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, PhaseError) else 1
 
 
 if __name__ == "__main__":

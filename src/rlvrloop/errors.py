@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
-Infrastructure failures (sandbox provisioning, unreachable backends) are kept
-distinct from model failures (malformed completions, zero-reward patches):
-the former abort or get reported as errors, the latter are ordinary data.
+Infrastructure failures (sandbox provisioning, a dead or garbled backend or
+teacher exchange) cost only the record they were for, counted as lost; model
+failures (malformed completions, zero-reward patches) are ordinary data.
 """
 
 

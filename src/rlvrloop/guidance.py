@@ -9,14 +9,14 @@ inject it in evaluation mode.
 """
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from typing import TYPE_CHECKING
 
 from .backends import call_batch, call_with_retry, post_completion
-from .errors import GuidanceError
+from .errors import BackendError, GuidanceError
 from .jsonl import derive_seed
 from .prompts import HINT_DELIMITER, HINT_LOCATION_RE
 from .tasks import SynthTask
@@ -24,8 +24,6 @@ from .tasks import SynthTask
 if TYPE_CHECKING:
     from .evaluator import RewardRecord
     from .rollout import Trajectory
-
-log = logging.getLogger(__name__)
 
 GUIDANCE_SCHEMA = "guidance"
 
@@ -97,8 +95,8 @@ class HttpTeacherBackend(TeacherBackend):
     Request JSON:  {"prompt": str}
     Response JSON: {"completion": str}
 
-    A request that fails raises BackendError, an infrastructure failure;
-    a reply that does not parse into guidance is a GuidanceError.
+    A failed request raises BackendError; request_guidance counts a reply
+    that does not parse the same way, so either costs one guidance record.
     """
 
     teacher_id = "remote-teacher"
@@ -216,31 +214,24 @@ def parse_guidance(
     )
 
 
-def request_guidance(failures: list[tuple], teacher: TeacherBackend, *, workers: int = 1) -> list[Guidance]:
-    """The teacher's guidance for each (task, failed trajectory, reward record), in order.
+def request_guidance(failures: list[tuple], teacher: TeacherBackend, *, workers: int = 1) -> list:
+    """The teacher's guidance for each (task, failed trajectory, reward record), in order, or its last BackendError.
 
     Every request goes out in one backends.call_batch batch on `workers`
-    threads, each retried on BackendError, and the replies that do not parse
-    in a second. A request still dead after its retries raises its
-    BackendError at once, and the requests not yet sent are dropped; a reply
-    that does not parse after the re-ask raises GuidanceError.
+    threads under call_with_retry, the policy's retry rule. A reply that
+    does not parse into guidance is a BackendError naming the teacher, so
+    it is asked again as a dead request is, and either one still failing
+    after its retries costs only its own entry.
     """
-    def ask(request: str, task_id: str, source_trajectory_ref: str) -> Guidance:
-        text = call_with_retry(teacher.generate_guidance_text, request)
-        return parse_guidance(
-            text, task_id=task_id, source_trajectory_ref=source_trajectory_ref, teacher_id=teacher.teacher_id
-        )
+    def ask(request: str, task_id: str, ref: str) -> Guidance:
+        text = teacher.generate_guidance_text(request)
+        try:
+            return parse_guidance(text, task_id=task_id, source_trajectory_ref=ref, teacher_id=teacher.teacher_id)
+        except GuidanceError as exc:
+            raise BackendError(f"{teacher.teacher_id}: unusable reply: {exc}") from exc
 
     items = [(render_guidance_request(task, traj, rec), task.id, traj.traj_id) for task, traj, rec in failures]
-    guidance = call_batch(ask, items, workers, errors=(GuidanceError,))
-    unparsed = [i for i, g in enumerate(guidance) if isinstance(g, GuidanceError)]
-    if unparsed:
-        log.warning("%d teacher replies failed to parse, re-requesting: %s", len(unparsed), guidance[unparsed[0]])
-    for i, g in zip(unparsed, call_batch(ask, [items[i] for i in unparsed], workers, errors=(GuidanceError,))):
-        if isinstance(g, GuidanceError):
-            raise GuidanceError(f"teacher output unusable after retry: {g}")
-        guidance[i] = g
-    return guidance
+    return call_batch(partial(call_with_retry, ask), items, workers)
 
 
 # ---------------------------------------------------------------------------

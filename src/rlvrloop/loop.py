@@ -34,8 +34,16 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .backends import HttpPolicyBackend, PolicyBackend, SamplingParams, TabularPolicyBackend
-from .errors import CheckpointError, PhaseError, RlvrLoopError, UsageError
-from .evaluator import EvaluationFailure, RewardRecord, evaluate_batch, read_rewards, write_rewards
+from .errors import BackendError, CheckpointError, PhaseError, RlvrLoopError, UsageError
+from .evaluator import (
+    EvaluationFailure,
+    RewardRecord,
+    evaluate_batch,
+    read_rewards,
+    reward_from_record,
+    reward_to_record,
+    write_rewards,
+)
 from .guidance import (
     GUIDANCE_SCHEMA,
     HttpTeacherBackend,
@@ -241,7 +249,7 @@ def evaluate_trajectories(dataset: TaskDataset, trajectories, *, workers: int = 
 def guide_failures(
     dataset: TaskDataset, trajectories, records, teacher: TeacherBackend | None, *, workers: int = 1
 ) -> list:
-    """One guidance record per failed unguided attempt, in record order: the oracle's, or the teacher's in one batch."""
+    """Per failed unguided attempt, in order: the oracle's guidance, or the teacher's, or its lost EvaluationFailure."""
     by_ref = {t.traj_id: t for t in trajectories}
     failures = []
     for rec in records:
@@ -252,7 +260,10 @@ def guide_failures(
             failures.append((_task_in(dataset, rec.task_id), traj, rec))
     if teacher is None:
         return [oracle_teacher(*failure) for failure in failures]
-    return request_guidance(failures, teacher, workers=workers)
+    return [
+        EvaluationFailure(task.id, traj.traj_id, str(g)) if isinstance(g, BackendError) else g
+        for (task, traj, _), g in zip(failures, request_guidance(failures, teacher, workers=workers))
+    ]
 
 
 def reattempt_with_guidance(
@@ -264,20 +275,25 @@ def reattempt_with_guidance(
     max_tokens: int = 256,
     workers: int = 4,
 ) -> list:
-    """One guided reattempt per guidance record, seeded off the source ref; a dead one is a placeholder."""
+    """One guided reattempt per live guidance record, seeded off its source ref; a dead one is a placeholder."""
     attempts = []
-    for g in guidance_list:
+    for g in (g for g in guidance_list if not isinstance(g, EvaluationFailure)):
         seed = derive_seed(base_seed, "reattempt", g.source_trajectory_ref)
         attempts.append((_task_in(dataset, g.task_id), SamplingParams(TEMPERATURE_SAMPLING, seed, max_tokens), g))
     return scaffold_batch(attempts, backend, workers=workers)
 
 
 def write_guidance(guidance_list, path: Path) -> None:
-    write_records(path, GUIDANCE_SCHEMA, (guidance_to_record(g) for g in guidance_list))
+    """Each record a line; a lost one (EvaluationFailure) the line a reward file holds for it."""
+    write_records(path, GUIDANCE_SCHEMA, (
+        reward_to_record(g) if isinstance(g, EvaluationFailure) else guidance_to_record(g) for g in guidance_list
+    ))
 
 
 def read_guidance(path: Path) -> list:
-    return [g for _, g in read_records(path, GUIDANCE_SCHEMA, guidance_from_record)]
+    return [g for _, g in read_records(path, GUIDANCE_SCHEMA, lambda rec: (
+        reward_from_record(rec) if "infrastructure_error" in rec else guidance_from_record(rec)
+    ))]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +326,7 @@ def rollout(config: RunConfig, tasks: TaskDataset, policy: TabularPolicy, *, eva
 
 
 def reattempt(config: RunConfig, tasks: TaskDataset, guidance: list, policy: TabularPolicy) -> list:
-    """One guided reattempt per guidance record."""
+    """One guided reattempt per guidance record but a lost one."""
     _check_fit(tasks, policy)
     return reattempt_with_guidance(
         tasks, guidance, build_backend(config, policy), config.seed,
@@ -324,7 +340,7 @@ def evaluate(config: RunConfig, tasks: TaskDataset, rollouts: list) -> list:
 
 
 def guide(config: RunConfig, tasks: TaskDataset, rollouts: list, rewards: list) -> list:
-    """Teacher guidance for every failed attempt; none when guidance is off."""
+    """Teacher guidance, or a lost record, for every failed attempt; none when guidance is off."""
     if not config.guidance_enabled:
         return []
     return guide_failures(tasks, rollouts, rewards, build_teacher(config), workers=config.workers)
@@ -538,7 +554,7 @@ RM_TABLE = (
     }),
 )
 PHASES = tuple(phase.name for phase in PHASE_TABLE)
-REWARDS = ("rewards", "guided_rewards", "eval_rewards")  # the artifacts that hold reward records
+LOSSY = ("rewards", "guidance", "guided_rewards", "eval_rewards")  # the artifacts that can hold a lost record
 ARTIFACTS = {name: artifact.file for phase in PHASE_TABLE for name, artifact in phase.outputs.items()}
 _DECLARED = {name: artifact for phase in (*PHASE_TABLE, *RM_TABLE) for name, artifact in phase.outputs.items()}
 
@@ -563,11 +579,15 @@ def commit_outputs(write: Callable, *outputs: StrPath) -> None:
     """write(*partial paths), then each `<output>.partial` os.replace'd onto its output.
 
     A reader sees an output's old bytes or its new ones, never half: a crash
-    inside write leaves every output as it was, and a half-written file
-    keeps its `.partial` name.
+    inside write leaves every output as it was and unlinks the partials.
     """
     partials = [Path(f"{out}.partial") for out in outputs]
-    write(*partials)
+    try:
+        write(*partials)
+    except BaseException:
+        for partial in partials:
+            partial.unlink(missing_ok=True)
+        raise
     for partial, out in zip(partials, outputs):
         os.replace(partial, out)
 
@@ -618,8 +638,8 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
     Each phase gets the values earlier phases returned; an output of a phase
     completed before a resume is read back from its verified file instead.
     A value is dropped after the last phase that reads it. The manifest's
-    infra_errors counts the EvaluationFailure records in the three reward
-    artifacts, those of phases completed before a resume included.
+    infra_errors counts the EvaluationFailure records in the reward and
+    guidance artifacts, those of phases completed before a resume included.
     A phase failure raises PhaseError with the earlier phases committed;
     rerun with resume=True to continue after them, which raises
     CheckpointError if one of their outputs is missing, edited or unhashed.
@@ -648,8 +668,8 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
                 if not file.exists() or canonical_file_hash(file) != state.hashes[file.name]:
                     raise CheckpointError(f"{file} is missing or changed since phase {phase.name!r} completed")
             log.info("phase %-16s already complete, skipping", phase.name)
-            # its reward records are read back, for the manifest's infra_errors
-            produced = {name: read_artifact(name, getattr(paths, name)) for name in phase.outputs if name in REWARDS}
+            # the artifacts that can hold a lost record are read back, for the manifest's infra_errors
+            produced = {name: read_artifact(name, getattr(paths, name)) for name in phase.outputs if name in LOSSY}
         else:
             for name in phase.inputs:
                 if name not in values:
@@ -662,7 +682,7 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
             for file in outputs:
                 state.hashes[file.name] = canonical_file_hash(file)
             state.mark(phase.name)
-        infra_errors += infra_failures({name: value for name, value in produced.items() if name in REWARDS})
+        infra_errors += infra_failures({name: value for name, value in produced.items() if name in LOSSY})
         values.update(produced)
         for name in [name for name in values if last_read.get(name, -1) <= i]:
             del values[name]
@@ -701,9 +721,9 @@ def write_manifest(config: RunConfig, paths: RunPaths, state: RunState, infra_er
 
 
 def infra_failures(values: dict) -> int:
-    """The attempts the infrastructure lost among a phase's output values: placeholders and EvaluationFailures.
+    """The records the infrastructure lost among a phase's output values: placeholders and EvaluationFailures.
 
-    Scoring a placeholder gives an EvaluationFailure, so run_loop counts only the reward artifacts."""
+    Scoring a placeholder gives an EvaluationFailure, so run_loop counts only the LOSSY artifacts."""
     lists = [value for value in values.values() if isinstance(value, list)]
     return sum(
         isinstance(r, EvaluationFailure) or isinstance(r, Trajectory) and r.is_placeholder
@@ -712,7 +732,7 @@ def infra_failures(values: dict) -> int:
 
 
 def count_infra_errors(paths: RunPaths) -> int:
-    """The EvaluationFailure records in a run directory's reward files, those that exist."""
+    """The EvaluationFailure records in a run directory's reward and guidance files, those that exist."""
     return infra_failures(
-        {name: read_artifact(name, getattr(paths, name)) for name in REWARDS if getattr(paths, name).exists()}
+        {name: read_artifact(name, getattr(paths, name)) for name in LOSSY if getattr(paths, name).exists()}
     )

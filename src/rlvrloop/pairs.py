@@ -254,7 +254,7 @@ def build_rlvr_dataset(
     records: Sequence[RewardRecord | EvaluationFailure],
     guided_trajectories: Sequence[Trajectory] = (),
     guided_records: Sequence[RewardRecord | EvaluationFailure] = (),
-    guidance_list: Sequence[Guidance] = (),
+    guidance_list: Sequence[Guidance | EvaluationFailure] = (),  # a lost record is skipped
     *,
     sft_fraction: float = DEFAULT_SFT_FRACTION,
     max_pairs_per_task: int = DEFAULT_MAX_PAIRS_PER_TASK,
@@ -265,7 +265,7 @@ def build_rlvr_dataset(
     rewards = _reward_map(records)
     guided_rewards = _reward_map(guided_records)
     by_ref = {t.traj_id: t for t in trajectories}
-    guidance_by_id = {g.guidance_id: g for g in guidance_list}
+    guidance_by_id = {g.guidance_id: g for g in guidance_list if isinstance(g, Guidance)}
 
     pairs, stats = assemble_rollout_pairs(trajectories, records, max_pairs_per_task)
     n_rollout_pairs = len(pairs)

@@ -1,7 +1,8 @@
-"""Test doubles: scripted policy and teacher backends, a tabular backend with faults, the teacher wire format, a
-workspace hash, and a fresh interpreter."""
+"""Test doubles: scripted policy and teacher backends, a tabular backend and a teacher with faults, the teacher wire
+format, a workspace hash, and a fresh interpreter."""
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from dataclasses import dataclass, field
@@ -11,6 +12,7 @@ import rlvrloop
 from rlvrloop.backends import PolicyBackend, SamplingParams, TabularPolicyBackend
 from rlvrloop.errors import BackendError, GuidanceError
 from rlvrloop.guidance import SECTION_FEEDBACK, SECTION_INTERACTION, SECTION_PLAN, Guidance, TeacherBackend
+from rlvrloop.jsonl import derive_seed
 
 
 def guidance_to_text(guidance: Guidance) -> str:
@@ -91,6 +93,31 @@ class ScriptedTeacher(TeacherBackend):
         if isinstance(entry, Exception):
             raise entry
         return str(entry)
+
+
+class FaultyTeacher(TeacherBackend):
+    """A teacher whose interaction hint names the statement the request's issue names, as `line N`.
+
+    A request whose derive_seed(request) % modulus is in mask gets a reply that does not parse, or a
+    BackendError when dead, on every try. The mask is keyed by the request text, so a fault hits the same
+    failed attempts in every run of one config."""
+
+    teacher_id = "faulty"
+
+    def __init__(self, modulus: int = 1, mask: frozenset[int] = frozenset(), dead: bool = False):
+        self.modulus, self.mask, self.dead = modulus, mask, dead
+
+    def faults(self, request: str) -> bool:
+        return derive_seed(request) % self.modulus in self.mask
+
+    def generate_guidance_text(self, request: str) -> str:
+        if self.faults(request):
+            if self.dead:
+                raise BackendError(f"{self.teacher_id}: injected fault")
+            return "no hint sections in this reply"
+        line = re.search(r"\bstatement (\d+)", request).group(1)
+        plan = "Replace the defective statement with the one the issue names."
+        return guidance_to_text(Guidance("", "", "", plan, "The final value is wrong.", f"line {line}", ""))
 
 
 def workspace_fingerprint(path: str | Path) -> str:

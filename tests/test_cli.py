@@ -206,15 +206,19 @@ def test_stepwise_rollout_reaches_the_remote_backend(stepwise, tmp_path, monkeyp
 
 
 def test_stepwise_guide_with_a_dead_teacher_is_an_infrastructure_error(stepwise, tmp_path, monkeypatch, capsys):
-    """A teacher request still dead after its retries stops guide: exit 3, an error line, no guidance."""
+    """A teacher request still dead after its retries costs its failure's guidance record: guide writes one lost
+    record per failed attempt and exits 3."""
     sets = SMALL_SETS + [f"teacher.teacher_endpoint={dead_endpoint(monkeypatch)}"]
     out = tmp_path / "guidance.jsonl"
     argv = ["guide", *settings(sets), "--tasks", stepwise / "tasks.jsonl", "--rollouts", stepwise / "rollouts.jsonl",
             "--rewards", stepwise / "rewards.jsonl", "--guidance", out]
     assert run(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("infrastructure error: ") and "Traceback" not in err
-    assert not out.exists()
+    failed = [r for r in read_rewards(stepwise / "rewards.jsonl") if r.reward == 0]
+    assert f"guide: {len(failed)} attempts lost to infrastructure errors" in err and "Traceback" not in err
+    lost = read_artifact("guidance", out)
+    assert [(g.task_id, g.trajectory_ref) for g in lost] == [(r.task_id, r.trajectory_ref) for r in failed]
+    assert all(isinstance(g, EvaluationFailure) and "remote-teacher: request failed" in g.error for g in lost)
 
 
 def test_rank_and_report_selections_flow(stepwise, tmp_path):
@@ -537,10 +541,12 @@ def test_stepwise_crash_mid_write_leaves_the_output_untouched(stepwise, tmp_path
     assert run(argv) == 1
     assert "disk full" in capsys.readouterr().err
     assert not out.exists()
+    assert not list(tmp_path.glob("*.partial"))
 
     out.write_bytes(b"an earlier run's rollouts\n")
     assert run(argv) == 1
     assert out.read_bytes() == b"an earlier run's rollouts\n"
+    assert not list(tmp_path.glob("*.partial"))
 
 
 MALFORMED = {

@@ -247,10 +247,13 @@ def test_request_guidance_retries_once(one_task):
 
 
 def test_request_guidance_fails_after_retry(one_task):
+    """A reply that never parses is retried as a dead request is; after three tries its BackendError is its entry."""
     traj, rec = failed_attempt(one_task)
-    teacher = ScriptedTeacher(script=["junk", "more junk"])
-    with pytest.raises(GuidanceError, match="unusable after retry"):
-        request_guidance([(one_task, traj, rec)], teacher)
+    teacher = ScriptedTeacher(script=["junk", "more junk", "still junk"])
+    [lost] = request_guidance([(one_task, traj, rec)], teacher)
+    assert isinstance(lost, BackendError)
+    assert str(lost).startswith("scripted: unusable reply: teacher output is missing section")
+    assert len(teacher.requests_seen) == 3
 
 
 def test_request_guidance_retries_a_failed_teacher_request(one_task):
@@ -279,26 +282,29 @@ def test_a_teacher_hint_naming_a_statement_guides_localization(small_suite, hint
 def test_request_guidance_gives_up_after_bounded_retries(one_task):
     traj, rec = failed_attempt(one_task)
     teacher = ScriptedTeacher(script=[BackendError("teacher: HTTP 503")] * 5)
-    with pytest.raises(BackendError, match="HTTP 503"):
-        request_guidance([(one_task, traj, rec)], teacher)
+    [lost] = request_guidance([(one_task, traj, rec)], teacher)
+    assert isinstance(lost, BackendError) and str(lost) == "teacher: HTTP 503"  # returned in place, not raised
     assert len(teacher.requests_seen) == 3  # the first call and max_retries=2 more, as for policy calls
 
 
-def test_request_guidance_re_asks_only_the_unparseable_replies_after_the_batch(small_suite):
+def test_request_guidance_retries_each_unusable_reply_in_place(small_suite):
     failures = [(task, *failed_attempt(task)) for task in small_suite.tasks[:3]]
     good = [guidance_to_text(make_guidance(task_id=task.id)) for task, _, _ in failures]
-    teacher = ScriptedTeacher(script=[good[0], "junk", good[2], good[1]])
+    teacher = ScriptedTeacher(script=[good[0], "junk", good[1], good[2]])
     guidance = request_guidance(failures, teacher)
     assert [(g.task_id, g.source_trajectory_ref) for g in guidance] == [
         (task.id, traj.traj_id) for task, traj, _ in failures
     ]
     requests = [render_guidance_request(*failure) for failure in failures]
-    assert teacher.requests_seen == [*requests, requests[1]]  # one batch, then the one re-ask
-    # a request still dead after its retries stops the batch: the rest are never sent
+    assert teacher.requests_seen == [requests[0], requests[1], requests[1], requests[2]]  # one batch, no re-ask
+    # a request still dead after its retries costs only its own entry: the rest are still sent
     teacher = ScriptedTeacher(script=[BackendError("teacher: HTTP 503")] * 3 + [good[1], good[2]])
-    with pytest.raises(BackendError, match="HTTP 503"):
-        request_guidance(failures, teacher)
-    assert teacher.requests_seen == [requests[0]] * 3
+    lost, *rest = request_guidance(failures, teacher)
+    assert isinstance(lost, BackendError) and str(lost) == "teacher: HTTP 503"
+    assert [(g.task_id, g.source_trajectory_ref) for g in rest] == [
+        (task.id, traj.traj_id) for task, traj, _ in failures[1:]
+    ]
+    assert teacher.requests_seen == [requests[0]] * 3 + requests[1:]
 
 
 def test_oracle_teacher_names_the_defect(one_task):

@@ -9,7 +9,9 @@ import pytest
 from rlvrloop.backends import HttpPolicyBackend, SamplingParams
 from rlvrloop.cli import main
 from rlvrloop.errors import BackendError
+from rlvrloop.evaluator import EvaluationFailure
 from rlvrloop.guidance import HttpTeacherBackend
+from rlvrloop.loop import RunPaths, read_artifact
 
 
 class Handler(BaseHTTPRequestHandler):
@@ -81,15 +83,21 @@ def test_teacher_backend_round_trip_and_errors(server):
 
 
 def test_unreachable_teacher_is_an_infrastructure_failure(server, tmp_path, capsys):
+    """Each failed attempt's teacher request is tried three times and costs its guidance record; the run completes."""
     httpd, url = server
-    argv = ["run-loop", "--output-dir", str(tmp_path / "run"), "--seed", "3"]
+    out = tmp_path / "run"
+    argv = ["run-loop", "--output-dir", str(out), "--seed", "3"]
     for item in ("run.workers=1", "run.rollouts_n=4", "tasks.synth_count=3",
                  "tasks.synth_lines=3", "tasks.synth_candidates=3",
                  f"teacher.teacher_endpoint={url}/down"):
         argv += ["--set", item]
     assert main(argv) == 3
-    assert "infrastructure error in phase guide" in capsys.readouterr().err
-    assert len(httpd.requests) == 3  # the guide phase retried the teacher twice, then gave up
+    failed = sum(r.reward == 0 for r in read_artifact("rewards", RunPaths(out).rewards))
+    err = capsys.readouterr().err
+    assert f"run completed with {failed} infrastructure errors" in err and "Traceback" not in err
+    assert json.loads(RunPaths(out).manifest.read_text())["infra_errors"] == failed > 0
+    assert len(httpd.requests) == 3 * failed
+    assert all(isinstance(g, EvaluationFailure) for g in read_artifact("guidance", RunPaths(out).guidance))
 
 
 def test_run_loop_refuses_a_remote_policy_before_calling_it(server, tmp_path, capsys):

@@ -10,7 +10,11 @@ the settings, never on its neighbours in the suite.
 - Fault locality: when the policy backend fails some requests, every one of
   them included, run-loop completes (exit 0, or 3 when a request died),
   every record up to training outside the failed slots equals the fault-free
-  run's, and the manifest counts exactly the placeholder slots.
+  run's, and the manifest counts exactly the placeholder slots. When the
+  teacher garbles or drops some failures' guidance, each of those failures
+  has a lost guidance record and no guided records, every other record up to
+  training equals the fault-free run's, and the manifest counts the lost
+  records.
 """
 import functools
 import json
@@ -21,11 +25,12 @@ from unittest import mock
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from doubles import FaultyTabularBackend
+from doubles import FaultyTabularBackend, FaultyTeacher
 
 from rlvrloop import loop
 from rlvrloop.cli import main
 from rlvrloop.evaluator import EvaluationFailure
+from rlvrloop.guidance import render_guidance_request
 from rlvrloop.loop import RunConfig, RunPaths, read_artifact, run_loop
 from rlvrloop.policy import TabularPolicy
 from rlvrloop.tasks import TaskDataset, generate_synth_suite, save_tasks
@@ -116,11 +121,14 @@ RECORD_IDS = {"rollouts": "traj_id", "rewards": "trajectory_ref", "guidance": "s
 
 
 def run_loop_cli(directory: Path) -> tuple[int, RunPaths, dict]:
-    """run-loop's exit code, its paths, and {artifact: {trajectory id: record}} for each RECORD_IDS file it wrote."""
+    """run-loop's exit code, its paths, and {artifact: {trajectory id: record}} for each RECORD_IDS file it wrote.
+
+    A lost guidance record (an EvaluationFailure) names its failed trajectory as trajectory_ref."""
     code = main(["run-loop", "--output-dir", str(directory), *FAULT_RUN])
     paths = RunPaths(directory)
     records = {
-        name: {getattr(r, key): r for r in read_artifact(name, getattr(paths, name))}
+        name: {r.trajectory_ref if isinstance(r, EvaluationFailure) else getattr(r, key): r
+               for r in read_artifact(name, getattr(paths, name))}
         for name, key in RECORD_IDS.items() if getattr(paths, name).exists()
     }
     return code, paths, records
@@ -176,3 +184,52 @@ def test_a_dead_policy_request_costs_only_its_own_records(fault):
         )
         assert json.loads(paths.manifest.read_text(encoding="utf-8"))["infra_errors"] == placeholders
         assert code == (3 if placeholders else 0)
+
+
+def run_with_teacher(teacher: FaultyTeacher, directory: Path) -> tuple[int, RunPaths, dict]:
+    with mock.patch.object(loop, "build_teacher", lambda config: teacher):
+        return run_loop_cli(directory)
+
+
+@functools.cache
+def fault_free_teacher_run() -> tuple[dict, dict]:
+    """The records of a run with an unfaulted FaultyTeacher, and {source trajectory id: its teacher request}."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, paths, records = run_with_teacher(FaultyTeacher(), Path(tmp, "run"))
+        tasks = read_artifact("tasks", paths.tasks).by_id
+    assert code == 0 and len(records) == len(RECORD_IDS)
+    requests = {
+        ref: render_guidance_request(tasks[g.task_id], records["rollouts"][ref], records["rewards"][ref])
+        for ref, g in records["guidance"].items()
+    }
+    return records, requests
+
+
+@settings(max_examples=8, **FAST)
+@given(fault=faults, dead=st.booleans())
+@example(fault=(3, frozenset({0, 1, 2})), dead=False)  # every reply is junk: every failure's guidance is lost
+@example(fault=(5, frozenset({0})), dead=True)
+def test_a_garbled_or_dead_teacher_exchange_costs_only_its_own_guidance(fault, dead):
+    modulus, mask = fault
+    teacher = FaultyTeacher(modulus, mask, dead)
+    expected, requests = fault_free_teacher_run()
+    faulted = {ref for ref, request in requests.items() if teacher.faults(request)}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, paths, got = run_with_teacher(teacher, Path(tmp, "run"))
+        manifest = json.loads(paths.manifest.read_text(encoding="utf-8"))
+    assert code in (0, 3)
+    assert got["rollouts"] == expected["rollouts"] and got["rewards"] == expected["rewards"]
+    assert got["guidance"].keys() == expected["guidance"].keys()
+    live = set()
+    for ref, g in got["guidance"].items():
+        if ref in faulted:
+            assert isinstance(g, EvaluationFailure) and g.task_id == expected["guidance"][ref].task_id, ref
+            assert ("injected fault" if dead else "unusable reply") in g.error, ref
+        else:
+            assert g == expected["guidance"][ref], ref
+            live.add(g.guidance_id)
+    want = {i: t for i, t in expected["guided_rollouts"].items() if t.guidance_id in live}
+    assert got["guided_rollouts"] == want
+    assert got["guided_rewards"] == {i: r for i, r in expected["guided_rewards"].items() if i in want}
+    assert manifest["infra_errors"] == len(faulted)
+    assert code == (3 if faulted else 0)
