@@ -18,7 +18,7 @@ import numpy as np
 
 from . import prompts
 from .errors import BackendError, TrainingError
-from .jsonl import derive_seed, splitmix64
+from .jsonl import splitmix64
 from .policy import TabularPolicy, softmax
 
 # The tolerance a CDF allows on sum(p) before _draw raises: a softmax further from 1 is not a distribution.
@@ -69,13 +69,14 @@ class TabularPolicyBackend(PolicyBackend):
     temperature) softmax is turned once into its cumulative distribution,
     normalised so its last entry is 1, which every (task, line or None for
     the line distribution, temperature) with those logits shares. A sampled
-    request's i-th draw is bisect_right(cdf, u_i), where u_i = (z_i >> 11) *
-    2**-53 and z_i is splitmix64's output at counter i from the seed
-    derive_seed(backend_id, task_id, seed); a whole-program repair draws its
-    statement with u_1 and its candidate with u_2. generate_batch takes every
-    sampled request's draws from one splitmix64 call; generate() is a batch
-    of one. Temperature 0 is the argmax of the logits. Each distinct prompt
-    is parsed once. A prompt naming a task the policy has no head for raises
+    request draws bisect_right(cdf, u_i), where u_i = (z_i >> 11) * 2**-53
+    and z_i is splitmix64's output at counter i from the request's own seed
+    (mod 2**64), which both steps of an attempt share: a localization draws
+    at counter 1, a repair at 2, and a whole-program repair its statement at
+    2 and its candidate at 3. generate_batch takes every sampled request's
+    draws from one splitmix64 call; generate() is a batch of one.
+    Temperature 0 is the argmax of the logits. Each distinct prompt is
+    parsed once. A prompt naming a task the policy has no head for raises
     the policy's TrainingError, which no retry can mend.
 
     Generation is in-process and holds the GIL, so its max_concurrency of 1
@@ -100,7 +101,7 @@ class TabularPolicyBackend(PolicyBackend):
     def generate_batch(self, requests: list[tuple[str, SamplingParams]], workers: int = 1) -> list:
         out: list = []
         pending = []  # (index in out, task_id, step, line, temperature) of each request still to answer
-        seeds = []  # the generator seed of each pending request that samples
+        seeds, firsts = [], []  # the seed (mod 2**64) and first counter of each pending request that samples
         for prompt, params in requests:
             parsed = self._parsed.get(prompt)
             if parsed is None:
@@ -117,11 +118,12 @@ class TabularPolicyBackend(PolicyBackend):
             else:
                 pending.append((len(out), task_id, step, line, params.temperature))
                 if params.temperature:
-                    seeds.append(derive_seed(self.backend_id, task_id, params.seed))
+                    seeds.append(params.seed % 2**64)
+                    firsts.append(1 if step == prompts.LOC_STEP else 2)
                 out.append(None)
         whole = any(step == prompts.WHOLE_REPAIR_STEP for _, _, step, _, temperature in pending if temperature)
-        counters = np.arange(1, 3 if whole else 2, dtype=np.uint64)  # a whole-program repair draws twice
-        z = splitmix64(np.array(seeds, dtype=np.uint64)[:, None], counters)
+        offsets = np.arange(2 if whole else 1, dtype=np.uint64)  # a whole-program repair draws twice
+        z = splitmix64(np.array(seeds, dtype=np.uint64)[:, None], np.array(firsts, dtype=np.uint64)[:, None] + offsets)
         draws = iter(((z >> _U11) * 2.0**-53).tolist())
         for i, task_id, step, line, temperature in pending:
             uniforms = iter(next(draws)) if temperature else None

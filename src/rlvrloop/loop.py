@@ -249,7 +249,9 @@ def evaluate_trajectories(dataset: TaskDataset, trajectories, *, workers: int = 
 def guide_failures(
     dataset: TaskDataset, trajectories, records, teacher: TeacherBackend | None, *, workers: int = 1
 ) -> list:
-    """Per failed unguided attempt, in order: the oracle's guidance, or the teacher's, or its lost EvaluationFailure."""
+    """Per failed unguided attempt, in order: the oracle's guidance, or the teacher's, or its lost EvaluationFailure.
+
+    One warning names the lost exchanges' count and first error."""
     by_ref = {t.traj_id: t for t in trajectories}
     failures = []
     for rec in records:
@@ -260,9 +262,13 @@ def guide_failures(
             failures.append((_task_in(dataset, rec.task_id), traj, rec))
     if teacher is None:
         return [oracle_teacher(*failure) for failure in failures]
+    replies = request_guidance(failures, teacher, workers=workers)
+    lost = [g for g in replies if isinstance(g, BackendError)]
+    if lost:
+        log.warning("%d of %d teacher exchanges were lost; the first: %s", len(lost), len(replies), lost[0])
     return [
         EvaluationFailure(task.id, traj.traj_id, str(g)) if isinstance(g, BackendError) else g
-        for (task, traj, _), g in zip(failures, request_guidance(failures, teacher, workers=workers))
+        for (task, traj, _), g in zip(failures, replies)
     ]
 
 

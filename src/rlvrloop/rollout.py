@@ -1,12 +1,14 @@
 """Two-step rollout scaffold: localize, then repair.
 
 Each attempt at a task is exactly one localization step and one repair step;
-a phase's attempts run in lockstep, each step as one backend batch.
-Malformed completions are data, not errors: they produce an empty patch that
-the evaluator scores as reward 0. Backend failures are retried, and an
-attempt (a rollout slot or a guided reattempt) whose backend never recovers
-still yields a placeholder trajectory (Trajectory.is_placeholder) so
-rollout counts stay exact.
+a phase's attempts run in lockstep, each step as one backend batch. Both
+steps' requests carry the one seed the attempt's trajectory records; the
+tabular backend draws localization at its SplitMix64 counter 1 and repair
+at 2 and 3. Malformed completions are data, not errors: they produce an
+empty patch that the evaluator scores as reward 0. Backend failures are
+retried, and an attempt (a rollout slot or a guided reattempt) whose
+backend never recovers still yields a placeholder trajectory
+(Trajectory.is_placeholder) so rollout counts stay exact.
 
 Guidance may only be injected during training. Evaluation-mode rollouts with
 guidance raise GuidanceLeakError, which is the engine-level enforcement of
@@ -150,10 +152,6 @@ def make_traj_id(task_id: str, backend_id: str, seed: int, guided: bool) -> str:
     return f"{task_id}/{backend_id}/{seed}/{suffix}"
 
 
-def _step_params(params: SamplingParams, step: str) -> SamplingParams:
-    return SamplingParams(params.temperature, derive_seed(params.seed, step), params.max_tokens)
-
-
 def _location(task: Task, loc_completion: str):
     if not isinstance(task, SynthTask):
         return prompts.parse_files_completion(loc_completion)
@@ -170,13 +168,14 @@ def scaffold_batch(
 ) -> list[Trajectory]:
     """One trajectory per (task, params, guidance) attempt; one warning names the dead ones' count and first error.
 
-    The two steps get independent sub-seeds derived from params.seed so the
-    line draw and the candidate draw are uncorrelated. With guidance, the
-    hint block is appended to the localization prompt via the reattempt
-    template, once per distinct (prompt, hint text) in the batch. A dead
-    attempt's trajectory is a placeholder: the slot's ids (guided ones too)
-    and localization prompt, no repair prompt, no completions. Attempts with
-    equal prompts and completions share one steps tuple.
+    One seed per attempt: both steps' requests carry the attempt's params,
+    whose seed its trajectory records (the tabular backend draws the steps
+    at different counters of it). With guidance, the hint block is appended
+    to the localization prompt via the reattempt template, once per distinct
+    (prompt, hint text) in the batch. A dead attempt's trajectory is a
+    placeholder: the slot's ids (guided ones too) and localization prompt,
+    no repair prompt, no completions. Attempts with equal prompts and
+    completions share one steps tuple.
     """
     for task, _, guidance in attempts:
         if eval_mode and guidance is not None:
@@ -195,15 +194,11 @@ def scaffold_batch(
                 guided[key] = render_reattempt_prompt(prompt, guidance)
             prompt = guided[key]
         loc_prompts.append(prompt)
-    locs = backend.generate_batch(
-        [(prompt, _step_params(params, "loc")) for prompt, (_, params, _) in zip(loc_prompts, attempts)], workers
-    )
+    locs = backend.generate_batch([(prompt, params) for prompt, (_, params, _) in zip(loc_prompts, attempts)], workers)
     live = [i for i, completion in enumerate(locs) if not isinstance(completion, BackendError)]
     locations = {i: _location(attempts[i][0], locs[i]) for i in live}
     repair_prompts = {i: prompts.render_repair_prompt(attempts[i][0], locations[i]) for i in live}
-    repair_of = dict(zip(live, backend.generate_batch(
-        [(repair_prompts[i], _step_params(attempts[i][1], "repair")) for i in live], workers
-    )))
+    repair_of = dict(zip(live, backend.generate_batch([(repair_prompts[i], attempts[i][1]) for i in live], workers)))
 
     out, dead, step_pairs = [], [], {}
     for i, (task, params, guidance) in enumerate(attempts):
@@ -230,11 +225,7 @@ def scaffold_batch(
 def rollout_params(base_seed: int, task_id: str, slot: int, max_tokens: int = 256) -> SamplingParams:
     """Slot 0 is the greedy decode; every later slot samples at 0.6."""
     temperature = TEMPERATURE_GREEDY if slot == 0 else TEMPERATURE_SAMPLING
-    return SamplingParams(
-        temperature=temperature,
-        seed=derive_seed(base_seed, task_id, slot),
-        max_tokens=max_tokens,
-    )
+    return SamplingParams(temperature, derive_seed(base_seed, task_id, slot), max_tokens)
 
 
 def rollout_all_tasks(

@@ -60,8 +60,8 @@ class FaultyTabularBackend(TabularPolicyBackend):
     """The tabular backend, except that each request whose params.seed % modulus is in mask gets a BackendError.
 
     Every other request goes on to the tabular backend in one batch, so it is answered as a fault-free
-    backend answers it. The mask is keyed by the per-request sub-seeds, so a fault hits the same requests
-    in every run of one config."""
+    backend answers it. Both requests of an attempt carry the seed its trajectory records, so a fault
+    kills the same attempts in every run of one config."""
 
     def __init__(self, policy, modulus: int, mask: frozenset[int]):
         super().__init__(policy)

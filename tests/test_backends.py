@@ -1,10 +1,11 @@
 """TabularPolicyBackend against the definition of a tabular draw.
 
 The oracle is that definition, one request at a time in Python integers:
-the i-th draw of a request is SplitMix64's i-th output from the seed
-derive_seed(backend_id, task_id, seed), as a uniform in [0, 1), bisected
-into the temperature softmax's cumulative distribution; temperature 0 is
-the argmax, and a localization whose hint names a statement draws nothing.
+a request draws SplitMix64's outputs from its own seed, at counter 1 for a
+localization and from counter 2 for a repair (a whole-program repair draws
+at 2, then 3), each as a uniform in [0, 1) bisected into the temperature
+softmax's cumulative distribution; temperature 0 is the argmax, and a
+localization whose hint names a statement draws nothing.
 The backend must return the same completion for every prompt kind.
 """
 import bisect
@@ -33,8 +34,8 @@ def splitmix64_output(seed: int, i: int) -> int:
 def oracle_generate(policy: TabularPolicy, prompt: str, params: SamplingParams) -> str:
     task_id, step, line = prompts.parse_prompt(prompt)
     head = policy.head(task_id)
-    seed = derive_seed("tabular", task_id, params.seed)
-    counters = iter(range(1, 3))
+    seed = params.seed
+    counters = iter(range(1, 2) if step == prompts.LOC_STEP else range(2, 4))
 
     def draw(logits) -> int:
         p = softmax(logits, params.temperature)
@@ -116,6 +117,17 @@ def test_backend_matches_rng_choice_over_many_random_distributions(small_suite):
         for kind, prompt in prompt_kinds.items():
             params = SamplingParams(temperature=temperature, seed=int(gen.integers(2**62)))
             assert backend.generate(prompt, params) == oracle_generate(policy, prompt, params), (trial, kind)
+
+
+def test_a_seed_is_read_modulo_2_to_the_64(small_suite):
+    """The oracle reads a seed mod 2**64, and so does the backend: a seed past 64 bits or below 0 samples too."""
+    policy = trained_like(small_suite, 3)
+    backend = TabularPolicyBackend(policy)
+    for kind, prompt in every_prompt(small_suite.tasks[0]).items():
+        expected = backend.generate(prompt, SamplingParams(temperature=0.6, seed=5))
+        for seed in (5 + 2**64, 5 - 2**64):
+            params = SamplingParams(temperature=0.6, seed=seed)
+            assert backend.generate(prompt, params) == oracle_generate(policy, prompt, params) == expected, kind
 
 
 def test_equal_heads_share_one_cdf_and_draw_as_fresh_backends_do(small_suite):

@@ -103,12 +103,12 @@ GOLDEN_SETS = [
 GOLDEN_SHA256 = {
     "tasks.jsonl": "2091ba01c58fedfca7f45d33a26bdb1ebb4a3955d35b153e2b4e5f311ee1cc64",
     "policy_init.json": "12078f6a8d25da4cd09cf8408d59c4ff1fc8ac98f0ffc0d8d799e6d1bd430e2f",
-    "rollouts.jsonl": "4adb9c1010ea114c6167be2f4141f3e033c240a1695dea428f16da1047f93067",
-    "rewards.jsonl": "0ae312920d7b2b1212591eb1401f5ab09b4add754f3c8bff794d4659954112bb",
-    "guidance.jsonl": "7e44fb7e172196fa9023b3cbb9c7896a00904e98a910bb433f7b230a45a001a7",
-    "guided_rollouts.jsonl": "0dada7cfc7563e442dbf8d089ac24b7629582986a633652c896f9b3c901f9b92",
-    "guided_rewards.jsonl": "db4f65fe75c588088b32d88c14459ac9b9fe308648cf62dc2dc3631b84828df4",
-    "dataset.jsonl": "3d57d90dc3e766e66478fa879aba44c8d4653496bd873cad5ae743afdc5e97c6",
+    "rollouts.jsonl": "3e39a79ca18a6a11f40e507e02633df498fdbeb3aa41cd7cdf56a51e74c37926",
+    "rewards.jsonl": "bcdf9d9a07ab0acb3da60b8d84eddad9db7c8ff899685cd96f59f52ff29c919e",
+    "guidance.jsonl": "120ae3778781356f501b811a2d811a90e6c854e4306d8f8e4ea3227653384cfc",
+    "guided_rollouts.jsonl": "b79f0ab41a58c7690e3b8a073ae0e4e6c496070b84dab6e3912f10f5676b1e3c",
+    "guided_rewards.jsonl": "d81a796819d3a9094d6ee9b20d2502b2c70753af6c912da32f9a4fdba34e3fb6",
+    "dataset.jsonl": "39969747c42f57d2546c3b47c20698c2d6ef719018dda03e369d643aef8f863f",
 }
 
 

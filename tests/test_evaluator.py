@@ -317,30 +317,6 @@ def test_prefix_sharing_enumeration_matches_naive_runs(data):
 # Subprocess sandbox
 # ---------------------------------------------------------------------------
 
-RUNTESTS = """\
-import app
-print("PASS t_parse")
-print("PASS t_value" if app.value() == 7 else "FAIL t_value")
-"""
-
-
-@pytest.fixture
-def scripted_repo(tmp_path):
-    ws = tmp_path / "repo"
-    ws.mkdir()
-    (ws / "app.py").write_text("def value():\n    return 3\n")
-    (ws / "runtests.py").write_text(RUNTESTS)
-    task = Task(
-        id="real-1",
-        issue="value() should return 7",
-        workspace=str(ws),
-        env_spec=EnvSpec((), "python3 runtests.py", 30.0, "process_sandbox"),
-        tests=TestSuite(regression=("t_parse",), focused=("t_value",)),
-        repo_name="scripted",
-    )
-    return task, ws
-
-
 def test_sandbox_pass_and_fail(scripted_repo):
     task, ws = scripted_repo
     before = workspace_fingerprint(ws)

@@ -1,31 +1,59 @@
 """The remote policy and teacher clients against a local HTTP server."""
 import json
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
 
+from doubles import guidance_to_text
 from rlvrloop.backends import HttpPolicyBackend, SamplingParams
 from rlvrloop.cli import main
 from rlvrloop.errors import BackendError
 from rlvrloop.evaluator import EvaluationFailure
-from rlvrloop.guidance import HttpTeacherBackend
-from rlvrloop.loop import RunPaths, read_artifact
+from rlvrloop.guidance import Guidance, HttpTeacherBackend
+from rlvrloop.loop import ARTIFACTS, PHASE_TABLE, PHASES, RunPaths, read_artifact
+from rlvrloop.prompts import HINT_DELIMITER
+from rlvrloop.tasks import TaskDataset, save_tasks
+
+
+# The teacher's reply at /teacher: the scripted repository's defect is app.py's line 1.
+TEACHER_REPLY = guidance_to_text(Guidance(
+    "", "", "", "Make value() return 7.", "t_value fails: value() returns 3.", "open app.py at line 1", ""
+))
+
+
+def scripted_policy(body: dict) -> str:
+    """The /policy answer for the scripted real task: a greedy or hinted localization names app.py, a sampled
+    unhinted one a file the workspace lacks; a repair of app.py is the fix, any other repair no edit block."""
+    prompt = body["prompt"]
+    if "Identify the files" in prompt:
+        found = body["temperature"] == 0 or HINT_DELIMITER in prompt
+        return f"```\nFILES:\n{'app.py' if found else 'notes.py'}\n```"
+    if "Files under repair:\napp.py\n" in prompt:
+        return "```\nEDIT: app.py:1:2\n    return 7\nEND EDIT\n```"
+    return "I could not find the defect."
 
 
 class Handler(BaseHTTPRequestHandler):
-    """/ok echoes the prompt, /down answers 503, /bare answers 200 without a completion, /empty answers 204."""
+    """/ok echoes the prompt, /down answers 503, /bare answers 200 without a completion, /empty answers 204;
+    /policy and /teacher answer the scripted real task as scripted_policy and TEACHER_REPLY say."""
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.requests.append(body)
-        status, reply = {
-            "/ok": (200, {"completion": "echo " + body["prompt"], "ignored": 1}),
-            "/down": (503, {"error": "overloaded"}),
-            "/bare": (200, {"text": "no completion field"}),
-            "/empty": (204, None),
-        }[self.path]
+        if self.path == "/policy":
+            status, reply = 200, {"completion": scripted_policy(body)}
+        elif self.path == "/teacher":
+            status, reply = 200, {"completion": TEACHER_REPLY}
+        else:
+            status, reply = {
+                "/ok": (200, {"completion": "echo " + body["prompt"], "ignored": 1}),
+                "/down": (503, {"error": "overloaded"}),
+                "/bare": (200, {"text": "no completion field"}),
+                "/empty": (204, None),
+            }[self.path]
         data = b"" if reply is None else json.dumps(reply).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -125,3 +153,43 @@ def test_stepwise_final_eval_refuses_a_remote_policy(server, tmp_path, capsys):
     assert "final-eval measures the trained policy" in err and "Traceback" not in err
     assert httpd.requests == []
     assert not any(Path(o).exists() or Path(o + ".partial").exists() for o in outs)
+
+
+def test_stepwise_real_task_reaches_assemble_and_each_attempt_sends_its_seed(server, scripted_repo, tmp_path):
+    """The stepwise tasks through assemble on a real task, with a remote policy and teacher: 4 rollouts (the greedy
+    one fixes the task, the 3 sampled ones name a missing file and give no edit), 3 guided fixes; both wire
+    requests of every attempt carry the seed its trajectory records."""
+    httpd, url = server
+    task, _ = scripted_repo
+    save_tasks(TaskDataset((task,)), tmp_path / "suite.jsonl")
+    sets = [f"tasks.tasks_path={tmp_path / 'suite.jsonl'}", "run.rollouts_n=4", "run.workers=1",
+            f"backend.backend_endpoint={url}/policy", f"teacher.teacher_endpoint={url}/teacher"]
+    for phase in PHASE_TABLE[:PHASES.index("assemble") + 1]:
+        argv = [phase.name, "--seed", "0", *(a for item in sets for a in ("--set", item))]
+        for artifact in (*phase.inputs, *phase.outputs):
+            argv += ["--" + artifact.replace("_", "-"), str(tmp_path / ARTIFACTS[artifact])]
+        assert main(argv) == 0, phase.name
+
+    def read(name):
+        return read_artifact(name, tmp_path / ARTIFACTS[name])
+
+    rollouts, guided = read("rollouts"), read("guided_rollouts")
+    fix = (("app.py:1:2", "    return 7"),)
+    assert [t.patch and t.patch.edits for t in rollouts] == [fix, None, None, None]
+    assert rollouts[0].patch.rendering == "--- app.py [1:2)\n+    return 7"
+    assert [r.reward for r in read("rewards")] == [1, 0, 0, 0]
+    assert [g.source_trajectory_ref for g in read("guidance")] == [t.traj_id for t in rollouts[1:]]
+    assert [t.patch.edits for t in guided] == [fix] * 3
+    assert [r.reward for r in read("guided_rewards")] == [1] * 3
+    accounting = read("dataset").accounting
+    assert {key: accounting[key] for key in ("rollout_pairs", "guided_repair_pairs", "pairs_total", "positives_total",
+                                             "negatives_total", "guided_successes", "sft_examples")} == {
+        "rollout_pairs": 3, "guided_repair_pairs": 3, "pairs_total": 6, "positives_total": 1, "negatives_total": 3,
+        "guided_successes": 3, "sft_examples": 1}
+    # one localization and one repair request per attempt, each with the attempt's seed and temperature
+    sent = Counter((b["prompt"], b["seed"], b["temperature"]) for b in httpd.requests if "seed" in b)
+    assert sent == Counter(
+        (step.prompt, t.sampling.seed, t.sampling.temperature) for t in rollouts + guided for step in t.steps
+    )
+    assert len({t.sampling.seed for t in rollouts + guided}) == 7
+    assert sum("seed" not in b for b in httpd.requests) == 3  # one teacher request per failure

@@ -3,6 +3,7 @@ import json
 import logging
 import re
 import shutil
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doubles import FaultyTabularBackend, guidance_to_text, run_python
+from doubles import FaultyTabularBackend, FaultyTeacher, guidance_to_text, run_python
 from rlvrloop.backends import PolicyBackend, TabularPolicyBackend
 from rlvrloop.cli import main
 from rlvrloop.errors import BackendError, GuidanceError, PhaseError, UsageError
@@ -410,6 +411,20 @@ def test_dead_teacher_costs_each_failure_one_lost_record(small_suite, workers):
     assert guidance == [EvaluationFailure(r.task_id, r.trajectory_ref, "teacher: HTTP 503") for r in failed]
 
 
+@pytest.mark.parametrize("dead", [False, True])
+def test_lost_teacher_exchanges_are_logged_once_with_the_first_error(small_suite, caplog, dead):
+    trajs, records = _failed_rollouts(small_suite)
+    with caplog.at_level(logging.WARNING, logger="rlvrloop.loop"):
+        assert guide_failures(small_suite, trajs, records, FaultyTeacher()) and not caplog.records
+        guidance = guide_failures(small_suite, trajs, records, FaultyTeacher(2, frozenset({0}), dead))
+    lost = [g for g in guidance if isinstance(g, EvaluationFailure)]
+    assert 0 < len(lost) < len(guidance)
+    assert ("injected fault" if dead else "unusable reply") in lost[0].error
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{len(lost)} of {len(guidance)} teacher exchanges were lost; the first: {lost[0].error}"
+    ]
+
+
 def _sharp_suite_and_policy():
     """Eight tasks and a non-uniform policy: eight rollouts each give 56 sampled localizations."""
     suite = generate_synth_suite(8, 4, 4, seed=5)
@@ -437,6 +452,31 @@ def test_batched_phases_match_the_per_call_path(monkeypatch):
     assert not any(t.is_placeholder for t in trajs + guided)
 
 
+def test_an_attempt_derives_one_seed(monkeypatch):
+    """The only seed an attempt derives is the one its trajectory records: both step requests carry it, and the
+    backend draws from it directly, so a phase costs one derive_seed per rollout slot or guided reattempt."""
+    import rlvrloop.backends as backends
+
+    assert not hasattr(backends, "derive_seed")
+    suite, policy = _sharp_suite_and_policy()
+    backend = TabularPolicyBackend(policy)
+    seeds = []
+
+    def counting(*parts):
+        seeds.append(derive_seed(*parts))
+        return seeds[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rlvrloop") and getattr(module, "derive_seed", None) is derive_seed:
+            monkeypatch.setattr(module, "derive_seed", counting)
+    trajs = rollout_all_tasks(suite, backend, 8, 0, workers=1)
+    assert seeds == [t.sampling.seed for t in trajs] and len(seeds) == 64
+    guidance = guide_failures(suite, trajs, evaluate_trajectories(suite, trajs, workers=1), None)
+    seeds.clear()
+    guided = reattempt_with_guidance(suite, guidance, backend, 0, workers=1)
+    assert seeds == [t.sampling.seed for t in guided] and len(seeds) == len(guidance) > 1
+
+
 class FailsOneSeedInFive(PolicyBackend):
     """Answers batches through a backend's generate_batch, except that each request
     whose seed is 0 mod 5 gets a BackendError."""
@@ -455,18 +495,15 @@ def test_failed_requests_cost_exactly_their_slots():
     suite, policy = _sharp_suite_and_policy()
     clean = rollout_all_tasks(suite, TabularPolicyBackend(policy), 8, 0, workers=1)
     trajs = rollout_all_tasks(suite, FailsOneSeedInFive(TabularPolicyBackend(policy)), 8, 0, workers=1)
-
-    def dies(seed):
-        return derive_seed(seed, "loc") % 5 == 0 or derive_seed(seed, "repair") % 5 == 0
-
+    # both requests of an attempt carry the seed its trajectory records, so a slot dies with its seed
     assert [t.traj_id for t in trajs] == [t.traj_id for t in clean]
-    assert [t.is_placeholder for t in trajs] == [dies(t.sampling.seed) for t in clean]
+    assert [t.is_placeholder for t in trajs] == [t.sampling.seed % 5 == 0 for t in clean]
     assert 0 < sum(t.is_placeholder for t in trajs) < len(trajs)
     assert all(got == want for got, want in zip(trajs, clean) if not got.is_placeholder)
 
 
 def test_a_dead_greedy_slot_stays_out_of_greedy_pass_at_1():
-    """Every greedy decode is the fix, and the backend kills one task's greedy localization: that task has no
+    """Every greedy decode is the fix, and the backend kills one task's greedy attempt: that task has no
     greedy reward, its dead slot is one infra error, and pass@1 is taken over the other tasks' greedy slots."""
     suite = generate_synth_suite(6, 4, 4, seed=11)
     policy = TabularPolicy.uniform(suite)
@@ -474,8 +511,8 @@ def test_a_dead_greedy_slot_stays_out_of_greedy_pass_at_1():
         [(line, cand)] = enumerate_passing_patches(task)
         policy.head(task.id).line_logits[line] = policy.head(task.id).cand_logits[line, cand] = 1.0
     dead = suite.tasks[2]
-    greedy_loc = derive_seed(rollout_params(0, dead.id, 0).seed, "loc")
-    trajs = rollout_all_tasks(suite, FaultyTabularBackend(policy, 2**63, frozenset({greedy_loc})), 4, 0, workers=1)
+    greedy = rollout_params(0, dead.id, 0).seed
+    trajs = rollout_all_tasks(suite, FaultyTabularBackend(policy, 2**63, frozenset({greedy})), 4, 0, workers=1)
     assert [(t.task_id, t.sampling.temperature) for t in trajs if t.is_placeholder] == [(dead.id, 0.0)]
     report = aggregate(trajs, evaluate_trajectories(suite, trajs, workers=1))
     assert report.totals["infra_errors"] == 1
