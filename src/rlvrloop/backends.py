@@ -208,6 +208,7 @@ def post_completion(endpoint: str, payload: dict, timeout_s: float, who: str) ->
         with urllib.request.urlopen(request, timeout=timeout_s) as resp:
             status, body = resp.status, resp.read()
     except urllib.error.HTTPError as exc:
+        exc.close()  # it holds the response, whose reader keeps the socket open until a cyclic collection
         raise BackendError(f"{who}: HTTP {exc.code}") from exc
     except (OSError, ValueError, http.client.HTTPException) as exc:
         raise BackendError(f"{who}: request failed: {exc}") from exc

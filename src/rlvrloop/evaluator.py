@@ -16,11 +16,11 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Annotated, Iterable, Mapping, Sequence
 
 from .backends import call_batch
 from .errors import BackendError, SandboxProvisionError
-from .jsonl import DumpsMemo, dumps, dumps_scalar, read_records, write_lines
+from .jsonl import Coerced, Key, Shared, read_declared, write_records
 from .rollout import Trajectory
 from .tasks import (
     ProgramError,
@@ -42,12 +42,12 @@ STATUS_ERROR = "error"
 
 @dataclass(frozen=True, slots=True)
 class RewardRecord:
-    task_id: str
+    task_id: Shared[str]
     trajectory_ref: str
-    reward: int  # 0 or 1
+    reward: Coerced[int]  # 0 or 1
     per_test: Mapping[str, str]  # read-only; the records of one scored outcome share it
-    empty_patch: bool
-    stacktrace: str | None
+    empty_patch: Coerced[bool]
+    stacktrace: Shared[str | None]
     # Scoring time, kept in memory for profiling only: never written to a
     # rewards file, and two records that differ only here compare equal.
     wall_time_s: float = field(default=0.0, compare=False)
@@ -63,9 +63,9 @@ class RewardRecord:
 class EvaluationFailure:
     """Infrastructure-level failure; carries no reward signal at all."""
 
-    task_id: str
+    task_id: Shared[str]
     trajectory_ref: str
-    error: str
+    error: Shared[Annotated[str, Key("infrastructure_error")]]
 
 
 _NO_TESTS = MappingProxyType({})
@@ -261,81 +261,15 @@ def evaluate_batch(
 # ---------------------------------------------------------------------------
 
 
-def reward_to_record(rec: RewardRecord | EvaluationFailure) -> dict:
-    if isinstance(rec, EvaluationFailure):
-        return {
-            "task_id": rec.task_id,
-            "trajectory_ref": rec.trajectory_ref,
-            "infrastructure_error": rec.error,
-        }
-    return {
-        "task_id": rec.task_id,
-        "trajectory_ref": rec.trajectory_ref,
-        "reward": rec.reward,
-        "per_test": dict(rec.per_test),
-        "empty_patch": rec.empty_patch,
-        "stacktrace": rec.stacktrace,
-    }
-
-
-def reward_from_record(rec: dict, shared: dict | None = None) -> RewardRecord | EvaluationFailure:
-    """The record's entry; those decoded through one `shared` dict share equal task ids, stack traces and test maps."""
-    shared = {} if shared is None else shared
-
-    def one(value):
-        return shared.setdefault(value, value)
-
-    if "infrastructure_error" in rec:
-        return EvaluationFailure(
-            task_id=one(rec["task_id"]),
-            trajectory_ref=rec["trajectory_ref"],
-            error=rec["infrastructure_error"],
-        )
-    tests = tuple(dict(rec["per_test"]).items())
-    per_test = shared.get(tests)
-    if per_test is None:  # the first record with this test map keeps it
-        per_test = shared[tests] = MappingProxyType(dict(tests))
-    return RewardRecord(
-        task_id=one(rec["task_id"]),
-        trajectory_ref=rec["trajectory_ref"],
-        reward=int(rec["reward"]),
-        per_test=per_test,
-        empty_patch=bool(rec["empty_patch"]),
-        stacktrace=one(rec.get("stacktrace")),
-    )
-
-
-def _reward_lines(records: Iterable[RewardRecord | EvaluationFailure]) -> Iterator[str]:
-    """dumps(reward_to_record(r)) for each record, each string and test map repeated within one task encoded once."""
-    text, tests, task_id = DumpsMemo(), {}, None
-    for r in records:
-        if r.task_id != task_id:  # one task's memos at a time bound what they keep alive
-            text.clear()
-            tests.clear()
-            task_id = r.task_id
-        if isinstance(r, EvaluationFailure):
-            yield (
-                f'{{"infrastructure_error":{text[r.error]},"task_id":{text[r.task_id]},'
-                f'"trajectory_ref":{dumps(r.trajectory_ref)}}}'
-            )
-            continue
-        # A test map is read-only and unhashable: its memo entry is keyed by id and holds the map alive.
-        per_test = tests.get(id(r.per_test))
-        if per_test is None:
-            per_test = tests[id(r.per_test)] = (r.per_test, dumps(dict(r.per_test)))
-        yield (
-            f'{{"empty_patch":{dumps_scalar(r.empty_patch)},"per_test":{per_test[1]},'
-            f'"reward":{dumps_scalar(r.reward)},"stacktrace":{text[r.stacktrace]},'
-            f'"task_id":{text[r.task_id]},"trajectory_ref":{dumps(r.trajectory_ref)}}}'
-        )
+def record_type(rec: dict, kind: type = RewardRecord) -> type:
+    """The type of a reward or guidance file's line: EvaluationFailure if it has infrastructure_error, else kind."""
+    return EvaluationFailure if "infrastructure_error" in rec else kind
 
 
 def write_rewards(records: Iterable[RewardRecord | EvaluationFailure], path: str | Path) -> int:
-    """Write each record as the line dumps(reward_to_record(r)) would, byte for byte."""
-    return write_lines(path, REWARDS_SCHEMA, _reward_lines(records))
+    return write_records(path, REWARDS_SCHEMA, records)
 
 
 def read_rewards(path: str | Path) -> list[RewardRecord | EvaluationFailure]:
     """The file's records, each per_test read-only; equal task ids, stack traces and test maps are one object each."""
-    shared: dict = {}
-    return [r for _, r in read_records(path, REWARDS_SCHEMA, lambda rec: reward_from_record(rec, shared))]
+    return read_declared(path, REWARDS_SCHEMA, record_type)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .backends import call_batch, call_with_retry, post_completion
 from .errors import BackendError, GuidanceError
-from .jsonl import derive_seed
+from .jsonl import Shared, derive_seed
 from .prompts import HINT_DELIMITER, HINT_LOCATION_RE
 from .tasks import SynthTask
 
@@ -47,7 +47,7 @@ REATTEMPT_BLOCK_TEMPLATE = _load_template("reattempt_block.txt")
 @dataclass(frozen=True)
 class Guidance:
     guidance_id: str
-    task_id: str
+    task_id: Shared[str]
     source_trajectory_ref: str
     plan: str
     env_feedback: str
@@ -273,33 +273,4 @@ def oracle_teacher(
         env_feedback=feedback.strip(),
         env_interaction=f"line {task.buggy_line}",
         teacher_id="oracle",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def guidance_to_record(g: Guidance) -> dict:
-    return {
-        "guidance_id": g.guidance_id,
-        "task_id": g.task_id,
-        "source_trajectory_ref": g.source_trajectory_ref,
-        "plan": g.plan,
-        "env_feedback": g.env_feedback,
-        "env_interaction": g.env_interaction,
-        "teacher_id": g.teacher_id,
-    }
-
-
-def guidance_from_record(rec: dict) -> Guidance:
-    return Guidance(
-        guidance_id=rec["guidance_id"],
-        task_id=rec["task_id"],
-        source_trajectory_ref=rec["source_trajectory_ref"],
-        plan=rec["plan"],
-        env_feedback=rec["env_feedback"],
-        env_interaction=rec["env_interaction"],
-        teacher_id=rec["teacher_id"],
     )

@@ -1,18 +1,31 @@
-"""JSONL persistence helpers, and the package's seeds and random stream.
+"""JSONL persistence helpers, the record codec, and the package's seeds and random stream.
 
 Every artifact file starts with a header record carrying the schema name and
 a schema_version so old files fail loudly instead of deserializing garbage;
 a checkpoint is one JSON document whose top level carries the same header.
 No artifact records a wall-clock value, so reruns of a deterministic
 pipeline write identical bytes and a plain content hash tells them apart.
+
+A record type is a dataclass whose declaration is its file format: a line is
+dumps of the fields its equality compares (each under its name or declared
+Key) and its ClassVar tags, nested records, tuples and read-only maps as the
+type hints say, an empty optional tuple as null. Shared values are escaped
+once per task and read as one object each; Coerced ones read through int(),
+float() or bool().
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
+from collections.abc import Mapping
+from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from types import MappingProxyType, UnionType
+from typing import (
+    Annotated, Any, Callable, ClassVar, Iterable, Iterator, TypeVar, Union, get_args, get_origin, get_type_hints,
+)
 
 import numpy as np
 
@@ -69,22 +82,141 @@ def dumps_scalar(x) -> str:
     return repr(x) if type(x) is int or (type(x) is float and math.isfinite(x)) else dumps(x)
 
 
-def write_records(path: str | Path, schema: str, records: Iterable[dict[str, Any]]) -> int:
-    """Write a header line followed by one record per line. Returns record count."""
-    return write_lines(path, schema, map(dumps, records))
-
-
-def write_lines(path: str | Path, schema: str, lines: Iterable[str]) -> int:
-    """Write a header line, then stream each already-encoded record line. Returns line count."""
+def write_records(path: str | Path, schema: str, records: Iterable) -> int:
+    """Write a header line, then each record's line (see record_lines). Returns record count."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps({"schema": schema, "schema_version": SCHEMA_VERSION}) + "\n")
-        for line in lines:
+        for line in record_lines(records):
             fh.write(line + "\n")
             n += 1
     return n
+
+
+T = TypeVar("T")
+Shared = Annotated[T, "shared"]
+Coerced = Annotated[T, "coerced"]
+
+
+class Key(str):
+    """Annotated[X, Key(name)]: the field's JSON key is name."""
+
+
+def _parse(hint) -> tuple[Any, tuple, bool]:
+    """(type, Annotated markers, whether None is allowed) of a field's type hint."""
+    marks = ()
+    if get_origin(hint) is Annotated:
+        hint, marks = hint.__origin__, hint.__metadata__
+    if get_origin(hint) in (Union, UnionType) and type(None) in get_args(hint):
+        return next(arg for arg in get_args(hint) if arg is not type(None)), marks, True
+    return hint, marks, False
+
+
+def _map_text(memo: DumpsMemo, value: Mapping) -> str:
+    """dumps of a read-only map; a map is unhashable, so its memo entry is keyed by identity and keeps it alive."""
+    hit = memo.get(id(value))
+    if hit is None:
+        hit = memo[id(value)] = (value, dumps(dict(value)))
+    return hit[1]
+
+
+def _shared_map(value, shared: dict) -> Mapping:
+    """A read-only map of value's items, one object for every equal map read through shared."""
+    key = (Mapping, tuple(dict(value).items()))
+    hit = shared.get(key)
+    if hit is None:
+        hit = shared[key] = MappingProxyType(dict(key[1]))
+    return hit
+
+
+class _Codecs(dict):
+    """Record type -> (enc(record, memo) -> its line, dec(rec, shared) -> the record rec holds).
+
+    Both are compiled once per type from its declaration, as dataclasses compiles __init__, so a record
+    costs one f-string and one constructor call; a nested record is its own type's enc or dec call."""
+
+    def __missing__(self, cls):
+        env = {"cls": cls, "d": dumps, "s": dumps_scalar, "_map_text": _map_text, "_shared_map": _shared_map}
+        hints, temps = get_type_hints(cls, include_extras=True), itertools.count()
+        keyed = [(next((m for m in _parse(hints[f.name])[1] if isinstance(m, Key)), f.name), f.name)
+                 for f in fields(cls) if f.init and f.compare]  # (JSON key, field) of each field equality compares
+        parts = [(key, "{" + self._encode(hints[name], f"x.{name}", env) + "}") for key, name in keyed]
+        parts += [(name, dumps(getattr(cls, name))) for name, hint in hints.items() if get_origin(hint) is ClassVar]
+        line = ",".join(f'"{key}":{text}' for key, text in sorted(parts))
+        args = ", ".join(f"{name}={self._decode(hints[name], key, env, temps)}" for key, name in keyed)
+        source = f"def enc(x, m):\n return f'{{{{{line}}}}}'\n"
+        source += f"def dec(r, shared):\n one = shared.setdefault\n return cls({args})\n"
+        exec(compile(source, f"<{cls.__qualname__} codec>", "exec"), env)
+        self[cls] = codec = env["enc"], env["dec"]
+        return codec
+
+    def _encode(self, hint, v: str, env: dict) -> str:
+        """Source of the JSON text of expression v's value, m being the task's memo."""
+        kind, marks, optional = _parse(hint)
+        args = get_args(kind)
+        if is_dataclass(kind):
+            env[name := f"e{id(kind)}"] = self[kind][0]
+            return f'("null" if {v} is None else {name}({v}, m))' if optional else f"{name}({v}, m)"
+        if get_origin(kind) is tuple and is_dataclass(_parse(args[0])[0]):
+            return f'"[" + ",".join([{self._encode(args[0], "y", env)} for y in {v}]) + "]"'
+        if get_origin(kind) is Mapping:
+            return f"_map_text(m, {v})"
+        if kind in (bool, int, float):
+            return f"s({v})"
+        if get_origin(kind) is tuple and optional:  # an empty optional tuple is null
+            code = f'"[" + ",".join(map(s, {v})) + "]"' if {bool, int, float}.issuperset(args) else f"d({v})"
+            return f'({v} and {code} or "null")'
+        return f"m[{v}]" if "shared" in marks else f"d({v})"
+
+    def _decode(self, hint, key: str, env: dict, temps: Iterator[int], v: str = "") -> str:
+        """Source of the value of rec r's field key (or of JSON value v), a Shared one made one object by one()."""
+        kind, marks, optional = _parse(hint)
+        v, t = v or (f'r.get("{key}")' if optional else f'r["{key}"]'), f"_{next(temps)}"
+        if optional and (is_dataclass(kind) or get_origin(kind) is tuple):  # null is None, and so is an empty tuple
+            test = f"({t} := {v}) is None" if is_dataclass(kind) else f"not ({t} := {v})"
+            code = f"(None if {test} else {self._convert(kind, marks, t, env, temps)})"
+        else:
+            code = self._convert(kind, marks, v, env, temps)
+        return f"one({t} := {code}, {t})" if "shared" in marks and get_origin(kind) is not Mapping else code
+
+    def _convert(self, kind, marks: tuple, v: str, env: dict, temps: Iterator[int]) -> str:
+        """Source of the declared value that JSON value v stands for."""
+        args = get_args(kind)
+        if is_dataclass(kind):
+            env[name := f"d{id(kind)}"] = self[kind][1]
+            return f"{name}({v}, shared)"
+        if get_origin(kind) is Mapping:
+            return f"_shared_map({v}, shared)"
+        if get_origin(kind) is not tuple:
+            return f"{kind.__name__}({v})" if "coerced" in marks else v
+        if args[-1] is Ellipsis and is_dataclass(_parse(args[0])[0]):
+            return f"tuple([{self._decode(args[0], '', env, temps, 'y')} for y in {v}])"
+        return f"tuple(map(tuple, {v}))" if args[-1] is Ellipsis and get_origin(args[0]) is tuple else f"tuple({v})"
+
+
+_CODECS = _Codecs()
+_CODECS[dict] = (lambda record, memo: dumps(record)), (lambda rec, shared: rec)  # a plain dict is its own record
+
+
+def record_lines(records: Iterable) -> Iterator[str]:
+    """Each record's line, by its type's compiled encoder (a plain dict's is dumps); a Shared string or tuple is
+    escaped once per task."""
+    memo, task_id = DumpsMemo(), None
+    for r in records:
+        if getattr(r, "task_id", None) != task_id:  # one task's memo at a time bounds what it keeps alive
+            memo.clear()
+            task_id = r.task_id
+        yield _CODECS[type(r)][0](r, memo)
+
+
+def read_declared(path: str | Path, schema: str, kind: type | Callable[[dict], type]) -> list:
+    """The file's records, each decoded as kind or as the type kind(rec) names; all through one shared dict, so
+    equal Shared values and maps among them are one object each."""
+    shared: dict = {}
+    pick = (lambda rec: kind) if isinstance(kind, type) else kind
+    return [x for _, x in read_records(path, schema, lambda rec: _CODECS[pick(rec)][1](rec, shared))]
 
 
 def read_records(

@@ -35,25 +35,9 @@ from typing import NamedTuple
 
 from .backends import HttpPolicyBackend, PolicyBackend, SamplingParams, TabularPolicyBackend
 from .errors import BackendError, CheckpointError, PhaseError, RlvrLoopError, UsageError
-from .evaluator import (
-    EvaluationFailure,
-    RewardRecord,
-    evaluate_batch,
-    read_rewards,
-    reward_from_record,
-    reward_to_record,
-    write_rewards,
-)
-from .guidance import (
-    GUIDANCE_SCHEMA,
-    HttpTeacherBackend,
-    TeacherBackend,
-    guidance_from_record,
-    guidance_to_record,
-    oracle_teacher,
-    request_guidance,
-)
-from .jsonl import canonical_file_hash, derive_seed, read_records, write_records
+from .evaluator import EvaluationFailure, RewardRecord, evaluate_batch, read_rewards, record_type, write_rewards
+from .guidance import GUIDANCE_SCHEMA, Guidance, HttpTeacherBackend, TeacherBackend, oracle_teacher, request_guidance
+from .jsonl import canonical_file_hash, derive_seed, read_declared, read_records, write_records
 from .metrics import aggregate, guidance_uplift_report, render_report_text
 from .pairs import RlvrDataset, build_rlvr_dataset, emit_dataset, load_dataset
 from .policy import ReferencePolicy, TabularPolicy
@@ -291,15 +275,11 @@ def reattempt_with_guidance(
 
 def write_guidance(guidance_list, path: Path) -> None:
     """Each record a line; a lost one (EvaluationFailure) the line a reward file holds for it."""
-    write_records(path, GUIDANCE_SCHEMA, (
-        reward_to_record(g) if isinstance(g, EvaluationFailure) else guidance_to_record(g) for g in guidance_list
-    ))
+    write_records(path, GUIDANCE_SCHEMA, guidance_list)
 
 
 def read_guidance(path: Path) -> list:
-    return [g for _, g in read_records(path, GUIDANCE_SCHEMA, lambda rec: (
-        reward_from_record(rec) if "infrastructure_error" in rec else guidance_from_record(rec)
-    ))]
+    return read_declared(path, GUIDANCE_SCHEMA, lambda rec: record_type(rec, Guidance))
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .errors import AssemblyError, TaskFormatError
 from .evaluator import EvaluationFailure, RewardRecord
 from .guidance import Guidance, strip_hint_block
-from .jsonl import derive_seed, read_records, write_records
+from .jsonl import Shared, derive_seed, read_declared, write_records
 from .prompts import HINT_DELIMITER
 from .rollout import Trajectory
 
@@ -44,24 +44,28 @@ DEFAULT_SFT_FRACTION = 0.2
 @dataclass(frozen=True)
 class PairSide:
     trajectory_ref: str
-    response: str
+    response: Shared[str]
     actions: tuple[int, int] | None
 
 
 @dataclass(frozen=True)
 class PreferencePair:
-    task_id: str
-    prompt: str
+    record: ClassVar[str] = "pair"  # the dataset file's tag of each line
+
+    task_id: Shared[str]
+    prompt: Shared[str]
     winner: PairSide
     loser: PairSide
-    provenance: str
+    provenance: Shared[str]
 
 
 @dataclass(frozen=True)
 class SFTExample:
-    task_id: str
-    prompt: str
-    target: str
+    record: ClassVar[str] = "sft"
+
+    task_id: Shared[str]
+    prompt: Shared[str]
+    target: Shared[str]
     actions: tuple[int, int] | None
 
 
@@ -319,71 +323,21 @@ def build_rlvr_dataset(
 # ---------------------------------------------------------------------------
 
 
-def _pair_to_record(p: PreferencePair) -> dict:
-    def side(s: PairSide) -> dict:
-        return {
-            "trajectory_ref": s.trajectory_ref,
-            "response": s.response,
-            "actions": list(s.actions) if s.actions else None,
-        }
-
-    return {
-        "record": "pair",
-        "task_id": p.task_id,
-        "prompt": p.prompt,
-        "winner": side(p.winner),
-        "loser": side(p.loser),
-        "provenance": p.provenance,
-    }
-
-
-def _pair_from_record(rec: dict) -> PreferencePair:
-    def side(d: dict) -> PairSide:
-        return PairSide(
-            trajectory_ref=d["trajectory_ref"],
-            response=d["response"],
-            actions=tuple(d["actions"]) if d.get("actions") else None,
-        )
-
-    return PreferencePair(
-        task_id=rec["task_id"],
-        prompt=rec["prompt"],
-        winner=side(rec["winner"]),
-        loser=side(rec["loser"]),
-        provenance=rec["provenance"],
-    )
-
-
 def emit_dataset(dataset: RlvrDataset, path: str | Path) -> None:
-    records = [{"record": "accounting", **dataset.accounting}]
-    records += [_pair_to_record(p) for p in dataset.pairs]
-    records += [
-        {
-            "record": "sft",
-            "task_id": e.task_id,
-            "prompt": e.prompt,
-            "target": e.target,
-            "actions": list(e.actions) if e.actions else None,
-        }
-        for e in dataset.sft
-    ]
-    write_records(path, DATASET_SCHEMA, records)
+    write_records(path, DATASET_SCHEMA, [{"record": "accounting", **dataset.accounting}, *dataset.pairs, *dataset.sft])
 
 
-def _dataset_record(rec: dict) -> dict | PreferencePair | SFTExample:
+_RECORDS = {cls.record: cls for cls in (PreferencePair, SFTExample)}
+
+
+def _record_type(rec: dict) -> type:
+    """The type of a dataset line, by its record tag; the accounting record is read as the dict it is."""
     kind = rec.get("record")
     if kind == "accounting":
-        return {k: v for k, v in rec.items() if k != "record"}
-    if kind == "pair":
-        return _pair_from_record(rec)
-    if kind == "sft":
-        return SFTExample(
-            task_id=rec["task_id"],
-            prompt=rec["prompt"],
-            target=rec["target"],
-            actions=tuple(rec["actions"]) if rec.get("actions") else None,
-        )
-    raise ValueError(f"unknown record kind {kind!r}")
+        return dict
+    if kind not in _RECORDS:
+        raise ValueError(f"unknown record kind {kind!r}")
+    return _RECORDS[kind]
 
 
 def load_dataset(path: str | Path) -> RlvrDataset:
@@ -391,9 +345,9 @@ def load_dataset(path: str | Path) -> RlvrDataset:
     accounting: dict = {}
     pairs: list[PreferencePair] = []
     sft: list[SFTExample] = []
-    for _, item in read_records(path, DATASET_SCHEMA, _dataset_record):
+    for item in read_declared(path, DATASET_SCHEMA, _record_type):
         if isinstance(item, dict):
-            accounting = item
+            accounting = {k: v for k, v in item.items() if k != "record"}
         elif isinstance(item, PreferencePair):
             pairs.append(item)
         else:

@@ -20,13 +20,13 @@ import functools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import prompts
 from .backends import PolicyBackend, SamplingParams
 from .errors import BackendError, GuidanceLeakError, TaskFormatError
 from .guidance import Guidance, render_reattempt_prompt
-from .jsonl import DumpsMemo, derive_seed, dumps, dumps_scalar, read_records, write_lines
+from .jsonl import Shared, derive_seed, read_declared, write_records
 from .tasks import SynthTask, Task
 
 log = logging.getLogger(__name__)
@@ -46,26 +46,26 @@ class Patch:
     text and synth is None.
     """
 
-    edits: tuple[tuple[str, str], ...]
-    rendering: str
+    edits: Shared[tuple[tuple[str, str], ...]]
+    rendering: Shared[str]
     synth: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class Step:
-    role: str  # "localization" or "repair"
-    prompt: str
-    completion: str
+    role: Shared[str]  # "localization" or "repair"
+    prompt: Shared[str]
+    completion: Shared[str]
 
 
 @dataclass(frozen=True, slots=True)
 class Trajectory:
-    task_id: str
-    steps: tuple[Step, ...]
-    patch: Patch | None
-    guidance_id: str | None
+    task_id: Shared[str]
+    steps: Shared[tuple[Shared[Step], ...]]
+    patch: Shared[Patch | None]
+    guidance_id: Shared[str | None]
     sampling: SamplingParams
-    backend_id: str
+    backend_id: Shared[str]
     traj_id: str
 
     def response_text(self) -> str:
@@ -259,89 +259,10 @@ def rollout_all_tasks(
 # ---------------------------------------------------------------------------
 
 
-def trajectory_to_record(traj: Trajectory) -> dict:
-    return {
-        "traj_id": traj.traj_id,
-        "task_id": traj.task_id,
-        "steps": [{"role": s.role, "prompt": s.prompt, "completion": s.completion} for s in traj.steps],
-        "patch": None
-        if traj.patch is None
-        else {
-            "edits": [list(e) for e in traj.patch.edits],
-            "rendering": traj.patch.rendering,
-            "synth": list(traj.patch.synth) if traj.patch.synth else None,
-        },
-        "guidance_id": traj.guidance_id,
-        "sampling": {
-            "temperature": traj.sampling.temperature,
-            "seed": traj.sampling.seed,
-            "max_tokens": traj.sampling.max_tokens,
-        },
-        "backend_id": traj.backend_id,
-    }
-
-
-def trajectory_from_record(rec: dict, shared: dict | None = None) -> Trajectory:
-    """The record's trajectory; records decoded through one `shared` dict share equal strings, steps, steps tuples
-    and patches."""
-    shared = {} if shared is None else shared
-
-    def one(value):
-        return shared.setdefault(value, value)
-
-    patch = None
-    if rec.get("patch") is not None:
-        p = rec["patch"]
-        patch = one(Patch(
-            edits=tuple((loc, text) for loc, text in p["edits"]),
-            rendering=p["rendering"],
-            synth=tuple(p["synth"]) if p.get("synth") else None,
-        ))
-    return Trajectory(
-        task_id=one(rec["task_id"]),
-        steps=one(tuple(one(Step(one(s["role"]), one(s["prompt"]), one(s["completion"]))) for s in rec["steps"])),
-        patch=patch,
-        guidance_id=one(rec.get("guidance_id")),
-        sampling=SamplingParams(
-            temperature=rec["sampling"]["temperature"],
-            seed=rec["sampling"]["seed"],
-            max_tokens=rec["sampling"]["max_tokens"],
-        ),
-        backend_id=one(rec["backend_id"]),
-        traj_id=rec["traj_id"],
-    )
-
-
-def _trajectory_lines(trajectories: Iterable[Trajectory]) -> Iterator[str]:
-    """dumps(trajectory_to_record(t)) for each trajectory, each string repeated within one task encoded once."""
-    text, task_id = DumpsMemo(), None
-    for t in trajectories:
-        if t.task_id != task_id:  # one task's memo at a time bounds what it keeps alive
-            text.clear()
-            task_id = t.task_id
-        p, sp = t.patch, t.sampling
-        if p is None:
-            patch = "null"
-        else:
-            synth = "[" + ",".join(map(dumps_scalar, p.synth)) + "]" if p.synth else "null"
-            patch = f'{{"edits":{text[p.edits]},"rendering":{text[p.rendering]},"synth":{synth}}}'
-        steps = ",".join([
-            f'{{"completion":{text[s.completion]},"prompt":{text[s.prompt]},"role":{text[s.role]}}}' for s in t.steps
-        ])
-        yield (
-            f'{{"backend_id":{text[t.backend_id]},"guidance_id":{text[t.guidance_id]},"patch":{patch},'
-            f'"sampling":{{"max_tokens":{dumps_scalar(sp.max_tokens)},"seed":{dumps_scalar(sp.seed)},'
-            f'"temperature":{dumps_scalar(sp.temperature)}}},"steps":[{steps}],'
-            f'"task_id":{text[t.task_id]},"traj_id":{dumps(t.traj_id)}}}'
-        )
-
-
 def write_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> int:
-    """Write each trajectory as the line dumps(trajectory_to_record(t)) would, byte for byte."""
-    return write_lines(path, TRAJECTORIES_SCHEMA, _trajectory_lines(trajectories))
+    return write_records(path, TRAJECTORIES_SCHEMA, trajectories)
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
     """The file's trajectories; equal strings, steps, steps tuples and patches among them are one object each."""
-    shared: dict = {}
-    return [t for _, t in read_records(path, TRAJECTORIES_SCHEMA, lambda rec: trajectory_from_record(rec, shared))]
+    return read_declared(path, TRAJECTORIES_SCHEMA, Trajectory)

@@ -15,10 +15,10 @@ import random
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .errors import RlvrLoopError, TaskFormatError
-from .jsonl import derive_seed, read_records, write_records
+from .jsonl import Coerced, derive_seed, read_declared, write_records
 
 log = logging.getLogger(__name__)
 
@@ -72,7 +72,7 @@ class TestSuite:
 class EnvSpec:
     setup_commands: tuple[str, ...]
     test_command: str
-    timeout_s: float
+    timeout_s: Coerced[float]
     isolation: str
 
     def __post_init__(self):
@@ -86,6 +86,8 @@ class EnvSpec:
 
 @dataclass(frozen=True)
 class Task:
+    kind: ClassVar[str] = "real"  # the tasks file's tag: load_tasks reads a "synth" line as a SynthTask
+
     id: str
     issue: str
     workspace: str
@@ -109,10 +111,12 @@ class Task:
 
 @dataclass(frozen=True)
 class SynthTask(Task):
+    kind: ClassVar[str] = "synth"
+
     lines: tuple[str, ...] = ()
-    buggy_line: int = 0
+    buggy_line: Coerced[int] = 0
     candidates: tuple[tuple[str, ...], ...] = ()
-    expected_output: int = 0
+    expected_output: Coerced[int] = 0
     # The evaluator's memo: the patch's synth tuple (line, candidate) -> (reward, per_test, stacktrace),
     # per_test being one of the evaluator's three shared read-only maps.
     # It lives on this object and dies with its suite; two suites that reuse a task id
@@ -363,6 +367,15 @@ def synth_env_spec() -> EnvSpec:
 
 
 def _generate_one(task_id: str, n_lines: int, n_candidates: int, rng: random.Random) -> SynthTask:
+    """One verified task drawn from rng. Each loop is bounded, so generation ends on every seed: reaching a
+    bound redraws the program, and after 64 programs raises TaskFormatError. No bound is reached in practice:
+    - 32 tries per corruption: each differs from the statement with probability above 2/3 (all fail: < 3**-32).
+    - 16 corruptions per program: one that keeps the output is retried; 16 such, or one that fails to run, redraw.
+    - 400 draws per candidate row: a row needs at most 27 distinct statements, about 104 draws on average for
+      all 27 (the coupon collector's 27 * H(27)).
+    - 200 uniqueness rounds of up to 200 resample draws: a resample that finds no new statement, or a second
+      passing patch left after 200 rounds, redraws the program.
+    """
     for _ in range(64):  # program-level retries; practically one pass suffices
         correct = [_sample_statement(rng, i, chain=True) for i in range(n_lines)]
         expected = run_program(correct)
@@ -458,68 +471,6 @@ def generate_synth_suite(count: int, n_lines: int, n_candidates: int, seed: int)
 TASKS_SCHEMA = "tasks"
 
 
-def task_to_record(task: Task) -> dict:
-    rec = {
-        "kind": "synth" if isinstance(task, SynthTask) else "real",
-        "id": task.id,
-        "issue": task.issue,
-        "workspace": task.workspace,
-        "repo_name": task.repo_name,
-        "env_spec": {
-            "setup_commands": list(task.env_spec.setup_commands),
-            "test_command": task.env_spec.test_command,
-            "timeout_s": task.env_spec.timeout_s,
-            "isolation": task.env_spec.isolation,
-        },
-        "tests": {
-            "regression": list(task.tests.regression),
-            "focused": list(task.tests.focused),
-        },
-    }
-    if isinstance(task, SynthTask):
-        rec.update(
-            lines=list(task.lines),
-            buggy_line=task.buggy_line,
-            candidates=[list(row) for row in task.candidates],
-            expected_output=task.expected_output,
-        )
-    return rec
-
-
-def task_from_record(rec: dict) -> Task:
-    try:
-        env = rec["env_spec"]
-        spec = EnvSpec(
-            setup_commands=tuple(env["setup_commands"]),
-            test_command=env["test_command"],
-            timeout_s=float(env["timeout_s"]),
-            isolation=env["isolation"],
-        )
-        tests = TestSuite(
-            regression=tuple(rec["tests"]["regression"]),
-            focused=tuple(rec["tests"]["focused"]),
-        )
-        common = dict(
-            id=rec["id"],
-            issue=rec["issue"],
-            workspace=rec["workspace"],
-            env_spec=spec,
-            tests=tests,
-            repo_name=rec["repo_name"],
-        )
-        if rec.get("kind") == "synth" or "lines" in rec:
-            return SynthTask(
-                **common,
-                lines=tuple(rec["lines"]),
-                buggy_line=int(rec["buggy_line"]),
-                candidates=tuple(tuple(row) for row in rec["candidates"]),
-                expected_output=int(rec["expected_output"]),
-            )
-        return Task(**common)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TaskFormatError(f"bad task record: {exc!r}") from exc
-
-
 def load_tasks(path: str | Path) -> TaskDataset:
     """Load a JSONL task file, one task per line after the header.
 
@@ -529,21 +480,21 @@ def load_tasks(path: str | Path) -> TaskDataset:
     """
     seen: set[str] = set()
 
-    def decode(rec: dict) -> Task:
-        task = task_from_record(rec)
-        if task.id in seen:
-            raise ValueError(f"duplicate task id {task.id!r}")
-        seen.add(task.id)
-        if not isinstance(task, SynthTask) and not Path(task.workspace).is_dir():
-            raise ValueError(f"workspace {task.workspace!r} is not a directory")
-        return task
+    def kind(rec: dict) -> type[Task]:
+        if rec["id"] in seen:
+            raise ValueError(f"duplicate task id {rec['id']!r}")
+        seen.add(rec["id"])
+        if rec.get("kind") == "synth" or "lines" in rec:
+            return SynthTask
+        if not Path(rec["workspace"]).is_dir():
+            raise ValueError(f"workspace {rec['workspace']!r} is not a directory")
+        return Task
 
-    tasks = [task for _, task in read_records(path, TASKS_SCHEMA, decode)]
+    tasks = read_declared(path, TASKS_SCHEMA, kind)
     if not tasks:
         log.warning("task file %s contains no tasks", path)
     return TaskDataset(tasks=tuple(tasks))
 
 
 def save_tasks(dataset: TaskDataset | Iterable[Task], path: str | Path) -> int:
-    tasks = dataset.tasks if isinstance(dataset, TaskDataset) else tuple(dataset)
-    return write_records(path, TASKS_SCHEMA, (task_to_record(t) for t in tasks))
+    return write_records(path, TASKS_SCHEMA, dataset)

@@ -6,6 +6,7 @@ driven end to end against a scripted throwaway repository.
 """
 import dataclasses
 import itertools
+import json
 import re
 from types import MappingProxyType
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubles import ScriptedBackend, workspace_fingerprint
-from rlvrloop import evaluator
+from rlvrloop import evaluator, jsonl
 from rlvrloop.backends import SamplingParams
 from rlvrloop.errors import SandboxProvisionError
 from rlvrloop.evaluator import (
@@ -24,12 +25,10 @@ from rlvrloop.evaluator import (
     evaluate,
     evaluate_batch,
     read_rewards,
-    reward_from_record,
-    reward_to_record,
     write_rewards,
     _parse_test_lines,
 )
-from rlvrloop.jsonl import dumps
+from rlvrloop.jsonl import dumps, record_lines
 from rlvrloop.rollout import Patch, Step, Trajectory, scaffold_batch, synth_patch
 from rlvrloop.tasks import (
     EnvSpec,
@@ -138,7 +137,7 @@ def test_evaluate_idempotent(one_task):
     traj = synth_attempt(one_task, 1, 1)
     a, b = evaluate(one_task, traj), evaluate(one_task, traj)
     assert a == b
-    assert reward_to_record(a) == reward_to_record(b)
+    assert list(record_lines([a])) == list(record_lines([b]))
 
 
 def test_wall_clock_never_changes_a_synthetic_reward(one_task, monkeypatch):
@@ -553,17 +552,16 @@ def test_reward_record_validation():
 def test_record_round_trip_discriminates_infra(tmp_path, one_task):
     rec = evaluate(one_task, synth_attempt(one_task, 0, 1))
     infra = EvaluationFailure(task_id="t", trajectory_ref="r", error="sandbox broke")
-    assert reward_from_record(reward_to_record(rec)) == rec
-    assert reward_from_record(reward_to_record(infra)) == infra
-    # scoring time stays in memory; a file written by an older version may
-    # still carry it, and reading ignores it
-    assert "wall_time_s" not in reward_to_record(rec)
-    assert reward_from_record(reward_to_record(rec) | {"wall_time_s": 0.25}) == rec
-
     path = tmp_path / "rewards.jsonl"
     write_rewards([rec, infra], path)
-    back = read_rewards(path)
-    assert back == [rec, infra]
+    assert read_rewards(path) == [rec, infra]
+    header, scored, lost = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lost) == {"task_id": "t", "trajectory_ref": "r", "infrastructure_error": "sandbox broke"}
+    # scoring time stays in memory; a file written by an older version may
+    # still carry it, and reading ignores it
+    assert "wall_time_s" not in json.loads(scored)
+    path.write_text("\n".join([header, dumps(json.loads(scored) | {"wall_time_s": 0.25}), lost]) + "\n")
+    assert read_rewards(path) == [rec, infra]
 
 
 def test_read_rewards_shares_task_ids_stack_traces_and_test_maps(tmp_path, small_suite):
@@ -573,7 +571,7 @@ def test_read_rewards_shares_task_ids_stack_traces_and_test_maps(tmp_path, small
     write_rewards(records, path)
     back = read_rewards(path)
     assert back == records
-    assert [reward_to_record(r) for r in back] == [reward_to_record(r) for r in records]
+    assert list(record_lines(back)) == list(record_lines(records))
     one = {}
     for rec in back:
         assert one.setdefault(rec.task_id, rec.task_id) is rec.task_id
@@ -586,9 +584,23 @@ def test_read_rewards_shares_task_ids_stack_traces_and_test_maps(tmp_path, small
     assert len({id(rec.per_test) for rec in scored}) == len({tuple(rec.per_test.items()) for rec in scored}) < 4
 
 
+def reference_record(rec):
+    """A reward file's record, spelled out field by field: the oracle the writer's lines are checked against."""
+    if isinstance(rec, EvaluationFailure):
+        return {"task_id": rec.task_id, "trajectory_ref": rec.trajectory_ref, "infrastructure_error": rec.error}
+    return {
+        "task_id": rec.task_id,
+        "trajectory_ref": rec.trajectory_ref,
+        "reward": rec.reward,
+        "per_test": dict(rec.per_test),
+        "empty_patch": rec.empty_patch,
+        "stacktrace": rec.stacktrace,
+    }
+
+
 def test_rewards_file_lines_are_dumps_of_each_record(tmp_path, small_suite, monkeypatch):
-    """write_rewards renders each line from a template; every line must be dumps(reward_to_record(r)), for
-    failures, None and non-ASCII stack traces, bool fields, and tasks that come back after another."""
+    """write_rewards renders each line from its type's compiled template; every line must be dumps of the record,
+    for failures, None and non-ASCII stack traces, bool fields, and tasks that come back after another."""
     a, b = small_suite.tasks[:2]
     scored = evaluate_batch([(task, synth_attempt(task, line, 1)) for task in (a, b) for line in range(3)], workers=1)
     odd = [
@@ -602,12 +614,12 @@ def test_rewards_file_lines_are_dumps_of_each_record(tmp_path, small_suite, monk
     path = tmp_path / "rewards.jsonl"
     assert write_rewards(records, path) == len(records)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[1:] == [dumps(reward_to_record(r)) for r in records]
+    assert lines[1:] == [dumps(reference_record(r)) for r in records]
 
     proxies = []
-    monkeypatch.setattr(evaluator, "MappingProxyType", lambda m: proxies.append(m) or MappingProxyType(m))
+    monkeypatch.setattr(jsonl, "MappingProxyType", lambda m: proxies.append(m) or MappingProxyType(m))
     back = read_rewards(path)
-    assert [reward_to_record(r) for r in back] == [reward_to_record(r) for r in records]
+    assert [reference_record(r) for r in back] == [reference_record(r) for r in records]
     distinct = {tuple(r.per_test.items()) for r in records if isinstance(r, RewardRecord)}
     assert len(proxies) == len(distinct)  # one read-only map per distinct test map, none per record
 

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,6 @@ from rlvrloop.guidance import (
     SECTION_PLAN,
     SECTIONS,
     Guidance,
-    guidance_from_record,
-    guidance_to_record,
     oracle_teacher,
     parse_guidance,
     render_guidance_request,
@@ -25,6 +25,7 @@ from rlvrloop.guidance import (
     request_guidance,
     strip_hint_block,
 )
+from rlvrloop.jsonl import read_declared, write_records
 from rlvrloop.policy import TabularPolicy
 from rlvrloop.prompts import HINT_DELIMITER, format_line_completion, render_localization_prompt
 from rlvrloop.tasks import enumerate_passing_patches
@@ -332,10 +333,13 @@ def test_oracle_teacher_rejects_success(one_task):
         oracle_teacher(one_task, traj, rec)
 
 
-def test_guidance_record_round_trip(one_task):
+def test_guidance_record_round_trip(one_task, tmp_path):
     traj, rec = failed_attempt(one_task)
     g = oracle_teacher(one_task, traj, rec)
-    assert guidance_from_record(guidance_to_record(g)) == g
+    write_records(tmp_path / "guidance.jsonl", "guidance", [g])
+    assert read_declared(tmp_path / "guidance.jsonl", "guidance", Guidance) == [g]
+    line = (tmp_path / "guidance.jsonl").read_text().splitlines()[1]
+    assert json.loads(line).keys() == {field.name for field in dataclasses.fields(Guidance)}
 
 
 def test_oracle_guidance_equals_the_parse_of_its_text(small_suite):

@@ -1,14 +1,17 @@
 """The remote policy and teacher clients against a local HTTP server."""
+import gc
 import json
+import socket
 import threading
 from collections import Counter
+from functools import partial
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
 
 from doubles import guidance_to_text
-from rlvrloop.backends import HttpPolicyBackend, SamplingParams
+from rlvrloop.backends import HttpPolicyBackend, SamplingParams, call_batch, call_with_retry
 from rlvrloop.cli import main
 from rlvrloop.errors import BackendError
 from rlvrloop.evaluator import EvaluationFailure
@@ -108,6 +111,37 @@ def test_teacher_backend_round_trip_and_errors(server):
         HttpTeacherBackend(url + "/down", timeout_s=5).generate_guidance_text("help")
     with pytest.raises(BackendError, match="remote-teacher: malformed response"):
         HttpTeacherBackend(url + "/bare", timeout_s=5).generate_guidance_text("help")
+
+
+def client_sockets_still_open(port: int) -> list:
+    """The open sockets among all objects that are connected to port: the client ends of its connections."""
+    found = []
+    for obj in gc.get_objects():
+        if isinstance(obj, socket.socket) and obj.fileno() != -1:
+            try:
+                peer = obj.getpeername()
+            except OSError:  # the listening socket, or one no longer connected
+                continue
+            if peer[1] == port:
+                found.append(obj)
+    return found
+
+
+def test_error_replies_on_the_pool_path_leave_no_socket_open(server):
+    """A non-200 reply's HTTPError holds the response; sent from the pool it ends up in a reference cycle, and
+    unless the client closes it, its socket stays open until the cyclic collector runs."""
+    httpd, url = server
+    teacher = HttpTeacherBackend(url + "/down", timeout_s=5)
+    gc.disable()  # no cyclic collection between the requests and the count
+    try:
+        results = call_batch(partial(call_with_retry, teacher.generate_guidance_text), [("help",)] * 4, 4)
+        leaked = client_sockets_still_open(httpd.server_port)
+    finally:
+        gc.enable()
+    assert [str(r) for r in results] == ["remote-teacher: HTTP 503"] * 4
+    for sock in leaked:
+        sock.close()
+    assert not leaked
 
 
 def test_unreachable_teacher_is_an_infrastructure_failure(server, tmp_path, capsys):

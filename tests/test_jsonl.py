@@ -1,6 +1,9 @@
 import hashlib
 import json
 import random
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Annotated, ClassVar, Mapping
 
 import pytest
 
@@ -10,12 +13,81 @@ from rlvrloop.errors import TaskFormatError
 from rlvrloop.jsonl import (
     HASH_CHUNK_BYTES,
     SCHEMA_VERSION,
+    Coerced,
+    Key,
+    Shared,
     canonical_file_hash,
     derive_seed,
     dumps,
+    read_declared,
     read_records,
+    record_lines,
     write_records,
 )
+
+
+@dataclass(frozen=True)
+class Leaf:
+    name: Shared[str]
+    weight: Coerced[float]
+
+
+@dataclass(frozen=True)
+class Branch:
+    leaf: Shared[Leaf]
+    leaves: tuple[Shared[Leaf], ...]
+    span: tuple[int, int] | None
+
+
+@dataclass(frozen=True)
+class Tree:
+    kind: ClassVar[str] = "tree"
+
+    task_id: Shared[str]
+    label: Annotated[str, Key("title")]
+    branch: Branch | None
+    tags: Mapping[str, str]
+    names: tuple[str, ...]
+    note: Shared[str | None]
+    seconds: float = field(default=0.0, compare=False)
+    cache: dict = field(default_factory=dict, init=False, compare=False)
+
+
+def test_a_new_record_type_needs_only_its_declaration(tmp_path):
+    a, b = Leaf("a", 1.5), Leaf("b \u00e9", 2.0)
+    trees = [
+        Tree("t1", "one", Branch(a, (a, b), (3, 4)), MappingProxyType({"z": "1", "a": "2"}), ("x",), None, 9.5),
+        Tree("t1", "two", Branch(b, (), ()), {"k": "v"}, (), "a note"),
+        Tree("t2", "three", None, {"z": "1", "a": "2"}, ("y", "x"), "a note"),
+    ]
+    path = tmp_path / "trees.jsonl"
+    assert write_records(path, "trees", trees) == 3
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    assert lines == [dumps(json.loads(line)) for line in lines]  # sorted keys, compact separators
+    leaf = {"name": "a", "weight": 1.5}
+    assert json.loads(lines[0]) == {
+        "kind": "tree", "task_id": "t1", "title": "one", "tags": {"a": "2", "z": "1"}, "names": ["x"], "note": None,
+        "branch": {"leaf": leaf, "leaves": [leaf, {"name": "b \u00e9", "weight": 2.0}], "span": [3, 4]},
+    }
+    assert json.loads(lines[1])["branch"]["span"] is None and json.loads(lines[2])["branch"] is None
+
+    back = read_declared(path, "trees", Tree)
+    assert back[0] == trees[0] and back[2] == trees[2]
+    assert back[1].branch.span is None and back[1] == Tree("t1", "two", Branch(b, (), None), {"k": "v"}, (), "a note")
+    # equal Shared values and equal maps are one object each; a map reads back read-only
+    assert back[0].branch.leaves[0] is back[0].branch.leaf and back[1].branch.leaf is back[0].branch.leaves[1]
+    assert back[1].note is back[2].note and back[0].tags is back[2].tags
+    with pytest.raises(TypeError):
+        back[1].tags["k"] = "w"
+    # a Coerced field reads through its type; a missing optional key reads as None
+    old = json.loads(lines[2])
+    del old["note"]
+    write_records(path, "trees", [old, json.loads(lines[1].replace('"weight":2.0', '"weight":2'))])
+    assert read_declared(path, "trees", Tree) == [replace(trees[2], note=None), back[1]]
+    assert type(read_declared(path, "trees", Tree)[1].branch.leaf.weight) is float
+    write_records(path, "trees", [json.loads(lines[0]), json.loads(lines[1].replace('"title"', '"label"'))])
+    with pytest.raises(TaskFormatError, match="trees.jsonl: line 3: missing field 'title'"):
+        read_declared(path, "trees", Tree)
 
 
 def test_write_then_read_round_trip(tmp_path):

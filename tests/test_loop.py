@@ -547,6 +547,31 @@ def test_guidance_file_round_trip(tmp_path):
     }
 
 
+def test_every_jsonl_artifact_rewrites_to_its_own_bytes(tmp_path, monkeypatch):
+    """A small run with lost rollout slots and lost teacher exchanges: each JSONL file its row reads, read back
+    through read_artifact and written by the row's own writer, gives the same bytes."""
+    import rlvrloop.loop as loop
+
+    sample = loop.rollout_all_tasks
+    monkeypatch.setattr(
+        loop, "rollout_all_tasks", lambda tasks, backend, *a, **kw: sample(tasks, DiesOnOneSeedInFive(backend), *a, **kw)
+    )
+    monkeypatch.setattr(loop, "build_teacher", lambda config: FaultyTeacher(3, frozenset({0}), dead=True))
+    assert main(["run-loop", "--output-dir", str(tmp_path / "run"), *SMALL_ARGV]) == 3
+    paths = RunPaths(tmp_path / "run")
+    for name in ("rewards", "guidance"):
+        lost = [r for r in read_artifact(name, getattr(paths, name)) if isinstance(r, EvaluationFailure)]
+        assert lost and "infrastructure_error" in getattr(paths, name).read_text()
+    rewritten = [
+        (name, artifact) for phase in PHASE_TABLE for name, artifact in phase.outputs.items()
+        if artifact.file.endswith(".jsonl") and artifact.read is not None
+    ]
+    assert len(rewritten) == 9
+    for name, artifact in rewritten:
+        artifact.write(read_artifact(name, getattr(paths, name)), tmp_path / artifact.file)
+        assert (tmp_path / artifact.file).read_bytes() == getattr(paths, name).read_bytes(), name
+
+
 def test_run_state_persistence(tmp_path):
     path = tmp_path / "runstate.json"
     state = RunState(path)

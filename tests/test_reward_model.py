@@ -24,7 +24,7 @@ from rlvrloop.reward_model import (
     ranking_accuracy,
     rm_train,
 )
-from rlvrloop.rollout import Patch, synth_patch
+from rlvrloop.rollout import Patch, SamplingParams, Step, Trajectory, read_trajectories, synth_patch, write_trajectories
 from rlvrloop.tasks import EnvSpec, Task, TestSuite, enumerate_passing_patches, generate_synth_suite
 
 LN2 = 0.6931471805599453
@@ -70,6 +70,17 @@ def test_featurize_hand_computed_values():
     wrong_fix = featurize("statement 3 is wrong, should be `x1 = x0 + 2`", patch_at(3, "x1 = 9"))
     assert wrong_fix[7] == 0.0
     assert 0.0 <= wrong_fix[6] < 1.0
+
+
+def test_featurize_a_read_patch_whose_locations_carry_no_line(tmp_path):
+    """A patch read back from a trajectory file is outside input: a location without a line number adds no line,
+    so the mean edited line is 0 and the issue's named statement is never matched."""
+    patch = Patch(edits=(("line:x", "x1 = x0 + 2"), ("app.py", "return 7")), rendering="?", synth=None)
+    traj = Trajectory("t", (Step("localization", "p", "c"),), patch, None, SamplingParams(0.0, 1), "b", "t/b/1/u")
+    write_trajectories([traj], tmp_path / "trajs.jsonl")
+    [back] = read_trajectories(tmp_path / "trajs.jsonl")
+    f = featurize("statement 3 is wrong, should be `x1 = x0 + 2`", back.patch)
+    assert f[1] == 2.0 and f[3] == 0.0 and f[5] == 0.0
 
 
 def test_featurize_without_hints_or_quotes():

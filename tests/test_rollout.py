@@ -9,7 +9,7 @@ from doubles import ScriptedBackend
 from rlvrloop.backends import TabularPolicyBackend
 from rlvrloop.errors import BackendError, GuidanceLeakError, TaskFormatError
 from rlvrloop.guidance import Guidance
-from rlvrloop.jsonl import dumps
+from rlvrloop.jsonl import dumps, record_lines
 from rlvrloop.policy import TabularPolicy
 from rlvrloop.prompts import HINT_DELIMITER, LOC_STEP, REPAIR_STEP
 from rlvrloop.rollout import (
@@ -24,8 +24,6 @@ from rlvrloop.rollout import (
     rollout_params,
     scaffold_batch,
     synth_patch,
-    trajectory_from_record,
-    trajectory_to_record,
     write_trajectories,
 )
 from rlvrloop.tasks import generate_synth_suite
@@ -76,9 +74,9 @@ def test_scaffold_shape(one_task, backend):
 def test_scaffold_deterministic(one_task, backend):
     a = attempt(one_task, backend, params(seed=5))
     b = attempt(one_task, backend, params(seed=5))
-    assert trajectory_to_record(a) == trajectory_to_record(b)
+    assert list(record_lines([a])) == list(record_lines([b]))
     c = attempt(one_task, backend, params(seed=6))
-    assert trajectory_to_record(c) != trajectory_to_record(a)
+    assert list(record_lines([c])) != list(record_lines([a]))
 
 
 def test_loc_and_repair_seeds_independent(one_task, backend):
@@ -190,8 +188,8 @@ def test_sample_rollouts_exact_count(one_task, backend):
 
 
 def test_sample_rollouts_deterministic(one_task, backend):
-    a = [trajectory_to_record(t) for t in rollout_all_tasks([one_task], backend, 6, base_seed=3, workers=1)]
-    b = [trajectory_to_record(t) for t in rollout_all_tasks([one_task], backend, 6, base_seed=3, workers=1)]
+    a = list(record_lines(rollout_all_tasks([one_task], backend, 6, base_seed=3, workers=1)))
+    b = list(record_lines(rollout_all_tasks([one_task], backend, 6, base_seed=3, workers=1)))
     assert a == b
 
 
@@ -219,11 +217,12 @@ def test_sample_rollouts_rejects_bad_n(one_task, backend):
         rollout_all_tasks([one_task], backend, 0, base_seed=0, workers=1)
 
 
-def test_trajectory_record_round_trip(one_task, backend):
+def test_trajectory_record_round_trip(one_task, backend, tmp_path):
     for guided in (False, True):
         guidance = make_guidance(one_task) if guided else None
         traj = attempt(one_task, backend, params(seed=2), guidance=guidance)
-        assert trajectory_from_record(trajectory_to_record(traj)) == traj
+        write_trajectories([traj], tmp_path / "one.jsonl")
+        assert read_trajectories(tmp_path / "one.jsonl") == [traj]
 
 
 def test_write_read_trajectories(tmp_path, one_task, backend):
@@ -269,13 +268,27 @@ def codec_corpus(small_suite, backend):
     return unguided[:4] + guided + [placeholder] + real[:3] + unguided[4:] + [synth_patch_odd] + real[3:] + unguided[:2]
 
 
+def reference_record(traj):
+    """A trajectory's record, spelled out field by field: the oracle the writer's lines are checked against."""
+    p, sp = traj.patch, traj.sampling
+    return {
+        "traj_id": traj.traj_id,
+        "task_id": traj.task_id,
+        "steps": [{"role": s.role, "prompt": s.prompt, "completion": s.completion} for s in traj.steps],
+        "patch": None if p is None else {"edits": p.edits, "rendering": p.rendering, "synth": p.synth or None},
+        "guidance_id": traj.guidance_id,
+        "sampling": {"temperature": sp.temperature, "seed": sp.seed, "max_tokens": sp.max_tokens},
+        "backend_id": traj.backend_id,
+    }
+
+
 def test_writer_matches_the_reference_encoder_line_for_line(tmp_path, small_suite, backend):
     corpus = codec_corpus(small_suite, backend)
     path = tmp_path / "trajs.jsonl"
     assert write_trajectories(corpus, path) == len(corpus)
     header, *lines = path.read_text(encoding="utf-8").split("\n")[:-1]
     assert header == dumps({"schema": "trajectories", "schema_version": 1})
-    assert lines == [dumps(trajectory_to_record(t)) for t in corpus]
+    assert lines == [dumps(reference_record(t)) for t in corpus]
 
 
 def test_reader_decodes_each_record_and_shares_repeated_prompts(tmp_path, small_suite, backend):
@@ -284,8 +297,7 @@ def test_reader_decodes_each_record_and_shares_repeated_prompts(tmp_path, small_
     path = tmp_path / "trajs.jsonl"
     write_trajectories(corpus, path)
     back = read_trajectories(path)
-    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
-    assert back == [trajectory_from_record(rec) for rec in records]
+    assert list(record_lines(back)) == path.read_text(encoding="utf-8").splitlines()[1:]
     assert len(back) == len(corpus) and back[:8] == corpus[:8]
     # two slots of one task: one localization prompt object, and one repair prompt when they localized alike
     first, second = back[0], back[1]

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from rlvrloop.errors import TaskFormatError
+from rlvrloop.jsonl import record_lines, write_records
 from rlvrloop.tasks import (
     MAX_SYNTH_CANDIDATES,
     EnvSpec,
@@ -25,8 +26,6 @@ from rlvrloop.tasks import (
     run_program,
     save_tasks,
     synth_env_spec,
-    task_from_record,
-    task_to_record,
 )
 
 
@@ -255,6 +254,12 @@ def test_dataset_index_is_derived_not_passed(small_suite):
 # ---------------------------------------------------------------------------
 
 
+def as_record(task):
+    """The task's record in a tasks file, as a dict to edit."""
+    [line] = record_lines([task])
+    return json.loads(line)
+
+
 def test_save_load_round_trip(tmp_path, small_suite):
     path = tmp_path / "tasks.jsonl"
     save_tasks(small_suite, path)
@@ -282,13 +287,15 @@ def test_record_round_trip_real_task(tmp_path):
         tests=TestSuite(regression=("t_a",), focused=("t_b",)),
         repo_name="widget",
     )
-    back = task_from_record(task_to_record(task))
+    assert as_record(task)["kind"] == "real"
+    save_tasks([task], tmp_path / "tasks.jsonl")
+    [back] = load_tasks(tmp_path / "tasks.jsonl")
     assert back == task
     assert not isinstance(back, SynthTask)
 
 
 def test_load_real_task_requires_workspace_dir(tmp_path):
-    rec = task_to_record(
+    rec = as_record(
         Task(
             id="real-1",
             issue="x",
@@ -299,8 +306,6 @@ def test_load_real_task_requires_workspace_dir(tmp_path):
         )
     )
     path = tmp_path / "tasks.jsonl"
-    from rlvrloop.jsonl import write_records
-
     write_records(path, "tasks", [rec])
     with pytest.raises(TaskFormatError, match="not a directory"):
         load_tasks(path)
@@ -308,15 +313,13 @@ def test_load_real_task_requires_workspace_dir(tmp_path):
 
 def test_load_rejects_container_isolation(tmp_path):
     """A task that asks for container isolation fails at load; it never runs on the host."""
-    rec = task_to_record(Task(
+    rec = as_record(Task(
         id="real-1", issue="x", workspace=str(tmp_path),
         env_spec=EnvSpec((), "pytest", 10.0, "process_sandbox"),
         tests=TestSuite(regression=("t",), focused=()), repo_name="w",
     ))
     rec["env_spec"]["isolation"] = "container"
     path = tmp_path / "tasks.jsonl"
-    from rlvrloop.jsonl import write_records
-
     write_records(path, "tasks", [rec])
     with pytest.raises(TaskFormatError, match="line 2: .*unknown isolation mode 'container'"):
         load_tasks(path)
@@ -325,15 +328,13 @@ def test_load_rejects_container_isolation(tmp_path):
 def test_load_rejects_isolation_that_does_not_match_the_task_kind(tmp_path, one_task):
     """A real task under in_memory_synthetic fails at load, so its attempts never score as
     model failures; a synthetic task under process_sandbox fails too, since its commands never run."""
-    rec = task_to_record(Task(
+    rec = as_record(Task(
         id="real-1", issue="x", workspace=str(tmp_path),
         env_spec=EnvSpec((), "pytest", 10.0, "process_sandbox"),
         tests=TestSuite(regression=("t",), focused=()), repo_name="w",
     ))
     rec["env_spec"].update(test_command="", isolation="in_memory_synthetic")
     path = tmp_path / "tasks.jsonl"
-    from rlvrloop.jsonl import write_records
-
     write_records(path, "tasks", [rec])
     with pytest.raises(TaskFormatError, match="line 2: .*real task must use process_sandbox"):
         load_tasks(path)
@@ -341,7 +342,7 @@ def test_load_rejects_isolation_that_does_not_match_the_task_kind(tmp_path, one_
         Task(id="real-1", issue="x", workspace=str(tmp_path), env_spec=synth_env_spec(),
              tests=TestSuite(regression=("t",), focused=()), repo_name="w")
 
-    rec = task_to_record(one_task)
+    rec = as_record(one_task)
     rec["env_spec"].update(setup_commands=["false"], isolation="process_sandbox")
     write_records(path, "tasks", [rec])
     with pytest.raises(TaskFormatError, match="line 2: .*synthetic task must use in_memory_synthetic"):
@@ -374,6 +375,18 @@ def test_load_empty_file_warns(tmp_path, caplog):
     assert any("no tasks" in r.message for r in caplog.records)
 
 
-def test_bad_record_raises_task_format_error():
-    with pytest.raises(TaskFormatError, match="bad task record"):
-        task_from_record({"kind": "synth", "id": "x"})
+def test_bad_record_raises_task_format_error(tmp_path):
+    path = tmp_path / "tasks.jsonl"
+    write_records(path, "tasks", [{"kind": "synth", "id": "x"}])
+    with pytest.raises(TaskFormatError, match="line 2: missing field"):
+        load_tasks(path)
+
+
+def test_an_integral_timeout_or_a_float_line_index_reads_through_its_declared_type(tmp_path, one_task):
+    rec = as_record(one_task)
+    rec["env_spec"]["timeout_s"], rec["buggy_line"], rec["expected_output"] = 2, float(one_task.buggy_line), True
+    path = tmp_path / "tasks.jsonl"
+    write_records(path, "tasks", [rec])
+    [back] = load_tasks(path)
+    assert (type(back.env_spec.timeout_s), type(back.buggy_line), back.expected_output) == (float, int, 1)
+    assert back.buggy_line == one_task.buggy_line
