@@ -52,9 +52,11 @@ class RewardRecord:
     # rewards file, and two records that differ only here compare equal.
     wall_time_s: float = field(default=0.0, compare=False)
 
-    def __post_init__(self):
-        if self.reward not in (0, 1):
-            raise ValueError(f"reward must be 0 or 1, got {self.reward}")
+    def __post_init__(self):  # the exact types, so a record is written as it reads back
+        if type(self.reward) is not int or self.reward not in (0, 1):
+            raise ValueError(f"reward must be 0 or 1, got {self.reward!r}")
+        if type(self.empty_patch) is not bool:
+            raise ValueError(f"empty_patch must be True or False, got {self.empty_patch!r}")
         if self.empty_patch and self.reward != 0:
             raise ValueError("empty patch cannot earn reward")
 

@@ -11,7 +11,10 @@ dumps of the fields its equality compares (each under its name or declared
 Key) and its ClassVar tags, nested records, tuples and read-only maps as the
 type hints say, an empty optional tuple as null. Shared values are escaped
 once per task and read as one object each; Coerced ones read through int(),
-float() or bool().
+float() or bool(). A Once string is written in full at its first occurrence
+in a file and as its ordinal after that: the position of that first
+occurrence among the file's distinct Once strings, counted in text order
+(line by line, and within a line by sorted key and list order).
 """
 from __future__ import annotations
 
@@ -41,7 +44,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-SCHEMA_VERSION = 1
+# 2: a repeated Once string is written as its ordinal; a version-1 file is one that has no ordinals.
+SCHEMA_VERSION = 2
 
 # canonical_file_hash's read size.
 HASH_CHUNK_BYTES = 1 << 16
@@ -75,6 +79,14 @@ class DumpsMemo(dict):
         return text
 
 
+class _Ordinals(dict):
+    """Once string -> the text a file writes for it: dumps of it at its first occurrence, its ordinal after that."""
+
+    def __missing__(self, value):
+        self[value] = str(len(self))
+        return dumps(value)
+
+
 def dumps_scalar(x) -> str:
     """x as dumps renders it (0 stays 0, inf is Infinity); a bool, a plain int or a finite float skips the encoder."""
     if x is True or x is False:
@@ -97,6 +109,7 @@ def write_records(path: str | Path, schema: str, records: Iterable) -> int:
 
 T = TypeVar("T")
 Shared = Annotated[T, "shared"]
+Once = Annotated[T, "once"]  # a string
 Coerced = Annotated[T, "coerced"]
 
 
@@ -122,6 +135,14 @@ def _map_text(memo: DumpsMemo, value: Mapping) -> str:
     return hit[1]
 
 
+def _once(v, table: list, shared: dict, key: str) -> str:
+    """The Once string JSON value v, which is not the ordinal of a table entry, stands for: the table's next entry."""
+    if type(v) is not str:
+        raise ValueError(f"{key}: {v!r} is neither a string nor the ordinal of one of the {len(table)} before it")
+    table.append(v := shared.setdefault(v, v))
+    return v
+
+
 def _shared_map(value, shared: dict) -> Mapping:
     """A read-only map of value's items, one object for every equal map read through shared."""
     key = (Mapping, tuple(dict(value).items()))
@@ -132,33 +153,45 @@ def _shared_map(value, shared: dict) -> Mapping:
 
 
 class _Codecs(dict):
-    """Record type -> (enc(record, memo) -> its line, dec(rec, shared) -> the record rec holds).
+    """Record type -> (enc(record, memo, ordinals) -> its line, dec(rec, shared, table) -> the record rec holds,
+    kdec(rec, shared, table) -> the one record of shared equal to it).
 
-    Both are compiled once per type from its declaration, as dataclasses compiles __init__, so a record
-    costs one f-string and one constructor call; a nested record is its own type's enc or dec call."""
+    All are compiled once per type from its declaration, as dataclasses compiles __init__, so a record costs
+    one f-string and one constructor call; a nested record is its own type's enc, dec or kdec call. dec reads
+    the fields in sorted key order, the order of the line's text and so of its Once ordinals. kdec, for a
+    Shared nested record, looks the record up by the tuple of its field values and builds it only if absent."""
 
     def __missing__(self, cls):
-        env = {"cls": cls, "d": dumps, "s": dumps_scalar, "_map_text": _map_text, "_shared_map": _shared_map}
+        env = {"cls": cls, "d": dumps, "s": dumps_scalar, "_map_text": _map_text, "_shared_map": _shared_map,
+               "_once": _once}
         hints, temps = get_type_hints(cls, include_extras=True), itertools.count()
-        keyed = [(next((m for m in _parse(hints[f.name])[1] if isinstance(m, Key)), f.name), f.name)
-                 for f in fields(cls) if f.init and f.compare]  # (JSON key, field) of each field equality compares
+        # (JSON key, field) of each field equality compares, in the order of the line's text
+        keyed = sorted((next((m for m in _parse(hints[f.name])[1] if isinstance(m, Key)), f.name), f.name)
+                       for f in fields(cls) if f.init and f.compare)
         parts = [(key, "{" + self._encode(hints[name], f"x.{name}", env) + "}") for key, name in keyed]
         parts += [(name, dumps(getattr(cls, name))) for name, hint in hints.items() if get_origin(hint) is ClassVar]
         line = ",".join(f'"{key}":{text}' for key, text in sorted(parts))
-        args = ", ".join(f"{name}={self._decode(hints[name], key, env, temps)}" for key, name in keyed)
-        source = f"def enc(x, m):\n return f'{{{{{line}}}}}'\n"
-        source += f"def dec(r, shared):\n one = shared.setdefault\n return cls({args})\n"
+        values = [(name, *self._decode(hints[name], key, env, temps)) for key, name in keyed]
+        args = ", ".join(f"{name}={self._one(code, temps) if shared else code}" for name, code, shared in values)
+        # a new record's key is remade of its field values made one object each, so it keeps no copy of its own
+        interned = "".join(f"one(k[{i}], k[{i}]), " if v[2] else f"k[{i}], " for i, v in enumerate(values, start=1))
+        built = ", ".join(f"{name}=k[{i}]" for i, (name, *_) in enumerate(values, start=1))
+        source = f"def enc(x, m, o):\n return f'{{{{{line}}}}}'\n"
+        source += f"def dec(r, shared, table):\n one = shared.setdefault\n return cls({args})\n"
+        source += f"def kdec(r, shared, table):\n k = (cls, {''.join(f'{code}, ' for _, code, _ in values)})\n"
+        source += " hit = shared.get(k)\n if hit is None:\n  one = shared.setdefault\n"
+        source += f"  k = (cls, {interned})\n  hit = shared[k] = cls({built})\n return hit\n"
         exec(compile(source, f"<{cls.__qualname__} codec>", "exec"), env)
-        self[cls] = codec = env["enc"], env["dec"]
+        self[cls] = codec = env["enc"], env["dec"], env["kdec"]
         return codec
 
     def _encode(self, hint, v: str, env: dict) -> str:
-        """Source of the JSON text of expression v's value, m being the task's memo."""
+        """Source of the JSON text of expression v's value, m being the task's memo and o the file's ordinals."""
         kind, marks, optional = _parse(hint)
         args = get_args(kind)
         if is_dataclass(kind):
             env[name := f"e{id(kind)}"] = self[kind][0]
-            return f'("null" if {v} is None else {name}({v}, m))' if optional else f"{name}({v}, m)"
+            return f'("null" if {v} is None else {name}({v}, m, o))' if optional else f"{name}({v}, m, o)"
         if get_origin(kind) is tuple and is_dataclass(_parse(args[0])[0]):
             return f'"[" + ",".join([{self._encode(args[0], "y", env)} for y in {v}]) + "]"'
         if get_origin(kind) is Mapping:
@@ -168,55 +201,71 @@ class _Codecs(dict):
         if get_origin(kind) is tuple and optional:  # an empty optional tuple is null
             code = f'"[" + ",".join(map(s, {v})) + "]"' if {bool, int, float}.issuperset(args) else f"d({v})"
             return f'({v} and {code} or "null")'
+        if "once" in marks:
+            return f"o[{v}]"
         return f"m[{v}]" if "shared" in marks else f"d({v})"
 
-    def _decode(self, hint, key: str, env: dict, temps: Iterator[int], v: str = "") -> str:
-        """Source of the value of rec r's field key (or of JSON value v), a Shared one made one object by one()."""
+    @staticmethod
+    def _one(code: str, temps: Iterator[int]) -> str:
+        """Source of the one object of shared equal to code's value."""
+        t = f"_{next(temps)}"
+        return f"one({t} := {code}, {t})"
+
+    def _decode(self, hint, key: str, env: dict, temps: Iterator[int], v: str = "") -> tuple[str, bool]:
+        """(Source of the value of rec r's field key or of JSON value v, whether it is Shared but not yet made one
+        object by one()): a Shared record is its type's kdec, and a map or a Once string is one object already."""
         kind, marks, optional = _parse(hint)
         v, t = v or (f'r.get("{key}")' if optional else f'r["{key}"]'), f"_{next(temps)}"
+        if "once" in marks:  # an ordinal is an int in range: not a bool, and never negative
+            ordinal = f"type({t} := {v}) is int and 0 <= {t} < len(table)"
+            return f"(table[{t}] if {ordinal} else _once({t}, table, shared, {key!r}))", False
         if optional and (is_dataclass(kind) or get_origin(kind) is tuple):  # null is None, and so is an empty tuple
             test = f"({t} := {v}) is None" if is_dataclass(kind) else f"not ({t} := {v})"
             code = f"(None if {test} else {self._convert(kind, marks, t, env, temps)})"
         else:
             code = self._convert(kind, marks, v, env, temps)
-        return f"one({t} := {code}, {t})" if "shared" in marks and get_origin(kind) is not Mapping else code
+        return code, "shared" in marks and not (is_dataclass(kind) or get_origin(kind) is Mapping)
 
     def _convert(self, kind, marks: tuple, v: str, env: dict, temps: Iterator[int]) -> str:
         """Source of the declared value that JSON value v stands for."""
         args = get_args(kind)
         if is_dataclass(kind):
-            env[name := f"d{id(kind)}"] = self[kind][1]
-            return f"{name}({v}, shared)"
+            keyed = "shared" in marks
+            env[name := f"{'k' if keyed else 'd'}{id(kind)}"] = self[kind][2 if keyed else 1]
+            return f"{name}({v}, shared, table)"
         if get_origin(kind) is Mapping:
             return f"_shared_map({v}, shared)"
         if get_origin(kind) is not tuple:
             return f"{kind.__name__}({v})" if "coerced" in marks else v
         if args[-1] is Ellipsis and is_dataclass(_parse(args[0])[0]):
-            return f"tuple([{self._decode(args[0], '', env, temps, 'y')} for y in {v}])"
+            return f"tuple([{self._decode(args[0], '', env, temps, 'y')[0]} for y in {v}])"
         return f"tuple(map(tuple, {v}))" if args[-1] is Ellipsis and get_origin(args[0]) is tuple else f"tuple({v})"
 
 
 _CODECS = _Codecs()
-_CODECS[dict] = (lambda record, memo: dumps(record)), (lambda rec, shared: rec)  # a plain dict is its own record
+_CODECS[dict] = (lambda record, memo, ordinals: dumps(record)), (lambda rec, shared, table: rec), None  # its own record
 
 
 def record_lines(records: Iterable) -> Iterator[str]:
     """Each record's line, by its type's compiled encoder (a plain dict's is dumps); a Shared string or tuple is
-    escaped once per task."""
-    memo, task_id = DumpsMemo(), None
+    escaped once per task, and a Once string once per call, its later occurrences written as its ordinal."""
+    memo, ordinals, task_id = DumpsMemo(), _Ordinals(), None
     for r in records:
         if getattr(r, "task_id", None) != task_id:  # one task's memo at a time bounds what it keeps alive
             memo.clear()
             task_id = r.task_id
-        yield _CODECS[type(r)][0](r, memo)
+        yield _CODECS[type(r)][0](r, memo, ordinals)
 
 
 def read_declared(path: str | Path, schema: str, kind: type | Callable[[dict], type]) -> list:
     """The file's records, each decoded as kind or as the type kind(rec) names; all through one shared dict, so
-    equal Shared values and maps among them are one object each."""
+    equal Shared and Once values and maps among them are one object each, and one table of the file's Once
+    strings in the order they enter, which its ordinals index. A line whose ordinal names no earlier string is a
+    TaskFormatError."""
     shared: dict = {}
+    table: list[str] = []
     pick = (lambda rec: kind) if isinstance(kind, type) else kind
-    return [x for _, x in read_records(path, schema, lambda rec: _CODECS[pick(rec)][1](rec, shared))]
+    return [x for _, x in read_records(path, schema, lambda rec: _CODECS[pick(rec)][1](rec, shared, table))]
 
 
 def read_records(
@@ -259,11 +308,10 @@ def read_records(
 
 
 def write_document(path: str | Path, schema: str, body: dict[str, Any]) -> None:
-    """One JSON document: the header fields and the body, keys sorted, indent 1."""
+    """One JSON document, as compact as a record line: the header fields and the body, keys sorted."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    document = {"schema": schema, "schema_version": SCHEMA_VERSION, **body}
-    path.write_text(json.dumps(document, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    path.write_text(dumps({"schema": schema, "schema_version": SCHEMA_VERSION, **body}) + "\n", encoding="utf-8")
 
 
 def read_document(path: str | Path, schema: str, what: str) -> dict[str, Any]:

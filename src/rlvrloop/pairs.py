@@ -26,7 +26,7 @@ from typing import ClassVar, Iterable, Sequence
 from .errors import AssemblyError, TaskFormatError
 from .evaluator import EvaluationFailure, RewardRecord
 from .guidance import Guidance, strip_hint_block
-from .jsonl import Shared, derive_seed, read_declared, write_records
+from .jsonl import Once, Shared, derive_seed, read_declared, write_records
 from .prompts import HINT_DELIMITER
 from .rollout import Trajectory
 
@@ -53,7 +53,7 @@ class PreferencePair:
     record: ClassVar[str] = "pair"  # the dataset file's tag of each line
 
     task_id: Shared[str]
-    prompt: Shared[str]
+    prompt: Once[str]
     winner: PairSide
     loser: PairSide
     provenance: Shared[str]
@@ -64,7 +64,7 @@ class SFTExample:
     record: ClassVar[str] = "sft"
 
     task_id: Shared[str]
-    prompt: Shared[str]
+    prompt: Once[str]
     target: Shared[str]
     actions: tuple[int, int] | None
 

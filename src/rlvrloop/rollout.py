@@ -26,7 +26,7 @@ from . import prompts
 from .backends import PolicyBackend, SamplingParams
 from .errors import BackendError, GuidanceLeakError, TaskFormatError
 from .guidance import Guidance, render_reattempt_prompt
-from .jsonl import Shared, derive_seed, read_declared, write_records
+from .jsonl import Once, Shared, derive_seed, read_declared, write_records
 from .tasks import SynthTask, Task
 
 log = logging.getLogger(__name__)
@@ -54,7 +54,7 @@ class Patch:
 @dataclass(frozen=True, slots=True)
 class Step:
     role: Shared[str]  # "localization" or "repair"
-    prompt: Shared[str]
+    prompt: Once[str]
     completion: Shared[str]
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from rlvrloop.cli import build_parser, main
 from rlvrloop.errors import GuidanceError
-from rlvrloop.jsonl import canonical_file_hash
+from rlvrloop.jsonl import canonical_file_hash, dumps
 from rlvrloop.loop import ARTIFACTS, PHASE_TABLE, PHASES, RM_TABLE, read_artifact
 from rlvrloop.evaluator import EvaluationFailure, RewardRecord, read_rewards, write_rewards
 from rlvrloop.pairs import PROVENANCE_ROLLOUT, load_dataset
@@ -101,14 +101,14 @@ GOLDEN_SETS = [
     "sft.sft_epochs=20", "dpo.dpo_epochs=20",
 ]
 GOLDEN_SHA256 = {
-    "tasks.jsonl": "2091ba01c58fedfca7f45d33a26bdb1ebb4a3955d35b153e2b4e5f311ee1cc64",
-    "policy_init.json": "12078f6a8d25da4cd09cf8408d59c4ff1fc8ac98f0ffc0d8d799e6d1bd430e2f",
-    "rollouts.jsonl": "3e39a79ca18a6a11f40e507e02633df498fdbeb3aa41cd7cdf56a51e74c37926",
-    "rewards.jsonl": "bcdf9d9a07ab0acb3da60b8d84eddad9db7c8ff899685cd96f59f52ff29c919e",
-    "guidance.jsonl": "120ae3778781356f501b811a2d811a90e6c854e4306d8f8e4ea3227653384cfc",
-    "guided_rollouts.jsonl": "b79f0ab41a58c7690e3b8a073ae0e4e6c496070b84dab6e3912f10f5676b1e3c",
-    "guided_rewards.jsonl": "d81a796819d3a9094d6ee9b20d2502b2c70753af6c912da32f9a4fdba34e3fb6",
-    "dataset.jsonl": "39969747c42f57d2546c3b47c20698c2d6ef719018dda03e369d643aef8f863f",
+    "tasks.jsonl": "69cf5ef9cabd33dfd46592bfece205ba1fdb6078b06f18dc6bb84b440eae16ae",
+    "policy_init.json": "24c4e8fc4b58d49f00e05e26632f732fb4c962da77a05e38a79f644fdbb898a0",
+    "rollouts.jsonl": "6a88186c35324f95a463885272fd57e3eb4f2cb71fe664f04e522d6741e7f0a0",
+    "rewards.jsonl": "dc1d75340640665846dfe0a901df5face5f5b50e6f38790b505967e4e8b139b4",
+    "guidance.jsonl": "d5950d70582fe2fd3fd3220291a998034798ccb0a06551dad27d46e08bf59856",
+    "guided_rollouts.jsonl": "f5c94247cbaf556732101f4b8d091c3de580477d46a69eecba96467de8692f99",
+    "guided_rewards.jsonl": "067db11b0a648cacd6b8a71133ddd4e4f340ebf08cc825516111c1ab15e10a6a",
+    "dataset.jsonl": "11e9effdf035605d6a2ef32b7b2ae9d0b02112711aca567e69be8bab53c5670d",
 }
 
 
@@ -588,6 +588,24 @@ def test_malformed_record_is_an_error_line_not_a_traceback(case, stepwise, tmp_p
     assert err.startswith("error: ") and f"{bad}: line {line}: " in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_an_ordinal_naming_no_earlier_prompt_is_an_error_line_not_a_traceback(stepwise, tmp_path, capsys):
+    """A repeated prompt is the ordinal of its first occurrence; an int past the table, a negative one (which
+    Python would index from the end) and a bool name no earlier prompt, and each is refused on its own line."""
+    header, *lines = (stepwise / "rollouts.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    n = next(i for i, r in enumerate(records) if type(r["steps"][0]["prompt"]) is int)
+    before = sum(type(step["prompt"]) is str for r in records[:n] for step in r["steps"])
+    bad, out = tmp_path / "bad.jsonl", tmp_path / "rewards.jsonl"
+    for value in (before, before + 1, 10**30, -1, True, False):
+        records[n]["steps"][0]["prompt"] = value
+        bad.write_text("".join(line + "\n" for line in [header, *map(dumps, records)]), encoding="utf-8")
+        assert run(["evaluate", "--tasks", stepwise / "tasks.jsonl", "--rollouts", bad, "--rewards", out]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {bad}: line {n + 2}: prompt: {value!r} is neither a string nor the ordinal "
+                       f"of one of the {before} before it\n")
+        assert not out.exists()
 
 
 CHECKPOINTS = {

@@ -549,6 +549,24 @@ def test_reward_record_validation():
         RewardRecord("t", "r", 1, {}, True, None, 0.0)
 
 
+@pytest.mark.parametrize("reward, empty_patch, message", [
+    (True, False, "reward must be 0 or 1, got True"),
+    (False, False, "reward must be 0 or 1, got False"),
+    (1.0, False, "reward must be 0 or 1, got 1.0"),
+    (0, 0, "empty_patch must be True or False, got 0"),
+    (1, None, "empty_patch must be True or False, got None"),
+])
+def test_reward_record_refuses_a_value_its_file_would_not_read_back_as(tmp_path, reward, empty_patch, message):
+    """A rewards file writes reward and empty_patch as given and reads them through int() and bool(), so a record
+    holding True, 1.0 or 0 there would not rewrite to its own bytes: it is refused where it is built."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RewardRecord("t", "r", reward, {}, empty_patch, None)
+    accepted = [RewardRecord("t", f"r{r}{e}", r, {}, e, None) for r, e in [(0, True), (0, False), (1, False)]]
+    write_rewards(accepted, tmp_path / "a.jsonl")
+    write_rewards(read_rewards(tmp_path / "a.jsonl"), tmp_path / "b.jsonl")
+    assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
+
+
 def test_record_round_trip_discriminates_infra(tmp_path, one_task):
     rec = evaluate(one_task, synth_attempt(one_task, 0, 1))
     infra = EvaluationFailure(task_id="t", trajectory_ref="r", error="sandbox broke")
@@ -605,10 +623,10 @@ def test_rewards_file_lines_are_dumps_of_each_record(tmp_path, small_suite, monk
     scored = evaluate_batch([(task, synth_attempt(task, line, 1)) for task in (a, b) for line in range(3)], workers=1)
     odd = [
         EvaluationFailure(a.id, "a/x/1/u", "sandbox \u00e9chou\u00e9 \u6f22 \"quoted\"\n\ttab"),
-        RewardRecord(b.id, "b/x/2/u", True, MappingProxyType({"z": "pass", "a": "pass"}), False, None),
-        RewardRecord(b.id, "b/x/3/u", False, {"t\u00e9st": "fail"}, True, "trace \u00e9 \u6f22\x00\x7f"),
+        RewardRecord(b.id, "b/x/2/u", 1, MappingProxyType({"z": "pass", "a": "pass"}), False, None),
+        RewardRecord(b.id, "b/x/3/u", 0, {"t\u00e9st": "fail"}, True, "trace \u00e9 \u6f22\x00\x7f"),
         RewardRecord(a.id, "a/x/4/u", 1, MappingProxyType({}), False, ""),
-        RewardRecord(a.id, "a/x/5/u", 0, {"k": "error"}, 0, None),
+        RewardRecord(a.id, "a/x/5/u", 0, {"k": "error"}, False, None),
     ]
     records = scored[:3] + odd[:3] + scored[3:] + odd[3:] + scored[:2]
     path = tmp_path / "rewards.jsonl"

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import random
+import tempfile
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Annotated, ClassVar, Mapping
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubles import run_python
 
@@ -15,6 +18,7 @@ from rlvrloop.jsonl import (
     SCHEMA_VERSION,
     Coerced,
     Key,
+    Once,
     Shared,
     canonical_file_hash,
     derive_seed,
@@ -88,6 +92,77 @@ def test_a_new_record_type_needs_only_its_declaration(tmp_path):
     write_records(path, "trees", [json.loads(lines[0]), json.loads(lines[1].replace('"title"', '"label"'))])
     with pytest.raises(TaskFormatError, match="trees.jsonl: line 3: missing field 'title'"):
         read_declared(path, "trees", Tree)
+
+
+@dataclass(frozen=True)
+class Turn:
+    said: Once[str]
+    by: Shared[str]
+
+
+@dataclass(frozen=True)
+class Talk:
+    turns: Shared[tuple[Shared[Turn], ...]]  # declared before topic and task_id, but written after them
+    topic: Once[str]
+    task_id: Shared[str]
+
+
+def talk_record(talk: Talk) -> dict:
+    return {"task_id": talk.task_id, "topic": talk.topic, "turns": [{"by": u.by, "said": u.said} for u in talk.turns]}
+
+
+def with_ordinals(records: list[dict]) -> list[dict]:
+    """The records as a file holds them: a Once string seen earlier in the text is the ordinal of its first
+    occurrence among the file's distinct ones. A line's text holds topic, then each turn's said."""
+    seen: dict[str, int] = {}
+
+    def once(text):
+        if text in seen:
+            return seen[text]
+        seen[text] = len(seen)
+        return text
+
+    for record in records:
+        record["topic"] = once(record["topic"])
+        for turn in record["turns"]:
+            turn["said"] = once(turn["said"])
+    return records
+
+
+# few distinct strings, so values repeat within and across tasks; "0" and "" look like no ordinal
+words = st.sampled_from(["", "0", "1", "hello", "h\u00e9llo \u6f22", "a \"quote\"\n", "hello "])
+talks = st.lists(st.builds(
+    Talk,
+    turns=st.lists(st.builds(Turn, said=words, by=st.sampled_from(["ann", "bo"])), max_size=4).map(tuple),
+    topic=words,
+    task_id=st.sampled_from(["t1", "t2", "t3"]),
+), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(talks=talks)
+def test_once_strings_are_written_once_and_read_back_in_text_order(talks):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again, v1 = (f"{tmp}/{name}.jsonl" for name in ("talks", "again", "v1"))
+        assert write_records(path, "talks", talks) == len(talks)
+        with open(path, encoding="utf-8") as fh:
+            header, *lines = fh.read().splitlines()
+        assert json.loads(header)["schema_version"] == SCHEMA_VERSION == 2
+        assert lines == [dumps(r) for r in with_ordinals([talk_record(t) for t in talks])]
+        back = read_declared(path, "talks", Talk)
+        assert back == talks
+        write_records(again, "talks", back)
+        with open(path, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
+        # a version-1 file writes every value in full, and reads back as the same records
+        with open(v1, "w", encoding="utf-8") as fh:
+            fh.writelines(dumps(r) + "\n" for r in [{"schema": "talks", "schema_version": 1}, *map(talk_record, talks)])
+        assert read_declared(v1, "talks", Talk) == talks
+        # equal strings, turns and turn tuples of one file are one object each
+        objects = {}
+        for talk in back:
+            for x in (talk.topic, talk.turns, *talk.turns, *(u.said for u in talk.turns)):
+                assert objects.setdefault(x, x) is x
 
 
 def test_write_then_read_round_trip(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rlvrloop.errors import CheckpointError, TrainingError
-from rlvrloop.jsonl import SCHEMA_VERSION
+from rlvrloop.jsonl import SCHEMA_VERSION, dumps
 from rlvrloop.policy import (
     ReferencePolicy,
     TabularPolicy,
@@ -157,6 +157,20 @@ def test_load_checks_the_schema_version(tmp_path, small_suite):
     del rec["schema_version"]
     path.write_text(json.dumps(rec))
     assert TabularPolicy.load(path).theta().tobytes() == TabularPolicy.uniform(small_suite).theta().tobytes()
+
+
+def test_a_checkpoint_is_one_compact_line_and_a_version_1_indented_one_still_loads(tmp_path, small_suite):
+    policy = TabularPolicy.uniform(small_suite)
+    for head in policy.heads.values():
+        head.line_logits[:] = np.arange(head.line_logits.size) / 3
+    path = tmp_path / "p.json"
+    policy.save(path, {"phase": "sft"})
+    text = path.read_text(encoding="utf-8")
+    rec = json.loads(text)
+    assert text == dumps(rec) + "\n" and rec["schema_version"] == SCHEMA_VERSION == 2
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps({**rec, "schema_version": 1}, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    assert TabularPolicy.load(old).theta().tobytes() == policy.theta().tobytes()
 
 
 @pytest.mark.parametrize("line_logits, cand_logits", [

@@ -445,3 +445,13 @@ def test_rm_load_checks_the_schema_version(tmp_path):
     del rec["schema_version"]
     path.write_text(json.dumps(rec))
     assert np.array_equal(PairwiseRM.load(path).weights, np.arange(N_FEATURES))
+
+
+def test_rm_checkpoint_is_one_compact_line_and_a_version_1_indented_one_still_loads(tmp_path):
+    path = tmp_path / "rm.json"
+    PairwiseRM(weights=np.arange(N_FEATURES) / 3).save(path)
+    text = path.read_text(encoding="utf-8")
+    rec = json.loads(text)
+    assert text == json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" and rec["schema_version"] == 2
+    path.write_text(json.dumps({**rec, "schema_version": 1}, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    assert PairwiseRM.load(path).weights.tobytes() == (np.arange(N_FEATURES) / 3).tobytes()

@@ -282,13 +282,27 @@ def reference_record(traj):
     }
 
 
+def with_ordinals(records):
+    """The records as a file holds them: a step prompt seen before in the file is the ordinal of its first
+    occurrence among the file's distinct prompts, the only Once strings of a trajectory line."""
+    seen = {}
+    for record in records:
+        for step in record["steps"]:
+            if step["prompt"] in seen:
+                step["prompt"] = seen[step["prompt"]]
+            else:
+                seen[step["prompt"]] = len(seen)
+    return records
+
+
 def test_writer_matches_the_reference_encoder_line_for_line(tmp_path, small_suite, backend):
     corpus = codec_corpus(small_suite, backend)
     path = tmp_path / "trajs.jsonl"
     assert write_trajectories(corpus, path) == len(corpus)
     header, *lines = path.read_text(encoding="utf-8").split("\n")[:-1]
-    assert header == dumps({"schema": "trajectories", "schema_version": 1})
-    assert lines == [dumps(reference_record(t)) for t in corpus]
+    assert header == dumps({"schema": "trajectories", "schema_version": 2})
+    assert lines == [dumps(r) for r in with_ordinals([reference_record(t) for t in corpus])]
+    assert any(type(json.loads(line)["steps"][0]["prompt"]) is int for line in lines)
 
 
 def test_reader_decodes_each_record_and_shares_repeated_prompts(tmp_path, small_suite, backend):
@@ -307,6 +321,17 @@ def test_reader_decodes_each_record_and_shares_repeated_prompts(tmp_path, small_
     for traj in back:
         for step in traj.steps:
             assert repeated.setdefault(step.prompt, step.prompt) is step.prompt
+    # a version-1 file holds every prompt in full, and reads as the same trajectories
+    v1 = tmp_path / "v1.jsonl"
+    v1.write_text("".join(dumps(r) + "\n" for r in [
+        {"schema": "trajectories", "schema_version": 1}, *map(reference_record, corpus)]), encoding="utf-8")
+    assert read_trajectories(v1) == back
+    # either way, equal steps, steps tuples and patches of one file are one object each
+    for got in (back, read_trajectories(v1)):
+        objects = {}
+        for traj in got:
+            for x in (traj.steps, *traj.steps, traj.patch):
+                assert objects.setdefault(x, x) is x
 
 
 def test_reader_names_the_line_of_a_record_without_sampling(tmp_path, one_task, backend):
