@@ -11,14 +11,13 @@ import bisect
 import contextlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import prompts
 from .errors import BackendError, TrainingError
-from .jsonl import splitmix64
+from .jsonl import record, splitmix64
 from .policy import TabularPolicy, softmax
 
 # The tolerance a CDF allows on sum(p) before _draw raises: a softmax further from 1 is not a distribution.
@@ -27,7 +26,7 @@ _P_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
 _U11 = np.uint64(11)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SamplingParams:
     temperature: float
     seed: int

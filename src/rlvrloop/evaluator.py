@@ -13,14 +13,14 @@ import shutil
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Annotated, Iterable, Mapping, Sequence
 
 from .backends import call_batch
 from .errors import BackendError, SandboxProvisionError
-from .jsonl import Coerced, Key, Shared, read_declared, write_records
+from .jsonl import Coerced, Key, Shared, read_declared, record, write_records
 from .rollout import Trajectory
 from .tasks import (
     ProgramError,
@@ -40,7 +40,7 @@ STATUS_FAIL = "fail"
 STATUS_ERROR = "error"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RewardRecord:
     task_id: Shared[str]
     trajectory_ref: str
@@ -61,7 +61,7 @@ class RewardRecord:
             raise ValueError("empty patch cannot earn reward")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EvaluationFailure:
     """Infrastructure-level failure; carries no reward signal at all."""
 

@@ -10,20 +10,28 @@ A record type is a dataclass whose declaration is its file format: a line is
 dumps of the fields its equality compares (each under its name or declared
 Key) and its ClassVar tags, nested records, tuples and read-only maps as the
 type hints say, an empty optional tuple as null. Shared values are escaped
-once per task and read as one object each; Coerced ones read through int(),
+once per file and read as one object each; Coerced ones read through int(),
 float() or bool(). A Once string is written in full at its first occurrence
 in a file and as its ordinal after that: the position of that first
 occurrence among the file's distinct Once strings, counted in text order
 (line by line, and within a line by sorted key and list order).
+
+Each line is one compiled f-string: a nested record that is neither Shared
+nor optional is written inline in it, and the text of a map, a Shared record
+or a Shared tuple of records is made once per file, by identity, and kept
+once it writes no Once string in full. The record decorator makes a frozen,
+slotted dataclass whose constructor is compiled from the same fields.
 """
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
 import struct
 from collections.abc import Mapping
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType, UnionType
 from typing import (
@@ -127,12 +135,46 @@ def _parse(hint) -> tuple[Any, tuple, bool]:
     return hint, marks, False
 
 
-def _map_text(memo: DumpsMemo, value: Mapping) -> str:
-    """dumps of a read-only map; a map is unhashable, so its memo entry is keyed by identity and keeps it alive."""
-    hit = memo.get(id(value))
-    if hit is None:
-        hit = memo[id(value)] = (value, dumps(dict(value)))
-    return hit[1]
+def record(cls: type[T]) -> type[T]:
+    """cls made a frozen, slotted dataclass whose __init__ is compiled from its fields, as the codec is.
+
+    The __init__ has dataclasses' signature and annotations. It stores each argument through its slot's member
+    descriptor, where the frozen __init__ of dataclasses calls object.__setattr__ per field, and then calls
+    __post_init__ if cls has one. Every field is a positional argument with at most a plain default. A class
+    without a docstring gets dataclasses' default one, its name and signature."""
+    # a docstring for now, so that dataclasses does not write one from the signature of an __init__ cls has not got
+    doc, cls.__doc__ = cls.__doc__, "record"
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    env, params, body = {}, [], []
+    for f in fields(cls):
+        if not f.init or f.kw_only or f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: a record field is positional, with at most a plain default")
+        env[f"_set_{f.name}"], env[f"_default_{f.name}"] = cls.__dict__[f.name].__set__, f.default
+        params.append(f.name if f.default is MISSING else f"{f.name}=_default_{f.name}")
+        body.append(f" _set_{f.name}(self, {f.name})\n")
+    if hasattr(cls, "__post_init__"):
+        body.append(" self.__post_init__()\n")
+    exec(compile(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", f"<{cls.__qualname__} __init__>",
+                 "exec"), env)
+    init = cls.__init__ = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in fields(cls)}, "return": None}
+    cls.__doc__ = doc or cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+    return cls
+
+
+def _keyed(cls, hints: dict) -> list[tuple[str, str]]:
+    """(JSON key, field name) of each field of record type cls that equality compares, in the order of its text."""
+    return sorted((next((m for m in _parse(hints[f.name])[1] if isinstance(m, Key)), f.name), f.name)
+                  for f in fields(cls) if f.init and f.compare)
+
+
+def _keep(texts: dict, value, ordinals: _Ordinals, n: int, text: str) -> str:
+    """text, value's JSON text, which made ordinals n long or longer; texts keeps it by value's identity (and keeps
+    value alive) unless it added a Once string, whose next occurrence is written as an ordinal."""
+    if len(ordinals) == n:
+        texts[id(value)] = value, text
+    return text
 
 
 def _once(v, table: list, shared: dict, key: str) -> str:
@@ -153,30 +195,28 @@ def _shared_map(value, shared: dict) -> Mapping:
 
 
 class _Codecs(dict):
-    """Record type -> (enc(record, memo, ordinals) -> its line, dec(rec, shared, table) -> the record rec holds,
-    kdec(rec, shared, table) -> the one record of shared equal to it).
+    """Record type -> (enc(record, memo, ordinals, texts) -> its line, dec(rec, shared, table) -> the record rec
+    holds, kdec(rec, shared, table) -> the one record of shared equal to it).
 
-    All are compiled once per type from its declaration, as dataclasses compiles __init__, so a record costs
-    one f-string and one constructor call; a nested record is its own type's enc, dec or kdec call. dec reads
-    the fields in sorted key order, the order of the line's text and so of its Once ordinals. kdec, for a
-    Shared nested record, looks the record up by the tuple of its field values and builds it only if absent."""
+    All are compiled once per type from its declaration, as record compiles __init__, so a record costs one
+    f-string and one constructor call. A nested record that is neither Shared nor optional is written inline
+    in its parent's f-string; any other is its own type's enc, dec or kdec call. A Shared value is escaped once
+    per file, by value; a map, a Shared record and a Shared tuple of records are encoded once per file, by
+    identity (see _keep). A plain str is escaped by the encoder's own C function. dec reads the fields in
+    sorted key order, the order of the line's text and so of its Once ordinals. kdec, for a Shared nested
+    record, looks the record up by the tuple of its field values and builds it only if absent."""
 
     def __missing__(self, cls):
-        env = {"cls": cls, "d": dumps, "s": dumps_scalar, "_map_text": _map_text, "_shared_map": _shared_map,
-               "_once": _once}
-        hints, temps = get_type_hints(cls, include_extras=True), itertools.count()
-        # (JSON key, field) of each field equality compares, in the order of the line's text
-        keyed = sorted((next((m for m in _parse(hints[f.name])[1] if isinstance(m, Key)), f.name), f.name)
-                       for f in fields(cls) if f.init and f.compare)
-        parts = [(key, "{" + self._encode(hints[name], f"x.{name}", env) + "}") for key, name in keyed]
-        parts += [(name, dumps(getattr(cls, name))) for name, hint in hints.items() if get_origin(hint) is ClassVar]
-        line = ",".join(f'"{key}":{text}' for key, text in sorted(parts))
-        values = [(name, *self._decode(hints[name], key, env, temps)) for key, name in keyed]
+        env = {"cls": cls, "d": dumps, "s": dumps_scalar, "a": encode_basestring_ascii, "_keep": _keep,
+               "_shared_map": _shared_map, "_once": _once}
+        hints, temps, lets = get_type_hints(cls, include_extras=True), itertools.count(), []
+        line = self._line(cls, "x", env, temps, lets)
+        values = [(name, *self._decode(hints[name], key, env, temps)) for key, name in _keyed(cls, hints)]
         args = ", ".join(f"{name}={self._one(code, temps) if shared else code}" for name, code, shared in values)
         # a new record's key is remade of its field values made one object each, so it keeps no copy of its own
         interned = "".join(f"one(k[{i}], k[{i}]), " if v[2] else f"k[{i}], " for i, v in enumerate(values, start=1))
         built = ", ".join(f"{name}=k[{i}]" for i, (name, *_) in enumerate(values, start=1))
-        source = f"def enc(x, m, o):\n return f'{{{{{line}}}}}'\n"
+        source = f"def enc(x, m, o, t):\n{''.join(lets)} return f'{line}'\n"
         source += f"def dec(r, shared, table):\n one = shared.setdefault\n return cls({args})\n"
         source += f"def kdec(r, shared, table):\n k = (cls, {''.join(f'{code}, ' for _, code, _ in values)})\n"
         source += " hit = shared.get(k)\n if hit is None:\n  one = shared.setdefault\n"
@@ -185,17 +225,42 @@ class _Codecs(dict):
         self[cls] = codec = env["enc"], env["dec"], env["kdec"]
         return codec
 
-    def _encode(self, hint, v: str, env: dict) -> str:
-        """Source of the JSON text of expression v's value, m being the task's memo and o the file's ordinals."""
+    def _line(self, cls, v: str, env: dict, temps: Iterator[int], lets: list[str]) -> str:
+        """f-string source of the JSON object of record v, its braces doubled; a nested record that is neither
+        Shared nor optional is written inline, and lets gets the statement that names it."""
+        hints = get_type_hints(cls, include_extras=True)
+        parts = [(name, dumps(getattr(cls, name))) for name, hint in hints.items() if get_origin(hint) is ClassVar]
+        for key, name in _keyed(cls, hints):
+            kind, marks, optional = _parse(hints[name])
+            if is_dataclass(kind) and not optional and "shared" not in marks:
+                lets.append(f" {(t := f'_{next(temps)}')} = {v}.{name}\n")
+                parts.append((key, self._line(kind, t, env, temps, lets)))
+            else:
+                parts.append((key, "{" + self._encode(hints[name], f"{v}.{name}", env, temps) + "}"))
+        return "{{" + ",".join(f'"{key}":{text}' for key, text in sorted(parts)) + "}}"
+
+    def _encode(self, hint, v: str, env: dict, temps: Iterator[int]) -> str:
+        """Source of the JSON text of expression v's value, m being the file's value memo, o its ordinals and t
+        its texts by identity."""
         kind, marks, optional = _parse(hint)
         args = get_args(kind)
-        if is_dataclass(kind):
-            env[name := f"e{id(kind)}"] = self[kind][0]
-            return f'("null" if {v} is None else {name}({v}, m, o))' if optional else f"{name}({v}, m, o)"
-        if get_origin(kind) is tuple and is_dataclass(_parse(args[0])[0]):
-            return f'"[" + ",".join([{self._encode(args[0], "y", env)} for y in {v}]) + "]"'
-        if get_origin(kind) is Mapping:
-            return f"_map_text(m, {v})"
+        record_tuple = get_origin(kind) is tuple and is_dataclass(_parse(args[0])[0])
+        if is_dataclass(kind) or record_tuple or get_origin(kind) is Mapping:
+            by_identity = "shared" in marks or get_origin(kind) is Mapping
+            w = f"_{next(temps)}" if by_identity else v
+            if is_dataclass(kind):
+                env[name := f"e{id(kind)}"] = self[kind][0]
+                text = f'("null" if {w} is None else {name}({w}, m, o, t))' if optional else f"{name}({w}, m, o, t)"
+            elif get_origin(kind) is Mapping:
+                text = f"d(dict({w}))"
+            else:
+                y = f"_{next(temps)}"
+                # its records are not looked up by identity: one is rarely in two tuples
+                text = f'"[" + ",".join([{self._encode(_parse(args[0])[0], y, env, temps)} for {y} in {w}]) + "]"'
+            if not by_identity:
+                return text
+            h = f"_{next(temps)}"
+            return f"({h}[1] if ({h} := t.get(id({w} := {v}))) else _keep(t, {w}, o, len(o), {text}))"
         if kind in (bool, int, float):
             return f"s({v})"
         if get_origin(kind) is tuple and optional:  # an empty optional tuple is null
@@ -203,7 +268,9 @@ class _Codecs(dict):
             return f'({v} and {code} or "null")'
         if "once" in marks:
             return f"o[{v}]"
-        return f"m[{v}]" if "shared" in marks else f"d({v})"
+        if "shared" in marks:
+            return f"m[{v}]"
+        return f"a({v})" if kind is str and not optional else f"d({v})"
 
     @staticmethod
     def _one(code: str, temps: Iterator[int]) -> str:
@@ -243,18 +310,17 @@ class _Codecs(dict):
 
 
 _CODECS = _Codecs()
-_CODECS[dict] = (lambda record, memo, ordinals: dumps(record)), (lambda rec, shared, table: rec), None  # its own record
+# a plain dict is its own line's record
+_CODECS[dict] = (lambda record, memo, ordinals, texts: dumps(record)), (lambda rec, shared, table: rec), None
 
 
 def record_lines(records: Iterable) -> Iterator[str]:
-    """Each record's line, by its type's compiled encoder (a plain dict's is dumps); a Shared string or tuple is
-    escaped once per task, and a Once string once per call, its later occurrences written as its ordinal."""
-    memo, ordinals, task_id = DumpsMemo(), _Ordinals(), None
+    """Each record's line, by its type's compiled encoder (a plain dict's is dumps); a Shared string or tuple, a
+    map, a Shared record and a Shared tuple of records are encoded once per call, and a Once string is written
+    in full once per call, its later occurrences as its ordinal."""
+    memo, ordinals, texts = DumpsMemo(), _Ordinals(), {}
     for r in records:
-        if getattr(r, "task_id", None) != task_id:  # one task's memo at a time bounds what it keeps alive
-            memo.clear()
-            task_id = r.task_id
-        yield _CODECS[type(r)][0](r, memo, ordinals)
+        yield _CODECS[type(r)][0](r, memo, ordinals, texts)
 
 
 def read_declared(path: str | Path, schema: str, kind: type | Callable[[dict], type]) -> list:

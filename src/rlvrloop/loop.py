@@ -111,7 +111,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 # The settings with a range, each with its test and the range in words.
 _RANGES = {
-    **dict.fromkeys(("rollouts_n", "max_tokens", "synth_count"), (lambda v: v >= 1, ">= 1")),
+    **dict.fromkeys(("workers", "rollouts_n", "max_tokens", "synth_count"), (lambda v: v >= 1, ">= 1")),
     "synth_lines": (lambda v: v >= 2, ">= 2"),
     "synth_candidates": (lambda v: 2 <= v <= MAX_SYNTH_CANDIDATES, f"in [2, {MAX_SYNTH_CANDIDATES}]"),
     **dict.fromkeys(("sft_epochs", "dpo_epochs"), (lambda v: v >= 0, ">= 0")),

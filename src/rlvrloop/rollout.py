@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -26,7 +25,7 @@ from . import prompts
 from .backends import PolicyBackend, SamplingParams
 from .errors import BackendError, GuidanceLeakError, TaskFormatError
 from .guidance import Guidance, render_reattempt_prompt
-from .jsonl import Once, Shared, derive_seed, read_declared, write_records
+from .jsonl import Once, Shared, derive_seed, read_declared, record, write_records
 from .tasks import SynthTask, Task
 
 log = logging.getLogger(__name__)
@@ -37,7 +36,7 @@ TEMPERATURE_SAMPLING = 0.6
 TRAJECTORIES_SCHEMA = "trajectories"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Patch:
     """Structured edit set plus a human-readable rendering.
 
@@ -51,14 +50,14 @@ class Patch:
     synth: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Step:
     role: Shared[str]  # "localization" or "repair"
     prompt: Once[str]
     completion: Shared[str]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Trajectory:
     task_id: Shared[str]
     steps: Shared[tuple[Shared[Step], ...]]

@@ -720,7 +720,7 @@ def test_initial_policy_that_does_not_fit_fails_the_tasks_phase(case, tmp_path, 
 @pytest.mark.parametrize("setting, key", [
     ("run.rollouts_n=0", "rollouts_n"), ("run.max_tokens=0", "max_tokens"), ("dpo.dpo_beta=0", "dpo_beta"),
     ("assemble.sft_fraction=2", "sft_fraction"), ("tasks.synth_lines=1", "synth_lines"),
-    ("tasks.synth_candidates=28", "synth_candidates"),
+    ("tasks.synth_candidates=28", "synth_candidates"), ("run.workers=0", "workers"),
 ])
 def test_out_of_range_setting_is_a_usage_error_before_any_phase(setting, key, tmp_path, capsys):
     out = tmp_path / "run"

@@ -1,18 +1,22 @@
 import hashlib
+import inspect
 import json
+import pickle
 import random
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Annotated, ClassVar, Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doubles import run_python
 
+from rlvrloop.backends import SamplingParams
 from rlvrloop.errors import TaskFormatError
+from rlvrloop.evaluator import EvaluationFailure, RewardRecord
 from rlvrloop.jsonl import (
     HASH_CHUNK_BYTES,
     SCHEMA_VERSION,
@@ -25,9 +29,11 @@ from rlvrloop.jsonl import (
     dumps,
     read_declared,
     read_records,
+    record,
     record_lines,
     write_records,
 )
+from rlvrloop.rollout import Patch, Step, Trajectory
 
 
 @dataclass(frozen=True)
@@ -105,15 +111,21 @@ class Talk:
     turns: Shared[tuple[Shared[Turn], ...]]  # declared before topic and task_id, but written after them
     topic: Once[str]
     task_id: Shared[str]
+    opener: Shared[Turn | None]  # declared last, but written first
+
+
+def turn_record(turn: Turn) -> dict:
+    return {"by": turn.by, "said": turn.said}
 
 
 def talk_record(talk: Talk) -> dict:
-    return {"task_id": talk.task_id, "topic": talk.topic, "turns": [{"by": u.by, "said": u.said} for u in talk.turns]}
+    return {"opener": talk.opener and turn_record(talk.opener), "task_id": talk.task_id, "topic": talk.topic,
+            "turns": [turn_record(u) for u in talk.turns]}
 
 
 def with_ordinals(records: list[dict]) -> list[dict]:
     """The records as a file holds them: a Once string seen earlier in the text is the ordinal of its first
-    occurrence among the file's distinct ones. A line's text holds topic, then each turn's said."""
+    occurrence among the file's distinct ones. A line's text holds the opener's said, topic, then each turn's said."""
     seen: dict[str, int] = {}
 
     def once(text):
@@ -123,6 +135,8 @@ def with_ordinals(records: list[dict]) -> list[dict]:
         return text
 
     for record in records:
+        if record["opener"] is not None:
+            record["opener"]["said"] = once(record["opener"]["said"])
         record["topic"] = once(record["topic"])
         for turn in record["turns"]:
             turn["said"] = once(turn["said"])
@@ -131,16 +145,26 @@ def with_ordinals(records: list[dict]) -> list[dict]:
 
 # few distinct strings, so values repeat within and across tasks; "0" and "" look like no ordinal
 words = st.sampled_from(["", "0", "1", "hello", "h\u00e9llo \u6f22", "a \"quote\"\n", "hello "])
+turns = st.builds(Turn, said=words, by=st.sampled_from(["ann", "bo"]))
 talks = st.lists(st.builds(
     Talk,
-    turns=st.lists(st.builds(Turn, said=words, by=st.sampled_from(["ann", "bo"])), max_size=4).map(tuple),
+    turns=st.lists(turns, max_size=4).map(tuple),
     topic=words,
     task_id=st.sampled_from(["t1", "t2", "t3"]),
+    opener=st.none() | turns,
 ), max_size=12)
+# A writer makes the text of a Shared record or tuple once per file, by identity, and keeps it only once it
+# writes no Once string in full: these objects' first occurrences do, and their later ones are ordinals.
+ONE_TUPLE = (Turn("a new prompt", "ann"), Turn("hello", "bo"))
+ONE_OPENER = Turn("an opening", "bo")
 
 
 @settings(max_examples=150, deadline=None)
 @given(talks=talks)
+@example(talks=[Talk(ONE_TUPLE, "hello", "t1", None), Talk(ONE_TUPLE, "0", "t1", None),
+                Talk(ONE_TUPLE, "0", "t2", ONE_TUPLE[1])])
+@example(talks=[Talk((), "hello", "t1", ONE_OPENER), Talk(ONE_TUPLE, "1", "t2", ONE_OPENER),
+                Talk((), "", "t3", ONE_OPENER)])
 def test_once_strings_are_written_once_and_read_back_in_text_order(talks):
     with tempfile.TemporaryDirectory() as tmp:
         path, again, v1 = (f"{tmp}/{name}.jsonl" for name in ("talks", "again", "v1"))
@@ -161,8 +185,82 @@ def test_once_strings_are_written_once_and_read_back_in_text_order(talks):
         # equal strings, turns and turn tuples of one file are one object each
         objects = {}
         for talk in back:
-            for x in (talk.topic, talk.turns, *talk.turns, *(u.said for u in talk.turns)):
+            for x in (talk.topic, talk.turns, talk.opener, *talk.turns, *(u.said for u in talk.turns)):
                 assert objects.setdefault(x, x) is x
+
+
+_STEPS = (Step("localization", "p1", "c1"), Step("repair", "p2", "c2"))
+_PATCH = Patch((("line:1", "x1 = 2"),), "(1, 0)", (1, 0))
+# type -> (arguments of one record, {field: its default}, [(a change __post_init__ refuses, its message)])
+RECORDS = {
+    SamplingParams: ((0.6, 7), {"max_tokens": 256}, [({"temperature": -0.5}, "temperature"),
+                                                      ({"max_tokens": 0}, "max_tokens")]),
+    Patch: (((("line:1", "x1 = 2"),), "(1, 0)"), {"synth": None}, []),
+    Step: (("repair", "p2", "c2"), {}, []),
+    Trajectory: (("t1", _STEPS, _PATCH, None, SamplingParams(0.0, 3, 64), "tabular", "t1/tabular/3/u"), {}, []),
+    # a plain dict of tests, which pickles where a read-only map would not, for a plain dataclass either
+    RewardRecord: (("t1", "t1/tabular/3/u", 1, {"a": "pass"}, False, None), {"wall_time_s": 0.0},
+                   [({"reward": True}, "reward"), ({"empty_patch": 1}, "empty_patch"),
+                    ({"reward": 1, "empty_patch": True}, "empty patch")]),
+    EvaluationFailure: (("t1", "t1/tabular/3/u", "backend died"), {}, []),
+}
+
+
+def plain_twin(cls):
+    """cls's declaration under a plain @dataclass(frozen=True, slots=True), its __init__ written by dataclasses."""
+    namespace = {"__annotations__": dict(cls.__annotations__), "__module__": cls.__module__}
+    namespace.update({f.name: field(default=f.default, compare=f.compare) for f in fields(cls)
+                      if f.default is not MISSING})
+    if hasattr(cls, "__post_init__"):
+        namespace["__post_init__"] = cls.__post_init__
+    return dataclass(frozen=True, slots=True)(type(cls.__name__, (), namespace))
+
+
+def type_error(call) -> str:
+    with pytest.raises(TypeError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_constructor_keeps_the_frozen_dataclass_contract(cls):
+    args, defaults, refusals = RECORDS[cls]
+    twin = plain_twin(cls)
+    names = [f.name for f in fields(cls)]
+    x = cls(*args)
+    assert x == cls(**dict(zip(names, args))) and [getattr(x, n) for n in names[:len(args)]] == list(args)
+    assert {n: getattr(x, n) for n in names[len(args):]} == defaults
+    assert inspect.signature(cls) == inspect.signature(twin)
+    assert repr(x) == repr(twin(*args)) and not hasattr(x, "__dict__")
+    # a class without a docstring gets dataclasses' default, its name and signature
+    assert cls.__doc__ == twin.__doc__ or not cls.__doc__.startswith(f"{cls.__name__}(")
+    assert x != cls(*args[:-1], "other")
+    try:  # a record holding a map is unhashable, as its twin is
+        assert hash(x) == hash(twin(*args)) == hash(cls(*args))
+    except TypeError:
+        assert type_error(lambda: hash(x)) == type_error(lambda: hash(twin(*args)))
+    # the same TypeErrors, word for word, as dataclasses' __init__
+    for call in (lambda c: c(*args[:-1]), lambda c: c(), lambda c: c(*args, **{names[0]: args[0]}),
+                 lambda c: c(*args, nonfield=1)):
+        assert type_error(lambda: call(cls)) == type_error(lambda: call(twin))
+    for change, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            replace(x, **change)
+        with pytest.raises(ValueError, match=message):
+            twin(**{**dict(zip(names, args)), **change})
+    with pytest.raises(FrozenInstanceError):
+        setattr(x, names[0], args[0])
+    changed = replace(x, **{names[1]: args[0]})
+    assert replace(x) == x and changed == cls(args[0], args[0], *args[2:]) != x
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(x, protocol))
+        assert type(back) is cls and back == x and [getattr(back, n) for n in names] == [getattr(x, n) for n in names]
+
+
+def test_a_record_field_is_positional_with_at_most_a_plain_default():
+    for spec in (field(default_factory=tuple), field(default=0, init=False), field(default=0, kw_only=True)):
+        with pytest.raises(TypeError, match="Bad.y: a record field is positional"):
+            record(type("Bad", (), {"__annotations__": {"x": "int", "y": "int"}, "y": spec}))
 
 
 def test_write_then_read_round_trip(tmp_path):

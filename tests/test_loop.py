@@ -149,6 +149,7 @@ def test_config_rejects_bad_values_and_overrides(tmp_path):
 
     # out-of-range values fail here, naming the key, before any phase runs
     for override, key in (
+        ("run.workers=0", "workers"), ("run.workers=-3", "workers"),
         ("run.rollouts_n=0", "rollouts_n"), ("run.max_tokens=0", "max_tokens"),
         ("assemble.sft_fraction=-0.1", "sft_fraction"), ("assemble.sft_fraction=1.5", "sft_fraction"),
         ("sft.sft_learning_rate=0", "sft_learning_rate"), ("dpo.dpo_learning_rate=-1", "dpo_learning_rate"),
@@ -163,10 +164,11 @@ def test_config_rejects_bad_values_and_overrides(tmp_path):
     with pytest.raises(UsageError, match="rollouts_n=0"):
         load_config(path)
     # the edges of each range are accepted
-    edges = ["run.rollouts_n=1", "run.max_tokens=1", "assemble.sft_fraction=0", "sft.sft_epochs=0",
+    edges = ["run.workers=1", "run.rollouts_n=1", "run.max_tokens=1", "assemble.sft_fraction=0", "sft.sft_epochs=0",
              "dpo.dpo_epochs=0", "tasks.synth_count=1", "tasks.synth_lines=2", "tasks.synth_candidates=2"]
     config = load_config(None, overrides=edges + ["assemble.sft_fraction=1", "tasks.synth_candidates=27"])
-    assert (config.rollouts_n, config.sft_fraction, config.synth_lines, config.synth_candidates) == (1, 1.0, 2, 27)
+    assert (config.workers, config.rollouts_n, config.sft_fraction, config.synth_lines, config.synth_candidates) == (
+        1, 1, 1.0, 2, 27)
 
 
 @pytest.mark.parametrize("override, message", [
