@@ -16,10 +16,9 @@ in a file and as its ordinal after that: the position of that first
 occurrence among the file's distinct Once strings, counted in text order
 (line by line, and within a line by sorted key and list order).
 
-Each line is one compiled f-string: a nested record that is neither Shared
-nor optional is written inline in it, and the text of a map, a Shared record
-or a Shared tuple of records is made once per file, by identity, and kept
-once it writes no Once string in full. The record decorator makes a frozen,
+Each record type compiles one encoder and one decoder: a line is one
+f-string, a nested record its own type's encoder call, and the text of a map
+is made once per file, by identity. The record decorator makes a frozen,
 slotted dataclass whose constructor is compiled from the same fields.
 """
 from __future__ import annotations
@@ -169,12 +168,13 @@ def _keyed(cls, hints: dict) -> list[tuple[str, str]]:
                   for f in fields(cls) if f.init and f.compare)
 
 
-def _keep(texts: dict, value, ordinals: _Ordinals, n: int, text: str) -> str:
-    """text, value's JSON text, which made ordinals n long or longer; texts keeps it by value's identity (and keeps
-    value alive) unless it added a Once string, whose next occurrence is written as an ordinal."""
-    if len(ordinals) == n:
-        texts[id(value)] = value, text
-    return text
+def _map_text(texts: dict, value: Mapping) -> str:
+    """dumps of map value's items, made once per file per map object; texts keeps value alive, so no later object
+    takes its id."""
+    hit = texts.get(id(value))
+    if hit is None:
+        hit = texts[id(value)] = value, dumps(dict(value))
+    return hit[1]
 
 
 def _once(v, table: list, shared: dict, key: str) -> str:
@@ -196,71 +196,44 @@ def _shared_map(value, shared: dict) -> Mapping:
 
 class _Codecs(dict):
     """Record type -> (enc(record, memo, ordinals, texts) -> its line, dec(rec, shared, table) -> the record rec
-    holds, kdec(rec, shared, table) -> the one record of shared equal to it).
+    holds).
 
-    All are compiled once per type from its declaration, as record compiles __init__, so a record costs one
-    f-string and one constructor call. A nested record that is neither Shared nor optional is written inline
-    in its parent's f-string; any other is its own type's enc, dec or kdec call. A Shared value is escaped once
-    per file, by value; a map, a Shared record and a Shared tuple of records are encoded once per file, by
-    identity (see _keep). A plain str is escaped by the encoder's own C function. dec reads the fields in
-    sorted key order, the order of the line's text and so of its Once ordinals. kdec, for a Shared nested
-    record, looks the record up by the tuple of its field values and builds it only if absent."""
+    Both are compiled once per type from its declaration, as record compiles __init__, so a line costs one
+    f-string and a record one constructor call. A nested record is its own type's enc or dec call. A Shared
+    value is escaped once per file, by value, and a map is encoded once per file, by identity (see _map_text).
+    A plain str is escaped by the encoder's own C function. dec reads the fields in sorted key order, the order
+    of the line's text and so of its Once ordinals, and makes each Shared value, a nested record included, one
+    object through shared."""
 
     def __missing__(self, cls):
-        env = {"cls": cls, "d": dumps, "s": dumps_scalar, "a": encode_basestring_ascii, "_keep": _keep,
+        env = {"cls": cls, "d": dumps, "s": dumps_scalar, "a": encode_basestring_ascii, "_map_text": _map_text,
                "_shared_map": _shared_map, "_once": _once}
-        hints, temps, lets = get_type_hints(cls, include_extras=True), itertools.count(), []
-        line = self._line(cls, "x", env, temps, lets)
+        hints, temps = get_type_hints(cls, include_extras=True), itertools.count()
+        parts = [(name, dumps(getattr(cls, name))) for name, hint in hints.items() if get_origin(hint) is ClassVar]
+        parts += [(key, "{" + self._encode(hints[name], f"x.{name}", env, temps) + "}")
+                  for key, name in _keyed(cls, hints)]
+        line = "{{" + ",".join(f'"{key}":{text}' for key, text in sorted(parts)) + "}}"
         values = [(name, *self._decode(hints[name], key, env, temps)) for key, name in _keyed(cls, hints)]
         args = ", ".join(f"{name}={self._one(code, temps) if shared else code}" for name, code, shared in values)
-        # a new record's key is remade of its field values made one object each, so it keeps no copy of its own
-        interned = "".join(f"one(k[{i}], k[{i}]), " if v[2] else f"k[{i}], " for i, v in enumerate(values, start=1))
-        built = ", ".join(f"{name}=k[{i}]" for i, (name, *_) in enumerate(values, start=1))
-        source = f"def enc(x, m, o, t):\n{''.join(lets)} return f'{line}'\n"
+        source = f"def enc(x, m, o, t):\n return f'{line}'\n"
         source += f"def dec(r, shared, table):\n one = shared.setdefault\n return cls({args})\n"
-        source += f"def kdec(r, shared, table):\n k = (cls, {''.join(f'{code}, ' for _, code, _ in values)})\n"
-        source += " hit = shared.get(k)\n if hit is None:\n  one = shared.setdefault\n"
-        source += f"  k = (cls, {interned})\n  hit = shared[k] = cls({built})\n return hit\n"
         exec(compile(source, f"<{cls.__qualname__} codec>", "exec"), env)
-        self[cls] = codec = env["enc"], env["dec"], env["kdec"]
+        self[cls] = codec = env["enc"], env["dec"]
         return codec
-
-    def _line(self, cls, v: str, env: dict, temps: Iterator[int], lets: list[str]) -> str:
-        """f-string source of the JSON object of record v, its braces doubled; a nested record that is neither
-        Shared nor optional is written inline, and lets gets the statement that names it."""
-        hints = get_type_hints(cls, include_extras=True)
-        parts = [(name, dumps(getattr(cls, name))) for name, hint in hints.items() if get_origin(hint) is ClassVar]
-        for key, name in _keyed(cls, hints):
-            kind, marks, optional = _parse(hints[name])
-            if is_dataclass(kind) and not optional and "shared" not in marks:
-                lets.append(f" {(t := f'_{next(temps)}')} = {v}.{name}\n")
-                parts.append((key, self._line(kind, t, env, temps, lets)))
-            else:
-                parts.append((key, "{" + self._encode(hints[name], f"{v}.{name}", env, temps) + "}"))
-        return "{{" + ",".join(f'"{key}":{text}' for key, text in sorted(parts)) + "}}"
 
     def _encode(self, hint, v: str, env: dict, temps: Iterator[int]) -> str:
         """Source of the JSON text of expression v's value, m being the file's value memo, o its ordinals and t
-        its texts by identity."""
+        its map texts by identity."""
         kind, marks, optional = _parse(hint)
         args = get_args(kind)
-        record_tuple = get_origin(kind) is tuple and is_dataclass(_parse(args[0])[0])
-        if is_dataclass(kind) or record_tuple or get_origin(kind) is Mapping:
-            by_identity = "shared" in marks or get_origin(kind) is Mapping
-            w = f"_{next(temps)}" if by_identity else v
-            if is_dataclass(kind):
-                env[name := f"e{id(kind)}"] = self[kind][0]
-                text = f'("null" if {w} is None else {name}({w}, m, o, t))' if optional else f"{name}({w}, m, o, t)"
-            elif get_origin(kind) is Mapping:
-                text = f"d(dict({w}))"
-            else:
-                y = f"_{next(temps)}"
-                # its records are not looked up by identity: one is rarely in two tuples
-                text = f'"[" + ",".join([{self._encode(_parse(args[0])[0], y, env, temps)} for {y} in {w}]) + "]"'
-            if not by_identity:
-                return text
-            h = f"_{next(temps)}"
-            return f"({h}[1] if ({h} := t.get(id({w} := {v}))) else _keep(t, {w}, o, len(o), {text}))"
+        if is_dataclass(kind):
+            env[name := f"e{id(kind)}"] = self[kind][0]
+            return f'("null" if {v} is None else {name}({v}, m, o, t))' if optional else f"{name}({v}, m, o, t)"
+        if get_origin(kind) is Mapping:
+            return f"_map_text(t, {v})"
+        if get_origin(kind) is tuple and is_dataclass(_parse(args[0])[0]):
+            y = f"_{next(temps)}"
+            return f'"[" + ",".join([{self._encode(args[0], y, env, temps)} for {y} in {v}]) + "]"'
         if kind in (bool, int, float):
             return f"s({v})"
         if get_origin(kind) is tuple and optional:  # an empty optional tuple is null
@@ -280,7 +253,7 @@ class _Codecs(dict):
 
     def _decode(self, hint, key: str, env: dict, temps: Iterator[int], v: str = "") -> tuple[str, bool]:
         """(Source of the value of rec r's field key or of JSON value v, whether it is Shared but not yet made one
-        object by one()): a Shared record is its type's kdec, and a map or a Once string is one object already."""
+        object by one()): a map or a Once string is one object already."""
         kind, marks, optional = _parse(hint)
         v, t = v or (f'r.get("{key}")' if optional else f'r["{key}"]'), f"_{next(temps)}"
         if "once" in marks:  # an ordinal is an int in range: not a bool, and never negative
@@ -291,33 +264,33 @@ class _Codecs(dict):
             code = f"(None if {test} else {self._convert(kind, marks, t, env, temps)})"
         else:
             code = self._convert(kind, marks, v, env, temps)
-        return code, "shared" in marks and not (is_dataclass(kind) or get_origin(kind) is Mapping)
+        return code, "shared" in marks and get_origin(kind) is not Mapping
 
     def _convert(self, kind, marks: tuple, v: str, env: dict, temps: Iterator[int]) -> str:
         """Source of the declared value that JSON value v stands for."""
         args = get_args(kind)
         if is_dataclass(kind):
-            keyed = "shared" in marks
-            env[name := f"{'k' if keyed else 'd'}{id(kind)}"] = self[kind][2 if keyed else 1]
+            env[name := f"d{id(kind)}"] = self[kind][1]
             return f"{name}({v}, shared, table)"
         if get_origin(kind) is Mapping:
             return f"_shared_map({v}, shared)"
         if get_origin(kind) is not tuple:
             return f"{kind.__name__}({v})" if "coerced" in marks else v
         if args[-1] is Ellipsis and is_dataclass(_parse(args[0])[0]):
-            return f"tuple([{self._decode(args[0], '', env, temps, 'y')[0]} for y in {v}])"
+            code, shared = self._decode(args[0], "", env, temps, "y")
+            return f"tuple([{self._one(code, temps) if shared else code} for y in {v}])"
         return f"tuple(map(tuple, {v}))" if args[-1] is Ellipsis and get_origin(args[0]) is tuple else f"tuple({v})"
 
 
 _CODECS = _Codecs()
 # a plain dict is its own line's record
-_CODECS[dict] = (lambda record, memo, ordinals, texts: dumps(record)), (lambda rec, shared, table: rec), None
+_CODECS[dict] = (lambda record, memo, ordinals, texts: dumps(record)), (lambda rec, shared, table: rec)
 
 
 def record_lines(records: Iterable) -> Iterator[str]:
-    """Each record's line, by its type's compiled encoder (a plain dict's is dumps); a Shared string or tuple, a
-    map, a Shared record and a Shared tuple of records are encoded once per call, and a Once string is written
-    in full once per call, its later occurrences as its ordinal."""
+    """Each record's line, by its type's compiled encoder (a plain dict's is dumps); a Shared string or tuple and
+    a map are encoded once per call, and a Once string is written in full once per call, its later occurrences
+    as its ordinal."""
     memo, ordinals, texts = DumpsMemo(), _Ordinals(), {}
     for r in records:
         yield _CODECS[type(r)][0](r, memo, ordinals, texts)

@@ -492,37 +492,43 @@ class Phase(NamedTuple):
     inputs: tuple[str, ...]  # artifact names, each an output of an earlier row
     outputs: dict[str, Artifact]  # artifact name -> its file and format
     optional: tuple[str, ...] = ()  # inputs only a stepwise command passes; None when absent
+    settings: tuple[str, ...] = ()  # the RunConfig fields fn reads that can change a byte it writes
 
 
 PHASE_TABLE = (
     Phase("tasks", make_tasks, (), {
         "tasks": Artifact("tasks.jsonl", lambda suite, path: save_tasks(suite, path), lambda path: load_tasks(path)),
         "policy_init": _policy("policy_init.json", "init"),
-    }),
-    Phase("rollout", rollout, ("tasks", "policy_init"), {"rollouts": _trajectories("rollouts.jsonl")}),
+    }, settings=("tasks_path", "synth_count", "synth_lines", "synth_candidates", "seed", "initial_policy")),
+    Phase("rollout", rollout, ("tasks", "policy_init"), {"rollouts": _trajectories("rollouts.jsonl")},
+          settings=("rollouts_n", "seed", "max_tokens", "backend_endpoint")),
     Phase("evaluate", evaluate, ("tasks", "rollouts"), {"rewards": _rewards("rewards.jsonl")}),
     Phase("guide", guide, ("tasks", "rollouts", "rewards"), {"guidance": Artifact(
         "guidance.jsonl", lambda guidance, path: write_guidance(guidance, path), lambda path: read_guidance(path)
-    )}),
+    )}, settings=("guidance_enabled", "teacher_endpoint")),
     Phase("reattempt", reattempt, ("tasks", "guidance", "policy_init"),
-          {"guided_rollouts": _trajectories("guided_rollouts.jsonl")}),
+          {"guided_rollouts": _trajectories("guided_rollouts.jsonl")},
+          settings=("seed", "max_tokens", "backend_endpoint")),
     Phase("evaluate-guided", evaluate, ("tasks", "guided_rollouts"),
           {"guided_rewards": _rewards("guided_rewards.jsonl")}),
     Phase("assemble", assemble, ("rollouts", "rewards", "guided_rollouts", "guided_rewards", "guidance"), {
         "dataset": Artifact("dataset.jsonl", lambda d, path: emit_dataset(d, path), lambda path: load_dataset(path)),
-    }),
+    }, settings=("sft_fraction", "max_pairs_per_task", "include_guided_in_sft", "seed")),
     Phase("train-sft", train_sft, ("policy_init", "dataset"),
-          {"policy_sft": _policy("policy_sft.json", "sft"), "sft_log": _log("sft_log.csv")}),
+          {"policy_sft": _policy("policy_sft.json", "sft"), "sft_log": _log("sft_log.csv")},
+          settings=("sft_learning_rate", "sft_epochs")),
     Phase("train-dpo", train_dpo, ("policy_sft", "dataset"),
-          {"policy_final": _policy("policy_final.json", "dpo"), "dpo_log": _log("dpo_log.csv")}),
+          {"policy_final": _policy("policy_final.json", "dpo"), "dpo_log": _log("dpo_log.csv")},
+          settings=("dpo_beta", "dpo_learning_rate", "dpo_epochs")),
     Phase("final-eval", final_eval, ("tasks", "policy_final"),
-          {"eval_rollouts": _trajectories("eval_rollouts.jsonl"), "eval_rewards": _rewards("eval_rewards.jsonl")}),
+          {"eval_rollouts": _trajectories("eval_rollouts.jsonl"), "eval_rewards": _rewards("eval_rewards.jsonl")},
+          settings=("backend_endpoint", "seed", "rollouts_n", "max_tokens")),
     Phase("report", report, ("rollouts", "rewards", "guided_rewards", "eval_rollouts", "eval_rewards"), {
         "report_json": Artifact(
             "report.json", lambda body, path: _write_text(json.dumps(body, sort_keys=True, indent=1) + "\n", path)
         ),
         "report_txt": Artifact("report.txt", _write_text),
-    }, optional=("selections",)),
+    }, optional=("selections",), settings=("seed",)),
 )
 # Best-of-k on a finished run: stepwise commands only, outside run_loop and its
 # manifest. Their functions read no RunConfig field, so the commands take no settings.
@@ -596,7 +602,8 @@ def _write_replacing(path: Path, text: str) -> None:
 
 
 class RunState:
-    """The phases completed so far, in order, and the sha256 of every file they committed."""
+    """The phases completed so far, in order, the sha256 of every file they committed, and the values of the
+    settings each declares."""
 
     def __init__(self, path: Path):
         self.path = path
@@ -604,18 +611,32 @@ class RunState:
             body = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
             self.completed: list[str] = body.get("completed", [])
             self.hashes: dict[str, str] = body.get("hashes", {})
+            self.settings: dict[str, dict] = body.get("settings", {})
             if self.completed != list(PHASES[: len(self.completed)]):
                 raise ValueError(f"completed {self.completed!r} is not a prefix of {list(PHASES)}")
             if not isinstance(self.hashes, dict) or not all(isinstance(h, str) for h in self.hashes.values()):
                 raise ValueError(f"hashes {self.hashes!r} is not a map of file names to digests")
+            if not isinstance(self.settings, dict) or not all(isinstance(v, dict) for v in self.settings.values()):
+                raise ValueError(f"settings {self.settings!r} is not a map of phase names to settings")
         except (ValueError, AttributeError, TypeError) as exc:
             raise CheckpointError(f"run state {path} is corrupt: {exc}") from exc
 
     def mark(self, phase: str) -> None:
         if phase not in self.completed:
             self.completed.append(phase)
-        body = {"completed": self.completed, "hashes": self.hashes}
+        body = {"completed": self.completed, "hashes": self.hashes, "settings": self.settings}
         _write_replacing(self.path, json.dumps(body, sort_keys=True) + "\n")
+
+    def check_settings(self, phase: str, declared: dict) -> None:
+        """UsageError if a value of declared differs from the one completed phase recorded for that setting;
+        CheckpointError if it recorded none."""
+        recorded = self.settings.get(phase)
+        if recorded is None or not recorded.keys() >= declared.keys():
+            raise CheckpointError(f"{self.path} records no settings for phase {phase!r}; cannot resume")
+        for name, value in declared.items():
+            if recorded[name] != value:
+                raise UsageError(f"phase {phase!r} completed with {name}={recorded[name]!r}, but this resume "
+                                 f"sets {name}={value!r}; start a new run to change it")
 
 
 def run_loop(config: RunConfig, resume: bool = False) -> dict:
@@ -628,7 +649,8 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
     guidance artifacts, those of phases completed before a resume included.
     A phase failure raises PhaseError with the earlier phases committed;
     rerun with resume=True to continue after them, which raises
-    CheckpointError if one of their outputs is missing, edited or unhashed.
+    CheckpointError if one of their outputs is missing, edited or unhashed,
+    and UsageError if config changes a setting one of them declares.
     Another iteration on top of a finished run is a fresh invocation
     pointing initial_policy at the previous run's policy_final.json.
     A set backend_endpoint or a non-synthetic task in the suite raises
@@ -647,12 +669,14 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
     infra_errors = 0
     for i, phase in enumerate(PHASE_TABLE):
         outputs = [getattr(paths, name) for name in phase.outputs]
+        declared = {name: getattr(config, name) for name in phase.settings}
         if phase.name in state.completed:
             for file in outputs:
                 if file.name not in state.hashes:
                     raise CheckpointError(f"{paths.state} records no hash for {file.name}; cannot resume")
                 if not file.exists() or canonical_file_hash(file) != state.hashes[file.name]:
                     raise CheckpointError(f"{file} is missing or changed since phase {phase.name!r} completed")
+            state.check_settings(phase.name, declared)
             log.info("phase %-16s already complete, skipping", phase.name)
             # the artifacts that can hold a lost record are read back, for the manifest's infra_errors
             produced = {name: read_artifact(name, getattr(paths, name)) for name in phase.outputs if name in LOSSY}
@@ -667,6 +691,7 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
                 raise PhaseError(phase.name, str(exc)) from exc
             for file in outputs:
                 state.hashes[file.name] = canonical_file_hash(file)
+            state.settings[phase.name] = declared
             state.mark(phase.name)
         infra_errors += infra_failures({name: value for name, value in produced.items() if name in LOSSY})
         values.update(produced)

@@ -412,6 +412,7 @@ def test_resumed_run_counts_infra_failures_from_before_the_resume(tmp_path, caps
 @pytest.mark.parametrize("text", [
     '{"completed": ["tasks", "roll', "not json\n", "[]\n",
     '{"completed": "tasks"}\n', '{"completed": ["bogus"]}\n', '{"completed": [], "hashes": {"tasks.jsonl": 1}}\n',
+    '{"completed": [], "settings": {"tasks": 1}}\n',
 ])
 def test_corrupt_run_state_fails_resume_cleanly(tmp_path, capsys, text):
     out = tmp_path / "run"

@@ -153,8 +153,8 @@ talks = st.lists(st.builds(
     task_id=st.sampled_from(["t1", "t2", "t3"]),
     opener=st.none() | turns,
 ), max_size=12)
-# A writer makes the text of a Shared record or tuple once per file, by identity, and keeps it only once it
-# writes no Once string in full: these objects' first occurrences do, and their later ones are ordinals.
+# One Shared record or tuple of records, written again: its first occurrence writes its Once strings in full
+# and its later ones as ordinals, so the same object's text differs between occurrences.
 ONE_TUPLE = (Turn("a new prompt", "ann"), Turn("hello", "bo"))
 ONE_OPENER = Turn("an opening", "bo")
 

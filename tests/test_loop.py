@@ -6,7 +6,7 @@ import shutil
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -870,6 +870,64 @@ def test_resume_from_every_phase_boundary_matches_the_uninterrupted_run(finished
     for file in ARTIFACTS.values():
         assert (out / file).read_bytes() == (done.dir / file).read_bytes(), file
     assert not list(out.glob("*.partial"))
+
+
+@pytest.mark.parametrize("change, phase, name", [
+    (["--seed", "5"], "tasks", "seed"),
+    (["--set", "tasks.synth_count=5"], "tasks", "synth_count"),
+    (["--set", "run.max_tokens=128"], "rollout", "max_tokens"),
+    (["--set", "run.guidance_enabled=off"], "guide", "guidance_enabled"),
+    (["--set", "assemble.include_guided_in_sft=on"], "assemble", "include_guided_in_sft"),
+    (["--set", "sft.sft_learning_rate=0.25"], "train-sft", "sft_learning_rate"),
+    (["--set", "dpo.dpo_epochs=61"], "train-dpo", "dpo_epochs"),
+])
+def test_a_resume_refuses_a_changed_setting_that_a_completed_phase_read(finished_run, tmp_path, capsys, change,
+                                                                        phase, name):
+    _, done, _ = finished_run
+    out = tmp_path / "run"
+    shutil.copytree(done.dir, out)
+    before = {file: (out / file).read_bytes() for file in ("manifest.json", "runstate.json")}
+    assert main(["run-loop", "--output-dir", str(out), "--resume", *SMALL_ARGV, *change]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: phase {phase!r} completed with {name}=") and "Traceback" not in err
+    assert {file: (out / file).read_bytes() for file in before} == before
+
+
+def test_a_run_that_failed_at_guide_resumes_with_another_teacher(finished_run, tmp_path, monkeypatch):
+    """A setting only phases not yet completed read may change: the README's fix-the-teacher-and-resume flow."""
+    import rlvrloop.loop as loop
+
+    config, done, _ = finished_run
+    config = replace(config, output_dir=str(tmp_path / "run"), teacher_endpoint="http://127.0.0.1:9/")
+
+    def no_guidance(*args, **kwargs):
+        raise GuidanceError("the teacher answered nothing usable")
+
+    monkeypatch.setattr(loop, "guide_failures", no_guidance)
+    with pytest.raises(PhaseError, match="guide"):
+        run_loop(config)
+    monkeypatch.undo()
+    run_loop(replace(config, teacher_endpoint=""), resume=True)
+    for file in ARTIFACTS.values():
+        assert (tmp_path / "run" / file).read_bytes() == (done.dir / file).read_bytes(), file
+
+
+def test_a_run_state_that_records_no_settings_cannot_resume(finished_run, tmp_path, capsys):
+    _, done, _ = finished_run
+    out = tmp_path / "run"
+    shutil.copytree(done.dir, out)
+    state = json.loads((out / "runstate.json").read_text())
+    del state["settings"]
+    (out / "runstate.json").write_text(json.dumps(state) + "\n")
+    assert main(["run-loop", "--output-dir", str(out), "--resume", *SMALL_ARGV]) == 1
+    assert "records no settings for phase 'tasks'" in capsys.readouterr().err
+
+
+def test_every_setting_but_the_run_directory_and_worker_count_is_declared_by_a_phase():
+    declared = [name for phase in PHASE_TABLE for name in phase.settings]
+    assert set(declared) == {f.name for f in fields(RunConfig)} - {"output_dir", "workers"}
+    for phase in PHASE_TABLE:
+        assert len(set(phase.settings)) == len(phase.settings), phase.name
 
 
 def test_training_phases_leave_their_input_policy_alone(finished_run):

@@ -9,6 +9,7 @@ Prints each module's never-run lines, then their total. Exits 1 if pytest
 fails or if a module has a never-run line that KEPT does not name (as many
 times as that text is never run there), else 0.
 """
+import functools
 import sys
 import threading
 import trace
@@ -40,9 +41,17 @@ KEPT = Counter({
 })
 
 
+@functools.cache
+def outside_src(filename: str, modulename: str) -> bool:
+    """trace's test of whether to skip a module's file: True unless it is under SRC. trace's own test caches
+    by module name, so a module named errors.py elsewhere would hide rlvrloop's errors.py."""
+    return not Path(filename).resolve().is_relative_to(SRC)
+
+
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    tracer = trace.Trace(count=1, trace=0, ignoredirs=[sys.prefix, sys.exec_prefix])
+    tracer = trace.Trace(count=1, trace=0)
+    tracer.ignore.names = outside_src
     threading.settrace(tracer.globaltrace)
     try:
         status = tracer.runfunc(pytest.main, argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
