@@ -4,12 +4,13 @@ Every row of the loop's phase table (rlvrloop.loop.PHASE_TABLE) and of the
 reward-model table (RM_TABLE: train-rm, rank) is also a stepwise subcommand
 of the same name, with one required `--<artifact>` flag per input and
 output the row declares. Each one reads its inputs through the readers the
-table declares, calls the row through loop.run_phase, which commits the
+table declares, calls the row through loop.run_phase, which passes the
+row's function the settings it takes as keyword parameters and commits the
 outputs atomically as run-loop does, and prints the paths it wrote. Like
 `run-loop`, a phase command builds its RunConfig from `--config`,
 `--set section.key=value` and `--seed`, so `run-loop` and the sequence of
 stepwise commands given the same settings produce byte-identical
-artifacts. The reward-model rows read no setting and take none.
+artifacts. The reward-model rows take no setting and no settings flags.
 
 Exit codes: 0 success, 1 usage or data error (a missing or unreadable
 file included), 2 phase failure (resumable state written), 3 the command

@@ -3,20 +3,22 @@
 Phases: tasks -> rollout -> evaluate -> guide -> reattempt ->
 evaluate-guided -> assemble -> train-sft -> train-dpo -> final-eval ->
 report. Each phase body is one module-level function over values:
-fn(config, *input values) returns its output values and opens none of the
-run's files. PHASE_TABLE declares once what each phase reads and writes,
-and each artifact's file name with the one writer and reader of its format;
-RM_TABLE does the same for the reward-model commands train-rm and rank.
-PHASES, RunPaths, the manifest's artifact list and the stepwise CLI
-subcommands (one per row, one flag per artifact) come from the tables.
+fn(*input values, **settings) returns its output values and opens none of
+the run's files; its settings are the RunConfig fields it reads, as
+keyword-only parameters. PHASE_TABLE declares once what each phase reads
+and writes, and each artifact's file name with the one writer and reader of
+its format; RM_TABLE does the same for the reward-model commands train-rm
+and rank. PHASES, RunPaths, the manifest's artifact list and the stepwise
+CLI subcommands (one per row, one flag per artifact) come from the tables.
 
 run_phase calls a row's function and commits its results atomically
 through commit_outputs (`<file>.partial`, then os.replace). run_loop hands
 each phase the values earlier phases returned, records every output's
-sha256 in runstate.json, and on resume refuses a completed phase whose
-outputs no longer hash the same, then reads back only what the remaining
-phases need. A stepwise command reads its inputs through the same readers,
-so run_loop and the stepwise pipeline produce byte-identical artifacts.
+sha256 and every row's settings in runstate.json, and on resume refuses a
+completed phase whose outputs or settings changed, then reads back only
+what the remaining phases need. A stepwise command reads its inputs
+through the same readers, so run_loop and the stepwise pipeline produce
+byte-identical artifacts.
 
 All randomness is derived from config.seed through labeled sub-seeds; the
 wall clock never feeds any decision, so rerunning a config reproduces every
@@ -25,11 +27,13 @@ deterministic artifact hash exactly.
 from __future__ import annotations
 
 import configparser
+import inspect
 import json
 import logging
+import math
 import os
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -65,78 +69,66 @@ StrPath = str | Path  # artifact paths, in either form
 # ---------------------------------------------------------------------------
 
 
+def _setting(default, section: str, within: str | None = None):
+    """A RunConfig field that the config file's `section` sets, refused outside the range `within` words."""
+    return field(default=default, metadata={"section": section, "range": within})
+
+
+def _within(value, wording: str) -> bool:
+    """Whether value is in the range worded '>= a', '> a' or 'in [a, b]'; stated positively, so NaN is in none."""
+    op, bound = wording.split(" ", 1)
+    low, high = json.loads(bound) if op == "in" else (float(bound), math.inf)
+    return (value > low if op == ">" else value >= low) and value <= high
+
+
 @dataclass
 class RunConfig:
-    output_dir: str = "runs/out"
-    seed: int = 0
-    workers: int = 4
-    rollouts_n: int = 16
-    max_tokens: int = 256
-    guidance_enabled: bool = True
+    output_dir: str = "runs/out"  # no section: the run directory is not a setting
+    seed: int = _setting(0, "run")
+    workers: int = _setting(4, "run", ">= 1")
+    rollouts_n: int = _setting(16, "run", ">= 1")
+    max_tokens: int = _setting(256, "run", ">= 1")
+    guidance_enabled: bool = _setting(True, "run")
 
-    tasks_path: str = ""
-    synth_count: int = 64
-    synth_lines: int = 6
-    synth_candidates: int = 8
+    tasks_path: str = _setting("", "tasks")
+    synth_count: int = _setting(64, "tasks", ">= 1")
+    synth_lines: int = _setting(6, "tasks", ">= 2")
+    synth_candidates: int = _setting(8, "tasks", f"in [2, {MAX_SYNTH_CANDIDATES}]")
 
-    backend_endpoint: str = ""  # set: the remote policy; empty: the tabular one
-    teacher_endpoint: str = ""  # set: the remote teacher; empty: the oracle
-    initial_policy: str = ""
+    backend_endpoint: str = _setting("", "backend")  # set: the remote policy; empty: the tabular one
+    teacher_endpoint: str = _setting("", "teacher")  # set: the remote teacher; empty: the oracle
+    initial_policy: str = _setting("", "backend")
 
-    sft_fraction: float = 0.2
-    max_pairs_per_task: int = 4
-    include_guided_in_sft: bool = False
+    sft_fraction: float = _setting(0.2, "assemble", "in [0, 1]")
+    max_pairs_per_task: int = _setting(4, "assemble")
+    include_guided_in_sft: bool = _setting(False, "assemble")
 
-    sft_learning_rate: float = 0.5
-    sft_epochs: int = 100
-    dpo_beta: float = 0.1
-    dpo_learning_rate: float = 0.5
-    dpo_epochs: int = 200
+    sft_learning_rate: float = _setting(0.5, "sft", "> 0")
+    sft_epochs: int = _setting(100, "sft", ">= 0")
+    dpo_beta: float = _setting(0.1, "dpo", "> 0")
+    dpo_learning_rate: float = _setting(0.5, "dpo", "> 0")
+    dpo_epochs: int = _setting(200, "dpo", ">= 0")
 
 
-# Flat key=value sections in the config file, mapped onto RunConfig fields.
+# The fields the config file sets, by name and by section.
+_SETTINGS = {f.name: f for f in fields(RunConfig) if "section" in f.metadata}
 _SECTION_FIELDS = {
-    "run": (
-        "seed", "workers", "rollouts_n", "max_tokens", "guidance_enabled",
-    ),
-    "tasks": ("tasks_path", "synth_count", "synth_lines", "synth_candidates"),
-    "backend": ("backend_endpoint", "initial_policy"),
-    "teacher": ("teacher_endpoint",),
-    "assemble": ("sft_fraction", "max_pairs_per_task", "include_guided_in_sft"),
-    "sft": ("sft_learning_rate", "sft_epochs"),
-    "dpo": ("dpo_beta", "dpo_learning_rate", "dpo_epochs"),
-}
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-# The settings with a range, each with its test and the range in words.
-_RANGES = {
-    **dict.fromkeys(("workers", "rollouts_n", "max_tokens", "synth_count"), (lambda v: v >= 1, ">= 1")),
-    "synth_lines": (lambda v: v >= 2, ">= 2"),
-    "synth_candidates": (lambda v: 2 <= v <= MAX_SYNTH_CANDIDATES, f"in [2, {MAX_SYNTH_CANDIDATES}]"),
-    **dict.fromkeys(("sft_epochs", "dpo_epochs"), (lambda v: v >= 0, ">= 0")),
-    **dict.fromkeys(("sft_learning_rate", "dpo_learning_rate", "dpo_beta"), (lambda v: v > 0, "> 0")),
-    "sft_fraction": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    section: tuple(name for name, f in _SETTINGS.items() if f.metadata["section"] == section)
+    for section in dict.fromkeys(f.metadata["section"] for f in _SETTINGS.values())
 }
 
 
 def _coerce(name: str, raw: str):
-    kind = _FIELD_TYPES.get(name)
+    kind = _SETTINGS[name].type
     if kind == "bool":
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"config value {name}={raw!r} is not a boolean")
+        value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
+        if value is None:
+            raise UsageError(f"config value {name}={raw!r} is not a boolean")
+        return value
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
+        return {"int": int, "float": float, "str": str}[kind](raw)
     except ValueError as exc:
         raise UsageError(f"config value {name}={raw!r}: {exc}") from exc
-    return raw
 
 
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> RunConfig:
@@ -172,9 +164,10 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
         if section not in _SECTION_FIELDS or key not in _SECTION_FIELDS[section]:
             raise UsageError(f"unknown config key {dotted!r}")
         setattr(config, key, _coerce(key, raw))
-    for key, (within, wording) in _RANGES.items():
-        if not within(getattr(config, key)):
-            raise UsageError(f"config value {key}={getattr(config, key)!r} is out of range: must be {wording}")
+    for key, setting in _SETTINGS.items():
+        within = setting.metadata["range"]
+        if within is not None and not _within(getattr(config, key), within):
+            raise UsageError(f"config value {key}={getattr(config, key)!r} is out of range: must be {within}")
     return config
 
 
@@ -183,26 +176,18 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
 # ---------------------------------------------------------------------------
 
 
-def build_backend(config: RunConfig, policy: TabularPolicy) -> PolicyBackend:
-    """The HTTP backend at config.backend_endpoint if set, else a tabular backend over policy."""
-    if config.backend_endpoint:
-        return HttpPolicyBackend(config.backend_endpoint)
+def build_backend(endpoint: str, policy: TabularPolicy) -> PolicyBackend:
+    """The HTTP backend at endpoint if set, else a tabular backend over policy."""
+    if endpoint:
+        return HttpPolicyBackend(endpoint)
     return TabularPolicyBackend(policy)
 
 
-def build_teacher(config: RunConfig) -> TeacherBackend | None:
-    """The HTTP teacher at config.teacher_endpoint if set, else None: the built-in oracle."""
-    if config.teacher_endpoint:
-        return HttpTeacherBackend(config.teacher_endpoint)
+def build_teacher(endpoint: str) -> TeacherBackend | None:
+    """The HTTP teacher at endpoint if set, else None: the built-in oracle."""
+    if endpoint:
+        return HttpTeacherBackend(endpoint)
     return None
-
-
-def resolve_tasks(config: RunConfig) -> TaskDataset:
-    if config.tasks_path:
-        return load_tasks(config.tasks_path)
-    return generate_synth_suite(
-        config.synth_count, config.synth_lines, config.synth_candidates, config.seed
-    )
 
 
 def _task_in(dataset: TaskDataset, task_id: str) -> Task:
@@ -283,118 +268,116 @@ def read_guidance(path: Path) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Phase functions: fn(config, *input values) -> output value(s), no file I/O
+# Phase functions: fn(*input values, **the RunConfig fields it reads) -> output value(s), no file I/O
 # ---------------------------------------------------------------------------
 
 
-def make_tasks(config: RunConfig) -> tuple[TaskDataset, TabularPolicy]:
+def make_tasks(*, tasks_path: str, synth_count: int, synth_lines: int, synth_candidates: int, seed: int,
+               initial_policy: str) -> tuple[TaskDataset, TabularPolicy]:
     """The task suite and the starting policy over it.
 
-    The suite is config.tasks_path if set, else a synthetic one; the policy
-    is config.initial_policy if set, whose head for a synthetic task must
-    have that task's grid, else uniform.
+    The suite is tasks_path if set, else a synthetic one; the policy is
+    initial_policy if set, whose head for a synthetic task must have that
+    task's grid, else uniform.
     """
-    dataset = resolve_tasks(config)
-    if not config.initial_policy:
+    if tasks_path:
+        dataset = load_tasks(tasks_path)
+    else:
+        dataset = generate_synth_suite(synth_count, synth_lines, synth_candidates, seed)
+    if not initial_policy:
         return dataset, TabularPolicy.uniform(dataset)
-    policy = TabularPolicy.load(config.initial_policy)
-    _check_fit(dataset, policy, f"initial_policy {config.initial_policy}")
+    policy = TabularPolicy.load(initial_policy)
+    _check_fit(dataset, policy, f"initial_policy {initial_policy}")
     return dataset, policy
 
 
-def rollout(config: RunConfig, tasks: TaskDataset, policy: TabularPolicy, *, eval_mode: bool = False) -> list:
-    """config.rollouts_n attempts per task from the policy, seeded by config.seed."""
+def rollout(tasks: TaskDataset, policy: TabularPolicy, *, rollouts_n: int, seed: int, max_tokens: int,
+            backend_endpoint: str, workers: int, eval_mode: bool = False) -> list:
+    """rollouts_n attempts per task from the policy, seeded by seed."""
     _check_fit(tasks, policy)
     return rollout_all_tasks(
-        tasks, build_backend(config, policy), config.rollouts_n, config.seed,
-        workers=config.workers, max_tokens=config.max_tokens, eval_mode=eval_mode,
+        tasks, build_backend(backend_endpoint, policy), rollouts_n, seed,
+        workers=workers, max_tokens=max_tokens, eval_mode=eval_mode,
     )
 
 
-def reattempt(config: RunConfig, tasks: TaskDataset, guidance: list, policy: TabularPolicy) -> list:
+def reattempt(tasks: TaskDataset, guidance: list, policy: TabularPolicy, *, seed: int, max_tokens: int,
+              backend_endpoint: str, workers: int) -> list:
     """One guided reattempt per guidance record but a lost one."""
     _check_fit(tasks, policy)
     return reattempt_with_guidance(
-        tasks, guidance, build_backend(config, policy), config.seed,
-        max_tokens=config.max_tokens, workers=config.workers,
+        tasks, guidance, build_backend(backend_endpoint, policy), seed, max_tokens=max_tokens, workers=workers,
     )
 
 
-def evaluate(config: RunConfig, tasks: TaskDataset, rollouts: list) -> list:
+def evaluate(tasks: TaskDataset, rollouts: list, *, workers: int) -> list:
     """One reward record (or EvaluationFailure) per trajectory."""
-    return evaluate_trajectories(tasks, rollouts, workers=config.workers)
+    return evaluate_trajectories(tasks, rollouts, workers=workers)
 
 
-def guide(config: RunConfig, tasks: TaskDataset, rollouts: list, rewards: list) -> list:
+def guide(tasks: TaskDataset, rollouts: list, rewards: list, *, guidance_enabled: bool, teacher_endpoint: str,
+          workers: int) -> list:
     """Teacher guidance, or a lost record, for every failed attempt; none when guidance is off."""
-    if not config.guidance_enabled:
+    if not guidance_enabled:
         return []
-    return guide_failures(tasks, rollouts, rewards, build_teacher(config), workers=config.workers)
+    return guide_failures(tasks, rollouts, rewards, build_teacher(teacher_endpoint), workers=workers)
 
 
-def assemble(
-    config: RunConfig, rollouts: list, rewards: list, guided_rollouts: list, guided_rewards: list, guidance: list
-) -> RlvrDataset:
+def assemble(rollouts: list, rewards: list, guided_rollouts: list, guided_rewards: list, guidance: list, *,
+             sft_fraction: float, max_pairs_per_task: int, include_guided_in_sft: bool, seed: int) -> RlvrDataset:
     """Preference pairs and the SFT subset."""
     return build_rlvr_dataset(
-        rollouts, rewards, guided_rollouts, guided_rewards, guidance,
-        sft_fraction=config.sft_fraction,
-        max_pairs_per_task=config.max_pairs_per_task,
-        seed=config.seed,
-        include_guided_in_sft=config.include_guided_in_sft,
+        rollouts, rewards, guided_rollouts, guided_rewards, guidance, sft_fraction=sft_fraction,
+        max_pairs_per_task=max_pairs_per_task, seed=seed, include_guided_in_sft=include_guided_in_sft,
     )
 
 
-def train_sft(config: RunConfig, policy: TabularPolicy, dataset: RlvrDataset) -> tuple[TabularPolicy, list]:
+def train_sft(policy: TabularPolicy, dataset: RlvrDataset, *, sft_learning_rate: float,
+              sft_epochs: int) -> tuple[TabularPolicy, list]:
     """SFT of a copy of the policy on the dataset's positives; a fine-tuned policy passes through unchanged."""
     model, history = policy.clone(), []
     if model.fine_tuned:
         log.info("policy already fine-tuned; skipping sft")
     else:
-        sft_config = DPOConfig(learning_rate=config.sft_learning_rate, epochs=config.sft_epochs)
+        sft_config = DPOConfig(learning_rate=sft_learning_rate, epochs=sft_epochs)
         sft_train(model, dataset.sft, sft_config, history_out=history)
     return model, history
 
 
-def train_dpo(config: RunConfig, policy: TabularPolicy, dataset: RlvrDataset) -> tuple[TabularPolicy, list]:
+def train_dpo(policy: TabularPolicy, dataset: RlvrDataset, *, dpo_beta: float, dpo_learning_rate: float,
+              dpo_epochs: int) -> tuple[TabularPolicy, list]:
     """DPO of a copy of the policy on the dataset's pairs against a frozen copy of the policy."""
     model, history = policy.clone(), []
-    dpo_config = DPOConfig(
-        beta=config.dpo_beta, learning_rate=config.dpo_learning_rate, epochs=config.dpo_epochs
-    )
+    dpo_config = DPOConfig(beta=dpo_beta, learning_rate=dpo_learning_rate, epochs=dpo_epochs)
     dpo_train(model, dataset.pairs, dpo_config, reference=ReferencePolicy(policy), history_out=history)
     return model, history
 
 
-def final_eval(config: RunConfig, tasks: TaskDataset, policy: TabularPolicy) -> tuple[list, list]:
-    """Eval-mode rollouts of the trained policy under a seed derived from config.seed, then scoring."""
-    if config.backend_endpoint:
+def final_eval(tasks: TaskDataset, policy: TabularPolicy, *, backend_endpoint: str, seed: int, rollouts_n: int,
+               max_tokens: int, workers: int) -> tuple[list, list]:
+    """Eval-mode rollouts of the trained policy under a seed derived from seed, then scoring."""
+    if backend_endpoint:
         raise UsageError(f"final-eval measures the trained policy, but backend_endpoint would roll out "
-                         f"the remote model at {config.backend_endpoint} instead")
-    eval_config = replace(config, seed=derive_seed(config.seed, "final-eval"))
-    trajs = rollout(eval_config, tasks, policy, eval_mode=True)
-    return trajs, evaluate(config, tasks, trajs)
+                         f"the remote model at {backend_endpoint} instead")
+    trajs = rollout(
+        tasks, policy, rollouts_n=rollouts_n, seed=derive_seed(seed, "final-eval"), max_tokens=max_tokens,
+        backend_endpoint=backend_endpoint, workers=workers, eval_mode=True,
+    )
+    return trajs, evaluate(tasks, trajs, workers=workers)
 
 
-def report(
-    config: RunConfig,
-    rollouts: list,
-    rewards: list,
-    guided_rewards: list,
-    eval_rollouts: list,
-    eval_rewards: list,
-    selections: list | None = None,
-) -> tuple[dict, str]:
+def report(rollouts: list, rewards: list, guided_rewards: list, eval_rollouts: list, eval_rewards: list,
+           selections: list | None = None, *, seed: int) -> tuple[dict, str]:
     """Pre- vs post-training report, as a JSON body and as text; UsageError if selections miss a scored task."""
     if selections is not None:
         selections = {s["task_id"]: s["reward"] for s in selections}
         missing = [r.task_id for r in eval_rewards if isinstance(r, RewardRecord) and r.task_id not in selections]
         if missing:
             raise UsageError(f"selections hold no record for task {missing[0]!r}, which final-eval scored")
-    pre = aggregate(rollouts, rewards, bootstrap_seed=config.seed)
+    pre = aggregate(rollouts, rewards, bootstrap_seed=seed)
     uplift = guidance_uplift_report(rewards, guided_rewards)
     post = aggregate(
-        eval_rollouts, eval_rewards, guidance_uplift=uplift, bootstrap_seed=config.seed, selections=selections,
+        eval_rollouts, eval_rewards, guidance_uplift=uplift, bootstrap_seed=seed, selections=selections,
     )
     text = (
         "== pre-training (rollout phase) ==\n"
@@ -406,13 +389,13 @@ def report(
     return {"pre_training": pre.to_dict(), "post_training": post.to_dict()}, text
 
 
-def train_rm(config: RunConfig, tasks: TaskDataset, dataset: RlvrDataset) -> tuple[PairwiseRM, list]:
+def train_rm(tasks: TaskDataset, dataset: RlvrDataset) -> tuple[PairwiseRM, list]:
     """Train the pairwise patch reward model on the dataset's pairs."""
     history: list = []
     return rm_train(build_rm_training_pairs(dataset.pairs, tasks.by_id), history_out=history), history
 
 
-def rank(config: RunConfig, tasks: TaskDataset, rm: PairwiseRM, eval_rollouts: list, eval_rewards: list) -> list:
+def rank(tasks: TaskDataset, rm: PairwiseRM, eval_rollouts: list, eval_rewards: list) -> list:
     """Best-of-k selection with a trained reward model: one record per task with a scored candidate.
 
     A trajectory whose record is an EvaluationFailure is no candidate; one
@@ -484,54 +467,60 @@ def _log(file: str) -> Artifact:
     return Artifact(file, lambda history, path: write_history_csv(history, path))
 
 
+def setting_parameters(fn: Callable) -> tuple[str, ...]:
+    """The RunConfig fields fn takes as keyword-only parameters of the same names: those run_phase passes it."""
+    return tuple(
+        name for name, p in inspect.signature(fn).parameters.items() if p.kind is p.KEYWORD_ONLY and name in _SETTINGS
+    )
+
+
 class Phase(NamedTuple):
-    """One row, called as fn(config, *input values, *optional values); returns one value per output."""
+    """One row, called as fn(*input values, *optional values, **settings); returns one value per output."""
 
     name: str
     fn: Callable
     inputs: tuple[str, ...]  # artifact names, each an output of an earlier row
     outputs: dict[str, Artifact]  # artifact name -> its file and format
     optional: tuple[str, ...] = ()  # inputs only a stepwise command passes; None when absent
-    settings: tuple[str, ...] = ()  # the RunConfig fields fn reads that can change a byte it writes
+
+    @property
+    def settings(self) -> tuple[str, ...]:
+        """The settings fn takes but workers, which changes no byte: those runstate.json records and a resume checks."""
+        return tuple(name for name in setting_parameters(self.fn) if name != "workers")
 
 
 PHASE_TABLE = (
     Phase("tasks", make_tasks, (), {
         "tasks": Artifact("tasks.jsonl", lambda suite, path: save_tasks(suite, path), lambda path: load_tasks(path)),
         "policy_init": _policy("policy_init.json", "init"),
-    }, settings=("tasks_path", "synth_count", "synth_lines", "synth_candidates", "seed", "initial_policy")),
-    Phase("rollout", rollout, ("tasks", "policy_init"), {"rollouts": _trajectories("rollouts.jsonl")},
-          settings=("rollouts_n", "seed", "max_tokens", "backend_endpoint")),
+    }),
+    Phase("rollout", rollout, ("tasks", "policy_init"), {"rollouts": _trajectories("rollouts.jsonl")}),
     Phase("evaluate", evaluate, ("tasks", "rollouts"), {"rewards": _rewards("rewards.jsonl")}),
     Phase("guide", guide, ("tasks", "rollouts", "rewards"), {"guidance": Artifact(
         "guidance.jsonl", lambda guidance, path: write_guidance(guidance, path), lambda path: read_guidance(path)
-    )}, settings=("guidance_enabled", "teacher_endpoint")),
+    )}),
     Phase("reattempt", reattempt, ("tasks", "guidance", "policy_init"),
-          {"guided_rollouts": _trajectories("guided_rollouts.jsonl")},
-          settings=("seed", "max_tokens", "backend_endpoint")),
+          {"guided_rollouts": _trajectories("guided_rollouts.jsonl")}),
     Phase("evaluate-guided", evaluate, ("tasks", "guided_rollouts"),
           {"guided_rewards": _rewards("guided_rewards.jsonl")}),
     Phase("assemble", assemble, ("rollouts", "rewards", "guided_rollouts", "guided_rewards", "guidance"), {
         "dataset": Artifact("dataset.jsonl", lambda d, path: emit_dataset(d, path), lambda path: load_dataset(path)),
-    }, settings=("sft_fraction", "max_pairs_per_task", "include_guided_in_sft", "seed")),
+    }),
     Phase("train-sft", train_sft, ("policy_init", "dataset"),
-          {"policy_sft": _policy("policy_sft.json", "sft"), "sft_log": _log("sft_log.csv")},
-          settings=("sft_learning_rate", "sft_epochs")),
+          {"policy_sft": _policy("policy_sft.json", "sft"), "sft_log": _log("sft_log.csv")}),
     Phase("train-dpo", train_dpo, ("policy_sft", "dataset"),
-          {"policy_final": _policy("policy_final.json", "dpo"), "dpo_log": _log("dpo_log.csv")},
-          settings=("dpo_beta", "dpo_learning_rate", "dpo_epochs")),
+          {"policy_final": _policy("policy_final.json", "dpo"), "dpo_log": _log("dpo_log.csv")}),
     Phase("final-eval", final_eval, ("tasks", "policy_final"),
-          {"eval_rollouts": _trajectories("eval_rollouts.jsonl"), "eval_rewards": _rewards("eval_rewards.jsonl")},
-          settings=("backend_endpoint", "seed", "rollouts_n", "max_tokens")),
+          {"eval_rollouts": _trajectories("eval_rollouts.jsonl"), "eval_rewards": _rewards("eval_rewards.jsonl")}),
     Phase("report", report, ("rollouts", "rewards", "guided_rewards", "eval_rollouts", "eval_rewards"), {
         "report_json": Artifact(
             "report.json", lambda body, path: _write_text(json.dumps(body, sort_keys=True, indent=1) + "\n", path)
         ),
         "report_txt": Artifact("report.txt", _write_text),
-    }, optional=("selections",), settings=("seed",)),
+    }, optional=("selections",)),
 )
 # Best-of-k on a finished run: stepwise commands only, outside run_loop and its
-# manifest. Their functions read no RunConfig field, so the commands take no settings.
+# manifest. Their functions take no setting, so the commands take none.
 RM_TABLE = (
     Phase("train-rm", train_rm, ("tasks", "dataset"),
           {"rm": Artifact("rm.json", PairwiseRM.save, PairwiseRM.load), "rm_log": _log("rm_log.csv")}),
@@ -585,8 +574,8 @@ def commit_outputs(write: Callable, *outputs: StrPath) -> None:
 
 
 def run_phase(phase: Phase, config: RunConfig, inputs: list, outputs: list) -> dict:
-    """phase.fn(config, *inputs), its results committed to the output paths; returns them by artifact name."""
-    results = phase.fn(config, *inputs)
+    """phase.fn(*inputs, **the settings it takes from config), its results committed; returns them by artifact name."""
+    results = phase.fn(*inputs, **{name: getattr(config, name) for name in setting_parameters(phase.fn)})
     values = dict(zip(phase.outputs, results if len(phase.outputs) > 1 else (results,)))
 
     def write(*partials):
@@ -603,7 +592,7 @@ def _write_replacing(path: Path, text: str) -> None:
 
 class RunState:
     """The phases completed so far, in order, the sha256 of every file they committed, and the values of the
-    settings each declares."""
+    settings each takes."""
 
     def __init__(self, path: Path):
         self.path = path
@@ -650,7 +639,7 @@ def run_loop(config: RunConfig, resume: bool = False) -> dict:
     A phase failure raises PhaseError with the earlier phases committed;
     rerun with resume=True to continue after them, which raises
     CheckpointError if one of their outputs is missing, edited or unhashed,
-    and UsageError if config changes a setting one of them declares.
+    and UsageError if config changes a setting one of them takes.
     Another iteration on top of a finished run is a fresh invocation
     pointing initial_policy at the previous run's policy_final.json.
     A set backend_endpoint or a non-synthetic task in the suite raises
@@ -723,7 +712,7 @@ def write_manifest(config: RunConfig, paths: RunPaths, state: RunState, infra_er
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "schema_version": 1,
-        "config": asdict(config),
+        "config": {name: getattr(config, name) for name in _SETTINGS},  # the run directory is no setting
         "infra_errors": infra_errors,
         "artifacts": [{"path": file, "sha256": digest} for file, digest in sorted(hashes.items())],
     }

@@ -1,22 +1,37 @@
 """The remote policy and teacher clients against a local HTTP server."""
+import dataclasses
 import gc
 import json
+import random
+import shlex
 import socket
+import sys
 import threading
+import time
 from collections import Counter
 from functools import partial
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
 from doubles import guidance_to_text
-from rlvrloop.backends import HttpPolicyBackend, SamplingParams, call_batch, call_with_retry
+from rlvrloop.backends import HttpPolicyBackend, SamplingParams, TabularPolicyBackend, call_batch, call_with_retry
 from rlvrloop.cli import main
 from rlvrloop.errors import BackendError
 from rlvrloop.evaluator import EvaluationFailure
 from rlvrloop.guidance import Guidance, HttpTeacherBackend
-from rlvrloop.loop import ARTIFACTS, PHASE_TABLE, PHASES, RunPaths, read_artifact
+from rlvrloop.loop import (
+    ARTIFACTS,
+    PHASE_TABLE,
+    PHASES,
+    RunPaths,
+    evaluate_trajectories,
+    guide_failures,
+    read_artifact,
+    rollout_all_tasks,
+)
+from rlvrloop.policy import TabularPolicy
 from rlvrloop.prompts import HINT_DELIMITER
 from rlvrloop.tasks import TaskDataset, save_tasks
 
@@ -39,15 +54,27 @@ def scripted_policy(body: dict) -> str:
     return "I could not find the defect."
 
 
+def seeded_policy(body: dict) -> str:
+    """The /seeded answer for the scripted real task: every localization names app.py, and every repair makes
+    value() return 7 (an odd seed) or 3 (an even one), tagged with the request's seed in a comment."""
+    if "Identify the files" in body["prompt"]:
+        return "```\nFILES:\napp.py\n```"
+    return f"```\nEDIT: app.py:1:2\n    return {7 if body['seed'] % 2 else 3}  # {body['seed']}\nEND EDIT\n```"
+
+
 class Handler(BaseHTTPRequestHandler):
     """/ok echoes the prompt, /down answers 503, /bare answers 200 without a completion, /empty answers 204;
-    /policy and /teacher answer the scripted real task as scripted_policy and TEACHER_REPLY say."""
+    /policy, /seeded and /teacher answer the scripted real task as scripted_policy, seeded_policy and TEACHER_REPLY
+    say. Each answer waits the server's `delay_s` first, 0 unless a test sets it."""
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.requests.append(body)
+        time.sleep(self.server.delay_s)
         if self.path == "/policy":
             status, reply = 200, {"completion": scripted_policy(body)}
+        elif self.path == "/seeded":
+            status, reply = 200, {"completion": seeded_policy(body)}
         elif self.path == "/teacher":
             status, reply = 200, {"completion": TEACHER_REPLY}
         else:
@@ -68,19 +95,29 @@ class Handler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def server(monkeypatch):
+def serve(monkeypatch, server_class):
     # the requests must reach 127.0.0.1 directly, whatever proxy the host names
     monkeypatch.setenv("no_proxy", "*")
     monkeypatch.setenv("NO_PROXY", "*")
-    httpd = HTTPServer(("127.0.0.1", 0), Handler)
-    httpd.requests = []
+    httpd = server_class(("127.0.0.1", 0), Handler)
+    httpd.requests, httpd.delay_s = [], 0
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield httpd, f"http://127.0.0.1:{httpd.server_port}"
     httpd.shutdown()
     httpd.server_close()
     thread.join()
+
+
+@pytest.fixture
+def server(monkeypatch):
+    yield from serve(monkeypatch, HTTPServer)
+
+
+@pytest.fixture
+def threaded_server(monkeypatch):
+    """A server that answers each request on its own thread."""
+    yield from serve(monkeypatch, ThreadingHTTPServer)
 
 
 PARAMS = SamplingParams(temperature=0.7, seed=5, max_tokens=32)
@@ -227,3 +264,72 @@ def test_stepwise_real_task_reaches_assemble_and_each_attempt_sends_its_seed(ser
     )
     assert len({t.sampling.seed for t in rollouts + guided}) == 7
     assert sum("seed" not in b for b in httpd.requests) == 3  # one teacher request per failure
+
+
+def test_guide_on_four_threads_takes_at_most_four_tenths_of_the_time_on_one(threaded_server, small_suite):
+    """Eight failures' guidance from a teacher that takes 50 ms per answer: on 4 threads the same guidance as on 1,
+    in at most 0.4 of the time (ideally a quarter)."""
+    httpd, url = threaded_server
+    httpd.delay_s = 0.05
+    trajectories = rollout_all_tasks(small_suite, TabularPolicyBackend(TabularPolicy.uniform(small_suite)), 4, 0)
+    records = evaluate_trajectories(small_suite, trajectories, workers=1)
+    failed = [r for r in records if r.reward == 0][:8]
+    assert len(failed) == 8
+    teacher = HttpTeacherBackend(url + "/teacher", timeout_s=5)
+    runs = {}
+    for workers in (1, 4):
+        started = time.perf_counter()
+        guidance = guide_failures(small_suite, trajectories, failed, teacher, workers=workers)
+        runs[workers] = guidance, time.perf_counter() - started
+    assert runs[1][0] == runs[4][0] and all(isinstance(g, Guidance) for g in runs[1][0])
+    assert len(httpd.requests) == 16
+    assert runs[4][1] <= 0.4 * runs[1][1], runs
+
+
+FAULT_CHECK = """\
+import sys
+seed = open("app.py").read().split("# ")[1].split()[0]
+sys.exit(seed in open(sys.argv[1]).read().split())
+"""
+
+
+def test_a_sandbox_failure_costs_only_its_own_reward_record(server, scripted_repo, tmp_path):
+    """Stepwise tasks, rollout and evaluate on a real task whose setup command fails for a drawn set of attempts,
+    keyed by the seed each attempt's patch carries, so the evaluation pool cannot change which fail: each of those
+    attempts gets its infrastructure_error line and every other record equals the fault-free run's."""
+    _, url = server
+    task, _ = scripted_repo
+    check, faults = tmp_path / "fault_check.py", tmp_path / "faults.txt"
+    check.write_text(FAULT_CHECK)
+    faults.write_text("")
+    setup = f"{shlex.quote(sys.executable)} {shlex.quote(str(check))} {shlex.quote(str(faults))}"
+    task = dataclasses.replace(task, env_spec=dataclasses.replace(task.env_spec, setup_commands=(setup,)))
+    save_tasks(TaskDataset((task,)), tmp_path / "suite.jsonl")
+    sets = [f"tasks.tasks_path={tmp_path / 'suite.jsonl'}", "run.rollouts_n=6", "run.workers=4",
+            f"backend.backend_endpoint={url}/seeded"]
+    argv = ["--seed", "0", *(a for item in sets for a in ("--set", item))]
+    d = {name: str(tmp_path / ARTIFACTS[name]) for name in ("tasks", "policy_init", "rollouts")}
+    assert main(["tasks", *argv, "--tasks", d["tasks"], "--policy-init", d["policy_init"]]) == 0
+    assert main(["rollout", *argv, "--tasks", d["tasks"], "--policy-init", d["policy_init"],
+                 "--rollouts", d["rollouts"]]) == 0
+    seeds = {t.traj_id: t.sampling.seed for t in read_artifact("rollouts", d["rollouts"])}
+
+    def evaluate(faulted: set, out: Path) -> tuple[int, list]:
+        faults.write_text("".join(f"{seeds[ref]}\n" for ref in faulted))
+        code = main(["evaluate", *argv, "--tasks", d["tasks"], "--rollouts", d["rollouts"], "--rewards", str(out)])
+        return code, read_artifact("rewards", out)
+
+    code, expected = evaluate(set(), tmp_path / "rewards.jsonl")
+    assert code == 0 and [r.reward for r in expected] == [seed % 2 for seed in seeds.values()]
+    rng = random.Random(0)
+    for i, faulted in enumerate([{next(iter(seeds))}, set(rng.sample(sorted(seeds), 3)), set(seeds)]):
+        code, got = evaluate(faulted, tmp_path / f"faulted-{i}.jsonl")
+        assert code == 3
+        assert [r.trajectory_ref for r in got] == list(seeds)
+        for want, record in zip(expected, got):
+            if record.trajectory_ref in faulted:
+                assert isinstance(record, EvaluationFailure) and "setup command" in record.error
+            else:
+                assert record == want
+        lines = (tmp_path / f"faulted-{i}.jsonl").read_text().count('"infrastructure_error"')
+        assert lines == len(faulted)

@@ -86,12 +86,15 @@ def test_task_order_changes_no_record(draw, data):
 
 def up_to_training(config: RunConfig, suite: TaskDataset) -> dict:
     """The values of the phases rollout through evaluate-guided, from a uniform policy."""
+    def call(fn, *inputs):  # as run_phase calls a phase function
+        return fn(*inputs, **{name: getattr(config, name) for name in loop.setting_parameters(fn)})
+
     policy = TabularPolicy.uniform(suite)
-    rollouts = loop.rollout(config, suite, policy)
-    rewards = loop.evaluate(config, suite, rollouts)
-    guidance = loop.guide(config, suite, rollouts, rewards)
-    guided_rollouts = loop.reattempt(config, suite, guidance, policy)
-    guided_rewards = loop.evaluate(config, suite, guided_rollouts)
+    rollouts = call(loop.rollout, suite, policy)
+    rewards = call(loop.evaluate, suite, rollouts)
+    guidance = call(loop.guide, suite, rollouts, rewards)
+    guided_rollouts = call(loop.reattempt, suite, guidance, policy)
+    guided_rewards = call(loop.evaluate, suite, guided_rollouts)
     return {"rollouts": rollouts, "rewards": rewards, "guidance": guidance,
             "guided_rollouts": guided_rollouts, "guided_rewards": guided_rewards}
 
@@ -155,7 +158,7 @@ faults = st.integers(3, 9).flatmap(lambda m: st.tuples(
 def test_a_dead_policy_request_costs_only_its_own_records(fault):
     modulus, mask = fault
     expected = fault_free_records()
-    def faulty(config, policy):
+    def faulty(endpoint, policy):
         return FaultyTabularBackend(policy, modulus, mask)
 
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(loop, "build_backend", faulty):
@@ -187,7 +190,7 @@ def test_a_dead_policy_request_costs_only_its_own_records(fault):
 
 
 def run_with_teacher(teacher: FaultyTeacher, directory: Path) -> tuple[int, RunPaths, dict]:
-    with mock.patch.object(loop, "build_teacher", lambda config: teacher):
+    with mock.patch.object(loop, "build_teacher", lambda endpoint: teacher):
         return run_loop_cli(directory)
 
 

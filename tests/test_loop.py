@@ -1,4 +1,5 @@
 """Config handling, the phase loop, resume semantics, and the manifest."""
+import inspect
 import json
 import logging
 import re
@@ -23,6 +24,7 @@ from rlvrloop.loop import (
     ARTIFACTS,
     PHASE_TABLE,
     PHASES,
+    RM_TABLE,
     RunConfig,
     RunPaths,
     RunState,
@@ -33,12 +35,13 @@ from rlvrloop.loop import (
     evaluate_trajectories,
     guide_failures,
     load_config,
+    make_tasks,
     read_artifact,
     read_guidance,
     reattempt_with_guidance,
-    resolve_tasks,
     rollout_all_tasks,
     run_loop,
+    setting_parameters,
     train_dpo,
     train_sft,
     write_guidance,
@@ -195,6 +198,15 @@ def test_readme_names_every_config_key_and_no_other():
     assert documented == {section: set(keys) for section, keys in _SECTION_FIELDS.items()}
 
 
+def test_readme_states_each_range_as_its_field_declares_it():
+    """README's range paragraph names each ranged key once with its range, as its RunConfig field declares it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = " ".join(readme.split("Settings out of their range", 1)[1].split("\n\n", 1)[0].split())
+    entries = re.findall(r"`(\w+) (>=? \S+|in \[[^\]]*\])`", paragraph)
+    assert len(entries) == len(dict(entries))
+    assert dict(entries) == {f.name: f.metadata["range"] for f in fields(RunConfig) if f.metadata.get("range")}
+
+
 def test_readme_library_use_runs_and_imports_exactly_the_package_root():
     """README's "Library use" block runs, and it imports every name rlvrloop.__all__ exports and no other."""
     import rlvrloop
@@ -244,12 +256,12 @@ def test_config_file_values_are_taken_as_written(tmp_path):
 def test_build_backend_and_teacher_validation(small_suite):
     """An endpoint selects the HTTP client; without one, the tabular backend and the oracle."""
     policy = TabularPolicy.uniform(small_suite)
-    assert build_backend(RunConfig(), policy).backend_id == "tabular"
-    remote = build_backend(RunConfig(backend_endpoint="http://b"), policy)
+    assert build_backend("", policy).backend_id == "tabular"
+    remote = build_backend("http://b", policy)
     assert (remote.backend_id, remote.endpoint) == ("remote", "http://b")
 
-    assert build_teacher(RunConfig()) is None  # oracle arm
-    teacher = build_teacher(RunConfig(teacher_endpoint="http://t"))
+    assert build_teacher("") is None  # oracle arm
+    teacher = build_teacher("http://t")
     assert (teacher.teacher_id, teacher.endpoint) == ("remote-teacher", "http://t")
 
 
@@ -257,10 +269,10 @@ def test_resolve_tasks_prefers_explicit_path(tmp_path):
     suite = generate_synth_suite(3, 3, 3, seed=4)
     path = tmp_path / "tasks.jsonl"
     save_tasks(suite, path)
-    config = RunConfig(tasks_path=str(path), synth_count=99)
-    assert resolve_tasks(config) == suite
+    settings = dict(tasks_path="", synth_count=3, synth_lines=3, synth_candidates=3, seed=4, initial_policy="")
+    assert make_tasks(**dict(settings, tasks_path=str(path), synth_count=99))[0] == suite
 
-    generated = resolve_tasks(RunConfig(synth_count=3, synth_lines=3, synth_candidates=3, seed=4))
+    generated, _ = make_tasks(**settings)
     assert generated == suite  # same generator arguments, same suite
 
 
@@ -558,7 +570,7 @@ def test_every_jsonl_artifact_rewrites_to_its_own_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(
         loop, "rollout_all_tasks", lambda tasks, backend, *a, **kw: sample(tasks, DiesOnOneSeedInFive(backend), *a, **kw)
     )
-    monkeypatch.setattr(loop, "build_teacher", lambda config: FaultyTeacher(3, frozenset({0}), dead=True))
+    monkeypatch.setattr(loop, "build_teacher", lambda endpoint: FaultyTeacher(3, frozenset({0}), dead=True))
     assert main(["run-loop", "--output-dir", str(tmp_path / "run"), *SMALL_ARGV]) == 3
     paths = RunPaths(tmp_path / "run")
     for name in ("rewards", "guidance"):
@@ -655,6 +667,9 @@ def test_manifest_lists_declared_outputs_and_run_state(finished_run, tmp_path, m
     monkeypatch.setattr(loop, "canonical_file_hash", lambda f: hashed.append(f.name) or canonical_file_hash(f))
     again = run_loop(replace(config, output_dir=str(copy)), resume=True)
     assert again["artifacts"] == manifest["artifacts"]
+    # the run directory is no setting, so the manifest of one config does not depend on where it was written
+    assert "output_dir" not in manifest["config"] and again == manifest
+    assert (copy / "manifest.json").read_bytes() == paths.manifest.read_bytes()
     assert sorted(hashed) == listed  # the resume re-hashed each output once, and the run state
 
 
@@ -768,8 +783,8 @@ def test_dead_backend_slots_are_infrastructure_failures(tmp_path, monkeypatch, c
     assert post["records"] == len(eval_rollouts) - len(eval_dead)
 
     tasks = read_artifact("tasks", paths.tasks)
-    rm, _ = loop.train_rm(None, tasks, dataset)
-    selections = loop.rank(None, tasks, rm, eval_rollouts, read_artifact("eval_rewards", paths.eval_rewards))
+    rm, _ = loop.train_rm(tasks, dataset)
+    selections = loop.rank(tasks, rm, eval_rollouts, read_artifact("eval_rewards", paths.eval_rewards))
     assert len(selections) == SMALL["synth_count"]
     assert not {s["trajectory_ref"] for s in selections} & eval_dead
     assert sum(s["k"] for s in selections) == len(eval_rollouts) - len(eval_dead)
@@ -785,7 +800,7 @@ def test_dead_reattempt_slots_are_infrastructure_failures(tmp_path, monkeypatch,
     import rlvrloop.loop as loop
 
     build = loop.build_backend
-    monkeypatch.setattr(loop, "build_backend", lambda config, policy: DiesOnOneSeedInFive(build(config, policy)))
+    monkeypatch.setattr(loop, "build_backend", lambda endpoint, policy: DiesOnOneSeedInFive(build(endpoint, policy)))
     assert main(["run-loop", "--output-dir", str(tmp_path), *SMALL_ARGV]) == 3
     assert "run completed with" in capsys.readouterr().err
     paths = RunPaths(tmp_path)
@@ -930,6 +945,46 @@ def test_every_setting_but_the_run_directory_and_worker_count_is_declared_by_a_p
         assert len(set(phase.settings)) == len(phase.settings), phase.name
 
 
+def test_each_phase_takes_its_inputs_and_exactly_the_settings_its_resume_checks():
+    """A phase function takes its input values positionally and its settings as keyword-only parameters named as
+    the RunConfig fields, never the RunConfig; a row's settings are those parameters but workers."""
+    field_names = {f.name for f in fields(RunConfig)}
+    for phase in (*PHASE_TABLE, *RM_TABLE):
+        parameters = inspect.signature(phase.fn).parameters.values()
+        positional = [p.name for p in parameters if p.kind is p.POSITIONAL_OR_KEYWORD]
+        keywords = {p.name for p in parameters if p.kind is p.KEYWORD_ONLY and p.default is p.empty}
+        assert len(positional) == len(phase.inputs) + len(phase.optional), phase.name
+        assert keywords <= field_names and set(setting_parameters(phase.fn)) == keywords, phase.name
+        assert set(phase.settings) == keywords - {"workers"}, phase.name
+    # the sets each row declared by hand before its settings came from its function
+    assert {phase.name: set(phase.settings) for phase in (*PHASE_TABLE, *RM_TABLE)} == {
+        "tasks": {"tasks_path", "synth_count", "synth_lines", "synth_candidates", "seed", "initial_policy"},
+        "rollout": {"rollouts_n", "seed", "max_tokens", "backend_endpoint"},
+        "evaluate": set(),
+        "guide": {"guidance_enabled", "teacher_endpoint"},
+        "reattempt": {"seed", "max_tokens", "backend_endpoint"},
+        "evaluate-guided": set(),
+        "assemble": {"sft_fraction", "max_pairs_per_task", "include_guided_in_sft", "seed"},
+        "train-sft": {"sft_learning_rate", "sft_epochs"},
+        "train-dpo": {"dpo_beta", "dpo_learning_rate", "dpo_epochs"},
+        "final-eval": {"backend_endpoint", "seed", "rollouts_n", "max_tokens"},
+        "report": {"seed"},
+        "train-rm": set(),
+        "rank": set(),
+    }
+
+
+def test_a_resume_with_another_worker_count_changes_no_artifact(finished_run, tmp_path):
+    """workers is the one setting outside the resume check: it changes no byte, so a resume may change it."""
+    _, done, _ = finished_run
+    out = tmp_path / "run"
+    shutil.copytree(done.dir, out)
+    assert main(["run-loop", "--output-dir", str(out), "--resume", *SMALL_ARGV, "--set", "run.workers=3"]) == 0
+    for file in (*ARTIFACTS.values(), "runstate.json"):
+        assert (out / file).read_bytes() == (done.dir / file).read_bytes(), file
+    assert json.loads((out / "manifest.json").read_text())["config"]["workers"] == 3
+
+
 def test_training_phases_leave_their_input_policy_alone(finished_run):
     config, done, _ = finished_run
     dataset = read_artifact("dataset", done.dataset)
@@ -937,7 +992,7 @@ def test_training_phases_leave_their_input_policy_alone(finished_run):
                                      (train_dpo, done.policy_final, done.policy_sft)):
         policy = read_artifact(policy_file.stem, policy_file)
         before = policy.theta().tobytes()
-        trained, _ = phase(config, policy, dataset)
+        trained, _ = phase(policy, dataset, **{name: getattr(config, name) for name in setting_parameters(phase)})
         assert policy.theta().tobytes() == before
         assert trained.theta().tobytes() == TabularPolicy.load(made).theta().tobytes() != before
 
