@@ -20,17 +20,9 @@ from typing import Annotated, Iterable, Mapping, Sequence
 
 from .backends import call_batch
 from .errors import BackendError, SandboxProvisionError
-from .jsonl import Coerced, Key, Shared, read_declared, record, write_records
+from .jsonl import Key, Shared, read_declared, record, write_records
 from .rollout import Trajectory
-from .tasks import (
-    ProgramError,
-    SYNTH_FOCUSED_TEST,
-    SYNTH_REGRESSION_TEST,
-    SynthTask,
-    Task,
-    apply_candidate,
-    run_program,
-)
+from .tasks import ProgramError, RealTask, SynthTask, Task, apply_candidate, run_program
 
 REWARDS_SCHEMA = "rewards"
 STACKTRACE_TAIL_CHARS = 4000
@@ -39,14 +31,17 @@ STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_ERROR = "error"
 
+SYNTH_REGRESSION_TEST = "program_parses"
+SYNTH_FOCUSED_TEST = "output_matches"
+
 
 @record
 class RewardRecord:
     task_id: Shared[str]
     trajectory_ref: str
-    reward: Coerced[int]  # 0 or 1
+    reward: int  # 0 or 1
     per_test: Mapping[str, str]  # read-only; the records of one scored outcome share it
-    empty_patch: Coerced[bool]
+    empty_patch: bool
     stacktrace: Shared[str | None]
     # Scoring time, kept in memory for profiling only: never written to a
     # rewards file, and two records that differ only here compare equal.
@@ -156,7 +151,7 @@ def _parse_test_lines(output: str, suite: Sequence[str]) -> dict[str, str]:
     return {tid: reported.get(tid, STATUS_ERROR) for tid in suite}
 
 
-def _evaluate_sandboxed(task: Task, trajectory: Trajectory) -> tuple[int, dict, str | None]:
+def _evaluate_sandboxed(task: RealTask, trajectory: Trajectory) -> tuple[int, dict, str | None]:
     suite = task.tests.all_tests
     per_test_error = {tid: STATUS_ERROR for tid in suite}
     src = Path(task.workspace)
@@ -178,7 +173,7 @@ def _evaluate_sandboxed(task: Task, trajectory: Trajectory) -> tuple[int, dict, 
         for cmd in task.env_spec.setup_commands:
             try:
                 proc = subprocess.run(
-                    cmd, shell=True, cwd=root, capture_output=True, text=True,
+                    cmd, shell=True, cwd=root, capture_output=True, encoding="utf-8", errors="replace",
                     timeout=task.env_spec.timeout_s,
                 )
             except subprocess.TimeoutExpired as exc:
@@ -191,8 +186,8 @@ def _evaluate_sandboxed(task: Task, trajectory: Trajectory) -> tuple[int, dict, 
 
         try:
             proc = subprocess.run(
-                task.env_spec.test_command, shell=True, cwd=root, capture_output=True, text=True,
-                timeout=task.env_spec.timeout_s,
+                task.env_spec.test_command, shell=True, cwd=root, capture_output=True, encoding="utf-8",
+                errors="replace", timeout=task.env_spec.timeout_s,
             )
         except subprocess.TimeoutExpired as exc:
             partial = (exc.stdout or b"", exc.stderr or b"")

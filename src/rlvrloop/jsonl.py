@@ -9,12 +9,14 @@ pipeline write identical bytes and a plain content hash tells them apart.
 A record type is a dataclass whose declaration is its file format: a line is
 dumps of the fields its equality compares (each under its name or declared
 Key) and its ClassVar tags, nested records, tuples and read-only maps as the
-type hints say, an empty optional tuple as null. Shared values are escaped
-once per file and read as one object each; Coerced ones read through int(),
-float() or bool(). A Once string is written in full at its first occurrence
-in a file and as its ordinal after that: the position of that first
-occurrence among the file's distinct Once strings, counted in text order
-(line by line, and within a line by sorted key and list order).
+type hints say, an empty optional tuple as null. A value reads back as the
+JSON holds it, so a type's __post_init__ sees the value a file states and
+refuses the ones its writer never writes; a key no field declares is
+ignored. Shared values are escaped once per file and read as one object
+each. A Once string is written in full at its first occurrence in a file and
+as its ordinal after that: the position of that first occurrence among the
+file's distinct Once strings, counted in text order (line by line, and
+within a line by sorted key and list order).
 
 Each record type compiles one encoder and one decoder: a line is one
 f-string, a nested record its own type's encoder call, and the text of a map
@@ -117,7 +119,6 @@ def write_records(path: str | Path, schema: str, records: Iterable) -> int:
 T = TypeVar("T")
 Shared = Annotated[T, "shared"]
 Once = Annotated[T, "once"]  # a string
-Coerced = Annotated[T, "coerced"]
 
 
 class Key(str):
@@ -261,12 +262,12 @@ class _Codecs(dict):
             return f"(table[{t}] if {ordinal} else _once({t}, table, shared, {key!r}))", False
         if optional and (is_dataclass(kind) or get_origin(kind) is tuple):  # null is None, and so is an empty tuple
             test = f"({t} := {v}) is None" if is_dataclass(kind) else f"not ({t} := {v})"
-            code = f"(None if {test} else {self._convert(kind, marks, t, env, temps)})"
+            code = f"(None if {test} else {self._convert(kind, t, env, temps)})"
         else:
-            code = self._convert(kind, marks, v, env, temps)
+            code = self._convert(kind, v, env, temps)
         return code, "shared" in marks and get_origin(kind) is not Mapping
 
-    def _convert(self, kind, marks: tuple, v: str, env: dict, temps: Iterator[int]) -> str:
+    def _convert(self, kind, v: str, env: dict, temps: Iterator[int]) -> str:
         """Source of the declared value that JSON value v stands for."""
         args = get_args(kind)
         if is_dataclass(kind):
@@ -275,7 +276,7 @@ class _Codecs(dict):
         if get_origin(kind) is Mapping:
             return f"_shared_map({v}, shared)"
         if get_origin(kind) is not tuple:
-            return f"{kind.__name__}({v})" if "coerced" in marks else v
+            return v
         if args[-1] is Ellipsis and is_dataclass(_parse(args[0])[0]):
             code, shared = self._decode(args[0], "", env, temps, "y")
             return f"tuple([{self._one(code, temps) if shared else code} for y in {v}])"

@@ -455,12 +455,8 @@ def _rewards(file: str) -> Artifact:
     return Artifact(file, lambda records, path: write_rewards(records, path), lambda path: read_rewards(path))
 
 
-def _policy(file: str, made_by: str) -> Artifact:
-    return Artifact(
-        file,
-        lambda model, path: model.save(path, provenance={"phase": made_by}),
-        lambda path: TabularPolicy.load(path),
-    )
+def _policy(file: str) -> Artifact:
+    return Artifact(file, lambda model, path: model.save(path), lambda path: TabularPolicy.load(path))
 
 
 def _log(file: str) -> Artifact:
@@ -492,7 +488,7 @@ class Phase(NamedTuple):
 PHASE_TABLE = (
     Phase("tasks", make_tasks, (), {
         "tasks": Artifact("tasks.jsonl", lambda suite, path: save_tasks(suite, path), lambda path: load_tasks(path)),
-        "policy_init": _policy("policy_init.json", "init"),
+        "policy_init": _policy("policy_init.json"),
     }),
     Phase("rollout", rollout, ("tasks", "policy_init"), {"rollouts": _trajectories("rollouts.jsonl")}),
     Phase("evaluate", evaluate, ("tasks", "rollouts"), {"rewards": _rewards("rewards.jsonl")}),
@@ -507,9 +503,9 @@ PHASE_TABLE = (
         "dataset": Artifact("dataset.jsonl", lambda d, path: emit_dataset(d, path), lambda path: load_dataset(path)),
     }),
     Phase("train-sft", train_sft, ("policy_init", "dataset"),
-          {"policy_sft": _policy("policy_sft.json", "sft"), "sft_log": _log("sft_log.csv")}),
+          {"policy_sft": _policy("policy_sft.json"), "sft_log": _log("sft_log.csv")}),
     Phase("train-dpo", train_dpo, ("policy_sft", "dataset"),
-          {"policy_final": _policy("policy_final.json", "dpo"), "dpo_log": _log("dpo_log.csv")}),
+          {"policy_final": _policy("policy_final.json"), "dpo_log": _log("dpo_log.csv")}),
     Phase("final-eval", final_eval, ("tasks", "policy_final"),
           {"eval_rollouts": _trajectories("eval_rollouts.jsonl"), "eval_rewards": _rewards("eval_rewards.jsonl")}),
     Phase("report", report, ("rollouts", "rewards", "guided_rewards", "eval_rollouts", "eval_rewards"), {

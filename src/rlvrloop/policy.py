@@ -5,7 +5,9 @@ step) and a logit matrix over replacement candidates per line (repair step).
 The log-probability of a trajectory factorizes as
 log p(line) + log p(candidate | line), each term a log-softmax at
 temperature 1. Sampling temperature only affects rollout generation, never
-training log-probabilities.
+training log-probabilities. A checkpoint holds the logits and whether the
+policy is fine-tuned, and nothing a load drops, so loading one and saving
+it again writes the same bytes.
 """
 from __future__ import annotations
 
@@ -148,10 +150,9 @@ class TabularPolicy:
 
     # -- checkpoints ----------------------------------------------------------
 
-    def save(self, path: str | Path, provenance: dict | None = None) -> None:
+    def save(self, path: str | Path) -> None:
         write_document(path, POLICY_SCHEMA, {
             "fine_tuned": self.fine_tuned,
-            "provenance": provenance or {},
             "heads": {
                 tid: {
                     "line_logits": self.heads[tid].line_logits.tolist(),
@@ -164,7 +165,10 @@ class TabularPolicy:
     @classmethod
     def load(cls, path: str | Path) -> "TabularPolicy":
         rec = read_document(path, POLICY_SCHEMA, "policy")
-        policy = cls(fine_tuned=bool(rec.get("fine_tuned", False)))
+        fine_tuned = rec.get("fine_tuned", False)
+        if type(fine_tuned) is not bool:
+            raise CheckpointError(f"{path}: fine_tuned must be true or false, got {fine_tuned!r}")
+        policy = cls(fine_tuned=fine_tuned)
         try:
             for tid, head in rec["heads"].items():
                 policy.heads[tid] = TaskHead(

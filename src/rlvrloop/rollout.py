@@ -1,14 +1,15 @@
 """Two-step rollout scaffold: localize, then repair.
 
-Each attempt at a task is exactly one localization step and one repair step;
-a phase's attempts run in lockstep, each step as one backend batch. Both
-steps' requests carry the one seed the attempt's trajectory records; the
-tabular backend draws localization at its SplitMix64 counter 1 and repair
-at 2 and 3. Malformed completions are data, not errors: they produce an
-empty patch that the evaluator scores as reward 0. Backend failures are
-retried, and an attempt (a rollout slot or a guided reattempt) whose
-backend never recovers still yields a placeholder trajectory
-(Trajectory.is_placeholder) so rollout counts stay exact.
+Each attempt at a task is exactly one localization step and one repair step,
+in that order, so a Step is just a prompt and its completion; the backend is
+named in the trajectory's traj_id. A phase's attempts run in lockstep, each
+step as one backend batch. Both steps' requests carry the one seed the
+attempt's trajectory records; the tabular backend draws localization at its
+SplitMix64 counter 1 and repair at 2 and 3. Malformed completions are data,
+not errors: they produce an empty patch that the evaluator scores as reward
+0. Backend failures are retried, and an attempt (a rollout slot or a guided
+reattempt) whose backend never recovers still yields a placeholder
+trajectory (Trajectory.is_placeholder) so rollout counts stay exact.
 
 Guidance may only be injected during training. Evaluation-mode rollouts with
 guidance raise GuidanceLeakError, which is the engine-level enforcement of
@@ -52,7 +53,6 @@ class Patch:
 
 @record
 class Step:
-    role: Shared[str]  # "localization" or "repair"
     prompt: Once[str]
     completion: Shared[str]
 
@@ -64,8 +64,7 @@ class Trajectory:
     patch: Shared[Patch | None]
     guidance_id: Shared[str | None]
     sampling: SamplingParams
-    backend_id: Shared[str]
-    traj_id: str
+    traj_id: str  # task id, backend id, seed and whether guided (make_traj_id)
 
     def response_text(self) -> str:
         return "\n".join(step.completion for step in self.steps)
@@ -210,12 +209,10 @@ def scaffold_batch(
             patch = extract_patch(task, locations[i], repair)
         steps = step_pairs.get(exchange)
         if steps is None:  # attempts with equal prompts and completions share one pair of steps
-            steps = step_pairs[exchange] = (
-                Step(prompts.LOC_STEP, *exchange[:2]), Step(prompts.REPAIR_STEP, *exchange[2:])
-            )
+            steps = step_pairs[exchange] = (Step(*exchange[:2]), Step(*exchange[2:]))
         guidance_id = None if guidance is None else guidance.guidance_id
         traj_id = make_traj_id(task.id, backend.backend_id, params.seed, guidance is not None)
-        out.append(Trajectory(task.id, steps, patch, guidance_id, params, backend.backend_id, traj_id))
+        out.append(Trajectory(task.id, steps, patch, guidance_id, params, traj_id))
     if dead:
         log.warning("%d of %d attempts died at the backend; the first: %s", len(dead), len(attempts), dead[0])
     return out

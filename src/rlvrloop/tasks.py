@@ -6,6 +6,10 @@ over the whole menu repairs the program, which is verified by exhaustive patch
 enumeration at generation time. That property is what makes the whole training
 loop checkable on a laptop: expected success rates are analytic (1/(L*m)
 unguided, 1/m when a hint names the buggy line).
+
+A Task is what both kinds share, an id and an issue. A RealTask adds its
+workspace, environment, tests and repository name; a SynthTask, scored in
+memory, adds only its program, candidate menu, buggy line and expected output.
 """
 from __future__ import annotations
 
@@ -18,19 +22,9 @@ from pathlib import Path
 from typing import ClassVar, Iterable, Sequence
 
 from .errors import RlvrLoopError, TaskFormatError
-from .jsonl import Coerced, derive_seed, read_declared, write_records
+from .jsonl import derive_seed, read_declared, write_records
 
 log = logging.getLogger(__name__)
-
-ISOLATION_MODES = ("process_sandbox", "in_memory_synthetic")
-
-# Per-attempt test budget of a synthetic task, seconds. A synthetic program is
-# straight-line and always finishes, so the evaluator never consults its
-# budget; it stays in the task record as metadata.
-DEFAULT_TIMEOUT_SYNTH_S = 1.0
-
-SYNTH_REGRESSION_TEST = "program_parses"
-SYNTH_FOCUSED_TEST = "output_matches"
 
 # The widest candidate row a synthetic task can have. Every row holds distinct
 # statements, and statement 1's candidates are all `x1 = x0 op k`: x0 is the
@@ -72,36 +66,24 @@ class TestSuite:
 class EnvSpec:
     setup_commands: tuple[str, ...]
     test_command: str
-    timeout_s: Coerced[float]
-    isolation: str
+    timeout_s: float
+    isolation: str  # a tasks file states it; the one mode that runs is process_sandbox
 
     def __post_init__(self):
-        if self.timeout_s <= 0:
+        if type(self.timeout_s) not in (int, float):
+            raise TaskFormatError(f"timeout_s must be a number, got {self.timeout_s!r}")
+        if not self.timeout_s > 0:  # NaN too: subprocess never times a command out on a NaN budget
             raise TaskFormatError(f"timeout_s must be > 0, got {self.timeout_s}")
-        if self.isolation not in ISOLATION_MODES:
+        if self.isolation != "process_sandbox":
             raise TaskFormatError(f"unknown isolation mode {self.isolation!r}")
-        if self.isolation == "in_memory_synthetic" and (self.setup_commands or self.test_command):
-            raise TaskFormatError("in_memory_synthetic tasks must not declare external commands")
 
 
 @dataclass(frozen=True)
 class Task:
-    kind: ClassVar[str] = "real"  # the tasks file's tag: load_tasks reads a "synth" line as a SynthTask
+    kind: ClassVar[str]  # the tasks file's tag: load_tasks reads a "synth" line as a SynthTask
 
     id: str
     issue: str
-    workspace: str
-    env_spec: EnvSpec
-    tests: TestSuite
-    repo_name: str
-
-    def __post_init__(self):
-        synthetic = isinstance(self, SynthTask)
-        kind, mode = ("synthetic", "in_memory_synthetic") if synthetic else ("real", "process_sandbox")
-        if self.env_spec.isolation != mode:
-            raise TaskFormatError(
-                f"{self.id}: a {kind} task must use {mode} isolation, not {self.env_spec.isolation!r}"
-            )
 
     @functools.cached_property
     def rendered_prompts(self) -> dict:
@@ -110,13 +92,26 @@ class Task:
 
 
 @dataclass(frozen=True)
+class RealTask(Task):
+    """A repository task: its patched workspace copy runs env_spec's commands in a sandboxed process."""
+
+    kind: ClassVar[str] = "real"
+
+    workspace: str
+    env_spec: EnvSpec
+    tests: TestSuite
+    repo_name: str
+
+
+@dataclass(frozen=True)
 class SynthTask(Task):
     kind: ClassVar[str] = "synth"
+    repo_name = "synthetic-programs"  # the prompts' Repository: line; not a field, so no line writes it
 
     lines: tuple[str, ...] = ()
-    buggy_line: Coerced[int] = 0
+    buggy_line: int = 0
     candidates: tuple[tuple[str, ...], ...] = ()
-    expected_output: Coerced[int] = 0
+    expected_output: int = 0
     # The evaluator's memo: the patch's synth tuple (line, candidate) -> (reward, per_test, stacktrace),
     # per_test being one of the evaluator's three shared read-only maps.
     # It lives on this object and dies with its suite; two suites that reuse a task id
@@ -125,7 +120,9 @@ class SynthTask(Task):
     patch_outcomes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        super().__post_init__()
+        for name in ("buggy_line", "expected_output"):
+            if type(getattr(self, name)) is not int:
+                raise TaskFormatError(f"{self.id}: {name} must be an integer, got {getattr(self, name)!r}")
         if len(self.lines) < 2:
             raise TaskFormatError(f"{self.id}: synthetic program needs at least 2 lines")
         if not 0 <= self.buggy_line < len(self.lines):
@@ -357,15 +354,6 @@ def _issue_text(task_id: str, expected: int, actual: int, buggy_line: int, corre
     )
 
 
-def synth_env_spec() -> EnvSpec:
-    return EnvSpec(
-        setup_commands=(),
-        test_command="",
-        timeout_s=DEFAULT_TIMEOUT_SYNTH_S,
-        isolation="in_memory_synthetic",
-    )
-
-
 def _generate_one(task_id: str, n_lines: int, n_candidates: int, rng: random.Random) -> SynthTask:
     """One verified task drawn from rng. Each loop is bounded, so generation ends on every seed: reaching a
     bound redraws the program, and after 64 programs raises TaskFormatError. No bound is reached in practice:
@@ -432,10 +420,6 @@ def _generate_one(task_id: str, n_lines: int, n_candidates: int, rng: random.Ran
         return SynthTask(
             id=task_id,
             issue=_issue_text(task_id, expected, actual, buggy_line, correct[buggy_line]),
-            workspace="inline",
-            env_spec=synth_env_spec(),
-            tests=TestSuite(regression=(SYNTH_REGRESSION_TEST,), focused=(SYNTH_FOCUSED_TEST,)),
-            repo_name="synthetic-programs",
             lines=tuple(broken),
             buggy_line=buggy_line,
             candidates=tuple(tuple(row) for row in candidates),
@@ -488,7 +472,7 @@ def load_tasks(path: str | Path) -> TaskDataset:
             return SynthTask
         if not Path(rec["workspace"]).is_dir():
             raise ValueError(f"workspace {rec['workspace']!r} is not a directory")
-        return Task
+        return RealTask
 
     tasks = read_declared(path, TASKS_SCHEMA, kind)
     if not tasks:

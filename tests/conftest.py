@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from rlvrloop.tasks import EnvSpec, Task, TestSuite, generate_synth_suite
+from rlvrloop.tasks import EnvSpec, RealTask, TestSuite, generate_synth_suite
 
 RUNTESTS = """\
 import app
@@ -29,7 +29,7 @@ def scripted_repo(tmp_path):
     ws.mkdir()
     (ws / "app.py").write_text("def value():\n    return 3\n")
     (ws / "runtests.py").write_text(RUNTESTS)
-    task = Task(
+    task = RealTask(
         id="real-1",
         issue="value() should return 7",
         workspace=str(ws),

@@ -18,7 +18,7 @@ from rlvrloop.reward_model import FEATURIZATION_VERSION, RM_SCHEMA
 from rlvrloop.rollout import Patch, Step, Trajectory, write_trajectories
 from rlvrloop.backends import SamplingParams
 from rlvrloop.policy import TabularPolicy
-from rlvrloop.tasks import EnvSpec, Task, TestSuite, TaskDataset, generate_synth_suite, save_tasks
+from rlvrloop.tasks import EnvSpec, RealTask, TestSuite, TaskDataset, generate_synth_suite, save_tasks
 
 SEED = 0
 N = 6
@@ -101,12 +101,12 @@ GOLDEN_SETS = [
     "sft.sft_epochs=20", "dpo.dpo_epochs=20",
 ]
 GOLDEN_SHA256 = {
-    "tasks.jsonl": "69cf5ef9cabd33dfd46592bfece205ba1fdb6078b06f18dc6bb84b440eae16ae",
-    "policy_init.json": "24c4e8fc4b58d49f00e05e26632f732fb4c962da77a05e38a79f644fdbb898a0",
-    "rollouts.jsonl": "6a88186c35324f95a463885272fd57e3eb4f2cb71fe664f04e522d6741e7f0a0",
+    "tasks.jsonl": "312f509cda39f53f9f55215842f97c78c66d28e695eacd70d360977fb8085cbd",
+    "policy_init.json": "1c6fa5023070fda0a90574cba28f650e5297abd09e9d6133eddcac90c4d48480",
+    "rollouts.jsonl": "cda8cf745b8bb08469897f249d3c57726dd1907a163e8eaf6a0ad1eba423b245",
     "rewards.jsonl": "dc1d75340640665846dfe0a901df5face5f5b50e6f38790b505967e4e8b139b4",
     "guidance.jsonl": "d5950d70582fe2fd3fd3220291a998034798ccb0a06551dad27d46e08bf59856",
-    "guided_rollouts.jsonl": "f5c94247cbaf556732101f4b8d091c3de580477d46a69eecba96467de8692f99",
+    "guided_rollouts.jsonl": "a787c5f2a52883b80a0a96789d7edaf5f9a2e878007daac641721e3e102139c5",
     "guided_rewards.jsonl": "067db11b0a648cacd6b8a71133ddd4e4f340ebf08cc825516111c1ab15e10a6a",
     "dataset.jsonl": "11e9effdf035605d6a2ef32b7b2ae9d0b02112711aca567e69be8bab53c5670d",
 }
@@ -165,7 +165,7 @@ def test_tasks_command_writes_suite_and_policy(stepwise, tmp_path, capsys):
     header = json.loads((stepwise / "tasks.jsonl").read_text().splitlines()[0])
     assert header["schema"] == "tasks"
     policy = json.loads((stepwise / "policy_init.json").read_text())
-    assert policy["provenance"] == {"phase": "init"}
+    assert (policy["schema"], policy["fine_tuned"]) == ("tabular_policy", False) and "provenance" not in policy
 
     tasks, policy = tmp_path / "tasks.jsonl", tmp_path / "policy.json"
     assert run(["tasks", *settings(SMALL_SETS), "--tasks", tasks, "--policy-init", policy]) == 0
@@ -309,16 +309,16 @@ def test_guide_without_a_teacher_refuses_a_real_task(tmp_path, capsys):
     is an error line naming the cause, and no guidance is written."""
     ws = tmp_path / "ws"
     ws.mkdir()
-    task = Task(id="real-1", issue="broken", workspace=str(ws), env_spec=EnvSpec((), "true", 10.0, "process_sandbox"),
-                tests=TestSuite(regression=("t",), focused=()), repo_name="r")
+    task = RealTask(id="real-1", issue="broken", workspace=str(ws),
+                    env_spec=EnvSpec((), "true", 10.0, "process_sandbox"),
+                    tests=TestSuite(regression=("t",), focused=()), repo_name="r")
     save_tasks(TaskDataset(tasks=(task,)), tmp_path / "tasks.jsonl")
     traj = Trajectory(
         task_id="real-1",
-        steps=(Step("localization", "p", "c"), Step("repair", "p", "c")),
+        steps=(Step("p", "c"), Step("p", "c")),
         patch=Patch(edits=(("app.py:0:1", "x = 2"),), rendering="d"),
         guidance_id=None,
         sampling=SamplingParams(temperature=0.6, seed=0),
-        backend_id="x",
         traj_id="real-1/x/0/u",
     )
     write_trajectories([traj], tmp_path / "rollouts.jsonl")
@@ -477,7 +477,7 @@ def test_evaluate_reports_infra_failures_with_exit_three(tmp_path):
     ws = tmp_path / "ws"
     ws.mkdir()
     (ws / "app.py").write_text("x = 1\n")
-    task = Task(
+    task = RealTask(
         id="real-1",
         issue="broken setup",
         workspace=str(ws),
@@ -488,11 +488,10 @@ def test_evaluate_reports_infra_failures_with_exit_three(tmp_path):
     save_tasks(TaskDataset(tasks=(task,)), tmp_path / "tasks.jsonl")
     traj = Trajectory(
         task_id="real-1",
-        steps=(Step("localization", "p", "c"), Step("repair", "p", "c")),
+        steps=(Step("p", "c"), Step("p", "c")),
         patch=Patch(edits=(("app.py:0:1", "x = 2"),), rendering="d"),
         guidance_id=None,
         sampling=SamplingParams(temperature=0.0, seed=0),
-        backend_id="x",
         traj_id="real-1/x/0/u",
     )
     write_trajectories([traj], tmp_path / "rollouts.jsonl")
@@ -737,7 +736,7 @@ def test_run_loop_refuses_a_suite_with_a_real_task_before_any_phase(tmp_path, ca
     before any rollout or sandbox run, and the stepwise tasks command still takes it."""
     ws, marker = tmp_path / "ws", tmp_path / "sandbox-ran"
     ws.mkdir()
-    real = Task(
+    real = RealTask(
         id="real-1", issue="broken", workspace=str(ws),
         env_spec=EnvSpec((f"touch {marker}",), f"touch {marker}", 10.0, "process_sandbox"),
         tests=TestSuite(regression=("t",), focused=()), repo_name="r",

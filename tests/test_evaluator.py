@@ -33,13 +33,12 @@ from rlvrloop.rollout import Patch, Step, Trajectory, scaffold_batch, synth_patc
 from rlvrloop.tasks import (
     EnvSpec,
     ProgramError,
+    RealTask,
     SynthTask,
-    Task,
     TestSuite,
     apply_candidate,
     enumerate_passing_patches,
     generate_synth_suite,
-    synth_env_spec,
 )
 
 
@@ -52,11 +51,10 @@ def synth_attempt(task, line, cand):
 def manual_trajectory(task_id, patch, traj_id="t/x/0/u"):
     return Trajectory(
         task_id=task_id,
-        steps=(Step("localization", "p", "c"), Step("repair", "p", "c")),
+        steps=(Step("p", "c"), Step("p", "c")),
         patch=patch,
         guidance_id=None,
         sampling=SamplingParams(temperature=0.6, seed=0),
-        backend_id="x",
         traj_id=traj_id,
     )
 
@@ -110,10 +108,6 @@ def test_program_error_candidate_scores_zero():
     task = SynthTask(
         id="t-err",
         issue="x",
-        workspace="inline",
-        env_spec=synth_env_spec(),
-        tests=TestSuite(regression=("program_parses",), focused=("output_matches",)),
-        repo_name="r",
         lines=("x0 = 1", "x1 = x0 + 1"),
         buggy_line=1,
         candidates=(("x0 = 1", "x0 = 2"), ("x1 = x0 + 4", "x1 = q + 1")),
@@ -143,7 +137,7 @@ def test_evaluate_idempotent(one_task):
 def test_wall_clock_never_changes_a_synthetic_reward(one_task, monkeypatch):
     import rlvrloop.evaluator as ev
 
-    ticks = iter([0.0, one_task.env_spec.timeout_s + 1.0])
+    ticks = iter([0.0, 3600.0])  # an hour: a synthetic task has no time budget
     monkeypatch.setattr(ev.time, "perf_counter", lambda: next(ticks))
     rec = evaluate(one_task, synth_attempt(one_task, *enumerate_passing_patches(one_task)[0]))
     assert rec.reward == 1
@@ -291,9 +285,7 @@ def test_prefix_sharing_enumeration_matches_naive_runs(data):
     values = [v for v in outcomes.values() if isinstance(v, int)]
     expected = data.draw(st.sampled_from(values) if values else st.integers(-50, 50))
     task = SynthTask(
-        id="prop", issue="x", workspace="inline", env_spec=synth_env_spec(),
-        tests=TestSuite(regression=("program_parses",), focused=("output_matches",)),
-        repo_name="r", lines=lines, buggy_line=0, candidates=candidates, expected_output=expected,
+        id="prop", issue="x", lines=lines, buggy_line=0, candidates=candidates, expected_output=expected,
     )
 
     # every small target too, so a patch scored from a wrong prefix is caught
@@ -357,7 +349,7 @@ def test_sandbox_unreported_test_is_error(scripted_repo):
 
 def test_sandbox_timeout_is_model_failure(scripted_repo):
     task, ws = scripted_repo
-    slow = Task(
+    slow = RealTask(
         id=task.id,
         issue=task.issue,
         workspace=task.workspace,
@@ -379,8 +371,7 @@ def test_sandbox_setup_failure_is_infra(scripted_repo):
 
     def with_setup(setup, timeout_s):
         env_spec = EnvSpec(setup, "python3 runtests.py", timeout_s, "process_sandbox")
-        return Task(id=task.id, issue=task.issue, workspace=task.workspace, env_spec=env_spec, tests=task.tests,
-                    repo_name=task.repo_name)
+        return dataclasses.replace(task, env_spec=env_spec)
 
     for setup, timeout_s, words in ((("exit 3",), 30.0, "exited 3"), (("sleep 5",), 0.5, "timed out")):
         with pytest.raises(SandboxProvisionError, match=words):
@@ -391,8 +382,24 @@ def test_sandbox_setup_failure_is_infra(scripted_repo):
         evaluate(task, traj)
 
 
+def test_output_that_is_not_utf8_costs_no_more_than_its_own_attempt(scripted_repo):
+    """A command's undecodable bytes read as U+FFFD: a test command that prints byte 0xff after its report
+    still scores, and a setup command that prints one and fails is that attempt's EvaluationFailure."""
+    task, _ = scripted_repo
+    fix = manual_trajectory(task.id, Patch(edits=(("app.py:1:2", "    return 7"),), rendering="d"))
+    noisy = dataclasses.replace(task, env_spec=EnvSpec((), "python3 runtests.py; printf '\\377\\n'", 30.0,
+                                                       "process_sandbox"))
+    rec = evaluate(noisy, fix)
+    assert (rec.reward, dict(rec.per_test)) == (1, {"t_parse": "pass", "t_value": "pass"})
+    broken = dataclasses.replace(task, env_spec=EnvSpec(("printf '\\377\\n'; exit 1",), "python3 runtests.py", 30.0,
+                                                        "process_sandbox"))
+    [failure] = evaluate_batch([(broken, fix)], workers=1)
+    assert isinstance(failure, EvaluationFailure)
+    assert "exited 1" in failure.error and "�" in failure.error
+
+
 def test_missing_workspace_is_infra(tmp_path):
-    task = Task(
+    task = RealTask(
         id="real-x",
         issue="x",
         workspace=str(tmp_path / "nope"),
@@ -436,7 +443,7 @@ def test_batch_preserves_order_and_isolates_infra(small_suite, scripted_repo, tm
     import rlvrloop.backends as backends
 
     real, _ = scripted_repo
-    broken = Task(
+    broken = RealTask(
         id="real-broken",
         issue="x",
         workspace=str(tmp_path / "gone"),

@@ -3,6 +3,7 @@ import inspect
 import json
 import pickle
 import random
+import re
 import tempfile
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
 from types import MappingProxyType
@@ -15,12 +16,11 @@ from hypothesis import strategies as st
 from doubles import run_python
 
 from rlvrloop.backends import SamplingParams
-from rlvrloop.errors import TaskFormatError
-from rlvrloop.evaluator import EvaluationFailure, RewardRecord
+from rlvrloop.errors import CheckpointError, TaskFormatError
+from rlvrloop.evaluator import EvaluationFailure, RewardRecord, read_rewards, write_rewards
 from rlvrloop.jsonl import (
     HASH_CHUNK_BYTES,
     SCHEMA_VERSION,
-    Coerced,
     Key,
     Once,
     Shared,
@@ -33,13 +33,15 @@ from rlvrloop.jsonl import (
     record_lines,
     write_records,
 )
-from rlvrloop.rollout import Patch, Step, Trajectory
+from rlvrloop.policy import TabularPolicy
+from rlvrloop.rollout import Patch, Step, Trajectory, read_trajectories, write_trajectories
+from rlvrloop.tasks import EnvSpec, RealTask, SynthTask, TestSuite, generate_synth_suite, load_tasks, save_tasks
 
 
 @dataclass(frozen=True)
 class Leaf:
     name: Shared[str]
-    weight: Coerced[float]
+    weight: float
 
 
 @dataclass(frozen=True)
@@ -89,12 +91,13 @@ def test_a_new_record_type_needs_only_its_declaration(tmp_path):
     assert back[1].note is back[2].note and back[0].tags is back[2].tags
     with pytest.raises(TypeError):
         back[1].tags["k"] = "w"
-    # a Coerced field reads through its type; a missing optional key reads as None
+    # a value reads as the JSON states it; a missing optional key reads as None, and a key no field declares is
+    # ignored
     old = json.loads(lines[2])
     del old["note"]
-    write_records(path, "trees", [old, json.loads(lines[1].replace('"weight":2.0', '"weight":2'))])
+    write_records(path, "trees", [old, {**json.loads(lines[1].replace('"weight":2.0', '"weight":2')), "x": 1}])
     assert read_declared(path, "trees", Tree) == [replace(trees[2], note=None), back[1]]
-    assert type(read_declared(path, "trees", Tree)[1].branch.leaf.weight) is float
+    assert type(read_declared(path, "trees", Tree)[1].branch.leaf.weight) is int
     write_records(path, "trees", [json.loads(lines[0]), json.loads(lines[1].replace('"title"', '"label"'))])
     with pytest.raises(TaskFormatError, match="trees.jsonl: line 3: missing field 'title'"):
         read_declared(path, "trees", Tree)
@@ -189,15 +192,15 @@ def test_once_strings_are_written_once_and_read_back_in_text_order(talks):
                 assert objects.setdefault(x, x) is x
 
 
-_STEPS = (Step("localization", "p1", "c1"), Step("repair", "p2", "c2"))
+_STEPS = (Step("p1", "c1"), Step("p2", "c2"))
 _PATCH = Patch((("line:1", "x1 = 2"),), "(1, 0)", (1, 0))
 # type -> (arguments of one record, {field: its default}, [(a change __post_init__ refuses, its message)])
 RECORDS = {
     SamplingParams: ((0.6, 7), {"max_tokens": 256}, [({"temperature": -0.5}, "temperature"),
                                                       ({"max_tokens": 0}, "max_tokens")]),
     Patch: (((("line:1", "x1 = 2"),), "(1, 0)"), {"synth": None}, []),
-    Step: (("repair", "p2", "c2"), {}, []),
-    Trajectory: (("t1", _STEPS, _PATCH, None, SamplingParams(0.0, 3, 64), "tabular", "t1/tabular/3/u"), {}, []),
+    Step: (("p2", "c2"), {}, []),
+    Trajectory: (("t1", _STEPS, _PATCH, None, SamplingParams(0.0, 3, 64), "t1/tabular/3/u"), {}, []),
     # a plain dict of tests, which pickles where a read-only map would not, for a plain dataclass either
     RewardRecord: (("t1", "t1/tabular/3/u", 1, {"a": "pass"}, False, None), {"wall_time_s": 0.0},
                    [({"reward": True}, "reward"), ({"empty_patch": 1}, "empty_patch"),
@@ -419,3 +422,110 @@ def test_derive_seed_without_the_builtin_sha256_falls_back_to_hashlib():
     out = run_python(script, stdin=json.dumps(keys))
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == [sha256_seed(parts) for parts in json.loads(json.dumps(keys))]
+
+
+# ---------------------------------------------------------------------------
+# Artifact files: what a read accepts
+# ---------------------------------------------------------------------------
+
+
+# Lines as the previous format wrote them: each step's role, each trajectory's backend id, a synthetic task's
+# constant workspace, env_spec, tests and repo name, and a checkpoint's provenance, all since dropped.
+OLD_TRAJECTORIES = [
+    '{"schema":"trajectories","schema_version":2}',
+    '{"backend_id":"tabular","guidance_id":null,"patch":{"edits":[["line:0","x0 = 2"]],"rendering":"(0, 0)",'
+    '"synth":[0,0]},"sampling":{"max_tokens":256,"seed":62,"temperature":0.0},"steps":[{"completion":"```\\nLINE: '
+    '0\\n```","prompt":"Task: synth-0000\\nlocalize","role":"localization"},{"completion":"```\\nCANDIDATE: 0\\n```",'
+    '"prompt":"Task: synth-0000\\nrepair 0","role":"repair"}],"task_id":"synth-0000",'
+    '"traj_id":"synth-0000/tabular/62/u"}',
+    '{"backend_id":"tabular","guidance_id":null,"patch":null,"sampling":{"max_tokens":256,"seed":7,"temperature":0.6},'
+    '"steps":[{"completion":"junk","prompt":0,"role":"localization"},{"completion":"","prompt":1,"role":"repair"}],'
+    '"task_id":"synth-0000","traj_id":"synth-0000/tabular/7/u"}',
+]
+OLD_TASKS = [
+    '{"schema":"tasks","schema_version":2}',
+    '{"buggy_line":1,"candidates":[["x0 = 2","x0 = 7 + 2","x0 = 4"],["x1 = x0 - 9","x1 = x0 - 8","x1 = x0 * 2"],'
+    '["x2 = x1 - 7","x2 = x0 * x0","x2 = x0 - x1"]],"env_spec":{"isolation":"in_memory_synthetic","setup_commands":[],'
+    '"test_command":"","timeout_s":1.0},"expected_output":16,"id":"synth-0000","issue":"Running program synth-0000 '
+    'yields the wrong result.","kind":"synth","lines":["x0 = 5","x1 = x0 - 2","x2 = x1 * x1"],'
+    '"repo_name":"synthetic-programs","tests":{"focused":["output_matches"],"regression":["program_parses"]},'
+    '"workspace":"inline"}',
+]
+OLD_POLICY = [
+    '{"fine_tuned":true,"heads":{"synth-0000":{"cand_logits":[[0.5,0.0],[0.0,-1.25]],"line_logits":[0.0,2.0]}},'
+    '"provenance":{"phase":"sft"},"schema":"tabular_policy","schema_version":2}',
+]
+
+
+def test_files_the_previous_format_wrote_still_read_and_rewrite_without_the_dropped_fields(tmp_path):
+    def check(old_lines, read, write, dropped, expected, values=lambda x: x):
+        """The old lines read as expected, and rewrite as themselves less the dropped keys and steps' roles."""
+        old, new = tmp_path / "old", tmp_path / "new"
+        old.write_text("\n".join(old_lines) + "\n", encoding="utf-8")
+        write(read(old), new)
+        assert values(read(old)) == values(read(new)) == expected
+        recs = [json.loads(line) for line in old_lines]
+        for step in (step for rec in recs for step in rec.get("steps", ())):
+            del step["role"]
+        lines = [dumps({k: v for k, v in rec.items() if k not in dropped}) for rec in recs]
+        assert new.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+    loc, repair = "Task: synth-0000\nlocalize", "Task: synth-0000\nrepair 0"
+    live = Trajectory("synth-0000", (Step(loc, "```\nLINE: 0\n```"), Step(repair, "```\nCANDIDATE: 0\n```")),
+                      Patch((("line:0", "x0 = 2"),), "(0, 0)", (0, 0)), None, SamplingParams(0.0, 62),
+                      "synth-0000/tabular/62/u")
+    dead = Trajectory("synth-0000", (Step(loc, "junk"), Step(repair, "")), None, None, SamplingParams(0.6, 7),
+                      "synth-0000/tabular/7/u")
+    check(OLD_TRAJECTORIES, read_trajectories, write_trajectories, {"backend_id"}, [live, dead])
+
+    task = SynthTask("synth-0000", "Running program synth-0000 yields the wrong result.",
+                     ("x0 = 5", "x1 = x0 - 2", "x2 = x1 * x1"), 1,
+                     (("x0 = 2", "x0 = 7 + 2", "x0 = 4"), ("x1 = x0 - 9", "x1 = x0 - 8", "x1 = x0 * 2"),
+                      ("x2 = x1 - 7", "x2 = x0 * x0", "x2 = x0 - x1")), 16)
+    check(OLD_TASKS, load_tasks, save_tasks, {"workspace", "env_spec", "tests", "repo_name"}, [task], list)
+
+    check(OLD_POLICY, TabularPolicy.load, TabularPolicy.save, {"provenance"},
+          (True, {"synth-0000": ([0.0, 2.0], [[0.5, 0.0], [0.0, -1.25]])}),
+          lambda p: (p.fine_tuned, {t: (h.line_logits.tolist(), h.cand_logits.tolist()) for t, h in p.heads.items()}))
+
+
+def _reward_file(path):
+    write_rewards([RewardRecord("t1", "t1/tabular/3/u", 0, {"a": "fail"}, False, "FAIL a")], path)
+
+
+def _real_task_file(path):
+    save_tasks([RealTask("real-1", "x", str(path.parent), EnvSpec((), "true", 10.0, "process_sandbox"),
+                         TestSuite(("a",), ()), "r")], path)
+
+
+# kind of file -> (its writer of one valid record, its reader, the error a bad record raises)
+FILES = {
+    "rewards": (_reward_file, read_rewards, TaskFormatError),
+    "synthetic task": (lambda path: save_tasks(generate_synth_suite(1, 3, 3, seed=0), path), load_tasks,
+                       TaskFormatError),
+    "real task": (_real_task_file, load_tasks, TaskFormatError),
+    "policy": (lambda path: TabularPolicy.uniform(generate_synth_suite(1, 3, 3, seed=0)).save(path),
+               TabularPolicy.load, CheckpointError),
+}
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("rewards", "reward", 1.7), ("rewards", "reward", True), ("rewards", "reward", "0"),
+    ("rewards", "empty_patch", 0),
+    ("synthetic task", "expected_output", 10.5), ("synthetic task", "buggy_line", 1.9),
+    ("synthetic task", "buggy_line", True), ("real task", "timeout_s", "10"), ("real task", "timeout_s", False),
+    ("policy", "fine_tuned", "false"), ("policy", "fine_tuned", 0),
+])
+def test_a_read_refuses_a_value_of_a_type_its_writer_never_writes(tmp_path, kind, key, value):
+    """No value is converted on the way in: one of the wrong type is an error naming the file, its line in a
+    JSONL file, and the field."""
+    write, read, error = FILES[kind]
+    path = tmp_path / "file"
+    write(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[-1])
+    (rec["env_spec"] if key == "timeout_s" else rec)[key] = value
+    path.write_text("\n".join([*lines[:-1], dumps(rec)]) + "\n", encoding="utf-8")
+    where = f"{path}: " if error is CheckpointError else f"{path}: line 2: "
+    with pytest.raises(error, match=re.escape(where) + f".*{key}"):
+        read(path)

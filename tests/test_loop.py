@@ -562,8 +562,9 @@ def test_guidance_file_round_trip(tmp_path):
 
 
 def test_every_jsonl_artifact_rewrites_to_its_own_bytes(tmp_path, monkeypatch):
-    """A small run with lost rollout slots and lost teacher exchanges: each JSONL file its row reads, read back
-    through read_artifact and written by the row's own writer, gives the same bytes."""
+    """A small run with lost rollout slots and lost teacher exchanges: each artifact a row reads, the JSONL files
+    and the policy checkpoints, read back through read_artifact and written by the row's own writer, gives the
+    same bytes."""
     import rlvrloop.loop as loop
 
     sample = loop.rollout_all_tasks
@@ -578,9 +579,9 @@ def test_every_jsonl_artifact_rewrites_to_its_own_bytes(tmp_path, monkeypatch):
         assert lost and "infrastructure_error" in getattr(paths, name).read_text()
     rewritten = [
         (name, artifact) for phase in PHASE_TABLE for name, artifact in phase.outputs.items()
-        if artifact.file.endswith(".jsonl") and artifact.read is not None
+        if artifact.read is not None
     ]
-    assert len(rewritten) == 9
+    assert len(rewritten) == 12 and {a.file for _, a in rewritten} >= {"policy_init.json", "policy_final.json"}
     for name, artifact in rewritten:
         artifact.write(read_artifact(name, getattr(paths, name)), tmp_path / artifact.file)
         assert (tmp_path / artifact.file).read_bytes() == getattr(paths, name).read_bytes(), name

@@ -39,11 +39,10 @@ def pass_at_k_oracle(n, c, k):
 def mk_traj(task_id, ref, temperature):
     return Trajectory(
         task_id=task_id,
-        steps=(Step("localization", "p", "c"), Step("repair", "p", "c")),
+        steps=(Step("p", "c"), Step("p", "c")),
         patch=Patch(edits=(("line:0", "x = 1"),), rendering="r", synth=(0, 0)),
         guidance_id=None,
         sampling=SamplingParams(temperature=temperature, seed=0),
-        backend_id="x",
         traj_id=ref,
     )
 

@@ -34,13 +34,12 @@ def mk_traj(task_id, ref, response, prompt=None, guidance_id=None):
     return Trajectory(
         task_id=task_id,
         steps=(
-            Step("localization", prompt, "LINE: 0"),
-            Step("repair", "repair prompt", response),
+            Step(prompt, "LINE: 0"),
+            Step("repair prompt", response),
         ),
         patch=Patch(edits=(("line:0", "x0 = 1"),), rendering=response, synth=(0, 1)),
         guidance_id=guidance_id,
         sampling=SamplingParams(temperature=0.6, seed=0),
-        backend_id="x",
         traj_id=ref,
     )
 

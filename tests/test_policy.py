@@ -11,7 +11,7 @@ from rlvrloop.policy import (
     log_softmax,
     softmax,
 )
-from rlvrloop.tasks import EnvSpec, Task, TaskDataset, TestSuite
+from rlvrloop.tasks import EnvSpec, RealTask, TaskDataset, TestSuite
 
 
 def test_softmax_matches_direct_formula():
@@ -90,8 +90,9 @@ def test_a_policy_without_heads_has_an_empty_theta(tmp_path):
     """A suite of real tasks only gives a uniform policy no head: theta is empty, not an error."""
     ws = tmp_path / "ws"
     ws.mkdir()
-    real = Task(id="real-1", issue="broken", workspace=str(ws), env_spec=EnvSpec((), "true", 10.0, "process_sandbox"),
-                tests=TestSuite(regression=("t",), focused=()), repo_name="r")
+    real = RealTask(id="real-1", issue="broken", workspace=str(ws),
+                    env_spec=EnvSpec((), "true", 10.0, "process_sandbox"),
+                    tests=TestSuite(regression=("t",), focused=()), repo_name="r")
     policy = TabularPolicy.uniform(TaskDataset(tasks=(real,)))
     assert policy.heads == {}
     theta = policy.theta()
@@ -121,18 +122,18 @@ def test_save_load_round_trip(tmp_path, small_suite):
     policy.head(small_suite.tasks[1].id).line_logits[2] = -0.75
     policy.fine_tuned = True
     path = tmp_path / "policy.json"
-    policy.save(path, provenance={"phase": "test"})
+    policy.save(path)
     back = TabularPolicy.load(path)
     assert back.fine_tuned
-    back.save(tmp_path / "back.json", provenance={"phase": "test"})
+    back.save(tmp_path / "back.json")
     assert (tmp_path / "back.json").read_bytes() == path.read_bytes()
 
 
 def test_save_is_byte_deterministic(tmp_path, small_suite):
     policy = TabularPolicy.uniform(small_suite)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    policy.save(a, provenance={"phase": "x"})
-    policy.save(b, provenance={"phase": "x"})
+    policy.save(a)
+    policy.save(b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -164,10 +165,11 @@ def test_a_checkpoint_is_one_compact_line_and_a_version_1_indented_one_still_loa
     for head in policy.heads.values():
         head.line_logits[:] = np.arange(head.line_logits.size) / 3
     path = tmp_path / "p.json"
-    policy.save(path, {"phase": "sft"})
+    policy.save(path)
     text = path.read_text(encoding="utf-8")
     rec = json.loads(text)
     assert text == dumps(rec) + "\n" and rec["schema_version"] == SCHEMA_VERSION == 2
+    assert set(rec) == {"schema", "schema_version", "fine_tuned", "heads"}
     old = tmp_path / "v1.json"
     old.write_text(json.dumps({**rec, "schema_version": 1}, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     assert TabularPolicy.load(old).theta().tobytes() == policy.theta().tobytes()

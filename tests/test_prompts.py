@@ -18,12 +18,12 @@ from rlvrloop.prompts import (
     render_localization_prompt,
     render_repair_prompt,
 )
-from rlvrloop.tasks import EnvSpec, Task, TestSuite
+from rlvrloop.tasks import EnvSpec, RealTask, TestSuite
 
 
 @pytest.fixture
 def real_task(tmp_path):
-    return Task(
+    return RealTask(
         id="real-7",
         issue="the frobnicator frobs twice",
         workspace=str(tmp_path),

@@ -25,7 +25,7 @@ from rlvrloop.reward_model import (
     rm_train,
 )
 from rlvrloop.rollout import Patch, SamplingParams, Step, Trajectory, read_trajectories, synth_patch, write_trajectories
-from rlvrloop.tasks import EnvSpec, Task, TestSuite, enumerate_passing_patches, generate_synth_suite
+from rlvrloop.tasks import EnvSpec, RealTask, TestSuite, enumerate_passing_patches, generate_synth_suite
 
 LN2 = 0.6931471805599453
 
@@ -76,7 +76,7 @@ def test_featurize_a_read_patch_whose_locations_carry_no_line(tmp_path):
     """A patch read back from a trajectory file is outside input: a location without a line number adds no line,
     so the mean edited line is 0 and the issue's named statement is never matched."""
     patch = Patch(edits=(("line:x", "x1 = x0 + 2"), ("app.py", "return 7")), rendering="?", synth=None)
-    traj = Trajectory("t", (Step("localization", "p", "c"),), patch, None, SamplingParams(0.0, 1), "b", "t/b/1/u")
+    traj = Trajectory("t", (Step("p", "c"),), patch, None, SamplingParams(0.0, 1), "t/b/1/u")
     write_trajectories([traj], tmp_path / "trajs.jsonl")
     [back] = read_trajectories(tmp_path / "trajs.jsonl")
     f = featurize("statement 3 is wrong, should be `x1 = x0 + 2`", back.patch)
@@ -386,7 +386,7 @@ def test_build_rm_training_pairs_featurizes_each_side_once(small_suite, featuriz
 
 
 def test_build_rm_training_pairs_skips_real_tasks(tmp_path):
-    real = Task(
+    real = RealTask(
         id="r1",
         issue="x",
         workspace=str(tmp_path),

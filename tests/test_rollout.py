@@ -11,7 +11,7 @@ from rlvrloop.errors import BackendError, GuidanceLeakError, TaskFormatError
 from rlvrloop.guidance import Guidance
 from rlvrloop.jsonl import dumps, record_lines
 from rlvrloop.policy import TabularPolicy
-from rlvrloop.prompts import HINT_DELIMITER, LOC_STEP, REPAIR_STEP
+from rlvrloop.prompts import HINT_DELIMITER, LOC_STEP, REPAIR_STEP, parse_prompt
 from rlvrloop.rollout import (
     TEMPERATURE_GREEDY,
     TEMPERATURE_SAMPLING,
@@ -59,7 +59,7 @@ def attempt(task, backend, params, guidance=None):
 
 def test_scaffold_shape(one_task, backend):
     traj = attempt(one_task, backend, params())
-    assert [s.role for s in traj.steps] == [LOC_STEP, REPAIR_STEP]
+    assert [parse_prompt(s.prompt)[1] for s in traj.steps] == [LOC_STEP, REPAIR_STEP]
     assert traj.task_id == one_task.id
     assert traj.patch is not None
     line, cand = traj.patch.synth
@@ -247,11 +247,10 @@ def codec_corpus(small_suite, backend):
     real = [
         Trajectory(
             task_id="real-" + ODD,
-            steps=(Step(LOC_STEP, ODD, ODD), Step(REPAIR_STEP, ODD + "!", "")),
+            steps=(Step(ODD, ODD), Step(ODD + "!", "")),
             patch=Patch(edits=(("app.py:1:2", ODD), ("b.py:0:0", "")), rendering=ODD, synth=synth),
             guidance_id=guidance_id,
             sampling=SamplingParams(temperature=temperature, seed=seed, max_tokens=max_tokens),
-            backend_id=ODD,
             traj_id=f"real/{ODD}/{seed}",
         )
         for synth, guidance_id, temperature, seed, max_tokens in [
@@ -264,7 +263,7 @@ def codec_corpus(small_suite, backend):
         ]
     ]
     synth_patch_odd = Trajectory(a.id, unguided[0].steps, Patch(((ODD, ODD),), ODD, (0, 3)), None,
-                                 SamplingParams(1e-300, 1), "tabular", "odd")
+                                 SamplingParams(1e-300, 1), "odd")
     return unguided[:4] + guided + [placeholder] + real[:3] + unguided[4:] + [synth_patch_odd] + real[3:] + unguided[:2]
 
 
@@ -274,11 +273,10 @@ def reference_record(traj):
     return {
         "traj_id": traj.traj_id,
         "task_id": traj.task_id,
-        "steps": [{"role": s.role, "prompt": s.prompt, "completion": s.completion} for s in traj.steps],
+        "steps": [{"prompt": s.prompt, "completion": s.completion} for s in traj.steps],
         "patch": None if p is None else {"edits": p.edits, "rendering": p.rendering, "synth": p.synth or None},
         "guidance_id": traj.guidance_id,
         "sampling": {"temperature": sp.temperature, "seed": sp.seed, "max_tokens": sp.max_tokens},
-        "backend_id": traj.backend_id,
     }
 
 
@@ -384,9 +382,7 @@ def test_reader_shares_task_ids_and_completions(tmp_path, small_suite, backend):
     one = {}
     for traj in back:
         assert one.setdefault(traj.task_id, traj.task_id) is traj.task_id
-        assert one.setdefault(traj.backend_id, traj.backend_id) is traj.backend_id
         for step in traj.steps:
-            assert one.setdefault(step.role, step.role) is step.role
             assert one.setdefault(step.completion, step.completion) is step.completion
 
 

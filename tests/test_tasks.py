@@ -14,8 +14,8 @@ from rlvrloop.tasks import (
     MAX_SYNTH_CANDIDATES,
     EnvSpec,
     ProgramError,
+    RealTask,
     SynthTask,
-    Task,
     TaskDataset,
     TestSuite,
     apply_candidate,
@@ -25,7 +25,6 @@ from rlvrloop.tasks import (
     parse_statement,
     run_program,
     save_tasks,
-    synth_env_spec,
 )
 
 
@@ -144,9 +143,9 @@ def test_generated_shapes_and_ids():
     for task in suite:
         assert task.n_lines == 4
         assert task.n_candidates == 7
-        assert isinstance(task, SynthTask)
-        assert task.env_spec.isolation == "in_memory_synthetic"
-        assert set(task.tests.all_tests) == {"program_parses", "output_matches"}
+        assert isinstance(task, SynthTask) and task.repo_name == "synthetic-programs"
+        # a task's line states only what varies between tasks
+        assert set(as_record(task)) == {"kind", "id", "issue", "lines", "buggy_line", "candidates", "expected_output"}
 
 
 def test_issue_text_names_defect_and_values():
@@ -199,22 +198,22 @@ def test_test_suite_validation():
 
 
 def test_env_spec_validation():
-    with pytest.raises(TaskFormatError, match="timeout"):
-        EnvSpec(setup_commands=(), test_command="", timeout_s=0, isolation="in_memory_synthetic")
-    with pytest.raises(TaskFormatError, match="isolation"):
-        EnvSpec(setup_commands=(), test_command="x", timeout_s=1, isolation="bare_metal")
-    with pytest.raises(TaskFormatError, match="external commands"):
-        EnvSpec(setup_commands=("pip install .",), test_command="", timeout_s=1, isolation="in_memory_synthetic")
+    for timeout_s in (0, -1.0, float("nan")):
+        with pytest.raises(TaskFormatError, match="timeout_s must be > 0"):
+            EnvSpec(setup_commands=(), test_command="x", timeout_s=timeout_s, isolation="process_sandbox")
+    for timeout_s in ("1", True, None):
+        with pytest.raises(TaskFormatError, match="timeout_s must be a number"):
+            EnvSpec(setup_commands=(), test_command="x", timeout_s=timeout_s, isolation="process_sandbox")
+    for mode in ("bare_metal", "in_memory_synthetic"):
+        with pytest.raises(TaskFormatError, match=f"unknown isolation mode '{mode}'"):
+            EnvSpec(setup_commands=(), test_command="x", timeout_s=1, isolation=mode)
+    assert EnvSpec(setup_commands=(), test_command="x", timeout_s=2, isolation="process_sandbox").timeout_s == 2
 
 
 def _synth_kwargs(**over):
     base = dict(
         id="t",
         issue="i",
-        workspace="inline",
-        env_spec=synth_env_spec(),
-        tests=TestSuite(regression=("program_parses",), focused=("output_matches",)),
-        repo_name="r",
         lines=("x0 = 1", "x1 = x0 + 1"),
         buggy_line=1,
         candidates=(("x0 = 1", "x0 = 2"), ("x1 = x0 + 1", "x1 = x0 + 2")),
@@ -235,6 +234,9 @@ def test_synth_task_validation():
         SynthTask(**_synth_kwargs(candidates=(("x0 = 1", "x0 = 1"), ("a", "b"))))
     with pytest.raises(TaskFormatError, match="width"):
         SynthTask(**_synth_kwargs(candidates=(("x0 = 1", "x0 = 2"), ("a", "b", "c"))))
+    for over in ({"buggy_line": True}, {"buggy_line": 1.0}, {"expected_output": 3.0}, {"expected_output": "3"}):
+        with pytest.raises(TaskFormatError, match=f"t: {next(iter(over))} must be an integer"):
+            SynthTask(**_synth_kwargs(**over))
 
 
 def test_dataset_rejects_duplicate_ids(one_task):
@@ -274,7 +276,7 @@ def test_save_is_byte_deterministic(tmp_path, small_suite):
 
 
 def test_record_round_trip_real_task(tmp_path):
-    task = Task(
+    task = RealTask(
         id="real-1",
         issue="the widget is broken",
         workspace=str(tmp_path),
@@ -291,12 +293,12 @@ def test_record_round_trip_real_task(tmp_path):
     save_tasks([task], tmp_path / "tasks.jsonl")
     [back] = load_tasks(tmp_path / "tasks.jsonl")
     assert back == task
-    assert not isinstance(back, SynthTask)
+    assert type(back) is RealTask
 
 
 def test_load_real_task_requires_workspace_dir(tmp_path):
     rec = as_record(
-        Task(
+        RealTask(
             id="real-1",
             issue="x",
             workspace=str(tmp_path / "missing"),
@@ -313,7 +315,7 @@ def test_load_real_task_requires_workspace_dir(tmp_path):
 
 def test_load_rejects_container_isolation(tmp_path):
     """A task that asks for container isolation fails at load; it never runs on the host."""
-    rec = as_record(Task(
+    rec = as_record(RealTask(
         id="real-1", issue="x", workspace=str(tmp_path),
         env_spec=EnvSpec((), "pytest", 10.0, "process_sandbox"),
         tests=TestSuite(regression=("t",), focused=()), repo_name="w",
@@ -326,9 +328,9 @@ def test_load_rejects_container_isolation(tmp_path):
 
 
 def test_load_rejects_isolation_that_does_not_match_the_task_kind(tmp_path, one_task):
-    """A real task under in_memory_synthetic fails at load, so its attempts never score as
-    model failures; a synthetic task under process_sandbox fails too, since its commands never run."""
-    rec = as_record(Task(
+    """A real task under in_memory_synthetic fails at load, so its attempts never score as model failures.
+    A synthetic line states no environment: one that carries an env_spec, whatever it says, reads as the task."""
+    rec = as_record(RealTask(
         id="real-1", issue="x", workspace=str(tmp_path),
         env_spec=EnvSpec((), "pytest", 10.0, "process_sandbox"),
         tests=TestSuite(regression=("t",), focused=()), repo_name="w",
@@ -336,17 +338,13 @@ def test_load_rejects_isolation_that_does_not_match_the_task_kind(tmp_path, one_
     rec["env_spec"].update(test_command="", isolation="in_memory_synthetic")
     path = tmp_path / "tasks.jsonl"
     write_records(path, "tasks", [rec])
-    with pytest.raises(TaskFormatError, match="line 2: .*real task must use process_sandbox"):
+    with pytest.raises(TaskFormatError, match="line 2: .*unknown isolation mode 'in_memory_synthetic'"):
         load_tasks(path)
-    with pytest.raises(TaskFormatError, match="real task must use process_sandbox"):
-        Task(id="real-1", issue="x", workspace=str(tmp_path), env_spec=synth_env_spec(),
-             tests=TestSuite(regression=("t",), focused=()), repo_name="w")
 
     rec = as_record(one_task)
-    rec["env_spec"].update(setup_commands=["false"], isolation="process_sandbox")
+    rec["env_spec"] = {"setup_commands": ["false"], "test_command": "", "timeout_s": 0, "isolation": "container"}
     write_records(path, "tasks", [rec])
-    with pytest.raises(TaskFormatError, match="line 2: .*synthetic task must use in_memory_synthetic"):
-        load_tasks(path)
+    assert list(load_tasks(path)) == [one_task]
 
 
 def test_load_names_offending_line(tmp_path, small_suite):
@@ -380,13 +378,3 @@ def test_bad_record_raises_task_format_error(tmp_path):
     write_records(path, "tasks", [{"kind": "synth", "id": "x"}])
     with pytest.raises(TaskFormatError, match="line 2: missing field"):
         load_tasks(path)
-
-
-def test_an_integral_timeout_or_a_float_line_index_reads_through_its_declared_type(tmp_path, one_task):
-    rec = as_record(one_task)
-    rec["env_spec"]["timeout_s"], rec["buggy_line"], rec["expected_output"] = 2, float(one_task.buggy_line), True
-    path = tmp_path / "tasks.jsonl"
-    write_records(path, "tasks", [rec])
-    [back] = load_tasks(path)
-    assert (type(back.env_spec.timeout_s), type(back.buggy_line), back.expected_output) == (float, int, 1)
-    assert back.buggy_line == one_task.buggy_line
