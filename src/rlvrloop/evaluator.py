@@ -35,6 +35,13 @@ SYNTH_REGRESSION_TEST = "program_parses"
 SYNTH_FOCUSED_TEST = "output_matches"
 
 
+def check_reward(value) -> int:
+    """value if it is a reward as one is written, the int 0 or 1 (not a bool, 1.7 or "1"); else ValueError."""
+    if type(value) is not int or value not in (0, 1):
+        raise ValueError(f"reward must be 0 or 1, got {value!r}")
+    return value
+
+
 @record
 class RewardRecord:
     task_id: Shared[str]
@@ -48,8 +55,7 @@ class RewardRecord:
     wall_time_s: float = field(default=0.0, compare=False)
 
     def __post_init__(self):  # the exact types, so a record is written as it reads back
-        if type(self.reward) is not int or self.reward not in (0, 1):
-            raise ValueError(f"reward must be 0 or 1, got {self.reward!r}")
+        check_reward(self.reward)
         if type(self.empty_patch) is not bool:
             raise ValueError(f"empty_patch must be True or False, got {self.empty_patch!r}")
         if self.empty_patch and self.reward != 0:

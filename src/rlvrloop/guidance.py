@@ -1,4 +1,4 @@
-"""Teacher guidance: request rendering, parsing, and reattempt prompts.
+"""Teacher guidance: request rendering and reply parsing.
 
 Guidance exists to rescue failed rollouts during training. A teacher (an
 external model or the synthetic oracle) sees the task, the failed patch and
@@ -6,19 +6,21 @@ its stacktrace, and answers with three sections: a plan, feedback grounded
 in the environment output, and an interaction hint naming the location to
 edit. Guidance is strictly train-time data; the rollout engine refuses to
 inject it in evaluation mode.
+
+This module owns the teacher's two formats, the request and the reply, whose
+section headings both take from SECTIONS. prompts owns the reattempt block.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from functools import partial
-from importlib import resources
 from typing import TYPE_CHECKING
 
 from .backends import call_batch, call_with_retry, post_completion
 from .errors import BackendError, GuidanceError
 from .jsonl import Shared, derive_seed
-from .prompts import HINT_DELIMITER, HINT_LOCATION_RE
+from .prompts import HINT_LOCATION_RE
 from .tasks import SynthTask
 
 if TYPE_CHECKING:
@@ -35,13 +37,27 @@ SECTIONS = (SECTION_PLAN, SECTION_FEEDBACK, SECTION_INTERACTION)
 NO_STACKTRACE_SENTINEL = "(no stacktrace available)"
 EMPTY_PATCH_SENTINEL = "(empty patch)"
 
-
-def _load_template(name: str) -> str:
-    return resources.files("rlvrloop.templates").joinpath(name).read_text(encoding="utf-8")
-
-
-GUIDANCE_REQUEST_TEMPLATE = _load_template("guidance_request.txt")
-REATTEMPT_BLOCK_TEMPLATE = _load_template("reattempt_block.txt")
+GUIDANCE_REQUEST = f"""\
+You are an expert software engineer helping to generate helpful hints for debugging and fixing issues.
+REPOSITORY: {{repo}}
+PROBLEM STATEMENT:
+{{problem_statement}}
+PATCH:
+{{patch}}
+STACKTRACE:
+{{stacktrace_hint}}
+Based on the information above and the following hints, create a concise, helpful hint that would guide a \
+developer to fix the issue efficiently:
+The hint should be in the following format:
+{SECTION_PLAN}: Explain what steps need to be taken based on the problem statement. Be specific and actionable, \
+focusing on the core issue. Be concise yet comprehensive (200-300 words maximum)
+{SECTION_FEEDBACK}: Explain what needs to be fixed based on the stacktrace. Be specific and actionable, \
+focusing on the core issue. Be concise yet comprehensive (200-300 words maximum)
+{SECTION_INTERACTION}: Clearly identify potential file(s) and location(s) need to be modified.
+Format your hint with clear section headings ({", ".join(SECTIONS)}).
+Each part should have 1-2 sentences, except for ENVIRONMENT INTERACTION which should just be a location-based \
+hint (file paths, and usually line number, function name, etc.).
+"""
 
 
 @dataclass(frozen=True)
@@ -55,11 +71,7 @@ class Guidance:
     teacher_id: str
 
     def __post_init__(self):
-        for name, value in (
-            (SECTION_PLAN, self.plan),
-            (SECTION_FEEDBACK, self.env_feedback),
-            (SECTION_INTERACTION, self.env_interaction),
-        ):
+        for name, value in zip(SECTIONS, (self.plan, self.env_feedback, self.env_interaction)):
             if not value.strip():
                 raise GuidanceError(f"guidance section {name} is empty")
         if not _has_location_token(self.env_interaction):
@@ -119,7 +131,7 @@ def render_guidance_request(
     failed_trajectory: "Trajectory",
     reward_record: "RewardRecord",
 ) -> str:
-    """Fill the teacher request template for one failed attempt.
+    """The teacher request for one failed attempt.
 
     The patch slot shows the model's own failed patch. A missing stacktrace
     and an empty patch render as explicit sentinels rather than blank holes.
@@ -131,7 +143,7 @@ def render_guidance_request(
     patch = failed_trajectory.patch
     patch_text = patch.rendering if patch is not None else EMPTY_PATCH_SENTINEL
     stack = reward_record.stacktrace or NO_STACKTRACE_SENTINEL
-    return GUIDANCE_REQUEST_TEMPLATE.format(
+    return GUIDANCE_REQUEST.format(
         repo=task.repo_name,
         problem_statement=task.issue,
         patch=patch_text,
@@ -139,38 +151,16 @@ def render_guidance_request(
     )
 
 
-def render_reattempt_prompt(base_prompt: str, guidance: Guidance) -> str:
-    """Append the hint block to an unguided prompt.
-
-    Refuses to double-render: a prompt that already carries a hint block is
-    a bug upstream, and silently stacking hints would corrupt pair assembly.
-    """
-    if HINT_DELIMITER in base_prompt:
-        raise GuidanceError("prompt already contains a hint block")
-    block = REATTEMPT_BLOCK_TEMPLATE.format(hint=guidance.hint_text())
-    return base_prompt + "\n\n" + block
-
-
-def strip_hint_block(prompt: str) -> str:
-    """Recover the unguided prompt a reattempt prompt was rendered from."""
-    first_line = REATTEMPT_BLOCK_TEMPLATE.splitlines()[0]
-    if first_line not in prompt:
-        return prompt
-    return prompt.split(first_line, 1)[0].rstrip("\n")
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
+# A section heading, with any markdown heading or emphasis markup around it (### PLAN HINT:, **PLAN HINT:**).
 _HEADING_RE = re.compile(
-    r"(PLAN\s+HINT|ENVIRONMENT\s+FEEDBACK\s+HINT|ENVIRONMENT\s+INTERACTION\s+HINT)\s*:?",
-    re.IGNORECASE,
+    r"(?:^[ \t]*#+[ \t]*)?[*_]{0,2}(" + "|".join(name.replace(" ", r"\s+") for name in SECTIONS)
+    + r")[*_]{0,2}(?:\s*:[*_]{0,2})?",
+    re.IGNORECASE | re.MULTILINE,
 )
-
-
-def _canonical_heading(raw: str) -> str:
-    return re.sub(r"\s+", " ", raw.upper().strip())
 
 
 def _guidance_id(task_id: str, source_trajectory_ref: str) -> str:
@@ -191,27 +181,17 @@ def parse_guidance(
     naming the section; so does an empty body.
     """
     found: dict[str, str] = {}
-    matches = list(_HEADING_RE.finditer(teacher_text))
-    for i, m in enumerate(matches):
-        name = _canonical_heading(m.group(1))
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(teacher_text)
-        body = teacher_text[m.end() : end].strip()
-        if name not in found:  # first occurrence wins
-            found[name] = body
+    parts = _HEADING_RE.split(teacher_text)  # the text before the first heading, then each heading and its body
+    for name, body in zip(parts[1::2], parts[2::2]):
+        found.setdefault(re.sub(r"\s+", " ", name.upper()), body.strip())  # the first occurrence wins
     for section in SECTIONS:
         if section not in found:
             raise GuidanceError(f"teacher output is missing section {section!r}")
         if not found[section]:
             raise GuidanceError(f"teacher output has an empty {section!r} section")
-    return Guidance(
-        guidance_id=_guidance_id(task_id, source_trajectory_ref),
-        task_id=task_id,
-        source_trajectory_ref=source_trajectory_ref,
-        plan=found[SECTION_PLAN],
-        env_feedback=found[SECTION_FEEDBACK],
-        env_interaction=found[SECTION_INTERACTION],
-        teacher_id=teacher_id,
-    )
+    plan, env_feedback, env_interaction = (found[section] for section in SECTIONS)
+    return Guidance(_guidance_id(task_id, source_trajectory_ref), task_id, source_trajectory_ref,
+                    plan, env_feedback, env_interaction, teacher_id)
 
 
 def request_guidance(failures: list[tuple], teacher: TeacherBackend, *, workers: int = 1) -> list:

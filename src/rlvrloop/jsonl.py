@@ -186,6 +186,13 @@ def _once(v, table: list, shared: dict, key: str) -> str:
     return v
 
 
+def _list(v, key: str) -> list:
+    """JSON value v, which a tuple field is read from, if it is a list: a string would read as its characters."""
+    if type(v) is not list:
+        raise ValueError(f"{key}: expected a list, got {v!r}")
+    return v
+
+
 def _shared_map(value, shared: dict) -> Mapping:
     """A read-only map of value's items, one object for every equal map read through shared."""
     key = (Mapping, tuple(dict(value).items()))
@@ -208,7 +215,7 @@ class _Codecs(dict):
 
     def __missing__(self, cls):
         env = {"cls": cls, "d": dumps, "s": dumps_scalar, "a": encode_basestring_ascii, "_map_text": _map_text,
-               "_shared_map": _shared_map, "_once": _once}
+               "_shared_map": _shared_map, "_once": _once, "_list": _list}
         hints, temps = get_type_hints(cls, include_extras=True), itertools.count()
         parts = [(name, dumps(getattr(cls, name))) for name, hint in hints.items() if get_origin(hint) is ClassVar]
         parts += [(key, "{" + self._encode(hints[name], f"x.{name}", env, temps) + "}")
@@ -261,14 +268,14 @@ class _Codecs(dict):
             ordinal = f"type({t} := {v}) is int and 0 <= {t} < len(table)"
             return f"(table[{t}] if {ordinal} else _once({t}, table, shared, {key!r}))", False
         if optional and (is_dataclass(kind) or get_origin(kind) is tuple):  # null is None, and so is an empty tuple
-            test = f"({t} := {v}) is None" if is_dataclass(kind) else f"not ({t} := {v})"
-            code = f"(None if {test} else {self._convert(kind, t, env, temps)})"
+            test = f"({t} := {v}) is None" + ("" if is_dataclass(kind) else f" or {t} == []")
+            code = f"(None if {test} else {self._convert(kind, t, env, temps, key)})"
         else:
-            code = self._convert(kind, v, env, temps)
+            code = self._convert(kind, v, env, temps, key)
         return code, "shared" in marks and get_origin(kind) is not Mapping
 
-    def _convert(self, kind, v: str, env: dict, temps: Iterator[int]) -> str:
-        """Source of the declared value that JSON value v stands for."""
+    def _convert(self, kind, v: str, env: dict, temps: Iterator[int], key: str) -> str:
+        """Source of the declared value that JSON value v stands for; a tuple is read from a JSON list only."""
         args = get_args(kind)
         if is_dataclass(kind):
             env[name := f"d{id(kind)}"] = self[kind][1]
@@ -277,10 +284,11 @@ class _Codecs(dict):
             return f"_shared_map({v}, shared)"
         if get_origin(kind) is not tuple:
             return v
-        if args[-1] is Ellipsis and is_dataclass(_parse(args[0])[0]):
-            code, shared = self._decode(args[0], "", env, temps, "y")
+        v = f"_list({v}, {key!r})"
+        if args[-1] is Ellipsis and (is_dataclass(_parse(args[0])[0]) or get_origin(args[0]) is tuple):
+            code, shared = self._decode(args[0], key, env, temps, "y")
             return f"tuple([{self._one(code, temps) if shared else code} for y in {v}])"
-        return f"tuple(map(tuple, {v}))" if args[-1] is Ellipsis and get_origin(args[0]) is tuple else f"tuple({v})"
+        return f"tuple({v})"
 
 
 _CODECS = _Codecs()

@@ -39,7 +39,9 @@ from typing import NamedTuple
 
 from .backends import HttpPolicyBackend, PolicyBackend, SamplingParams, TabularPolicyBackend
 from .errors import BackendError, CheckpointError, PhaseError, RlvrLoopError, UsageError
-from .evaluator import EvaluationFailure, RewardRecord, evaluate_batch, read_rewards, record_type, write_rewards
+from .evaluator import (
+    EvaluationFailure, RewardRecord, check_reward, evaluate_batch, read_rewards, record_type, write_rewards,
+)
 from .guidance import GUIDANCE_SCHEMA, Guidance, HttpTeacherBackend, TeacherBackend, oracle_teacher, request_guidance
 from .jsonl import canonical_file_hash, derive_seed, read_declared, read_records, write_records
 from .metrics import aggregate, guidance_uplift_report, render_report_text
@@ -525,7 +527,7 @@ RM_TABLE = (
             "selections.jsonl",
             lambda selections, path: write_records(path, SELECTIONS_SCHEMA, selections),
             lambda path: [s for _, s in read_records(
-                path, SELECTIONS_SCHEMA, lambda rec: dict(rec, task_id=rec["task_id"], reward=int(rec["reward"]))
+                path, SELECTIONS_SCHEMA, lambda rec: dict(rec, task_id=rec["task_id"], reward=check_reward(rec["reward"]))
             )],
         ),
     }),

@@ -25,9 +25,9 @@ from typing import ClassVar, Iterable, Sequence
 
 from .errors import AssemblyError, TaskFormatError
 from .evaluator import EvaluationFailure, RewardRecord
-from .guidance import Guidance, strip_hint_block
+from .guidance import Guidance
 from .jsonl import Once, Shared, derive_seed, read_declared, write_records
-from .prompts import HINT_DELIMITER
+from .prompts import HINT_DELIMITER, strip_hint_block
 from .rollout import Trajectory
 
 log = logging.getLogger(__name__)

@@ -1,27 +1,40 @@
-"""Prompt rendering and completion parsing for the two-step scaffold.
+"""Prompt rendering and completion parsing for the two-step scaffold, and the reattempt block.
 
 Prompts are plain text but carry machine-readable markers (task id, step
 kind, numbered listings) so desk-scale backends can parse them the way a
 language model would read them. Completions answer with fenced blocks; a
 completion that fails to parse yields an empty patch rather than an error.
+
+This module owns the policy's prompt formats: each marker parse_prompt reads,
+and the reattempt block, whose hint lies between fixed opening and closing text,
+is declared once, and its renderer and its parser both use that declaration.
 """
 from __future__ import annotations
 
 import functools
 import re
 
+from .errors import GuidanceError
 from .tasks import SynthTask, Task
 
+# The reattempt block: a hint between fixed opening and closing text. An unguided prompt holds no HINT_DELIMITER, and
+# a hint may hold "###" lines, so a hint runs from the first HINT_DELIMITER to the last _HINT_END.
 HINT_DELIMITER = "### Hint ###"
+_HINT_END = "\n###"
+_REATTEMPT_OPEN = ("\n\nIn addition, please carefully consider the following hint, which includes a suggested path(s) "
+                   f"to file(s) that may be problematic.\n{HINT_DELIMITER}\n")
+_REATTEMPT_CLOSE = (f"{_HINT_END}\nPlease solve the problem starting from the very beginning. Use the hint as "
+                    "guidance, but do not assume any steps have already been completed. When using the hint, you "
+                    "still need to explain your thought process as if you did not have access to the hint.\n")
+
+# The step markers parse_prompt keys on.
+REPAIR_MARKER = "You will repair statement"
+CANDIDATE_REPLY = "CANDIDATE: <index>"
+WHOLE_PROGRAM_MARKER = "consider the whole program"
 
 LOC_STEP = "localization"
 REPAIR_STEP = "repair"
 WHOLE_REPAIR_STEP = "whole-workspace repair"  # parse_prompt's step for a repair naming no statement
-
-# Real-repo localization asks for this many suspect files by default; the
-# synthetic scaffold always asks for a single statement index.
-DEFAULT_LOCALIZATION_FILES = 5
-DEFAULT_LOCALIZATION_LINES = 1
 
 
 def render_localization_prompt(task: Task) -> str:
@@ -48,60 +61,71 @@ def render_repair_prompt(task: Task, location) -> str:
 
 def _localization_prompt(task: Task) -> str:
     if isinstance(task, SynthTask):
-        listing = "\n".join(f"  {i}: {line}" for i, line in enumerate(task.lines))
         return (
-            f"Repository: {task.repo_name}\n"
-            f"Task: {task.id}\n\n"
-            f"### Issue ###\n{task.issue}\n\n"
-            f"### Program ###\n{listing}\n\n"
-            f"Identify the statement that must change to fix the issue.\n"
-            f"Respond with exactly one fenced block naming {DEFAULT_LOCALIZATION_LINES} statement index:\n"
-            f"```\nLINE: <index>\n```"
+            _header(task) + _program(task)
+            + "Identify the statement that must change to fix the issue.\n"
+            + "Respond with exactly one fenced block naming 1 statement index:\n"
+            + "```\nLINE: <index>\n```"
         )
     return (
-        f"Repository: {task.repo_name}\n"
-        f"Task: {task.id}\n\n"
-        f"### Issue ###\n{task.issue}\n\n"
-        f"Workspace: {task.workspace}\n\n"
-        f"Identify the files that must change to fix the issue.\n"
-        f"Respond with exactly one fenced block listing up to {DEFAULT_LOCALIZATION_FILES} file paths:\n"
-        f"```\nFILES:\n<path>\n...\n```"
+        _header(task)
+        + f"Workspace: {task.workspace}\n\n"
+        + "Identify the files that must change to fix the issue.\n"
+        + "Respond with exactly one fenced block listing up to 5 file paths:\n"
+        + "```\nFILES:\n<path>\n...\n```"
     )
 
 
 def _repair_prompt(task: Task, location) -> str:
-    header = f"Repository: {task.repo_name}\nTask: {task.id}\n\n### Issue ###\n{task.issue}\n\n"
-    if isinstance(task, SynthTask):
-        if location is None:
-            listing = "\n".join(f"  {i}: {line}" for i, line in enumerate(task.lines))
-            menus = []
-            for i, row in enumerate(task.candidates):
-                opts = "\n".join(f"    {k}: {stmt}" for k, stmt in enumerate(row))
-                menus.append(f"  statement {i}:\n{opts}")
-            return (
-                header
-                + f"### Program ###\n{listing}\n\n"
-                + "No statement was localized; consider the whole program.\n"
-                + "Candidate replacements per statement:\n"
-                + "\n".join(menus)
-                + "\n\nRespond with exactly one fenced block:\n```\nLINE: <index>\nCANDIDATE: <index>\n```"
-            )
-        row = task.candidates[location]
-        opts = "\n".join(f"  {k}: {stmt}" for k, stmt in enumerate(row))
+    if not isinstance(task, SynthTask):
+        files = "(whole workspace)" if location is None else "\n".join(location)
         return (
-            header
-            + f"You will repair statement {location}: {task.lines[location]}\n"
-            + f"Candidate replacements:\n{opts}\n\n"
-            + "Respond with exactly one fenced block:\n```\nCANDIDATE: <index>\n```"
+            _header(task)
+            + f"Files under repair:\n{files}\n\n"
+            + "Respond with one or more edit blocks:\n"
+            + "```\nEDIT: <path>:<start>:<end>\n<replacement lines>\nEND EDIT\n```\n"
+            + "Line ranges are zero-based half-open."
         )
-    files = "(whole workspace)" if location is None else "\n".join(location)
+    if location is None:
+        menus = "\n".join(f"  statement {i}:\n{_numbered(row, '    ')}" for i, row in enumerate(task.candidates))
+        return (
+            _header(task) + _program(task)
+            + f"No statement was localized; {WHOLE_PROGRAM_MARKER}.\n"
+            + f"Candidate replacements per statement:\n{menus}\n\n"
+            + f"Respond with exactly one fenced block:\n```\nLINE: <index>\n{CANDIDATE_REPLY}\n```"
+        )
     return (
-        header
-        + f"Files under repair:\n{files}\n\n"
-        + "Respond with one or more edit blocks:\n"
-        + "```\nEDIT: <path>:<start>:<end>\n<replacement lines>\nEND EDIT\n```\n"
-        + "Line ranges are zero-based half-open."
+        _header(task)
+        + f"{REPAIR_MARKER} {location}: {task.lines[location]}\n"
+        + f"Candidate replacements:\n{_numbered(task.candidates[location], '  ')}\n\n"
+        + f"Respond with exactly one fenced block:\n```\n{CANDIDATE_REPLY}\n```"
     )
+
+
+def _header(task: Task) -> str:
+    """The text every scaffold prompt opens with; parse_prompt reads the task id from its Task line."""
+    return f"Repository: {task.repo_name}\nTask: {task.id}\n\n### Issue ###\n{task.issue}\n\n"
+
+
+def _program(task: SynthTask) -> str:
+    return f"### Program ###\n{_numbered(task.lines, '  ')}\n\n"
+
+
+def _numbered(items, indent: str) -> str:
+    return "\n".join(f"{indent}{i}: {item}" for i, item in enumerate(items))
+
+
+def render_reattempt_prompt(base_prompt: str, hint: str) -> str:
+    """base_prompt with the reattempt block holding hint appended; GuidanceError if it has one already, since
+    stacked hints would corrupt pair assembly."""
+    if HINT_DELIMITER in base_prompt:
+        raise GuidanceError("prompt already contains a hint block")
+    return base_prompt + _REATTEMPT_OPEN + hint + _REATTEMPT_CLOSE
+
+
+def strip_hint_block(prompt: str) -> str:
+    """The unguided prompt a reattempt prompt was rendered from; a prompt without the block unchanged."""
+    return prompt.partition(_REATTEMPT_OPEN)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +133,7 @@ def _repair_prompt(task: Task, location) -> str:
 # ---------------------------------------------------------------------------
 
 _TASK_RE = re.compile(r"^Task: (\S+)$", re.MULTILINE)
-_REPAIR_LINE_RE = re.compile(r"^You will repair statement (\d+):", re.MULTILINE)
+_REPAIR_LINE_RE = re.compile(rf"^{REPAIR_MARKER} (\d+):", re.MULTILINE)
 # A hint's "line N" or "statement N", in any case: what a hint must name and what backends and the RM read.
 HINT_LOCATION_RE = re.compile(r"\b(?:line|statement)\s+(\d+)\b", re.IGNORECASE)
 
@@ -126,13 +150,11 @@ def parse_prompt(prompt: str) -> tuple[str | None, str, int | None]:
     """
     m = _TASK_RE.search(prompt)
     task_id = m.group(1) if m else None
-    if "You will repair statement" not in prompt and "CANDIDATE: <index>" not in prompt:
-        if HINT_DELIMITER not in prompt:
-            return task_id, LOC_STEP, None
-        block = prompt.split(HINT_DELIMITER, 1)[1].split("\n###", 1)[0]
-        matches = HINT_LOCATION_RE.findall(block)
+    if REPAIR_MARKER not in prompt and CANDIDATE_REPLY not in prompt:
+        hint, closed, unclosed = prompt.partition(HINT_DELIMITER)[2].rpartition(_HINT_END)
+        matches = HINT_LOCATION_RE.findall(hint if closed else unclosed)
         return task_id, LOC_STEP, int(matches[-1]) if matches else None
-    if "consider the whole program" in prompt:
+    if WHOLE_PROGRAM_MARKER in prompt:
         return task_id, WHOLE_REPAIR_STEP, None
     m = _REPAIR_LINE_RE.search(prompt)
     return task_id, REPAIR_STEP, int(m.group(1)) if m else None

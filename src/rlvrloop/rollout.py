@@ -25,7 +25,7 @@ from typing import Iterable
 from . import prompts
 from .backends import PolicyBackend, SamplingParams
 from .errors import BackendError, GuidanceLeakError, TaskFormatError
-from .guidance import Guidance, render_reattempt_prompt
+from .guidance import Guidance
 from .jsonl import Once, Shared, derive_seed, read_declared, record, write_records
 from .tasks import SynthTask, Task
 
@@ -189,7 +189,7 @@ def scaffold_batch(
         if guidance is not None:
             key = (prompt, guidance.hint_text())
             if key not in guided:
-                guided[key] = render_reattempt_prompt(prompt, guidance)
+                guided[key] = prompts.render_reattempt_prompt(*key)
             prompt = guided[key]
         loc_prompts.append(prompt)
     locs = backend.generate_batch([(prompt, params) for prompt, (_, params, _) in zip(loc_prompts, attempts)], workers)

@@ -16,7 +16,7 @@ import pytest
 from rlvrloop import prompts
 from rlvrloop.backends import SamplingParams, TabularPolicyBackend
 from rlvrloop.errors import BackendError, TrainingError
-from rlvrloop.guidance import Guidance, render_reattempt_prompt
+from rlvrloop.guidance import Guidance
 from rlvrloop.jsonl import derive_seed, splitmix64
 from rlvrloop.policy import TabularPolicy, softmax
 
@@ -65,7 +65,7 @@ def hinted_prompt(task, line: int) -> str:
         env_interaction=f"line {line}",
         teacher_id="test",
     )
-    return render_reattempt_prompt(prompts.render_localization_prompt(task), guidance)
+    return prompts.render_reattempt_prompt(prompts.render_localization_prompt(task), guidance.hint_text())
 
 
 def every_prompt(task) -> dict[str, str]:

@@ -304,6 +304,31 @@ def test_report_with_selections_missing_a_scored_task_is_a_usage_error(stepwise,
     assert not (tmp_path / "report.json").exists() and not (tmp_path / "report.txt").exists()
 
 
+@pytest.mark.parametrize("reward", [1.7, True, "1"])
+def test_report_refuses_a_selection_reward_rank_never_writes(stepwise, tmp_path, capsys, reward):
+    """A selection's reward reads as rank writes it, the int 0 or 1: any other value is an error line naming the
+    file and line, and no report is written."""
+    d = stepwise
+    assert run(["train-rm", "--tasks", d / "tasks.jsonl", "--dataset", d / "dataset.jsonl",
+                "--rm", tmp_path / "rm.json", "--rm-log", tmp_path / "rm_log.csv"]) == 0
+    selections = tmp_path / "selections.jsonl"
+    assert run(["rank", "--tasks", d / "tasks.jsonl", "--rm", tmp_path / "rm.json",
+                "--eval-rollouts", d / "eval_rollouts.jsonl", "--eval-rewards", d / "eval_rewards.jsonl",
+                "--selections", selections]) == 0
+    lines = selections.read_text().splitlines()
+    lines[1] = dumps(dict(json.loads(lines[1]), reward=reward))
+    selections.write_text("\n".join(lines) + "\n")
+    report = phase_argv(PHASE_TABLE[PHASES.index("report")], d, SMALL_SETS)
+    report[report.index("--report-json") + 1] = tmp_path / "report.json"
+    report[report.index("--report-txt") + 1] = tmp_path / "report.txt"
+    capsys.readouterr()
+    assert run(report + ["--selections", selections]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {selections}: line 2: reward must be 0 or 1, got {reward!r}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "report.txt").exists()
+
+
 def test_guide_without_a_teacher_refuses_a_real_task(tmp_path, capsys):
     """The oracle teacher knows only synthetic defects: a failed real-task attempt and no teacher endpoint
     is an error line naming the cause, and no guidance is written."""

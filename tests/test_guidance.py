@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -21,13 +22,19 @@ from rlvrloop.guidance import (
     oracle_teacher,
     parse_guidance,
     render_guidance_request,
-    render_reattempt_prompt,
     request_guidance,
-    strip_hint_block,
 )
 from rlvrloop.jsonl import read_declared, write_records
 from rlvrloop.policy import TabularPolicy
-from rlvrloop.prompts import HINT_DELIMITER, format_line_completion, render_localization_prompt
+from rlvrloop.prompts import (
+    HINT_DELIMITER,
+    LOC_STEP,
+    format_line_completion,
+    parse_prompt,
+    render_localization_prompt,
+    render_reattempt_prompt,
+    strip_hint_block,
+)
 from rlvrloop.tasks import enumerate_passing_patches
 from rlvrloop.rollout import scaffold_batch
 
@@ -81,6 +88,13 @@ def test_request_fills_every_slot(one_task):
     assert rec.stacktrace.splitlines()[0] in request
     for placeholder in ("{repo}", "{problem_statement}", "{patch}", "{stacktrace_hint}"):
         assert placeholder not in request
+
+
+def test_request_bytes_are_pinned(one_task):
+    """The whole request, trailing newline included, as the teacher reads it: a change of wording is deliberate."""
+    traj, rec = failed_attempt(one_task)
+    request = render_guidance_request(one_task, traj, rec).encode("utf-8")
+    assert hashlib.sha256(request).hexdigest() == "0261d88ff1f8f25bd0db046ff29aed6d42e6a5d83cd1c63986f563f95ed39a9c"
 
 
 def test_request_sentinels_for_empty_patch(one_task):
@@ -167,6 +181,19 @@ def test_parse_accepts_any_order_and_case(order, lower, colon):
     assert parsed.env_interaction == bodies[SECTION_INTERACTION]
 
 
+@pytest.mark.parametrize("heading", ["### {}:", "**{}:**", "**{}**:", "## {}"])
+def test_parse_reads_markdown_headings_as_plain_ones(one_task, heading):
+    """Heading markup belongs to no section, so the hint a guided prompt carries still names its line."""
+    g = make_guidance(task_id=one_task.id, interaction="line 3")
+    plain = parse_guidance(guidance_to_text(g), task_id=one_task.id, source_trajectory_ref="r", teacher_id="x")
+    text = "\n".join(f"{heading.format(name)}\n{body}" for name, body in
+                     zip(SECTIONS, ("change the statement", "the focused test failed", "line 3")))
+    parsed = parse_guidance(text, task_id=one_task.id, source_trajectory_ref="r", teacher_id="x")
+    assert parsed == plain
+    guided = render_reattempt_prompt(render_localization_prompt(one_task), parsed.hint_text())
+    assert parse_prompt(guided) == (one_task.id, LOC_STEP, 3)
+
+
 def test_parse_missing_section_names_it():
     text = f"{SECTION_PLAN}: do things\n{SECTION_FEEDBACK}: test failed"
     with pytest.raises(GuidanceError, match="ENVIRONMENT INTERACTION HINT"):
@@ -208,7 +235,7 @@ def test_parse_assigns_deterministic_id():
 def test_reattempt_prompt_appends_hint_block(one_task):
     base = render_localization_prompt(one_task)
     g = make_guidance(task_id=one_task.id)
-    guided = render_reattempt_prompt(base, g)
+    guided = render_reattempt_prompt(base, g.hint_text())
     assert guided.startswith(base)
     assert HINT_DELIMITER in guided
     assert g.hint_text() in guided
@@ -218,14 +245,14 @@ def test_reattempt_prompt_appends_hint_block(one_task):
 def test_reattempt_prompt_refuses_double_render(one_task):
     base = render_localization_prompt(one_task)
     g = make_guidance(task_id=one_task.id)
-    guided = render_reattempt_prompt(base, g)
+    guided = render_reattempt_prompt(base, g.hint_text())
     with pytest.raises(GuidanceError, match="already contains a hint block"):
-        render_reattempt_prompt(guided, g)
+        render_reattempt_prompt(guided, g.hint_text())
 
 
 def test_strip_hint_block_inverts_render(one_task):
     base = render_localization_prompt(one_task)
-    guided = render_reattempt_prompt(base, make_guidance(task_id=one_task.id))
+    guided = render_reattempt_prompt(base, make_guidance(task_id=one_task.id).hint_text())
     assert strip_hint_block(guided) == base
     assert strip_hint_block(base) == base
 

@@ -498,15 +498,23 @@ def _real_task_file(path):
                          TestSuite(("a",), ()), "r")], path)
 
 
+def _trajectory_file(path):
+    write_trajectories([Trajectory("synth-0000", (Step("Task: synth-0000\nlocalize", "```\nLINE: 0\n```"),),
+                                   Patch((("line:0", "x0 = 2"),), "(0, 0)", (0, 0)), None, SamplingParams(0.0, 62),
+                                   "synth-0000/tabular/62/u")], path)
+
+
 # kind of file -> (its writer of one valid record, its reader, the error a bad record raises)
 FILES = {
     "rewards": (_reward_file, read_rewards, TaskFormatError),
     "synthetic task": (lambda path: save_tasks(generate_synth_suite(1, 3, 3, seed=0), path), load_tasks,
                        TaskFormatError),
     "real task": (_real_task_file, load_tasks, TaskFormatError),
+    "trajectory": (_trajectory_file, read_trajectories, TaskFormatError),
     "policy": (lambda path: TabularPolicy.uniform(generate_synth_suite(1, 3, 3, seed=0)).save(path),
                TabularPolicy.load, CheckpointError),
 }
+NESTED = {"timeout_s": "env_spec", "setup_commands": "env_spec", "synth": "patch"}  # key -> the record holding it
 
 
 @pytest.mark.parametrize("kind, key, value", [
@@ -515,6 +523,10 @@ FILES = {
     ("synthetic task", "expected_output", 10.5), ("synthetic task", "buggy_line", 1.9),
     ("synthetic task", "buggy_line", True), ("real task", "timeout_s", "10"), ("real task", "timeout_s", False),
     ("policy", "fine_tuned", "false"), ("policy", "fine_tuned", 0),
+    # a string where a list is declared would read as its characters: "make" as four shell commands
+    ("synthetic task", "lines", "ab"), ("synthetic task", "candidates", "abc"),
+    ("synthetic task", "candidates", ["ab", "cd", "ef"]), ("real task", "setup_commands", "make"),
+    ("trajectory", "synth", "01"), ("trajectory", "synth", {"0": 1}),
 ])
 def test_a_read_refuses_a_value_of_a_type_its_writer_never_writes(tmp_path, kind, key, value):
     """No value is converted on the way in: one of the wrong type is an error naming the file, its line in a
@@ -524,7 +536,7 @@ def test_a_read_refuses_a_value_of_a_type_its_writer_never_writes(tmp_path, kind
     write(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     rec = json.loads(lines[-1])
-    (rec["env_spec"] if key == "timeout_s" else rec)[key] = value
+    (rec[NESTED[key]] if key in NESTED else rec)[key] = value
     path.write_text("\n".join([*lines[:-1], dumps(rec)]) + "\n", encoding="utf-8")
     where = f"{path}: " if error is CheckpointError else f"{path}: line 2: "
     with pytest.raises(error, match=re.escape(where) + f".*{key}"):

@@ -7,7 +7,7 @@ import pytest
 from rlvrloop.backends import SamplingParams, TabularPolicyBackend
 from rlvrloop.errors import AssemblyError, TaskFormatError
 from rlvrloop.evaluator import RewardRecord
-from rlvrloop.guidance import Guidance, render_reattempt_prompt
+from rlvrloop.guidance import Guidance
 from rlvrloop.loop import (
     evaluate_trajectories,
     guide_failures,
@@ -25,7 +25,7 @@ from rlvrloop.pairs import (
     sample_sft_subset,
 )
 from rlvrloop.policy import TabularPolicy
-from rlvrloop.prompts import HINT_DELIMITER
+from rlvrloop.prompts import HINT_DELIMITER, render_reattempt_prompt
 from rlvrloop.rollout import Patch, Step, Trajectory
 
 
@@ -164,7 +164,7 @@ def test_prompt_mismatch_is_an_error():
 def guided_setup():
     loser = mk_traj("t1", "t1/x/0/u", "wrong answer")
     guidance = mk_guidance("t1", loser.traj_id)
-    guided_prompt = render_reattempt_prompt(loser.steps[0].prompt, guidance)
+    guided_prompt = render_reattempt_prompt(loser.steps[0].prompt, guidance.hint_text())
     winner = mk_traj(
         "t1", "t1/x/9/g", "right answer", prompt=guided_prompt, guidance_id=guidance.guidance_id
     )

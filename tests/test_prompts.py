@@ -1,9 +1,12 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlvrloop.prompts import (
     HINT_DELIMITER,
+    HINT_LOCATION_RE,
     LOC_STEP,
     REPAIR_STEP,
     WHOLE_REPAIR_STEP,
@@ -16,7 +19,9 @@ from rlvrloop.prompts import (
     parse_line_completion,
     parse_prompt,
     render_localization_prompt,
+    render_reattempt_prompt,
     render_repair_prompt,
+    strip_hint_block,
 )
 from rlvrloop.tasks import EnvSpec, RealTask, TestSuite
 
@@ -127,3 +132,25 @@ def test_prompt_hint_line():
     # matches outside the block are ignored
     prompt = f"{HINT_DELIMITER}\nno location words\n###\nbut line 9 later"
     assert parse_prompt(prompt) == (None, LOC_STEP, None)
+
+
+# Hint lines: locations, "###" lines, the delimiter itself, backticks, and text built from their characters.
+HINT_LINES = st.lists(st.one_of(
+    st.builds("line {}".format, st.integers(0, 99)),
+    st.sampled_from(["###", "### PLAN HINT:", "**ENVIRONMENT INTERACTION HINT:**", HINT_DELIMITER, "```", "`x.py`"]),
+    st.text(alphabet="aeilnst #`*:\n0123456789", max_size=30),
+), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=HINT_LINES)
+def test_any_hint_reads_back_from_its_reattempt_block(small_suite, lines):
+    """The hint is the text between the block's fixed opening and closing text, whatever it holds: stripping the
+    block gives the unguided prompt back, and the line the prompt names is the hint's last one."""
+    task = small_suite.tasks[0]
+    base, hint = render_localization_prompt(task), "\n".join(lines)
+    guided = render_reattempt_prompt(base, hint)
+    assert strip_hint_block(guided) == base
+    named = HINT_LOCATION_RE.findall(hint)
+    assert parse_prompt(guided) == (task.id, LOC_STEP, int(named[-1]) if named else None)
+
