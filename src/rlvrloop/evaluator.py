@@ -16,11 +16,11 @@ import time
 from dataclasses import field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Annotated, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .backends import call_batch
 from .errors import BackendError, SandboxProvisionError
-from .jsonl import Key, Shared, read_declared, record, write_records
+from .jsonl import Shared, read_declared, record, write_records
 from .rollout import Trajectory
 from .tasks import ProgramError, RealTask, SynthTask, Task, apply_candidate, run_program
 
@@ -54,10 +54,8 @@ class RewardRecord:
     # rewards file, and two records that differ only here compare equal.
     wall_time_s: float = field(default=0.0, compare=False)
 
-    def __post_init__(self):  # the exact types, so a record is written as it reads back
+    def __post_init__(self):
         check_reward(self.reward)
-        if type(self.empty_patch) is not bool:
-            raise ValueError(f"empty_patch must be True or False, got {self.empty_patch!r}")
         if self.empty_patch and self.reward != 0:
             raise ValueError("empty patch cannot earn reward")
 
@@ -68,7 +66,7 @@ class EvaluationFailure:
 
     task_id: Shared[str]
     trajectory_ref: str
-    error: Shared[Annotated[str, Key("infrastructure_error")]]
+    infrastructure_error: Shared[str]
 
 
 _NO_TESTS = MappingProxyType({})
@@ -254,7 +252,7 @@ def evaluate_batch(
     sandboxed = any(not isinstance(task, SynthTask) for task, _ in items)
     results = call_batch(evaluate, items, workers if sandboxed else 1, errors=(SandboxProvisionError, BackendError))
     return [
-        EvaluationFailure(task_id=task.id, trajectory_ref=traj.traj_id, error=str(r)) if isinstance(r, Exception) else r
+        EvaluationFailure(task.id, traj.traj_id, str(r)) if isinstance(r, Exception) else r
         for (task, traj), r in zip(items, results)
     ]
 

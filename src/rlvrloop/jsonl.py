@@ -7,16 +7,16 @@ No artifact records a wall-clock value, so reruns of a deterministic
 pipeline write identical bytes and a plain content hash tells them apart.
 
 A record type is a dataclass whose declaration is its file format: a line is
-dumps of the fields its equality compares (each under its name or declared
-Key) and its ClassVar tags, nested records, tuples and read-only maps as the
-type hints say, an empty optional tuple as null. A value reads back as the
-JSON holds it, so a type's __post_init__ sees the value a file states and
-refuses the ones its writer never writes; a key no field declares is
-ignored. Shared values are escaped once per file and read as one object
-each. A Once string is written in full at its first occurrence in a file and
-as its ordinal after that: the position of that first occurrence among the
-file's distinct Once strings, counted in text order (line by line, and
-within a line by sorted key and list order).
+dumps of the fields its equality compares, each under its name, and its
+ClassVar tags, nested records, tuples and read-only maps as the type hints
+say. A read refuses, naming the key, a value of a JSON type its field's hint
+does not declare (see _Codecs._convert); one that passes reads as the JSON
+holds it, for the type's __post_init__ to check its range, and a key no
+field declares is ignored. Shared values are escaped once per file and read
+as one object each. A Once string is written in full at its first occurrence
+in a file and as its ordinal after that: the position of that first
+occurrence among the file's distinct Once strings, counted in text order
+(line by line, and within a line by sorted key and list order).
 
 Each record type compiles one encoder and one decoder: a line is one
 f-string, a nested record its own type's encoder call, and the text of a map
@@ -121,10 +121,6 @@ Shared = Annotated[T, "shared"]
 Once = Annotated[T, "once"]  # a string
 
 
-class Key(str):
-    """Annotated[X, Key(name)]: the field's JSON key is name."""
-
-
 def _parse(hint) -> tuple[Any, tuple, bool]:
     """(type, Annotated markers, whether None is allowed) of a field's type hint."""
     marks = ()
@@ -163,12 +159,6 @@ def record(cls: type[T]) -> type[T]:
     return cls
 
 
-def _keyed(cls, hints: dict) -> list[tuple[str, str]]:
-    """(JSON key, field name) of each field of record type cls that equality compares, in the order of its text."""
-    return sorted((next((m for m in _parse(hints[f.name])[1] if isinstance(m, Key)), f.name), f.name)
-                  for f in fields(cls) if f.init and f.compare)
-
-
 def _map_text(texts: dict, value: Mapping) -> str:
     """dumps of map value's items, made once per file per map object; texts keeps value alive, so no later object
     takes its id."""
@@ -186,19 +176,34 @@ def _once(v, table: list, shared: dict, key: str) -> str:
     return v
 
 
-def _list(v, key: str) -> list:
-    """JSON value v, which a tuple field is read from, if it is a list: a string would read as its characters."""
-    if type(v) is not list:
-        raise ValueError(f"{key}: expected a list, got {v!r}")
+# The JSON values each scalar type reads: the test of one, {v} being its first use and {t} the others, and what a
+# refusal names. An int is not a bool, and a float field also reads an integer, as a hand-written timeout of 10.
+_SCALARS = {
+    str: ("type({v}) is str", "a string"),
+    int: ("type({v}) is int", "an integer"),
+    float: ("type({v}) in (int, float)", "a number"),
+    bool: ("{v} is True or {t} is False", "true or false"),
+}
+
+
+def _refuse(v, key: str, expected: str):
+    raise ValueError(f"{key}: expected {expected}, got {v!r}")
+
+
+def _list(v, key: str, n: int = -1) -> list:
+    """JSON value v, which a tuple field is read from, if it is a list (of n items unless n is -1); a function, as
+    a comprehension's iterable cannot bind a name."""
+    if type(v) is not list or n != -1 and len(v) != n:
+        _refuse(v, key, "a list" if n == -1 else f"a list of {n}")
     return v
 
 
 def _shared_map(value, shared: dict) -> Mapping:
-    """A read-only map of value's items, one object for every equal map read through shared."""
-    key = (Mapping, tuple(dict(value).items()))
+    """A read-only view of dict value, one object for every equal map read through shared."""
+    key = (Mapping, tuple(value.items()))
     hit = shared.get(key)
     if hit is None:
-        hit = shared[key] = MappingProxyType(dict(key[1]))
+        hit = shared[key] = MappingProxyType(value)
     return hit
 
 
@@ -215,13 +220,13 @@ class _Codecs(dict):
 
     def __missing__(self, cls):
         env = {"cls": cls, "d": dumps, "s": dumps_scalar, "a": encode_basestring_ascii, "_map_text": _map_text,
-               "_shared_map": _shared_map, "_once": _once, "_list": _list}
+               "_shared_map": _shared_map, "_once": _once, "_list": _list, "_refuse": _refuse}
         hints, temps = get_type_hints(cls, include_extras=True), itertools.count()
         parts = [(name, dumps(getattr(cls, name))) for name, hint in hints.items() if get_origin(hint) is ClassVar]
-        parts += [(key, "{" + self._encode(hints[name], f"x.{name}", env, temps) + "}")
-                  for key, name in _keyed(cls, hints)]
+        names = sorted(f.name for f in fields(cls) if f.init and f.compare)  # each its JSON key, in text order
+        parts += [(name, "{" + self._encode(hints[name], f"x.{name}", env, temps) + "}") for name in names]
         line = "{{" + ",".join(f'"{key}":{text}' for key, text in sorted(parts)) + "}}"
-        values = [(name, *self._decode(hints[name], key, env, temps)) for key, name in _keyed(cls, hints)]
+        values = [(name, *self._decode(hints[name], name, env, temps)) for name in names]
         args = ", ".join(f"{name}={self._one(code, temps) if shared else code}" for name, code, shared in values)
         source = f"def enc(x, m, o, t):\n return f'{line}'\n"
         source += f"def dec(r, shared, table):\n one = shared.setdefault\n return cls({args})\n"
@@ -244,9 +249,9 @@ class _Codecs(dict):
             return f'"[" + ",".join([{self._encode(args[0], y, env, temps)} for {y} in {v}]) + "]"'
         if kind in (bool, int, float):
             return f"s({v})"
-        if get_origin(kind) is tuple and optional:  # an empty optional tuple is null
+        if get_origin(kind) is tuple and optional:
             code = f'"[" + ",".join(map(s, {v})) + "]"' if {bool, int, float}.issuperset(args) else f"d({v})"
-            return f'({v} and {code} or "null")'
+            return f'("null" if {v} is None else {code})'
         if "once" in marks:
             return f"o[{v}]"
         if "shared" in marks:
@@ -267,28 +272,39 @@ class _Codecs(dict):
         if "once" in marks:  # an ordinal is an int in range: not a bool, and never negative
             ordinal = f"type({t} := {v}) is int and 0 <= {t} < len(table)"
             return f"(table[{t}] if {ordinal} else _once({t}, table, shared, {key!r}))", False
-        if optional and (is_dataclass(kind) or get_origin(kind) is tuple):  # null is None, and so is an empty tuple
-            test = f"({t} := {v}) is None" + ("" if is_dataclass(kind) else f" or {t} == []")
-            code = f"(None if {test} else {self._convert(kind, t, env, temps, key)})"
+        if optional:
+            code = f"(None if ({t} := {v}) is None else {self._convert(kind, t, env, temps, key)})"
         else:
             code = self._convert(kind, v, env, temps, key)
         return code, "shared" in marks and get_origin(kind) is not Mapping
 
     def _convert(self, kind, v: str, env: dict, temps: Iterator[int], key: str) -> str:
-        """Source of the declared value that JSON value v stands for; a tuple is read from a JSON list only."""
+        """Source of the value JSON value v stands for if kind reads v's JSON type, else of a ValueError naming key: a
+        scalar reads as _SCALARS says, a tuple a list of its items (as many as a fixed one has, each of its first
+        item's type), a map an object of its values, and a record an object."""
         args = get_args(kind)
         if is_dataclass(kind):
             env[name := f"d{id(kind)}"] = self[kind][1]
-            return f"{name}({v}, shared, table)"
+            return f"{name}({self._check(v, 'type({v}) is dict', 'an object', key, temps)}, shared, table)"
         if get_origin(kind) is Mapping:
-            return f"_shared_map({v}, shared)"
-        if get_origin(kind) is not tuple:
-            return v
-        v = f"_list({v}, {key!r})"
-        if args[-1] is Ellipsis and (is_dataclass(_parse(args[0])[0]) or get_origin(args[0]) is tuple):
-            code, shared = self._decode(args[0], key, env, temps, "y")
-            return f"tuple([{self._one(code, temps) if shared else code} for y in {v}])"
-        return f"tuple({v})"
+            test, expected = _SCALARS[args[1]]
+            values = f"type({{v}}) is dict and all([{test.format(v='y', t='y')} for y in {{t}}.values()])"
+            check = self._check(v, values, f"an object whose every value is {expected}", key, temps)
+            return f"_shared_map({check}, shared)"
+        if get_origin(kind) is tuple:
+            y = f"_{next(temps)}"
+            code, shared = self._decode(args[0], key, env, temps, y)
+            items = f"_list({v}, {key!r}, {-1 if args[-1] is Ellipsis else len(args)})"
+            return f"tuple([{self._one(code, temps) if shared else code} for {y} in {items}])"
+        test, expected = _SCALARS[kind]
+        return self._check(v, test, expected, key, temps)
+
+    @staticmethod
+    def _check(v: str, test: str, expected: str, key: str, temps: Iterator[int]) -> str:
+        """Source of JSON value v if test (see _SCALARS) holds of it, else of a ValueError naming key."""
+        t = v if v.isidentifier() else f"_{next(temps)}"
+        test = test.format(v=v if t == v else f"({t} := {v})", t=t)
+        return f"({t} if {test} else _refuse({t}, {key!r}, {expected!r}))"
 
 
 _CODECS = _Codecs()

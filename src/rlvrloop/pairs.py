@@ -84,6 +84,11 @@ def _reward_map(records: Iterable[RewardRecord | EvaluationFailure]) -> dict[str
     return out
 
 
+def _scored(trajectories: Iterable[Trajectory], rewards: dict[str, RewardRecord], reward: int) -> list[Trajectory]:
+    """The trajectories that rewards scores as reward; an unscored one is left out."""
+    return [t for t in trajectories if (rec := rewards.get(t.traj_id)) is not None and rec.reward == reward]
+
+
 def _side(traj: Trajectory) -> PairSide:
     return PairSide(
         trajectory_ref=traj.traj_id,
@@ -291,26 +296,16 @@ def build_rlvr_dataset(
         if _admit(pair, seen, stats):
             pairs.append(pair)
 
-    positives = [t for t in trajectories if rewards.get(t.traj_id) and rewards[t.traj_id].reward == 1]
-    sft_pool = list(positives)
-    if include_guided_in_sft:
-        sft_pool += [
-            t
-            for t in guided_trajectories
-            if guided_rewards.get(t.traj_id) and guided_rewards[t.traj_id].reward == 1
-        ]
+    positives = _scored(trajectories, rewards, 1)
+    sft_pool = positives + _scored(guided_trajectories, guided_rewards, 1) if include_guided_in_sft else positives
     sft = sample_sft_subset(sft_pool, sft_fraction, seed, allow_guided=include_guided_in_sft)
-
-    negatives_total = sum(
-        1 for t in trajectories if rewards.get(t.traj_id) and rewards[t.traj_id].reward == 0
-    )
     accounting = {
         "rollout_pairs": n_rollout_pairs,
         "guided_repair_pairs": len(pairs) - n_rollout_pairs,
         "pairs_total": len(pairs),
         "sft_examples": len(sft),
         "positives_total": len(positives),
-        "negatives_total": negatives_total,
+        "negatives_total": len(_scored(trajectories, rewards, 0)),
         "guided_successes": sum(1 for r in guided_rewards.values() if r.reward == 1),
         "skipped_guided_no_failure": skipped_guided,
         **stats,

@@ -141,22 +141,22 @@ HINT_LOCATION_RE = re.compile(r"\b(?:line|statement)\s+(\d+)\b", re.IGNORECASE)
 def parse_prompt(prompt: str) -> tuple[str | None, str, int | None]:
     """(task id, step, line) of a scaffold prompt, read the way a desk-scale backend reads it.
 
-    The step comes from the reply format the prompt asks for: LOC_STEP,
-    REPAIR_STEP, or WHOLE_REPAIR_STEP for a repair that names no statement.
-    line is the statement a localization prompt's hint block names, or the
-    one a repair prompt repairs; None when there is none. In a hint block the
-    environment-interaction section is the last line mentioning a statement,
-    so the final match wins when several numbers appear.
+    Both the task id and the step, read from the reply format the prompt asks for (LOC_STEP, REPAIR_STEP, or
+    WHOLE_REPAIR_STEP for a repair that names no statement), come from the text before any hint block. line is
+    the statement a localization prompt's hint block names, or the one a repair prompt repairs; None when there
+    is none. In a hint block the environment-interaction section is the last line mentioning a statement, so the
+    final match wins when several numbers appear.
     """
-    m = _TASK_RE.search(prompt)
+    base, _, block = prompt.partition(HINT_DELIMITER)
+    m = _TASK_RE.search(base)
     task_id = m.group(1) if m else None
-    if REPAIR_MARKER not in prompt and CANDIDATE_REPLY not in prompt:
-        hint, closed, unclosed = prompt.partition(HINT_DELIMITER)[2].rpartition(_HINT_END)
+    if REPAIR_MARKER not in base and CANDIDATE_REPLY not in base:
+        hint, closed, unclosed = block.rpartition(_HINT_END)
         matches = HINT_LOCATION_RE.findall(hint if closed else unclosed)
         return task_id, LOC_STEP, int(matches[-1]) if matches else None
-    if WHOLE_PROGRAM_MARKER in prompt:
+    if WHOLE_PROGRAM_MARKER in base:
         return task_id, WHOLE_REPAIR_STEP, None
-    m = _REPAIR_LINE_RE.search(prompt)
+    m = _REPAIR_LINE_RE.search(base)
     return task_id, REPAIR_STEP, int(m.group(1)) if m else None
 
 

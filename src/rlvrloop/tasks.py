@@ -70,8 +70,6 @@ class EnvSpec:
     isolation: str  # a tasks file states it; the one mode that runs is process_sandbox
 
     def __post_init__(self):
-        if type(self.timeout_s) not in (int, float):
-            raise TaskFormatError(f"timeout_s must be a number, got {self.timeout_s!r}")
         if not self.timeout_s > 0:  # NaN too: subprocess never times a command out on a NaN budget
             raise TaskFormatError(f"timeout_s must be > 0, got {self.timeout_s}")
         if self.isolation != "process_sandbox":
@@ -120,9 +118,6 @@ class SynthTask(Task):
     patch_outcomes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("buggy_line", "expected_output"):
-            if type(getattr(self, name)) is not int:
-                raise TaskFormatError(f"{self.id}: {name} must be an integer, got {getattr(self, name)!r}")
         if len(self.lines) < 2:
             raise TaskFormatError(f"{self.id}: synthetic program needs at least 2 lines")
         if not 0 <= self.buggy_line < len(self.lines):
@@ -458,26 +453,21 @@ TASKS_SCHEMA = "tasks"
 def load_tasks(path: str | Path) -> TaskDataset:
     """Load a JSONL task file, one task per line after the header.
 
-    Raises TaskFormatError naming the path and line on parse failures,
-    duplicate ids, or unresolvable real-task workspaces. An empty file is
+    Raises TaskFormatError naming the path, and the line on parse failures or the task on duplicate ids or
+    unresolvable real-task workspaces, which are checked once the read has checked every value. An empty file is
     usable but suspicious, so it loads with a warning.
     """
-    seen: set[str] = set()
-
-    def kind(rec: dict) -> type[Task]:
-        if rec["id"] in seen:
-            raise ValueError(f"duplicate task id {rec['id']!r}")
-        seen.add(rec["id"])
-        if rec.get("kind") == "synth" or "lines" in rec:
-            return SynthTask
-        if not Path(rec["workspace"]).is_dir():
-            raise ValueError(f"workspace {rec['workspace']!r} is not a directory")
-        return RealTask
-
-    tasks = read_declared(path, TASKS_SCHEMA, kind)
+    tasks = read_declared(path, TASKS_SCHEMA,
+                          lambda rec: SynthTask if rec.get("kind") == "synth" or "lines" in rec else RealTask)
+    for task in tasks:
+        if isinstance(task, RealTask) and not Path(task.workspace).is_dir():
+            raise TaskFormatError(f"{path}: task {task.id!r}: workspace {task.workspace!r} is not a directory")
     if not tasks:
         log.warning("task file %s contains no tasks", path)
-    return TaskDataset(tasks=tuple(tasks))
+    try:
+        return TaskDataset(tasks=tuple(tasks))
+    except TaskFormatError as exc:  # a duplicate id
+        raise TaskFormatError(f"{path}: {exc}") from None
 
 
 def save_tasks(dataset: TaskDataset | Iterable[Task], path: str | Path) -> int:

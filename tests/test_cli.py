@@ -218,7 +218,8 @@ def test_stepwise_guide_with_a_dead_teacher_is_an_infrastructure_error(stepwise,
     assert f"guide: {len(failed)} attempts lost to infrastructure errors" in err and "Traceback" not in err
     lost = read_artifact("guidance", out)
     assert [(g.task_id, g.trajectory_ref) for g in lost] == [(r.task_id, r.trajectory_ref) for r in failed]
-    assert all(isinstance(g, EvaluationFailure) and "remote-teacher: request failed" in g.error for g in lost)
+    assert all(isinstance(g, EvaluationFailure) and "remote-teacher: request failed" in g.infrastructure_error
+               for g in lost)
 
 
 def test_rank_and_report_selections_flow(stepwise, tmp_path):

@@ -395,7 +395,7 @@ def test_output_that_is_not_utf8_costs_no_more_than_its_own_attempt(scripted_rep
                                                         "process_sandbox"))
     [failure] = evaluate_batch([(broken, fix)], workers=1)
     assert isinstance(failure, EvaluationFailure)
-    assert "exited 1" in failure.error and "�" in failure.error
+    assert "exited 1" in failure.infrastructure_error and "�" in failure.infrastructure_error
 
 
 def test_missing_workspace_is_infra(tmp_path):
@@ -560,12 +560,10 @@ def test_reward_record_validation():
     (True, False, "reward must be 0 or 1, got True"),
     (False, False, "reward must be 0 or 1, got False"),
     (1.0, False, "reward must be 0 or 1, got 1.0"),
-    (0, 0, "empty_patch must be True or False, got 0"),
-    (1, None, "empty_patch must be True or False, got None"),
 ])
 def test_reward_record_refuses_a_value_its_file_would_not_read_back_as(tmp_path, reward, empty_patch, message):
-    """A rewards file writes reward and empty_patch as given and reads them through int() and bool(), so a record
-    holding True, 1.0 or 0 there would not rewrite to its own bytes: it is refused where it is built."""
+    """A reward is the int 0 or 1: a record holding True or 1.0 there would write a line the read refuses, so it is
+    refused where it is built."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         RewardRecord("t", "r", reward, {}, empty_patch, None)
     accepted = [RewardRecord("t", f"r{r}{e}", r, {}, e, None) for r, e in [(0, True), (0, False), (1, False)]]
@@ -576,7 +574,7 @@ def test_reward_record_refuses_a_value_its_file_would_not_read_back_as(tmp_path,
 
 def test_record_round_trip_discriminates_infra(tmp_path, one_task):
     rec = evaluate(one_task, synth_attempt(one_task, 0, 1))
-    infra = EvaluationFailure(task_id="t", trajectory_ref="r", error="sandbox broke")
+    infra = EvaluationFailure(task_id="t", trajectory_ref="r", infrastructure_error="sandbox broke")
     path = tmp_path / "rewards.jsonl"
     write_rewards([rec, infra], path)
     assert read_rewards(path) == [rec, infra]
@@ -612,7 +610,8 @@ def test_read_rewards_shares_task_ids_stack_traces_and_test_maps(tmp_path, small
 def reference_record(rec):
     """A reward file's record, spelled out field by field: the oracle the writer's lines are checked against."""
     if isinstance(rec, EvaluationFailure):
-        return {"task_id": rec.task_id, "trajectory_ref": rec.trajectory_ref, "infrastructure_error": rec.error}
+        return {"task_id": rec.task_id, "trajectory_ref": rec.trajectory_ref,
+                "infrastructure_error": rec.infrastructure_error}
     return {
         "task_id": rec.task_id,
         "trajectory_ref": rec.trajectory_ref,

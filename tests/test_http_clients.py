@@ -328,7 +328,7 @@ def test_a_sandbox_failure_costs_only_its_own_reward_record(server, scripted_rep
         assert [r.trajectory_ref for r in got] == list(seeds)
         for want, record in zip(expected, got):
             if record.trajectory_ref in faulted:
-                assert isinstance(record, EvaluationFailure) and "setup command" in record.error
+                assert isinstance(record, EvaluationFailure) and "setup command" in record.infrastructure_error
             else:
                 assert record == want
         lines = (tmp_path / f"faulted-{i}.jsonl").read_text().count('"infrastructure_error"')

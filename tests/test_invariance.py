@@ -227,7 +227,7 @@ def test_a_garbled_or_dead_teacher_exchange_costs_only_its_own_guidance(fault, d
     for ref, g in got["guidance"].items():
         if ref in faulted:
             assert isinstance(g, EvaluationFailure) and g.task_id == expected["guidance"][ref].task_id, ref
-            assert ("injected fault" if dead else "unusable reply") in g.error, ref
+            assert ("injected fault" if dead else "unusable reply") in g.infrastructure_error, ref
         else:
             assert g == expected["guidance"][ref], ref
             live.add(g.guidance_id)

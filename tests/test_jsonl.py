@@ -1,13 +1,16 @@
+import functools
 import hashlib
 import inspect
 import json
+import operator
 import pickle
 import random
 import re
 import tempfile
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
-from types import MappingProxyType
-from typing import Annotated, ClassVar, Mapping
+from collections import abc
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass, replace
+from types import MappingProxyType, UnionType
+from typing import Annotated, ClassVar, Mapping, Union, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,10 +21,10 @@ from doubles import run_python
 from rlvrloop.backends import SamplingParams
 from rlvrloop.errors import CheckpointError, TaskFormatError
 from rlvrloop.evaluator import EvaluationFailure, RewardRecord, read_rewards, write_rewards
+from rlvrloop.guidance import Guidance
 from rlvrloop.jsonl import (
     HASH_CHUNK_BYTES,
     SCHEMA_VERSION,
-    Key,
     Once,
     Shared,
     canonical_file_hash,
@@ -33,6 +36,8 @@ from rlvrloop.jsonl import (
     record_lines,
     write_records,
 )
+from rlvrloop.loop import read_guidance, write_guidance
+from rlvrloop.pairs import PairSide, PreferencePair, RlvrDataset, SFTExample, emit_dataset, load_dataset
 from rlvrloop.policy import TabularPolicy
 from rlvrloop.rollout import Patch, Step, Trajectory, read_trajectories, write_trajectories
 from rlvrloop.tasks import EnvSpec, RealTask, SynthTask, TestSuite, generate_synth_suite, load_tasks, save_tasks
@@ -56,7 +61,7 @@ class Tree:
     kind: ClassVar[str] = "tree"
 
     task_id: Shared[str]
-    label: Annotated[str, Key("title")]
+    label: str
     branch: Branch | None
     tags: Mapping[str, str]
     names: tuple[str, ...]
@@ -69,7 +74,7 @@ def test_a_new_record_type_needs_only_its_declaration(tmp_path):
     a, b = Leaf("a", 1.5), Leaf("b \u00e9", 2.0)
     trees = [
         Tree("t1", "one", Branch(a, (a, b), (3, 4)), MappingProxyType({"z": "1", "a": "2"}), ("x",), None, 9.5),
-        Tree("t1", "two", Branch(b, (), ()), {"k": "v"}, (), "a note"),
+        Tree("t1", "two", Branch(b, (), None), {"k": "v"}, (), "a note"),
         Tree("t2", "three", None, {"z": "1", "a": "2"}, ("y", "x"), "a note"),
     ]
     path = tmp_path / "trees.jsonl"
@@ -78,14 +83,13 @@ def test_a_new_record_type_needs_only_its_declaration(tmp_path):
     assert lines == [dumps(json.loads(line)) for line in lines]  # sorted keys, compact separators
     leaf = {"name": "a", "weight": 1.5}
     assert json.loads(lines[0]) == {
-        "kind": "tree", "task_id": "t1", "title": "one", "tags": {"a": "2", "z": "1"}, "names": ["x"], "note": None,
+        "kind": "tree", "task_id": "t1", "label": "one", "tags": {"a": "2", "z": "1"}, "names": ["x"], "note": None,
         "branch": {"leaf": leaf, "leaves": [leaf, {"name": "b \u00e9", "weight": 2.0}], "span": [3, 4]},
     }
     assert json.loads(lines[1])["branch"]["span"] is None and json.loads(lines[2])["branch"] is None
 
     back = read_declared(path, "trees", Tree)
-    assert back[0] == trees[0] and back[2] == trees[2]
-    assert back[1].branch.span is None and back[1] == Tree("t1", "two", Branch(b, (), None), {"k": "v"}, (), "a note")
+    assert back == trees
     # equal Shared values and equal maps are one object each; a map reads back read-only
     assert back[0].branch.leaves[0] is back[0].branch.leaf and back[1].branch.leaf is back[0].branch.leaves[1]
     assert back[1].note is back[2].note and back[0].tags is back[2].tags
@@ -98,8 +102,8 @@ def test_a_new_record_type_needs_only_its_declaration(tmp_path):
     write_records(path, "trees", [old, {**json.loads(lines[1].replace('"weight":2.0', '"weight":2')), "x": 1}])
     assert read_declared(path, "trees", Tree) == [replace(trees[2], note=None), back[1]]
     assert type(read_declared(path, "trees", Tree)[1].branch.leaf.weight) is int
-    write_records(path, "trees", [json.loads(lines[0]), json.loads(lines[1].replace('"title"', '"label"'))])
-    with pytest.raises(TaskFormatError, match="trees.jsonl: line 3: missing field 'title'"):
+    write_records(path, "trees", [json.loads(lines[0]), json.loads(lines[1].replace('"label"', '"title"'))])
+    with pytest.raises(TaskFormatError, match="trees.jsonl: line 3: missing field 'label'"):
         read_declared(path, "trees", Tree)
 
 
@@ -203,8 +207,7 @@ RECORDS = {
     Trajectory: (("t1", _STEPS, _PATCH, None, SamplingParams(0.0, 3, 64), "t1/tabular/3/u"), {}, []),
     # a plain dict of tests, which pickles where a read-only map would not, for a plain dataclass either
     RewardRecord: (("t1", "t1/tabular/3/u", 1, {"a": "pass"}, False, None), {"wall_time_s": 0.0},
-                   [({"reward": True}, "reward"), ({"empty_patch": 1}, "empty_patch"),
-                    ({"reward": 1, "empty_patch": True}, "empty patch")]),
+                   [({"reward": True}, "reward"), ({"reward": 1, "empty_patch": True}, "empty patch")]),
     EvaluationFailure: (("t1", "t1/tabular/3/u", "backend died"), {}, []),
 }
 
@@ -494,8 +497,8 @@ def _reward_file(path):
 
 
 def _real_task_file(path):
-    save_tasks([RealTask("real-1", "x", str(path.parent), EnvSpec((), "true", 10.0, "process_sandbox"),
-                         TestSuite(("a",), ()), "r")], path)
+    save_tasks([RealTask("real-1", "x", str(path.parent), EnvSpec(("make",), "true", 10.0, "process_sandbox"),
+                         TestSuite(("a",), ("b",)), "r")], path)
 
 
 def _trajectory_file(path):
@@ -541,3 +544,87 @@ def test_a_read_refuses_a_value_of_a_type_its_writer_never_writes(tmp_path, kind
     where = f"{path}: " if error is CheckpointError else f"{path}: line 2: "
     with pytest.raises(error, match=re.escape(where) + f".*{key}"):
         read(path)
+
+
+# Each record type a reader decodes -> (a writer of a file whose last line is one such record, every tuple in it
+# holding an item and every optional record set, its reader of the file's records)
+DECLARED = {
+    SynthTask: (FILES["synthetic task"][0], lambda path: load_tasks(path).tasks),
+    RealTask: (_real_task_file, lambda path: load_tasks(path).tasks),
+    Trajectory: (_trajectory_file, read_trajectories),
+    RewardRecord: (_reward_file, read_rewards),
+    EvaluationFailure: (lambda path: write_rewards([EvaluationFailure("t1", "t1/tabular/3/u", "lost")], path),
+                        read_rewards),
+    Guidance: (lambda path: write_guidance([Guidance("g-1", "t1", "t1/tabular/3/u", "plan", "feedback", "line 0",
+                                                     "teacher")], path), read_guidance),
+    PreferencePair: (lambda path: emit_dataset(RlvrDataset(pairs=(PreferencePair(
+        "t1", "prompt", PairSide("t1/a", "right", (0, 1)), PairSide("t1/b", "wrong", (1, 0)), "rollout_pair"),)), path),
+        lambda path: load_dataset(path).pairs),
+    SFTExample: (lambda path: emit_dataset(RlvrDataset(sft=(SFTExample("t1", "prompt", "right", (0, 1)),)), path),
+                 lambda path: load_dataset(path).sft),
+}
+# A value of each JSON type. 0 is no Once string's ordinal: each file's first Once string is the one replaced.
+SAMPLES = ("text", 0, 2.5, True, None, [], {})
+# The Python types of the JSON values each scalar type reads: an int is not a bool, and a float is any number.
+READS = {str: (str,), int: (int,), float: (int, float), bool: (bool,)}
+
+
+def declared(hint) -> tuple[type, bool]:
+    """(the type, whether it is optional) of a field's hint, its Shared or Once marks dropped."""
+    if get_origin(hint) is Annotated:
+        hint = hint.__origin__
+    if get_origin(hint) in (Union, UnionType) and type(None) in get_args(hint):
+        return next(arg for arg in get_args(hint) if arg is not type(None)), True
+    return hint, False
+
+
+def field_paths(cls, path=()):
+    """(JSON path, hint) of each field a record type's line holds, and of each field of the records in it."""
+    hints = get_type_hints(cls, include_extras=True)
+    for f in fields(cls):
+        if f.init and f.compare:
+            yield (*path, f.name), hints[f.name]
+            kind, where = declared(hints[f.name])[0], (*path, f.name)
+            if get_origin(kind) is tuple:  # of records, the fields of its first
+                kind, where = declared(get_args(kind)[0])[0], (*where, 0)
+            if is_dataclass(kind):
+                yield from field_paths(kind, where)
+
+
+def wrong(hint, valid) -> list:
+    """JSON values that a field of the hint never holds, given one it does: each sample of another JSON type,
+    [] for an optional field, a list holding a wrong item or of a fixed tuple's wrong length, and an object holding
+    a wrong value or a list of pairs in place of a map."""
+    kind, optional = declared(hint)
+    origin, args = get_origin(kind), get_args(kind)
+    reads = (dict,) if is_dataclass(kind) or origin is abc.Mapping else (list,) if origin is tuple else READS[kind]
+    out = [x for x in SAMPLES if type(x) not in reads and not (optional and x is None)] + [[]] * optional
+    if origin is tuple:
+        out += [[x, *valid[1:]] for x in wrong(args[0], valid[0])]
+        if args[-1] is not Ellipsis:
+            out += [valid + valid[:1], valid[:-1]]
+    if origin is abc.Mapping:
+        key, value = next(iter(valid.items()))
+        out += [{**valid, key: x} for x in wrong(args[1], value)] + [[[key, 7]]]
+    return out
+
+
+@pytest.mark.parametrize("cls, path, hint", [
+    pytest.param(cls, path, hint, id=f"{cls.__name__}-{'.'.join(map(str, path))}")
+    for cls in DECLARED for path, hint in field_paths(cls)
+])
+def test_a_read_refuses_each_value_its_field_does_not_declare(tmp_path, cls, path, hint):
+    """Each field of each record type a reader decodes, given a value of a JSON type its declaration does not read,
+    is an error naming the file, the line and the field's key."""
+    write, read = DECLARED[cls]
+    file = tmp_path / "file"
+    write(file)
+    *lines, last = file.read_text(encoding="utf-8").splitlines()
+    assert type(read(file)[-1]) is cls
+    rec = json.loads(last)
+    holder = functools.reduce(operator.getitem, path[:-1], rec)
+    for value in wrong(hint, holder[path[-1]]):
+        holder[path[-1]] = value
+        file.write_text("\n".join([*lines, dumps(rec)]) + "\n", encoding="utf-8")
+        with pytest.raises(TaskFormatError, match=re.escape(f"{file}: line {len(lines) + 1}: {path[-1]}: ")):
+            read(file)

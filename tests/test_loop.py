@@ -1,4 +1,5 @@
 """Config handling, the phase loop, resume semantics, and the manifest."""
+import gc
 import inspect
 import json
 import logging
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rlvrloop
 from doubles import FaultyTabularBackend, FaultyTeacher, guidance_to_text, run_python
 from rlvrloop.backends import PolicyBackend, TabularPolicyBackend
 from rlvrloop.cli import main
@@ -433,9 +435,9 @@ def test_lost_teacher_exchanges_are_logged_once_with_the_first_error(small_suite
         guidance = guide_failures(small_suite, trajs, records, FaultyTeacher(2, frozenset({0}), dead))
     lost = [g for g in guidance if isinstance(g, EvaluationFailure)]
     assert 0 < len(lost) < len(guidance)
-    assert ("injected fault" if dead else "unusable reply") in lost[0].error
+    assert ("injected fault" if dead else "unusable reply") in lost[0].infrastructure_error
     assert [r.getMessage() for r in caplog.records] == [
-        f"{len(lost)} of {len(guidance)} teacher exchanges were lost; the first: {lost[0].error}"
+        f"{len(lost)} of {len(guidance)} teacher exchanges were lost; the first: {lost[0].infrastructure_error}"
     ]
 
 
@@ -647,6 +649,31 @@ def test_training_moved_the_policy(finished_run):
     pre = json.loads(paths.report_json.read_text())["pre_training"]
     post = json.loads(paths.report_json.read_text())["post_training"]
     assert post["pass_at_1"] >= pre["pass_at_1"]
+
+
+def test_a_run_makes_no_reference_cycle(tmp_path):
+    """Every object a run makes dies by reference counting: a collection after a run with the collector off finds
+    no instance of a package type in a cycle, and no function or frame of package code."""
+    package = str(Path(rlvrloop.__file__).parent)
+
+    def made_by_the_package(x) -> bool:
+        code = getattr(x, "__code__", None) or getattr(x, "f_code", None)
+        return type(x).__module__.startswith("rlvrloop") or code is not None and code.co_filename.startswith(package)
+
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_loop(RunConfig(output_dir=str(tmp_path / "run"), **SMALL))
+        gc.collect()
+        cyclic = [repr(x)[:80] for x in gc.garbage if made_by_the_package(x)]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert cyclic == []
 
 
 def test_manifest_lists_declared_outputs_and_run_state(finished_run, tmp_path, monkeypatch):

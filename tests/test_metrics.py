@@ -226,7 +226,7 @@ def test_aggregate_reconciles_totals():
 
 def test_aggregate_counts_infra_and_skips_them():
     trajs, recs = scored_task("t1", [1, 0])
-    recs.append(EvaluationFailure(task_id="t1", trajectory_ref="t1/x/9/u", error="boom"))
+    recs.append(EvaluationFailure(task_id="t1", trajectory_ref="t1/x/9/u", infrastructure_error="boom"))
     report = aggregate(trajs, recs)
     assert report.totals["infra_errors"] == 1
     assert report.per_task["t1"]["n"] == 2
@@ -283,7 +283,7 @@ def test_aggregate_empty_patch_counting():
 def test_guidance_uplift_report_numbers():
     unguided = [mk_rec("t1", f"u{i}", r) for i, r in enumerate([1, 0, 0, 0])]
     guided = [mk_rec("t1", f"g{i}", r, empty_patch=(r == 0 and i == 2)) for i, r in enumerate([1, 1, 0, 1])]
-    guided.append(EvaluationFailure(task_id="t1", trajectory_ref="g9", error="x"))
+    guided.append(EvaluationFailure(task_id="t1", trajectory_ref="g9", infrastructure_error="x"))
     up = guidance_uplift_report(unguided, guided)
     assert up["unguided"] == {
         "attempts": 4, "successes": 1, "success_rate": 0.25, "empty_patch_rate": 0.0,

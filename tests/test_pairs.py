@@ -336,14 +336,15 @@ def test_duplicate_guided_listing_is_dropped(guided_setup):
 
 
 def test_include_guided_in_sft_ablation(guided_setup):
+    """The arm adds the reward-1 guided trajectories to the SFT set, and no failed one."""
     loser, lrec, winner, wrec, guidance = guided_setup
+    failed = mk_traj("t1", "t1/x/8/g", "still wrong", prompt=winner.steps[0].prompt, guidance_id=guidance.guidance_id)
     ds = build_rlvr_dataset(
-        [loser], [lrec], [winner], [wrec], [guidance],
+        [loser], [lrec], [winner, failed], [wrec, mk_rec(failed.traj_id, 0)], [guidance],
         sft_fraction=1.0, include_guided_in_sft=True,
     )
-    targets = {ex.target for ex in ds.sft}
-    assert winner.response_text() in targets
-    assert any(HINT_DELIMITER in ex.prompt for ex in ds.sft)
+    assert [ex.target for ex in ds.sft] == [winner.response_text()]
+    assert HINT_DELIMITER in ds.sft[0].prompt
 
     default = build_rlvr_dataset([loser], [lrec], [winner], [wrec], [guidance], sft_fraction=1.0)
     assert default.sft == ()

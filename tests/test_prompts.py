@@ -1,14 +1,17 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlvrloop.prompts import (
+    CANDIDATE_REPLY,
     HINT_DELIMITER,
     HINT_LOCATION_RE,
     LOC_STEP,
+    REPAIR_MARKER,
     REPAIR_STEP,
+    WHOLE_PROGRAM_MARKER,
     WHOLE_REPAIR_STEP,
     format_candidate_completion,
     format_line_candidate_completion,
@@ -134,10 +137,12 @@ def test_prompt_hint_line():
     assert parse_prompt(prompt) == (None, LOC_STEP, None)
 
 
-# Hint lines: locations, "###" lines, the delimiter itself, backticks, and text built from their characters.
+# Hint lines: locations, "###" lines, the delimiter itself, the step markers, backticks, and text built from their
+# characters.
 HINT_LINES = st.lists(st.one_of(
     st.builds("line {}".format, st.integers(0, 99)),
-    st.sampled_from(["###", "### PLAN HINT:", "**ENVIRONMENT INTERACTION HINT:**", HINT_DELIMITER, "```", "`x.py`"]),
+    st.sampled_from(["###", "### PLAN HINT:", "**ENVIRONMENT INTERACTION HINT:**", HINT_DELIMITER, "```", "`x.py`",
+                     REPAIR_MARKER, CANDIDATE_REPLY, WHOLE_PROGRAM_MARKER, "Task: other-task"]),
     st.text(alphabet="aeilnst #`*:\n0123456789", max_size=30),
 ), max_size=8)
 
@@ -154,3 +159,12 @@ def test_any_hint_reads_back_from_its_reattempt_block(small_suite, lines):
     named = HINT_LOCATION_RE.findall(hint)
     assert parse_prompt(guided) == (task.id, LOC_STEP, int(named[-1]) if named else None)
 
+
+@settings(max_examples=200, deadline=None)
+@given(lines=HINT_LINES)
+@example(lines=[f"reply with {CANDIDATE_REPLY}", "line 2"])
+def test_no_hint_changes_the_task_or_the_step_its_prompt_names(small_suite, lines):
+    """The task id and the step come from the prompt before its hint block, whatever markers the hint holds."""
+    task, hint = small_suite.tasks[0], "\n".join(lines)
+    for base in (render_localization_prompt(task), render_repair_prompt(task, 1), render_repair_prompt(task, None)):
+        assert parse_prompt(render_reattempt_prompt(base, hint))[:2] == parse_prompt(base)[:2]

@@ -255,9 +255,9 @@ def codec_corpus(small_suite, backend):
         )
         for synth, guidance_id, temperature, seed, max_tokens in [
             (None, None, 0, 0, 1),
-            ((), "g-" + ODD, 0.0, 2**63 - 1, 256),
+            ((0, 0), "g-" + ODD, 0.0, 2**63 - 1, 256),
             (None, None, 0.6, 2**64 + 1, 10**6),
-            ((), None, 1, 10**30, 7),
+            ((4, 1), None, 1, 10**30, 7),
             (None, "", float("inf"), 3, 256),
             (None, None, float("nan"), 3, 256),
         ]
@@ -274,7 +274,7 @@ def reference_record(traj):
         "traj_id": traj.traj_id,
         "task_id": traj.task_id,
         "steps": [{"prompt": s.prompt, "completion": s.completion} for s in traj.steps],
-        "patch": None if p is None else {"edits": p.edits, "rendering": p.rendering, "synth": p.synth or None},
+        "patch": None if p is None else {"edits": p.edits, "rendering": p.rendering, "synth": p.synth},
         "guidance_id": traj.guidance_id,
         "sampling": {"temperature": sp.temperature, "seed": sp.seed, "max_tokens": sp.max_tokens},
     }

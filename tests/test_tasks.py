@@ -201,9 +201,6 @@ def test_env_spec_validation():
     for timeout_s in (0, -1.0, float("nan")):
         with pytest.raises(TaskFormatError, match="timeout_s must be > 0"):
             EnvSpec(setup_commands=(), test_command="x", timeout_s=timeout_s, isolation="process_sandbox")
-    for timeout_s in ("1", True, None):
-        with pytest.raises(TaskFormatError, match="timeout_s must be a number"):
-            EnvSpec(setup_commands=(), test_command="x", timeout_s=timeout_s, isolation="process_sandbox")
     for mode in ("bare_metal", "in_memory_synthetic"):
         with pytest.raises(TaskFormatError, match=f"unknown isolation mode '{mode}'"):
             EnvSpec(setup_commands=(), test_command="x", timeout_s=1, isolation=mode)
@@ -234,9 +231,6 @@ def test_synth_task_validation():
         SynthTask(**_synth_kwargs(candidates=(("x0 = 1", "x0 = 1"), ("a", "b"))))
     with pytest.raises(TaskFormatError, match="width"):
         SynthTask(**_synth_kwargs(candidates=(("x0 = 1", "x0 = 2"), ("a", "b", "c"))))
-    for over in ({"buggy_line": True}, {"buggy_line": 1.0}, {"expected_output": 3.0}, {"expected_output": "3"}):
-        with pytest.raises(TaskFormatError, match=f"t: {next(iter(over))} must be an integer"):
-            SynthTask(**_synth_kwargs(**over))
 
 
 def test_dataset_rejects_duplicate_ids(one_task):
